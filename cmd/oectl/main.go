@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -81,35 +82,7 @@ func main() {
 
 	switch args[0] {
 	case "ping":
-		// Short deadlines: a gray-failed node should print an UNREACHABLE
-		// row in seconds, not hold the sweep for the default 30s timeout.
-		pingOpts := rpc.Options{
-			DialTimeout:  3 * time.Second,
-			ReadTimeout:  3 * time.Second,
-			WriteTimeout: 3 * time.Second,
-		}
-		var unreachable []string
-		for i, a := range addrs {
-			c, err := rpc.DialOpts(a, pingOpts)
-			if err != nil {
-				fmt.Printf("%-21s UNREACHABLE (dial: %v)\n", a, err)
-				unreachable = append(unreachable, fmt.Sprintf("node %d (%s)", i, a))
-				continue
-			}
-			h, err := c.PingInfo()
-			c.Close()
-			if err != nil {
-				fmt.Printf("%-21s UNREACHABLE (ping: %v)\n", a, err)
-				unreachable = append(unreachable, fmt.Sprintf("node %d (%s)", i, a))
-				continue
-			}
-			serving := "training-only"
-			if h.Serving {
-				serving = "serving"
-			}
-			fmt.Printf("%-21s ok    epoch=%d rtt=%s %s\n", a, h.Epoch, h.RTT.Round(time.Microsecond), serving)
-		}
-		if len(unreachable) > 0 {
+		if unreachable := pingNodes(os.Stdout, addrs); len(unreachable) > 0 {
 			fmt.Printf("%d/%d nodes unreachable: %s\n", len(unreachable), len(addrs), strings.Join(unreachable, ", "))
 			os.Exit(1)
 		}
@@ -295,6 +268,42 @@ func main() {
 	default:
 		log.Fatalf("oectl: unknown command %q", args[0])
 	}
+}
+
+// pingNodes probes every address once and writes one row per node: its
+// epoch, round-trip time and serving status, or UNREACHABLE with the cause.
+// Short deadlines and a single attempt: a dead or gray-failed node should
+// print its row in seconds, not hold the sweep for the default 30s timeout
+// times three attempts. It returns the unreachable nodes.
+func pingNodes(w io.Writer, addrs []string) (unreachable []string) {
+	opts := rpc.Options{
+		DialTimeout:  3 * time.Second,
+		ReadTimeout:  3 * time.Second,
+		WriteTimeout: 3 * time.Second,
+		Retry:        rpc.RetryPolicy{MaxAttempts: 1},
+	}
+	for i, a := range addrs {
+		// A refused or timed-out connect is deferred to the first request,
+		// so both causes surface from PingInfo; the dial itself only fails
+		// on a server that rejects the handshake.
+		c, err := rpc.DialOpts(a, opts)
+		var h rpc.NodeHealth
+		if err == nil {
+			h, err = c.PingInfo()
+			c.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(w, "%-21s UNREACHABLE (%v)\n", a, err)
+			unreachable = append(unreachable, fmt.Sprintf("node %d (%s)", i, a))
+			continue
+		}
+		serving := "training-only"
+		if h.Serving {
+			serving = "serving"
+		}
+		fmt.Fprintf(w, "%-21s ok    epoch=%d rtt=%s %s\n", a, h.Epoch, h.RTT.Round(time.Microsecond), serving)
+	}
+	return unreachable
 }
 
 // serveBench drives the flash-crowd bag-gather workload and reports

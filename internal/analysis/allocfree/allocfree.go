@@ -184,7 +184,7 @@ func classify(info *types.Info, n ast.Node, stack []ast.Node) string {
 				switch gp := stack[len(stack)-2].(type) {
 				case *ast.GoStmt:
 					if gp.Call == p {
-						return "go func literal allocates its closure per spawn; use a method value on a pooled frame"
+						return "go func literal allocates its closure per spawn (and `go f.method(arg)` on a pooled frame still allocates once per goroutine spawned); hand the work to an already-running worker, or budget the spawns with //oevet:alloc-ok"
 					}
 				case *ast.DeferStmt:
 					if gp.Call == p {

@@ -1,7 +1,9 @@
 // Package cluster is the worker-side view of a multi-node parameter
 // server: embedding entries are partitioned across PS nodes by hashing
-// their IDs (Sec. IV), and each pull/push fans out to the owning nodes in
-// parallel and reassembles the responses in input order.
+// their IDs (Sec. IV) onto a consistent-hash ring (ring.go), and each
+// pull/push fans out to the owning nodes in parallel and reassembles the
+// responses in input order. Membership can change live (Join/Leave,
+// migrate.go) and serving reads fail over to R=2 replicas (failover.go).
 package cluster
 
 import (
@@ -17,36 +19,13 @@ import (
 	"openembedding/internal/serve"
 )
 
-// Partition returns the node index owning key among n nodes: the same
-// multiplicative hash the engines use for shard selection, reduced modulo
-// the node count. This is the legacy fixed-membership placement
-// (PlacementModulo); the default placement is the consistent-hash ring
-// (ring.go), which moves only ~1/N of keys on membership change.
-func Partition(key uint64, n int) int {
-	return int((key * 0x9e3779b97f4a7c15) >> 32 % uint64(n))
-}
-
-// Placement selects the key-placement scheme.
-type Placement int
-
-const (
-	// PlacementRing (the default) places keys on a consistent-hash ring
-	// with virtual nodes, versioned by an ownership epoch; membership can
-	// change live (Join/Leave) and reads fail over to R=2 replicas.
-	PlacementRing Placement = iota
-	// PlacementModulo is the legacy fixed-membership modulo placement:
-	// no migration, no replicas, bit-compatible with pre-elasticity
-	// deployments and BENCH series.
-	PlacementModulo
-)
-
 // Options configures a cluster Client.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
 	// retry policy, client-side RPC metrics). Each node's copy gets a
-	// deterministic injector label ("node<i>", unless RPC.Label is set) and
-	// a per-node retry jitter seed derived from RPC.Retry.Seed and the node
-	// index, so a seeded chaos run replays identically.
+	// deterministic label ("node<i>", unless RPC.Label is set), which names
+	// its injector stream and, with RPC.Retry.Seed, keys its retry jitter —
+	// so a seeded chaos run replays identically.
 	RPC rpc.Options
 	// Inject, when set, arms the deterministic fault injector on every
 	// per-node connection (client-side dial and wire faults). Nil leaves
@@ -60,9 +39,6 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// Placement selects key placement: PlacementRing (default, elastic)
-	// or PlacementModulo (legacy fixed membership).
-	Placement Placement
 	// HedgeDelay, when positive, arms hedged replica reads in PullBags:
 	// if a node's bag request has not answered within HedgeDelay, one
 	// hedged request is issued to the keys' replica nodes and the first
@@ -104,9 +80,9 @@ type Client struct {
 	addrs []string
 	spans *obs.Tracer
 
-	// ring is the ownership table under PlacementRing (nil under
-	// PlacementModulo). Stored atomically so concurrent PullBags readers
-	// observe a consistent ring while a Join/Leave flips the epoch.
+	// ring is the ownership table, never nil. Stored atomically so
+	// concurrent PullBags readers observe a consistent ring while a
+	// Join/Leave flips the epoch.
 	ring atomic.Pointer[Ring]
 	// ids are the stable ring identities of c.nodes, index-aligned;
 	// nextID is the identity the next joiner receives. Identities are
@@ -143,9 +119,7 @@ type Client struct {
 	migrations  *obs.Counter
 	migKeys     *obs.Counter
 	failovers   *obs.Counter
-	foHard      *obs.Counter
-	foSuspect   *obs.Counter
-	foHedge     *obs.Counter
+	failoversBy [3]*obs.Counter // indexed by failoverCause
 	hedged      *obs.Counter
 	reg         *obs.Registry
 }
@@ -168,23 +142,22 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		dialOpts:   opts,
 		hedgeDelay: opts.HedgeDelay,
 	}
-	if reg := opts.Obs; reg != nil {
-		c.reg = reg
-		c.fanWidth = reg.Histogram("cluster_fanout_width")
-		c.straggler = reg.Histogram("cluster_straggler_ns")
-		c.pullNS = reg.Histogram("cluster_pull_ns")
-		c.pushNS = reg.Histogram("cluster_push_ns")
-		c.bagNS = reg.Histogram("cluster_pullbag_ns")
-		c.migrationNS = reg.Histogram("cluster_migration_ns")
-		c.replays = reg.Counter("cluster_replays")
-		c.migrations = reg.Counter("cluster_migrations")
-		c.migKeys = reg.Counter("cluster_migrated_keys")
-		c.failovers = reg.Counter("cluster_failovers")
-		c.foHard = reg.Counter("cluster_failovers_hard")
-		c.foSuspect = reg.Counter("cluster_failovers_suspect")
-		c.foHedge = reg.Counter("cluster_failovers_hedge")
-		c.hedged = reg.Counter("cluster_hedged_reads")
-	}
+	reg := opts.Obs // nil registry: nil, free metrics
+	c.reg = reg
+	c.fanWidth = reg.Histogram("cluster_fanout_width")
+	c.straggler = reg.Histogram("cluster_straggler_ns")
+	c.pullNS = reg.Histogram("cluster_pull_ns")
+	c.pushNS = reg.Histogram("cluster_push_ns")
+	c.bagNS = reg.Histogram("cluster_pullbag_ns")
+	c.migrationNS = reg.Histogram("cluster_migration_ns")
+	c.replays = reg.Counter("cluster_replays")
+	c.migrations = reg.Counter("cluster_migrations")
+	c.migKeys = reg.Counter("cluster_migrated_keys")
+	c.failovers = reg.Counter("cluster_failovers")
+	c.failoversBy[causeHard] = reg.Counter("cluster_failovers_hard")
+	c.failoversBy[causeSuspect] = reg.Counter("cluster_failovers_suspect")
+	c.failoversBy[causeHedge] = reg.Counter("cluster_failovers_hedge")
+	c.hedged = reg.Counter("cluster_hedged_reads")
 	// Detector time source: explicit Clock > obs monotonic clock >
 	// process-monotonic fallback.
 	c.nowFn = opts.Clock
@@ -209,9 +182,7 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		c.ids = append(c.ids, uint64(n))
 	}
 	c.nextID = uint64(len(addrs))
-	if opts.Placement == PlacementRing {
-		c.ring.Store(NewRing(c.ids))
-	}
+	c.ring.Store(NewRing(c.ids))
 	if opts.Detector != nil {
 		c.det = NewDetector(len(c.nodes), *opts.Detector, opts.Obs)
 		c.resizeHealth()
@@ -219,9 +190,9 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// dialNode opens one per-node connection with the client's stored options:
-// a deterministic injector label ("node<i>") and a per-node retry jitter
-// seed, so seeded chaos runs replay identically even after joins.
+// dialNode opens one per-node connection with the client's stored options
+// under the deterministic label "node<i>" (injector stream and retry
+// jitter), so seeded chaos runs replay identically even after joins.
 func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
 	if c.dialOpts.Inject != nil {
@@ -230,8 +201,6 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	if ro.Label == "" {
 		ro.Label = fmt.Sprintf("node%d", n)
 	}
-	// Distinct per-node jitter streams from one configured seed.
-	ro.Retry.Seed ^= uint64(n) * 0x9e3779b97f4a7c15
 	// The breaker is per-peer state; the budget (already in ro) is shared
 	// across all of this Client's nodes by construction.
 	if c.dialOpts.Breakers && ro.Breaker == nil {
@@ -244,9 +213,10 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 
 // dialProbe opens node n's dedicated health-probe connection: its own
 // injector stream ("node<i>/probe", so probe traffic never perturbs the
-// data connections' deterministic fault streams), single attempts with
-// redial-on-demand, the detector's short probe timeout, and no budget or
-// breaker — a probe IS the health check, it must always reach the wire.
+// data connections' deterministic fault streams), single attempts, the
+// probe cadence as every deadline (a probe that outlives its round has
+// already failed), and no budget or breaker — a probe IS the health check,
+// it must always reach the wire.
 func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
 	if c.dialOpts.Inject != nil {
@@ -257,11 +227,9 @@ func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro.Budget = nil
 	ro.Breaker = nil
 	ro.Obs = nil // probe RTTs would skew the data-path client metrics
-	if c.det != nil {
-		ro.DialTimeout = c.det.cfg.ProbeTimeout
-		ro.ReadTimeout = c.det.cfg.ProbeTimeout
-		ro.WriteTimeout = c.det.cfg.ProbeTimeout
-	}
+	ro.DialTimeout = c.det.cfg.Interval
+	ro.ReadTimeout = c.det.cfg.Interval
+	ro.WriteTimeout = c.det.cfg.Interval
 	return rpc.DialOpts(addr, ro)
 }
 
@@ -310,18 +278,10 @@ func (c *Client) Probe() {
 	probes := c.probes
 	c.healthMu.Unlock()
 	ok := make([]bool, len(probes))
-	var wg sync.WaitGroup
-	for i, p := range probes {
-		if p == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p *rpc.Client) {
-			defer wg.Done()
-			ok[i] = p.Ping() == nil
-		}(i, p)
-	}
-	wg.Wait()
+	eachNode(len(probes), func(i int) bool { return probes[i] != nil }, func(i int) error {
+		ok[i] = probes[i].Ping() == nil
+		return nil
+	})
 	now := c.nowFn()
 	for i, healthy := range ok {
 		if healthy {
@@ -367,38 +327,20 @@ func (c *Client) StartProber(interval time.Duration) (stop func()) {
 
 // Suspected reports whether the failure detector currently suspects node
 // n (always false without Options.Detector).
-func (c *Client) Suspected(n int) bool { return c.suspectedNow(n) }
-
-func (c *Client) suspectedNow(n int) bool {
-	if c.det == nil {
-		return false
-	}
-	return c.det.Suspected(n, c.nowFn())
+func (c *Client) Suspected(n int) bool {
+	return c.det != nil && c.det.Suspected(n, c.nowFn())
 }
 
-// ownerOf returns the node index owning key under the active placement.
-func (c *Client) ownerOf(key uint64) int {
-	if r := c.ring.Load(); r != nil {
-		return r.Owner(key)
-	}
-	return Partition(key, len(c.nodes))
-}
-
-// Epoch returns the current ownership epoch (0 under PlacementModulo,
-// which never changes membership).
-func (c *Client) Epoch() int64 {
-	if r := c.ring.Load(); r != nil {
-		return r.Epoch()
-	}
-	return 0
-}
+// Epoch returns the current ownership epoch: 0 at dial, bumped by every
+// Join and Leave.
+func (c *Client) Epoch() int64 { return c.ring.Load().Epoch() }
 
 // Nodes returns the node count.
 func (c *Client) Nodes() int { return len(c.nodes) }
 
-// Owner returns the node index owning key under the active placement —
-// the exported view oectl ring uses to show the key distribution.
-func (c *Client) Owner(key uint64) int { return c.ownerOf(key) }
+// Owner returns the node index owning key on the current ring — the view
+// oectl ring uses to show the key distribution.
+func (c *Client) Owner(key uint64) int { return c.ring.Load().Owner(key) }
 
 // NodeHealth probes node n with the health RPC (fence-exempt) and reports
 // its epoch, serving status, and round-trip time.
@@ -430,12 +372,40 @@ type plan struct {
 
 func (c *Client) plan(keys []uint64) plan {
 	p := plan{keys: make([][]uint64, len(c.nodes)), pos: make([][]int, len(c.nodes))}
+	ring := c.ring.Load()
 	for i, k := range keys {
-		n := c.ownerOf(k)
+		n := ring.Owner(k)
 		p.keys[n] = append(p.keys[n], k)
 		p.pos[n] = append(p.pos[n], i)
 	}
 	return p
+}
+
+// eachNode runs fn(i) concurrently for every index in [0, n) that want
+// accepts (nil accepts all), waits for all of them, and returns the lowest
+// failing index with its error (-1, nil when none failed). It is the one
+// per-node goroutine loop: fan-outs, broadcasts, bag gathers and probe
+// rounds all go through it.
+func eachNode(n int, want func(i int) bool, fn func(i int) error) (int, error) {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		if want != nil && !want(i) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
 }
 
 // fanOut runs fn for every node with a non-empty key group, concurrently,
@@ -444,38 +414,24 @@ func (c *Client) plan(keys []uint64) plan {
 // spread between the fastest and slowest node of this request, the quantity
 // the paper's batched barrier is sensitive to.
 func (c *Client) fanOut(batch int64, p plan, fn func(node int, keys []uint64, pos []int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.nodes))
 	durs := make([]time.Duration, len(c.nodes))
-	width := 0
-	for n := range c.nodes {
-		if len(p.keys[n]) == 0 {
-			continue
-		}
-		width++
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			var start time.Duration
-			if c.reg != nil {
-				start = c.reg.Now()
-			}
-			sp := c.spans.Start("cluster.node", "cluster", int64(n), batch)
-			errs[n] = fn(n, p.keys[n], p.pos[n])
-			sp.EndArg("keys", int64(len(p.keys[n])))
-			if c.reg != nil {
-				durs[n] = c.reg.Now() - start
-			}
-		}(n)
-	}
-	wg.Wait()
-	if c.reg != nil && width > 0 {
-		c.fanWidth.ObserveValue(int64(width))
+	has := func(n int) bool { return len(p.keys[n]) > 0 }
+	n, err := eachNode(len(c.nodes), has, func(n int) error {
+		start := c.reg.Now()
+		sp := c.spans.Start("cluster.node", "cluster", int64(n), batch)
+		err := fn(n, p.keys[n], p.pos[n])
+		sp.EndArg("keys", int64(len(p.keys[n])))
+		durs[n] = c.reg.Now() - start
+		return err
+	})
+	if c.reg != nil {
+		width := 0
 		min, max := time.Duration(1<<62), time.Duration(0)
 		for n, d := range durs {
-			if len(p.keys[n]) == 0 {
+			if !has(n) {
 				continue
 			}
+			width++
 			if d < min {
 				min = d
 			}
@@ -483,14 +439,12 @@ func (c *Client) fanOut(batch int64, p plan, fn func(node int, keys []uint64, po
 				max = d
 			}
 		}
-		c.straggler.Observe(max - min)
-	}
-	for n, err := range errs {
-		if err != nil {
-			return c.nodeErr(n, err)
+		if width > 0 {
+			c.fanWidth.ObserveValue(int64(width))
+			c.straggler.Observe(max - min)
 		}
 	}
-	return nil
+	return c.nodeErr(n, err)
 }
 
 // Pull fetches weights for keys into dst (len(keys)*dim floats), routing
@@ -499,10 +453,7 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 	if err := psengine.CheckBuf(keys, dst, c.dim); err != nil {
 		return err
 	}
-	var start time.Duration
-	if c.reg != nil {
-		start = c.reg.Now()
-	}
+	start := c.reg.Now()
 	sp := c.spans.Start("cluster.pull", "cluster", -1, batch)
 	p := c.plan(keys)
 	err := c.fanOut(batch, p, func(n int, nodeKeys []uint64, pos []int) error {
@@ -519,7 +470,7 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 		return nil
 	})
 	sp.EndArg("keys", int64(len(keys)))
-	if c.reg != nil && err == nil {
+	if err == nil {
 		c.pullNS.Observe(c.reg.Now() - start)
 	}
 	return err
@@ -534,14 +485,14 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // order, so repeated gathers of the same state agree bit-for-bit. Mean is
 // applied client-side over each bag's full key count.
 //
-// Under PlacementRing a node that fails with a degraded error —
-// transport failure, timeout, shed (busy) or an open breaker — is failed
-// over: its keys are regrouped by their per-key replica node
-// (failover.go) and re-read there, so one dead node costs latency, not
-// errors. With Options.HedgeDelay set, a node that is merely slow gets
-// one hedged replica read after the deadline. With Options.Detector, a
-// *suspected* owner is preempted entirely. PullBags drops the staleness
-// flag; serving frontends that must distinguish degraded answers use
+// A node that fails with a degraded error — transport failure, timeout,
+// shed (busy) or an open breaker — is failed over: its keys are regrouped
+// by their per-key replica node and re-read there, so one dead node costs
+// latency, not errors. With Options.HedgeDelay set, a node that is merely
+// slow gets one hedged replica read after the deadline. With
+// Options.Detector, a *suspected* owner is preempted entirely. All of it
+// is the one ladder in failover.go. PullBags drops the staleness flag;
+// serving frontends that must distinguish degraded answers use
 // PullBagsResult.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	_, err := c.PullBagsResult(mean, offsets, keys, out)
@@ -572,10 +523,7 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 	// Feed the stale tier's hot set from live serving traffic (no-op
 	// without Options.Stale).
 	c.stale.Track(keys)
-	var start time.Duration
-	if c.reg != nil {
-		start = c.reg.Now()
-	}
+	start := c.reg.Now()
 	ring := c.ring.Load()
 	nn := len(c.nodes)
 	nodeKeys := make([][]uint64, nn)
@@ -585,45 +533,27 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 	}
 	for b := 0; b < bags; b++ {
 		for _, k := range keys[offsets[b]:offsets[b+1]] {
-			n := c.ownerOf(k)
+			n := ring.Owner(k)
 			nodeKeys[n] = append(nodeKeys[n], k)
 		}
 		for n := range nodeOffs {
 			nodeOffs[n] = append(nodeOffs[n], uint32(len(nodeKeys[n])))
 		}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, nn)
 	parts := make([][]float32, nn)
 	stales := make([]bool, nn)
-	for n := 0; n < nn; n++ {
-		if len(nodeKeys[n]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			parts[n], stales[n], errs[n] = c.bagRequest(ring, n, bags, nodeOffs[n], nodeKeys[n])
-		}(n)
-	}
-	wg.Wait()
-	for n, err := range errs {
-		if err != nil {
-			return BagResult{}, c.nodeErr(n, err)
-		}
+	has := func(n int) bool { return len(nodeKeys[n]) > 0 }
+	if n, err := eachNode(nn, has, func(n int) (err error) {
+		parts[n], stales[n], err = c.bagRequest(ring, n, bags, nodeOffs[n], nodeKeys[n])
+		return err
+	}); err != nil {
+		return BagResult{}, c.nodeErr(n, err)
 	}
 	var res BagResult
-	for _, s := range stales {
-		if s {
-			res.Stale = true
-		}
-	}
 	clear(out)
-	for n := 0; n < nn; n++ {
-		if parts[n] == nil {
-			continue
-		}
-		for i, v := range parts[n] {
+	for n, part := range parts {
+		res.Stale = res.Stale || stales[n]
+		for i, v := range part {
 			out[i] += v
 		}
 	}
@@ -640,9 +570,7 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 			}
 		}
 	}
-	if c.reg != nil {
-		c.bagNS.Observe(c.reg.Now() - start)
-	}
+	c.bagNS.Observe(c.reg.Now() - start)
 	return res, nil
 }
 
@@ -685,10 +613,7 @@ func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
 	if err := psengine.CheckBuf(keys, grads, c.dim); err != nil {
 		return err
 	}
-	var start time.Duration
-	if c.reg != nil {
-		start = c.reg.Now()
-	}
+	start := c.reg.Now()
 	sp := c.spans.Start("cluster.push", "cluster", -1, batch)
 	p := c.plan(keys)
 	err := c.fanOut(batch, p, func(n int, nodeKeys []uint64, pos []int) error {
@@ -699,7 +624,7 @@ func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
 		return c.nodes[n].Push(batch, nodeKeys, nodeGrads)
 	})
 	sp.EndArg("keys", int64(len(keys)))
-	if c.reg != nil && err == nil {
+	if err == nil {
 		c.pushNS.Observe(c.reg.Now() - start)
 	}
 	return err
@@ -708,22 +633,7 @@ func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
 // broadcast runs fn on every node concurrently and returns the first error,
 // attributed to its node.
 func (c *Client) broadcast(fn func(*rpc.Client) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.nodes))
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func(i int, n *rpc.Client) {
-			defer wg.Done()
-			errs[i] = fn(n)
-		}(i, n)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return c.nodeErr(i, err)
-		}
-	}
-	return nil
+	return c.nodeErr(eachNode(len(c.nodes), nil, func(i int) error { return fn(c.nodes[i]) }))
 }
 
 // EndPullPhase signals pull completion on every node.

@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"openembedding/internal/optim"
 	"openembedding/internal/ps"
 	"openembedding/internal/psengine"
+	"openembedding/internal/rpc"
 )
 
 func storeConfig() psengine.Config {
@@ -35,28 +39,6 @@ func startCluster(t *testing.T, engine string, nodes int) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-func TestPartitionStableAndInRange(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7} {
-		counts := make([]int, n)
-		for k := uint64(0); k < 10000; k++ {
-			p := Partition(k, n)
-			if p < 0 || p >= n {
-				t.Fatalf("partition %d out of range for %d nodes", p, n)
-			}
-			if p != Partition(k, n) {
-				t.Fatal("partition not deterministic")
-			}
-			counts[p]++
-		}
-		// Roughly balanced: no node under half the fair share.
-		for i, c := range counts {
-			if c < 10000/n/2 {
-				t.Fatalf("node %d of %d got %d keys (unbalanced)", i, n, c)
-			}
-		}
-	}
 }
 
 // TestClusterMatchesSingleEngine drives the same workload through a 3-node
@@ -159,8 +141,20 @@ func TestDialFailures(t *testing.T) {
 	if _, err := Dial(4, nil); err == nil {
 		t.Fatal("empty address list accepted")
 	}
-	if _, err := Dial(4, []string{"127.0.0.1:1"}); err == nil {
-		t.Fatal("dead address accepted")
+	// A dead address is not a dial error — the connection is established
+	// on demand, exactly as after a mid-run disconnect — but the first
+	// request names the node and fails with a transport error once its
+	// attempts are spent.
+	c, err := DialOpts(4, []string{"127.0.0.1:1"}, Options{
+		RPC: rpc.Options{Retry: rpc.RetryPolicy{Backoff: time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatalf("dial of a dead address: %v", err)
+	}
+	defer c.Close()
+	err = c.Pull(0, []uint64{1}, make([]float32, 4))
+	if !errors.Is(err, rpc.ErrUnavailable) || !strings.Contains(err.Error(), "node 0 (127.0.0.1:1)") {
+		t.Fatalf("pull from a dead address: %v, want a node-attributed ErrUnavailable", err)
 	}
 }
 

@@ -34,7 +34,8 @@ type DetectorConfig struct {
 	// Interval is the expected gap between successful probes of a healthy
 	// node — the prober's cadence. It is the floor of the smoothed
 	// expectation (so one burst of fast probes cannot make the detector
-	// hair-triggered) and the default ProbeTimeout. Default 100ms.
+	// hair-triggered) and every deadline of the probe connections.
+	// Default 100ms.
 	Interval time.Duration
 	// Threshold is the accrual multiplier: a node is suspected when the
 	// time since its last arrival exceeds Threshold × the smoothed gap.
@@ -43,9 +44,6 @@ type DetectorConfig struct {
 	// Window is how many recent inter-arrival gaps the smoothed
 	// expectation averages over. Default 8.
 	Window int
-	// ProbeTimeout bounds each health probe RPC (the probe connections'
-	// read deadline). Defaults to Interval.
-	ProbeTimeout time.Duration
 }
 
 func (cfg DetectorConfig) withDefaults() DetectorConfig {
@@ -57,9 +55,6 @@ func (cfg DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.Interval
 	}
 	return cfg
 }

@@ -9,17 +9,17 @@ import (
 )
 
 // Replicated bag reads (DESIGN.md §15) with gray-failure degradation
-// (§16): under PlacementRing every key has a preferred owner and, with
-// two or more nodes, a distinct replica (Ring.Secondary) kept warm by
-// SyncReplicas pushes into the replica's serve overlay. PullBags prefers
-// the owner; the owner is routed around when it is *degraded* — a
-// transport failure or timeout, a shed (busy) response, an open circuit
-// breaker, or mere suspicion by the failure detector — and the keys are
-// regrouped by their per-key replica and re-read there. When the replicas
-// cannot answer either, the stale fallback tier (serve.StaleTier) is the
-// last line: the read succeeds, flagged stale, instead of erroring.
-// Training pushes remain single-owner: replicas serve reads only, and a
-// replica row is as stale as the last SyncReplicas that refreshed it.
+// (§16): every key has a preferred owner and, with two or more nodes, a
+// distinct replica (Ring.Secondary) kept warm by SyncReplicas pushes into
+// the replica's serve overlay. PullBags prefers the owner; the owner is
+// routed around when it is *degraded* — a transport failure or timeout, a
+// shed (busy) response, an open circuit breaker, or mere suspicion by the
+// failure detector — and the keys are regrouped by their per-key replica
+// and re-read there. When the replicas cannot answer either, the stale
+// fallback tier (serve.StaleTier) is the last line: the read succeeds,
+// flagged stale, instead of erroring. Training pushes remain single-owner:
+// replicas serve reads only, and a replica row is as stale as the last
+// SyncReplicas that refreshed it.
 
 // errSuspectedOwner is the failover cause recorded when the detector
 // preempts an owner read.
@@ -34,58 +34,108 @@ const (
 	causeHedge                        // a hedged replica read won the race
 )
 
-// countFailover tallies one failover in the aggregate counter and its
-// cause-split counter (cluster_failovers_{hard,suspect,hedge}).
+// countFailover tallies one replica-answered share in the aggregate counter
+// and its cause-split counter (cluster_failovers_{hard,suspect,hedge}).
 func (c *Client) countFailover(cause failoverCause) {
 	c.failovers.Add(1)
-	switch cause {
-	case causeHard:
-		c.foHard.Add(1)
-	case causeSuspect:
-		c.foSuspect.Add(1)
-	case causeHedge:
-		c.foHedge.Add(1)
-	}
+	c.failoversBy[cause].Add(1)
 }
 
-// bagRequest fetches one node's share of a PullBags fan-out: the partial
-// sums for all bags over nodeKeys, grouped under nodeOffs. Under
-// PlacementModulo (nil ring) it is a plain owner read with legacy error
-// semantics. Under PlacementRing it adds suspicion preemption, failover,
-// optional hedging, and the stale fallback tier.
-func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64) (vals []float32, stale bool, err error) {
-	// Suspicion preempts the owner read entirely: a gray-failed owner
-	// would burn the full read deadline before surfacing an error, which
-	// is exactly the latency the detector exists to save.
-	if ring != nil && c.suspectedNow(n) {
-		if vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, errSuspectedOwner); rerr == nil {
-			c.countFailover(causeSuspect)
-			return vals, false, nil
+// bagRes is one bag read's outcome on its way through a channel.
+type bagRes struct {
+	vals []float32
+	err  error
+}
+
+// bagRequest fetches one node's share of a PullBags fan-out — the partial
+// sums for all bags over keys, grouped under offs — down the one failover
+// ladder (the step column of the DESIGN.md §16 failure taxonomy):
+//
+//  1. owner    — skipped while the detector suspects it: a gray-failed
+//     owner would burn the full read deadline before surfacing an error,
+//     which is exactly the latency the detector exists to save. A healthy
+//     answer, or an error no replica could do better on, ends here.
+//  2. replicas — on a degraded owner error, on suspicion, or (HedgeDelay)
+//     as soon as the owner has been silent for the hedge deadline, in
+//     which case the two race and the first success wins.
+//  3. stale    — the fallback tier answers, flagged, rather than erroring.
+//  4. owner after all — only for a suspected owner skipped in step 1, when
+//     no stale tier is configured: it is the best remaining option.
+//  5. error    — the last step's.
+func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64) (_ []float32, stale bool, _ error) {
+	cause, why := errSuspectedOwner, causeSuspect
+	var owner <-chan bagRes // an owner read still in flight behind its hedge
+	if !c.Suspected(n) {
+		var res bagRes
+		if res, owner = c.bagOwner(n, bags, offs, keys); owner != nil {
+			c.hedged.Add(1)
+			cause, why = fmt.Errorf("hedged past %v", c.hedgeDelay), causeHedge
+		} else if res.err == nil || !rpc.IsDegraded(res.err) {
+			return res.vals, false, res.err
+		} else {
+			cause, why = res.err, causeHard
 		}
-		// Replicas cannot cover the share either; serve stale rather than
-		// wait out a suspected owner's deadline.
-		if vals, ok := c.bagStale(bags, offs, keys); ok {
-			return vals, true, nil
-		}
-		// No stale tier configured: the suspected owner is still the best
-		// remaining option — fall through and ask it after all.
 	}
-	if ring == nil || c.hedgeDelay <= 0 {
+	var rep bagRes
+	if owner == nil {
+		rep.vals, rep.err = c.bagViaReplicas(ring, n, bags, offs, keys, cause)
+	} else {
+		hedge := make(chan bagRes, 1)
+		go func() {
+			vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, cause)
+			hedge <- bagRes{vals, err}
+		}()
+		select {
+		case rep = <-hedge:
+			if rep.err != nil {
+				if res := <-owner; res.err == nil {
+					return res.vals, false, nil
+				}
+			}
+		case res := <-owner:
+			if res.err == nil {
+				return res.vals, false, nil
+			}
+			rep = <-hedge
+		}
+	}
+	if rep.err == nil {
+		c.countFailover(why)
+		return rep.vals, false, nil
+	}
+	if vals, ok := c.bagStale(bags, offs, keys); ok {
+		return vals, true, nil
+	}
+	if why == causeSuspect {
 		vals, err := c.bagNode(n, bags, offs, keys)
-		if err == nil || ring == nil || !rpc.IsDegraded(err) {
-			return vals, false, err
-		}
-		c.countFailover(causeHard)
-		vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, err)
-		if rerr == nil {
-			return vals, false, nil
-		}
-		if vals, ok := c.bagStale(bags, offs, keys); ok {
-			return vals, true, nil
-		}
-		return nil, false, rerr
+		return vals, false, err
 	}
-	return c.bagHedged(ring, n, bags, offs, keys)
+	return nil, false, rep.err
+}
+
+// bagOwner is step 1 of the ladder. Without HedgeDelay it is a plain
+// synchronous read. With it, the read runs on its own goroutine and, when
+// still unanswered at the hedge deadline, is handed back in flight (a
+// non-nil channel) so the replica step can race it; the owner answering in
+// time — the steady state — never pays for a replica round-trip.
+func (c *Client) bagOwner(n, bags int, offs []uint32, keys []uint64) (bagRes, <-chan bagRes) {
+	if c.hedgeDelay <= 0 {
+		vals, err := c.bagNode(n, bags, offs, keys)
+		return bagRes{vals, err}, nil
+	}
+	owner := make(chan bagRes, 1)
+	go func() {
+		vals, err := c.bagNode(n, bags, offs, keys)
+		owner <- bagRes{vals, err}
+	}()
+	timer := time.NewTimer(c.hedgeDelay)
+	defer timer.Stop()
+	select {
+	case res := <-owner:
+		return res, nil
+	case <-timer.C:
+		return bagRes{}, owner
+	}
 }
 
 // bagNode issues the owner read to node n and validates the result shape.
@@ -165,74 +215,4 @@ func (c *Client) bagStale(bags int, offs []uint32, keys []uint64) ([]float32, bo
 	}
 	c.stale.Fallback()
 	return acc, true
-}
-
-// bagHedged races the owner read against one hedged replica read launched
-// after the hedge deadline. The first success wins (a hedge win counts as
-// a hedge-cause failover); if both fail the share falls back to the stale
-// tier, and only then to the first error. The owner finishing first (the
-// steady state) never pays for a replica round-trip.
-func (c *Client) bagHedged(ring *Ring, n, bags int, offs []uint32, keys []uint64) ([]float32, bool, error) {
-	type res struct {
-		vals  []float32
-		err   error
-		hedge bool // produced by the hedged replica read, not the owner
-	}
-	ch := make(chan res, 2)
-	go func() {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		ch <- res{vals, err, false}
-	}()
-	timer := time.NewTimer(c.hedgeDelay)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				if r.hedge {
-					c.countFailover(causeHedge)
-				}
-				return r.vals, false, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if !r.hedge && !hedged {
-				// Owner failed before the hedge deadline: hard failover.
-				if !rpc.IsDegraded(r.err) {
-					return nil, false, r.err
-				}
-				c.countFailover(causeHard)
-				vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, r.err)
-				if rerr == nil {
-					return vals, false, nil
-				}
-				if vals, ok := c.bagStale(bags, offs, keys); ok {
-					return vals, true, nil
-				}
-				return nil, false, rerr
-			}
-			if outstanding == 0 {
-				if vals, ok := c.bagStale(bags, offs, keys); ok {
-					return vals, true, nil
-				}
-				return nil, false, firstErr
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			hedged = true
-			outstanding++
-			c.hedged.Add(1)
-			go func() {
-				vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, fmt.Errorf("hedged past %v", c.hedgeDelay))
-				ch <- res{vals, err, true}
-			}()
-		}
-	}
 }

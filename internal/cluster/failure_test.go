@@ -113,7 +113,8 @@ func TestFanOutNodeFailure(t *testing.T) {
 		t.Fatalf("pull error %q does not name %q", err, want)
 	}
 
-	// Push against the poisoned connection also fails fast, attributed.
+	// The broken connection does not poison the client: Push redials, is
+	// refused by the still-dead node, and fails promptly and attributed too.
 	start = time.Now()
 	err = cl.Push(1, keys, grads)
 	if err == nil {
@@ -122,15 +123,17 @@ func TestFanOutNodeFailure(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("push took %v to notice the dead node", elapsed)
 	}
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("push error %q does not name %q", err, want)
+	if !strings.Contains(err.Error(), want) || !errors.Is(err, rpc.ErrUnavailable) {
+		t.Fatalf("push error %q does not name %q as unavailable", err, want)
 	}
 }
 
 // TestFanOutHungNodeTimesOut replaces one node with a listener that accepts
-// and never responds: the fan-out must surface the typed rpc timeout after
-// the configured read deadline, attributed to the silent node, and keep
-// errors.Is(err, rpc.ErrTimeout) working through the wrapper.
+// and never responds — not even to the handshake, so the dial itself is
+// deferred to the first request: the fan-out must surface the typed rpc
+// timeout after the configured read deadline, attributed to the silent
+// node, and keep errors.Is(err, rpc.ErrTimeout) working through the
+// wrapper.
 func TestFanOutHungNodeTimesOut(t *testing.T) {
 	real, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{
 		Engine:        "dram-ps",
@@ -181,8 +184,8 @@ func TestFanOutHungNodeTimesOut(t *testing.T) {
 		t.Fatalf("error %v lost ErrTimeout through the cluster wrapper", err)
 	}
 	var te *rpc.TimeoutError
-	if !errors.As(err, &te) || te.Op != "pull" {
-		t.Fatalf("error %v is not a pull *TimeoutError", err)
+	if !errors.As(err, &te) || te.Op != "hello" {
+		t.Fatalf("error %v is not a handshake *TimeoutError", err)
 	}
 	if want := fmt.Sprintf("node 1 (%s)", hung.Addr()); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name %q", err, want)
@@ -314,6 +317,122 @@ func TestClusterRecoverAfterCrash(t *testing.T) {
 	for i, n := range ns {
 		if n.Epoch() < 1 {
 			t.Errorf("node %d epoch = %d, want >= 1 after recovery", i, n.Epoch())
+		}
+	}
+}
+
+// TestDefaultClientTrainsAcrossCrash is the production client's recovery
+// pin: a client dialed with zero-value options — what openembedding.Dial,
+// oectl and the benchmark use — trains across a node Crash → Restart →
+// Recover and finishes bit-identical to the fault-free run. Its connection
+// to the crashed node redials, the handshake finds the bumped epoch, the
+// fence surfaces as a recoverable error, and Recover + replay from the
+// committed checkpoint converge.
+func TestDefaultClientTrainsAcrossCrash(t *testing.T) {
+	const nodes, batches, ckptAt, crashAfter = 3, 8, 2, 4
+	keys := keysForAllNodes(t, nodes, 12)
+	gradsFor := func(b int64) []float32 {
+		g := make([]float32, len(keys)*4)
+		for i := range g {
+			g[i] = float32(b+1) * 0.25 * float32(i%5+1)
+		}
+		return g
+	}
+	train := func(crash bool) []float32 {
+		t.Helper()
+		store := storeConfig()
+		store.RetainCheckpoints = 2
+		var addrs []string
+		var ns []*ps.Node
+		for i := 0; i < nodes; i++ {
+			n, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			addrs = append(addrs, n.Addr())
+			ns = append(ns, n)
+		}
+		cl, err := Dial(4, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+
+		dst := make([]float32, len(keys)*4)
+		step := func(b int64) error {
+			if err := cl.Pull(b, keys, dst); err != nil {
+				return err
+			}
+			if err := cl.EndPullPhase(b); err != nil {
+				return err
+			}
+			if err := cl.Push(b, keys, gradsFor(b)); err != nil {
+				return err
+			}
+			return cl.EndBatch(b)
+		}
+		for b := int64(0); b < batches; b++ {
+			err := step(b)
+			if err != nil && crash && cl.Recoverable(err) {
+				commit, cerr := cl.CompletedCheckpoint()
+				if cerr != nil {
+					t.Fatalf("completed checkpoint after crash: %v", cerr)
+				}
+				if commit != ckptAt {
+					t.Fatalf("cluster commit = %d, want %d", commit, ckptAt)
+				}
+				if err := cl.Recover(commit); err != nil {
+					t.Fatalf("recover to %d: %v", commit, err)
+				}
+				crash = false // one crash per run
+				b = commit    // the loop increment resumes at commit+1
+				continue
+			}
+			if err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			if b == ckptAt {
+				if err := cl.RequestCheckpoint(b); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					done, err := cl.CompletedCheckpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if done >= b {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("checkpoint %d never committed cluster-wide", b)
+					}
+				}
+			}
+			if crash && b == crashAfter {
+				if err := ns[1].Crash(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ns[1].Restart(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if crash {
+			t.Fatal("the crash never surfaced as a recoverable error")
+		}
+		if err := cl.Pull(batches, keys, dst); err != nil {
+			t.Fatalf("final pull: %v", err)
+		}
+		return dst
+	}
+
+	want := train(false)
+	got := train(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("weight [%d] = %v after crash+recover, want %v (bit-identical to the fault-free run)", i, got[i], want[i])
 		}
 	}
 }

@@ -200,6 +200,69 @@ func TestSuspicionPreemptiveFailover(t *testing.T) {
 	}
 }
 
+// TestSuspectedOwnerAskedAfterAll walks the ladder's last answering step:
+// a single-node cluster has no replica and this client no stale tier, so
+// when the detector wrongly suspects the only owner (its probe link went
+// silent, its data link is fine) the share still goes to that owner — it
+// is the best remaining option — and answers live, not stale, with no
+// failover counted.
+func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
+	n := startElasticNode(t)
+	// The probe link answers the handshake and four rounds, then goes
+	// silent; the data link ("node0") is never touched.
+	inj := faultinject.New(3, faultinject.Rule{
+		Point: faultinject.PointConnWrite, Label: "node0/probe", Kind: faultinject.KindPartition, Prob: 1, From: 6,
+	})
+	reg := obs.NewRegistry()
+	var vnow atomic.Int64
+	c, err := DialOpts(4, []string{n.Addr()}, Options{
+		Obs:      reg,
+		Inject:   inj,
+		Detector: &DetectorConfig{Interval: 100 * time.Millisecond, Threshold: 3, Window: 4},
+		Clock:    func() time.Duration { return time.Duration(vnow.Load()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	keys := testKeys(8)
+	w := trainStep(t, c, 0, keys, 1)
+	for i := range w {
+		w[i] -= 0.1
+	}
+	for i := 0; i < 4; i++ {
+		c.Probe()
+		vnow.Add(int64(100 * time.Millisecond))
+	}
+	vnow.Add(int64(time.Second))
+	c.Probe()
+	if !c.Suspected(0) {
+		t.Fatal("node with a silent probe link not suspected")
+	}
+
+	offs := make([]uint32, len(keys)+1)
+	for i := range keys {
+		offs[i+1] = uint32(i + 1)
+	}
+	out := make([]float32, len(keys)*c.dim)
+	res, err := c.PullBagsResult(false, offs, keys, out)
+	if err != nil {
+		t.Fatalf("pull-bags from a suspected sole owner: %v", err)
+	}
+	if res.Stale {
+		t.Fatal("answer flagged stale without a stale tier")
+	}
+	for i := range out {
+		if out[i] != w[i] {
+			t.Fatalf("row [%d] = %v, want %v (live owner row)", i, out[i], w[i])
+		}
+	}
+	if got := reg.Snapshot().Counters["cluster_failovers"]; got != 0 {
+		t.Fatalf("cluster_failovers = %d, want 0 (no replica answered)", got)
+	}
+}
+
 // TestStaleFallbackWhenAllReplicasDegraded: when a key's owner AND its
 // replica are both gone, a refreshed stale tier answers the read —
 // flagged stale, bit-exact to the last refresh — instead of erroring.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"openembedding/internal/rpc"
@@ -36,15 +37,6 @@ const migratePage = 1024
 
 // sinceAll exports every version — the full-copy floor for round 0.
 const sinceAll = int64(-1) << 62
-
-// wireIntervals converts ring arcs to their wire form.
-func wireIntervals(ivs []Interval) []rpc.HashInterval {
-	w := make([]rpc.HashInterval, len(ivs))
-	for i, iv := range ivs {
-		w[i] = rpc.HashInterval{Lo: iv.Lo, Hi: iv.Hi}
-	}
-	return w
-}
 
 // migrateMove streams one arc set from source node src to dst: pages of
 // entries with version >= since, adopted durably on dst. Returns the
@@ -81,7 +73,7 @@ func (c *Client) copyRounds(moves []move, dstFor func(move) *rpc.Client, batch i
 	for round := 0; ; round++ {
 		copied := 0
 		for _, mv := range moves {
-			n, err := c.migrateMove(dstFor(mv), mv.src, wireIntervals(mv.ivs), floor)
+			n, err := c.migrateMove(dstFor(mv), mv.src, mv.ivs, floor)
 			copied += n
 			if err != nil {
 				return total + copied, cur, err
@@ -186,72 +178,66 @@ func (c *Client) adoptEpochs(cls []*rpc.Client) error {
 // Join adds the node at addr to the ring and live-migrates its arcs from
 // their current owners. batch is the last sealed training batch; the
 // migration seals a cluster-wide checkpoint at the final batch before
-// flipping ownership. Requires PlacementRing. Join must not race other
-// calls on this Client (it is the coordinator's own training driver).
+// flipping ownership. Join must not race other calls on this Client (it is
+// the coordinator's own training driver).
 func (c *Client) Join(batch int64, addr string) error {
 	r := c.ring.Load()
-	if r == nil {
-		return fmt.Errorf("cluster: join: modulo placement is fixed-membership")
-	}
-	var start time.Duration
-	if c.reg != nil {
-		start = c.reg.Now()
-	}
+	start := c.reg.Now()
 	nr, moves := r.joinPlan(c.nextID)
 	nc, err := c.dialNode(addr, len(c.nodes))
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: %w", addr, err)
 	}
+	// Until the flip hands nc to the node table, every failure drops it.
+	flipped := false
+	defer func() {
+		if !flipped {
+			nc.Close()
+		}
+	}()
 	// Step 0: hygiene — drop the moving arcs on the target so a re-run
 	// after a coordinator crash starts from a clean slate.
 	var allIvs []rpc.HashInterval
 	for _, mv := range moves {
-		allIvs = append(allIvs, wireIntervals(mv.ivs)...)
+		allIvs = append(allIvs, mv.ivs...)
 	}
 	if _, err := nc.DropRange(allIvs); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: join %s: target hygiene drop: %w", addr, err)
 	}
 	if _, err := nc.AdoptEpoch(); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: join %s: adopt epoch: %w", addr, err)
 	}
 	// Steps 1–2: full copy, then delta rounds until quiescent.
 	total, cur, err := c.copyRounds(moves, func(move) *rpc.Client { return nc }, batch)
 	if err != nil {
-		nc.Close()
 		return err
 	}
 	// Pre-seal verification: the copy must prove itself before ownership
 	// can flip (a restarted target sheds un-checkpointed adopts).
 	for _, mv := range moves {
-		if err := c.verifyMove(nc, mv.src, wireIntervals(mv.ivs)); err != nil {
-			nc.Close()
+		if err := c.verifyMove(nc, mv.src, mv.ivs); err != nil {
 			return err
 		}
 	}
 	// The adopts fenced the target; re-adopt before sealing through it.
 	if _, err := nc.AdoptEpoch(); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: join %s: adopt epoch: %w", addr, err)
 	}
 	// Step 3: seal — the fresh target first seals cur (it has run no
 	// batches), then every node reaches a durable checkpoint at cur.
 	if err := nc.EndBatch(cur); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: join %s: seal end-batch %d: %w", addr, cur, err)
 	}
 	for i, cl := range c.nodes {
 		if err := c.ensureCheckpoint(cl, cur); err != nil {
-			nc.Close()
 			return c.nodeErr(i, fmt.Errorf("seal: %w", err))
 		}
 	}
 	if err := c.ensureCheckpoint(nc, cur); err != nil {
-		nc.Close()
 		return fmt.Errorf("cluster: join %s: seal: %w", addr, err)
 	}
 	// Step 4: flip — membership tables and the ring's ownership epoch.
+	flipped = true
 	c.nodes = append(c.nodes, nc)
 	c.addrs = append(c.addrs, addr)
 	c.ids = append(c.ids, c.nextID)
@@ -263,7 +249,7 @@ func (c *Client) Join(batch int64, addr string) error {
 	// Step 5: cleanup — durably erase the moved arcs from their sources,
 	// then follow the fences those drops raised.
 	for _, mv := range moves {
-		if _, err := c.nodes[mv.src].DropRange(wireIntervals(mv.ivs)); err != nil {
+		if _, err := c.nodes[mv.src].DropRange(mv.ivs); err != nil {
 			return c.nodeErr(mv.src, fmt.Errorf("cleanup drop: %w", err))
 		}
 	}
@@ -272,35 +258,27 @@ func (c *Client) Join(batch int64, addr string) error {
 	}
 	c.migrations.Add(1)
 	c.migKeys.Add(int64(total))
-	if c.reg != nil {
-		c.migrationNS.Observe(c.reg.Now() - start)
-	}
+	c.migrationNS.Observe(c.reg.Now() - start)
 	return nil
 }
 
 // Leave removes node (by index) from the ring, live-migrating its arcs to
 // the remaining owners, and closes its connection. batch is the last
-// sealed training batch. Requires PlacementRing and at least two nodes.
-// Leave must not race other calls on this Client.
+// sealed training batch. Requires at least two nodes. Leave must not race
+// other calls on this Client.
 func (c *Client) Leave(batch int64, node int) error {
 	r := c.ring.Load()
-	if r == nil {
-		return fmt.Errorf("cluster: leave: modulo placement is fixed-membership")
-	}
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("cluster: leave: no node %d", node)
 	}
 	if len(c.nodes) < 2 {
 		return fmt.Errorf("cluster: leave: cannot remove the last node")
 	}
-	var start time.Duration
-	if c.reg != nil {
-		start = c.reg.Now()
-	}
-	nr, moves, newIndex := r.leavePlan(node)
+	start := c.reg.Now()
+	nr, moves, _ := r.leavePlan(node)
 	// Step 0: hygiene drops on every target.
 	for _, mv := range moves {
-		if _, err := c.nodes[mv.dst].DropRange(wireIntervals(mv.ivs)); err != nil {
+		if _, err := c.nodes[mv.dst].DropRange(mv.ivs); err != nil {
 			return c.nodeErr(mv.dst, fmt.Errorf("target hygiene drop: %w", err))
 		}
 	}
@@ -315,7 +293,7 @@ func (c *Client) Leave(batch int64, node int) error {
 	}
 	// Pre-seal verification, per target (see verifyMove).
 	for _, mv := range moves {
-		if err := c.verifyMove(c.nodes[mv.dst], mv.src, wireIntervals(mv.ivs)); err != nil {
+		if err := c.verifyMove(c.nodes[mv.dst], mv.src, mv.ivs); err != nil {
 			return err
 		}
 	}
@@ -334,19 +312,12 @@ func (c *Client) Leave(batch int64, node int) error {
 		}
 	}
 	// Step 4: flip — remove the node from the tables, bump the epoch.
+	// (Fresh tables, not in-place deletes: a reader holding the old slices
+	// must keep seeing the old membership.)
 	leaving := c.nodes[node]
-	nn := make([]*rpc.Client, 0, len(c.nodes)-1)
-	na := make([]string, 0, len(c.addrs)-1)
-	ni := make([]uint64, 0, len(c.ids)-1)
-	for i := range c.nodes {
-		if newIndex[i] < 0 {
-			continue
-		}
-		nn = append(nn, c.nodes[i])
-		na = append(na, c.addrs[i])
-		ni = append(ni, c.ids[i])
-	}
-	c.nodes, c.addrs, c.ids = nn, na, ni
+	c.nodes = slices.Delete(slices.Clone(c.nodes), node, node+1)
+	c.addrs = slices.Delete(slices.Clone(c.addrs), node, node+1)
+	c.ids = slices.Delete(slices.Clone(c.ids), node, node+1)
 	c.ring.Store(nr.withEpoch(r.Epoch() + 1))
 	// Realign failure detection with the shrunk membership (indexes moved;
 	// the leaver's probe connection must go).
@@ -356,9 +327,7 @@ func (c *Client) Leave(batch int64, node int) error {
 	leaving.Close() //nolint:errcheck // the node is leaving; a close error changes nothing
 	c.migrations.Add(1)
 	c.migKeys.Add(int64(total))
-	if c.reg != nil {
-		c.migrationNS.Observe(c.reg.Now() - start)
-	}
+	c.migrationNS.Observe(c.reg.Now() - start)
 	return nil
 }
 
@@ -369,9 +338,6 @@ func (c *Client) Leave(batch int64, node int) error {
 // stale as the last sync; training pushes remain single-owner.
 func (c *Client) SyncReplicas(keys []uint64) (int, error) {
 	r := c.ring.Load()
-	if r == nil {
-		return 0, fmt.Errorf("cluster: sync replicas: modulo placement has no replicas")
-	}
 	nn := len(c.nodes)
 	// Read each key's row from its owner via single-key bags.
 	ownKeys := make([][]uint64, nn)

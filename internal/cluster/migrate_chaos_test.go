@@ -48,7 +48,7 @@ const (
 // migChaosGrad derives a deterministic per-(batch, slot) gradient from the
 // seed: the same seed trains the same floats in every scenario.
 func migChaosGrad(seed uint64, batch int64, i int) float32 {
-	h := mix64(seed ^ uint64(batch)*0x9e3779b97f4a7c15 ^ uint64(i))
+	h := rpc.KeyHash(seed ^ uint64(batch)*0x9e3779b97f4a7c15 ^ uint64(i))
 	return float32(h%1000)/1000 - 0.5
 }
 
@@ -202,7 +202,7 @@ func runMigrationScenario(t *testing.T, seed uint64, role string) []float32 {
 		// Node index derived from the seed: every seed kills a
 		// (deterministically chosen) old node mid-copy; with 64 vnodes
 		// each, every old node sources some arc of the join.
-		victim := int(mix64(seed) % migChaosNodes)
+		victim := int(rpc.KeyHash(seed) % migChaosNodes)
 		h.cl.migrateHook = func(round int, cur int64) int64 {
 			if round == 0 {
 				crash(h.nodes[victim])

@@ -122,7 +122,7 @@ func TestClusterJoinMigratesAndServes(t *testing.T) {
 	}
 	newOwned := 0
 	for _, k := range keys {
-		if c.ownerOf(k) == 3 {
+		if c.Owner(k) == 3 {
 			newOwned++
 		}
 	}
@@ -357,7 +357,7 @@ func TestPullBagsHedgedRead(t *testing.T) {
 	// Keys owned by the hung node; their replica is the live one.
 	var keys []uint64
 	for k := uint64(0); len(keys) < 4; k++ {
-		if c.ownerOf(k) == 1 {
+		if c.Owner(k) == 1 {
 			keys = append(keys, k)
 		}
 	}
@@ -422,7 +422,7 @@ func TestBroadcastPartialFailure(t *testing.T) {
 	// re-pull only the keys the live nodes own.
 	var live []uint64
 	for _, k := range keys {
-		if c.ownerOf(k) != dead {
+		if c.Owner(k) != dead {
 			live = append(live, k)
 		}
 	}

@@ -3,45 +3,33 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"openembedding/internal/rpc"
 )
 
 // This file is the placement half of the elasticity protocol (DESIGN.md
 // §15): a consistent-hash ring with virtual nodes. Every node owns
-// ringVnodes points on a 64-bit ring; a key lives at mix64(key) and is
-// owned by the node of the first point clockwise from it. Adding a node to
-// an N-node ring therefore moves only the arcs its new points carve out —
-// ~1/(N+1) of the key space — instead of reshuffling nearly everything the
-// way modulo placement does.
+// ringVnodes points on a 64-bit ring; a key lives at rpc.KeyHash(key) —
+// the wire protocol owns the hash, because the nodes' migration hooks
+// select keys by it — and is owned by the node of the first point
+// clockwise from it. Adding a node to an N-node ring therefore moves only
+// the arcs its new points carve out — ~1/(N+1) of the key space — instead
+// of reshuffling nearly everything the way a modulo placement would.
 //
 // Positions are deterministic and seed-free: point v of node id sits at
-// mix64(mix64(id) ^ v*golden). Two rings built from the same id list are
-// identical, on any machine, which is what lets a restarted coordinator
-// recompute the exact move plan of an interrupted migration.
+// KeyHash(KeyHash(id) ^ v*golden). Two rings built from the same id list
+// are identical, on any machine, which is what lets a restarted
+// coordinator recompute the exact move plan of an interrupted migration.
 
 // ringVnodes is the number of virtual nodes (ring points) per node. 64
 // points keep the per-node load spread within a few percent of fair while
 // keeping move plans small (a join touches at most 64 arcs).
 const ringVnodes = 64
 
-// mix64 is the splitmix64 finalizer, the same mixer the engines use for
-// shard selection and the fault injector uses for schedules.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// KeyHash maps a key to its position on the ring.
-func KeyHash(key uint64) uint64 { return mix64(key) }
-
 // vnodePos returns the ring position of virtual node v of the node with
 // the given stable id.
 func vnodePos(id uint64, v int) uint64 {
-	return mix64(mix64(id) ^ uint64(v)*0x9e3779b97f4a7c15)
+	return rpc.KeyHash(rpc.KeyHash(id) ^ uint64(v)*0x9e3779b97f4a7c15)
 }
 
 // ringPoint is one virtual node: a position and the index of the owning
@@ -110,7 +98,7 @@ func (r *Ring) succ(h uint64) int {
 
 // Owner returns the node index owning key.
 func (r *Ring) Owner(key uint64) int {
-	return int(r.points[r.succ(KeyHash(key))].node)
+	return int(r.points[r.succ(rpc.KeyHash(key))].node)
 }
 
 // Replicas appends up to want distinct node indexes for key — the owner
@@ -121,7 +109,7 @@ func (r *Ring) Replicas(key uint64, want int, out []int) []int {
 	if want > len(r.ids) {
 		want = len(r.ids)
 	}
-	i := r.succ(KeyHash(key))
+	i := r.succ(rpc.KeyHash(key))
 	for len(out) < want {
 		n := int(r.points[i].node)
 		seen := false
@@ -153,35 +141,17 @@ func (r *Ring) Secondary(key uint64) int {
 	return reps[1]
 }
 
-// Interval is a closed range [Lo, Hi] of ring positions (key hashes, not
-// keys). Wrapping arcs are represented as two non-wrapping intervals.
-type Interval struct{ Lo, Hi uint64 }
-
-// Contains reports whether ring position h falls inside the interval.
-func (iv Interval) Contains(h uint64) bool { return iv.Lo <= h && h <= iv.Hi }
-
-// ContainsKey reports whether the interval covers key's ring position.
-func ContainsKey(ivs []Interval, key uint64) bool {
-	h := KeyHash(key)
-	for _, iv := range ivs {
-		if iv.Contains(h) {
-			return true
-		}
-	}
-	return false
-}
-
 // arcIntervals converts the half-open ring arc (pred, p] into closed,
 // non-wrapping intervals. pred == p (a full-circle arc) cannot arise from
 // distinct ring points and is rejected by the callers.
-func arcIntervals(pred, p uint64) []Interval {
+func arcIntervals(pred, p uint64) []rpc.HashInterval {
 	if pred < p {
-		return []Interval{{Lo: pred + 1, Hi: p}}
+		return []rpc.HashInterval{{Lo: pred + 1, Hi: p}}
 	}
 	// The arc crosses the top of the ring.
-	ivs := []Interval{{Lo: 0, Hi: p}}
+	ivs := []rpc.HashInterval{{Lo: 0, Hi: p}}
 	if pred < ^uint64(0) {
-		ivs = append(ivs, Interval{Lo: pred + 1, Hi: ^uint64(0)})
+		ivs = append(ivs, rpc.HashInterval{Lo: pred + 1, Hi: ^uint64(0)})
 	}
 	return ivs
 }
@@ -193,7 +163,7 @@ func arcIntervals(pred, p uint64) []Interval {
 type move struct {
 	src int
 	dst int
-	ivs []Interval
+	ivs []rpc.HashInterval
 }
 
 // joinPlan computes the moves for growing ring r by one node with the
@@ -210,7 +180,7 @@ func (r *Ring) joinPlan(id uint64) (*Ring, []move) {
 	}
 	nr := NewRing(append(r.IDs(), id))
 	newNode := len(r.ids)
-	bySrc := make(map[int][]Interval)
+	bySrc := make(map[int][]rpc.HashInterval)
 	for i, pt := range nr.points {
 		if int(pt.node) != newNode {
 			continue
@@ -261,7 +231,7 @@ func (r *Ring) leavePlan(leaving int) (*Ring, []move, []int) {
 		rest = append(rest, id)
 	}
 	nr := NewRing(rest)
-	byDst := make(map[int][]Interval) // keyed by OLD node index of the target
+	byDst := make(map[int][]rpc.HashInterval) // keyed by OLD node index of the target
 	for i, pt := range r.points {
 		if int(pt.node) != leaving {
 			continue

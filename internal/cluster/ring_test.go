@@ -77,14 +77,18 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingHashPinnedToWire pins cluster.KeyHash to rpc.KeyHash: the
-// coordinator's move plan and the server-side range predicates must select
-// exactly the same keys.
-func TestRingHashPinnedToWire(t *testing.T) {
-	for k := uint64(0); k < 10_000; k++ {
-		if KeyHash(k) != rpc.KeyHash(k) {
-			t.Fatalf("key %d: cluster hash %x != wire hash %x", k, KeyHash(k), rpc.KeyHash(k))
+// TestRingPlacementPinned pins the placement itself — rpc.KeyHash and the
+// virtual-node layout — to golden owners: every persisted cluster's data
+// sits where this function put it, so a change here strands it.
+func TestRingPlacementPinned(t *testing.T) {
+	r := NewRing(ringIDs(3))
+	for k, want := range []int{2, 2, 2, 1, 1, 2, 0, 2, 2, 2, 2, 1, 2, 1, 2, 2} {
+		if got := r.Owner(uint64(k) * 1_000_003); got != want {
+			t.Fatalf("key %d: owner %d, want pinned %d", uint64(k)*1_000_003, got, want)
 		}
+	}
+	if got, want := rpc.KeyHash(1), uint64(0x910a2dec89025cc1); got != want {
+		t.Fatalf("KeyHash(1) = %#x, want pinned %#x", got, want)
 	}
 }
 
@@ -114,7 +118,7 @@ func TestRingReplicas(t *testing.T) {
 func TestJoinPlanCoversExactly(t *testing.T) {
 	old := NewRing(ringIDs(3))
 	grown, moves := old.joinPlan(3)
-	bySrc := make(map[int][]Interval)
+	bySrc := make(map[int][]rpc.HashInterval)
 	for _, mv := range moves {
 		if mv.dst != 3 {
 			t.Fatalf("join move dst = %d, want 3", mv.dst)
@@ -125,7 +129,7 @@ func TestJoinPlanCoversExactly(t *testing.T) {
 		movesToNew := grown.Owner(k) == 3
 		covered := false
 		for src, ivs := range bySrc {
-			if ContainsKey(ivs, k) {
+			if rpc.CoversKey(ivs, k) {
 				covered = true
 				if want := old.Owner(k); src != want {
 					t.Fatalf("key %d covered by source %d, old owner %d", k, src, want)
@@ -148,7 +152,7 @@ func TestLeavePlanCoversExactly(t *testing.T) {
 	if newIndex[leaving] != -1 {
 		t.Fatalf("newIndex[leaving] = %d, want -1", newIndex[leaving])
 	}
-	byDst := make(map[int][]Interval)
+	byDst := make(map[int][]rpc.HashInterval)
 	for _, mv := range moves {
 		if mv.src != leaving {
 			t.Fatalf("leave move src = %d, want %d", mv.src, leaving)
@@ -159,7 +163,7 @@ func TestLeavePlanCoversExactly(t *testing.T) {
 		wasLeaving := old.Owner(k) == leaving
 		covered := false
 		for dstOld, ivs := range byDst {
-			if ContainsKey(ivs, k) {
+			if rpc.CoversKey(ivs, k) {
 				covered = true
 				if want := newIndex[dstOld]; shrunk.Owner(k) != want {
 					t.Fatalf("key %d covered by old-dst %d (new %d), shrunk owner %d",
@@ -176,32 +180,28 @@ func TestLeavePlanCoversExactly(t *testing.T) {
 	}
 }
 
-// TestModuloPlacementPinned: PlacementModulo routes exactly like the
-// legacy Partition function — the pinned pre-elasticity equivalence.
-func TestModuloPlacementPinned(t *testing.T) {
-	c, _ := startClusterOpts(t, "dram-ps", 3, Options{Placement: PlacementModulo})
-	if c.ring.Load() != nil {
-		t.Fatal("modulo placement built a ring")
-	}
+// TestRingIsTheOnlyPlacement: a default-options client places keys on the
+// ring built from its node ids at ownership epoch 0 — there is no other
+// placement to select — and a one-node ring owns everything with no
+// replica, which is all a fixed single-node deployment needs.
+func TestRingIsTheOnlyPlacement(t *testing.T) {
+	c, _ := startClusterOpts(t, "dram-ps", 3, Options{})
 	if got := c.Epoch(); got != 0 {
-		t.Fatalf("modulo epoch = %d, want 0", got)
+		t.Fatalf("fresh cluster epoch = %d, want 0", got)
 	}
+	want := NewRing(ringIDs(3))
 	for k := uint64(0); k < 10_000; k++ {
-		if got, want := c.ownerOf(k), Partition(k, 3); got != want {
-			t.Fatalf("key %d: modulo owner %d, want Partition %d", k, got, want)
+		if got := c.Owner(k); got != want.Owner(k) {
+			t.Fatalf("key %d: client owner %d, ring owner %d", k, got, want.Owner(k))
 		}
 	}
-	// Fixed membership: elastic operations refuse.
-	if err := c.Join(0, "127.0.0.1:1"); err == nil {
-		t.Fatal("modulo Join succeeded")
+	one := NewRing(ringIDs(1))
+	for k := uint64(0); k < 1000; k++ {
+		if one.Owner(k) != 0 || one.Secondary(k) != -1 {
+			t.Fatalf("key %d on a one-node ring: owner %d secondary %d", k, one.Owner(k), one.Secondary(k))
+		}
 	}
-	if err := c.Leave(0, 1); err == nil {
-		t.Fatal("modulo Leave succeeded")
-	}
-	if _, err := c.SyncReplicas([]uint64{1}); err == nil {
-		t.Fatal("modulo SyncReplicas succeeded")
-	}
-	// And the training path still works end to end.
+	// The training path works end to end on the default placement.
 	keys := []uint64{1, 2, 3, 4, 5, 6}
 	dst := make([]float32, len(keys)*4)
 	if err := c.Pull(0, keys, dst); err != nil {

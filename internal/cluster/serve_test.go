@@ -77,7 +77,7 @@ func TestClusterPullBags(t *testing.T) {
 	for b := 0; b+1 < len(offsets); b++ {
 		owners := map[int]bool{}
 		for _, k := range bagKeys[offsets[b]:offsets[b+1]] {
-			owners[c.ownerOf(k)] = true
+			owners[c.Owner(k)] = true
 		}
 		if len(owners) > 1 {
 			spans = true

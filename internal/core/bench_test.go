@@ -104,8 +104,8 @@ func BenchmarkEnginePullParallel(b *testing.B) {
 	}
 }
 
-// benchPullParallel is the concurrent DRAM-hit pull workload shared by
-// BenchmarkEnginePullParallel and the BENCH-report harness.
+// benchPullParallel is BenchmarkEnginePullParallel's concurrent DRAM-hit
+// pull workload.
 func benchPullParallel(b *testing.B, shards int) {
 	e := newBenchEngine(b, shards)
 	batches := benchBatches(256)
@@ -151,8 +151,8 @@ func BenchmarkEnginePullObs(b *testing.B) {
 	}
 }
 
-// benchPullSingle is the single-threaded DRAM-hit pull workload shared by
-// BenchmarkEnginePullObs and the BENCH-report harness (benchreport_test.go).
+// benchPullSingle is BenchmarkEnginePullObs's single-threaded DRAM-hit
+// pull workload.
 func benchPullSingle(b *testing.B, reg *obs.Registry) {
 	e := newBenchEngineObs(b, 8, reg)
 	batches := benchBatches(256)
@@ -203,8 +203,8 @@ func BenchmarkEnginePushParallel(b *testing.B) {
 	}
 }
 
-// benchPushParallel is the concurrent gradient-push workload shared by
-// BenchmarkEnginePushParallel and the BENCH-report harness.
+// benchPushParallel is BenchmarkEnginePushParallel's concurrent
+// gradient-push workload.
 func benchPushParallel(b *testing.B, shards int) {
 	e := newBenchEngine(b, shards)
 	batches := benchBatches(256)

@@ -161,9 +161,12 @@ type opScratch struct {
 
 // fanFrame carries one fanned-out request's shared state. It lives inside
 // the pooled opScratch: `go f.run(sid)` passes the receiver and shard id as
-// plain goroutine arguments, so dispatching a multi-shard batch performs no
-// heap allocation (the closure-per-request formulation this replaces cost
-// five allocations per Pull/Push).
+// plain goroutine arguments, so the frame itself costs nothing per request
+// (the closure-per-request formulation this replaces cost five allocations
+// per Pull/Push). The `go` statement still allocates once per helper it
+// spawns — at most min(shards, GOMAXPROCS)-1 per request, none on a single
+// CPU where no helper token exists; TestPullPushZeroAllocs pins exactly
+// that budget.
 type fanFrame struct {
 	e     *Engine
 	sc    *opScratch

@@ -16,16 +16,6 @@ import (
 // three are cold administrative paths: they take shard locks exclusively
 // and never touch the pull/push hot path.
 
-// MigEntry is one migrating entry on the wire between ExportRange and
-// AdoptEntries: the key, the data version of the copied state (the batch
-// whose push it reflects), and the full DRAM image — weights followed by
-// optimizer state, EntryFloats floats.
-type MigEntry struct {
-	Key     uint64
-	Version int64
-	Data    []float32
-}
-
 // ExportRange returns up to max entries whose keys satisfy match, have key
 // > afterKey, and carry dataVersion >= since — in ascending key order, with
 // a more flag when the range continues past the page. afterKey is the
@@ -38,7 +28,7 @@ type MigEntry struct {
 // a row. Entries resident only in PMem are read back through the verified
 // path, so a rotted record surfaces as an integrity error here instead of
 // migrating corruption.
-func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]MigEntry, bool, error) {
+func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]psengine.MigEntry, bool, error) {
 	if e.closed.Load() {
 		return nil, false, psengine.ErrClosed
 	}
@@ -71,7 +61,7 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 	// Pass 2: copy the selected entries, one shard lock acquisition per
 	// shard-contiguous run of the (key-sorted) page. An entry deleted between
 	// the passes is skipped — the caller's next delta round re-converges.
-	out := make([]MigEntry, 0, len(cand))
+	out := make([]psengine.MigEntry, 0, len(cand))
 	bufp := e.payloadPool.Get().(*[]byte)
 	defer e.payloadPool.Put(bufp)
 	for i := 0; i < len(cand); {
@@ -96,7 +86,7 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 				}
 				pmem.DecodeFloats(data, *bufp)
 			}
-			out = append(out, MigEntry{Key: k, Version: ent.dataVersion, Data: data})
+			out = append(out, psengine.MigEntry{Key: k, Version: ent.dataVersion, Data: data})
 		}
 		s.mu.Unlock()
 		i = j
@@ -116,7 +106,7 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 // rebind before their next fenced request.
 //
 // oevet:fence-need
-func (e *Engine) AdoptEntries(entries []MigEntry) error {
+func (e *Engine) AdoptEntries(entries []psengine.MigEntry) error {
 	if e.closed.Load() {
 		return psengine.ErrClosed
 	}

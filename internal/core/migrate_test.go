@@ -18,9 +18,9 @@ func matchAll(uint64) bool   { return true }
 func matchOdd(k uint64) bool { return k%2 == 1 }
 
 // exportAll drains every page of an export into one slice.
-func exportAll(t *testing.T, e *Engine, match func(uint64) bool, since int64, page int) []MigEntry {
+func exportAll(t *testing.T, e *Engine, match func(uint64) bool, since int64, page int) []psengine.MigEntry {
 	t.Helper()
-	var out []MigEntry
+	var out []psengine.MigEntry
 	after := uint64(0)
 	for {
 		ents, more, err := e.ExportRange(match, since, after, page)
@@ -136,7 +136,7 @@ func TestAdoptEntriesRoundTrip(t *testing.T) {
 	compareStates(t, "after overwrite", srcState, pullAll(t, dst, 4))
 
 	// A malformed payload is rejected before any mutation.
-	bad := []MigEntry{{Key: 99, Version: 0, Data: make([]float32, 3)}}
+	bad := []psengine.MigEntry{{Key: 99, Version: 0, Data: make([]float32, 3)}}
 	if err := dst.AdoptEntries(bad); err == nil {
 		t.Fatal("short payload adopted")
 	}
@@ -147,9 +147,9 @@ func TestAdoptEntriesRoundTrip(t *testing.T) {
 func TestAdoptEntriesCapacity(t *testing.T) {
 	e := newTestEngine(t, testConfig(4, 8, 4))
 	floats := e.cfg.EntryFloats()
-	var ents []MigEntry
+	var ents []psengine.MigEntry
 	for i := 0; i < 12; i++ {
-		ents = append(ents, MigEntry{Key: uint64(i + 1), Data: make([]float32, floats)})
+		ents = append(ents, psengine.MigEntry{Key: uint64(i + 1), Data: make([]float32, floats)})
 	}
 	err := e.AdoptEntries(ents)
 	if !errors.Is(err, psengine.ErrCapacity) {
@@ -233,13 +233,13 @@ func TestAdoptDuringCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-checkpoint, adopt an overwrite of every key at version 1.
-	var ents []MigEntry
+	var ents []psengine.MigEntry
 	for _, k := range keys {
 		data := make([]float32, cfg.EntryFloats())
 		for i := range data {
 			data[i] = float32(k)
 		}
-		ents = append(ents, MigEntry{Key: k, Version: 1, Data: data})
+		ents = append(ents, psengine.MigEntry{Key: k, Version: 1, Data: data})
 	}
 	if err := e.AdoptEntries(ents); err != nil {
 		t.Fatalf("adopt during checkpoint: %v", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -349,9 +350,14 @@ func TestRunCoalescingAcrossFragmentation(t *testing.T) {
 	}
 }
 
-// TestPullPushZeroAllocs pins the hot-path allocation budget at zero for both
-// shard counts: the fan-out frame lives in pooled scratch and the run sweep
-// reuses its lanes, so steady-state Pull and Push never touch the heap.
+// TestPullPushZeroAllocs pins the hot-path allocation budget. The fan-out
+// frame lives in pooled scratch and the run sweep reuses its lanes, so the
+// only thing steady-state Pull and Push can allocate is a helper goroutine:
+// `go f.run(sid)` costs one allocation per helper actually spawned, and the
+// engine holds GOMAXPROCS-1 helper tokens (taken at New). The test sets
+// GOMAXPROCS itself rather than inheriting the host's: at 1 no helper is
+// ever spawned and the budget is zero at every shard count; at 2 and 8 it
+// is at most the helpers a request can spawn, min(shards, GOMAXPROCS)-1.
 func TestPullPushZeroAllocs(t *testing.T) {
 	if lockRankDebug {
 		t.Skip("-tags oedebug: runtime lock-rank checks allocate by design")
@@ -360,46 +366,51 @@ func TestPullPushZeroAllocs(t *testing.T) {
 		t.Skip("-race: detector instrumentation allocates")
 	}
 	const dim, batchLen = 16, 64
-	for _, shards := range []int{1, 8} {
-		cfg := psengine.Config{
-			Dim:          dim,
-			Capacity:     4096,
-			CacheEntries: 2048,
-			Shards:       shards,
-			MaintThreads: 2,
-		}
-		e := newTestEngine(t, cfg)
-		keys := make([]uint64, batchLen)
-		rng := rand.New(rand.NewSource(3))
-		for i := range keys {
-			keys[i] = uint64(rng.Intn(1024))
-		}
-		dst := make([]float32, batchLen*dim)
-		grads := constGrads(batchLen, dim, 0.1)
-
-		// Warm: create every entry, populate the scratch/goroutine pools, and
-		// pre-grow the access queues past their doubling thresholds.
-		batch := int64(0)
-		for ; batch < 8; batch++ {
-			runBatch(t, e, batch, keys, grads)
-		}
-
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := e.Pull(batch, keys, dst); err != nil {
-				t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 8} {
+			budget := float64(min(shards, procs) - 1)
+			cfg := psengine.Config{
+				Dim:          dim,
+				Capacity:     4096,
+				CacheEntries: 2048,
+				Shards:       shards,
+				MaintThreads: 2,
 			}
-		}); avg != 0 {
-			t.Errorf("shards=%d: Pull allocates %v/op, want 0", shards, avg)
-		}
-		e.EndPullPhase(batch)
-		e.WaitMaintenance()
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := e.Push(batch, keys, grads); err != nil {
-				t.Fatal(err)
+			e := newTestEngine(t, cfg)
+			keys := make([]uint64, batchLen)
+			rng := rand.New(rand.NewSource(3))
+			for i := range keys {
+				keys[i] = uint64(rng.Intn(1024))
 			}
-		}); avg != 0 {
-			t.Errorf("shards=%d: Push allocates %v/op, want 0", shards, avg)
+			dst := make([]float32, batchLen*dim)
+			grads := constGrads(batchLen, dim, 0.1)
+
+			// Warm: create every entry, populate the scratch/goroutine pools, and
+			// pre-grow the access queues past their doubling thresholds.
+			batch := int64(0)
+			for ; batch < 8; batch++ {
+				runBatch(t, e, batch, keys, grads)
+			}
+
+			if avg := testing.AllocsPerRun(100, func() {
+				if err := e.Pull(batch, keys, dst); err != nil {
+					t.Fatal(err)
+				}
+			}); avg > budget {
+				t.Errorf("GOMAXPROCS=%d shards=%d: Pull allocates %v/op, want <= %v", procs, shards, avg, budget)
+			}
+			e.EndPullPhase(batch)
+			e.WaitMaintenance()
+			if avg := testing.AllocsPerRun(100, func() {
+				if err := e.Push(batch, keys, grads); err != nil {
+					t.Fatal(err)
+				}
+			}); avg > budget {
+				t.Errorf("GOMAXPROCS=%d shards=%d: Push allocates %v/op, want <= %v", procs, shards, avg, budget)
+			}
+			e.Close()
 		}
-		e.Close()
 	}
 }

@@ -144,7 +144,7 @@ func TestServeInitDoesNotCreateEntries(t *testing.T) {
 
 // TestServeReadZeroAllocs pins the serve fast path at zero heap
 // allocations per read — the property the oevet allocfree analyzer
-// enforces statically and BENCH_pr8.json tracks in CI.
+// enforces statically.
 func TestServeReadZeroAllocs(t *testing.T) {
 	dim := 16
 	e := newTestEngine(t, testConfig(dim, 256, 128))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -348,32 +347,5 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != 1 {
 		t.Errorf("/debug/obs has %d events, want 1", len(doc.TraceEvents))
-	}
-}
-
-func TestBenchReportRoundTrip(t *testing.T) {
-	r := NewBenchReport("pr3")
-	r.Add(BenchResult{Name: "engine_pull/obs=off", NsPerOp: 920.5, N: 100000})
-	r.Add(BenchResult{
-		Name:    "engine_pull/obs=on",
-		NsPerOp: 940.1,
-		Metrics: map[string]float64{"overhead_pct": 2.1},
-	})
-	path := filepath.Join(t.TempDir(), "BENCH_pr3.json")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PR != "pr3" || len(got.Results) != 2 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if got.Results[1].Metrics["overhead_pct"] != 2.1 {
-		t.Fatalf("metrics lost: %+v", got.Results[1])
-	}
-	if got.GoVersion == "" || got.CPUs == 0 {
-		t.Fatalf("environment provenance missing: %+v", got)
 	}
 }

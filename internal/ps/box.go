@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"openembedding/internal/core"
 	"openembedding/internal/psengine"
 )
 
@@ -71,13 +70,13 @@ func (b *engineBox) AdvanceCheckpoints() error {
 // migrator is the optional live-resharding hook set (DESIGN.md §15); only
 // the pmem-oe engine implements it.
 type migrator interface {
-	ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]core.MigEntry, bool, error)
-	AdoptEntries(entries []core.MigEntry) error
+	ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]psengine.MigEntry, bool, error)
+	AdoptEntries(entries []psengine.MigEntry) error
 	DropRange(match func(key uint64) bool) (int, error)
 }
 
 // ExportRange forwards the migration export hook to the boxed engine.
-func (b *engineBox) ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]core.MigEntry, bool, error) {
+func (b *engineBox) ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]psengine.MigEntry, bool, error) {
 	if m, ok := b.get().(migrator); ok {
 		return m.ExportRange(match, since, afterKey, max)
 	}
@@ -90,7 +89,7 @@ func (b *engineBox) ExportRange(match func(key uint64) bool, since int64, afterK
 // the analyzer, so it is restated here.
 //
 // oevet:fence-need
-func (b *engineBox) AdoptEntries(entries []core.MigEntry) error {
+func (b *engineBox) AdoptEntries(entries []psengine.MigEntry) error {
 	if m, ok := b.get().(migrator); ok {
 		return m.AdoptEntries(entries)
 	}

@@ -31,6 +31,10 @@ import (
 	"openembedding/internal/serve"
 )
 
+// arenaSlotsFactor sizes the PMem arena as Capacity * 3 records: the
+// headroom holds retained checkpoint versions.
+const arenaSlotsFactor = 3
+
 // NodeConfig configures one PS node.
 type NodeConfig struct {
 	// Engine selects the storage engine: "pmem-oe" (default), "dram-ps",
@@ -38,9 +42,6 @@ type NodeConfig struct {
 	Engine string
 	// Store is the psengine configuration.
 	Store psengine.Config
-	// ArenaSlotsFactor sizes the PMem arena as Capacity * factor records
-	// (the headroom holds retained checkpoint versions). Defaults to 3.
-	ArenaSlotsFactor int
 	// PMemImage, when non-empty, is the file the PMem device image is
 	// loaded from (if present) and saved to on Close.
 	PMemImage string
@@ -74,15 +75,10 @@ type NodeConfig struct {
 	// server answers MsgPullBag through a serve.Handler over the engine's
 	// lock-free snapshot path (DESIGN.md §14). The handler survives
 	// Crash/Restart/rollback engine swaps — it is re-wired to whichever
-	// engine currently backs the node.
+	// engine currently backs the node. Admission control is armed on the
+	// handler itself (ServeHandler().SetMaxInflight) and, being per-handler
+	// state, has to be re-armed after an engine swap.
 	Serve bool
-	// ServeMaxInflight, when positive, arms serving admission control: bag
-	// requests arriving while this many are already executing are shed
-	// with a busy error (MsgErrBusy on the wire) instead of queueing, so
-	// an overloaded or gray-slow node degrades into fast explicit
-	// rejections the caller fails over (DESIGN.md §16). Zero disables
-	// shedding. Survives Crash/Restart/rollback engine swaps.
-	ServeMaxInflight int
 }
 
 // Node is one running parameter-server node.
@@ -154,9 +150,6 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	if cfg.Engine == "" {
 		cfg.Engine = "pmem-oe"
 	}
-	if cfg.ArenaSlotsFactor <= 0 {
-		cfg.ArenaSlotsFactor = 3
-	}
 	store := cfg.Store.WithDefaults()
 	store.Obs = cfg.Obs
 	store.Spans = cfg.Spans
@@ -164,7 +157,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 
 	n := &Node{cfg: cfg, RecoveredBatch: -1}
 	payload := pmem.FloatBytes(store.EntryFloats())
-	slots := store.Capacity * cfg.ArenaSlotsFactor
+	slots := store.Capacity * arenaSlotsFactor
 
 	newDevice := func() (*pmem.Device, bool, error) {
 		timed := device.NewTimedPMem(store.Meter)
@@ -286,25 +279,17 @@ func (n *Node) serverOptions() rpc.ServerOptions {
 }
 
 // matchIntervals turns wire hash intervals into the key predicate the
-// engine's migration hooks take. rpc.KeyHash is pinned to the cluster
-// ring's hash, so the predicate selects exactly the keys the coordinator's
-// move plan intends.
+// engine's migration hooks take. rpc.KeyHash is the hash the cluster ring
+// places keys with, so the predicate selects exactly the keys the
+// coordinator's move plan intends.
 func matchIntervals(ivs []rpc.HashInterval) func(key uint64) bool {
 	return func(key uint64) bool { return rpc.CoversKey(ivs, key) }
 }
 
 // migrateRPC serves MsgMigrateRange: export one page of the moving range.
 // A read — no state change, no fence.
-func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]rpc.MigEntry, bool, error) {
-	entries, more, err := n.box.ExportRange(matchIntervals(ivs), since, afterKey, max)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]rpc.MigEntry, len(entries))
-	for i, me := range entries {
-		out[i] = rpc.MigEntry(me)
-	}
-	return out, more, nil
+func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]psengine.MigEntry, bool, error) {
+	return n.box.ExportRange(matchIntervals(ivs), since, afterKey, max)
 }
 
 // adoptRPC serves MsgAdoptRange: install migrated entries (durably), then
@@ -312,12 +297,8 @@ func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashI
 // must re-synchronize before their next batch-protocol request, exactly as
 // after a rollback. The coordinator itself re-adopts the epoch on its
 // connection right after the flip.
-func (n *Node) adoptRPC(entries []rpc.MigEntry) error {
-	in := make([]core.MigEntry, len(entries))
-	for i, me := range entries {
-		in[i] = core.MigEntry(me)
-	}
-	err := n.box.AdoptEntries(in)
+func (n *Node) adoptRPC(entries []psengine.MigEntry) error {
+	err := n.box.AdoptEntries(entries)
 	// Fence even on error: a partial adopt may already have installed
 	// entries, changing the served key set.
 	n.parkFence()
@@ -376,7 +357,6 @@ func (n *Node) adoptEngine(eng *core.Engine) {
 		}
 		h := serve.New(eng, n.cfg.Obs)
 		h.SetReplicas(n.replicas)
-		h.SetMaxInflight(n.cfg.ServeMaxInflight)
 		n.bagSrv.h.Store(h)
 	}
 }

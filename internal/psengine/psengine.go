@@ -169,6 +169,17 @@ func (r *ScrubReport) Add(o ScrubReport) {
 	r.Quarantined += o.Quarantined
 }
 
+// MigEntry is one entry of a live-resharding move (DESIGN.md §15), as the
+// engine exports and adopts it and as the wire carries it: the key, the
+// data version of the copied state (the batch whose push it reflects), and
+// the full DRAM image — weights followed by optimizer state, EntryFloats
+// floats.
+type MigEntry struct {
+	Key     uint64
+	Version int64
+	Data    []float32
+}
+
 // WithDefaults returns a copy of c with zero fields defaulted.
 func (c Config) WithDefaults() Config {
 	if c.Dim == 0 {

@@ -41,11 +41,7 @@ func ValidateBagOffsets(offsets []uint32, nkeys int) error {
 // dedup, like Pull.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64) ([]float32, error) {
 	b := NewBuffer(MsgPullBag, 0)
-	if mean {
-		b.PutU8(1)
-	} else {
-		b.PutU8(0)
-	}
+	b.PutBool(mean)
 	b.PutU32s(offsets)
 	b.PutKeys(keys)
 	r, err := c.do(b.Bytes())

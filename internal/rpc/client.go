@@ -2,11 +2,13 @@ package rpc
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"openembedding/internal/faultinject"
@@ -20,47 +22,40 @@ import (
 // fan-out forever.
 const DefaultTimeout = 30 * time.Second
 
-// NoTimeout disables a deadline (pass it in an Options field).
-const NoTimeout = time.Duration(-1)
-
-// RetryPolicy bounds the client's transparent redial + retry of requests
-// that failed on the transport. Remote application errors and epoch fences
-// are never retried.
+// RetryPolicy bounds the client's transparent retry of requests that failed
+// on the transport (a broken connection is always redialed; the policy only
+// says how often one request is re-sent). Remote application errors and
+// epoch fences are never retried. The zero value means the defaults.
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per request, including the first.
-	// 0 (the default) disables fault tolerance entirely: the client keeps
-	// the legacy semantics where the first I/O failure poisons the
-	// connection and every later call fails fast. Any value >= 1 enables
-	// redial-on-demand and the epoch handshake; values > 1 also retry a
-	// failed request after a backoff.
+	// Defaults to 3; 1 means a request is tried once and its transport
+	// error surfaces (health probes, oectl ping), with the connection
+	// still redialed by the next request.
 	MaxAttempts int
 	// Backoff is the base delay before the first retry; each further retry
-	// doubles it. Defaults to 2ms when MaxAttempts > 1.
+	// doubles it. Defaults to 2ms.
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth. Defaults to 250ms.
 	MaxBackoff time.Duration
-	// Seed drives the backoff jitter (a seeded splitmix64 stream — never
-	// the global math/rand — so chaos runs replay deterministically).
+	// Seed drives the backoff jitter (a seeded xorshift stream keyed by
+	// Seed and Options.Label — never the global math/rand — so chaos runs
+	// replay deterministically).
 	Seed uint64
 }
 
-func (p RetryPolicy) enabled() bool { return p.MaxAttempts >= 1 }
-
 // Options configures a Client.
 type Options struct {
-	// DialTimeout bounds connection establishment. 0 means DefaultTimeout;
-	// NoTimeout disables the bound.
+	// DialTimeout bounds connection establishment. Defaults to
+	// DefaultTimeout.
 	DialTimeout time.Duration
 	// ReadTimeout bounds each request's response wait, measured from when
-	// the request hits the wire. 0 means DefaultTimeout; NoTimeout
-	// disables it.
+	// the request hits the wire. Defaults to DefaultTimeout.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each request's write+flush. 0 means
-	// DefaultTimeout; NoTimeout disables it.
+	// WriteTimeout bounds each request's write+flush. Defaults to
+	// DefaultTimeout.
 	WriteTimeout time.Duration
-	// Retry enables transparent redial + bounded retry with exponential
-	// backoff and seeded jitter. The zero value keeps the legacy
-	// poison-on-failure semantics.
+	// Retry bounds the transparent retry of transport failures, with
+	// exponential backoff and seeded jitter.
 	Retry RetryPolicy
 	// Inject, when set, threads the deterministic fault injector into the
 	// transport: dial faults and wire faults on every connection. Nil (the
@@ -88,26 +83,18 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	def := func(d time.Duration) time.Duration {
-		switch {
-		case d == 0:
-			return DefaultTimeout
-		case d < 0:
-			return 0 // disabled
-		default:
-			return d
+	def := func(d *time.Duration, v time.Duration) {
+		if *d <= 0 {
+			*d = v
 		}
 	}
-	o.DialTimeout = def(o.DialTimeout)
-	o.ReadTimeout = def(o.ReadTimeout)
-	o.WriteTimeout = def(o.WriteTimeout)
-	if o.Retry.MaxAttempts > 1 {
-		if o.Retry.Backoff == 0 {
-			o.Retry.Backoff = 2 * time.Millisecond
-		}
-		if o.Retry.MaxBackoff == 0 {
-			o.Retry.MaxBackoff = 250 * time.Millisecond
-		}
+	def(&o.DialTimeout, DefaultTimeout)
+	def(&o.ReadTimeout, DefaultTimeout)
+	def(&o.WriteTimeout, DefaultTimeout)
+	def(&o.Retry.Backoff, 2*time.Millisecond)
+	def(&o.Retry.MaxBackoff, 250*time.Millisecond)
+	if o.Retry.MaxAttempts <= 0 {
+		o.Retry.MaxAttempts = 3
 	}
 	return o
 }
@@ -135,23 +122,28 @@ func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 // Timeout implements the net.Error convention.
 func (e *TimeoutError) Timeout() bool { return true }
 
-// clientIDs assigns process-unique client IDs (the dedup key mutating
-// requests carry).
-var clientIDs atomic.Int64
+// newClientID draws the dedup key mutating requests carry: 63 random bits,
+// so clients in different worker processes cannot present the same ID to a
+// server (a per-process counter would — and one client's sequence numbers
+// would then shadow the other's in the server's dedup cache).
+func newClientID() (int64, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return 0, fmt.Errorf("rpc: drawing a client ID: %w", err)
+	}
+	return int64(binary.LittleEndian.Uint64(b[:]) >> 1), nil
+}
 
 // Client is a connection to one parameter-server node. A Client serializes
 // its requests; workers that want parallelism across shards hold one Client
 // per node (as internal/cluster does).
 //
-// Without a RetryPolicy, any I/O failure — including a timeout — breaks the
-// connection permanently: the request/response framing may be
-// desynchronized (a late response could answer the wrong request), so the
-// client closes the socket and every later call fails fast with the
-// original error.
-//
-// With a RetryPolicy, a broken connection is redialed — on the failing
-// request (up to MaxAttempts, with exponential backoff + seeded jitter) and
-// on demand by later requests. Redialing performs the MsgHello epoch
+// Any I/O failure — including a timeout — breaks the current connection:
+// the request/response framing may be desynchronized (a late response could
+// answer the wrong request), so the client closes the socket. A broken
+// connection is redialed — by the failing request (up to
+// Retry.MaxAttempts tries, with exponential backoff + seeded jitter) and on
+// demand by later requests. Every connection starts with the MsgHello epoch
 // handshake: if the server's epoch moved (it crashed+recovered or rolled
 // back), the client is *fenced* — batch-protocol requests fail with a typed
 // *EpochError until AdoptEpoch re-synchronizes — so a stale client can
@@ -162,7 +154,7 @@ type Client struct {
 	addr  string
 	label string
 	opts  Options
-	id    int64 // process-unique client ID for server-side dedup
+	id    int64 // collision-free client ID for server-side dedup
 
 	mu   sync.Mutex // serializes requests; guards all fields below
 	br   *bufio.Reader
@@ -194,41 +186,50 @@ type Client struct {
 	redials  *obs.Counter
 }
 
-// Dial connects with default options (30s dial/read/write deadlines).
+// Dial connects with default options (30s dial/read/write deadlines, three
+// attempts per request).
 func Dial(addr string) (*Client, error) { return DialOpts(addr, Options{}) }
 
-// DialOpts connects to a server with explicit options.
+// DialOpts connects to a server with explicit options. A transient failure
+// of the first connect (refused, reset, timed out) is not an error here: it
+// is healed by the first request's redial exactly like a mid-run
+// disconnect, and surfaces there if the server stays away. Permanent errors
+// — a server that rejects the handshake — fail the dial.
 func DialOpts(addr string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
+	id, err := newClientID()
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{
 		addr:  addr,
 		label: opts.Label,
 		opts:  opts,
-		id:    clientIDs.Add(1),
+		id:    id,
 		ep:    -1,
 		se:    -1,
 	}
 	if c.label == "" {
 		c.label = addr
 	}
-	c.rng = opts.Retry.Seed ^ uint64(c.id)*0x9e3779b97f4a7c15
-	if reg := opts.Obs; reg != nil {
-		c.rtt = reg.Histogram("rpc_client_rtt_ns")
-		c.bytesIn = reg.Counter("rpc_client_bytes_in")
-		c.bytesOut = reg.Counter("rpc_client_bytes_out")
-		c.inflight = reg.Gauge("rpc_client_inflight")
-		c.timeouts = reg.Counter("rpc_client_timeouts")
-		c.retries = reg.Counter("rpc_client_retries")
-		c.redials = reg.Counter("rpc_client_redials")
+	// The jitter stream is a function of the configured seed and label
+	// only — never of the random client ID — so a seeded chaos run replays
+	// its backoffs. xorshift needs a non-zero state.
+	h := fnv.New64a()
+	h.Write([]byte(c.label))
+	if c.rng = opts.Retry.Seed ^ h.Sum64(); c.rng == 0 {
+		c.rng = 0x9e3779b97f4a7c15
 	}
-	if err := c.connect(); err != nil {
-		// A fault-tolerant client defers transient initial-connect failures
-		// to redial-on-demand: the first request's retry loop heals them
-		// exactly like a mid-run disconnect. Legacy clients (and permanent
-		// errors, e.g. a server that rejects the handshake) still fail here.
-		if !opts.Retry.enabled() || !IsRecoverable(err) {
-			return nil, err
-		}
+	reg := opts.Obs // nil registry: nil, free metrics
+	c.rtt = reg.Histogram("rpc_client_rtt_ns")
+	c.bytesIn = reg.Counter("rpc_client_bytes_in")
+	c.bytesOut = reg.Counter("rpc_client_bytes_out")
+	c.inflight = reg.Gauge("rpc_client_inflight")
+	c.timeouts = reg.Counter("rpc_client_timeouts")
+	c.retries = reg.Counter("rpc_client_retries")
+	c.redials = reg.Counter("rpc_client_redials")
+	if err := c.connect(); err != nil && !IsRecoverable(err) {
+		return nil, err
 	}
 	return c, nil
 }
@@ -237,7 +238,7 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 func (c *Client) Addr() string { return c.addr }
 
 // Epoch returns the server epoch this client is synchronized to, or -1
-// before the first handshake (legacy mode never handshakes).
+// before the first handshake completed.
 func (c *Client) Epoch() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,8 +250,8 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// connect dials, installs the connection (unless Close won the race) and,
-// in fault-tolerant mode, runs the epoch handshake. Caller holds c.mu.
+// connect dials, installs the connection (unless Close won the race) and
+// runs the epoch handshake. Caller holds c.mu.
 func (c *Client) connect() error {
 	if f := c.opts.Inject.On(faultinject.PointDial, c.label); f.Kind != faultinject.KindNone {
 		switch f.Kind {
@@ -289,10 +290,7 @@ func (c *Client) connect() error {
 		c.redials.Add(1)
 	}
 	c.ever = true
-	if c.opts.Retry.enabled() {
-		return c.hello(c.ep)
-	}
-	return nil
+	return c.hello(c.ep)
 }
 
 // hello runs the epoch handshake on the current connection: it announces
@@ -347,8 +345,8 @@ func (c *Client) AdoptEpoch() (int64, error) {
 	return c.ep, nil
 }
 
-// ensureConn redials a broken connection when fault tolerance is enabled.
-// Caller holds c.mu.
+// ensureConn redials a broken (or never established) connection. Caller
+// holds c.mu.
 func (c *Client) ensureConn() error {
 	c.connMu.Lock()
 	closed := c.closed
@@ -358,9 +356,6 @@ func (c *Client) ensureConn() error {
 	}
 	if c.err == nil && c.ever {
 		return nil
-	}
-	if !c.opts.Retry.enabled() && c.ever {
-		return c.err // legacy: poisoned for good
 	}
 	return c.connect()
 }
@@ -387,13 +382,8 @@ func (c *Client) fail(op string, after time.Duration, err error) error {
 // roundTrip writes one frame and reads the response frame on the current
 // connection. Caller holds c.mu and has ensured a connection.
 func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
-	var start time.Duration
-	if c.rtt != nil {
-		start = c.opts.Obs.Now()
-	}
-	if c.opts.WriteTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	}
+	start := c.opts.Obs.Now()
+	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	// Propagate the read deadline — the longest this caller will wait for
 	// the response — so the server can abandon work we have given up on.
 	if err := WriteFrameDeadline(c.bw, body, c.opts.ReadTimeout); err != nil {
@@ -402,18 +392,14 @@ func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 	if err := c.bw.Flush(); err != nil {
 		return nil, c.fail(op, c.opts.WriteTimeout, err)
 	}
-	if c.opts.ReadTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	}
+	c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
 	resp, err := ReadFrame(c.br)
 	if err != nil {
 		return nil, c.fail(op, c.opts.ReadTimeout, err)
 	}
 	c.bytesOut.Add(int64(len(body)) + frameHdrSize)
 	c.bytesIn.Add(int64(len(resp)) + frameHdrSize)
-	if c.rtt != nil {
-		c.rtt.Observe(c.opts.Obs.Now() - start)
-	}
+	c.rtt.Observe(c.opts.Obs.Now() - start)
 	return resp, nil
 }
 
@@ -464,12 +450,8 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 	op := msgName(body[0])
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
-	attempts := c.opts.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < c.opts.Retry.MaxAttempts; a++ {
 		if a > 0 {
 			// Breaker fast-fails never touched the wire, so they cost no
 			// budget token; every other retry must withdraw one or stop.
@@ -495,7 +477,7 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 		// epoch leaves this client fenced until AdoptEpoch. Failing here
 		// (rather than on the wire) keeps the error crisp even when the
 		// server is mid-recovery.
-		if c.opts.Retry.enabled() && c.ep >= 0 && c.se != c.ep && fencedMsg(body[0]) {
+		if c.ep >= 0 && c.se != c.ep && fencedMsg(body[0]) {
 			return nil, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se}
 		}
 		resp, err := c.roundTrip(op, body)
@@ -535,59 +517,49 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 	return nil, lastErr
 }
 
-// doMutating assigns the next sequence number (0 in legacy mode — no
-// dedup) and runs the request built by build. Retried attempts reuse the
-// same body, hence the same sequence, which is what lets the server dedup
-// replays.
-func (c *Client) doMutating(build func(seq int64) []byte) (*Reader, error) {
+// doMutating runs one mutating request: the body carries, directly after
+// the batch ID, the client ID and the next sequence number (never 0), then
+// whatever put appends. Retried attempts reuse the same body, hence the
+// same sequence, which is what lets the server dedup replays.
+func (c *Client) doMutating(msg byte, batch int64, put func(*Buffer)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var seq int64
-	if c.opts.Retry.enabled() {
-		c.seq++
-		seq = c.seq
+	c.seq++
+	b := NewBuffer(msg, batch)
+	b.PutI64(c.id)
+	b.PutI64(c.seq)
+	if put != nil {
+		put(b)
 	}
-	return c.doLocked(build(seq))
+	_, err := c.doLocked(b.Bytes())
+	return err
 }
 
-// msgName names a message type for error and metric labels.
+// msgNames names the request types for error and metric labels.
+var msgNames = [...]string{
+	MsgPull:          "pull",
+	MsgPush:          "push",
+	MsgEndPullPhase:  "end-pull-phase",
+	MsgEndBatch:      "end-batch",
+	MsgCheckpoint:    "checkpoint",
+	MsgCompletedCkpt: "completed-checkpoint",
+	MsgStats:         "stats",
+	MsgPing:          "ping",
+	MsgHello:         "hello",
+	MsgRollback:      "rollback",
+	MsgScrub:         "scrub",
+	MsgPullBag:       "pull-bag",
+	MsgMigrateRange:  "migrate-range",
+	MsgAdoptRange:    "adopt-range",
+	MsgDropRange:     "drop-range",
+	MsgReplicate:     "replicate",
+}
+
 func msgName(t byte) string {
-	switch t {
-	case MsgPull:
-		return "pull"
-	case MsgPush:
-		return "push"
-	case MsgEndPullPhase:
-		return "end-pull-phase"
-	case MsgEndBatch:
-		return "end-batch"
-	case MsgCheckpoint:
-		return "checkpoint"
-	case MsgCompletedCkpt:
-		return "completed-checkpoint"
-	case MsgStats:
-		return "stats"
-	case MsgPing:
-		return "ping"
-	case MsgHello:
-		return "hello"
-	case MsgRollback:
-		return "rollback"
-	case MsgScrub:
-		return "scrub"
-	case MsgPullBag:
-		return "pull-bag"
-	case MsgMigrateRange:
-		return "migrate-range"
-	case MsgAdoptRange:
-		return "adopt-range"
-	case MsgDropRange:
-		return "drop-range"
-	case MsgReplicate:
-		return "replicate"
-	default:
-		return fmt.Sprintf("msg-0x%02x", t)
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
+	return fmt.Sprintf("msg-0x%02x", t)
 }
 
 // Pull fetches weights for keys (len(keys)*dim floats). Pull is idempotent,
@@ -605,48 +577,25 @@ func (c *Client) Pull(batch int64, keys []uint64) ([]float32, error) {
 // Push sends gradients for keys. The request carries the client ID and a
 // sequence number so a retried push is applied at most once.
 func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgPush, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
+	return c.doMutating(MsgPush, batch, func(b *Buffer) {
 		b.PutKeys(keys)
 		b.PutFloats(grads)
-		return b.Bytes()
 	})
-	return err
 }
 
 // EndPullPhase signals pull completion for batch.
 func (c *Client) EndPullPhase(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgEndPullPhase, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgEndPullPhase, batch, nil)
 }
 
 // EndBatch seals batch.
 func (c *Client) EndBatch(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgEndBatch, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgEndBatch, batch, nil)
 }
 
 // RequestCheckpoint asks the node to checkpoint batch.
 func (c *Client) RequestCheckpoint(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgCheckpoint, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgCheckpoint, batch, nil)
 }
 
 // CompletedCheckpoint reads the node's durable checkpoint progress.
@@ -726,7 +675,7 @@ func (c *Client) PingInfo() (NodeHealth, error) {
 // dataVersion >= since and key > afterKey, in ascending key order; more
 // reports whether the range continues past the page. Idempotent (a read),
 // so safe under retries.
-func (c *Client) MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error) {
+func (c *Client) MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error) {
 	b := NewBuffer(MsgMigrateRange, since)
 	b.PutI64(int64(afterKey))
 	b.PutI64(int64(max))
@@ -749,7 +698,7 @@ func (c *Client) MigrateRange(since int64, afterKey uint64, max int, ivs []HashI
 // AdoptRange installs migrated entries on the node; they are durable when
 // the call returns. Idempotent — adopting the same entries twice converges
 // — so safe under retries.
-func (c *Client) AdoptRange(entries []MigEntry) error {
+func (c *Client) AdoptRange(entries []psengine.MigEntry) error {
 	b := NewBuffer(MsgAdoptRange, 0)
 	putMigEntries(b, entries)
 	_, err := c.do(b.Bytes())

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -9,8 +10,8 @@ import (
 	"openembedding/internal/obs"
 )
 
-// ftClient dials with fault tolerance enabled and short timeouts so
-// injected faults turn into fast failures.
+// ftClient dials with short timeouts and a short backoff so injected
+// faults turn into fast failures.
 func ftClient(t *testing.T, addr string, opts Options) *Client {
 	t.Helper()
 	if opts.Retry.MaxAttempts == 0 {
@@ -29,8 +30,8 @@ func ftClient(t *testing.T, addr string, opts Options) *Client {
 	return cl
 }
 
-// TestRedialAfterServerRestart: a fault-tolerant client survives the server
-// process being torn down and re-listened on the same address at the same
+// TestRedialAfterServerRestart: a client survives the server process
+// being torn down and re-listened on the same address at the same
 // epoch — the redial plus handshake is transparent to the caller.
 func TestRedialAfterServerRestart(t *testing.T) {
 	eng := testEngine(t)
@@ -223,12 +224,13 @@ func TestCloseDuringRedialNoLeak(t *testing.T) {
 }
 
 // TestServerTornResponse: the server tears a response frame mid-write. A
-// legacy client surfaces a typed transport error; a fresh connection works
-// because the fault was scripted, not systemic.
+// single-attempt client surfaces a typed transport error; its next request
+// redials and works because the fault was scripted, not systemic.
 func TestServerTornResponse(t *testing.T) {
+	// Server writes: #1 hello resp, #2 pull resp (torn).
 	inj := faultinject.New(1, faultinject.Rule{
 		Point: faultinject.PointConnWrite, Label: "server",
-		Kind: faultinject.KindTorn, Nth: 1,
+		Kind: faultinject.KindTorn, Nth: 2,
 	})
 	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Inject: inj})
 	if err != nil {
@@ -236,7 +238,7 @@ func TestServerTornResponse(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := DialOpts(srv.Addr(), Options{ReadTimeout: 2 * time.Second})
+	cl, err := DialOpts(srv.Addr(), Options{ReadTimeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,19 +251,13 @@ func TestServerTornResponse(t *testing.T) {
 	if !errors.As(err, &te) || te.Op != "pull" {
 		t.Fatalf("torn response error not attributed: %v", err)
 	}
-
-	cl2, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	if _, err := cl2.Pull(0, []uint64{1}); err != nil {
-		t.Fatalf("fresh connection after torn response: %v", err)
+	if _, err := cl.Pull(0, []uint64{1}); err != nil {
+		t.Fatalf("redial after torn response: %v", err)
 	}
 }
 
 // TestTornResponseRetries: the same torn response is healed transparently
-// when retries are enabled.
+// under the default retry policy.
 func TestTornResponseRetries(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Server writes: #1 hello resp, #2 pull resp (torn), then after the
@@ -285,25 +281,138 @@ func TestTornResponseRetries(t *testing.T) {
 	}
 }
 
-// TestLegacyClientAgainstEpochServer: a client that never handshakes binds
-// lazily to the server's current epoch, so pre-fault-tolerance tooling
-// keeps working against an un-crashed node.
-func TestLegacyClientAgainstEpochServer(t *testing.T) {
+// TestHelloRequiredForBatchProtocol: a batch-protocol request on a
+// connection that never said MsgHello is answered MsgErr — an application
+// error, not an epoch fence — and the connection stays up: unfenced
+// requests still work on it, and after the handshake so does the batch
+// protocol. A default-options client handshakes at dial and adopts whatever
+// epoch the server is at.
+func TestHelloRequiredForBatchProtocol(t *testing.T) {
 	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Epoch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(b *Buffer) []byte {
+		t.Helper()
+		if err := WriteFrame(conn, b.Bytes()); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		resp, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("read (connection dropped?): %v", err)
+		}
+		return resp
+	}
+	pull := func() *Buffer {
+		b := NewBuffer(MsgPull, 0)
+		b.PutKeys([]uint64{1})
+		return b
+	}
+	if resp := send(pull()); resp[0] != MsgErr {
+		t.Fatalf("hello-less pull answered 0x%02x, want MsgErr", resp[0])
+	}
+	endPull := NewBuffer(MsgEndPullPhase, 0)
+	endPull.PutI64(77) // client ID
+	endPull.PutI64(1)  // sequence
+	if resp := send(endPull); resp[0] != MsgErr {
+		t.Fatalf("hello-less end-pull-phase answered 0x%02x, want MsgErr", resp[0])
+	}
+	if resp := send(NewBuffer(MsgPing, 0)); resp[0] != MsgData {
+		t.Fatalf("ping on the same connection answered 0x%02x, want MsgData", resp[0])
+	}
+	hello := NewBuffer(MsgHello, 0)
+	hello.PutI64(-1) // adopt the server's epoch
+	hello.PutI64(77)
+	if resp := send(hello); resp[0] != MsgData {
+		t.Fatalf("hello answered 0x%02x, want MsgData", resp[0])
+	}
+	if resp := send(pull()); resp[0] != MsgData {
+		t.Fatalf("pull after hello answered 0x%02x, want MsgData", resp[0])
+	}
+
 	cl, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	if got := cl.Epoch(); got != 5 {
+		t.Fatalf("default client adopted epoch %d, want 5", got)
+	}
 	if _, err := cl.Pull(0, []uint64{1}); err != nil {
-		t.Fatalf("legacy pull against epoch-5 server: %v", err)
+		t.Fatalf("default-options pull against epoch-5 server: %v", err)
 	}
 	if err := cl.EndPullPhase(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientIDsCollisionFree: the dedup key is 63 random bits, not a
+// per-process counter, so two worker processes cannot both present "client
+// 1" and shadow each other's sequence numbers in the server's dedup cache
+// (worker B's push at a sequence <= worker A's last would be answered
+// "stale sequence", or on an equal sequence replaced by A's cached
+// response). There is no way left to construct a client with a chosen ID;
+// two fresh clients both at sequence 1 must both have their push applied.
+func TestClientIDsCollisionFree(t *testing.T) {
+	seen := make(map[int64]bool)
+	for i := 0; i < 4096; i++ {
+		id, err := newClientID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id < 0 || seen[id] {
+			t.Fatalf("client ID %d (draw %d) negative or repeated", id, i)
+		}
+		seen[id] = true
+	}
+
+	reg := obs.NewRegistry()
+	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	a, b := ftClient(t, srv.Addr(), Options{}), ftClient(t, srv.Addr(), Options{})
+	if a.id == b.id {
+		t.Fatalf("two clients share ID %d", a.id)
+	}
+	keys := []uint64{1}
+	w0, err := a.Pull(0, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both clients' first mutating request carries sequence 1.
+	if err := a.Push(0, keys, []float32{1, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Push(0, keys, []float32{1, 1, 1, 1}); err != nil {
+		t.Fatalf("second client's push at an equal sequence: %v", err)
+	}
+	if err := a.EndPullPhase(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.EndBatch(0); err != nil {
+		t.Fatal(err)
+	}
+	w1, err := a.Pull(1, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w1 {
+		want := w0[i] - 0.2 // both pushes applied
+		if d := w1[i] - want; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("w1[%d] = %v, want %v: one client's push shadowed the other's", i, w1[i], want)
+		}
+	}
+	if got := reg.Snapshot().Counters["rpc_server_dedup_hits"]; got != 0 {
+		t.Fatalf("rpc_server_dedup_hits = %d, want 0", got)
 	}
 }
 

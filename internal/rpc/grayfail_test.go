@@ -238,7 +238,7 @@ func TestDispatchDeadlineAbandon(t *testing.T) {
 	ping := NewBuffer(MsgPing, 0).Bytes()
 
 	// Fresh request, generous deadline: served normally.
-	bound := epochUnbound
+	bound := int64(-1)
 	arrival := s.now()
 	resp := s.dispatchDeadline(&bound, ping, arrival, 5*time.Millisecond)
 	if _, err := DecodeResponse(resp); err != nil {

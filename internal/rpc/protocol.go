@@ -26,6 +26,8 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"openembedding/internal/psengine"
 )
 
 // Message types.
@@ -38,10 +40,11 @@ const (
 	MsgCompletedCkpt
 	MsgStats
 	MsgPing
-	// MsgHello is the fault-tolerant client's handshake: payload is the
-	// client's known epoch (-1 to adopt the server's) and its client ID.
-	// The response is MsgData with the server's current epoch, and the
-	// connection is bound to the client's epoch for fencing.
+	// MsgHello is the handshake every client connection opens with: payload
+	// is the client's known epoch (-1 to adopt the server's) and its client
+	// ID. The response is MsgData with the server's current epoch, and the
+	// connection is bound to the client's epoch for fencing. A connection
+	// that never said Hello cannot issue batch-protocol requests.
 	MsgHello
 	// MsgRollback asks the node to roll its engine back to the checkpoint
 	// in the batch field (the coordinated replay protocol; see DESIGN.md
@@ -112,10 +115,9 @@ const (
 
 // Mutating message bodies (Push, EndPullPhase, EndBatch, Checkpoint) carry,
 // directly after the batch ID, a client ID and a client-assigned sequence
-// number. Sequence 0 means "no dedup" (legacy clients); otherwise the
-// server caches the last response per client and replays it when a retry
-// re-delivers the same sequence, making every mutating op at-most-once
-// under retries.
+// number. The server caches the last response per client and replays it
+// when a retry re-delivers the same sequence, making every mutating op
+// at-most-once under retries.
 
 // MaxFrame bounds a frame body; larger frames indicate protocol corruption.
 const MaxFrame = 64 << 20
@@ -225,8 +227,17 @@ func (p *Buffer) PutFloats(vals []float32) {
 	}
 }
 
-// PutU8 appends one raw byte (e.g. a pooling-mode flag).
+// PutU8 appends one raw byte.
 func (p *Buffer) PutU8(v byte) { p.b = append(p.b, v) }
+
+// PutBool appends a flag as one byte, 1 or 0 (e.g. a pooling mode).
+func (p *Buffer) PutBool(v bool) {
+	if v {
+		p.b = append(p.b, 1)
+	} else {
+		p.b = append(p.b, 0)
+	}
+}
 
 // PutU32s appends a count-prefixed uint32 list (e.g. bag offsets).
 func (p *Buffer) PutU32s(vals []uint32) {
@@ -372,12 +383,15 @@ func (r *Reader) count() (int, error) {
 // OKBody is the canonical success response body.
 func OKBody() []byte { return []byte{MsgOK} }
 
-// ErrBody encodes an error response.
-func ErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErr}}
+// errBody encodes an error response of the given type.
+func errBody(t byte, err error) []byte {
+	b := &Buffer{b: []byte{t}}
 	b.PutString(err.Error())
 	return b.Bytes()
 }
+
+// ErrBody encodes an application-error response.
+func ErrBody(err error) []byte { return errBody(MsgErr, err) }
 
 // EpochErrBody encodes an epoch-fence rejection carrying the server's
 // current epoch.
@@ -388,28 +402,21 @@ func EpochErrBody(serverEpoch int64) []byte {
 }
 
 // CorruptErrBody encodes a data-integrity error response.
-func CorruptErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErrCorrupt}}
-	b.PutString(err.Error())
-	return b.Bytes()
-}
+func CorruptErrBody(err error) []byte { return errBody(MsgErrCorrupt, err) }
 
 // BusyErrBody encodes an overload-shed (or deadline-abandoned) response.
-func BusyErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErrBusy}}
-	b.PutString(err.Error())
-	return b.Bytes()
-}
+func BusyErrBody(err error) []byte { return errBody(MsgErrBusy, err) }
 
-// HashInterval is a closed range [Lo, Hi] of ring positions (key hashes)
-// on the wire; the cluster's placement ring produces them and the node's
-// migration hooks turn them into key predicates.
+// HashInterval is a closed range [Lo, Hi] of ring positions (key hashes,
+// not keys); a wrapping arc is two intervals. The cluster's placement ring
+// produces them and the node's migration hooks turn them into key
+// predicates.
 type HashInterval struct{ Lo, Hi uint64 }
 
-// KeyHash maps a key to its ring position: the splitmix64 finalizer, the
-// same mixer the cluster's placement ring uses (pinned by a cross-package
-// test) — an interval computed there selects exactly the keys matched
-// here.
+// KeyHash maps a key to its ring position: the splitmix64 finalizer. This
+// is the only ring hash — the cluster's placement ring places keys and
+// virtual nodes with it — so an interval computed there selects exactly
+// the keys matched here.
 func KeyHash(key uint64) uint64 {
 	x := key + 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -429,15 +436,6 @@ func CoversKey(ivs []HashInterval, key uint64) bool {
 		}
 	}
 	return false
-}
-
-// MigEntry is one migrating entry on the wire: the key, the data version
-// of the copied state, and the full row image (weights followed by
-// optimizer state).
-type MigEntry struct {
-	Key     uint64
-	Version int64
-	Data    []float32
 }
 
 // putIntervals appends a count-prefixed flat (lo, hi) pair list.
@@ -466,7 +464,7 @@ func readIntervals(r *Reader) ([]HashInterval, error) {
 }
 
 // putMigEntries appends a count-prefixed migration entry list.
-func putMigEntries(b *Buffer, entries []MigEntry) {
+func putMigEntries(b *Buffer, entries []psengine.MigEntry) {
 	b.PutI64(int64(len(entries)))
 	for _, me := range entries {
 		b.PutI64(int64(me.Key))
@@ -476,7 +474,7 @@ func putMigEntries(b *Buffer, entries []MigEntry) {
 }
 
 // readMigEntries consumes a count-prefixed migration entry list.
-func readMigEntries(r *Reader) ([]MigEntry, error) {
+func readMigEntries(r *Reader) ([]psengine.MigEntry, error) {
 	n, err := r.I64()
 	if err != nil {
 		return nil, err
@@ -490,7 +488,7 @@ func readMigEntries(r *Reader) ([]MigEntry, error) {
 	if lim := int64(len(r.b)/20 + 1); prealloc > lim {
 		prealloc = lim
 	}
-	entries := make([]MigEntry, 0, prealloc)
+	entries := make([]psengine.MigEntry, 0, prealloc)
 	for i := int64(0); i < n; i++ {
 		key, err := r.I64()
 		if err != nil {
@@ -504,7 +502,7 @@ func readMigEntries(r *Reader) ([]MigEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, MigEntry{Key: uint64(key), Version: version, Data: data})
+		entries = append(entries, psengine.MigEntry{Key: uint64(key), Version: version, Data: data})
 	}
 	return entries, nil
 }
@@ -521,30 +519,23 @@ func DecodeResponse(body []byte) (*Reader, error) {
 	switch t {
 	case MsgOK, MsgData:
 		return r, nil
-	case MsgErr:
-		msg, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("rpc: remote: %s", msg)
 	case MsgErrEpoch:
 		se, err := r.I64()
 		if err != nil {
 			return nil, err
 		}
 		return nil, &EpochError{ServerEpoch: se, ClientEpoch: -1}
-	case MsgErrCorrupt:
+	case MsgErr, MsgErrCorrupt, MsgErrBusy:
 		msg, err := r.String()
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case t == MsgErrCorrupt:
+			return nil, &RemoteCorruptError{Msg: msg}
+		case t == MsgErrBusy:
+			return nil, &BusyError{Msg: msg}
 		}
-		return nil, &RemoteCorruptError{Msg: msg}
-	case MsgErrBusy:
-		msg, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &BusyError{Msg: msg}
+		return nil, fmt.Errorf("rpc: remote: %s", msg)
 	default:
 		return nil, fmt.Errorf("rpc: unexpected response type 0x%02x", t)
 	}

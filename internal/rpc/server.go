@@ -41,10 +41,10 @@ type ServerOptions struct {
 	// of the given hash intervals with dataVersion >= since and key >
 	// afterKey, in ascending key order, with a more flag. Nil rejects
 	// migration exports.
-	Migrate func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error)
+	Migrate func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
 	// Adopt, when set, serves MsgAdoptRange by installing migrated entries
 	// (durably, before replying). Nil rejects adoptions.
-	Adopt func(entries []MigEntry) error
+	Adopt func(entries []psengine.MigEntry) error
 	// Drop, when set, serves MsgDropRange by removing the intervals' keys
 	// from the node's index, cache and durable records, returning how many
 	// entries were dropped. Nil rejects drops.
@@ -71,23 +71,23 @@ type dedupEntry struct {
 	resp []byte
 }
 
-// epochUnbound marks a connection that has not yet bound to an epoch: the
-// first fenced request (or MsgHello) binds it. Legacy clients never send
-// MsgHello and bind lazily to whatever epoch is current, so pre-fault-
-// tolerance tooling keeps working against an un-crashed node.
-const epochUnbound = int64(-2)
+// errNoHello answers a batch-protocol request on a connection that never
+// said MsgHello: without a bound epoch there is nothing to fence it
+// against. An application error — the connection stays up.
+var errNoHello = errors.New("rpc: batch-protocol request before MsgHello")
 
 // Server exposes one storage engine (one shard) over TCP. Each accepted
 // connection is served by its own goroutine; a worker that wants request
 // parallelism opens several connections, as the paper's multi-threaded
 // pull handlers do.
 //
-// The server carries an epoch: connections bind to it at handshake (or
-// lazily, for legacy clients) and requests from a connection bound to an
-// older epoch are rejected with MsgErrEpoch. A recovered node bumps the
-// epoch (ps.Node.Restart), so no stale client can mutate recovered state.
-// Mutating requests carrying a client sequence number are deduplicated:
-// a retry of the last request replays the cached response.
+// The server carries an epoch: connections bind to it at the MsgHello
+// handshake and batch-protocol requests from a connection bound to an
+// older epoch are rejected with MsgErrEpoch (from one that never said
+// Hello, with MsgErr). A recovered node bumps the epoch
+// (ps.Node.Restart), so no stale client can mutate recovered state.
+// Mutating requests are deduplicated by their client ID and sequence
+// number: a retry of the last request replays the cached response.
 type Server struct {
 	engine    psengine.Engine
 	ln        net.Listener
@@ -97,8 +97,8 @@ type Server struct {
 	rollback  func(target int64) error
 	scrub     func() (psengine.ScrubReport, error)
 	bags      BagServer
-	migrate   func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error)
-	adopt     func(entries []MigEntry) error
+	migrate   func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
+	adopt     func(entries []psengine.MigEntry) error
 	drop      func(ivs []HashInterval) (int, error)
 	replicate func(keys []uint64, rows []float32) error
 
@@ -153,25 +153,25 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 		drop:      opts.Drop,
 		replicate: opts.Replicate,
 		conns:     make(map[net.Conn]struct{}),
+		dedup:     make(map[int64]dedupEntry),
 		now:       time.Now,
 	}
 	s.epoch.Store(opts.Epoch)
 	if s.label == "" {
 		s.label = "server"
 	}
-	if reg := opts.Obs; reg != nil {
-		s.reg = reg
-		s.pullNS = reg.Histogram("rpc_server_pull_ns")
-		s.pushNS = reg.Histogram("rpc_server_push_ns")
-		s.otherNS = reg.Histogram("rpc_server_other_ns")
-		s.bytesIn = reg.Counter("rpc_server_bytes_in")
-		s.bytesOut = reg.Counter("rpc_server_bytes_out")
-		s.requests = reg.Counter("rpc_server_requests")
-		s.connsG = reg.Gauge("rpc_server_conns")
-		s.epochRejects = reg.Counter("rpc_server_epoch_rejects")
-		s.dedupHits = reg.Counter("rpc_server_dedup_hits")
-		s.abandoned = reg.Counter("rpc_server_deadline_abandoned")
-	}
+	reg := opts.Obs // nil registry: nil, free metrics
+	s.reg = reg
+	s.pullNS = reg.Histogram("rpc_server_pull_ns")
+	s.pushNS = reg.Histogram("rpc_server_push_ns")
+	s.otherNS = reg.Histogram("rpc_server_other_ns")
+	s.bytesIn = reg.Counter("rpc_server_bytes_in")
+	s.bytesOut = reg.Counter("rpc_server_bytes_out")
+	s.requests = reg.Counter("rpc_server_requests")
+	s.connsG = reg.Gauge("rpc_server_conns")
+	s.epochRejects = reg.Counter("rpc_server_epoch_rejects")
+	s.dedupHits = reg.Counter("rpc_server_dedup_hits")
+	s.abandoned = reg.Counter("rpc_server_deadline_abandoned")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -222,7 +222,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	wire := s.inject.WrapConn(conn, s.label)
 	br := bufio.NewReaderSize(wire, 1<<16)
 	bw := bufio.NewWriterSize(wire, 1<<16)
-	bound := epochUnbound
+	bound := int64(-1) // no MsgHello yet; server epochs are never negative
 	for {
 		body, deadline, err := ReadFrameDeadline(br)
 		if err != nil {
@@ -275,7 +275,8 @@ func (s *Server) dispatchDeadline(bound *int64, body []byte, arrival time.Time, 
 }
 
 // dispatch applies per-connection epoch fencing and per-client dedup, then
-// delegates to handle. bound is the connection's epoch binding state.
+// delegates to handle. bound is the epoch the connection's MsgHello bound
+// it to (negative before the handshake).
 func (s *Server) dispatch(bound *int64, body []byte) []byte {
 	if len(body) == 0 {
 		return ErrBody(ErrTruncated)
@@ -285,11 +286,10 @@ func (s *Server) dispatch(bound *int64, body []byte) []byte {
 		return s.handleHello(bound, body)
 	}
 	if fencedMsg(t) {
-		cur := s.epoch.Load()
-		if *bound == epochUnbound {
-			*bound = cur // legacy client: lazily adopt the current epoch
+		if *bound < 0 {
+			return ErrBody(errNoHello)
 		}
-		if *bound != cur {
+		if cur := s.epoch.Load(); *bound != cur {
 			s.epochRejects.Add(1)
 			return EpochErrBody(cur)
 		}
@@ -337,7 +337,7 @@ func mutatingMsg(t byte) bool {
 
 // handleMutating peeks the clientID+seq pair that mutating bodies carry
 // after the batch field, consults the dedup cache, and stores the response
-// for replay. Sequence 0 disables dedup (legacy clients).
+// for replay.
 func (s *Server) handleMutating(body []byte) []byte {
 	r := NewReader(body)
 	r.Type()
@@ -352,13 +352,7 @@ func (s *Server) handleMutating(body []byte) []byte {
 	if err != nil {
 		return ErrBody(err)
 	}
-	if seq == 0 {
-		return s.handle(body)
-	}
 	s.dedupMu.Lock()
-	if s.dedup == nil {
-		s.dedup = make(map[int64]dedupEntry)
-	}
 	last, ok := s.dedup[clientID]
 	s.dedupMu.Unlock()
 	if ok {
@@ -375,16 +369,13 @@ func (s *Server) handleMutating(body []byte) []byte {
 	}
 	resp := s.handle(body)
 	s.dedupMu.Lock()
-	if s.dedup == nil {
-		s.dedup = make(map[int64]dedupEntry)
-	}
 	s.dedup[clientID] = dedupEntry{seq: seq, resp: resp}
 	s.dedupMu.Unlock()
 	return resp
 }
 
 // handle dispatches one request body and returns the response body. It
-// performs no fencing or dedup — dispatch layers those on top — so legacy
+// performs no fencing or dedup — dispatch layers those on top — so
 // in-process callers (tests, fuzzers) can exercise it directly.
 func (s *Server) handle(body []byte) []byte {
 	r := NewReader(body)
@@ -474,9 +465,8 @@ func (s *Server) handle(body []byte) []byte {
 			return errResp(err)
 		}
 		out := &Buffer{b: []byte{MsgData}}
-		for _, v := range []int64{rep.Scanned, rep.Corrupt, rep.Repaired,
-			rep.Restored, rep.Fenced, rep.Quarantined} {
-			out.PutI64(v)
+		for _, f := range scrubFields(&rep) {
+			out.PutI64(*f)
 		}
 		return out.Bytes()
 	case MsgPullBag:
@@ -484,9 +474,8 @@ func (s *Server) handle(body []byte) []byte {
 	case MsgStats:
 		st := s.engine.Stats()
 		out := &Buffer{b: []byte{MsgData}}
-		for _, v := range []int64{st.Entries, st.CachedEntries, st.Hits, st.Misses,
-			st.PMemReads, st.PMemWrites, st.Evictions, st.CheckpointsDone} {
-			out.PutI64(v)
+		for _, f := range statsFields(&st) {
+			out.PutI64(*f)
 		}
 		return out.Bytes()
 	case MsgMigrateRange:
@@ -511,11 +500,7 @@ func (s *Server) handle(body []byte) []byte {
 			return errResp(err)
 		}
 		out := &Buffer{b: []byte{MsgData}}
-		if more {
-			out.PutU8(1)
-		} else {
-			out.PutU8(0)
-		}
+		out.PutBool(more)
 		putMigEntries(out, entries)
 		return out.Bytes()
 	case MsgAdoptRange:
@@ -566,15 +551,10 @@ func (s *Server) handle(body []byte) []byte {
 		return OKBody()
 	case MsgPing:
 		// The health probe reports the node's epoch and whether it serves
-		// bag reads; legacy callers decode the response as a bare OK/Data
-		// and ignore the payload.
+		// bag reads; Ping ignores the payload, PingInfo decodes it.
 		out := &Buffer{b: []byte{MsgData}}
 		out.PutI64(s.epoch.Load())
-		if s.bags != nil {
-			out.PutU8(1)
-		} else {
-			out.PutU8(0)
-		}
+		out.PutBool(s.bags != nil)
 		return out.Bytes()
 	default:
 		return ErrBody(fmt.Errorf("unknown message type 0x%02x", t))
@@ -659,31 +639,38 @@ func errResp(err error) []byte {
 	return ErrBody(err)
 }
 
-// DecodeScrubReport parses a MsgScrub response payload.
-func DecodeScrubReport(r *Reader) (psengine.ScrubReport, error) {
-	var rep psengine.ScrubReport
-	for _, f := range []*int64{&rep.Scanned, &rep.Corrupt, &rep.Repaired,
-		&rep.Restored, &rep.Fenced, &rep.Quarantined} {
-		v, err := r.I64()
-		if err != nil {
-			return rep, err
+// scrubFields lists a scrub report's counters in wire order — the one
+// list the MsgScrub encoder and decoder both walk.
+func scrubFields(rep *psengine.ScrubReport) []*int64 {
+	return []*int64{&rep.Scanned, &rep.Corrupt, &rep.Repaired,
+		&rep.Restored, &rep.Fenced, &rep.Quarantined}
+}
+
+// statsFields lists the engine counters in wire order, as scrubFields does
+// for MsgStats.
+func statsFields(st *psengine.Stats) []*int64 {
+	return []*int64{&st.Entries, &st.CachedEntries, &st.Hits, &st.Misses,
+		&st.PMemReads, &st.PMemWrites, &st.Evictions, &st.CheckpointsDone}
+}
+
+// readFields fills fields from consecutive int64s.
+func readFields(r *Reader, fields []*int64) (err error) {
+	for _, f := range fields {
+		if *f, err = r.I64(); err != nil {
+			return err
 		}
-		*f = v
 	}
-	return rep, nil
+	return nil
+}
+
+// DecodeScrubReport parses a MsgScrub response payload.
+func DecodeScrubReport(r *Reader) (rep psengine.ScrubReport, err error) {
+	err = readFields(r, scrubFields(&rep))
+	return rep, err
 }
 
 // DecodeStats parses a MsgStats response payload.
-func DecodeStats(r *Reader) (psengine.Stats, error) {
-	var st psengine.Stats
-	fields := []*int64{&st.Entries, &st.CachedEntries, &st.Hits, &st.Misses,
-		&st.PMemReads, &st.PMemWrites, &st.Evictions, &st.CheckpointsDone}
-	for _, f := range fields {
-		v, err := r.I64()
-		if err != nil {
-			return st, err
-		}
-		*f = v
-	}
-	return st, nil
+func DecodeStats(r *Reader) (st psengine.Stats, err error) {
+	err = readFields(r, statsFields(&st))
+	return st, err
 }

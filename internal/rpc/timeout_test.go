@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,18 +30,23 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.DialTimeout != DefaultTimeout || o.ReadTimeout != DefaultTimeout || o.WriteTimeout != DefaultTimeout {
 		t.Fatalf("zero options did not default to 30s: %+v", o)
 	}
-	o = Options{DialTimeout: NoTimeout, ReadTimeout: NoTimeout, WriteTimeout: time.Second}.withDefaults()
-	if o.DialTimeout != 0 || o.ReadTimeout != 0 {
-		t.Fatalf("NoTimeout did not disable deadlines: %+v", o)
+	if o.Retry.MaxAttempts != 3 || o.Retry.Backoff != 2*time.Millisecond || o.Retry.MaxBackoff != 250*time.Millisecond {
+		t.Fatalf("zero retry policy did not default to 3 attempts, 2ms..250ms: %+v", o.Retry)
 	}
-	if o.WriteTimeout != time.Second {
-		t.Fatalf("explicit timeout overridden: %+v", o)
+	o = Options{WriteTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1, Backoff: time.Millisecond}}.withDefaults()
+	if o.WriteTimeout != time.Second || o.Retry.MaxAttempts != 1 || o.Retry.Backoff != time.Millisecond {
+		t.Fatalf("explicit options overridden: %+v", o)
+	}
+	if o.DialTimeout != DefaultTimeout || o.Retry.MaxBackoff != 250*time.Millisecond {
+		t.Fatalf("unset fields beside explicit ones not defaulted: %+v", o)
 	}
 }
 
-// TestReadTimeoutOnHungServer connects to a listener that accepts and then
-// never responds: the request must fail with the typed timeout error after
-// the configured read deadline, not hang.
+// TestReadTimeoutOnHungServer talks to a server that completes the
+// handshake and then swallows every request: the request must fail with the
+// typed timeout error after the configured read deadline, not hang — and
+// once the server heals, the same client redials and succeeds (a timeout
+// breaks the connection, never the client).
 func TestReadTimeoutOnHungServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,16 +55,45 @@ func TestReadTimeoutOnHungServer(t *testing.T) {
 	defer ln.Close()
 	done := make(chan struct{})
 	defer close(done)
+	var healed atomic.Bool
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					body, err := ReadFrame(conn)
+					if err != nil {
+						return
+					}
+					switch {
+					case body[0] == MsgHello:
+						out := &Buffer{b: []byte{MsgData}}
+						out.PutI64(0)
+						err = WriteFrame(conn, out.Bytes())
+					case healed.Load():
+						err = WriteFrame(conn, OKBody())
+					default:
+						<-done // swallow the request, never answer
+						return
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
 		}
-		defer conn.Close()
-		<-done // swallow the request, never answer
 	}()
 
-	c, err := DialOpts(ln.Addr().String(), Options{ReadTimeout: 100 * time.Millisecond})
+	reg := obs.NewRegistry()
+	c, err := DialOpts(ln.Addr().String(), Options{
+		ReadTimeout: 100 * time.Millisecond,
+		Retry:       RetryPolicy{Backoff: time.Millisecond},
+		Obs:         reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +119,24 @@ func TestReadTimeoutOnHungServer(t *testing.T) {
 		t.Fatal("TimeoutError.Timeout() = false")
 	}
 	if elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v, deadline was 100ms", elapsed)
+		t.Fatalf("three 100ms attempts took %v", elapsed)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["rpc_client_timeouts"]; got != 3 {
+		t.Fatalf("rpc_client_timeouts = %d, want 3 (default MaxAttempts)", got)
+	}
+	if got := snap.Counters["rpc_client_retries"]; got != 2 {
+		t.Fatalf("rpc_client_retries = %d, want 2", got)
 	}
 
-	// The connection is poisoned: later requests fail fast with the same
-	// typed error instead of writing into a desynchronized stream.
-	start = time.Now()
-	if err := c.Ping(); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("second ping after timeout: %v", err)
+	// The timed-out connection was closed, not the client: once the server
+	// answers again, the next request redials and succeeds.
+	healed.Store(true)
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after the server healed: %v", err)
 	}
-	if since := time.Since(start); since > time.Second {
-		t.Fatalf("poisoned client took %v to fail", since)
+	if got := reg.Snapshot().Counters["rpc_client_redials"]; got < 1 {
+		t.Fatalf("rpc_client_redials = %d, want >= 1", got)
 	}
 }
 
@@ -126,8 +168,9 @@ func TestClientServerMetrics(t *testing.T) {
 	}
 
 	cs := clientReg.Snapshot()
-	if got := cs.Histograms["rpc_client_rtt_ns"].Count; got != 3 {
-		t.Errorf("client rtt count = %d, want 3", got)
+	// The dial-time handshake is a round trip like any other.
+	if got := cs.Histograms["rpc_client_rtt_ns"].Count; got != 4 {
+		t.Errorf("client rtt count = %d, want 4 (hello, ping, pull, push)", got)
 	}
 	if cs.Counters["rpc_client_bytes_out"] == 0 || cs.Counters["rpc_client_bytes_in"] == 0 {
 		t.Errorf("client byte counters empty: %+v", cs.Counters)
@@ -141,7 +184,7 @@ func TestClientServerMetrics(t *testing.T) {
 		ss := serverReg.Snapshot()
 		if ss.Histograms["rpc_server_pull_ns"].Count == 1 &&
 			ss.Histograms["rpc_server_push_ns"].Count == 1 &&
-			ss.Counters["rpc_server_requests"] == 3 &&
+			ss.Counters["rpc_server_requests"] == 4 &&
 			ss.Counters["rpc_server_bytes_in"] > 0 &&
 			ss.Gauges["rpc_server_conns"] == 1 {
 			break

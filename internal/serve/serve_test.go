@@ -149,7 +149,7 @@ func TestPullBagsPooling(t *testing.T) {
 
 // TestPullBagsZeroAllocs pins the whole serving request path — bag loop,
 // snapshot reads, pooling, metrics — at zero heap allocations per request,
-// the property BENCH_pr8.json tracks and CI gates.
+// the property CI also gates on the 26x128 shape (BenchmarkBagGather).
 func TestPullBagsZeroAllocs(t *testing.T) {
 	const dim = 16
 	e := newTestEngine(t, dim, 1024, 512, 4)
