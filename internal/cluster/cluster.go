@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,10 @@ type Client struct {
 	// that join later.
 	dialOpts   Options
 	hedgeDelay time.Duration
+	// fans recycles the working memory of Pull, Push and PullBags calls
+	// (see fan): one per call in flight, so calls sharing the Client never
+	// share scratch.
+	fans sync.Pool
 	// migrateHook, when set by tests, runs between migration copy rounds
 	// (round index, last sealed batch) and returns the new last sealed
 	// batch — the hook may train, forcing delta rounds.
@@ -357,39 +362,163 @@ func (c *Client) Dim() int { return c.dim }
 // nodeErr attributes a per-node failure so a worker log names the failed
 // shard server, not just "connection reset".
 func (c *Client) nodeErr(n int, err error) error {
-	if err == nil {
-		return nil
+	if err != nil {
+		return fmt.Errorf("cluster: node %d (%s): %w", n, c.addrs[n], err)
 	}
-	return fmt.Errorf("cluster: node %d (%s): %w", n, c.addrs[n], err)
+	return nil
 }
 
-// plan groups the caller's keys by owning node, remembering each key's
+// fan is the working memory of one Pull, Push or PullBags call: the call's
+// arguments, the per-node key groups its plan builds and the per-node float
+// buffers the rpc Into calls decode into. A call takes one from the
+// client's pool and returns it when done, so a steady-state call allocates
+// nothing here; nothing in it may be referenced after release.
+type fan struct {
+	c     *Client
+	op    func(f *fan, n int) error // the per-node step: pullNode, pushNode or bagNode
+	timed bool                      // Pull and Push record node spans and the straggler gap
+	batch int64
+	rows  []float32 // the caller's dst (Pull) or grads (Push)
+	ring  *Ring     // the ring the plan is made on
+	bags  int       // PullBags: the bag count
+
+	// Per node, index-aligned with c.nodes.
+	keys  [][]uint64
+	pos   [][]int     // each key's position in the caller's list (Pull, Push)
+	offs  [][]uint32  // bag offsets over keys (PullBags)
+	buf   [][]float32 // pulled rows, grouped grads, or the node's bag partial
+	part  [][]float32 // PullBags: each share as answered — buf[n], or a failover's own slice
+	stale []bool
+	durs  []time.Duration
+}
+
+// fan takes a call's working memory from the pool, shaped to the current
+// node table.
+func (c *Client) fan(op func(*fan, int) error, timed bool, batch int64) *fan {
+	f, _ := c.fans.Get().(*fan)
+	if f == nil {
+		f = &fan{c: c}
+	}
+	if len(f.keys) != len(c.nodes) {
+		f.reshape(len(c.nodes))
+	}
+	f.op, f.timed, f.batch, f.ring = op, timed, batch, c.ring.Load()
+	for n := range f.keys {
+		f.keys[n], f.pos[n], f.offs[n] = f.keys[n][:0], f.pos[n][:0], f.offs[n][:0]
+	}
+	return f
+}
+
+// oevet:coldpath the node table changes at Join and Leave only
+func (f *fan) reshape(nn int) {
+	f.keys = make([][]uint64, nn)
+	f.pos = make([][]int, nn)
+	f.offs = make([][]uint32, nn)
+	f.buf = make([][]float32, nn)
+	f.part = make([][]float32, nn)
+	f.stale = make([]bool, nn)
+	f.durs = make([]time.Duration, nn)
+}
+
+// release returns f to the pool, holding on to none of the caller's memory.
+func (f *fan) release() {
+	f.rows, f.ring = nil, nil
+	clear(f.part)
+	clear(f.stale)
+	f.c.fans.Put(f)
+}
+
+// planKeys groups the caller's keys by owning node, remembering each key's
 // original position for reassembly.
-type plan struct {
-	keys [][]uint64
-	pos  [][]int
-}
-
-func (c *Client) plan(keys []uint64) plan {
-	p := plan{keys: make([][]uint64, len(c.nodes)), pos: make([][]int, len(c.nodes))}
-	ring := c.ring.Load()
+func (f *fan) planKeys(keys []uint64) {
 	for i, k := range keys {
-		n := ring.Owner(k)
-		p.keys[n] = append(p.keys[n], k)
-		p.pos[n] = append(p.pos[n], i)
+		n := f.ring.Owner(k)
+		f.keys[n] = append(f.keys[n], k) //oevet:alloc-ok a pooled group keeps the capacity it grew to
+		f.pos[n] = append(f.pos[n], i)   //oevet:alloc-ok a pooled group keeps the capacity it grew to
 	}
-	return p
 }
 
-// eachNode runs fn(i) concurrently for every index in [0, n) that want
-// accepts (nil accepts all), waits for all of them, and returns the lowest
+// floats returns node n's pooled float buffer, sized to want.
+func (f *fan) floats(n, want int) []float32 {
+	f.buf[n] = slices.Grow(f.buf[n][:0], want)[:want] // grows to the node's largest share, then is reused
+	return f.buf[n]
+}
+
+func (f *fan) has(n int) bool { return len(f.keys[n]) > 0 }
+
+// node runs the call's per-node step on node n.
+func (f *fan) node(n int) error {
+	if !f.timed {
+		return f.op(f, n)
+	}
+	c := f.c
+	start := c.reg.Now()
+	sp := c.spans.Start("cluster.node", "cluster", int64(n), f.batch)
+	err := f.op(f, n)
+	sp.EndArg("keys", int64(len(f.keys[n])))
+	f.durs[n] = c.reg.Now() - start
+	return err
+}
+
+// run executes the per-node step for every node with a non-empty key group
+// and returns the lowest failing node with its error (attributed by the
+// caller). One node — every call on a one-node cluster, and any call whose
+// keys share an owner — runs inline on the caller's goroutine; only a wider
+// fan-out pays for eachNode's goroutines. When metrics are enabled a timed
+// call also records the fan-out width and the straggler gap — the spread
+// between the fastest and slowest node of this request, the quantity the
+// paper's batched barrier is sensitive to.
+func (f *fan) run() (n int, err error) {
+	width, only := 0, -1
+	for n := range f.keys {
+		if f.has(n) {
+			width++
+			only = n
+		}
+	}
+	switch width {
+	case 0:
+		return -1, nil
+	case 1:
+		n, err = only, f.node(only)
+	default:
+		n, err = eachNode(len(f.keys), f.has, f.node)
+	}
+	if c := f.c; f.timed && c.reg != nil {
+		min, max := time.Duration(1<<62), time.Duration(0)
+		for n, d := range f.durs {
+			if !f.has(n) {
+				continue
+			}
+			if d < min {
+				min = d
+			}
+			if d > max {
+				max = d
+			}
+		}
+		c.fanWidth.ObserveValue(int64(width))
+		c.straggler.Observe(max - min)
+	}
+	return n, err
+}
+
+// eachNode runs fn(i) for every index in [0, n) that want accepts (nil
+// accepts all) — the last of them on the caller's goroutine, the others
+// concurrently on their own — waits for all of them, and returns the lowest
 // failing index with its error (-1, nil when none failed). It is the one
 // per-node goroutine loop: fan-outs, broadcasts, bag gathers and probe
 // rounds all go through it.
+//
+// oevet:coldpath a fan-out wider than one node pays for its goroutines; a one-node call never comes here
 func eachNode(n int, want func(i int) bool, fn func(i int) error) (int, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	last := n - 1
+	for last >= 0 && want != nil && !want(last) {
+		last--
+	}
+	for i := 0; i < last; i++ {
 		if want != nil && !want(i) {
 			continue
 		}
@@ -398,6 +527,9 @@ func eachNode(n int, want func(i int) bool, fn func(i int) error) (int, error) {
 			defer wg.Done()
 			errs[i] = fn(i)
 		}(i)
+	}
+	if last >= 0 {
+		errs[last] = fn(last)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -408,67 +540,37 @@ func eachNode(n int, want func(i int) bool, fn func(i int) error) (int, error) {
 	return -1, nil
 }
 
-// fanOut runs fn for every node with a non-empty key group, concurrently,
-// and returns the first error (attributed to its node). When metrics are
-// enabled it also records the fan-out width and the straggler gap — the
-// spread between the fastest and slowest node of this request, the quantity
-// the paper's batched barrier is sensitive to.
-func (c *Client) fanOut(batch int64, p plan, fn func(node int, keys []uint64, pos []int) error) error {
-	durs := make([]time.Duration, len(c.nodes))
-	has := func(n int) bool { return len(p.keys[n]) > 0 }
-	n, err := eachNode(len(c.nodes), has, func(n int) error {
-		start := c.reg.Now()
-		sp := c.spans.Start("cluster.node", "cluster", int64(n), batch)
-		err := fn(n, p.keys[n], p.pos[n])
-		sp.EndArg("keys", int64(len(p.keys[n])))
-		durs[n] = c.reg.Now() - start
+// pullNode fetches node n's keys into its pooled buffer and scatters the
+// rows to their positions in the caller's dst.
+//
+// oevet:hotpath
+func (f *fan) pullNode(n int) error {
+	dim, keys := f.c.dim, f.keys[n]
+	rows := f.floats(n, len(keys)*dim)
+	if err := f.c.nodes[n].PullInto(f.batch, keys, rows); err != nil {
 		return err
-	})
-	if c.reg != nil {
-		width := 0
-		min, max := time.Duration(1<<62), time.Duration(0)
-		for n, d := range durs {
-			if !has(n) {
-				continue
-			}
-			width++
-			if d < min {
-				min = d
-			}
-			if d > max {
-				max = d
-			}
-		}
-		if width > 0 {
-			c.fanWidth.ObserveValue(int64(width))
-			c.straggler.Observe(max - min)
-		}
 	}
-	return c.nodeErr(n, err)
+	for i, orig := range f.pos[n] {
+		copy(f.rows[orig*dim:(orig+1)*dim], rows[i*dim:(i+1)*dim])
+	}
+	return nil
 }
 
 // Pull fetches weights for keys into dst (len(keys)*dim floats), routing
 // each key to its owning node.
+//
+// oevet:hotpath
 func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 	if err := psengine.CheckBuf(keys, dst, c.dim); err != nil {
 		return err
 	}
 	start := c.reg.Now()
 	sp := c.spans.Start("cluster.pull", "cluster", -1, batch)
-	p := c.plan(keys)
-	err := c.fanOut(batch, p, func(n int, nodeKeys []uint64, pos []int) error {
-		vals, err := c.nodes[n].Pull(batch, nodeKeys)
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(nodeKeys)*c.dim {
-			return fmt.Errorf("returned %d floats for %d keys", len(vals), len(nodeKeys))
-		}
-		for i, orig := range pos {
-			copy(dst[orig*c.dim:(orig+1)*c.dim], vals[i*c.dim:(i+1)*c.dim])
-		}
-		return nil
-	})
+	f := c.fan((*fan).pullNode, true, batch)
+	f.rows = dst
+	f.planKeys(keys)
+	err := c.nodeErr(f.run())
+	f.release()
 	sp.EndArg("keys", int64(len(keys)))
 	if err == nil {
 		c.pullNS.Observe(c.reg.Now() - start)
@@ -511,12 +613,15 @@ type BagResult struct {
 // PullBagsResult is PullBags plus degradation visibility: the gather
 // succeeds whenever live owners, replicas, or the stale tier can answer,
 // and the result reports whether any share came back stale.
+//
+// oevet:hotpath
 func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out []float32) (BagResult, error) {
 	if err := rpc.ValidateBagOffsets(offsets, len(keys)); err != nil {
 		return BagResult{}, err
 	}
 	bags := len(offsets) - 1
 	if len(out) != bags*c.dim {
+		//oevet:alloc-ok a caller bug, not the steady state
 		return BagResult{}, fmt.Errorf("cluster: out has %d floats, want %d (%d bags x dim %d)",
 			len(out), bags*c.dim, bags, c.dim)
 	}
@@ -524,35 +629,30 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 	// without Options.Stale).
 	c.stale.Track(keys)
 	start := c.reg.Now()
-	ring := c.ring.Load()
-	nn := len(c.nodes)
-	nodeKeys := make([][]uint64, nn)
-	nodeOffs := make([][]uint32, nn)
-	for n := range nodeOffs {
-		nodeOffs[n] = make([]uint32, 1, bags+1)
+	f := c.fan((*fan).bagNode, false, 0)
+	defer f.release()
+	f.bags = bags
+	for n := range f.offs {
+		f.offs[n] = append(f.offs[n], 0) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 	}
 	for b := 0; b < bags; b++ {
 		for _, k := range keys[offsets[b]:offsets[b+1]] {
-			n := ring.Owner(k)
-			nodeKeys[n] = append(nodeKeys[n], k)
+			n := f.ring.Owner(k)
+			f.keys[n] = append(f.keys[n], k) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 		}
-		for n := range nodeOffs {
-			nodeOffs[n] = append(nodeOffs[n], uint32(len(nodeKeys[n])))
+		for n := range f.offs {
+			f.offs[n] = append(f.offs[n], uint32(len(f.keys[n]))) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 		}
 	}
-	parts := make([][]float32, nn)
-	stales := make([]bool, nn)
-	has := func(n int) bool { return len(nodeKeys[n]) > 0 }
-	if n, err := eachNode(nn, has, func(n int) (err error) {
-		parts[n], stales[n], err = c.bagRequest(ring, n, bags, nodeOffs[n], nodeKeys[n])
-		return err
-	}); err != nil {
+	if n, err := f.run(); err != nil {
 		return BagResult{}, c.nodeErr(n, err)
 	}
+	// Node-index order onto a cleared out, whatever the width: the one
+	// float-addition order every gather of the same state repeats.
 	var res BagResult
 	clear(out)
-	for n, part := range parts {
-		res.Stale = res.Stale || stales[n]
+	for n, part := range f.part {
+		res.Stale = res.Stale || f.stale[n]
 		for i, v := range part {
 			out[i] += v
 		}
@@ -608,21 +708,32 @@ func (c *Client) RefreshStale() error {
 	return nil
 }
 
+// pushNode groups node n's gradients into its pooled buffer and sends them.
+//
+// oevet:hotpath
+func (f *fan) pushNode(n int) error {
+	dim, keys := f.c.dim, f.keys[n]
+	grads := f.floats(n, len(keys)*dim)
+	for i, orig := range f.pos[n] {
+		copy(grads[i*dim:(i+1)*dim], f.rows[orig*dim:(orig+1)*dim])
+	}
+	return f.c.nodes[n].Push(f.batch, keys, grads)
+}
+
 // Push routes gradients to the owning nodes.
+//
+// oevet:hotpath
 func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
 	if err := psengine.CheckBuf(keys, grads, c.dim); err != nil {
 		return err
 	}
 	start := c.reg.Now()
 	sp := c.spans.Start("cluster.push", "cluster", -1, batch)
-	p := c.plan(keys)
-	err := c.fanOut(batch, p, func(n int, nodeKeys []uint64, pos []int) error {
-		nodeGrads := make([]float32, len(nodeKeys)*c.dim)
-		for i, orig := range pos {
-			copy(nodeGrads[i*c.dim:(i+1)*c.dim], grads[orig*c.dim:(orig+1)*c.dim])
-		}
-		return c.nodes[n].Push(batch, nodeKeys, nodeGrads)
-	})
+	f := c.fan((*fan).pushNode, true, batch)
+	f.rows = grads
+	f.planKeys(keys)
+	err := c.nodeErr(f.run())
+	f.release()
 	sp.EndArg("keys", int64(len(keys)))
 	if err == nil {
 		c.pushNS.Observe(c.reg.Now() - start)

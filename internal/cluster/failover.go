@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"openembedding/internal/rpc"
@@ -47,6 +48,16 @@ type bagRes struct {
 	err  error
 }
 
+// bagNode is PullBags' per-node step: node n's share, down the ladder, with
+// the node's pooled buffer as the owner read's destination.
+//
+// oevet:hotpath
+func (f *fan) bagNode(n int) (err error) {
+	dst := f.floats(n, f.bags*f.c.dim)
+	f.part[n], f.stale[n], err = f.c.bagRequest(f.ring, n, f.bags, f.offs[n], f.keys[n], dst)
+	return err
+}
+
 // bagRequest fetches one node's share of a PullBags fan-out — the partial
 // sums for all bags over keys, grouped under offs — down the one failover
 // ladder (the step column of the DESIGN.md §16 failure taxonomy):
@@ -62,12 +73,21 @@ type bagRes struct {
 //  4. owner after all — only for a suspected owner skipped in step 1, when
 //     no stale tier is configured: it is the best remaining option.
 //  5. error    — the last step's.
-func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64) (_ []float32, stale bool, _ error) {
+//
+// The share is returned in dst — the node's pooled buffer — when the owner
+// answers, and in a slice of the step's own otherwise. With HedgeDelay a
+// race's loser can still be in flight when this returns, so a hedging
+// client works on private copies throughout: pooled memory would be handed
+// to the next call under the loser's feet.
+func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64, dst []float32) (_ []float32, stale bool, _ error) {
+	if c.hedgeDelay > 0 {
+		offs, keys, dst = slices.Clone(offs), slices.Clone(keys), make([]float32, len(dst)) //oevet:alloc-ok hedging pays for private memory
+	}
 	cause, why := errSuspectedOwner, causeSuspect
 	var owner <-chan bagRes // an owner read still in flight behind its hedge
 	if !c.Suspected(n) {
 		var res bagRes
-		if res, owner = c.bagOwner(n, bags, offs, keys); owner != nil {
+		if res, owner = c.bagOwner(n, offs, keys, dst); owner != nil {
 			c.hedged.Add(1)
 			cause, why = fmt.Errorf("hedged past %v", c.hedgeDelay), causeHedge
 		} else if res.err == nil || !rpc.IsDegraded(res.err) {
@@ -80,23 +100,9 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 	if owner == nil {
 		rep.vals, rep.err = c.bagViaReplicas(ring, n, bags, offs, keys, cause)
 	} else {
-		hedge := make(chan bagRes, 1)
-		go func() {
-			vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, cause)
-			hedge <- bagRes{vals, err}
-		}()
-		select {
-		case rep = <-hedge:
-			if rep.err != nil {
-				if res := <-owner; res.err == nil {
-					return res.vals, false, nil
-				}
-			}
-		case res := <-owner:
-			if res.err == nil {
-				return res.vals, false, nil
-			}
-			rep = <-hedge
+		var ownerWon bool
+		if rep, ownerWon = c.bagRace(owner, ring, n, bags, offs, keys, cause); ownerWon {
+			return rep.vals, false, nil
 		}
 	}
 	if rep.err == nil {
@@ -107,10 +113,37 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 		return vals, true, nil
 	}
 	if why == causeSuspect {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		return vals, false, err
+		return dst, false, c.nodes[n].PullBagsInto(false, offs, keys, dst)
 	}
 	return nil, false, rep.err
+}
+
+// bagRace is step 2 started early: the replica read races the owner read
+// still in flight behind its hedge, and the first success wins. ownerWon
+// tells the caller not to count a failover; otherwise the outcome is the
+// replicas'.
+//
+// oevet:coldpath a race runs only when the owner was silent past the hedge deadline
+func (c *Client) bagRace(owner <-chan bagRes, ring *Ring, n, bags int, offs []uint32, keys []uint64, cause error) (_ bagRes, ownerWon bool) {
+	hedge := make(chan bagRes, 1)
+	go func() {
+		vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, cause)
+		hedge <- bagRes{vals: vals, err: err}
+	}()
+	select {
+	case rep := <-hedge:
+		if rep.err != nil {
+			if res := <-owner; res.err == nil {
+				return res, true
+			}
+		}
+		return rep, false
+	case res := <-owner:
+		if res.err == nil {
+			return res, true
+		}
+		return <-hedge, false
+	}
 }
 
 // bagOwner is step 1 of the ladder. Without HedgeDelay it is a plain
@@ -118,15 +151,18 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 // still unanswered at the hedge deadline, is handed back in flight (a
 // non-nil channel) so the replica step can race it; the owner answering in
 // time — the steady state — never pays for a replica round-trip.
-func (c *Client) bagOwner(n, bags int, offs []uint32, keys []uint64) (bagRes, <-chan bagRes) {
+func (c *Client) bagOwner(n int, offs []uint32, keys []uint64, dst []float32) (bagRes, <-chan bagRes) {
 	if c.hedgeDelay <= 0 {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		return bagRes{vals, err}, nil
+		return bagRes{vals: dst, err: c.nodes[n].PullBagsInto(false, offs, keys, dst)}, nil
 	}
+	return c.bagOwnerHedged(n, offs, keys, dst)
+}
+
+// oevet:coldpath a hedging client trades allocations for its tail latency
+func (c *Client) bagOwnerHedged(n int, offs []uint32, keys []uint64, dst []float32) (bagRes, <-chan bagRes) {
 	owner := make(chan bagRes, 1)
 	go func() {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		owner <- bagRes{vals, err}
+		owner <- bagRes{vals: dst, err: c.nodes[n].PullBagsInto(false, offs, keys, dst)}
 	}()
 	timer := time.NewTimer(c.hedgeDelay)
 	defer timer.Stop()
@@ -138,18 +174,6 @@ func (c *Client) bagOwner(n, bags int, offs []uint32, keys []uint64) (bagRes, <-
 	}
 }
 
-// bagNode issues the owner read to node n and validates the result shape.
-func (c *Client) bagNode(n, bags int, offs []uint32, keys []uint64) ([]float32, error) {
-	vals, err := c.nodes[n].PullBags(false, offs, keys)
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) != bags*c.dim {
-		return nil, fmt.Errorf("returned %d floats for %d bags", len(vals), bags)
-	}
-	return vals, nil
-}
-
 // bagViaReplicas re-reads node n's share from the keys' replica nodes:
 // keys are regrouped per replica (each key's Ring.Secondary), the replica
 // requests run sequentially in node-index order, and the partial sums are
@@ -157,6 +181,8 @@ func (c *Client) bagNode(n, bags int, offs []uint32, keys []uint64) ([]float32, 
 // to what a deterministic replica sum would produce, and the caller's
 // node-order accumulation stays deterministic. cause is the owner's
 // failure, returned when some key has no replica to fail over to.
+//
+// oevet:coldpath failing over is the degraded path
 func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []uint64, cause error) ([]float32, error) {
 	nn := len(c.nodes)
 	repKeys := make([][]uint64, nn)
@@ -177,12 +203,12 @@ func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []u
 		}
 	}
 	acc := make([]float32, bags*c.dim)
+	vals := make([]float32, bags*c.dim)
 	for r := 0; r < nn; r++ {
 		if len(repKeys[r]) == 0 {
 			continue
 		}
-		vals, err := c.bagNode(r, bags, repOffs[r], repKeys[r])
-		if err != nil {
+		if err := c.nodes[r].PullBagsInto(false, repOffs[r], repKeys[r], vals); err != nil {
 			return nil, fmt.Errorf("replica node %d (%s): %w", r, c.addrs[r], err)
 		}
 		for i, v := range vals {
@@ -196,6 +222,8 @@ func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []u
 // key contributes its last refreshed row (keys never refreshed contribute
 // the zero vector — the documented staleness doctrine), summed per bag.
 // Reports false without a configured tier.
+//
+// oevet:coldpath the stale tier answers only when owner and replicas are all degraded
 func (c *Client) bagStale(bags int, offs []uint32, keys []uint64) ([]float32, bool) {
 	if c.stale == nil {
 		return nil, false

@@ -357,12 +357,9 @@ func (c *Client) SyncReplicas(keys []uint64) (int, error) {
 		for i := range ownKeys[n] {
 			offs[i+1] = uint32(i + 1)
 		}
-		rows, err := c.nodes[n].PullBags(false, offs, ownKeys[n])
-		if err != nil {
+		rows := make([]float32, len(ownKeys[n])*c.dim)
+		if err := c.nodes[n].PullBagsInto(false, offs, ownKeys[n], rows); err != nil {
 			return 0, c.nodeErr(n, fmt.Errorf("sync replicas read: %w", err))
-		}
-		if len(rows) != len(ownKeys[n])*c.dim {
-			return 0, c.nodeErr(n, fmt.Errorf("sync replicas read returned %d floats for %d keys", len(rows), len(ownKeys[n])))
 		}
 		for i, k := range ownKeys[n] {
 			s := r.Secondary(k)

@@ -89,6 +89,7 @@ func (r *Ring) IDs() []uint64 { return append([]uint64(nil), r.ids...) }
 // succ returns the index into points of the first point at or clockwise
 // after position h (wrapping past the top of the ring).
 func (r *Ring) succ(h uint64) int {
+	//oevet:alloc-ok sort.Search does not keep its predicate: the closure stays on the stack (TestClusterPullBagsAllocs)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
 	if i == len(r.points) {
 		i = 0
@@ -96,8 +97,12 @@ func (r *Ring) succ(h uint64) int {
 	return i
 }
 
-// Owner returns the node index owning key.
+// Owner returns the node index owning key: on a one-node ring that is node
+// 0 wherever the key hashes to.
 func (r *Ring) Owner(key uint64) int {
+	if len(r.ids) == 1 {
+		return 0
+	}
 	return int(r.points[r.succ(rpc.KeyHash(key))].node)
 }
 

@@ -262,7 +262,10 @@ func (s Stats) MissRate() float64 {
 // Engine is a parameter-server storage backend for one embedding table
 // shard. Pull and Push may be called concurrently from many request
 // threads; the phase-boundary calls (EndPullPhase, EndBatch) come from a
-// single coordinator.
+// single coordinator. The slices handed to Pull and Push belong to the
+// caller and are only on loan for the call — the RPC server passes its
+// connection's scratch, which the next request overwrites — so an engine
+// keeps neither keys nor buffers past its return.
 type Engine interface {
 	// Name identifies the engine configuration ("pmem-oe", "dram-ps", ...).
 	Name() string

@@ -42,10 +42,10 @@ func benchSetup(b *testing.B, opts Options) (*Client, []uint64, []float32) {
 // machinery — the baseline the retry-enabled variant must stay within noise
 // of.
 func BenchmarkClientPull(b *testing.B) {
-	cl, keys, _ := benchSetup(b, Options{})
+	cl, keys, rows := benchSetup(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Pull(0, keys); err != nil {
+		if err := cl.PullInto(0, keys, rows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,10 +55,10 @@ func BenchmarkClientPull(b *testing.B) {
 // policy and (idle) injection hooks armed: the fault-free overhead of fault
 // tolerance.
 func BenchmarkClientPullRetryEnabled(b *testing.B) {
-	cl, keys, _ := benchSetup(b, Options{Retry: RetryPolicy{MaxAttempts: 3}})
+	cl, keys, rows := benchSetup(b, Options{Retry: RetryPolicy{MaxAttempts: 3}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Pull(0, keys); err != nil {
+		if err := cl.PullInto(0, keys, rows); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,6 +83,50 @@ func BenchmarkClientPushRetryEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cl.Push(0, keys, grads); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stubBags answers every gather with whatever out already holds: the
+// serving tier costs nothing, so what is measured is the wire path.
+type stubBags struct{ dim int }
+
+func (s stubBags) Dim() int { return s.dim }
+
+func (stubBags) PullBags(bool, []uint32, []uint64, []float32) error { return nil }
+
+// bagShape is the serving benchmark's request: bags one-key bags (the
+// Criteo 26 fields x 128 samples), each pooling to one dim-16 row.
+func bagShape(bags int) (offs []uint32, keys []uint64) {
+	offs = make([]uint32, bags+1)
+	keys = make([]uint64, bags)
+	for i := range keys {
+		offs[i+1] = uint32(i + 1)
+		keys[i] = uint64(i + 1)
+	}
+	return offs, keys
+}
+
+// BenchmarkClientPullBags measures the 26x128 gather's wire path alone:
+// 40 KB of request, 213 KB of response, a serving tier that does nothing.
+func BenchmarkClientPullBags(b *testing.B) {
+	srv, err := ServeOpts("127.0.0.1:0", nil, ServerOptions{Bags: stubBags{dim: 16}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cl.Close() })
+	offs, keys := bagShape(26 * 128)
+	out := make([]float32, len(keys)*16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.PullBagsInto(false, offs, keys, out); err != nil {
 			b.Fatal(err)
 		}
 	}

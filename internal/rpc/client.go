@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -135,8 +136,19 @@ func newClientID() (int64, error) {
 }
 
 // Client is a connection to one parameter-server node. A Client serializes
-// its requests; workers that want parallelism across shards hold one Client
-// per node (as internal/cluster does).
+// its requests — mu is held across the whole round trip, so exactly one
+// request is in flight per connection; workers that want parallelism
+// across shards hold one Client per node (as internal/cluster does).
+//
+// That one-in-flight rule is what the connection's scratch (sc) rests on:
+// a data-plane request (Pull, Push, PullBags) is encoded into sc.out, its
+// response frame is read into sc.in, and the rows are decoded from there
+// into the caller's memory, all under mu, so a steady-state request
+// allocates nothing. No slice of sc leaves mu: the Into methods copy out
+// into dst, the allocating Pull/PullBags into a fresh slice, and
+// control-plane requests (do) decode from their own copy of the frame.
+// Scratch one oversized frame grew past maxScratch is dropped when the
+// request ends.
 //
 // Any I/O failure — including a timeout — breaks the current connection:
 // the request/response framing may be desynchronized (a late response could
@@ -156,7 +168,8 @@ type Client struct {
 	opts  Options
 	id    int64 // collision-free client ID for server-side dedup
 
-	mu   sync.Mutex // serializes requests; guards all fields below
+	mu   sync.Mutex  // serializes requests; guards all fields below
+	sc   wireScratch // frames of the request in flight; see the Client doc
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	err  error // last I/O failure; conn is broken while non-nil
@@ -252,6 +265,8 @@ func isTimeout(err error) bool {
 
 // connect dials, installs the connection (unless Close won the race) and
 // runs the epoch handshake. Caller holds c.mu.
+//
+// oevet:coldpath a connection is dialed once, and again only after it broke
 func (c *Client) connect() error {
 	if f := c.opts.Inject.On(faultinject.PointDial, c.label); f.Kind != faultinject.KindNone {
 		switch f.Kind {
@@ -363,6 +378,8 @@ func (c *Client) ensureConn() error {
 // fail marks the connection broken with the request's error, translating
 // deadline expiries into *TimeoutError and other I/O failures into
 // *TransportError. Caller holds c.mu.
+//
+// oevet:coldpath a request that broke its connection is not the steady state
 func (c *Client) fail(op string, after time.Duration, err error) error {
 	if isTimeout(err) {
 		err = &TimeoutError{Addr: c.addr, Op: op, After: after}
@@ -379,24 +396,26 @@ func (c *Client) fail(op string, after time.Duration, err error) error {
 	return err
 }
 
-// roundTrip writes one frame and reads the response frame on the current
-// connection. Caller holds c.mu and has ensured a connection.
+// roundTrip writes one frame and reads the response frame, into the
+// connection's scratch, on the current connection. Caller holds c.mu and
+// has ensured a connection.
 func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 	start := c.opts.Obs.Now()
 	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	// Propagate the read deadline — the longest this caller will wait for
 	// the response — so the server can abandon work we have given up on.
-	if err := WriteFrameDeadline(c.bw, body, c.opts.ReadTimeout); err != nil {
+	if err := writeFrame(c.bw, &c.sc.hdr, body, c.opts.ReadTimeout); err != nil {
 		return nil, c.fail(op, c.opts.WriteTimeout, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, c.fail(op, c.opts.WriteTimeout, err)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	resp, err := ReadFrame(c.br)
+	resp, _, err := readFrame(c.br, &c.sc.hdr, c.sc.in)
 	if err != nil {
 		return nil, c.fail(op, c.opts.ReadTimeout, err)
 	}
+	c.sc.in = resp
 	c.bytesOut.Add(int64(len(body)) + frameHdrSize)
 	c.bytesIn.Add(int64(len(resp)) + frameHdrSize)
 	c.rtt.Observe(c.opts.Obs.Now() - start)
@@ -437,16 +456,31 @@ func (c *Client) backoff(a int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + frac))
 }
 
-// do sends one request body and returns the decoded response reader.
+// release ends a request: scratch that one oversized frame grew is let go,
+// then the connection is handed to the next caller.
+func (c *Client) release() {
+	c.sc.trim()
+	c.mu.Unlock()
+}
+
+// do sends one control-plane request body and returns a reader over the
+// caller's own copy of the response — the frame itself lives in scratch
+// the next request overwrites, and the caller decodes after mu is gone.
 // body[0] is the message type (set by NewBuffer).
 func (c *Client) do(body []byte) (*Reader, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.doLocked(body)
+	defer c.release()
+	r, err := c.doLocked(body)
+	if err != nil {
+		return nil, err
+	}
+	return NewReader(bytes.Clone(r.b[r.off:])), nil
 }
 
-// doLocked runs the request with redial + bounded retry. Caller holds c.mu.
-func (c *Client) doLocked(body []byte) (*Reader, error) {
+// doLocked runs the request with redial + bounded retry and returns a
+// reader over the response frame in c.sc.in, valid until the next request.
+// Caller holds c.mu.
+func (c *Client) doLocked(body []byte) (Reader, error) {
 	op := msgName(body[0])
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
@@ -456,19 +490,19 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 			// Breaker fast-fails never touched the wire, so they cost no
 			// budget token; every other retry must withdraw one or stop.
 			if !errors.Is(lastErr, ErrBreakerOpen) && !c.opts.Budget.TryRetry() {
-				return nil, lastErr
+				return Reader{}, lastErr
 			}
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))
 		}
 		if !c.opts.Breaker.Allow() {
-			lastErr = &BreakerOpenError{Addr: c.addr}
+			lastErr = &BreakerOpenError{Addr: c.addr} //oevet:alloc-ok fast-failing a dead peer is not the steady state
 			continue
 		}
 		if err := c.ensureConn(); err != nil {
 			lastErr = err
 			if !retryable(err) {
-				return nil, err
+				return Reader{}, err
 			}
 			c.opts.Breaker.OnFailure()
 			continue
@@ -478,13 +512,13 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 		// (rather than on the wire) keeps the error crisp even when the
 		// server is mid-recovery.
 		if c.ep >= 0 && c.se != c.ep && fencedMsg(body[0]) {
-			return nil, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se}
+			return Reader{}, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se} //oevet:alloc-ok a fenced client stops training until it recovers
 		}
 		resp, err := c.roundTrip(op, body)
 		if err != nil {
 			lastErr = err
 			if !retryable(err) {
-				return nil, err
+				return Reader{}, err
 			}
 			c.opts.Breaker.OnFailure()
 			continue
@@ -500,38 +534,42 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 				// Server-side fence: record the newer epoch and surface a
 				// fully-attributed error.
 				c.se = ee.ServerEpoch
-				return nil, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: ee.ServerEpoch}
+				return Reader{}, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: ee.ServerEpoch}
 			}
 			var ce *RemoteCorruptError
 			if errors.As(err, &ce) {
-				return nil, &RemoteCorruptError{Addr: c.addr, Msg: ce.Msg}
+				return Reader{}, &RemoteCorruptError{Addr: c.addr, Msg: ce.Msg}
 			}
 			var be *BusyError
 			if errors.As(err, &be) {
-				return nil, &BusyError{Addr: c.addr, Msg: be.Msg}
+				return Reader{}, &BusyError{Addr: c.addr, Msg: be.Msg}
 			}
-			return nil, err
+			return Reader{}, err
 		}
 		return r, nil
 	}
-	return nil, lastErr
+	return Reader{}, lastErr
 }
 
-// doMutating runs one mutating request: the body carries, directly after
-// the batch ID, the client ID and the next sequence number (never 0), then
-// whatever put appends. Retried attempts reuse the same body, hence the
-// same sequence, which is what lets the server dedup replays.
-func (c *Client) doMutating(msg byte, batch int64, put func(*Buffer)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// startMutating opens a mutating request in the connection's request
+// frame: the body carries, directly after the batch ID, the client ID and
+// the next sequence number (never 0); the caller appends the payload.
+// Retried attempts re-send the same frame, hence the same sequence, which
+// is what lets the server dedup replays. Caller holds c.mu.
+func (c *Client) startMutating(msg byte, batch int64) *Buffer {
 	c.seq++
-	b := NewBuffer(msg, batch)
+	b := &c.sc.out
+	b.Reset(msg, batch)
 	b.PutI64(c.id)
 	b.PutI64(c.seq)
-	if put != nil {
-		put(b)
-	}
-	_, err := c.doLocked(b.Bytes())
+	return b
+}
+
+// doMutating runs one payload-free mutating request.
+func (c *Client) doMutating(msg byte, batch int64) error {
+	c.mu.Lock()
+	defer c.release()
+	_, err := c.doLocked(c.startMutating(msg, batch).b)
 	return err
 }
 
@@ -559,43 +597,75 @@ func msgName(t byte) string {
 	if int(t) < len(msgNames) && msgNames[t] != "" {
 		return msgNames[t]
 	}
-	return fmt.Sprintf("msg-0x%02x", t)
+	return fmt.Sprintf("msg-0x%02x", t) //oevet:alloc-ok no client method sends an unnamed type
 }
 
-// Pull fetches weights for keys (len(keys)*dim floats). Pull is idempotent,
-// so it needs no sequence number under retries.
-func (c *Client) Pull(batch int64, keys []uint64) ([]float32, error) {
-	b := NewBuffer(MsgPull, batch)
+// pull is the one Pull implementation: the rows are decoded, under mu,
+// into dst's array when they fit it (a fresh slice otherwise).
+//
+// oevet:hotpath
+func (c *Client) pull(batch int64, keys []uint64, dst []float32) ([]float32, error) {
+	c.mu.Lock()
+	defer c.release()
+	b := &c.sc.out
+	b.Reset(MsgPull, batch)
 	b.PutKeys(keys)
-	r, err := c.do(b.Bytes())
+	r, err := c.doLocked(b.b)
 	if err != nil {
 		return nil, err
 	}
-	return r.Floats()
+	return r.FloatsInto(dst)
+}
+
+// Pull fetches weights for keys (len(keys)*dim floats) into a fresh slice.
+// Pull is idempotent, so it needs no sequence number under retries.
+func (c *Client) Pull(batch int64, keys []uint64) ([]float32, error) {
+	return c.pull(batch, keys, nil)
+}
+
+// PullInto is Pull straight into the caller's memory: dst must be exactly
+// the len(keys)*dim floats the server answers with.
+func (c *Client) PullInto(batch int64, keys []uint64, dst []float32) error {
+	got, err := c.pull(batch, keys, dst[:0:len(dst)])
+	return filled(got, dst, err)
+}
+
+// filled checks the answer to an Into call: got was decoded into dst's
+// array only if the server sent exactly the floats dst holds.
+func filled(got, dst []float32, err error) error {
+	if err == nil && len(got) != len(dst) {
+		return fmt.Errorf("rpc: response carries %d floats, want %d", len(got), len(dst))
+	}
+	return err
 }
 
 // Push sends gradients for keys. The request carries the client ID and a
 // sequence number so a retried push is applied at most once.
+//
+// oevet:hotpath
 func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
-	return c.doMutating(MsgPush, batch, func(b *Buffer) {
-		b.PutKeys(keys)
-		b.PutFloats(grads)
-	})
+	c.mu.Lock()
+	defer c.release()
+	b := c.startMutating(MsgPush, batch)
+	b.PutKeys(keys)
+	b.PutFloats(grads)
+	_, err := c.doLocked(b.b)
+	return err
 }
 
 // EndPullPhase signals pull completion for batch.
 func (c *Client) EndPullPhase(batch int64) error {
-	return c.doMutating(MsgEndPullPhase, batch, nil)
+	return c.doMutating(MsgEndPullPhase, batch)
 }
 
 // EndBatch seals batch.
 func (c *Client) EndBatch(batch int64) error {
-	return c.doMutating(MsgEndBatch, batch, nil)
+	return c.doMutating(MsgEndBatch, batch)
 }
 
 // RequestCheckpoint asks the node to checkpoint batch.
 func (c *Client) RequestCheckpoint(batch int64) error {
-	return c.doMutating(MsgCheckpoint, batch, nil)
+	return c.doMutating(MsgCheckpoint, batch)
 }
 
 // CompletedCheckpoint reads the node's durable checkpoint progress.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -107,6 +108,34 @@ func TestPushRetryDedup(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["rpc_server_dedup_hits"]; got != 1 {
 		t.Fatalf("rpc_server_dedup_hits = %d, want 1", got)
+	}
+
+	// The cached body outlives its request, so it must not be a slice of
+	// the connection's scratch: replay one — a refused push, whose MsgErr
+	// body carries text — after the same connection has answered other
+	// requests from that scratch.
+	cn := &srvConn{} // bound to the server's epoch, 0, as after a hello
+	push := NewBuffer(MsgPush, 1)
+	push.PutI64(77) // client ID
+	push.PutI64(1)  // sequence
+	push.PutKeys(keys)
+	push.PutFloats([]float32{1}) // one float for a dim-4 row: refused
+	first := bytes.Clone(srv.dispatch(cn, push.Bytes()))
+	if first[0] != MsgErr {
+		t.Fatalf("malformed push answered %#x, want MsgErr", first[0])
+	}
+	pull := NewBuffer(MsgPull, 1)
+	pull.PutKeys([]uint64{1, 2, 3, 4, 5, 6, 7, 8})
+	for i := 0; i < 3; i++ {
+		if resp := srv.dispatch(cn, pull.Bytes()); resp[0] != MsgData {
+			t.Fatalf("pull answered %#x", resp[0])
+		}
+	}
+	if replay := srv.dispatch(cn, push.Bytes()); !bytes.Equal(replay, first) {
+		t.Fatalf("replayed response %q, first response %q: the dedup cache aliases connection scratch", replay, first)
+	}
+	if got := reg.Snapshot().Counters["rpc_server_dedup_hits"]; got != 2 {
+		t.Fatalf("rpc_server_dedup_hits = %d after the in-process replay, want 2", got)
 	}
 }
 

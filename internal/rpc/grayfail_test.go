@@ -238,9 +238,9 @@ func TestDispatchDeadlineAbandon(t *testing.T) {
 	ping := NewBuffer(MsgPing, 0).Bytes()
 
 	// Fresh request, generous deadline: served normally.
-	bound := int64(-1)
+	cn := &srvConn{bound: -1}
 	arrival := s.now()
-	resp := s.dispatchDeadline(&bound, ping, arrival, 5*time.Millisecond)
+	resp := s.dispatchDeadline(cn, ping, arrival, 5*time.Millisecond)
 	if _, err := DecodeResponse(resp); err != nil {
 		t.Fatalf("fresh request rejected: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestDispatchDeadlineAbandon(t *testing.T) {
 	// 10ms of simulated queueing against a 5ms budget: abandoned busy.
 	arrival = s.now()
 	elapsed += 10 * time.Millisecond
-	resp = s.dispatchDeadline(&bound, ping, arrival, 5*time.Millisecond)
+	resp = s.dispatchDeadline(cn, ping, arrival, 5*time.Millisecond)
 	if _, err := DecodeResponse(resp); !errors.Is(err, ErrBusy) {
 		t.Fatalf("expired request decoded to %v, want ErrBusy", err)
 	}
@@ -259,7 +259,7 @@ func TestDispatchDeadlineAbandon(t *testing.T) {
 	// Deadline 0 means "none propagated": never abandoned, however stale.
 	arrival = s.now()
 	elapsed += time.Hour
-	resp = s.dispatchDeadline(&bound, ping, arrival, 0)
+	resp = s.dispatchDeadline(cn, ping, arrival, 0)
 	if _, err := DecodeResponse(resp); err != nil {
 		t.Fatalf("deadline-free request abandoned: %v", err)
 	}

@@ -24,8 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"time"
+	"unsafe"
 
 	"openembedding/internal/psengine"
 )
@@ -142,6 +143,14 @@ func WriteFrame(w io.Writer, body []byte) error {
 // budget (0 means none). The deadline is relative, not an absolute
 // timestamp, so it needs no clock synchronization between peers.
 func WriteFrameDeadline(w io.Writer, body []byte, deadline time.Duration) error {
+	var hdr [frameHdrSize]byte
+	return writeFrame(w, &hdr, body, deadline)
+}
+
+// writeFrame is WriteFrameDeadline with the header bytes supplied by the
+// caller: a header declared here would escape through w.Write and cost an
+// allocation per frame, so a connection passes the one in its scratch.
+func writeFrame(w io.Writer, hdr *[frameHdrSize]byte, body []byte, deadline time.Duration) error {
 	if len(body) > MaxFrame {
 		return ErrFrameTooLarge
 	}
@@ -152,7 +161,6 @@ func WriteFrameDeadline(w io.Writer, body []byte, deadline time.Duration) error 
 			micros = maxDeadlineMicros
 		}
 	}
-	var hdr [frameHdrSize]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(micros))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -168,10 +176,17 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return body, err
 }
 
-// ReadFrameDeadline reads one frame and the caller's propagated deadline
-// (0 when the caller set none).
+// ReadFrameDeadline reads one frame into a fresh body and returns it with
+// the caller's propagated deadline (0 when the caller set none).
 func ReadFrameDeadline(r io.Reader) ([]byte, time.Duration, error) {
 	var hdr [frameHdrSize]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame is ReadFrameDeadline into the caller's memory: the body lands
+// in buf's array (grown when it is too small) and the returned slice
+// aliases it, so it is only valid until the caller reuses buf.
+func readFrame(r io.Reader, hdr *[frameHdrSize]byte, buf []byte) ([]byte, time.Duration, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, 0, err
 	}
@@ -180,82 +195,197 @@ func ReadFrameDeadline(r io.Reader) ([]byte, time.Duration, error) {
 		return nil, 0, ErrFrameTooLarge
 	}
 	deadline := time.Duration(binary.LittleEndian.Uint32(hdr[4:])) * time.Microsecond
-	body := make([]byte, n)
+	body := fit(buf, int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, 0, err
 	}
 	return body, deadline, nil
 }
 
-// Buffer builds frame bodies.
+// maxScratch bounds, in bytes, each buffer a connection keeps between
+// requests: one larger than this (a migration page, a hostile 64 MB
+// header) is dropped once its request is done, so no connection pins the
+// largest frame it ever saw.
+const maxScratch = 4 << 20
+
+// wireScratch is the memory one end of a connection reuses from request
+// to request. Exactly one request is in flight per connection — a Client
+// holds mu across the round trip, a Server connection is a sequential loop
+// — so its owner needs no pool and no lock. Nothing outside that request
+// may keep a slice of it: see DESIGN.md "Wire path: who owns which buffer".
+type wireScratch struct {
+	hdr  [frameHdrSize]byte
+	in   []byte // the frame read from the wire
+	out  Buffer // the data-plane frame built for the wire
+	keys []uint64
+	offs []uint32
+	vals []float32 // decoded gradients, or the rows / pooled bags to encode
+}
+
+// trim drops every buffer that grew past maxScratch.
+func (sc *wireScratch) trim() {
+	sc.in, sc.out.b = bounded(sc.in), bounded(sc.out.b)
+	sc.keys, sc.offs, sc.vals = bounded(sc.keys), bounded(sc.offs), bounded(sc.vals)
+}
+
+// bounded is s, or nil when s holds more than maxScratch bytes.
+func bounded[T any](s []T) []T {
+	var zero T
+	if cap(s)*int(unsafe.Sizeof(zero)) > maxScratch {
+		return nil
+	}
+	return s
+}
+
+// fit returns s resliced to n elements, in its own array when that is
+// large enough; the contents are unspecified (callers overwrite all n).
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return refit[T](n)
+	}
+	return s[:n]
+}
+
+// oevet:coldpath scratch grows to the largest request its connection carries, then is reused
+func refit[T any](n int) []T {
+	// A quarter of headroom, so requests that creep upwards (a trainer's
+	// unique keys per step) settle after a few growths, not one per record.
+	return make([]T, n, n+n/4)
+}
+
+// The bulk codec. A list on the wire is a uint32 count and the elements'
+// little-endian bytes back to back — on a little-endian host exactly the
+// bytes the slice already holds in memory, so a list is moved with one copy
+// instead of one 4- or 8-byte store per element (on the 26x128 gather that
+// loop, not the kernel, was most of the wire path's CPU). Only the typed
+// slice is ever viewed as bytes, never the frame as typed values, so frame
+// alignment does not matter.
+
+// elem is what lists carry: keys, bag offsets, float32 bit patterns.
+type elem interface{ uint32 | uint64 | float32 }
+
+// hostLittleEndian says whether memory order is wire order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf views s as its bytes in memory order.
+func bytesOf[T elem](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// swapElems reverses every size-byte element of b in place: the step that
+// turns memory order into wire order, and back, on a big-endian host.
+func swapElems(b []byte, size int) {
+	for ; len(b) >= size; b = b[size:] {
+		slices.Reverse(b[:size])
+	}
+}
+
+// putList appends a count-prefixed list to p.
+func putList[T elem](p *Buffer, vals []T) {
+	var zero T
+	src := bytesOf(vals)
+	dst := p.extend(4 + len(src))
+	binary.LittleEndian.PutUint32(dst, uint32(len(vals)))
+	copy(dst[4:], src)
+	if !hostLittleEndian {
+		swapElems(dst[4:], int(unsafe.Sizeof(zero)))
+	}
+}
+
+// listInto consumes a count-prefixed list into dst's array, grown when the
+// list does not fit it, and returns the decoded slice.
+func listInto[T elem](r *Reader, dst []T) ([]T, error) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	n, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	if r.off+size*n > len(r.b) {
+		return nil, ErrTruncated
+	}
+	dst = fit(dst, n)
+	out := bytesOf(dst)
+	copy(out, r.b[r.off:])
+	if !hostLittleEndian {
+		swapElems(out, size)
+	}
+	r.off += size * n
+	return dst, nil
+}
+
+// Buffer builds frame bodies. Every Put grows the array at most once, and
+// not at all once it has reached its size, so a Buffer that is Reset
+// instead of replaced — a connection's request or response frame — builds
+// its bodies in place.
 type Buffer struct{ b []byte }
 
 // NewBuffer returns a body builder starting with the message type and batch.
 func NewBuffer(msg byte, batch int64) *Buffer {
 	buf := &Buffer{b: make([]byte, 0, 64)}
-	buf.b = append(buf.b, msg)
-	buf.PutI64(batch)
+	buf.Reset(msg, batch)
 	return buf
 }
 
+// Reset restarts the body with the message type and batch, keeping the array.
+func (p *Buffer) Reset(msg byte, batch int64) {
+	p.reset(msg)
+	p.PutI64(batch)
+}
+
+// reset restarts the body with a bare type byte, as responses begin.
+func (p *Buffer) reset(t byte) {
+	p.b = p.b[:0]
+	p.PutU8(t)
+}
+
+// extend lengthens the body by n bytes and returns them.
+func (p *Buffer) extend(n int) []byte {
+	l := len(p.b)
+	if cap(p.b)-l < n {
+		p.grow(n)
+	}
+	p.b = p.b[:l+n]
+	return p.b[l:]
+}
+
+// oevet:coldpath a reused frame grows to its connection's largest body, then stays
+func (p *Buffer) grow(n int) { p.b = slices.Grow(p.b, n) }
+
 // PutI64 appends an int64.
 func (p *Buffer) PutI64(v int64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-	p.b = append(p.b, tmp[:]...)
+	binary.LittleEndian.PutUint64(p.extend(8), uint64(v))
 }
 
 // PutKeys appends a count-prefixed key list.
-func (p *Buffer) PutKeys(keys []uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(keys)))
-	p.b = append(p.b, tmp[:4]...)
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(tmp[:], k)
-		p.b = append(p.b, tmp[:]...)
-	}
-}
+func (p *Buffer) PutKeys(keys []uint64) { putList(p, keys) }
 
 // PutFloats appends a count-prefixed float32 list.
-func (p *Buffer) PutFloats(vals []float32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(vals)))
-	p.b = append(p.b, tmp[:]...)
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(v))
-		p.b = append(p.b, tmp[:]...)
-	}
-}
+func (p *Buffer) PutFloats(vals []float32) { putList(p, vals) }
 
 // PutU8 appends one raw byte.
-func (p *Buffer) PutU8(v byte) { p.b = append(p.b, v) }
+func (p *Buffer) PutU8(v byte) { p.extend(1)[0] = v }
 
 // PutBool appends a flag as one byte, 1 or 0 (e.g. a pooling mode).
 func (p *Buffer) PutBool(v bool) {
 	if v {
-		p.b = append(p.b, 1)
+		p.PutU8(1)
 	} else {
-		p.b = append(p.b, 0)
+		p.PutU8(0)
 	}
 }
 
 // PutU32s appends a count-prefixed uint32 list (e.g. bag offsets).
-func (p *Buffer) PutU32s(vals []uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(vals)))
-	p.b = append(p.b, tmp[:]...)
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		p.b = append(p.b, tmp[:]...)
-	}
-}
+func (p *Buffer) PutU32s(vals []uint32) { putList(p, vals) }
 
 // PutString appends a count-prefixed string.
 func (p *Buffer) PutString(s string) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(s)))
-	p.b = append(p.b, tmp[:]...)
-	p.b = append(p.b, s...)
+	dst := p.extend(4 + len(s))
+	binary.LittleEndian.PutUint32(dst, uint32(len(s)))
+	copy(dst[4:], s)
 }
 
 // Bytes returns the built body.
@@ -293,39 +423,18 @@ func (r *Reader) I64() (int64, error) {
 	return v, nil
 }
 
-// Keys consumes a count-prefixed key list.
-func (r *Reader) Keys() ([]uint64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+8*n > len(r.b) {
-		return nil, ErrTruncated
-	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint64(r.b[r.off:])
-		r.off += 8
-	}
-	return keys, nil
-}
+// Keys consumes a count-prefixed key list into a fresh slice.
+func (r *Reader) Keys() ([]uint64, error) { return listInto[uint64](r, nil) }
 
-// Floats consumes a count-prefixed float32 list.
-func (r *Reader) Floats() ([]float32, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+4*n > len(r.b) {
-		return nil, ErrTruncated
-	}
-	vals := make([]float32, n)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
-	}
-	return vals, nil
-}
+// KeysInto consumes a count-prefixed key list into dst's array, grown
+// when the list does not fit it, and returns the decoded slice.
+func (r *Reader) KeysInto(dst []uint64) ([]uint64, error) { return listInto(r, dst) }
+
+// Floats consumes a count-prefixed float32 list into a fresh slice.
+func (r *Reader) Floats() ([]float32, error) { return listInto[float32](r, nil) }
+
+// FloatsInto is KeysInto for a float32 list.
+func (r *Reader) FloatsInto(dst []float32) ([]float32, error) { return listInto(r, dst) }
 
 // U8 consumes one raw byte.
 func (r *Reader) U8() (byte, error) {
@@ -337,22 +446,11 @@ func (r *Reader) U8() (byte, error) {
 	return v, nil
 }
 
-// U32s consumes a count-prefixed uint32 list.
-func (r *Reader) U32s() ([]uint32, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+4*n > len(r.b) {
-		return nil, ErrTruncated
-	}
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint32(r.b[r.off:])
-		r.off += 4
-	}
-	return vals, nil
-}
+// U32s consumes a count-prefixed uint32 list into a fresh slice.
+func (r *Reader) U32s() ([]uint32, error) { return listInto[uint32](r, nil) }
+
+// U32sInto is KeysInto for a uint32 list.
+func (r *Reader) U32sInto(dst []uint32) ([]uint32, error) { return listInto(r, dst) }
 
 // String consumes a count-prefixed string.
 func (r *Reader) String() (string, error) {
@@ -375,15 +473,27 @@ func (r *Reader) count() (int, error) {
 	n := int(binary.LittleEndian.Uint32(r.b[r.off:]))
 	r.off += 4
 	if n < 0 || n > MaxFrame {
-		return 0, fmt.Errorf("rpc: bad count %d", n)
+		return 0, refusef("rpc: bad count %d", n)
 	}
 	return n, nil
 }
 
+// refusef builds the error that refuses a request: malformed, or asking for
+// more than a frame can carry.
+//
+// oevet:coldpath a refused request is not the steady state
+func refusef(format string, args ...any) error { return fmt.Errorf(format, args...) }
+
+// okBody is the one success response body every handler returns; it is
+// shared and never written.
+var okBody = []byte{MsgOK}
+
 // OKBody is the canonical success response body.
-func OKBody() []byte { return []byte{MsgOK} }
+func OKBody() []byte { return okBody }
 
 // errBody encodes an error response of the given type.
+//
+// oevet:coldpath an error response is not the steady state
 func errBody(t byte, err error) []byte {
 	b := &Buffer{b: []byte{t}}
 	b.PutString(err.Error())
@@ -508,35 +618,41 @@ func readMigEntries(r *Reader) ([]psengine.MigEntry, error) {
 }
 
 // DecodeResponse inspects a response body: nil error for MsgOK/MsgData
-// (returning the remaining reader), the remote error for MsgErr, or a typed
-// *EpochError for MsgErrEpoch.
-func DecodeResponse(body []byte) (*Reader, error) {
-	r := NewReader(body)
+// (returning a reader over the rest, which aliases body), the remote error
+// for MsgErr, or a typed *EpochError for MsgErrEpoch.
+func DecodeResponse(body []byte) (Reader, error) {
+	r := Reader{b: body}
 	t, err := r.Type()
 	if err != nil {
-		return nil, err
+		return Reader{}, err
 	}
-	switch t {
-	case MsgOK, MsgData:
+	if t == MsgOK || t == MsgData {
 		return r, nil
+	}
+	return Reader{}, remoteErr(t, &r)
+}
+
+// oevet:coldpath an error response is not the steady state
+func remoteErr(t byte, r *Reader) error {
+	switch t {
 	case MsgErrEpoch:
 		se, err := r.I64()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, &EpochError{ServerEpoch: se, ClientEpoch: -1}
+		return &EpochError{ServerEpoch: se, ClientEpoch: -1}
 	case MsgErr, MsgErrCorrupt, MsgErrBusy:
 		msg, err := r.String()
 		switch {
 		case err != nil:
-			return nil, err
+			return err
 		case t == MsgErrCorrupt:
-			return nil, &RemoteCorruptError{Msg: msg}
+			return &RemoteCorruptError{Msg: msg}
 		case t == MsgErrBusy:
-			return nil, &BusyError{Msg: msg}
+			return &BusyError{Msg: msg}
 		}
-		return nil, fmt.Errorf("rpc: remote: %s", msg)
+		return fmt.Errorf("rpc: remote: %s", msg)
 	default:
-		return nil, fmt.Errorf("rpc: unexpected response type 0x%02x", t)
+		return fmt.Errorf("rpc: unexpected response type 0x%02x", t)
 	}
 }

@@ -76,10 +76,24 @@ type dedupEntry struct {
 // against. An application error — the connection stays up.
 var errNoHello = errors.New("rpc: batch-protocol request before MsgHello")
 
+// errNoBags answers MsgPullBag on a node without a serving tier.
+var errNoBags = errors.New("bag serving unsupported by this node")
+
 // Server exposes one storage engine (one shard) over TCP. Each accepted
-// connection is served by its own goroutine; a worker that wants request
-// parallelism opens several connections, as the paper's multi-threaded
-// pull handlers do.
+// connection is served by its own goroutine, one request at a time; a
+// worker that wants request parallelism opens several connections, as the
+// paper's multi-threaded pull handlers do.
+//
+// Because a connection's loop is sequential it owns its scratch (srvConn)
+// with no pool and no lock: the request frame, the keys / offsets /
+// gradients decoded from it, the rows the engine or the BagServer fills and
+// the response frame encoded from them are reused from request to request,
+// so a steady-state Pull, Push or PullBag allocates nothing. The loan ends
+// with the request: the engine and the BagServer keep none of the slices
+// they are handed, control-plane handlers decode into fresh memory (what
+// Adopt or Replicate installs may be kept), and the dedup cache only ever
+// holds the shared okBody or a freshly built error body — never a slice of
+// a connection's response frame.
 //
 // The server carries an epoch: connections bind to it at the MsgHello
 // handshake and batch-protocol requests from a connection bound to an
@@ -207,6 +221,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// srvConn is one accepted connection's state: the epoch its MsgHello bound
+// it to (negative before the handshake; server epochs never are) and the
+// scratch its requests are decoded into and answered from.
+type srvConn struct {
+	bound int64
+	sc    wireScratch
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.connsG.Add(1)
@@ -222,43 +244,52 @@ func (s *Server) serveConn(conn net.Conn) {
 	wire := s.inject.WrapConn(conn, s.label)
 	br := bufio.NewReaderSize(wire, 1<<16)
 	bw := bufio.NewWriterSize(wire, 1<<16)
-	bound := int64(-1) // no MsgHello yet; server epochs are never negative
-	for {
-		body, deadline, err := ReadFrameDeadline(br)
-		if err != nil {
-			return // EOF or broken conn
-		}
-		arrival := s.now()
-		var start time.Duration
-		if s.reg != nil {
-			start = s.reg.Now()
-		}
-		resp := s.dispatchDeadline(&bound, body, arrival, deadline)
-		if s.reg != nil {
-			d := s.reg.Now() - start
-			var t byte
-			if len(body) > 0 {
-				t = body[0]
-			}
-			switch t {
-			case MsgPull:
-				s.pullNS.Observe(d)
-			case MsgPush:
-				s.pushNS.Observe(d)
-			default:
-				s.otherNS.Observe(d)
-			}
-			s.requests.Add(1)
-			s.bytesIn.Add(int64(len(body)) + frameHdrSize)
-			s.bytesOut.Add(int64(len(resp)) + frameHdrSize)
-		}
-		if err := WriteFrame(bw, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
+	cn := &srvConn{bound: -1}
+	for s.serveOne(cn, br, bw) == nil {
 	}
+}
+
+// serveOne reads one request frame into the connection's scratch, answers
+// it and lets go of scratch the request grew past maxScratch. An error —
+// EOF or a broken connection — ends the connection's loop.
+func (s *Server) serveOne(cn *srvConn, br *bufio.Reader, bw *bufio.Writer) error {
+	body, deadline, err := readFrame(br, &cn.sc.hdr, cn.sc.in)
+	if err != nil {
+		return err
+	}
+	cn.sc.in = body
+	arrival := s.now()
+	var start time.Duration
+	if s.reg != nil {
+		start = s.reg.Now()
+	}
+	resp := s.dispatchDeadline(cn, body, arrival, deadline)
+	if s.reg != nil {
+		d := s.reg.Now() - start
+		var t byte
+		if len(body) > 0 {
+			t = body[0]
+		}
+		switch t {
+		case MsgPull:
+			s.pullNS.Observe(d)
+		case MsgPush:
+			s.pushNS.Observe(d)
+		default:
+			s.otherNS.Observe(d)
+		}
+		s.requests.Add(1)
+		s.bytesIn.Add(int64(len(body)) + frameHdrSize)
+		s.bytesOut.Add(int64(len(resp)) + frameHdrSize)
+	}
+	if err := writeFrame(bw, &cn.sc.hdr, resp, 0); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	cn.sc.trim()
+	return nil
 }
 
 // dispatchDeadline abandons requests whose caller's propagated deadline
@@ -266,38 +297,37 @@ func (s *Server) serveConn(conn net.Conn) {
 // work (and growing the engine's queue) helps nobody — then delegates to
 // dispatch. The response is a MsgErrBusy so a stray still-listening caller
 // fails over rather than retrying.
-func (s *Server) dispatchDeadline(bound *int64, body []byte, arrival time.Time, deadline time.Duration) []byte {
+func (s *Server) dispatchDeadline(cn *srvConn, body []byte, arrival time.Time, deadline time.Duration) []byte {
 	if deadline > 0 && s.now().Sub(arrival) >= deadline {
 		s.abandoned.Add(1)
 		return BusyErrBody(fmt.Errorf("deadline %v expired before execution", deadline))
 	}
-	return s.dispatch(bound, body)
+	return s.dispatch(cn, body)
 }
 
 // dispatch applies per-connection epoch fencing and per-client dedup, then
-// delegates to handle. bound is the epoch the connection's MsgHello bound
-// it to (negative before the handshake).
-func (s *Server) dispatch(bound *int64, body []byte) []byte {
+// delegates to handleOn.
+func (s *Server) dispatch(cn *srvConn, body []byte) []byte {
 	if len(body) == 0 {
 		return ErrBody(ErrTruncated)
 	}
 	t := body[0]
 	if t == MsgHello {
-		return s.handleHello(bound, body)
+		return s.handleHello(&cn.bound, body)
 	}
 	if fencedMsg(t) {
-		if *bound < 0 {
+		if cn.bound < 0 {
 			return ErrBody(errNoHello)
 		}
-		if cur := s.epoch.Load(); *bound != cur {
+		if cur := s.epoch.Load(); cn.bound != cur {
 			s.epochRejects.Add(1)
 			return EpochErrBody(cur)
 		}
 	}
 	if mutatingMsg(t) {
-		return s.handleMutating(body)
+		return s.handleMutating(&cn.sc, body)
 	}
-	return s.handle(body)
+	return s.handleOn(&cn.sc, body)
 }
 
 // handleHello binds the connection to an epoch and replies with the
@@ -338,8 +368,8 @@ func mutatingMsg(t byte) bool {
 // handleMutating peeks the clientID+seq pair that mutating bodies carry
 // after the batch field, consults the dedup cache, and stores the response
 // for replay.
-func (s *Server) handleMutating(body []byte) []byte {
-	r := NewReader(body)
+func (s *Server) handleMutating(sc *wireScratch, body []byte) []byte {
+	r := Reader{b: body}
 	r.Type()
 	if _, err := r.I64(); err != nil { // batch
 		return ErrBody(err)
@@ -367,18 +397,29 @@ func (s *Server) handleMutating(body []byte) []byte {
 				seq, clientID, last.seq))
 		}
 	}
-	resp := s.handle(body)
+	// The cached body outlives the request, so it must never be a slice of
+	// sc: mutating handlers answer with the shared okBody or a fresh error
+	// body, never from sc.out.
+	resp := s.handleOn(sc, body)
 	s.dedupMu.Lock()
 	s.dedup[clientID] = dedupEntry{seq: seq, resp: resp}
 	s.dedupMu.Unlock()
 	return resp
 }
 
-// handle dispatches one request body and returns the response body. It
-// performs no fencing or dedup — dispatch layers those on top — so
-// in-process callers (tests, fuzzers) can exercise it directly.
+// handle answers one request body with no connection behind it — no
+// fencing, no dedup, throw-away scratch — which is how tests and fuzzers
+// exercise the handlers in process.
 func (s *Server) handle(body []byte) []byte {
-	r := NewReader(body)
+	return s.handleOn(new(wireScratch), body)
+}
+
+// handleOn dispatches one request body and returns the response body. It
+// performs no fencing or dedup — dispatch layers those on top. The
+// data-plane handlers decode into sc and answer from it, so their response
+// is only valid until sc's next request.
+func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
+	r := &Reader{b: body}
 	t, err := r.Type()
 	if err != nil {
 		return ErrBody(err)
@@ -399,30 +440,9 @@ func (s *Server) handle(body []byte) []byte {
 	}
 	switch t {
 	case MsgPull:
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
-		}
-		dst := make([]float32, len(keys)*s.engine.Dim())
-		if err := s.engine.Pull(batch, keys, dst); err != nil {
-			return errResp(err)
-		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutFloats(dst)
-		return out.Bytes()
+		return s.handlePull(sc, batch, r)
 	case MsgPush:
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
-		}
-		grads, err := r.Floats()
-		if err != nil {
-			return ErrBody(err)
-		}
-		if err := s.engine.Push(batch, keys, grads); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
+		return s.handlePush(sc, batch, r)
 	case MsgEndPullPhase:
 		s.engine.EndPullPhase(batch)
 		return OKBody()
@@ -470,7 +490,7 @@ func (s *Server) handle(body []byte) []byte {
 		}
 		return out.Bytes()
 	case MsgPullBag:
-		return s.handlePullBag(r)
+		return s.handlePullBag(sc, r)
 	case MsgStats:
 		st := s.engine.Stats()
 		out := &Buffer{b: []byte{MsgData}}
@@ -499,7 +519,16 @@ func (s *Server) handle(body []byte) []byte {
 		if err != nil {
 			return errResp(err)
 		}
-		out := &Buffer{b: []byte{MsgData}}
+		size := 1 + 1 + 8
+		for _, me := range entries {
+			size += 8 + 8 + 4 + 4*len(me.Data)
+		}
+		if size > MaxFrame {
+			return ErrBody(fmt.Errorf("rpc: migration page of %d entries is %d bytes, over the frame limit: ask for fewer than %d",
+				len(entries), size, max))
+		}
+		out := &Buffer{b: make([]byte, 0, size)}
+		out.reset(MsgData)
 		out.PutBool(more)
 		putMigEntries(out, entries)
 		return out.Bytes()
@@ -561,46 +590,97 @@ func (s *Server) handle(body []byte) []byte {
 	}
 }
 
+// errRespTooLarge refuses a request whose answer would not fit a frame —
+// before executing it, and as an application error: writing the oversized
+// response would fail and cost the client its connection (and three
+// retries of the same doomed request).
+func errRespTooLarge(floats int) []byte {
+	return ErrBody(refusef("rpc: response of %d floats exceeds the frame limit", floats))
+}
+
+// floatsResp encodes the data-plane response — MsgData and sc.vals as one
+// float list — in the connection's response frame.
+func floatsResp(sc *wireScratch) []byte {
+	sc.out.reset(MsgData)
+	sc.out.PutFloats(sc.vals)
+	return sc.out.b
+}
+
+// handlePull serves one MsgPull body (type and batch already consumed):
+// keys decoded into, rows pulled into and the response encoded from the
+// connection's scratch.
+//
+// oevet:hotpath
+func (s *Server) handlePull(sc *wireScratch, batch int64, r *Reader) []byte {
+	var err error
+	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
+		return ErrBody(err)
+	}
+	n := len(sc.keys) * s.engine.Dim()
+	if 1+4+4*n > MaxFrame {
+		return errRespTooLarge(n)
+	}
+	sc.vals = fit(sc.vals, n)
+	if err := s.engine.Pull(batch, sc.keys, sc.vals); err != nil {
+		return errResp(err)
+	}
+	return floatsResp(sc)
+}
+
+// handlePush serves one MsgPush body. The engine must not keep keys or
+// grads: both are the connection's scratch.
+//
+// oevet:hotpath
+func (s *Server) handlePush(sc *wireScratch, batch int64, r *Reader) []byte {
+	var err error
+	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
+		return ErrBody(err)
+	}
+	if sc.vals, err = r.FloatsInto(sc.vals); err != nil {
+		return ErrBody(err)
+	}
+	if err := s.engine.Push(batch, sc.keys, sc.vals); err != nil {
+		return errResp(err)
+	}
+	return OKBody()
+}
+
 // handlePullBag serves one MsgPullBag body (type and batch already
 // consumed). Malformed bags — bad pooling mode, truncated or inconsistent
 // offsets, offsets past the end of the key list — are answered with
 // MsgErr; the connection stays alive (serveConn only drops a connection on
 // transport failure, never on an application error).
-func (s *Server) handlePullBag(r *Reader) []byte {
+//
+// oevet:hotpath
+func (s *Server) handlePullBag(sc *wireScratch, r *Reader) []byte {
 	if s.bags == nil {
-		return ErrBody(fmt.Errorf("bag serving unsupported by this node"))
+		return ErrBody(errNoBags)
 	}
 	mode, err := r.U8()
 	if err != nil {
 		return ErrBody(err)
 	}
 	if mode > 1 {
-		return ErrBody(fmt.Errorf("rpc: bad pooling mode %d", mode))
+		return ErrBody(refusef("rpc: bad pooling mode %d", mode))
 	}
-	offsets, err := r.U32s()
-	if err != nil {
+	if sc.offs, err = r.U32sInto(sc.offs); err != nil {
 		return ErrBody(err)
 	}
-	keys, err := r.Keys()
-	if err != nil {
+	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
 		return ErrBody(err)
 	}
-	if err := ValidateBagOffsets(offsets, len(keys)); err != nil {
+	if err := ValidateBagOffsets(sc.offs, len(sc.keys)); err != nil {
 		return ErrBody(err)
 	}
-	dim := s.bags.Dim()
-	bags := len(offsets) - 1
-	if 4*bags*dim > MaxFrame {
-		return ErrBody(fmt.Errorf("rpc: bag response %d floats exceeds frame limit", bags*dim))
+	n := (len(sc.offs) - 1) * s.bags.Dim()
+	if 1+4+4*n > MaxFrame {
+		return errRespTooLarge(n)
 	}
-	out := make([]float32, bags*dim)
-	if err := s.bags.PullBags(mode == 1, offsets, keys, out); err != nil {
+	sc.vals = fit(sc.vals, n)
+	if err := s.bags.PullBags(mode == 1, sc.offs, sc.keys, sc.vals); err != nil {
 		return errResp(err)
 	}
-	resp := &Buffer{b: make([]byte, 0, 1+4+4*len(out))}
-	resp.b = append(resp.b, MsgData)
-	resp.PutFloats(out)
-	return resp.Bytes()
+	return floatsResp(sc)
 }
 
 // Close stops accepting, closes live connections and waits for handlers.
