@@ -210,3 +210,56 @@ func TestQueueConcurrentProducers(t *testing.T) {
 		t.Fatalf("drained %d, want %d", got, producers*each)
 	}
 }
+
+// TestQueueRecycleStopsRegrowth: with the drained slice handed back, a
+// steady stream of equal-sized batches alternates between two backing
+// arrays instead of regrowing one from nil every batch.
+func TestQueueRecycleStopsRegrowth(t *testing.T) {
+	var q Queue[*int]
+	batch := make([]*int, 100)
+	for i := range batch {
+		batch[i] = new(int)
+	}
+	arrays := map[**int]bool{} // distinct backing arrays, by first-element address
+	for round := 0; round < 10; round++ {
+		q.Push(batch...)
+		got := q.Drain()
+		if len(got) != len(batch) {
+			t.Fatalf("round %d: drained %d", round, len(got))
+		}
+		arrays[&got[0]] = true
+		q.Recycle(got)
+		for _, p := range got {
+			if p != nil {
+				t.Fatal("Recycle left pointers in the spare slice")
+			}
+		}
+	}
+	if len(arrays) > 2 {
+		t.Fatalf("ten equal batches used %d backing arrays, want 2 (double buffer)", len(arrays))
+	}
+	if q.Len() != 0 || q.Drain() != nil {
+		t.Fatal("queue not empty after the rounds")
+	}
+}
+
+func TestPoolBoundAndOrder(t *testing.T) {
+	p := NewPool[int](3)
+	if _, ok := p.Get(); ok {
+		t.Fatal("Get from an empty pool")
+	}
+	p.Put(1, 2)
+	p.Put(3, 4, 5) // only one more fits
+	if got := p.Take(nil, 10); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("Take = %v, want [1 2 3]", got)
+	}
+	p.Put(7)
+	p.Put(8)
+	if v, ok := p.Get(); !ok || v != 8 {
+		t.Fatalf("Get = %v, %v", v, ok)
+	}
+	if got := p.Take([]int{0}, 1); len(got) != 2 || got[1] != 7 {
+		t.Fatalf("Take onto dst = %v", got)
+	}
+	NewPool[int](0).Put(1) // a zero bound keeps nothing and must not panic
+}

@@ -228,3 +228,27 @@ func benchPushParallel(b *testing.B, shards int) {
 		}
 	})
 }
+
+// BenchmarkEngineColdBatch is the engine rung of the cold workload: one PS
+// batch per op (two loaders' Pull, EndPullPhase, Push, EndBatch) over a key
+// space 16x the cache, so nearly every key is a miss, a promotion, an
+// eviction and a record flush — the maintenance drain is the batch. Run with
+// -benchmem: the steady state allocates a handful of objects per batch (the
+// fan-out's goroutines), not two per miss.
+func BenchmarkEngineColdBatch(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			e, pool, grads := coldBatches(b, shards)
+			dst := make([]float32, len(pool[0][0])*e.Dim())
+			batch := int64(1 << 20)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := coldBatch(e, batch, pool[i%len(pool)], dst, grads); err != nil {
+					b.Fatal(err)
+				}
+				batch++
+			}
+		})
+	}
+}

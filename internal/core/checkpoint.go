@@ -173,20 +173,21 @@ func (e *Engine) activateHead() int64 {
 	}
 }
 
-// noteFlushed records that a dirty entry needed by the active checkpoint
-// has been persisted, completing the checkpoint when it was the last one.
-// Called from flushLocked with the flushing shard's lock held; the
+// noteFlushed records that n dirty entries needed by the active checkpoint
+// have been persisted, completing the checkpoint when they were the last
+// ones. Called from commitLocked with the flushing shard's lock held; the
 // decrement is a bare atomic, so flushes on different shards never contend
-// here. Exactly one caller observes the zero crossing, and until that
-// caller runs completeCheckpoint no new activation can begin, so reading
-// ckptActive afterwards is stable.
+// here. Exactly one caller observes the zero crossing (every entry a commit
+// settles was counted by the same activation scan, so a commit cannot step
+// over zero), and until that caller runs completeCheckpoint no new
+// activation can begin, so reading ckptActive afterwards is stable.
 //
 // oevet:holds core.shard.mu 10
-func (e *Engine) noteFlushed(needed bool) {
-	if !needed {
+func (e *Engine) noteFlushed(n int64) {
+	if n == 0 {
 		return
 	}
-	if e.ckptRemaining.Add(-1) != 0 {
+	if e.ckptRemaining.Add(-n) != 0 {
 		return
 	}
 	e.ckptMu.Lock()
@@ -237,18 +238,20 @@ func (e *Engine) completeCheckpoint(cp int64) {
 // finalizeCheckpoints guarantees checkpoint progress even when the cache is
 // so effective that evictions are rare (the natural completion path of
 // Alg. 2 relies on eviction pressure). It drains the memoized flush list of
-// the active checkpoint, locking each entry's own shard for the flush, at
-// most finalizerBudget flushes per call; leftover work resumes next batch.
+// the active checkpoint from its tail, one run of same-shard entries at a
+// time (the activation scan memoizes shard by shard): the run's flushes are
+// queued under that shard's lock and persisted as one group commit, in the
+// order entry-by-entry popping would have flushed them. At most
+// finalizerBudget flushes per call; leftover work resumes next batch.
 // Callers hold no shard lock.
 func (e *Engine) finalizeCheckpoints() error {
 	budget := finalizerBudget
+	var run []*entry
 	for budget > 0 {
 		cp := e.activateHead()
 		if cp < 0 {
 			return nil
 		}
-		// Pop a memoized entry; skip those already persisted (or updated
-		// past the checkpoint and persisted by flush-before-overwrite).
 		e.ckptMu.Lock()
 		if e.ckptActivating || e.ckptActive != cp {
 			// Another thread is mid-activation or completed cp between our
@@ -263,25 +266,30 @@ func (e *Engine) finalizeCheckpoints() error {
 			e.ckptMu.Unlock()
 			return nil
 		}
-		ent := e.ckptFlushList[n-1]
-		e.ckptFlushList = e.ckptFlushList[:n-1]
+		s := e.shardFor(e.ckptFlushList[n-1].key)
+		lo := n - 1
+		for lo > 0 && n-lo < budget && e.shardFor(e.ckptFlushList[lo-1].key) == s {
+			lo--
+		}
+		// Copied out: once cp completes, the next activation reuses the list.
+		run = append(run[:0], e.ckptFlushList[lo:]...)
+		e.ckptFlushList = e.ckptFlushList[:lo]
 		e.ckptMu.Unlock()
 
-		s := e.shardFor(ent.key)
 		s.mu.Lock()
-		pending := ent.ckptPending
-		var err error
-		if pending {
-			err = s.flushLocked(ent)
+		for i := len(run) - 1; i >= 0; i-- {
+			// Skip entries already persisted (or updated past the checkpoint
+			// and persisted by flush-before-overwrite).
+			if run[i].ckptPending {
+				s.queueFlushLocked(run[i])
+				budget--
+			}
 		}
+		err := s.commitLocked()
 		s.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		if !pending {
-			continue // already persisted by maintenance or eviction
-		}
-		budget--
 	}
 	return nil
 }
@@ -292,29 +300,22 @@ func (e *Engine) finalizeCheckpoints() error {
 // are the last completed one (a crash at any moment must recover to it),
 // every queued one, and any future request (which is at least as new as the
 // last sealed batch, because RequestCheckpoint only accepts the latest
-// sealed batch). Takes no shard locks, so it is safe from any context.
+// sealed batch) — the rule the arena's Reclaim applies to the sealed batch
+// and the pins it is handed. Takes no shard locks, so it is safe from any
+// context.
+//
+// oevet:coldpath runs per batch boundary, per completed checkpoint and when the arena is full, never per record; its pin list lives on the stack unless more than six checkpoints are queued
 func (e *Engine) reclaim() {
-	completed := e.completedCkpt.Load()
-	prev := e.prevCompleted.Load()
+	// The pinned checkpoints, gathered on the stack: the completed one (even
+	// when it is -1: an entry born in batch 0 carries version -1), the
+	// retained previous one, and every queued request.
+	var buf [8]int64
+	pins := append(buf[:0], e.completedCkpt.Load())
+	if prev := e.prevCompleted.Load(); prev >= 0 {
+		pins = append(pins, prev)
+	}
 	e.ckptMu.Lock()
-	queued := append([]int64(nil), e.ckptQueue...)
+	pins = append(pins, e.ckptQueue...)
 	e.ckptMu.Unlock()
-	lastEnded := e.lastEnded.Load()
-	e.arena.Reclaim(func(oldV, newV int64) bool {
-		if newV > lastEnded {
-			return true // a future checkpoint request may land in range
-		}
-		if completed >= oldV && completed < newV {
-			return true
-		}
-		if prev >= 0 && prev >= oldV && prev < newV {
-			return true // the retained previous checkpoint still needs it
-		}
-		for _, q := range queued {
-			if q >= oldV && q < newV {
-				return true
-			}
-		}
-		return false
-	})
+	e.arena.Reclaim(e.lastEnded.Load(), pins)
 }

@@ -121,8 +121,6 @@ type Engine struct {
 	obs   *psengine.EngineObs
 	spans *obs.Tracer
 
-	// payload scratch buffers
-	payloadPool sync.Pool
 	// scratchPool recycles the per-request partition/access-record buffers
 	// so steady-state Pull and Push allocate nothing.
 	scratchPool sync.Pool
@@ -142,6 +140,7 @@ type opScratch struct {
 	recs    [][]accessRec // per-shard access records
 	miss    [][]missRun   // per-shard first-touch runs
 	pmem    [][]pmemRun   // per-shard PMem-resident runs awaiting coalescing
+	rows    [][][]float32 // per-shard rows the PMem-resident runs stage their payloads in
 	sortBuf [][]uint64    // per-shard (key,pos) packing scratch for sortPosByKey
 
 	// fan is the request's fan-out frame: the wait group, error slot and
@@ -276,6 +275,7 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 			lru:      cache.NewList[*entry](),
 			capacity: capi,
 			evictObs: e.obs.ShardEvictions(i),
+			rows:     cache.NewPool[[]float32](capi),
 		}
 		e.shards[i].mu.initRank("core.shard.mu", 10)
 	}
@@ -294,16 +294,13 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 	e.currBatch.Store(-1)
 	e.lastEnded.Store(-1)
 	e.ckptActive = -1
-	e.payloadPool.New = func() any {
-		b := make([]byte, arena.PayloadBytes())
-		return &b
-	}
 	e.scratchPool.New = func() any {
 		return &opScratch{
 			byShard: make([][]int32, nShards),
 			recs:    make([][]accessRec, nShards),
 			miss:    make([][]missRun, nShards),
 			pmem:    make([][]pmemRun, nShards),
+			rows:    make([][][]float32, nShards),
 			sortBuf: make([][]uint64, nShards),
 		}
 	}
@@ -479,29 +476,28 @@ func (e *Engine) Push(batch int64, keys []uint64, grads []float32) error {
 	return err
 }
 
-// promoteLocked loads an entry's record from PMem into a fresh DRAM buffer.
-// Caller holds the entry's stripe (or its shard's exclusive lock).
-// countRead says whether to count the read in the PMemReads stat: a
-// maintenance promotion of an entry the same batch's pull already served
-// from PMem is the second half of one logical fetch and is not re-counted
-// (the virtual-time device charge always applies — the read really happens).
+// readPromote loads an entry's record from PMem into a DRAM row: a
+// CRC-verified device read decoded straight into the row, counted in the
+// PMemReads stat. Caller holds the entry's stripe (or its shard's exclusive
+// lock), and the entry has no write-back pending — true whenever the shard
+// lock was released since the entry left DRAM, so push's inline promotion
+// calls this directly; callers inside a maintenance round go through
+// promoteLocked.
 //
-// oevet:coldpath miss-path promotion allocates the entry's DRAM buffer once by design; the steady-state hit path never reaches it
-func (e *Engine) promoteLocked(ent *entry, countRead bool) error {
-	bufp := e.payloadPool.Get().(*[]byte)
-	defer e.payloadPool.Put(bufp)
-	if err := e.arena.ReadPayloadVerified(ent.slot, ent.key, *bufp); err != nil {
+// oevet:coldpath a promotion the pull did not stage (push fallback, serve refresh, a re-touch inside one round): the steady-state miss path adopts the staged row and never reaches it
+func (s *shard) readPromote(ent *entry) error {
+	e := s.eng
+	row := s.takeRow()
+	if err := e.arena.ReadRowVerified(ent.slot, ent.key, row); err != nil {
+		s.rows.Put(row)
 		if pmem.IsIntegrity(err) {
 			e.obs.CorruptServe.Add(1)
 			err = fmt.Errorf("core: promote of key %d: %w", ent.key, err)
 		}
 		return err
 	}
-	ent.buf = make([]float32, e.cfg.EntryFloats())
-	pmem.DecodeFloats(ent.buf, *bufp)
-	if countRead {
-		e.pmemReads.Add(1)
-	}
+	ent.buf = row
+	e.pmemReads.Add(1)
 	e.dram.ChargeWrite(4 * e.cfg.EntryFloats())
 	e.chargeInlineSerial(device.PMem().ReadCost(e.arena.PayloadBytes()))
 	return nil
@@ -511,9 +507,12 @@ func (e *Engine) promoteLocked(ent *entry, countRead bool) error {
 // lane when maintenance runs inline (pipeline disabled): the exclusive
 // shard lock is held across the device access, so every request thread
 // waits it out (the Fig. 9 ablation's dominant cost).
-func (e *Engine) chargeInlineSerial(d time.Duration) {
-	if e.cfg.PipelineDisabled {
-		e.cfg.Meter.Charge(simclock.GlobalSync, d)
+func (e *Engine) chargeInlineSerial(d time.Duration) { e.chargeInlineSerialN(d, 1) }
+
+// chargeInlineSerialN is n chargeInlineSerial(d) calls: n ops of d each.
+func (e *Engine) chargeInlineSerialN(d time.Duration, n int64) {
+	if e.cfg.PipelineDisabled && n > 0 {
+		e.cfg.Meter.ChargeN(simclock.GlobalSync, time.Duration(n)*d, n)
 	}
 }
 

@@ -8,10 +8,11 @@ package core
 
 import (
 	"openembedding/internal/cache"
+	"openembedding/internal/pmem"
 )
 
 // noSlot marks an entry with no persisted PMem record yet.
-const noSlot = ^uint32(0)
+const noSlot = pmem.NoSlot
 
 // entry is one embedding entry as seen by the DRAM hash index.
 //
@@ -61,6 +62,14 @@ type entry struct {
 	// counted, and decrementing for it would complete the checkpoint
 	// early, losing counted state.
 	ckptPending bool
+
+	// wbPending marks an entry whose flush a maintenance round has decided
+	// and queued on its shard's write-back list but not yet committed
+	// (maintain.go). Until the commit, slot and persistedVersion still name
+	// the superseded record, and the queued record owns the row — which is
+	// buf, or, if the entry was evicted since, no longer reachable from the
+	// entry at all. Never set while the shard lock is released.
+	wbPending bool
 
 	// node links the entry into the LRU list while cached.
 	node cache.Node[*entry]

@@ -106,6 +106,7 @@ func (e *Engine) maintainLoop() {
 		sp := e.spans.Start("maint.drain", "engine", int64(task.sh.id), task.batch)
 		err := task.sh.runMaintenance(task.batch, task.entries)
 		sp.EndArg("entries", int64(len(task.entries)))
+		task.sh.accessQ.Recycle(task.entries)
 		if e.obs.Enabled() {
 			e.obs.MaintDrain.Observe(e.obs.Now() - start)
 		}
@@ -132,7 +133,10 @@ func (e *Engine) maintainLoop() {
 func (e *Engine) inlineMaintain(batch int64) {
 	e.activateHead()
 	for _, s := range e.shards {
-		if err := s.runMaintenance(batch, s.accessQ.Drain()); err != nil {
+		recs := s.accessQ.Drain()
+		err := s.runMaintenance(batch, recs)
+		s.accessQ.Recycle(recs)
+		if err != nil {
 			e.maintErrs.set(err)
 			return
 		}
@@ -149,64 +153,29 @@ func (e *Engine) inlineMaintain(batch int64) {
 // shard: flush-before-overwrite for checkpoint consistency, LRU reordering,
 // promotion of missed entries, and eviction — all under the shard's
 // exclusive lock, independent of every other shard.
+//
+// One round is one group commit (DESIGN.md §18): drainLocked takes every
+// decision record by record — which entry is flushed before its overwrite,
+// which victim leaves the cache, in which order — but only queues the
+// flushes on the shard's write-back list; commitLocked then persists the
+// list with one batched arena write. What is decided, counted and charged
+// is what per-record flushing decided, counted and charged; only the
+// wall-clock cost of the I/O — and of the bookkeeping, which commitLocked
+// settles per round instead of per record — is shared.
 func (s *shard) runMaintenance(batch int64, recs []accessRec) error {
 	e := s.eng
-	meter := e.cfg.Meter
-	meter.Charge(simclock.LockSync, psengine.LockCost)
+	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Flush-before-overwrite tests against the newest pending checkpoint:
-	// once any queued checkpoint needs this data version, it must reach
-	// PMem before the coming push replaces it.
-	newest := e.newestCheckpoint()
-	// Pipelined maintenance runs off the critical path on dedicated
-	// threads: plain CPU work. With the pipeline disabled (Fig. 9
-	// ablation) the same work runs inline under the shard's exclusive
-	// lock while request threads wait — serialized and convoy-prone, like
-	// any black-box cache.
-	maintCat, maintCost := simclock.Compute, lruOpCost
-	if e.cfg.PipelineDisabled {
-		maintCat, maintCost = simclock.GlobalSync, inlineMaintCost
+	err := s.drainLocked(batch, recs)
+	// Commit even when the drain stopped early: the flushes queued before
+	// the failure are decided, and their entries hold no other copy.
+	if cerr := s.commitLocked(); err == nil {
+		err = cerr
 	}
-	for _, rec := range recs {
-		ent := rec.ent
-		meter.Charge(maintCat, maintCost)
-		if ent.inDRAM() {
-			// Alg. 2 lines 12-17: persist the pre-update version if a
-			// pending checkpoint still needs it, then refresh recency.
-			if ent.dirty && ent.dataVersion <= newest {
-				if err := s.flushLocked(ent); err != nil {
-					return err
-				}
-			}
-			ent.version = batch
-			if ent.node.InList() {
-				s.lru.MoveToFront(&ent.node)
-			} else {
-				s.lru.PushFront(&ent.node) // first-epoch entry born in DRAM
-				s.snapStale = true
-			}
-		} else {
-			// Alg. 2 lines 18-21: promote the missed entry. The pull that
-			// queued this record already counted its PMem read when it
-			// served the miss, so the promotion does not count it again.
-			if err := e.promoteLocked(ent, !rec.fromPMem); err != nil {
-				return err
-			}
-			ent.version = batch
-			s.lru.PushFront(&ent.node)
-			s.snapStale = true
-		}
-		// With the cache disabled, the batch's working set stays in DRAM
-		// until EndBatch (a per-batch staging buffer): pushes still land in
-		// DRAM and the write-back happens at the batch boundary, off the
-		// pull/push critical path when the pipeline is on.
-		if !e.cfg.CacheDisabled {
-			if err := s.enforceCapacityLocked(); err != nil {
-				return err
-			}
-		}
+	if err != nil {
+		return err
 	}
 	// Background integrity scrub: verify a bounded slice of this shard's
 	// persisted records while the exclusive lock is already held. The budget
@@ -224,25 +193,129 @@ func (s *shard) runMaintenance(batch int64, recs []accessRec) error {
 	return nil
 }
 
+// drainLocked is the record loop of a maintenance round: the per-entry
+// decisions of Algorithm 2, with every flush they call for queued on the
+// write-back list instead of issued. It allocates nothing in the steady
+// state: promoted rows arrive staged in the access records, evicted rows go
+// back to the row pool, and the write-back list keeps its capacity.
+//
+// oevet:hotpath
+// oevet:holds core.shard.mu 10
+func (s *shard) drainLocked(batch int64, recs []accessRec) error {
+	e := s.eng
+	meter := e.cfg.Meter
+	// Flush-before-overwrite tests against the newest pending checkpoint:
+	// once any queued checkpoint needs this data version, it must reach
+	// PMem before the coming push replaces it.
+	newest := e.newestCheckpoint()
+	// Pipelined maintenance runs off the critical path on dedicated
+	// threads: plain CPU work. With the pipeline disabled (Fig. 9
+	// ablation) the same work runs inline under the shard's exclusive
+	// lock while request threads wait — serialized and convoy-prone, like
+	// any black-box cache.
+	maintCat, maintCost := simclock.Compute, lruOpCost
+	if e.cfg.PipelineDisabled {
+		maintCat, maintCost = simclock.GlobalSync, inlineMaintCost
+	}
+	// One charge for the records the loop got through, on every way out:
+	// totals and op counts are those of a charge per record.
+	drained := 0
+	defer func() {
+		meter.ChargeN(maintCat, time.Duration(drained)*maintCost, int64(drained))
+	}()
+	for i := range recs {
+		ent, staged := recs[i].ent, recs[i].row
+		drained++
+		if ent.inDRAM() {
+			if staged != nil {
+				// Another pull of the batch missed on the same entry and an
+				// earlier record already promoted it.
+				s.rows.Put(staged)
+			}
+			// Alg. 2 lines 12-17: persist the pre-update version if a
+			// pending checkpoint still needs it, then refresh recency.
+			if ent.dirty && ent.dataVersion <= newest {
+				s.queueFlushLocked(ent)
+			}
+			ent.version = batch
+			if ent.node.InList() {
+				s.lru.MoveToFront(&ent.node)
+			} else {
+				s.lru.PushFront(&ent.node) // first-epoch entry born in DRAM
+				s.snapStale = true
+			}
+		} else {
+			// Alg. 2 lines 18-21: promote the missed entry.
+			if err := s.promoteLocked(ent, staged); err != nil {
+				return err
+			}
+			ent.version = batch
+			s.lru.PushFront(&ent.node)
+			s.snapStale = true
+		}
+		// With the cache disabled, the batch's working set stays in DRAM
+		// until EndBatch (a per-batch staging buffer): pushes still land in
+		// DRAM and the write-back happens at the batch boundary, off the
+		// pull/push critical path when the pipeline is on.
+		if !e.cfg.CacheDisabled {
+			s.enforceCapacityLocked()
+		}
+	}
+	return nil
+}
+
 // inlineMaintCost is the per-entry cost of cache maintenance executed
 // inline under the exclusive lock (pipeline disabled): an exclusive
 // cache-line handoff per lock acquisition plus the list splice.
 const inlineMaintCost = 500 * time.Nanosecond
 
-// enforceCapacityLocked evicts LRU victims while the shard's cache exceeds
-// its budget (Alg. 2 lines 22-31). Checkpoint completion — which the paper
-// detects here from the victim's version — falls out of the flush
-// bookkeeping in flushLocked.
+// promoteLocked brings a PMem-resident entry back into DRAM under the
+// shard's exclusive lock. staged, when set, is the row the batch's pull
+// decoded from the entry's verified record as it served the miss: the
+// promotion adopts it, and neither reads nor verifies the record a second
+// time nor counts the read again — the pull counted it. The virtual time of
+// the fetch is charged all the same: the system the meter models reads the
+// record here (Alg. 2 line 19); keeping the pull's copy is this
+// implementation's shortcut, not the modelled machine's. (commitLocked
+// settles the charge with the round's others.)
+//
+// An entry evicted earlier in the same round (a cache smaller than the
+// batch's working set) has its flush still queued: its slot names the
+// superseded record, or nothing. The write-back list is committed first, so
+// a promotion never reads a slot its pending record has not reached.
 //
 // oevet:holds core.shard.mu 10
-func (s *shard) enforceCapacityLocked() error {
+func (s *shard) promoteLocked(ent *entry, staged []float32) error {
+	if staged != nil && (ent.wbPending || ent.slot == noSlot) {
+		// The row predates whatever happened to the entry since the pull.
+		s.rows.Put(staged)
+		staged = nil
+	}
+	if staged == nil {
+		if ent.wbPending {
+			if err := s.commitLocked(); err != nil {
+				return err
+			}
+		}
+		return s.readPromote(ent)
+	}
+	ent.buf = staged
+	s.adopted++
+	return nil
+}
+
+// enforceCapacityLocked evicts LRU victims while the shard's cache exceeds
+// its budget (Alg. 2 lines 22-31), queueing the dirty ones' flushes; the
+// caller commits before it releases the lock. Checkpoint completion — which
+// the paper detects here from the victim's version — falls out of the flush
+// bookkeeping in commitLocked.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) enforceCapacityLocked() {
 	limit := s.cacheCapacity()
 	for s.lru.Len() > limit {
-		if err := s.evictLocked(s.lru.Back().Value); err != nil {
-			return err
-		}
+		s.evictLocked(s.lru.Back().Value)
 	}
-	return nil
 }
 
 func (s *shard) cacheCapacity() int {
@@ -252,95 +325,211 @@ func (s *shard) cacheCapacity() int {
 	return s.capacity
 }
 
-// evictLocked writes a dirty victim back to PMem and releases its DRAM copy.
+// evictLocked releases a victim's DRAM copy, queueing its write-back to
+// PMem first when it is dirty. A clean victim's row goes straight to the row
+// pool; a row with a write-back pending belongs to the write-back list until
+// the commit has encoded it. The eviction is counted and charged when the
+// caller commits.
 //
 // oevet:holds core.shard.mu 10
-func (s *shard) evictLocked(victim *entry) error {
+func (s *shard) evictLocked(victim *entry) {
 	if victim.dirty {
-		if err := s.flushLocked(victim); err != nil {
-			return err
-		}
+		s.queueFlushLocked(victim)
 	}
 	s.lru.Remove(&victim.node)
+	if !victim.wbPending {
+		s.rows.Put(victim.buf)
+	}
 	victim.buf = nil
 	s.snapStale = true
-	s.eng.evictions.Add(1)
-	s.evictObs.Add(1)
-	s.eng.cfg.Meter.Charge(simclock.Compute, lruOpCost)
-	return nil
+	s.evicted++
 }
 
-// flushLocked persists the entry's current DRAM state as a new PMem record
-// stamped with the entry's data version, retiring the superseded record so
-// the space manager keeps it until no checkpoint can need it. It also
-// advances the active checkpoint's completion accounting. Caller holds this
-// shard's exclusive lock; the arena locks itself, and concurrent flushes
-// from other shards land in disjoint slots.
+// queueFlushLocked decides the flush of ent's current DRAM state: the entry
+// is clean from here on, and the write-back list holds the record to write
+// — stamped with the entry's data version, superseding the record at the
+// entry's present slot — and, with it, the row. Nothing touches the device
+// until commitLocked.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) queueFlushLocked(ent *entry) {
+	ent.dirty = false
+	ent.wbPending = true
+	s.wb = append(s.wb, pmem.WriteRec{ //oevet:alloc-ok the list keeps its capacity across rounds: it grows to the largest round's flush count once
+		Key: ent.key, Version: ent.dataVersion, Row: ent.buf,
+		Old: ent.slot, OldVersion: ent.persistedVersion,
+	})
+	s.wbEnts = append(s.wbEnts, ent) //oevet:alloc-ok grows with s.wb, once
+}
+
+// flushLocked persists one entry's current DRAM state now: a group commit
+// of one (plus whatever the caller had queued), through the same path as a
+// maintenance round's. The finalizer, migration adopts and scrub repairs
+// use it. Caller holds this shard's exclusive lock.
 //
 // oevet:holds core.shard.mu 10
 func (s *shard) flushLocked(ent *entry) error {
+	s.queueFlushLocked(ent)
+	return s.commitLocked()
+}
+
+// commitLocked persists the write-back list as one group commit and installs
+// the result: slots for the whole list are reserved under one arena lock
+// acquisition, the records written by one batched arena call (rows encoded
+// straight into the device image, one crash-lock hold, one write charge of
+// one op per record), the superseded slots retired under one more
+// acquisition, and only then do the entries learn their new slots and the
+// active checkpoint its progress — no entry's slot ever names a record that
+// is not durable, and no superseded record can be reclaimed before its
+// replacement is. Rows of entries evicted since they were queued return to
+// the row pool here.
+//
+// When the arena cannot hold the whole list, the reserved prefix is
+// committed first: retiring its superseded records is what lets the reclaim
+// that follows free slots for the rest, exactly as it would between two
+// per-record flushes. On error the unwritten entries are made dirty and
+// resident again; nothing is lost but the cache bound, and the error
+// surfaces at EndBatch.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) commitLocked() error {
+	s.settleLocked()
+	var err error
+	done := 0
+	for done < len(s.wb) && err == nil {
+		var n int
+		n, err = s.commitChunkLocked(s.wb[done:], s.wbEnts[done:])
+		done += n
+	}
+	for i := done; i < len(s.wb); i++ {
+		ent := s.wbEnts[i]
+		ent.dirty, ent.wbPending = true, false
+		if !ent.inDRAM() {
+			ent.buf = s.wb[i].Row
+			s.lru.PushFront(&ent.node)
+			s.snapStale = true
+		}
+	}
+	s.wb, s.wbEnts = s.wb[:0], s.wbEnts[:0]
+	return err
+}
+
+// settleLocked books the evictions and staged-row promotions decided since
+// the last commit — the Evictions stat, and the virtual time each one costs
+// — in one step per kind: n ops of the per-record cost, which is what
+// booking them one at a time adds up to.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) settleLocked() {
 	e := s.eng
-	slot, err := e.arena.Alloc()
-	if errors.Is(err, pmem.ErrFull) {
+	if n := s.evicted; n > 0 {
+		s.evicted = 0
+		e.evictions.Add(n)
+		s.evictObs.Add(n)
+		e.cfg.Meter.ChargeN(simclock.Compute, time.Duration(n)*lruOpCost, n)
+	}
+	if n := s.adopted; n > 0 {
+		s.adopted = 0
+		e.arena.ChargeRecordReads(n)
+		e.dram.ChargeWriteN(4*e.cfg.EntryFloats(), n)
+		e.chargeInlineSerialN(device.PMem().ReadCost(e.arena.PayloadBytes()), n)
+	}
+}
+
+// commitChunkLocked commits as long a prefix of recs as the arena has slots
+// for and returns how many records it made durable and installed.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) commitChunkLocked(recs []pmem.WriteRec, ents []*entry) (int, error) {
+	e := s.eng
+	n := e.arena.AllocN(recs)
+	if n == 0 {
 		// Reclaim superseded records that no present or future checkpoint
 		// can need, then retry once.
 		e.reclaim()
-		slot, err = e.arena.Alloc()
-	}
-	if err != nil {
-		return fmt.Errorf("%w: flush of key %d: %w", errMaintenance, ent.key, err)
-	}
-	bufp := e.payloadPool.Get().(*[]byte)
-	pmem.EncodeFloats(*bufp, ent.buf)
-	if e.flushVerify {
-		// Verified flush: the record must read back valid from the durable
-		// image (rot and dropped flushes are rewritten by the arena); a slot
-		// whose media is poisoned is quarantined and a fresh slot takes over.
-		for tries := 0; ; tries++ {
-			err = e.arena.WriteRecordVerified(slot, ent.key, ent.dataVersion, *bufp)
-			if err == nil || !errors.Is(err, pmem.ErrPoisoned) || tries >= 4 {
-				break
-			}
-			e.quarantineEmpty(slot)
-			slot, err = e.arena.Alloc()
-			if errors.Is(err, pmem.ErrFull) {
-				e.reclaim()
-				slot, err = e.arena.Alloc()
-			}
-			if err != nil {
-				e.payloadPool.Put(bufp)
-				return fmt.Errorf("%w: flush of key %d: %w", errMaintenance, ent.key, err)
-			}
+		if n = e.arena.AllocN(recs); n == 0 {
+			return 0, fmt.Errorf("%w: flush of key %d: %w", errMaintenance, recs[0].Key, pmem.ErrFull) //oevet:alloc-ok the arena is full and the round fails here
 		}
-	} else {
-		err = e.arena.WriteRecord(slot, ent.key, ent.dataVersion, *bufp)
 	}
-	e.payloadPool.Put(bufp)
+	recs = recs[:n]
+	done, err := e.arena.WriteBatch(recs, e.flushVerify)
 	if err != nil {
-		if errors.Is(err, pmem.ErrPoisoned) {
-			e.quarantineEmpty(slot)
-		} else {
-			e.arena.Free(slot)
+		done, err = s.retryPoisonedLocked(recs, done, err)
+	}
+
+	var needed int64
+	for i := range recs[:done] {
+		ent := ents[i]
+		if ent.ckptPending {
+			ent.ckptPending = false
+			needed++
 		}
-		return fmt.Errorf("%w: flush of key %d: %w", errMaintenance, ent.key, err)
+		ent.slot, ent.persistedVersion, ent.wbPending = recs[i].Slot, recs[i].Version, false
+		if !ent.inDRAM() {
+			s.wbRows = append(s.wbRows, recs[i].Row) //oevet:alloc-ok scratch that keeps its capacity across rounds
+		}
 	}
-	neededByActive := ent.ckptPending
-	ent.ckptPending = false
-	if ent.slot != noSlot {
-		e.arena.Retire(ent.slot, ent.persistedVersion, ent.dataVersion)
-	}
-	ent.slot = slot
-	ent.persistedVersion = ent.dataVersion
-	ent.dirty = false
-	e.pmemWrites.Add(1)
-	e.obs.FlushBytes.Add(int64(e.arena.PayloadBytes()))
+	e.arena.RetireBatch(recs[:done])
+	s.rows.Put(s.wbRows...)
+	clear(s.wbRows)
+	s.wbRows = s.wbRows[:0]
+	e.pmemWrites.Add(int64(done))
+	e.obs.FlushBytes.Add(int64(done) * int64(e.arena.PayloadBytes()))
 	// When maintenance is inline, the lock holder additionally waits out
 	// the CLWB+SFENCE drain to media (~1us on Optane for a record-sized
-	// range) — pipelined maintenance pays it too, but off the critical
-	// path, where it is already covered by the device charge.
-	e.chargeInlineSerial(device.PMem().WriteCost(e.arena.PayloadBytes()) + inlineFlushDrain)
-	e.noteFlushed(neededByActive)
-	return nil
+	// range) per record — pipelined maintenance pays it too, but off the
+	// critical path, where it is already covered by the device charge.
+	e.chargeInlineSerialN(device.PMem().WriteCost(e.arena.PayloadBytes())+inlineFlushDrain, int64(done))
+	e.noteFlushed(needed)
+	if err != nil {
+		return done, fmt.Errorf("%w: flush of key %d: %w", errMaintenance, recs[done].Key, err)
+	}
+	return done, nil
+}
+
+// retryPoisonedLocked continues a verified batch write that stopped at
+// recs[done] with err. A slot whose media is poisoned (the arena already
+// rewrote it three times) is quarantined and a fresh slot takes over, up to
+// four times per record; then, or on any other error, the write is given up:
+// the failed record's slot and the slots reserved for the records after it
+// leave the batch. Returns the new done count and the error, if it stands.
+//
+// oevet:coldpath only a media fault or an arena that rejects the record gets here
+// oevet:holds core.shard.mu 10
+func (s *shard) retryPoisonedLocked(recs []pmem.WriteRec, done int, err error) (int, error) {
+	e := s.eng
+	for tries := 0; errors.Is(err, pmem.ErrPoisoned) && tries < 4; tries++ {
+		e.quarantineEmpty(recs[done].Slot)
+		slot, aerr := e.arena.Alloc()
+		if errors.Is(aerr, pmem.ErrFull) {
+			e.reclaim()
+			slot, aerr = e.arena.Alloc()
+		}
+		if aerr != nil {
+			recs[done].Slot, err = noSlot, aerr
+			break
+		}
+		recs[done].Slot = slot
+		var more int
+		if more, err = e.arena.WriteBatch(recs[done:], e.flushVerify); more > 0 {
+			tries = -1 // a later record is failing now; it gets its own four
+		}
+		done += more
+		if err == nil {
+			return done, nil
+		}
+	}
+	switch {
+	case recs[done].Slot == noSlot:
+	case errors.Is(err, pmem.ErrPoisoned):
+		e.quarantineEmpty(recs[done].Slot)
+	default:
+		e.arena.Free(recs[done].Slot)
+	}
+	for _, r := range recs[done+1:] {
+		e.arena.Free(r.Slot)
+	}
+	return done, err
 }
 
 // inlineFlushDrain is the media-drain wait of a persist executed under the
@@ -371,14 +560,17 @@ func (e *Engine) EndBatch(batch int64) error {
 	var firstErr error
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, ent := range s.sideQ.Drain() {
+		side := s.sideQ.Drain()
+		for _, ent := range side {
 			if ent.inDRAM() && !ent.node.InList() {
 				ent.version = batch
 				s.lru.PushFront(&ent.node)
 				s.snapStale = true
 			}
 		}
-		if err := s.enforceCapacityLocked(); err != nil && firstErr == nil {
+		s.sideQ.Recycle(side)
+		s.enforceCapacityLocked()
+		if err := s.commitLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		s.rebuildSnapLocked()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 )
 
@@ -62,8 +61,6 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 	// shard-contiguous run of the (key-sorted) page. An entry deleted between
 	// the passes is skipped — the caller's next delta round re-converges.
 	out := make([]psengine.MigEntry, 0, len(cand))
-	bufp := e.payloadPool.Get().(*[]byte)
-	defer e.payloadPool.Put(bufp)
 	for i := 0; i < len(cand); {
 		s := e.shardFor(cand[i])
 		j := i + 1
@@ -79,12 +76,9 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 			data := make([]float32, e.cfg.EntryFloats())
 			if ent.inDRAM() {
 				copy(data, ent.buf)
-			} else {
-				if err := e.arena.ReadPayloadVerified(ent.slot, k, *bufp); err != nil {
-					s.mu.Unlock()
-					return nil, false, fmt.Errorf("core: export of key %d: %w", k, err)
-				}
-				pmem.DecodeFloats(data, *bufp)
+			} else if err := e.arena.ReadRowVerified(ent.slot, k, data); err != nil {
+				s.mu.Unlock()
+				return nil, false, fmt.Errorf("core: export of key %d: %w", k, err)
 			}
 			out = append(out, psengine.MigEntry{Key: k, Version: ent.dataVersion, Data: data})
 		}
@@ -137,7 +131,6 @@ func (e *Engine) AdoptEntries(entries []psengine.MigEntry) error {
 				}
 				ent = &entry{key: me.Key, version: me.Version, dataVersion: me.Version, slot: noSlot, dirty: true}
 				ent.node.Value = ent
-				ent.buf = make([]float32, floats)
 				s.index[me.Key] = ent
 				s.scrubKeysStale = true
 			} else if ent.ckptPending {
@@ -149,7 +142,7 @@ func (e *Engine) AdoptEntries(entries []psengine.MigEntry) error {
 				}
 			}
 			if !ent.inDRAM() {
-				ent.buf = make([]float32, floats)
+				ent.buf = s.takeRow()
 			}
 			copy(ent.buf, me.Data)
 			ent.dirty = true
@@ -170,7 +163,8 @@ func (e *Engine) AdoptEntries(entries []psengine.MigEntry) error {
 			}
 		}
 		if runErr == nil {
-			runErr = s.enforceCapacityLocked()
+			s.enforceCapacityLocked()
+			runErr = s.commitLocked()
 		}
 		s.rebuildSnapLocked()
 		s.mu.Unlock()
@@ -214,7 +208,7 @@ func (e *Engine) DropRange(match func(key uint64) bool) (int, error) {
 				// The active checkpoint counted this entry; settle its
 				// completion accounting — the data is leaving this node.
 				ent.ckptPending = false
-				e.noteFlushed(true)
+				e.noteFlushed(1)
 			}
 			delete(s.index, k)
 			s.scrubKeysStale = true

@@ -242,7 +242,7 @@ func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.Scru
 	// anymore — whatever happens below, that data is gone.
 	if ent.ckptPending {
 		ent.ckptPending = false
-		e.noteFlushed(true)
+		e.noteFlushed(1)
 	}
 	// The newest surviving record at or below the completed checkpoint is
 	// the authoritative checkpoint state (the same newest-wins rule the

@@ -148,7 +148,7 @@ func (e *Engine) ServeRead(k uint64, dst []float32) (ServeSource, error) {
 // its slot is stable while any reader holds mu; flushes that move records
 // take mu exclusively) and then noted for hot-set promotion.
 //
-// oevet:coldpath snapshot miss/dirty fallback: the clean-key serve path never reaches it, and the cold path may allocate its verify buffer
+// oevet:coldpath snapshot miss/dirty fallback: the clean-key serve path never reaches it
 func (s *shard) serveReadSlow(k uint64, dst []float32) (ServeSource, error) {
 	e := s.eng
 	dim := e.cfg.Dim
@@ -169,12 +169,7 @@ func (s *shard) serveReadSlow(k uint64, dst []float32) (ServeSource, error) {
 		return ServeDRAM, nil
 	}
 	stripe.Unlock()
-	bufp := e.payloadPool.Get().(*[]byte)
-	err := e.arena.ReadPayloadVerified(ent.slot, k, *bufp)
-	if err == nil {
-		pmem.DecodeFloats(dst, *bufp)
-	}
-	e.payloadPool.Put(bufp)
+	err := e.arena.ReadRowVerified(ent.slot, k, dst[:dim])
 	s.mu.RUnlock()
 	if err != nil {
 		if pmem.IsIntegrity(err) {
@@ -304,7 +299,7 @@ func (e *Engine) RefreshServeSnapshots() error {
 				continue
 			}
 			if !ent.inDRAM() {
-				if err := e.promoteLocked(ent, true); err != nil {
+				if err := s.promoteLocked(ent, nil); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
@@ -319,7 +314,8 @@ func (e *Engine) RefreshServeSnapshots() error {
 				s.snapStale = true
 			}
 		}
-		if err := s.enforceCapacityLocked(); err != nil && firstErr == nil {
+		s.enforceCapacityLocked()
+		if err := s.commitLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		s.rebuildSnapLocked()

@@ -13,15 +13,19 @@ import (
 	"openembedding/internal/simclock"
 )
 
-// accessRec is one access-queue element: the entry a pull touched plus
-// whether that pull served it from PMem. The flag lets maintenance promotion
-// attribute its PMem read correctly: a promotion triggered by a miss re-reads
-// data the pull already fetched (and counted), so the stat is not charged
-// twice for one logical fetch. Since the run sweep dedups a batch's repeated
-// keys, each unique key a shard call touches contributes exactly one record.
+// accessRec is one access-queue element: the entry a pull touched plus, when
+// that pull served it from PMem, the row holding the full payload (weights
+// and optimizer state) it decoded from the verified record. Maintenance
+// promotes the entry by adopting that row instead of reading and verifying
+// the record a second time, and a staged row also tells it that the pull
+// already counted the PMem read, so the stat is not charged twice for one
+// logical fetch. The record owns the row until maintenance adopts it or
+// hands it to the shard's row pool. Since the run sweep dedups a batch's
+// repeated keys, each unique key a shard call touches contributes exactly
+// one record.
 type accessRec struct {
-	ent      *entry
-	fromPMem bool
+	ent *entry
+	row []float32
 }
 
 // missRun is one first-touch key's run in a sorted position sublist:
@@ -39,6 +43,7 @@ type missRun struct {
 type pmemRun struct {
 	ent        *entry
 	start, end int32
+	rec        int32 // index of the run's access record, which takes the staged row
 }
 
 // shard owns one slice of the key space: its own index map, reader/writer
@@ -105,6 +110,49 @@ type shard struct {
 	// serveQ collects keys the serve fallback read from PMem, awaiting
 	// promotion by RefreshServeSnapshots. Internally locked leaf.
 	serveQ serveQueue
+
+	// wb is the write-back list of the maintenance round in progress: the
+	// flushes the round has decided (victims, flush-before-overwrite) in
+	// decision order, persisted together by commitLocked; wbEnts[i] is the
+	// entry wb[i] persists, and wbRows is commit's scratch for the rows it
+	// releases. All guarded by mu held exclusively, and empty whenever mu
+	// is released (maintain.go).
+	wb     []pmem.WriteRec
+	wbEnts []*entry
+	wbRows [][]float32
+
+	// evicted and adopted count the evictions and staged-row promotions
+	// decided since the last commit, which books them (settleLocked).
+	// Guarded by mu held exclusively; zero whenever mu is released.
+	evicted, adopted int64
+
+	// rows recycles the DRAM rows of evicted entries: promotions, staged
+	// pull misses and first-touch creations take from it, so a steady
+	// state allocates no rows. Bounded by the shard's cache capacity.
+	// Internally locked leaf.
+	rows *cache.Pool[[]float32]
+}
+
+// takeRow returns one row: recycled if the pool has one, else fresh. A
+// recycled row holds a previous entry's floats; every taker overwrites all
+// of them (a promotion decodes a whole payload, a creation initializes
+// weights and optimizer state).
+func (s *shard) takeRow() []float32 {
+	if row, ok := s.rows.Get(); ok {
+		return row
+	}
+	return make([]float32, s.eng.cfg.EntryFloats())
+}
+
+// takeRows appends n rows to dst, from the row pool as far as it reaches
+// and freshly allocated beyond (a warm-up cost: the pool fills as the cache
+// starts evicting).
+func (s *shard) takeRows(dst [][]float32, n int) [][]float32 {
+	dst = s.rows.Take(dst, n)
+	for len(dst) < n {
+		dst = append(dst, make([]float32, s.eng.cfg.EntryFloats())) //oevet:alloc-ok warm-up only: once the cache evicts, the pool supplies every row
+	}
+	return dst
 }
 
 // fanOutRow copies the row already written at position i of dst to every
@@ -137,9 +185,10 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 	recs := sc.recs[lane][:0]
 	miss := sc.miss[lane][:0]
 	runs := sc.pmem[lane][:0]
+	rows := sc.rows[lane][:0]
 	defer func() {
 		// Hand the (possibly grown) buffers back to the scratch lane.
-		sc.recs[lane], sc.miss[lane], sc.pmem[lane] = recs, miss, runs
+		sc.recs[lane], sc.miss[lane], sc.pmem[lane], sc.rows[lane] = recs, miss, runs, rows[:0]
 	}()
 
 	n := len(idxs)
@@ -170,15 +219,17 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 			hits += int64(end - start)
 			recs = append(recs, accessRec{ent: ent}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 		default:
-			runs = append(runs, pmemRun{ent: ent, start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-			recs = append(recs, accessRec{ent: ent, fromPMem: true})
+			// servePMem stages the run's row in its access record.
+			runs = append(runs, pmemRun{ent: ent, start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{ent: ent})
 		}
 		start = end
 	}
 	var dup int64
 	var err error
 	if len(runs) > 0 {
-		dup, err = s.servePMem(runs, idxs, dst, sc.obsSample)
+		rows = s.takeRows(rows, len(runs))
+		dup, err = s.servePMem(runs, rows, recs, idxs, dst, sc.obsSample)
 	}
 	s.mu.RUnlock()
 	if hits+dup > 0 {
@@ -189,6 +240,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 		e.hits.Add(hits + dup)
 	}
 	if err != nil {
+		s.rows.Put(rows...) // the records that staged them are not queued
 		return err
 	}
 
@@ -196,6 +248,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 	// exclusive lock, then serve them.
 	if len(miss) > 0 {
 		if err := s.createMissing(batch, keys, idxs, miss, recs, dst); err != nil {
+			s.rows.Put(rows...)
 			return err
 		}
 	}
@@ -207,16 +260,20 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 // in sorted-key order; maximal chains of consecutive arena slots are served
 // by one ranged verified read each (one bounds check, one crash-lock
 // acquisition, one sequential CRC32C sweep over the contiguous bytes),
-// decoding each payload straight from the device view into dst — no
-// intermediate copy. Chain shape only changes wall-clock cost: the virtual
+// decoding each payload straight from the device view into the run's row —
+// no intermediate copy. Chain shape only changes wall-clock cost: the virtual
 // charge is per record (ReadPayloadsVerified's charge-equivalence
 // invariant), so simulated time never depends on the nondeterministic slot
 // adjacency the maintainers happened to produce.
 //
+// rows[i] is the row run i stages: the whole verified payload is decoded
+// into it (the weights are then copied out to dst), and the run's access
+// record carries it to the maintainer, whose promotion adopts it.
+//
 // Caller holds s.mu shared, which keeps ent.slot stable (flushes that move
 // a record run under the exclusive lock). Returns the number of duplicate
 // positions fanned out in DRAM.
-func (s *shard) servePMem(runs []pmemRun, idxs []int32, dst []float32, sampled bool) (int64, error) {
+func (s *shard) servePMem(runs []pmemRun, rows [][]float32, recs []accessRec, idxs []int32, dst []float32, sampled bool) (int64, error) {
 	e := s.eng
 	dim := e.cfg.Dim
 	var dup, reads int64
@@ -234,9 +291,12 @@ func (s *shard) servePMem(runs []pmemRun, idxs []int32, dst []float32, sampled b
 			func(i int) uint64 { return runs[g+i].ent.key }, //oevet:alloc-ok both callbacks run synchronously inside ReadPayloadsVerified and do not escape; the 0-alloc benchmark gate verifies
 			func(i int, payload []byte) {
 				r := runs[g+i]
+				row := rows[g+i]
+				pmem.DecodeFloats(row, payload)
 				p := int(idxs[r.start])
-				pmem.DecodeFloats(dst[p*dim:(p+1)*dim], payload)
+				copy(dst[p*dim:(p+1)*dim], row[:dim])
 				fanOutRow(dst, dim, p, idxs[r.start+1:r.end])
+				recs[r.rec].row = row
 				dup += int64(r.end - r.start - 1)
 				served++
 			})
@@ -340,7 +400,7 @@ func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, 
 			// promote inline (charged as a PMem read) and let EndBatch link
 			// the entry into the LRU. This is a genuine extra device read
 			// (the entry was evicted after the pull), so it is counted.
-			if err := e.promoteLocked(ent, true); err != nil {
+			if err := s.readPromote(ent); err != nil {
 				stripe.Unlock()
 				return err
 			}

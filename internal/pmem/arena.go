@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 )
 
@@ -29,17 +30,58 @@ type Arena struct {
 	//
 	// oevet:lockrank pmem.arena.mu 30
 	mu          sync.Mutex
-	free        []uint32        // reusable slot indices
-	bump        uint32          // next never-used slot
-	retired     []retiredSlot   // superseded slots awaiting a covering checkpoint
-	occupied    map[uint32]bool // debug/stat tracking of live slots
-	quarantined map[uint32]bool // slots pulled from circulation (poisoned media)
+	free        []uint32 // reusable slot indices
+	bump        uint32   // next never-used slot
+	occupied    slotSet  // live slots, retired-but-unreclaimed ones included
+	quarantined slotSet  // slots pulled from circulation (poisoned media)
+
+	// Superseded slots awaiting a covering checkpoint. Whether Reclaim
+	// keeps a record depends on the sealed batch and the pinned checkpoints
+	// it is called with; both only move forward, so a record needs looking
+	// at once when it arrives and again only when the pins change. fresh
+	// holds the arrivals since the last Reclaim (and the few superseded by a
+	// batch not yet sealed), held the records some pin in heldPins covered.
+	fresh    []retiredSlot
+	held     []retiredSlot
+	heldPins []int64
 }
 
 type retiredSlot struct {
 	slot         uint32
 	oldVersion   int64 // version of the record being retired
 	supersededBy int64 // version of the record that replaced it
+}
+
+// NoSlot marks the absence of a slot (an entry with no persisted record, a
+// write that supersedes nothing).
+const NoSlot = ^uint32(0)
+
+// slotSet is a set of slot indices as a bitmap sized to the arena, with its
+// population count kept beside it.
+type slotSet struct {
+	bits []uint64
+	n    int
+}
+
+func newSlotSet(slots int) slotSet { return slotSet{bits: make([]uint64, (slots+63)/64)} }
+
+func (b *slotSet) has(s uint32) bool {
+	w := int(s >> 6)
+	return w < len(b.bits) && b.bits[w]&(1<<(s&63)) != 0
+}
+
+func (b *slotSet) add(s uint32) {
+	if !b.has(s) {
+		b.bits[s>>6] |= 1 << (s & 63)
+		b.n++
+	}
+}
+
+func (b *slotSet) remove(s uint32) {
+	if b.has(s) {
+		b.bits[s>>6] &^= 1 << (s & 63)
+		b.n--
+	}
 }
 
 const (
@@ -81,8 +123,8 @@ func NewArena(dev *Device, payloadBytes, slots int) (*Arena, error) {
 		payloadBytes: payloadBytes,
 		slotSize:     alignUp(slotHeaderLen+payloadBytes, 8),
 		slots:        slots,
-		occupied:     make(map[uint32]bool),
-		quarantined:  make(map[uint32]bool),
+		occupied:     newSlotSet(slots),
+		quarantined:  newSlotSet(slots),
 	}
 	hdr := make([]byte, arenaHeaderLen)
 	binary.LittleEndian.PutUint64(hdr[offMagic:], arenaMagic)
@@ -117,8 +159,8 @@ func OpenArena(dev *Device) (*Arena, error) {
 		payloadBytes: payload,
 		slotSize:     alignUp(slotHeaderLen+payload, 8),
 		slots:        slots,
-		occupied:     make(map[uint32]bool),
-		quarantined:  make(map[uint32]bool),
+		occupied:     newSlotSet(slots),
+		quarantined:  newSlotSet(slots),
 	}, nil
 }
 
@@ -141,6 +183,14 @@ func (a *Arena) slotOffset(slot uint32) int {
 func (a *Arena) Alloc() (uint32, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	slot, ok := a.allocLocked()
+	if !ok {
+		return 0, ErrFull
+	}
+	return slot, nil
+}
+
+func (a *Arena) allocLocked() (uint32, bool) {
 	var slot uint32
 	switch {
 	case len(a.free) > 0:
@@ -150,10 +200,27 @@ func (a *Arena) Alloc() (uint32, error) {
 		slot = a.bump
 		a.bump++
 	default:
-		return 0, ErrFull
+		return 0, false
 	}
-	a.occupied[slot] = true
-	return slot, nil
+	a.occupied.add(slot)
+	return slot, true
+}
+
+// AllocN reserves a destination slot for as many of recs as the arena can
+// hold, in order, under one lock acquisition, and returns how many it
+// reserved (a prefix of recs; fewer than len(recs) means the arena is full
+// until something is reclaimed).
+func (a *Arena) AllocN(recs []WriteRec) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range recs {
+		slot, ok := a.allocLocked()
+		if !ok {
+			return i
+		}
+		recs[i].Slot = slot
+	}
+	return len(recs)
 }
 
 // Free returns a slot to the free list immediately. Use Retire instead when
@@ -165,10 +232,10 @@ func (a *Arena) Free(slot uint32) {
 }
 
 func (a *Arena) freeLocked(slot uint32) {
-	if !a.occupied[slot] {
+	if !a.occupied.has(slot) {
 		panic(fmt.Sprintf("pmem: double free of slot %d", slot))
 	}
-	delete(a.occupied, slot)
+	a.occupied.remove(slot)
 	a.free = append(a.free, slot)
 }
 
@@ -179,46 +246,93 @@ func (a *Arena) freeLocked(slot uint32) {
 func (a *Arena) Retire(slot uint32, oldVersion, supersededBy int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.occupied[slot] {
-		panic(fmt.Sprintf("pmem: retire of unoccupied slot %d", slot))
-	}
-	a.retired = append(a.retired, retiredSlot{slot: slot, oldVersion: oldVersion, supersededBy: supersededBy})
+	a.retireLocked(slot, oldVersion, supersededBy)
 }
 
-// Reclaim frees every retired slot for which keep returns false. keep
-// receives the retired record's own version and the version that superseded
-// it; the engine keeps a record exactly when some recoverable checkpoint
-// falls in [oldVersion, supersededBy). Reclaim returns the number of slots
-// freed.
-func (a *Arena) Reclaim(keep func(oldVersion, supersededBy int64) bool) int {
+func (a *Arena) retireLocked(slot uint32, oldVersion, supersededBy int64) {
+	if !a.occupied.has(slot) {
+		panic(fmt.Sprintf("pmem: retire of unoccupied slot %d", slot))
+	}
+	a.fresh = append(a.fresh, retiredSlot{slot: slot, oldVersion: oldVersion, supersededBy: supersededBy})
+}
+
+// RetireBatch retires the record each of recs superseded (rec.Old, of
+// version rec.OldVersion, superseded by rec.Version) under one lock
+// acquisition. Call it only after WriteBatch made the replacements durable:
+// a retired slot can be reclaimed and overwritten at any time after.
+func (a *Arena) RetireBatch(recs []WriteRec) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	kept := a.retired[:0]
+	for i := range recs {
+		if r := &recs[i]; r.Old != NoSlot {
+			a.retireLocked(r.Old, r.OldVersion, r.Version)
+		}
+	}
+}
+
+// pinned reports whether some checkpoint in pins needs a retired record:
+// the record is the newest copy at or below the checkpoint exactly when the
+// checkpoint falls in [oldVersion, supersededBy).
+func (r retiredSlot) pinned(pins []int64) bool {
+	for _, p := range pins {
+		if p >= r.oldVersion && p < r.supersededBy {
+			return true
+		}
+	}
+	return false
+}
+
+// Reclaim frees every retired slot no recoverable checkpoint can need and
+// returns how many it freed. A record is kept while the version that
+// superseded it is newer than sealed (a checkpoint request for a batch not
+// yet sealed may still land in its range), or while one of the pinned
+// checkpoints falls in [oldVersion, supersededBy). sealed and the pins only
+// move forward over an arena's life, so Reclaim looks at each record when it
+// arrives and afterwards only when the pins differ from the previous call's
+// — not at every retired record on every call.
+func (a *Arena) Reclaim(sealed int64, pins []int64) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	n := 0
-	for _, r := range a.retired {
-		if keep(r.oldVersion, r.supersededBy) {
+	if !slices.Equal(pins, a.heldPins) {
+		kept := a.held[:0]
+		for _, r := range a.held {
+			if r.pinned(pins) {
+				kept = append(kept, r)
+			} else {
+				a.freeLocked(r.slot)
+				n++
+			}
+		}
+		a.held = kept
+		a.heldPins = append(a.heldPins[:0], pins...)
+	}
+	kept := a.fresh[:0]
+	for _, r := range a.fresh {
+		switch {
+		case r.supersededBy > sealed:
 			kept = append(kept, r)
-		} else {
+		case r.pinned(pins):
+			a.held = append(a.held, r)
+		default:
 			a.freeLocked(r.slot)
 			n++
 		}
 	}
-	a.retired = kept
+	a.fresh = kept
 	return n
 }
 
 // ReclaimUpTo frees every retired slot whose superseding version is at most
 // ckpt: once a checkpoint at ckpt completes, any record superseded by a
 // version the checkpoint already covers can never be read again.
-func (a *Arena) ReclaimUpTo(ckpt int64) int {
-	return a.Reclaim(func(_, supersededBy int64) bool { return supersededBy > ckpt })
-}
+func (a *Arena) ReclaimUpTo(ckpt int64) int { return a.Reclaim(ckpt, nil) }
 
 // RetiredCount reports how many slots await reclamation.
 func (a *Arena) RetiredCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.retired)
+	return len(a.fresh) + len(a.held)
 }
 
 // LiveSlots reports how many slots are currently allocated (including
@@ -226,7 +340,7 @@ func (a *Arena) RetiredCount() int {
 func (a *Arena) LiveSlots() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.occupied)
+	return a.occupied.n
 }
 
 // MarkOccupied registers a slot as live during recovery (when the free list
@@ -234,7 +348,7 @@ func (a *Arena) LiveSlots() int {
 func (a *Arena) MarkOccupied(slot uint32) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.occupied[slot] = true
+	a.occupied.add(slot)
 	if slot >= a.bump {
 		a.bump = slot + 1
 	}
@@ -249,35 +363,166 @@ func (a *Arena) FinishRecovery() {
 	defer a.mu.Unlock()
 	a.free = a.free[:0]
 	for s := uint32(0); s < a.bump; s++ {
-		if a.occupied[s] || a.quarantined[s] {
+		if a.occupied.has(s) || a.quarantined.has(s) {
 			continue
 		}
 		if a.dev.poisonCheck(a.slotOffset(s), a.slotSize) != nil {
-			a.quarantined[s] = true
+			a.quarantined.add(s)
 			continue
 		}
 		a.free = append(a.free, s)
 	}
 }
 
+// WriteRec is one record of a group commit: AllocN fills Slot, WriteBatch
+// encodes Row into the device image at Slot and persists it, RetireBatch
+// retires the record it superseded.
+type WriteRec struct {
+	Slot    uint32    // destination slot
+	Key     uint64    // record key
+	Version int64     // record version (the data version it carries)
+	Row     []float32 // payload: PayloadBytes/4 floats, read until WriteBatch returns
+
+	Old        uint32 // slot of the record this one supersedes, or NoSlot
+	OldVersion int64  // version of that record
+}
+
+// recLen is the number of bytes of a slot a record occupies.
+func (a *Arena) recLen() int { return slotHeaderLen + a.payloadBytes }
+
 // WriteRecord persists a record (key, version, payload) into slot with a
 // single flush. The record is crash-consistent: recovery accepts it only if
 // its checksum validates, so a torn write is discarded rather than observed.
 //
 // oevet:pmem-flush
-// oevet:pmem-integrity
 // oevet:charge write
 func (a *Arena) WriteRecord(slot uint32, key uint64, version int64, payload []byte) error {
-	if len(payload) != a.payloadBytes {
-		return fmt.Errorf("pmem: payload size %d != record payload %d", len(payload), a.payloadBytes)
+	return a.writeOne(slot, key, version, payload, false)
+}
+
+// WriteBatch persists recs in order as one group commit — many write-backs
+// under one fence, the way PMem code issues a run of CLWBs and one SFENCE:
+// each row is encoded straight into the device image at its slot with its
+// CRC computed in place, the whole batch runs under one acquisition of the
+// device's crash lock, and the traffic counters and the write charge are
+// settled once (one op per flush issued, exactly what per-record writes
+// charge). The media-fault model is still consulted once per flush, in
+// record order, so a seeded fault schedule lands on the same records as it
+// does with per-record writes. With verify set every record must read back
+// valid from the durable image before the next one is written
+// (WriteRecordVerified's contract, retries included).
+//
+// It returns how many records are durable. On error that is the index of
+// the record that failed; the records after it were not written.
+//
+// oevet:pmem-flush
+// oevet:charge write
+func (a *Arena) WriteBatch(recs []WriteRec, verify bool) (int, error) {
+	d := a.dev
+	var flushes int64
+	var err error
+	done := 0
+	d.crashMu.RLock()
+	for i := range recs {
+		r := &recs[i]
+		n, werr := a.persistRecord(r.Slot, r.Key, r.Version, nil, r.Row, verify)
+		flushes += n
+		if werr != nil {
+			err = werr
+			break
+		}
+		done++
 	}
-	buf := make([]byte, slotHeaderLen+len(payload))
-	binary.LittleEndian.PutUint64(buf[0:], key)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(version))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(payload)))
-	copy(buf[slotHeaderLen:], payload)
-	binary.LittleEndian.PutUint32(buf[20:], a.recordCRC(buf))
-	return a.dev.Persist(a.slotOffset(slot), buf)
+	d.crashMu.RUnlock()
+	a.noteRecordFlushes(flushes)
+	return done, err
+}
+
+// writeOne is a group commit of one record whose payload is already
+// encoded.
+//
+// oevet:pmem-flush
+// oevet:charge write
+func (a *Arena) writeOne(slot uint32, key uint64, version int64, payload []byte, verify bool) error {
+	d := a.dev
+	d.crashMu.RLock()
+	flushes, err := a.persistRecord(slot, key, version, payload, nil, verify)
+	d.crashMu.RUnlock()
+	a.noteRecordFlushes(flushes)
+	return err
+}
+
+// noteRecordFlushes accounts the record flushes persistRecord issued: each
+// stored and wrote back one record's bytes and charges one device write.
+//
+// oevet:charge write
+func (a *Arena) noteRecordFlushes(flushes int64) {
+	a.dev.bytesWritten.Add(int64(a.recLen()) * flushes)
+	a.dev.noteFlushes(a.recLen(), flushes)
+}
+
+// persistRecord is the one record write path: it encodes the record — its
+// payload given either as bytes or as the float row to encode — into the
+// volatile image at slot, stamps the CRC over the bytes in place, and
+// writes the record back. With verify set the durable image must then
+// decode to exactly (key, version) with a valid CRC: a rotted or silently
+// dropped flush is detected and the record re-encoded and re-flushed, a
+// poisoned line is healed by the rewrite when possible, and after three
+// attempts the last typed error is returned so the caller can quarantine
+// the slot and take another. It returns the number of flushes issued, which
+// the caller accounts once the crash lock — held shared by the caller — is
+// released.
+//
+// oevet:pmem-flush
+// oevet:pmem-integrity
+func (a *Arena) persistRecord(slot uint32, key uint64, version int64, payload []byte, row []float32, verify bool) (int64, error) {
+	n := a.recLen()
+	have := len(payload)
+	if payload == nil {
+		have = FloatBytes(len(row))
+	}
+	if have != a.payloadBytes {
+		return 0, fmt.Errorf("pmem: payload size %d != record payload %d", have, a.payloadBytes)
+	}
+	if int(slot) >= a.slots {
+		return 0, fmt.Errorf("%w: slot %d of %d", ErrOutOfRange, slot, a.slots)
+	}
+	d := a.dev
+	off := a.slotOffset(slot)
+	img := d.image[off : off+n : off+n]
+	var flushes int64
+	var lastErr error
+	for attempt := 0; attempt < 3; attempt++ {
+		binary.LittleEndian.PutUint64(img[0:], key)
+		binary.LittleEndian.PutUint64(img[8:], uint64(version))
+		binary.LittleEndian.PutUint32(img[16:], uint32(a.payloadBytes))
+		if payload != nil {
+			copy(img[slotHeaderLen:], payload)
+		} else {
+			EncodeFloats(img[slotHeaderLen:], row)
+		}
+		binary.LittleEndian.PutUint32(img[20:], a.recordCRC(img))
+		d.flushLocked(off, n)
+		flushes++
+		if !verify {
+			return flushes, nil
+		}
+		if err := d.poisonCheck(off, n); err != nil {
+			lastErr = err
+			continue
+		}
+		rec, err := a.decode(slot, d.durable[off:off+n])
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if rec.Key != key || rec.Version != version {
+			lastErr = &CorruptError{Key: key, Slot: slot, Off: int64(off)}
+			continue
+		}
+		return flushes, nil
+	}
+	return flushes, fmt.Errorf("pmem: verified write of slot %d: %w", slot, lastErr)
 }
 
 // recordCRC covers key, version, payloadLen and payload (the crc field
@@ -414,7 +659,7 @@ func (a *Arena) EraseMatching(match func(key uint64) bool) (int, error) {
 	erased := 0
 	var wiped map[uint32]bool
 	for s := uint32(0); s < a.bump; s++ {
-		if a.quarantined[s] {
+		if a.quarantined.has(s) {
 			continue
 		}
 		off := a.slotOffset(s)
@@ -438,18 +683,14 @@ func (a *Arena) EraseMatching(match func(key uint64) bool) (int, error) {
 			wiped = make(map[uint32]bool)
 		}
 		wiped[s] = true
-		if a.occupied[s] {
+		if a.occupied.has(s) {
 			a.freeLocked(s)
 		}
 	}
 	if len(wiped) > 0 {
-		kept := a.retired[:0]
-		for _, r := range a.retired {
-			if !wiped[r.slot] {
-				kept = append(kept, r)
-			}
-		}
-		a.retired = kept
+		drop := func(r retiredSlot) bool { return wiped[r.slot] }
+		a.fresh = slices.DeleteFunc(a.fresh, drop)
+		a.held = slices.DeleteFunc(a.held, drop)
 	}
 	return erased, nil
 }

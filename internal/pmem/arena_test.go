@@ -334,13 +334,25 @@ func TestReclaimPredicate(t *testing.T) {
 	a.Retire(s0, 3, 7)  // record v3 superseded by v7
 	a.Retire(s1, 8, 12) // record v8 superseded by v12
 
+	// Nothing is freed while the superseding versions are not sealed: a
+	// checkpoint request for batch 6 could still land in [3, 7).
+	if freed := a.Reclaim(6, nil); freed != 0 {
+		t.Fatalf("freed %d records superseded by unsealed batches", freed)
+	}
 	// Keep records whose [old, new) range contains checkpoint 5.
-	freed := a.Reclaim(func(oldV, newV int64) bool { return oldV <= 5 && 5 < newV })
-	if freed != 1 {
+	if freed := a.Reclaim(12, []int64{5}); freed != 1 {
 		t.Fatalf("freed %d, want 1 (only the v8->v12 record)", freed)
 	}
 	if a.RetiredCount() != 1 {
 		t.Fatalf("retired = %d", a.RetiredCount())
+	}
+	// The same pins again look at nothing and free nothing; once checkpoint
+	// 5 is superseded the held record goes too.
+	if freed := a.Reclaim(12, []int64{5}); freed != 0 {
+		t.Fatalf("freed %d on a repeated call", freed)
+	}
+	if freed := a.Reclaim(12, []int64{9}); freed != 1 || a.RetiredCount() != 0 {
+		t.Fatalf("freed %d with the pin moved past the record, %d still retired", freed, a.RetiredCount())
 	}
 }
 

@@ -153,18 +153,29 @@ func (d *Device) Flush(off, n int) error {
 	if err := d.check(off, n); err != nil {
 		return err
 	}
+	d.crashMu.RLock()
+	d.flushLocked(off, n)
+	d.crashMu.RUnlock()
+	d.noteFlushes(n, 1)
+	return nil
+}
+
+// flushLocked is one line write-back (one CLWB) with the fence and the
+// accounting left to the caller: it consults the media-fault model — once
+// per call, which is what numbers the fault occurrences — and copies the
+// range to the durable image. The caller holds crashMu shared across as
+// many write-backs as it groups under one fence, then calls noteFlushes.
+func (d *Device) flushLocked(off, n int) {
 	var f faultinject.Fault
 	if m := d.media; m != nil {
 		f = m.inj.On(faultinject.PointPMemFlush, m.label)
 	}
 	if f.Kind != faultinject.KindDrop {
-		d.crashMu.RLock()
 		copy(d.durable[off:off+n], d.image[off:off+n])
-		d.crashMu.RUnlock()
 	}
 	switch f.Kind {
 	case faultinject.KindBitRot:
-		d.rot(off, n, f.Arg)
+		d.rotLocked(off, n, f.Arg)
 	case faultinject.KindPoison:
 		d.media.poison(off, n)
 	case faultinject.KindNone:
@@ -172,10 +183,16 @@ func (d *Device) Flush(off, n int) error {
 			m.clearPoison(off, n)
 		}
 	}
-	d.bytesFlushed.Add(int64(n))
-	d.flushOps.Add(1)
-	d.timed.ChargeWrite(n)
-	return nil
+}
+
+// noteFlushes accounts count write-backs of n bytes each: the traffic
+// counters and the device write charge, one op per write-back.
+//
+// oevet:charge write
+func (d *Device) noteFlushes(n int, count int64) {
+	d.bytesFlushed.Add(int64(n) * count)
+	d.flushOps.Add(count)
+	d.timed.ChargeWriteN(n, count)
 }
 
 // Persist writes data at off and immediately flushes it.

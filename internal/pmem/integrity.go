@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // CorruptError reports a record (or header word) that failed its CRC32C.
@@ -38,6 +39,25 @@ func (a *Arena) SlotOffset(slot uint32) int { return a.slotOffset(slot) }
 //
 // oevet:charge read
 func (a *Arena) ReadPayloadVerified(slot uint32, key uint64, dst []byte) error {
+	return a.readVerified(slot, key, dst, nil)
+}
+
+// ReadRowVerified is ReadPayloadVerified for a caller that wants floats: it
+// decodes the first len(row) floats of the verified payload straight from
+// the device image into row, with no byte buffer in between. A whole row
+// (PayloadBytes/4 floats) takes the record's weights and optimizer state; a
+// dim-sized one takes the weights alone.
+//
+// oevet:charge read
+func (a *Arena) ReadRowVerified(slot uint32, key uint64, row []float32) error {
+	return a.readVerified(slot, key, nil, row)
+}
+
+// readVerified validates the record in slot against key and copies its
+// payload out, as bytes into dst or decoded into row (whichever is set).
+//
+// oevet:charge read
+func (a *Arena) readVerified(slot uint32, key uint64, dst []byte, row []float32) error {
 	off := a.slotOffset(slot)
 	n := slotHeaderLen + a.payloadBytes
 	if err := a.dev.check(off, n); err != nil {
@@ -48,17 +68,27 @@ func (a *Arena) ReadPayloadVerified(slot uint32, key uint64, dst []byte) error {
 	}
 	a.dev.crashMu.RLock()
 	rec, err := a.decode(slot, a.dev.image[off:off+n])
-	if err == nil {
-		if rec.Key != key {
-			err = &CorruptError{Key: key, Slot: slot, Off: int64(off)}
-		} else {
-			copy(dst[:a.payloadBytes], rec.Payload)
-		}
+	switch {
+	case err != nil:
+	case rec.Key != key:
+		err = &CorruptError{Key: key, Slot: slot, Off: int64(off)}
+	case row != nil:
+		DecodeFloats(row, rec.Payload)
+	default:
+		copy(dst[:a.payloadBytes], rec.Payload)
 	}
 	a.dev.crashMu.RUnlock()
 	a.dev.timed.ChargeRead(a.payloadBytes)
 	return err
 }
+
+// ChargeRecordReads charges the payload-sized read each of count verified
+// record fetches costs, without touching the device — for a caller that
+// models fetches the system performs but already holds the verified bytes
+// of (the engine's promotions adopting the rows its pulls staged).
+//
+// oevet:charge read
+func (a *Arena) ChargeRecordReads(count int64) { a.dev.timed.ChargeReadN(a.payloadBytes, count) }
 
 // ReadPayloadsVerified is the coalesced form of ReadPayloadVerified: it
 // serves the count records occupying the consecutive slots [lo, lo+count)
@@ -276,29 +306,13 @@ func correctMessageBit(buf []byte, syndrome uint32) bool {
 // a poisoned line is healed by the rewrite when possible. Bounded retries —
 // if the media refuses to hold the record the last typed error is returned
 // so the caller can quarantine the slot and allocate another.
+//
+// Each flush it issues charges one write (a retried record pays again, as
+// the device does), so no exactly-once charge contract applies.
+//
+// oevet:pmem-flush
 func (a *Arena) WriteRecordVerified(slot uint32, key uint64, version int64, payload []byte) error {
-	var lastErr error
-	rb := make([]byte, slotHeaderLen+a.payloadBytes)
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := a.WriteRecord(slot, key, version, payload); err != nil {
-			return err
-		}
-		if err := a.dev.ReadDurable(a.slotOffset(slot), rb); err != nil {
-			lastErr = err
-			continue
-		}
-		rec, err := a.decode(slot, rb)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if rec.Key != key || rec.Version != version {
-			lastErr = &CorruptError{Key: key, Slot: slot, Off: int64(a.slotOffset(slot))}
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("pmem: verified write of slot %d: %w", slot, lastErr)
+	return a.writeOne(slot, key, version, payload, true)
 }
 
 // FindLatest scans the arena for the newest valid record of key with
@@ -329,10 +343,12 @@ func (a *Arena) FindLatest(key uint64, maxVersion int64) (Record, bool) {
 func (a *Arena) AdoptRetired(slot uint32) (int64, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, r := range a.retired {
-		if r.slot == slot {
-			a.retired = append(a.retired[:i], a.retired[i+1:]...)
-			return r.oldVersion, true
+	for _, list := range []*[]retiredSlot{&a.fresh, &a.held} {
+		for i, r := range *list {
+			if r.slot == slot {
+				*list = slices.Delete(*list, i, i+1)
+				return r.oldVersion, true
+			}
 		}
 	}
 	return 0, false
@@ -349,13 +365,13 @@ func (a *Arena) AdoptRetired(slot uint32) (int64, bool) {
 func (a *Arena) Quarantine(slot uint32) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delete(a.occupied, slot)
-	a.quarantined[slot] = true
+	a.occupied.remove(slot)
+	a.quarantined.add(slot)
 }
 
 // QuarantinedCount reports how many slots have been quarantined.
 func (a *Arena) QuarantinedCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.quarantined)
+	return a.quarantined.n
 }

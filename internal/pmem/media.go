@@ -111,19 +111,18 @@ func (m *mediaState) clearPoison(off, n int) {
 	m.mu.Unlock()
 }
 
-// rot flips one Arg-chosen bit of [off, off+n) in both the volatile and the
-// durable image: the line was flushed correctly and then silently decayed,
-// so loads and recovery both observe the flipped bit.
-func (d *Device) rot(off, n int, arg uint64) {
+// rotLocked flips one Arg-chosen bit of [off, off+n) in both the volatile
+// and the durable image: the line was flushed correctly and then silently
+// decayed, so loads and recovery both observe the flipped bit. The caller
+// (flushLocked) holds crashMu shared.
+func (d *Device) rotLocked(off, n int, arg uint64) {
 	if n <= 0 {
 		return
 	}
 	byteOff := off + int(arg%uint64(n))
 	bit := byte(1) << ((arg >> 32) % 8)
-	d.crashMu.RLock()
 	d.image[byteOff] ^= bit
 	d.durable[byteOff] ^= bit
-	d.crashMu.RUnlock()
 }
 
 // ReadDurable copies n=len(buf) bytes of the DURABLE image at off into buf:

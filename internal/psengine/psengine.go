@@ -94,7 +94,14 @@ type Config struct {
 	// Spans receives per-batch spans (maintenance drains, checkpoint
 	// finalization) for the Chrome-trace exporter. Nil disables tracing.
 	Spans *obs.Tracer
-	// MaintThreads is the cache-maintainer pool size for pipelined engines.
+	// MaintThreads is the cache-maintainer pool size for pipelined engines;
+	// 0 defaults to 1. Maintenance is one task per shard, so up to
+	// min(Shards, GOMAXPROCS) maintainers can run in parallel. That pays
+	// when a round is real work — a cold cache promoting, evicting and
+	// flushing thousands of records per batch gains a third from the second
+	// maintainer — and costs when it is not: with the working set cached a
+	// round is a few LRU relinks, and a second maintainer only adds wake-ups
+	// that compete with the workers for the CPUs (DESIGN.md §18).
 	MaintThreads int
 	// Shards is the number of independent key-space shards for engines that
 	// partition their index, cache and maintenance (PMem-OE). Each shard has
