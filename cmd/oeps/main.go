@@ -89,26 +89,9 @@ func main() {
 	}
 	fmt.Println()
 
-	// The refresher re-fetches the handler each tick so it follows the
-	// node across rollback-driven engine swaps instead of pinning the
-	// handler of a retired engine.
-	var stopRefresh chan struct{}
+	stopRefresh := func() {}
 	if *serveBags && *serveRef > 0 {
-		stopRefresh = make(chan struct{})
-		go func() {
-			t := time.NewTicker(*serveRef)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopRefresh:
-					return
-				case <-t.C:
-					if h := node.ServeHandler(); h != nil {
-						h.Refresh() //nolint:errcheck // best-effort; the next tick retries
-					}
-				}
-			}
-		}()
+		stopRefresh = node.ServeHandler().StartRefresher(*serveRef)
 		fmt.Printf("oeps: bag serving enabled (refresh every %s)\n", *serveRef)
 	} else if *serveBags {
 		fmt.Println("oeps: bag serving enabled (background refresh disabled)")
@@ -129,9 +112,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("oeps: shutting down")
-	if stopRefresh != nil {
-		close(stopRefresh)
-	}
+	stopRefresh()
 	if debugSrv != nil {
 		debugSrv.Close()
 	}

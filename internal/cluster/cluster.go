@@ -677,11 +677,11 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 // RefreshStale snapshots the tracked hot keys into the stale tier: every
 // tracked key is re-read as a single-key bag (the sum pooling of one key
 // IS its row, and MsgPullBag is fence-exempt, so a refresh never perturbs
-// the batch protocol) and stored. The tier's staleness doctrine follows:
-// a row is as old as the last pass that stored it. A pass whose own reads
-// came back stale stores nothing — there is nothing fresher to install.
-// Keys are refreshed in ascending order, so a seeded soak's refresh
-// traffic replays deterministically.
+// the batch protocol) and the whole pass is published as one view
+// (DESIGN.md §14: a row is as old as the pass that published it). A pass
+// whose own reads came back stale publishes nothing — there is nothing
+// fresher to install. Keys are refreshed in ascending order, so a seeded
+// soak's refresh traffic replays deterministically.
 func (c *Client) RefreshStale() error {
 	if c.stale == nil {
 		return fmt.Errorf("cluster: no stale tier configured")
@@ -696,16 +696,10 @@ func (c *Client) RefreshStale() error {
 	}
 	out := make([]float32, len(keys)*c.dim)
 	res, err := c.PullBagsResult(false, offs, keys, out)
-	if err != nil {
+	if err != nil || res.Stale {
 		return err
 	}
-	if res.Stale {
-		return nil
-	}
-	for i, k := range keys {
-		c.stale.Store(k, out[i*c.dim:(i+1)*c.dim])
-	}
-	return nil
+	return c.stale.Publish(c.dim, keys, out)
 }
 
 // pushNode groups node n's gradients into its pooled buffer and sends them.

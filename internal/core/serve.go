@@ -5,19 +5,19 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/pmem"
 )
 
 // This file is the engine side of the online serving tier (DESIGN.md §14):
 // an epoch-based, lock-free read path for clean hot entries.
 //
-// Each shard publishes an immutable hot-set snapshot — a read-only key→row
-// index plus a flat row array copied out of the DRAM cache — through an
-// atomic pointer. Serving threads load the pointer, probe the map, check
-// the row's dirty bit and copy the row without touching the shard's
-// reader/writer lock or its push stripes. Rows are never written after
-// publication, so a snapshot read can never tear; the dirty bits only
-// bound staleness, not integrity.
+// Each shard publishes an immutable hot-set snapshot — a cache.RowView of
+// rows copied out of the DRAM cache — through an atomic pointer. Serving
+// threads load the pointer, probe the view, check the row's dirty bit and
+// copy the row without touching the shard's reader/writer lock or its push
+// stripes. Rows are never written after publication, so a snapshot read
+// can never tear; the dirty bits only bound staleness, not integrity.
 //
 // Training stays the writer of record: pushes mark the served row dirty
 // under the stripe they already hold, and the maintenance round that
@@ -49,22 +49,18 @@ const (
 	ServeInit
 )
 
-// shardSnap is one shard's published hot-set snapshot. index, byRow, ents
-// and rows are immutable after publication; dirty and dirtyCount are the
-// only mutable fields (written by pushes under their stripe).
+// shardSnap is one shard's published hot-set snapshot: the row view
+// (embedded by value, so a hit costs one pointer load) plus what only the
+// engine needs. The view and ents are immutable after publication; dirty
+// and dirtyCount are the only mutable fields (written by pushes under
+// their stripe).
 type shardSnap struct {
+	cache.RowView
 	epoch uint64
-	dim   int
-	// index maps a key to its row in rows.
-	index map[uint64]int32
-	// byRow lists the key at each row (diagnostics and full-rebuild reuse).
-	byRow []uint64
 	// ents holds the entry behind each row. Only the rebuild path (which
 	// runs under the exclusive shard lock) dereferences it; serving threads
 	// never touch entries.
 	ents []*entry
-	// rows holds the row copies, dim floats per row.
-	rows []float32
 	// dirty[r] != 0 marks row r stale: a push updated the entry after this
 	// snapshot copied it. Serving falls back to the locked path for dirty
 	// rows; the next rebuild re-copies them and clears the bits.
@@ -122,7 +118,7 @@ func (e *Engine) ServeSnapshotsEnabled() bool { return e.serveOn.Load() }
 
 // ServeRead copies the current weights of key k into dst (dim floats).
 // The fast path — a clean snapshot hit — takes no lock at all: it loads
-// the shard's snapshot pointer, probes the immutable index and copies the
+// the shard's snapshot pointer, probes the immutable view and copies the
 // immutable row. Cold, dirty or unknown keys fall back to the locked
 // engine path (serveReadSlow). ServeRead never mutates training state: an
 // unknown key is served from the deterministic initializer without
@@ -132,8 +128,8 @@ func (e *Engine) ServeSnapshotsEnabled() bool { return e.serveOn.Load() }
 func (e *Engine) ServeRead(k uint64, dst []float32) (ServeSource, error) {
 	s := e.shards[e.shardIndex(k)]
 	if sn := s.snap.Load(); sn != nil {
-		if r, ok := sn.index[k]; ok && sn.dirty[r].Load() == 0 {
-			copy(dst, sn.rows[int(r)*sn.dim:(int(r)+1)*sn.dim])
+		if r, ok := sn.Row(k); ok && sn.dirty[r].Load() == 0 {
+			copy(dst, sn.At(r))
 			return ServeSnap, nil
 		}
 	}
@@ -202,11 +198,11 @@ func (s *shard) markServeDirty(ent *entry) {
 // exclusive shard lock, so no push or fallback read runs concurrently.
 //
 // While the hot set is membership-stable (snapStale false) the rebuild is
-// incremental: the key index, row order and entry table are shared with
-// the previous snapshot and only dirty rows are re-copied into the fresh
-// row array. A membership change (promotion, eviction, first touch, scrub
-// heal) sets snapStale and forces a full rebuild that walks the LRU in
-// recency order.
+// incremental — same index, fresh slab: the view's keys and row order and
+// the entry table are shared with the previous snapshot and only dirty
+// rows are re-copied into the cloned rows. A membership change (promotion,
+// eviction, first touch, scrub heal) sets snapStale and forces a full
+// rebuild that walks the LRU in recency order.
 //
 // oevet:holds core.shard.mu 10
 func (s *shard) rebuildSnapLocked() {
@@ -219,8 +215,12 @@ func (s *shard) rebuildSnapLocked() {
 		if old.dirtyCount.Load() == 0 {
 			return // nothing moved; keep serving the published snapshot
 		}
-		rows := make([]float32, len(old.rows))
-		copy(rows, old.rows)
+		sn := &shardSnap{
+			RowView: old.CloneRows(),
+			epoch:   old.epoch,
+			ents:    old.ents,
+			dirty:   make([]atomic.Uint32, len(old.dirty)),
+		}
 		ok := true
 		for r := range old.dirty {
 			if old.dirty[r].Load() == 0 {
@@ -233,18 +233,9 @@ func (s *shard) rebuildSnapLocked() {
 				ok = false
 				break
 			}
-			copy(rows[r*dim:(r+1)*dim], ent.weights(dim))
+			copy(sn.At(int32(r)), ent.weights(dim))
 		}
 		if ok {
-			sn := &shardSnap{
-				epoch: old.epoch,
-				dim:   dim,
-				index: old.index,
-				byRow: old.byRow,
-				ents:  old.ents,
-				rows:  rows,
-				dirty: make([]atomic.Uint32, len(old.dirty)),
-			}
 			s.snap.Store(sn)
 			return
 		}
@@ -254,22 +245,15 @@ func (s *shard) rebuildSnapLocked() {
 	n := s.lru.Len()
 	s.snapEpoch++
 	sn := &shardSnap{
-		epoch: s.snapEpoch,
-		dim:   dim,
-		index: make(map[uint64]int32, n),
-		byRow: make([]uint64, 0, n),
-		ents:  make([]*entry, 0, n),
-		rows:  make([]float32, 0, n*dim),
-		dirty: make([]atomic.Uint32, n),
+		RowView: cache.NewRowView(dim, n),
+		epoch:   s.snapEpoch,
+		ents:    make([]*entry, 0, n),
+		dirty:   make([]atomic.Uint32, n),
 	}
 	s.lru.Each(func(ent *entry) bool {
-		r := int32(len(sn.byRow))
-		sn.index[ent.key] = r
-		sn.byRow = append(sn.byRow, ent.key)
 		sn.ents = append(sn.ents, ent)
-		sn.rows = append(sn.rows, ent.weights(dim)...)
 		ent.snapEpoch = sn.epoch
-		ent.snapRow = r
+		ent.snapRow = sn.Append(ent.key, ent.weights(dim))
 		return true
 	})
 	s.snapStale = false

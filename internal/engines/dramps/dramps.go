@@ -37,7 +37,9 @@ type Engine struct {
 	dram   *device.Timed
 	shards [numShards]shard
 
-	writer  *checkpoint.Writer
+	writer *checkpoint.Writer
+	// ckptDev is the checkpoint target's cost model: PMem charging to
+	// cfg.Meter, the paper's default comparison.
 	ckptDev *device.Timed
 
 	// Asynchronous-checkpoint machinery (Options.AsyncCheckpoint).
@@ -61,10 +63,6 @@ type Options struct {
 	// CheckpointDir receives incremental checkpoint files; empty disables
 	// checkpointing (RequestCheckpoint then fails).
 	CheckpointDir string
-	// CheckpointDevice is the cost model of the checkpoint target. The
-	// paper's default comparison uses PMem; Fig. 14 also measures SSD.
-	// Nil defaults to a PMem device charging to cfg.Meter.
-	CheckpointDevice *device.Timed
 	// QuantizeCheckpoint stores checkpoint payloads as fp16 (Check-N-Run's
 	// compression, cited by the paper), halving checkpoint bytes.
 	QuantizeCheckpoint bool
@@ -86,11 +84,8 @@ func New(cfg psengine.Config, opts Options) (*Engine, error) {
 		cfg:     cfg,
 		obs:     psengine.NewEngineObs(cfg.Obs),
 		dram:    device.NewTimedDRAM(cfg.Meter),
-		ckptDev: opts.CheckpointDevice,
+		ckptDev: device.NewTimedPMem(cfg.Meter),
 		async:   opts.AsyncCheckpoint,
-	}
-	if e.ckptDev == nil {
-		e.ckptDev = device.NewTimedPMem(cfg.Meter)
 	}
 	e.completedCkpt.Store(-1)
 	e.lastEnded.Store(-1)

@@ -67,8 +67,7 @@ type Engine struct {
 	dirtyMu    sync.Mutex
 	dirtySince map[uint64]struct{}
 
-	writer  *checkpoint.Writer
-	ckptDev *device.Timed
+	writer *checkpoint.Writer
 
 	entries       atomic.Int64
 	hits, misses  atomic.Int64
@@ -86,10 +85,6 @@ type Options struct {
 	// CheckpointDir receives incremental checkpoint files; empty disables
 	// checkpointing.
 	CheckpointDir string
-	// CheckpointDevice models the checkpoint target; nil means PMem charged
-	// to cfg.Meter (the default comparison setup — and the source of the
-	// interference Fig. 12 measures).
-	CheckpointDevice *device.Timed
 	// QuantizeCheckpoint stores checkpoint payloads as fp16 (Check-N-Run's
 	// compression, cited by the paper), halving checkpoint bytes.
 	QuantizeCheckpoint bool
@@ -98,7 +93,6 @@ type Options struct {
 // New creates an Ori-Cache engine over the given arena.
 func New(cfg psengine.Config, arena *pmem.Arena, opts Options) (*Engine, error) {
 	cfg = cfg.WithDefaults()
-	cfg.LRUUpdateOnPush = true // the defining black-box behaviour
 	if want := pmem.FloatBytes(cfg.EntryFloats()); arena.PayloadBytes() != want {
 		return nil, fmt.Errorf("oricache: arena payload %dB does not match entry size %dB", arena.PayloadBytes(), want)
 	}
@@ -109,10 +103,6 @@ func New(cfg psengine.Config, arena *pmem.Arena, opts Options) (*Engine, error) 
 		dram:       device.NewTimedDRAM(cfg.Meter),
 		lru:        cache.NewList[*entry](),
 		dirtySince: make(map[uint64]struct{}),
-		ckptDev:    opts.CheckpointDevice,
-	}
-	if e.ckptDev == nil {
-		e.ckptDev = device.NewTimedPMem(cfg.Meter)
 	}
 	e.completedCkpt.Store(-1)
 	e.lastEnded.Store(-1)
@@ -121,7 +111,10 @@ func New(cfg psengine.Config, arena *pmem.Arena, opts Options) (*Engine, error) 
 	}
 	e.evictObs = e.obs.ShardEvictions(0)
 	if opts.CheckpointDir != "" {
-		w, err := checkpoint.NewWriter(opts.CheckpointDir, e.ckptDev)
+		// Checkpoints land on PMem charged to cfg.Meter: the default
+		// comparison setup, and the source of the interference Fig. 12
+		// measures.
+		w, err := checkpoint.NewWriter(opts.CheckpointDir, device.NewTimedPMem(cfg.Meter))
 		if err != nil {
 			return nil, err
 		}

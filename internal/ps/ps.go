@@ -31,10 +31,6 @@ import (
 	"openembedding/internal/serve"
 )
 
-// arenaSlotsFactor sizes the PMem arena as Capacity * 3 records: the
-// headroom holds retained checkpoint versions.
-const arenaSlotsFactor = 3
-
 // NodeConfig configures one PS node.
 type NodeConfig struct {
 	// Engine selects the storage engine: "pmem-oe" (default), "dram-ps",
@@ -73,11 +69,10 @@ type NodeConfig struct {
 	Spans *obs.Tracer
 	// Serve enables the online inference tier on a pmem-oe node: the RPC
 	// server answers MsgPullBag through a serve.Handler over the engine's
-	// lock-free snapshot path (DESIGN.md §14). The handler survives
-	// Crash/Restart/rollback engine swaps — it is re-wired to whichever
-	// engine currently backs the node. Admission control is armed on the
-	// handler itself (ServeHandler().SetMaxInflight) and, being per-handler
-	// state, has to be re-armed after an engine swap.
+	// lock-free snapshot path (DESIGN.md §14). The handler lives as long as
+	// the node: Crash/Restart/rollback swap the engine under it, so its
+	// replicas and its admission watermark (ServeHandler().SetMaxInflight)
+	// carry over.
 	Serve bool
 }
 
@@ -112,36 +107,10 @@ type Node struct {
 	// every applier clears it under mu (applyPendingFenceLocked).
 	pendingFence atomic.Bool
 
-	// bagSrv is the node's stable MsgPullBag endpoint (nil unless
-	// cfg.Serve): the rpc server holds it across engine swaps, and
-	// adoptEngine repoints it at a fresh serve.Handler for each adopted
-	// engine.
-	bagSrv *nodeBagServer
-
-	// replicas is the node's failover replica overlay (nil unless
-	// cfg.Serve): rows for keys other nodes own, installed by MsgReplicate
-	// and served when a bag read misses the local engine. Long-lived —
-	// adoptEngine re-attaches it to each adopted engine's handler, so
-	// replicas survive Crash/Restart/rollback.
-	replicas *serve.ReplicaStore
-}
-
-// nodeBagServer adapts the node's current serve.Handler to rpc.BagServer
-// behind an atomic pointer, so the RPC server's hook stays valid across
-// Crash/Restart/rollback engine swaps.
-type nodeBagServer struct {
-	dim int
-	h   atomic.Pointer[serve.Handler]
-}
-
-func (b *nodeBagServer) Dim() int { return b.dim }
-
-func (b *nodeBagServer) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
-	h := b.h.Load()
-	if h == nil {
-		return errors.New("ps: serving unavailable")
-	}
-	return h.PullBags(mean, offsets, keys, out)
+	// serve is the node's MsgPullBag and MsgReplicate endpoint (nil unless
+	// cfg.Serve), created with the first engine; adoptEngine points it at
+	// each later one.
+	serve *serve.Handler
 }
 
 // StartNode builds the engine (recovering from an existing PMem image when
@@ -157,7 +126,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 
 	n := &Node{cfg: cfg, RecoveredBatch: -1}
 	payload := pmem.FloatBytes(store.EntryFloats())
-	slots := store.Capacity * arenaSlotsFactor
+	slots := store.Capacity * psengine.ArenaSlotsFactor
 
 	newDevice := func() (*pmem.Device, bool, error) {
 		timed := device.NewTimedPMem(store.Meter)
@@ -270,9 +239,10 @@ func (n *Node) serverOptions() rpc.ServerOptions {
 		opts.Migrate = n.migrateRPC
 		opts.Adopt = n.adoptRPC
 		opts.Drop = n.dropRPC
-		if n.bagSrv != nil {
-			opts.Bags = n.bagSrv
-			opts.Replicate = n.replicateRPC
+		if n.serve != nil {
+			opts.Bags = n.serve
+			// Replicas are serving state only — installing them needs no fence.
+			opts.Replicate = n.serve.MergeReplicas
 		}
 	}
 	return opts
@@ -325,15 +295,6 @@ func (n *Node) dropRPC(ivs []rpc.HashInterval) (int, error) {
 	return dropped, err
 }
 
-// replicateRPC serves MsgReplicate: install read-only failover replicas in
-// the node's overlay. Serving state only — no fence.
-func (n *Node) replicateRPC(keys []uint64, rows []float32) error {
-	if n.replicas == nil {
-		return errors.New("ps: replica serving unavailable")
-	}
-	return n.replicas.Merge(keys, rows)
-}
-
 // armMediaFaults arms the PMem media-fault model on the node's device when
 // configured (no-op otherwise).
 func (n *Node) armMediaFaults() {
@@ -345,31 +306,24 @@ func (n *Node) armMediaFaults() {
 // adoptEngine wires node-level integrity plumbing into a fresh core engine:
 // a background scrub round that loses state (restores or fences entries)
 // must fence the node's epoch so every client re-synchronizes through the
-// recovery protocol before touching the regressed state.
+// recovery protocol before touching the regressed state. On a serving node
+// it also puts the engine behind the node's one serve.Handler.
 func (n *Node) adoptEngine(eng *core.Engine) {
 	eng.SetIntegrityNotify(n.integrityFence)
-	if n.cfg.Serve {
-		if n.bagSrv == nil {
-			n.bagSrv = &nodeBagServer{dim: n.cfg.Store.Dim}
-		}
-		if n.replicas == nil {
-			n.replicas = serve.NewReplicaStore(n.cfg.Store.Dim)
-		}
-		h := serve.New(eng, n.cfg.Obs)
-		h.SetReplicas(n.replicas)
-		n.bagSrv.h.Store(h)
+	if !n.cfg.Serve {
+		return
+	}
+	if n.serve == nil {
+		n.serve = serve.New(eng, n.cfg.Obs)
+	} else {
+		n.serve.SetEngine(eng)
 	}
 }
 
-// ServeHandler returns the node's current serving handler (nil unless the
-// node was started with NodeConfig.Serve). The handle is engine-specific:
-// after a Crash/Restart or rollback, fetch it again.
-func (n *Node) ServeHandler() *serve.Handler {
-	if n.bagSrv == nil {
-		return nil
-	}
-	return n.bagSrv.h.Load()
-}
+// ServeHandler returns the node's serving handler (nil unless the node was
+// started with NodeConfig.Serve); the same handler serves across
+// Crash/Restart and rollback.
+func (n *Node) ServeHandler() *serve.Handler { return n.serve }
 
 // integrityFence records and (when possible, immediately) applies an epoch
 // fence after scrub-driven state loss. It runs on a maintainer goroutine,

@@ -2,12 +2,15 @@ package ps
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"openembedding/internal/optim"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
+	"openembedding/internal/serve"
 	"openembedding/internal/simclock"
 )
 
@@ -132,10 +135,11 @@ func TestNodeWithoutServeRejectsPullBags(t *testing.T) {
 	}
 }
 
-// TestNodeServeSurvivesCrashRestart: serving is re-wired to the recovered
-// engine by Restart, and — because bag reads are read-only and eventually
-// consistent — a stale client's PullBags works across the epoch fence
-// without AdoptEpoch, returning the recovered (checkpointed) rows.
+// TestNodeServeSurvivesCrashRestart: the node's one handler is re-wired to
+// the recovered engine by Restart, and — because bag reads are read-only
+// and eventually consistent — a stale client's PullBags works across the
+// epoch fence without AdoptEpoch, returning the recovered (checkpointed)
+// rows.
 func TestNodeServeSurvivesCrashRestart(t *testing.T) {
 	n, cl := startServeNode(t)
 	keys := []uint64{1, 2, 3}
@@ -153,8 +157,8 @@ func TestNodeServeSurvivesCrashRestart(t *testing.T) {
 	if _, err := n.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if n.ServeHandler() == nil || n.ServeHandler() == h0 {
-		t.Fatal("serve handler not re-wired to the recovered engine")
+	if n.ServeHandler() != h0 {
+		t.Fatal("restart replaced the node's serve handler")
 	}
 
 	// Training pulls are fenced until the client re-adopts the epoch —
@@ -178,4 +182,85 @@ func TestNodeServeSurvivesCrashRestart(t *testing.T) {
 			t.Fatalf("recovered bag[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+}
+
+// shedsUnderLoad hammers h with concurrent long gathers until one of them
+// is shed at the admission watermark, or gives up after a few seconds.
+func shedsUnderLoad(t *testing.T, h *serve.Handler, key uint64) bool {
+	t.Helper()
+	keys := make([]uint64, 1<<13)
+	for i := range keys {
+		keys[i] = key
+	}
+	offsets := []uint32{0, uint32(len(keys))}
+	var shed atomic.Bool
+	deadline := time.Now().Add(5 * time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]float32, h.Dim())
+			for !shed.Load() && time.Now().Before(deadline) {
+				if err := h.PullBags(false, offsets, keys, out); serve.IsShed(err) {
+					shed.Store(true)
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return shed.Load()
+}
+
+// TestNodeServeStateSurvivesEngineSwaps: what is set on the node's handler
+// is set on the node. An admission watermark armed and a replica merged
+// before a crash still shed and still answer after the restart and after a
+// rollback, with nothing re-armed or re-fetched in between.
+func TestNodeServeStateSurvivesEngineSwaps(t *testing.T) {
+	n, cl := startServeNode(t)
+	driveConst(t, cl, 0, []uint64{1, 2, 3}, 1.0)
+	commitOverWire(t, cl, 0)
+
+	h := n.ServeHandler()
+	h.SetMaxInflight(1)
+	const foreign = 999 // a key this node's engine never sees
+	replica := []float32{1, 2, 3, 4}
+	if err := cl.Replicate([]uint64{foreign}, replica); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if n.ServeHandler() != h {
+			t.Fatalf("%s: the node's serve handler changed", stage)
+		}
+		got, err := cl.PullBags(false, []uint32{0, 1}, []uint64{foreign})
+		if err != nil {
+			t.Fatalf("%s: replica read: %v", stage, err)
+		}
+		for i := range replica {
+			if got[i] != replica[i] {
+				t.Fatalf("%s: replica row = %v, want %v", stage, got, replica)
+			}
+		}
+		if !shedsUnderLoad(t, h, 1) {
+			t.Fatalf("%s: watermark 1 never shed under concurrent load", stage)
+		}
+	}
+	check("before any swap")
+
+	if err := n.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	check("after restart")
+
+	if err := cl.Rollback(0); err != nil {
+		t.Fatal(err)
+	}
+	check("after rollback")
 }

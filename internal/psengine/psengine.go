@@ -111,11 +111,6 @@ type Config struct {
 	// Shards=1 reproduces the unsharded engine exactly: deterministic
 	// simulated-time experiments pin it to 1 so results are host-independent.
 	Shards int
-	// LRUUpdateOnPush makes Push reorder the LRU list too, as a generic
-	// black-box cache would (the behaviour the paper's Sec. II-B critiques).
-	// PMem-OE leaves it false: pull and push of a batch touch the same keys,
-	// so one reorder per batch suffices. Ori-Cache sets it true.
-	LRUUpdateOnPush bool
 	// PipelineDisabled runs cache maintenance inline on the request path
 	// instead of behind the GPU phase. Used by the Fig. 9 ablation.
 	PipelineDisabled bool
@@ -240,6 +235,10 @@ func normalizeShards(n int) int {
 // EntryFloats returns the per-entry float count: weights plus optimizer
 // state.
 func (c Config) EntryFloats() int { return c.Dim + c.Optimizer.StateFloats(c.Dim) }
+
+// ArenaSlotsFactor sizes a PMem arena as Capacity * 3 records: the headroom
+// holds superseded versions retained for checkpoints.
+const ArenaSlotsFactor = 3
 
 // Stats is a snapshot of engine counters.
 type Stats struct {

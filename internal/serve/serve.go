@@ -23,14 +23,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/core"
 	"openembedding/internal/obs"
 )
 
-// Handler serves pooled embedding-bag reads from one engine. Safe for
-// concurrent use by any number of connections.
+// Handler serves pooled embedding-bag reads from a node's engine. It lives
+// as long as the node: the engine sits behind an atomic pointer (SetEngine)
+// so a crash/restart or rollback swaps the engine under the same handler,
+// and the replica overlay, the admission watermark and the counters carry
+// over. Safe for concurrent use by any number of connections.
 type Handler struct {
-	eng *core.Engine
+	eng atomic.Pointer[core.Engine]
 	dim int
 
 	// scratchPool recycles per-request row buffers and the obs sampling
@@ -41,10 +45,14 @@ type Handler struct {
 	// the one in flight.
 	refreshing atomic.Bool
 
-	// replicas is the optional failover overlay (replica.go): rows for
-	// keys other nodes own, consulted before the engine. Installed by the
-	// node (SetReplicas) and shared across engine swaps.
-	replicas atomic.Pointer[ReplicaStore]
+	// replicas is the failover overlay (DESIGN.md §15): read-only rows for
+	// keys this node does NOT own, pushed by the cluster via MsgReplicate
+	// and served when the engine does not know a key. Readers load the
+	// published view once per request; MergeReplicas copies on write under
+	// replicaMu — replication pushes are rare and reads are the hot path,
+	// so the copy cost sits on the right side.
+	replicas  atomic.Pointer[cache.RowView]
+	replicaMu sync.Mutex
 
 	// Admission control (DESIGN.md §16): when maxInflight is positive, a
 	// request arriving while inflight is already at the watermark is shed
@@ -106,11 +114,34 @@ type bagScratch struct {
 	tick uint8
 }
 
+// srcReplica extends core's read sources with the replica overlay, so one
+// tally array indexed by source covers every way a key can be served.
+const srcReplica = core.ServeInit + 1
+
+// replicaRow copies k's failover replica into row and reports whether the
+// overlay holds one. Out of line on purpose: the per-key loop of PullBags
+// runs measurably faster without this body inside it (serve.self_us 53 -> 48
+// in traced serve-tcp-hot runs), and only unknown keys pay the call.
+//
+// oevet:coldpath only keys the engine does not know reach the overlay
+//
+//go:noinline
+func replicaRow(reps *cache.RowView, k uint64, row []float32) bool {
+	rep := reps.Lookup(k)
+	if rep == nil {
+		return false
+	}
+	copy(row, rep)
+	return true
+}
+
 // New returns a handler over eng, enabling the engine's serve snapshots.
 // reg may be nil (metrics disabled).
 func New(eng *core.Engine, reg *obs.Registry) *Handler {
-	h := &Handler{eng: eng, dim: eng.Dim(), reg: reg}
+	h := &Handler{dim: eng.Dim(), reg: reg}
 	dim := h.dim
+	empty := cache.NewRowView(dim, 0)
+	h.replicas.Store(&empty)
 	h.scratchPool.New = func() any {
 		return &bagScratch{row: make([]float32, dim)}
 	}
@@ -126,14 +157,31 @@ func New(eng *core.Engine, reg *obs.Registry) *Handler {
 		h.refreshes = reg.Counter("serve_refreshes")
 		h.shed = reg.Counter("serve_shed")
 	}
-	eng.EnableServeSnapshots()
+	h.SetEngine(eng)
 	return h
 }
 
-// SetReplicas attaches the failover replica overlay (nil detaches). The
-// node installs its long-lived store here after every engine swap, so
-// replicas survive rollback and restart.
-func (h *Handler) SetReplicas(rs *ReplicaStore) { h.replicas.Store(rs) }
+// SetEngine points the handler at eng — the engine a restart or rollback
+// recovered, of the same dimension. Snapshots are enabled before the engine
+// is published, so no request sees an engine without them.
+func (h *Handler) SetEngine(eng *core.Engine) {
+	eng.EnableServeSnapshots()
+	h.eng.Store(eng)
+}
+
+// MergeReplicas installs or overwrites failover replicas: row i of rows
+// (row-major, len(keys)*dim floats) becomes the replica of keys[i]. The
+// rows are copied; the caller keeps ownership of its buffers.
+func (h *Handler) MergeReplicas(keys []uint64, rows []float32) error {
+	h.replicaMu.Lock()
+	defer h.replicaMu.Unlock()
+	next, err := h.replicas.Load().Merge(keys, rows, 0)
+	if err != nil {
+		return err
+	}
+	h.replicas.Store(next)
+	return nil
+}
 
 // SetMaxInflight sets the admission watermark: requests arriving while n
 // are already in flight are shed with a busy error instead of queueing.
@@ -160,8 +208,8 @@ func (h *Handler) Dim() int { return h.dim }
 //
 // The first key of a bag is read straight into the output row; the rest
 // land in the pooled scratch row and are vector-added, so pooling itself
-// allocates nothing. Per-source tallies accumulate in locals and fold
-// into the counters once per request.
+// allocates nothing. Per-source tallies accumulate in a local array and
+// fold into the counters once per request.
 //
 // oevet:hotpath
 func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
@@ -186,13 +234,10 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 			sampled = true
 		}
 	}
-	// One atomic load of the replica overlay per request; a nil map
-	// indexes as empty, so the non-replicated deployment pays nothing.
-	var reps map[uint64][]float32
-	if rs := h.replicas.Load(); rs != nil {
-		reps = rs.rows()
-	}
-	var snap, dram, pm, ini, repl int64
+	// One atomic load each of the engine and the replica overlay per
+	// request; the overlay is only probed for keys the engine does not know.
+	eng, reps := h.eng.Load(), h.replicas.Load()
+	var tally [srcReplica + 1]int64
 	bags := len(offsets) - 1
 	for b := 0; b < bags; b++ {
 		lo, hi := int(offsets[b]), int(offsets[b+1])
@@ -201,53 +246,27 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 			clear(dst) // empty bag: the zero vector
 			continue
 		}
-		src, err := h.eng.ServeRead(keys[lo], dst)
-		if err != nil {
-			h.scratchPool.Put(sc)
-			return err
-		}
-		switch src {
-		case core.ServeSnap:
-			snap++
-		case core.ServeDRAM:
-			dram++
-		case core.ServePMem:
-			pm++
-		default:
-			// Unknown to the engine: a key this node does not own. Serve
-			// the failover replica when the overlay holds one — locally
-			// owned keys never reach here, so engine state always wins.
-			if row := reps[keys[lo]]; row != nil {
-				copy(dst, row)
-				repl++
-			} else {
-				ini++
+		for j := lo; j < hi; j++ {
+			row := dst
+			if j > lo {
+				row = sc.row
 			}
-		}
-		for j := lo + 1; j < hi; j++ {
-			src, err := h.eng.ServeRead(keys[j], sc.row)
+			src, err := eng.ServeRead(keys[j], row)
 			if err != nil {
 				h.scratchPool.Put(sc)
 				return err
 			}
-			switch src {
-			case core.ServeSnap:
-				snap++
-			case core.ServeDRAM:
-				dram++
-			case core.ServePMem:
-				pm++
-			default:
-				if row := reps[keys[j]]; row != nil {
-					copy(sc.row, row)
-					repl++
-				} else {
-					ini++
-				}
+			// Unknown to the engine: a key this node does not own. Serve the
+			// failover replica when the overlay holds one — locally owned
+			// keys never reach here, so engine state always wins.
+			if src == core.ServeInit && replicaRow(reps, keys[j], row) {
+				src = srcReplica
 			}
-			row := sc.row
-			for i := range dst {
-				dst[i] += row[i]
+			tally[src]++
+			if j > lo {
+				for i := range dst {
+					dst[i] += row[i]
+				}
 			}
 		}
 		if mean {
@@ -259,11 +278,11 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 	}
 	h.requests.Add(1)
 	h.keysServed.Add(int64(len(keys)))
-	h.snapHits.Add(snap)
-	h.dramFallback.Add(dram)
-	h.pmemFallback.Add(pm)
-	h.initServed.Add(ini)
-	h.replicaHits.Add(repl)
+	h.snapHits.Add(tally[core.ServeSnap])
+	h.dramFallback.Add(tally[core.ServeDRAM])
+	h.pmemFallback.Add(tally[core.ServePMem])
+	h.initServed.Add(tally[core.ServeInit])
+	h.replicaHits.Add(tally[srcReplica])
 	if sampled {
 		h.bagNS.Observe(h.reg.Now() - start)
 	}
@@ -280,7 +299,7 @@ func (h *Handler) Refresh() error {
 		return nil
 	}
 	defer h.refreshing.Store(false)
-	if err := h.eng.RefreshServeSnapshots(); err != nil {
+	if err := h.eng.Load().RefreshServeSnapshots(); err != nil {
 		return err
 	}
 	h.refreshes.Add(1)
@@ -288,12 +307,15 @@ func (h *Handler) Refresh() error {
 }
 
 // StartRefresher runs Refresh every interval on a background goroutine
-// until the returned stop function is called. Refresh errors are folded
-// into the engine's metric set by the engine itself; the loop keeps going.
+// until the returned stop function is called; stop returns once the
+// goroutine has exited, so no refresh runs past it. Refresh errors are
+// folded into the engine's metric set by the engine itself; the loop keeps
+// going.
 func (h *Handler) StartRefresher(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -305,5 +327,8 @@ func (h *Handler) StartRefresher(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }

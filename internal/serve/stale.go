@@ -3,30 +3,34 @@ package serve
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/obs"
 )
 
 // StaleTier is the last line of graceful degradation (DESIGN.md §16): a
 // bounded cache of previously-served embedding rows that keeps bag reads
 // answering — flagged stale — when a key's owner AND its replicas are all
-// suspected, partitioned or shedding. The staleness doctrine is explicit:
-// a row is as old as the last RefreshStale pass that stored it, a key
-// never refreshed contributes the zero vector, and callers see the
+// suspected, partitioned or shedding. Staleness follows the one rule of
+// DESIGN.md §14: a row is as old as the refresh pass that published it; a
+// key never refreshed contributes the zero vector, and callers see the
 // degradation (the result is marked stale) instead of an error.
 //
 // The tier is fed from two directions: Track records the hot key set as
-// requests flow through the fan-out client, and Store installs rows when a
-// refresh pass re-reads the tracked keys from healthy owners. Both sides
-// are bounded by the configured capacity, so a scan workload cannot turn
-// the fallback tier into an unbounded cache.
+// requests flow through the fan-out client, and Publish installs the rows a
+// refresh pass re-read for the tracked keys from healthy owners — the whole
+// pass as one immutable view, so a degraded read beside a refresh sees a
+// complete row of one pass or the other. Both sides are bounded by the
+// configured capacity, so a scan workload cannot turn the fallback tier
+// into an unbounded cache.
 //
 // Safe for concurrent use; a nil *StaleTier disables every method.
 type StaleTier struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards tracked
 	cap     int
-	rows    map[uint64][]float32
 	tracked map[uint64]struct{}
+	view    atomic.Pointer[cache.RowView] // nil until the first Publish
 
 	fallbacks *obs.Counter // serve_stale_fallbacks: degraded reads answered
 	staleHits *obs.Counter // serve_stale_hits: rows served from the tier
@@ -43,11 +47,7 @@ func NewStaleTier(capacity int) *StaleTier {
 	if capacity <= 0 {
 		capacity = DefaultStaleCapacity
 	}
-	return &StaleTier{
-		cap:     capacity,
-		rows:    make(map[uint64][]float32),
-		tracked: make(map[uint64]struct{}),
-	}
+	return &StaleTier{cap: capacity, tracked: make(map[uint64]struct{})}
 }
 
 // SetObs registers the tier's counters on reg.
@@ -96,25 +96,20 @@ func (t *StaleTier) TrackedKeys() []uint64 {
 	return keys
 }
 
-// Store installs (copies) a row for key. Rows beyond capacity for keys
-// never tracked are rejected; refreshing a key already present always
-// succeeds.
-func (t *StaleTier) Store(key uint64, row []float32) {
+// Publish replaces the tier's rows with one refresh pass: row i of rows
+// (row-major, len(keys)*dim floats, copied) is the row of keys[i]. Keys
+// beyond the capacity bound are dropped.
+func (t *StaleTier) Publish(dim int, keys []uint64, rows []float32) error {
 	if t == nil {
-		return
+		return nil
 	}
-	t.mu.Lock()
-	if _, ok := t.rows[key]; !ok && len(t.rows) >= t.cap {
-		t.mu.Unlock()
-		return
+	empty := cache.NewRowView(dim, 0)
+	v, err := empty.Merge(keys, rows, t.cap)
+	if err != nil {
+		return err
 	}
-	dst := t.rows[key]
-	if dst == nil {
-		dst = make([]float32, len(row))
-		t.rows[key] = dst
-	}
-	copy(dst, row)
-	t.mu.Unlock()
+	t.view.Store(v)
+	return nil
 }
 
 // Lookup returns the stale row for key, or nil when the key was never
@@ -124,9 +119,7 @@ func (t *StaleTier) Lookup(key uint64) []float32 {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	row := t.rows[key]
-	t.mu.Unlock()
+	row := t.view.Load().Lookup(key)
 	if row != nil {
 		t.staleHits.Add(1)
 	} else {
@@ -148,7 +141,5 @@ func (t *StaleTier) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.rows)
+	return t.view.Load().Len()
 }
