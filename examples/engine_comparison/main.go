@@ -11,11 +11,8 @@ import (
 	"log"
 	"time"
 
-	"openembedding/internal/core"
 	"openembedding/internal/device"
-	"openembedding/internal/engines/dramps"
-	"openembedding/internal/engines/oricache"
-	"openembedding/internal/engines/pmemhash"
+	"openembedding/internal/engines"
 	"openembedding/internal/optim"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
@@ -37,38 +34,17 @@ func build(kind string) (psengine.Engine, *simclock.Meter, error) {
 		Capacity: keys, CacheEntries: cache,
 		Meter: simclock.NewMeter(),
 	}.WithDefaults()
-	newArena := func() (*pmem.Arena, error) {
+	var arena *pmem.Arena
+	if engines.UsesPMem(kind) {
 		payload := pmem.FloatBytes(cfg.EntryFloats())
 		dev := pmem.NewDevice(pmem.ArenaLayout(payload, keys*3), device.NewTimedPMem(cfg.Meter))
-		return pmem.NewArena(dev, payload, keys*3)
+		var err error
+		if arena, err = pmem.NewArena(dev, payload, keys*3); err != nil {
+			return nil, nil, err
+		}
 	}
-	switch kind {
-	case "pmem-oe":
-		a, err := newArena()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := core.New(cfg, a)
-		return e, cfg.Meter, err
-	case "dram-ps":
-		e, err := dramps.New(cfg, dramps.Options{})
-		return e, cfg.Meter, err
-	case "ori-cache":
-		a, err := newArena()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := oricache.New(cfg, a, oricache.Options{})
-		return e, cfg.Meter, err
-	case "pmem-hash":
-		a, err := newArena()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := pmemhash.New(cfg, a)
-		return e, cfg.Meter, err
-	}
-	return nil, nil, fmt.Errorf("unknown engine %q", kind)
+	e, err := engines.New(kind, cfg, arena, "")
+	return e, cfg.Meter, err
 }
 
 func main() {

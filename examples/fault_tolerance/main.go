@@ -84,8 +84,10 @@ func main() {
 
 	fmt.Println("\n*** POWER FAILURE *** (unflushed DRAM and PMem store buffers lost)")
 	ps.SimulateCrash()
+	if err := ps.Pull(20, []uint64{1}, make([]float32, dim)); err == nil {
+		log.Fatal("a crashed server answered a pull")
+	}
 	must(ps.Save()) // the durable image is what a DAX-mapped file would hold
-	must(ps.Engine().Close())
 
 	fmt.Println("restarting from the PMem image ...")
 	ps, err = openembedding.Open(cfg)

@@ -321,10 +321,12 @@ func TestClusterRecoverAfterCrash(t *testing.T) {
 	}
 }
 
-// TestDefaultClientTrainsAcrossCrash is the production client's recovery
+// TestDefaultClientTrainsAcrossCrash is the production pair's recovery
 // pin: a client dialed with zero-value options — what openembedding.Dial,
-// oectl and the benchmark use — trains across a node Crash → Restart →
-// Recover and finishes bit-identical to the fault-free run. Its connection
+// oectl and the benchmark use — against nodes started with nothing but a
+// store shape — what oeps and the public Server start — trains across a
+// node Crash → Restart → Recover and finishes bit-identical to the
+// fault-free run. Its connection
 // to the crashed node redials, the handshake finds the bumped epoch, the
 // fence surfaces as a recoverable error, and Recover + replay from the
 // committed checkpoint converge.
@@ -340,12 +342,10 @@ func TestDefaultClientTrainsAcrossCrash(t *testing.T) {
 	}
 	train := func(crash bool) []float32 {
 		t.Helper()
-		store := storeConfig()
-		store.RetainCheckpoints = 2
 		var addrs []string
 		var ns []*ps.Node
 		for i := 0; i < nodes; i++ {
-			n, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{Store: store})
+			n, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{Store: storeConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,6 +75,10 @@ type Engine struct {
 	lastEnded atomic.Int64
 
 	closed atomic.Bool
+	// closeMu orders EndPullPhase's sends on maintCh (held shared) before
+	// Close closes the channel (held exclusively): a node swaps its engine
+	// while other connections are mid-batch (ps.Node.Rollback).
+	closeMu sync.RWMutex
 
 	// serveOn gates the serving tier (serve.go): when set, maintenance
 	// rounds republish per-shard hot-set snapshots for ServeRead.
@@ -560,7 +564,9 @@ func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
+	e.closeMu.Lock()
 	close(e.maintCh)
+	e.closeMu.Unlock()
 	e.maintWG.Wait()
 	return nil
 }

@@ -480,6 +480,38 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestCloseDuringBatch: a node closes its engine to roll it back while other
+// connections are mid-batch, so Close may land between any two calls of the
+// batch protocol — EndPullPhase's hand-off to the maintainers included. The
+// batch then fails as ErrClosed; it never panics on the closed task queue.
+func TestCloseDuringBatch(t *testing.T) {
+	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	dst := make([]float32, len(keys)*4)
+	for round := 0; round < 50; round++ {
+		e := newTestEngine(t, testConfig(4, 64, 4))
+		done := make(chan error, 1)
+		go func() {
+			for b := int64(0); ; b++ {
+				if err := e.Pull(b, keys, dst); err != nil {
+					done <- err
+					return
+				}
+				e.EndPullPhase(b)
+				if err := e.EndBatch(b); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, psengine.ErrClosed) {
+			t.Fatalf("round %d: batch against a closing engine: %v, want ErrClosed", round, err)
+		}
+	}
+}
+
 func TestConcurrentPullersAndPushers(t *testing.T) {
 	cfg := testConfig(4, 512, 64)
 	e := newTestEngine(t, cfg)

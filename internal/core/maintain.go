@@ -42,6 +42,11 @@ func (e *Engine) EndPullPhase(batch int64) {
 	if !queued {
 		return
 	}
+	e.closeMu.RLock()
+	if e.closed.Load() {
+		e.closeMu.RUnlock()
+		return // the maintainers are gone; Close discards what was queued
+	}
 	// Activate the head checkpoint once per batch at the coordinator,
 	// before any shard task can flush: the activation scan takes shard
 	// locks, so it cannot live inside shard maintenance (see checkpoint.go).
@@ -55,6 +60,7 @@ func (e *Engine) EndPullPhase(batch int64) {
 		e.obs.MaintQueue.Add(1)
 		e.maintCh <- maintTask{batch: batch, sh: s, entries: entries}
 	}
+	e.closeMu.RUnlock()
 }
 
 // WaitMaintenance implements psengine.Engine.

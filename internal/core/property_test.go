@@ -196,7 +196,7 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 	}
 
 	devSeq, devPar := build(), build()
-	seq, ckptSeq, err := Recover(cfg, devSeq)
+	seq, ckptSeq, err := RecoverParallel(cfg, devSeq, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,19 @@ import (
 // init-valued record reached PMem it is recovered too. That is exactly the
 // deterministic state the entry would be reborn with on first touch after
 // resuming, so recovered training is bit-identical either way.
+//
+// The scan is the partitioned one of RecoverParallel at GOMAXPROCS workers,
+// as RecoverTo's is: a restart and a rollback recover the same way.
 func Recover(cfg psengine.Config, dev *pmem.Device) (*Engine, int64, error) {
-	return RecoverParallel(cfg, dev, 1)
+	return RecoverParallel(cfg, dev, 0)
 }
 
-// RecoverParallel is Recover with the partitioned speed-up the paper
-// proposes in Sec. VI-E: the arena's slot range is split across workers
-// goroutines that scan and filter concurrently, and the surviving records
-// are merged into the index afterwards. workers <= 0 uses GOMAXPROCS.
+// RecoverParallel is Recover at an explicit width of the partitioned
+// speed-up the paper proposes in Sec. VI-E: the arena's slot range is split
+// across workers goroutines that scan and filter concurrently, and the
+// surviving records are merged into the index afterwards. workers <= 0 uses
+// GOMAXPROCS; 1 is the sequential scan the property tests hold every other
+// width to.
 func RecoverParallel(cfg psengine.Config, dev *pmem.Device, workers int) (*Engine, int64, error) {
 	return recoverImpl(cfg, dev, workers, 0, false)
 }
@@ -50,7 +55,7 @@ func RecoverParallel(cfg psengine.Config, dev *pmem.Device, workers int) (*Engin
 //
 // oevet:fence-need
 func RecoverTo(cfg psengine.Config, dev *pmem.Device, target int64) (*Engine, int64, error) {
-	return recoverImpl(cfg, dev, runtime.GOMAXPROCS(0), target, true)
+	return recoverImpl(cfg, dev, 0, target, true)
 }
 
 func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int64, haveTarget bool) (*Engine, int64, error) {

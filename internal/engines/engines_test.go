@@ -10,6 +10,7 @@ import (
 
 	"openembedding/internal/core"
 	"openembedding/internal/device"
+	"openembedding/internal/engines"
 	"openembedding/internal/engines/dramps"
 	"openembedding/internal/engines/oricache"
 	"openembedding/internal/engines/pmemhash"
@@ -46,35 +47,24 @@ func newArena(t *testing.T, cfg psengine.Config) *pmem.Arena {
 func buildAll(t *testing.T) map[string]psengine.Engine {
 	t.Helper()
 	out := make(map[string]psengine.Engine)
-
-	cfg := baseConfig()
-	oe, err := core.New(cfg, newArena(t, cfg))
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []string{"pmem-oe", "dram-ps", "ori-cache", "pmem-hash"} {
+		cfg := baseConfig()
+		var arena *pmem.Arena
+		if engines.UsesPMem(kind) {
+			arena = newArena(t, cfg)
+		}
+		e, err := engines.New(kind, cfg, arena, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() != kind {
+			t.Fatalf("engines.New(%q) built %q", kind, e.Name())
+		}
+		out[kind] = e
 	}
-	out["pmem-oe"] = oe
-
-	cfg = baseConfig()
-	dp, err := dramps.New(cfg, dramps.Options{CheckpointDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := engines.New("bogus", baseConfig(), nil, ""); err == nil || engines.UsesPMem("bogus") {
+		t.Fatal("unknown engine accepted")
 	}
-	out["dram-ps"] = dp
-
-	cfg = baseConfig()
-	oc, err := oricache.New(cfg, newArena(t, cfg), oricache.Options{CheckpointDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["ori-cache"] = oc
-
-	cfg = baseConfig()
-	ph, err := pmemhash.New(cfg, newArena(t, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["pmem-hash"] = ph
-
 	t.Cleanup(func() {
 		for _, e := range out {
 			e.Close()

@@ -1,6 +1,9 @@
 // Package ps assembles a parameter-server node: a storage engine of a
-// chosen kind behind the RPC server, with the PMem device image optionally
-// persisted to a file so the node can recover after a restart (Sec. V-C).
+// chosen kind, with the PMem device image optionally persisted to a file so
+// the node can recover after a restart (Sec. V-C), served over the RPC
+// protocol or used in process. Node is the only thing in the tree that puts
+// an engine on the wire: oeps, the public openembedding.Server and every
+// soak run the same one.
 //
 // A pmem-oe node is restartable in-process: Crash tears down the server
 // and engine and drops unpersisted device state, Restart recovers a fresh
@@ -20,9 +23,7 @@ import (
 
 	"openembedding/internal/core"
 	"openembedding/internal/device"
-	"openembedding/internal/engines/dramps"
-	"openembedding/internal/engines/oricache"
-	"openembedding/internal/engines/pmemhash"
+	"openembedding/internal/engines"
 	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/pmem"
@@ -36,7 +37,10 @@ type NodeConfig struct {
 	// Engine selects the storage engine: "pmem-oe" (default), "dram-ps",
 	// "ori-cache" or "pmem-hash".
 	Engine string
-	// Store is the psengine configuration.
+	// Store is the psengine configuration. A pmem-oe node defaults
+	// RetainCheckpoints to 2, not the bare engine's 1: the rollback it
+	// serves may target the checkpoint before the latest (DESIGN.md §10),
+	// so that one has to exist. An explicit 1 is honoured.
 	Store psengine.Config
 	// PMemImage, when non-empty, is the file the PMem device image is
 	// loaded from (if present) and saved to on Close.
@@ -76,18 +80,27 @@ type NodeConfig struct {
 	Serve bool
 }
 
-// Node is one running parameter-server node.
+// Node is one parameter-server node: an engine over its device, unserved
+// after Open and on the wire after Listen. On a pmem-oe node it is also the
+// server's rpc.Control — rollback, scrub, migration and replication act on
+// the node, not on the engine of the moment.
 type Node struct {
 	cfg NodeConfig
-	box *engineBox
 	dev *pmem.Device // nil for dram-ps
 
-	// mu guards srv/addr/epoch/crashed across Crash/Restart/rollback.
+	// core is the PMem-OE engine currently behind the node. Restart and
+	// rollback replace it (holding mu) and hand the new one to the server
+	// and the serve handler, which keep it behind an atomic pointer of
+	// their own. Nil on a baseline node, whose engine never changes.
+	core     atomic.Pointer[core.Engine]
+	baseline psengine.Engine
+
+	// mu guards srv/addr/epoch/crashed across Listen/Crash/Restart/rollback.
 	// Never held while closing the server (its handler drain would
 	// deadlock against a rollback RPC waiting for mu).
 	mu      sync.Mutex
-	srv     *rpc.Server
-	addr    string
+	srv     *rpc.Server // nil while unserved or crashed
+	addr    string      // bound address; kept across Crash for Restart
 	epoch   int64
 	crashed bool
 
@@ -113,139 +126,143 @@ type Node struct {
 	serve *serve.Handler
 }
 
-// StartNode builds the engine (recovering from an existing PMem image when
-// one is configured and present) and serves it on addr.
+// StartNode is Open followed by Listen(addr).
 func StartNode(addr string, cfg NodeConfig) (*Node, error) {
+	n, err := Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Listen(addr); err != nil {
+		// Not n.Close: a node that never served must not save an image.
+		n.Engine().Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// Open builds the node's engine — recovering from an existing PMem image
+// when one is configured and present — and leaves it unserved: Engine is
+// usable in process, Listen puts it on the wire.
+func Open(cfg NodeConfig) (*Node, error) {
 	if cfg.Engine == "" {
 		cfg.Engine = "pmem-oe"
+	}
+	oe := cfg.Engine == "pmem-oe"
+	if oe && cfg.Store.RetainCheckpoints == 0 {
+		cfg.Store.RetainCheckpoints = 2
 	}
 	store := cfg.Store.WithDefaults()
 	store.Obs = cfg.Obs
 	store.Spans = cfg.Spans
 	cfg.Store = store
-
 	n := &Node{cfg: cfg, RecoveredBatch: -1}
-	payload := pmem.FloatBytes(store.EntryFloats())
-	slots := store.Capacity * psengine.ArenaSlotsFactor
 
-	newDevice := func() (*pmem.Device, bool, error) {
-		timed := device.NewTimedPMem(store.Meter)
-		if cfg.PMemImage != "" {
-			if _, err := os.Stat(cfg.PMemImage); err == nil {
-				d, err := pmem.OpenFile(cfg.PMemImage, timed)
-				return d, true, err
-			}
-		}
-		return pmem.NewDevice(pmem.ArenaLayout(payload, slots), timed), false, nil
-	}
-
-	var engine psengine.Engine
-	switch cfg.Engine {
-	case "pmem-oe":
-		dev, existing, err := newDevice()
+	var arena *pmem.Arena
+	if engines.UsesPMem(cfg.Engine) {
+		payload := pmem.FloatBytes(store.EntryFloats())
+		slots := store.Capacity * psengine.ArenaSlotsFactor
+		existing, err := n.openDevice(pmem.ArenaLayout(payload, slots))
 		if err != nil {
 			return nil, err
 		}
-		n.dev = dev
-		if existing {
+		if existing && oe {
 			// Media faults armed before recovery: the rebuild scan verifies
 			// checksums and must see the fault model a live node would.
 			n.armMediaFaults()
-			eng, ckpt, err := core.Recover(store, dev)
-			if err != nil {
+			if _, err := n.recoverLocked(); err != nil {
 				return nil, fmt.Errorf("ps: recover: %w", err)
 			}
-			n.adoptEngine(eng)
-			engine = eng
-			n.RecoveredBatch = ckpt
-			n.lastRecover = eng.RecoverInfo()
-		} else {
-			arena, err := pmem.NewArena(dev, payload, slots)
-			if err != nil {
-				return nil, err
-			}
-			// Armed after the arena format (formatting is setup, not a fault
-			// target) but before the engine exists, so the engine sees the
-			// model and turns on flush verification.
-			n.armMediaFaults()
-			eng, err := core.New(store, arena)
-			if err != nil {
-				return nil, err
-			}
-			n.adoptEngine(eng)
-			engine = eng
+			return n, nil
 		}
-	case "dram-ps":
-		eng, err := dramps.New(store, dramps.Options{CheckpointDir: cfg.CheckpointDir})
-		if err != nil {
+		// A fresh device, or a baseline's image: only PMem-OE recovers from
+		// one, the baselines format over it.
+		if arena, err = pmem.NewArena(n.dev, payload, slots); err != nil {
 			return nil, err
 		}
-		engine = eng
-	case "ori-cache":
-		dev, _, err := newDevice()
-		if err != nil {
-			return nil, err
-		}
-		n.dev = dev
-		arena, err := pmem.NewArena(dev, payload, slots)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := oricache.New(store, arena, oricache.Options{CheckpointDir: cfg.CheckpointDir})
-		if err != nil {
-			return nil, err
-		}
-		engine = eng
-	case "pmem-hash":
-		dev, _, err := newDevice()
-		if err != nil {
-			return nil, err
-		}
-		n.dev = dev
-		arena, err := pmem.NewArena(dev, payload, slots)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := pmemhash.New(store, arena)
-		if err != nil {
-			return nil, err
-		}
-		engine = eng
-	default:
-		return nil, fmt.Errorf("ps: unknown engine %q", cfg.Engine)
 	}
-	n.box = newEngineBox(engine)
-
-	srv, err := rpc.ServeOpts(addr, n.box, n.serverOptions())
+	if !oe {
+		eng, err := engines.New(cfg.Engine, store, arena, cfg.CheckpointDir)
+		if err != nil {
+			return nil, err
+		}
+		n.baseline = eng
+		return n, nil
+	}
+	// Armed after the arena format (formatting is setup, not a fault
+	// target) but before the engine exists, so the engine sees the
+	// model and turns on flush verification.
+	n.armMediaFaults()
+	eng, err := core.New(store, arena)
 	if err != nil {
-		engine.Close()
 		return nil, err
 	}
-	n.srv = srv
-	n.addr = srv.Addr()
+	n.adoptEngine(eng)
 	return n, nil
 }
 
-func (n *Node) serverOptions() rpc.ServerOptions {
+// openDevice sets n.dev to the configured PMem image when that file exists
+// and to a fresh device of the given capacity otherwise.
+func (n *Node) openDevice(capacity int) (existing bool, err error) {
+	timed := device.NewTimedPMem(n.cfg.Store.Meter)
+	if n.cfg.PMemImage != "" {
+		if _, serr := os.Stat(n.cfg.PMemImage); serr == nil {
+			n.dev, err = pmem.OpenFile(n.cfg.PMemImage, timed)
+			return true, err
+		}
+	}
+	n.dev = pmem.NewDevice(capacity, timed)
+	return false, nil
+}
+
+// Listen serves the node on addr ("127.0.0.1:0" picks a free port). A node
+// listens on one address at a time.
+func (n *Node) Listen(addr string) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.crashed {
+		return fmt.Errorf("ps: listen on a crashed node")
+	}
+	if n.srv != nil {
+		return fmt.Errorf("ps: node already listening on %s", n.addr)
+	}
+	return n.listenLocked(addr)
+}
+
+// listenLocked starts the RPC server at the node's current engine and
+// epoch. Caller holds mu.
+func (n *Node) listenLocked(addr string) error {
 	opts := rpc.ServerOptions{
 		Epoch:  n.epoch,
 		Inject: n.cfg.Inject,
 		Label:  n.cfg.Label,
 		Obs:    n.cfg.Obs,
 	}
-	if n.cfg.Engine == "pmem-oe" {
-		opts.Rollback = n.rollbackTo
-		opts.Scrub = n.scrubRPC
-		opts.Migrate = n.migrateRPC
-		opts.Adopt = n.adoptRPC
-		opts.Drop = n.dropRPC
-		if n.serve != nil {
-			opts.Bags = n.serve
-			// Replicas are serving state only — installing them needs no fence.
-			opts.Replicate = n.serve.MergeReplicas
-		}
+	if n.baseline == nil {
+		opts.Control = n
 	}
-	return opts
+	if n.serve != nil { // only ever set on a pmem-oe node
+		opts.Bags = n.serve
+	}
+	srv, err := rpc.ServeOpts(addr, n.Engine(), opts)
+	if err != nil {
+		return err
+	}
+	n.srv, n.addr = srv, srv.Addr()
+	return nil
+}
+
+// Unlisten stops serving: every client connection drops and the address is
+// released. The node stays open for in-process use and may Listen again.
+func (n *Node) Unlisten() error {
+	n.mu.Lock()
+	srv := n.srv
+	n.srv, n.addr = nil, ""
+	n.mu.Unlock()
+	if srv == nil {
+		return nil
+	}
+	// Closed outside mu: the handler drain may include a rollback RPC.
+	return srv.Close()
 }
 
 // matchIntervals turns wire hash intervals into the key predicate the
@@ -256,43 +273,46 @@ func matchIntervals(ivs []rpc.HashInterval) func(key uint64) bool {
 	return func(key uint64) bool { return rpc.CoversKey(ivs, key) }
 }
 
-// migrateRPC serves MsgMigrateRange: export one page of the moving range.
+// MigrateRange serves MsgMigrateRange: export one page of the moving range.
 // A read — no state change, no fence.
-func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]psengine.MigEntry, bool, error) {
-	return n.box.ExportRange(matchIntervals(ivs), since, afterKey, max)
+func (n *Node) MigrateRange(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]psengine.MigEntry, bool, error) {
+	return n.core.Load().ExportRange(matchIntervals(ivs), since, afterKey, max)
 }
 
-// adoptRPC serves MsgAdoptRange: install migrated entries (durably), then
+// AdoptRange serves MsgAdoptRange: install migrated entries (durably), then
 // fence the node epoch — clients bound to the pre-migration ownership view
 // must re-synchronize before their next batch-protocol request, exactly as
 // after a rollback. The coordinator itself re-adopts the epoch on its
 // connection right after the flip.
-func (n *Node) adoptRPC(entries []psengine.MigEntry) error {
-	err := n.box.AdoptEntries(entries)
+func (n *Node) AdoptRange(entries []psengine.MigEntry) error {
+	err := n.core.Load().AdoptEntries(entries)
 	// Fence even on error: a partial adopt may already have installed
 	// entries, changing the served key set.
-	n.parkFence()
-	n.mu.Lock()
-	n.applyPendingFenceLocked()
-	n.mu.Unlock()
+	n.fence()
 	return err
 }
 
-// dropRPC serves MsgDropRange: remove the moved range — index, cache and
+// DropRange serves MsgDropRange: remove the moved range — index, cache and
 // durable records — then fence the node epoch: the node's key set
 // regressed, and any client that still believes the old ownership must be
 // rejected rather than repopulate dropped keys.
-func (n *Node) dropRPC(ivs []rpc.HashInterval) (int, error) {
-	dropped, err := n.box.DropRange(matchIntervals(ivs))
+func (n *Node) DropRange(ivs []rpc.HashInterval) (int, error) {
+	dropped, err := n.core.Load().DropRange(matchIntervals(ivs))
 	// Fence even on error: a drop that failed mid-way may already have
 	// removed entries.
 	if dropped > 0 || err == nil {
-		n.parkFence()
-		n.mu.Lock()
-		n.applyPendingFenceLocked()
-		n.mu.Unlock()
+		n.fence()
 	}
 	return dropped, err
+}
+
+// Replicate serves MsgReplicate: install read-only serving replicas. They
+// are serving state only — installing them needs no fence.
+func (n *Node) Replicate(keys []uint64, rows []float32) error {
+	if n.serve == nil {
+		return fmt.Errorf("ps: replication needs a serving node (NodeConfig.Serve)")
+	}
+	return n.serve.MergeReplicas(keys, rows)
 }
 
 // armMediaFaults arms the PMem media-fault model on the node's device when
@@ -303,21 +323,39 @@ func (n *Node) armMediaFaults() {
 	}
 }
 
-// adoptEngine wires node-level integrity plumbing into a fresh core engine:
-// a background scrub round that loses state (restores or fences entries)
-// must fence the node's epoch so every client re-synchronizes through the
-// recovery protocol before touching the regressed state. On a serving node
-// it also puts the engine behind the node's one serve.Handler.
+// adoptEngine puts a fresh core engine behind the node — behind the serve
+// handler and the RPC server too, when the node has them — and wires the
+// node-level integrity plumbing into it: a background scrub round that
+// loses state (restores or fences entries) must fence the node's epoch so
+// every client re-synchronizes through the recovery protocol before
+// touching the regressed state. Caller holds mu, or is Open.
 func (n *Node) adoptEngine(eng *core.Engine) {
 	eng.SetIntegrityNotify(n.integrityFence)
-	if !n.cfg.Serve {
-		return
+	n.lastRecover = eng.RecoverInfo()
+	if n.cfg.Serve {
+		if n.serve == nil {
+			n.serve = serve.New(eng, n.cfg.Obs)
+		} else {
+			n.serve.SetEngine(eng)
+		}
 	}
-	if n.serve == nil {
-		n.serve = serve.New(eng, n.cfg.Obs)
-	} else {
-		n.serve.SetEngine(eng)
+	n.core.Store(eng)
+	if n.srv != nil {
+		n.srv.SetEngine(eng)
 	}
+}
+
+// recoverLocked rebuilds the engine from the device's durable image and
+// adopts it: what a process start over an existing image and an in-process
+// Restart both do. Caller holds mu, or is Open.
+func (n *Node) recoverLocked() (int64, error) {
+	eng, ckpt, err := core.Recover(n.cfg.Store, n.dev)
+	if err != nil {
+		return -1, err
+	}
+	n.adoptEngine(eng)
+	n.RecoveredBatch = ckpt
+	return ckpt, nil
 }
 
 // ServeHandler returns the node's serving handler (nil unless the node was
@@ -336,7 +374,7 @@ func (n *Node) ServeHandler() *serve.Handler { return n.serve }
 // goroutine that may block: the maintainer-pool drain never waits on it,
 // and applying late is safe because a crash/restart/rollback that raced
 // past bumps the epoch itself (making the parked fence redundant —
-// applyPendingFenceLocked drops it on a crashed/closed node) and
+// applyPendingFenceLocked drops it on a crashed node) and
 // rpc.Server.SetEpoch is an atomic store, valid even after server close.
 //
 // oevet:fence-obligated
@@ -363,6 +401,17 @@ func (n *Node) integrityFence() {
 // oevet:fence-park
 func (n *Node) parkFence() { n.pendingFence.Store(true) }
 
+// fence parks and applies an epoch fence from a request handler, which —
+// unlike a maintainer goroutine — may wait for mu.
+//
+// oevet:fence-apply
+func (n *Node) fence() {
+	n.parkFence()
+	n.mu.Lock()
+	n.applyPendingFenceLocked()
+	n.mu.Unlock()
+}
+
 // fenceEpochLocked bumps the node epoch, publishes it to the serving RPC
 // server, and clears any parked fence the bump subsumes (a bump re-fences
 // every client strictly harder than the scrub fence would have). Caller
@@ -387,26 +436,23 @@ func (n *Node) applyPendingFenceLocked() {
 	if !n.pendingFence.Swap(false) {
 		return
 	}
-	if n.crashed || n.srv == nil {
+	if n.crashed {
 		return
 	}
 	n.fenceEpochLocked()
 }
 
-// scrubRPC serves MsgScrub: one full integrity pass over the node's
-// records. State-losing heals (restored or fenced entries) fence the epoch
-// exactly like the background path.
-func (n *Node) scrubRPC() (psengine.ScrubReport, error) {
-	rep, err := n.box.Scrub()
+// Scrub serves MsgScrub: one full integrity pass over the node's records.
+// State-losing heals (restored or fenced entries) fence the epoch exactly
+// like the background path.
+func (n *Node) Scrub() (psengine.ScrubReport, error) {
+	rep, err := n.core.Load().Scrub()
 	// Fence BEFORE surfacing any error: a pass that failed mid-way may
 	// already have restored or fenced entries (the report carries the
 	// partial counts), and state already lost must fence the epoch even
 	// when the surrounding operation fails.
 	if rep.Restored+rep.Fenced > 0 {
-		n.parkFence()
-		n.mu.Lock()
-		n.applyPendingFenceLocked()
-		n.mu.Unlock()
+		n.fence()
 	}
 	return rep, err
 }
@@ -440,10 +486,14 @@ func (n *Node) Epoch() int64 {
 	return n.epoch
 }
 
-// Engine exposes the underlying storage engine (for embedded use). The
-// returned handle stays valid across Crash/Restart/rollback — it forwards
-// to whichever engine currently backs the node.
-func (n *Node) Engine() psengine.Engine { return n.box }
+// Engine returns the engine currently behind the node, for in-process use.
+// Restart and rollback replace it: a caller that outlives one asks again.
+func (n *Node) Engine() psengine.Engine {
+	if n.baseline != nil {
+		return n.baseline
+	}
+	return n.core.Load()
+}
 
 // Crash simulates a node failure in-process: the server stops (every
 // client connection drops), the engine is torn down, and unpersisted
@@ -451,7 +501,7 @@ func (n *Node) Engine() psengine.Engine { return n.box }
 // survives; Restart recovers from it. Only pmem-oe nodes — whose PMem
 // image is crash-consistent by design — support it.
 func (n *Node) Crash() error {
-	if n.cfg.Engine != "pmem-oe" {
+	if n.baseline != nil {
 		return fmt.Errorf("ps: crash unsupported for engine %q", n.cfg.Engine)
 	}
 	n.mu.Lock()
@@ -463,67 +513,62 @@ func (n *Node) Crash() error {
 	n.mu.Unlock()
 	// Close the server outside mu: its handler drain may include a
 	// rollback RPC that needs mu.
-	if err := srv.Close(); err != nil {
-		return err
+	var err error
+	if srv != nil {
+		err = srv.Close()
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// Drain background maintenance, then drop whatever the "power loss"
 	// catches un-persisted. Records and checkpoint IDs were Persisted on
 	// write, so the surviving image is exactly the durable state.
-	if err := n.box.Close(); err != nil && !errors.Is(err, psengine.ErrClosed) {
-		_ = err // the engine state is discarded either way
-	}
+	n.core.Load().Close()
 	n.dev.Crash()
+	n.srv = nil
 	n.crashed = true
-	return nil
+	return err
 }
 
-// Restart recovers a crashed node from its surviving PMem image and
-// re-serves the SAME address at a bumped epoch. Clients synchronized to
-// the old epoch are fenced on their next batch-protocol request and must
-// run the cluster recovery protocol (rollback + AdoptEpoch).
+// Restart recovers a crashed node from its surviving PMem image and, when
+// it was listening, re-serves the SAME address at a bumped epoch. Clients
+// synchronized to the old epoch are fenced on their next batch-protocol
+// request and must run the cluster recovery protocol (rollback +
+// AdoptEpoch).
 func (n *Node) Restart() (int64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.crashed {
 		return -1, fmt.Errorf("ps: restart of a node that is not crashed")
 	}
-	eng, ckpt, err := core.Recover(n.cfg.Store, n.dev)
+	ckpt, err := n.recoverLocked()
 	if err != nil {
 		return -1, fmt.Errorf("ps: restart: %w", err)
 	}
-	n.adoptEngine(eng)
-	n.lastRecover = eng.RecoverInfo()
-	n.box.set(eng)
-	// This bump subsumes any fence parked against the old engine's state.
-	// (It lands on the closed old server — harmless — and the new server
-	// below starts at the bumped epoch via serverOptions.)
+	// This bump subsumes any fence parked against the old engine's state;
+	// the server below starts at the bumped epoch.
 	n.fenceEpochLocked()
-	srv, err := rpc.ServeOpts(n.addr, n.box, n.serverOptions())
-	if err != nil {
-		eng.Close()
-		return -1, fmt.Errorf("ps: restart: re-listen on %s: %w", n.addr, err)
+	if n.addr != "" {
+		if err := n.listenLocked(n.addr); err != nil {
+			n.core.Load().Close()
+			return -1, fmt.Errorf("ps: restart: re-listen on %s: %w", n.addr, err)
+		}
 	}
-	n.srv = srv
 	n.crashed = false
-	n.RecoveredBatch = ckpt
 	return ckpt, nil
 }
 
-// rollbackTo serves the rollback RPC: it swaps in an engine recovered at
+// Rollback serves the rollback RPC: it swaps in an engine recovered at
 // the requested retained checkpoint and bumps the epoch so every other
 // client re-synchronizes before touching the rolled-back state. Idempotent
 // — rolling back to the checkpoint the engine is already at is a recovery
 // to the same state.
-func (n *Node) rollbackTo(target int64) error {
+func (n *Node) Rollback(target int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.crashed {
 		return fmt.Errorf("ps: rollback of a crashed node")
 	}
-	old := n.box.get()
-	if err := old.Close(); err != nil && !errors.Is(err, psengine.ErrClosed) {
+	if err := n.core.Load().Close(); err != nil && !errors.Is(err, psengine.ErrClosed) {
 		return fmt.Errorf("ps: rollback: draining engine: %w", err)
 	}
 	eng, _, err := core.RecoverTo(n.cfg.Store, n.dev, target)
@@ -532,8 +577,6 @@ func (n *Node) rollbackTo(target int64) error {
 		return fmt.Errorf("ps: rollback to %d: %w", target, err)
 	}
 	n.adoptEngine(eng)
-	n.lastRecover = eng.RecoverInfo()
-	n.box.set(eng)
 	// This bump subsumes any fence parked against the old engine's state.
 	n.fenceEpochLocked()
 	return nil
@@ -548,15 +591,26 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	var err error
 	if !crashed {
-		err = srv.Close()
-		if cerr := n.box.Close(); err == nil {
+		if srv != nil {
+			err = srv.Close()
+		}
+		if cerr := n.Engine().Close(); err == nil {
 			err = cerr
 		}
 	}
 	if n.dev != nil && n.cfg.PMemImage != "" {
-		if serr := n.dev.Save(n.cfg.PMemImage); err == nil {
+		if serr := n.Save(); err == nil {
 			err = serr
 		}
 	}
 	return err
+}
+
+// Save writes the device's durable image to NodeConfig.PMemImage (a real
+// PMem DIMM would not need this; the file stands in for the DAX mapping).
+func (n *Node) Save() error {
+	if n.dev == nil || n.cfg.PMemImage == "" {
+		return fmt.Errorf("ps: no PMem image configured")
+	}
+	return n.dev.Save(n.cfg.PMemImage)
 }

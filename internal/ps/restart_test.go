@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,5 +195,52 @@ func TestCrashUnsupportedEngines(t *testing.T) {
 	}
 	if _, err := n.Restart(); err == nil {
 		t.Fatal("un-crashed node accepted Restart")
+	}
+}
+
+// TestNodeRollbackDefaultRetention pins the production node against the
+// recovery protocol: a node whose Store leaves RetainCheckpoints at its zero
+// value — what oeps, oectl and the public Server start — retains two
+// checkpoints, so the Rollback(previous) that cluster.Recover sends after a
+// mid-gate crash finds its target and serves that checkpoint's rows. An
+// explicit 1 is still honoured: that node keeps only the latest.
+func TestNodeRollbackDefaultRetention(t *testing.T) {
+	start := func(retain int) *rpc.Client {
+		cfg := restartNodeConfig()
+		cfg.Store.RetainCheckpoints = retain
+		_, cl := startNodeWith(t, cfg)
+		return cl
+	}
+	keys := []uint64{7, 8}
+
+	cl := start(0)
+	w0 := driveConst(t, cl, 0, keys, 1.0)
+	commitOverWire(t, cl, 0)
+	driveConst(t, cl, 1, keys, 1.0)
+	commitOverWire(t, cl, 1)
+	if err := cl.Rollback(0); err != nil {
+		t.Fatalf("rollback to the first of two gated checkpoints: %v", err)
+	}
+	if _, err := cl.AdoptEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := cl.Pull(1, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w {
+		want := w0[i] - 0.1 // one SGD step: the state as of checkpoint 0
+		if d := w[i] - want; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("rolled-back w[%d] = %v, want %v", i, w[i], want)
+		}
+	}
+
+	one := start(1)
+	driveConst(t, one, 0, keys, 1.0)
+	commitOverWire(t, one, 0)
+	driveConst(t, one, 1, keys, 1.0)
+	commitOverWire(t, one, 1)
+	if err := one.Rollback(0); err == nil || !strings.Contains(err.Error(), "not retained") {
+		t.Fatalf("rollback past an explicit RetainCheckpoints 1: %v, want a not-retained refusal", err)
 	}
 }

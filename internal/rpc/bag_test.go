@@ -75,7 +75,7 @@ func encodePullBag(mean bool, offsets []uint32, keys []uint64) []byte {
 // round-trip through the server handler to the stub's exact pooled floats.
 func TestPullBagRoundTripProperty(t *testing.T) {
 	const dim = 4
-	srv := &Server{engine: testEngine(t), bags: &sumBags{dim: dim}}
+	srv := bareServer(testEngine(t), &sumBags{dim: dim})
 	f := func(sizes []uint8, rawKeys []uint64, mean bool) bool {
 		if len(sizes) > 64 {
 			sizes = sizes[:64]
@@ -124,7 +124,7 @@ func TestPullBagRoundTripProperty(t *testing.T) {
 // offsets, a bad pooling mode — must each come back MsgErr, and legal
 // zero-length bags must not.
 func TestPullBagMalformed(t *testing.T) {
-	srv := &Server{engine: testEngine(t), bags: &sumBags{dim: 4}}
+	srv := bareServer(testEngine(t), &sumBags{dim: 4})
 
 	// Legal: zero-length bags pool to the zero vector.
 	resp := srv.handle(encodePullBag(false, []uint32{0, 0, 2, 2}, []uint64{1, 2}))
@@ -151,7 +151,7 @@ func TestPullBagMalformed(t *testing.T) {
 	}
 
 	// A server without a bag hook must reject, not panic.
-	bare := &Server{engine: testEngine(t)}
+	bare := bareServer(testEngine(t), nil)
 	if resp := bare.handle(full); resp[0] != MsgErr {
 		t.Fatalf("bag-less server answered %v", resp)
 	}
@@ -167,7 +167,7 @@ func FuzzPullBagDecode(f *testing.F) {
 	f.Add([]byte{1}, []byte{1, 0, 0, 0}, []byte{}, 3)                         // truncated offsets
 	f.Add([]byte{9}, []byte{}, []byte{}, 0)                                   // bad mode
 	f.Fuzz(func(t *testing.T, mode, rawOffsets, rawKeys []byte, cut int) {
-		srv := &Server{engine: testEngine(t), bags: &sumBags{dim: 4}}
+		srv := bareServer(testEngine(t), &sumBags{dim: 4})
 		body := append([]byte{MsgPullBag, 0, 0, 0, 0, 0, 0, 0, 0}, mode...)
 		body = append(body, rawOffsets...)
 		body = append(body, rawKeys...)

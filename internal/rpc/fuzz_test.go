@@ -95,7 +95,7 @@ func FuzzFrameTear(f *testing.F) {
 // TestServerHandleNeverPanics: arbitrary request bodies must produce a
 // response (usually MsgErr), never a panic or a hang.
 func TestServerHandleNeverPanics(t *testing.T) {
-	srv := &Server{engine: testEngine(t)}
+	srv := bareServer(testEngine(t), nil)
 	f := func(body []byte) bool {
 		resp := srv.handle(body)
 		if len(resp) == 0 {

@@ -228,7 +228,7 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 // while it queued is answered MsgErrBusy without touching the engine.
 func TestDispatchDeadlineAbandon(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := &Server{engine: testEngine(t)}
+	s := bareServer(testEngine(t), nil)
 	s.reg = reg
 	s.abandoned = reg.Counter("rpc_server_deadline_abandoned")
 	elapsed := time.Duration(0)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"openembedding/internal/engines/dramps"
+	"openembedding/internal/obs"
 	"openembedding/internal/optim"
 	"openembedding/internal/psengine"
 )
@@ -235,5 +236,44 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoControlRejectsControlMessages: a server that puts a bare engine on
+// the wire (no ServerOptions.Control) refuses every control-plane message
+// the same way — a remote application error that names the message, not a
+// transport failure — and the connection that carried the refusals serves
+// the next request.
+func TestNoControlRejectsControlMessages(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, cl := stubServer(t, testEngine(t), ServerOptions{Obs: reg})
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"rollback", func() error { return cl.Rollback(0) }},
+		{"scrub", func() error { _, err := cl.Scrub(); return err }},
+		{"migrate-range", func() error { _, _, err := cl.MigrateRange(0, 0, 1, nil); return err }},
+		{"adopt-range", func() error { return cl.AdoptRange(nil) }},
+		{"drop-range", func() error { _, err := cl.DropRange(nil); return err }},
+		{"replicate", func() error { return cl.Replicate([]uint64{1}, []float32{1}) }},
+	}
+	for _, c := range calls {
+		err := c.call()
+		if want := "rpc: remote: " + c.name + " unsupported by this node"; err == nil || err.Error() != want {
+			t.Fatalf("%s: err = %v, want %q", c.name, err, want)
+		}
+		if IsDegraded(err) {
+			t.Fatalf("%s: %v reads as a transport failure", c.name, err)
+		}
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection broken after the refusals: %v", err)
+	}
+	// One connect for the first request; no refusal cost a redial or a retry.
+	snap := reg.Snapshot().Counters
+	if snap["rpc_client_retries"] != 0 || snap["rpc_client_redials"] != 0 {
+		t.Fatalf("the refusals cost %d retries and %d redials, want none",
+			snap["rpc_client_retries"], snap["rpc_client_redials"])
 	}
 }

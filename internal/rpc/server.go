@@ -27,37 +27,47 @@ type ServerOptions struct {
 	// Label is the injector stream label for this server's connections;
 	// it defaults to "server".
 	Label string
-	// Rollback, when set, serves MsgRollback by rolling the node's engine
-	// back to the requested checkpoint. Nil rejects rollback requests.
-	Rollback func(target int64) error
-	// Scrub, when set, serves MsgScrub by running one full integrity pass
-	// over the node's persisted records. Nil rejects scrub requests.
-	Scrub func() (psengine.ScrubReport, error)
 	// Bags, when set, serves MsgPullBag (the serving tier's pooled
 	// embedding-bag gather). Nil rejects bag requests with MsgErr; the
 	// connection stays alive either way.
 	Bags BagServer
-	// Migrate, when set, serves MsgMigrateRange: export up to max entries
-	// of the given hash intervals with dataVersion >= since and key >
-	// afterKey, in ascending key order, with a more flag. Nil rejects
-	// migration exports.
-	Migrate func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
-	// Adopt, when set, serves MsgAdoptRange by installing migrated entries
-	// (durably, before replying). Nil rejects adoptions.
-	Adopt func(entries []psengine.MigEntry) error
-	// Drop, when set, serves MsgDropRange by removing the intervals' keys
-	// from the node's index, cache and durable records, returning how many
-	// entries were dropped. Nil rejects drops.
-	Drop func(ivs []HashInterval) (int, error)
-	// Replicate, when set, serves MsgReplicate by installing read-only
-	// serving replicas of the given rows. Nil rejects replication pushes.
-	Replicate func(keys []uint64, rows []float32) error
+	// Control, when set, serves the control-plane messages (rollback,
+	// scrub, migration, replication). Nil rejects each of them with MsgErr;
+	// the connection stays alive either way.
+	Control Control
 	// Obs, when set, receives server metrics: rpc_server_pull_ns /
 	// rpc_server_push_ns / rpc_server_other_ns request-service histograms,
 	// rpc_server_bytes_in/out, rpc_server_requests, the rpc_server_conns
 	// gauge, and the fault-tolerance counters rpc_server_epoch_rejects,
 	// rpc_server_dedup_hits and rpc_server_deadline_abandoned.
 	Obs *obs.Registry
+}
+
+// Control is the node behind a server's control-plane messages: the
+// operations that swap, repair or re-home the engine's state rather than
+// read or train it, and so need more than a psengine.Engine. ps.Node is the
+// implementation; a bare engine on the wire has none.
+type Control interface {
+	// Rollback serves MsgRollback: roll the node's engine back to a
+	// retained checkpoint.
+	Rollback(target int64) error
+	// Scrub serves MsgScrub: one full integrity pass over the node's
+	// persisted records.
+	Scrub() (psengine.ScrubReport, error)
+	// MigrateRange serves MsgMigrateRange: export up to max entries of the
+	// given hash intervals with dataVersion >= since and key > afterKey, in
+	// ascending key order, with a more flag.
+	MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
+	// AdoptRange serves MsgAdoptRange: install migrated entries, durably,
+	// before replying. It may keep the entries.
+	AdoptRange(entries []psengine.MigEntry) error
+	// DropRange serves MsgDropRange: remove the intervals' keys from the
+	// node's index, cache and durable records; it returns how many entries
+	// went.
+	DropRange(ivs []HashInterval) (int, error)
+	// Replicate serves MsgReplicate: install read-only serving replicas of
+	// the given rows (len(rows) a positive multiple of len(keys)).
+	Replicate(keys []uint64, rows []float32) error
 }
 
 // advancer is the optional engine hook the MsgCompletedCkpt handler drives:
@@ -103,18 +113,13 @@ var errNoBags = errors.New("bag serving unsupported by this node")
 // Mutating requests are deduplicated by their client ID and sequence
 // number: a retry of the last request replays the cached response.
 type Server struct {
-	engine    psengine.Engine
-	ln        net.Listener
-	epoch     atomic.Int64
-	inject    *faultinject.Injector
-	label     string
-	rollback  func(target int64) error
-	scrub     func() (psengine.ScrubReport, error)
-	bags      BagServer
-	migrate   func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
-	adopt     func(entries []psengine.MigEntry) error
-	drop      func(ivs []HashInterval) (int, error)
-	replicate func(keys []uint64, rows []float32) error
+	engine  atomic.Pointer[psengine.Engine] // never nil; see SetEngine
+	ln      net.Listener
+	epoch   atomic.Int64
+	inject  *faultinject.Injector
+	label   string
+	bags    BagServer
+	control Control
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -155,21 +160,16 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 		return nil, fmt.Errorf("rpc: listen: %w", err)
 	}
 	s := &Server{
-		engine:    engine,
-		ln:        ln,
-		inject:    opts.Inject,
-		label:     opts.Label,
-		rollback:  opts.Rollback,
-		scrub:     opts.Scrub,
-		bags:      opts.Bags,
-		migrate:   opts.Migrate,
-		adopt:     opts.Adopt,
-		drop:      opts.Drop,
-		replicate: opts.Replicate,
-		conns:     make(map[net.Conn]struct{}),
-		dedup:     make(map[int64]dedupEntry),
-		now:       time.Now,
+		ln:      ln,
+		inject:  opts.Inject,
+		label:   opts.Label,
+		bags:    opts.Bags,
+		control: opts.Control,
+		conns:   make(map[net.Conn]struct{}),
+		dedup:   make(map[int64]dedupEntry),
+		now:     time.Now,
 	}
+	s.SetEngine(engine)
 	s.epoch.Store(opts.Epoch)
 	if s.label == "" {
 		s.label = "server"
@@ -200,6 +200,16 @@ func (s *Server) Epoch() int64 { return s.epoch.Load() }
 // SetEpoch moves the server to a new epoch. Connections bound to the old
 // epoch have their next fenced request rejected with MsgErrEpoch.
 func (s *Server) SetEpoch(e int64) { s.epoch.Store(e) }
+
+// SetEngine puts eng behind the server — the engine a rollback recovered,
+// of the same dimension. Each request loads the engine once, so it is
+// answered by one engine throughout; a request already inside the engine
+// the caller closed before the swap answers psengine.ErrClosed. The caller
+// moves the epoch (SetEpoch) after the swap, so no client bound to the new
+// epoch meets the old engine.
+func (s *Server) SetEngine(eng psengine.Engine) {
+	s.engine.Store(&eng)
+}
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -350,9 +360,7 @@ func (s *Server) handleHello(bound *int64, body []byte) []byte {
 		clientEpoch = cur
 	}
 	*bound = clientEpoch
-	out := &Buffer{b: []byte{MsgData}}
-	out.PutI64(cur)
-	return out.Bytes()
+	return i64Resp(cur)
 }
 
 // mutatingMsg lists the messages that carry a clientID+seq pair and are
@@ -438,21 +446,22 @@ func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
 			return ErrBody(err)
 		}
 	}
+	eng := *s.engine.Load()
 	switch t {
 	case MsgPull:
-		return s.handlePull(sc, batch, r)
+		return s.handlePull(eng, sc, batch, r)
 	case MsgPush:
-		return s.handlePush(sc, batch, r)
+		return s.handlePush(eng, sc, batch, r)
 	case MsgEndPullPhase:
-		s.engine.EndPullPhase(batch)
+		eng.EndPullPhase(batch)
 		return OKBody()
 	case MsgEndBatch:
-		if err := s.engine.EndBatch(batch); err != nil {
+		if err := eng.EndBatch(batch); err != nil {
 			return errResp(err)
 		}
 		return OKBody()
 	case MsgCheckpoint:
-		if err := s.engine.RequestCheckpoint(batch); err != nil {
+		if err := eng.RequestCheckpoint(batch); err != nil {
 			return ErrBody(err)
 		}
 		return OKBody()
@@ -460,49 +469,69 @@ func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
 		// A progress poll also drives background checkpoint finalization
 		// forward when the engine supports it, so a trainer waiting for a
 		// commit is never stuck behind "no more batches are coming".
-		if adv, ok := s.engine.(advancer); ok {
+		if adv, ok := eng.(advancer); ok {
 			if err := adv.AdvanceCheckpoints(); err != nil {
 				return errResp(err)
 			}
 		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(s.engine.CompletedCheckpoint())
-		return out.Bytes()
-	case MsgRollback:
-		if s.rollback == nil {
-			return ErrBody(fmt.Errorf("rollback unsupported by this node"))
+		return i64Resp(eng.CompletedCheckpoint())
+	case MsgPullBag:
+		return s.handlePullBag(sc, r)
+	case MsgStats:
+		st := eng.Stats()
+		return fieldsResp(statsFields(&st))
+	case MsgRollback, MsgScrub, MsgMigrateRange, MsgAdoptRange, MsgDropRange, MsgReplicate:
+		if s.control == nil {
+			return ErrBody(fmt.Errorf("%s unsupported by this node", msgName(t)))
 		}
-		if err := s.rollback(batch); err != nil {
+		return s.handleControl(t, batch, r)
+	case MsgPing:
+		// The health probe reports the node's epoch and whether it serves
+		// bag reads; Ping ignores the payload, PingInfo decodes it.
+		out := &Buffer{b: []byte{MsgData}}
+		out.PutI64(s.epoch.Load())
+		out.PutBool(s.bags != nil)
+		return out.Bytes()
+	default:
+		return ErrBody(fmt.Errorf("unknown message type 0x%02x", t))
+	}
+}
+
+// i64Resp encodes a MsgData response carrying one int64.
+func i64Resp(v int64) []byte {
+	out := &Buffer{b: []byte{MsgData}}
+	out.PutI64(v)
+	return out.Bytes()
+}
+
+// fieldsResp encodes a MsgData response carrying consecutive int64s — the
+// counterpart of readFields.
+func fieldsResp(fields []*int64) []byte {
+	out := &Buffer{b: []byte{MsgData}}
+	for _, f := range fields {
+		out.PutI64(*f)
+	}
+	return out.Bytes()
+}
+
+// handleControl serves one control-plane message (type and batch already
+// consumed) through the node's Control. It decodes into fresh memory: what
+// AdoptRange or Replicate installs may be kept.
+func (s *Server) handleControl(t byte, batch int64, r *Reader) []byte {
+	switch t {
+	case MsgRollback:
+		if err := s.control.Rollback(batch); err != nil {
 			return errResp(err)
 		}
 		return OKBody()
 	case MsgScrub:
-		if s.scrub == nil {
-			return ErrBody(fmt.Errorf("scrub unsupported by this node"))
-		}
-		rep, err := s.scrub()
+		rep, err := s.control.Scrub()
 		if err != nil {
 			return errResp(err)
 		}
-		out := &Buffer{b: []byte{MsgData}}
-		for _, f := range scrubFields(&rep) {
-			out.PutI64(*f)
-		}
-		return out.Bytes()
-	case MsgPullBag:
-		return s.handlePullBag(sc, r)
-	case MsgStats:
-		st := s.engine.Stats()
-		out := &Buffer{b: []byte{MsgData}}
-		for _, f := range statsFields(&st) {
-			out.PutI64(*f)
-		}
-		return out.Bytes()
+		return fieldsResp(scrubFields(&rep))
 	case MsgMigrateRange:
 		// The batch field carries the delta floor (since).
-		if s.migrate == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
 		afterKey, err := r.I64()
 		if err != nil {
 			return ErrBody(err)
@@ -515,7 +544,7 @@ func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
 		if err != nil {
 			return ErrBody(err)
 		}
-		entries, more, err := s.migrate(batch, uint64(afterKey), int(max), ivs)
+		entries, more, err := s.control.MigrateRange(batch, uint64(afterKey), int(max), ivs)
 		if err != nil {
 			return errResp(err)
 		}
@@ -533,36 +562,25 @@ func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
 		putMigEntries(out, entries)
 		return out.Bytes()
 	case MsgAdoptRange:
-		if s.adopt == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
 		entries, err := readMigEntries(r)
 		if err != nil {
 			return ErrBody(err)
 		}
-		if err := s.adopt(entries); err != nil {
+		if err := s.control.AdoptRange(entries); err != nil {
 			return errResp(err)
 		}
 		return OKBody()
 	case MsgDropRange:
-		if s.drop == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
 		ivs, err := readIntervals(r)
 		if err != nil {
 			return ErrBody(err)
 		}
-		n, err := s.drop(ivs)
+		n, err := s.control.DropRange(ivs)
 		if err != nil {
 			return errResp(err)
 		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(int64(n))
-		return out.Bytes()
-	case MsgReplicate:
-		if s.replicate == nil {
-			return ErrBody(fmt.Errorf("replication unsupported by this node"))
-		}
+		return i64Resp(int64(n))
+	default: // MsgReplicate
 		keys, err := r.Keys()
 		if err != nil {
 			return ErrBody(err)
@@ -574,19 +592,10 @@ func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
 		if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
 			return ErrBody(fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys)))
 		}
-		if err := s.replicate(keys, rows); err != nil {
+		if err := s.control.Replicate(keys, rows); err != nil {
 			return errResp(err)
 		}
 		return OKBody()
-	case MsgPing:
-		// The health probe reports the node's epoch and whether it serves
-		// bag reads; Ping ignores the payload, PingInfo decodes it.
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(s.epoch.Load())
-		out.PutBool(s.bags != nil)
-		return out.Bytes()
-	default:
-		return ErrBody(fmt.Errorf("unknown message type 0x%02x", t))
 	}
 }
 
@@ -611,17 +620,17 @@ func floatsResp(sc *wireScratch) []byte {
 // connection's scratch.
 //
 // oevet:hotpath
-func (s *Server) handlePull(sc *wireScratch, batch int64, r *Reader) []byte {
+func (s *Server) handlePull(eng psengine.Engine, sc *wireScratch, batch int64, r *Reader) []byte {
 	var err error
 	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
 		return ErrBody(err)
 	}
-	n := len(sc.keys) * s.engine.Dim()
+	n := len(sc.keys) * eng.Dim()
 	if 1+4+4*n > MaxFrame {
 		return errRespTooLarge(n)
 	}
 	sc.vals = fit(sc.vals, n)
-	if err := s.engine.Pull(batch, sc.keys, sc.vals); err != nil {
+	if err := eng.Pull(batch, sc.keys, sc.vals); err != nil {
 		return errResp(err)
 	}
 	return floatsResp(sc)
@@ -631,7 +640,7 @@ func (s *Server) handlePull(sc *wireScratch, batch int64, r *Reader) []byte {
 // grads: both are the connection's scratch.
 //
 // oevet:hotpath
-func (s *Server) handlePush(sc *wireScratch, batch int64, r *Reader) []byte {
+func (s *Server) handlePush(eng psengine.Engine, sc *wireScratch, batch int64, r *Reader) []byte {
 	var err error
 	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
 		return ErrBody(err)
@@ -639,7 +648,7 @@ func (s *Server) handlePush(sc *wireScratch, batch int64, r *Reader) []byte {
 	if sc.vals, err = r.FloatsInto(sc.vals); err != nil {
 		return ErrBody(err)
 	}
-	if err := s.engine.Push(batch, sc.keys, sc.vals); err != nil {
+	if err := eng.Push(batch, sc.keys, sc.vals); err != nil {
 		return errResp(err)
 	}
 	return OKBody()

@@ -34,6 +34,27 @@ func (e *stubEngine) Pull(int64, []uint64, []float32) error {
 
 func (e *stubEngine) Push(int64, []uint64, []float32) error { return nil }
 
+// bareServer is a server with no listener behind it: tests and fuzzers
+// drive its handlers in process.
+func bareServer(eng psengine.Engine, bags BagServer) *Server {
+	s := &Server{bags: bags, now: time.Now}
+	s.SetEngine(eng)
+	return s
+}
+
+// stubControl is a Control that does nothing and succeeds; MigrateRange
+// answers page.
+type stubControl struct{ page []psengine.MigEntry }
+
+func (stubControl) Rollback(int64) error                 { return nil }
+func (stubControl) Scrub() (psengine.ScrubReport, error) { return psengine.ScrubReport{}, nil }
+func (c stubControl) MigrateRange(int64, uint64, int, []HashInterval) ([]psengine.MigEntry, bool, error) {
+	return c.page, false, nil
+}
+func (stubControl) AdoptRange([]psengine.MigEntry) error  { return nil }
+func (stubControl) DropRange([]HashInterval) (int, error) { return 0, nil }
+func (stubControl) Replicate([]uint64, []float32) error   { return nil }
+
 func stubServer(t testing.TB, eng psengine.Engine, opts ServerOptions) (*Server, *Client) {
 	t.Helper()
 	srv, err := ServeOpts("127.0.0.1:0", eng, opts)
@@ -274,16 +295,11 @@ func TestOversizedResponseKeepsConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := &stubEngine{dim: 1 << 20} // 4 MB a row: 17 rows overflow the 64 MB frame
 	page := make([]float32, 1<<20)
-	_, cl := stubServer(t, eng, ServerOptions{
-		Obs: reg,
-		Migrate: func(int64, uint64, int, []HashInterval) ([]psengine.MigEntry, bool, error) {
-			entries := make([]psengine.MigEntry, 17)
-			for i := range entries {
-				entries[i] = psengine.MigEntry{Key: uint64(i), Data: page}
-			}
-			return entries, false, nil
-		},
-	})
+	entries := make([]psengine.MigEntry, 17)
+	for i := range entries {
+		entries[i] = psengine.MigEntry{Key: uint64(i), Data: page}
+	}
+	_, cl := stubServer(t, eng, ServerOptions{Obs: reg, Control: stubControl{page: entries}})
 	refused := func(what string, err error) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), "frame limit") {
@@ -319,11 +335,8 @@ func TestOversizedResponseKeepsConnection(t *testing.T) {
 func TestScratchBounded(t *testing.T) {
 	const dim = 16
 	big := []psengine.MigEntry{{Key: 1, Data: make([]float32, 8<<20)}} // 32 MB
-	srv := &Server{
-		engine: &stubEngine{dim: dim},
-		adopt:  func([]psengine.MigEntry) error { return nil },
-		now:    time.Now,
-	}
+	srv := bareServer(&stubEngine{dim: dim}, nil)
+	srv.control = stubControl{}
 	adopt := NewBuffer(MsgAdoptRange, 0)
 	putMigEntries(adopt, big)
 	keys := []uint64{1, 2, 3}
@@ -361,9 +374,7 @@ func TestScratchBounded(t *testing.T) {
 
 	// Client side: an 8 MB migration page lands in the response scratch.
 	_, cl := stubServer(t, &stubEngine{dim: dim}, ServerOptions{
-		Migrate: func(int64, uint64, int, []HashInterval) ([]psengine.MigEntry, bool, error) {
-			return []psengine.MigEntry{{Key: 1, Data: make([]float32, 2<<20)}}, false, nil
-		},
+		Control: stubControl{page: []psengine.MigEntry{{Key: 1, Data: make([]float32, 2<<20)}}},
 	})
 	entries, _, err := cl.MigrateRange(0, 0, 1, nil)
 	if err != nil || len(entries) != 1 || len(entries[0].Data) != 2<<20 {

@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"time"
 
-	"openembedding/internal/core"
 	"openembedding/internal/device"
-	"openembedding/internal/engines/dramps"
-	"openembedding/internal/engines/oricache"
-	"openembedding/internal/engines/pmemhash"
+	"openembedding/internal/engines"
 	"openembedding/internal/optim"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
@@ -345,38 +342,28 @@ func cacheEntries(cfg Config) int {
 	return n
 }
 
-// buildEngine constructs the engine under test.
+// buildEngine constructs the engine under test. "tf" is the DRAM store
+// under the TensorFlow cost profile; the PMem-OE arena gets the headroom a
+// PS node gives it, the baselines' the 2x their in-place updates need.
 func buildEngine(cfg Config, store psengine.Config) (psengine.Engine, error) {
-	newArena := func(slotsFactor int) (*pmem.Arena, error) {
+	kind := cfg.Engine
+	if kind == "tf" {
+		kind = "dram-ps"
+	}
+	var arena *pmem.Arena
+	if engines.UsesPMem(kind) {
+		slots := cfg.Keys * 2
+		if kind == "pmem-oe" {
+			slots = cfg.Keys * psengine.ArenaSlotsFactor
+		}
 		payload := pmem.FloatBytes(store.EntryFloats())
-		slots := cfg.Keys * slotsFactor
 		dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(store.Meter))
-		return pmem.NewArena(dev, payload, slots)
+		var err error
+		if arena, err = pmem.NewArena(dev, payload, slots); err != nil {
+			return nil, err
+		}
 	}
-	switch cfg.Engine {
-	case "pmem-oe":
-		arena, err := newArena(3)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(store, arena)
-	case "dram-ps", "tf":
-		return dramps.New(store, dramps.Options{})
-	case "ori-cache":
-		arena, err := newArena(2)
-		if err != nil {
-			return nil, err
-		}
-		return oricache.New(store, arena, oricache.Options{})
-	case "pmem-hash":
-		arena, err := newArena(2)
-		if err != nil {
-			return nil, err
-		}
-		return pmemhash.New(store, arena)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q", cfg.Engine)
-	}
+	return engines.New(kind, store, arena, "")
 }
 
 // prefill touches every key once so measurement sees a fully built table.
