@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
@@ -381,6 +382,8 @@ type fan struct {
 	rows  []float32 // the caller's dst (Pull) or grads (Push)
 	ring  *Ring     // the ring the plan is made on
 	bags  int       // PullBags: the bag count
+	out   []float32 // PullBags: the caller's out, where share `first` lands
+	first int       // PullBags: the lowest node holding keys of this call
 
 	// Per node, index-aligned with c.nodes.
 	keys  [][]uint64
@@ -422,7 +425,7 @@ func (f *fan) reshape(nn int) {
 
 // release returns f to the pool, holding on to none of the caller's memory.
 func (f *fan) release() {
-	f.rows, f.ring = nil, nil
+	f.rows, f.out, f.ring = nil, nil, nil
 	clear(f.part)
 	clear(f.stale)
 	f.c.fans.Put(f)
@@ -585,7 +588,9 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // share server-side (always sum mode on the wire), and the partial sums
 // are combined here in node-index order — a deterministic float-addition
 // order, so repeated gathers of the same state agree bit-for-bit. Mean is
-// applied client-side over each bag's full key count.
+// applied client-side over each bag's full key count. out is written
+// during the call (the first share is decoded into it): after an error its
+// contents are unspecified.
 //
 // A node that fails with a degraded error — transport failure, timeout,
 // shed (busy) or an open breaker — is failed over: its keys are regrouped
@@ -631,7 +636,7 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 	start := c.reg.Now()
 	f := c.fan((*fan).bagNode, false, 0)
 	defer f.release()
-	f.bags = bags
+	f.bags, f.out = bags, out
 	for n := range f.offs {
 		f.offs[n] = append(f.offs[n], 0) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 	}
@@ -644,17 +649,22 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 			f.offs[n] = append(f.offs[n], uint32(len(f.keys[n]))) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 		}
 	}
+	for f.first = 0; f.first < len(f.keys) && !f.has(f.first); f.first++ {
+	}
 	if n, err := f.run(); err != nil {
 		return BagResult{}, c.nodeErr(n, err)
 	}
-	// Node-index order onto a cleared out, whatever the width: the one
-	// float-addition order every gather of the same state repeats.
+	// Shares combine in node-index order, whatever the width: the one
+	// float-addition order every gather of the same state repeats. The
+	// first share is already in out (bagNode); the others are added to it.
 	var res BagResult
-	clear(out)
+	if f.first == len(f.keys) {
+		clear(out) // no key at all: every bag pools to the zero vector
+	}
 	for n, part := range f.part {
 		res.Stale = res.Stale || f.stale[n]
-		for i, v := range part {
-			out[i] += v
+		if n > f.first && f.has(n) {
+			cache.AddInto(out, part)
 		}
 	}
 	if mean {

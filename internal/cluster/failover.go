@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/rpc"
 )
 
@@ -48,13 +49,23 @@ type bagRes struct {
 	err  error
 }
 
-// bagNode is PullBags' per-node step: node n's share, down the ladder, with
-// the node's pooled buffer as the owner read's destination.
+// bagNode is PullBags' per-node step: node n's share, down the ladder. The
+// owner read's destination is the node's pooled buffer — except for the
+// call's first share, which is decoded where it is wanted, in the caller's
+// out: nothing else writes out until every node has returned. A first share
+// some other step answered (a replica, the stale tier, any step of a hedging
+// client) owns its slice and costs one copy.
 //
 // oevet:hotpath
 func (f *fan) bagNode(n int) (err error) {
-	dst := f.floats(n, f.bags*f.c.dim)
+	dst := f.out
+	if n != f.first {
+		dst = f.floats(n, len(f.out))
+	}
 	f.part[n], f.stale[n], err = f.c.bagRequest(f.ring, n, f.bags, f.offs[n], f.keys[n], dst)
+	if part := f.part[n]; n == f.first && err == nil && len(part) > 0 && &part[0] != &f.out[0] {
+		copy(f.out, part)
+	}
 	return err
 }
 
@@ -211,9 +222,7 @@ func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []u
 		if err := c.nodes[r].PullBagsInto(false, repOffs[r], repKeys[r], vals); err != nil {
 			return nil, fmt.Errorf("replica node %d (%s): %w", r, c.addrs[r], err)
 		}
-		for i, v := range vals {
-			acc[i] += v
-		}
+		cache.AddInto(acc, vals)
 	}
 	return acc, nil
 }
@@ -236,9 +245,7 @@ func (c *Client) bagStale(bags int, offs []uint32, keys []uint64) ([]float32, bo
 			if len(row) != c.dim {
 				continue
 			}
-			for i, v := range row {
-				dst[i] += v
-			}
+			cache.AddInto(dst, row)
 		}
 	}
 	c.stale.Fallback()

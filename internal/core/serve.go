@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -61,11 +62,29 @@ type shardSnap struct {
 	// runs under the exclusive shard lock) dereferences it; serving threads
 	// never touch entries.
 	ents []*entry
-	// dirty[r] != 0 marks row r stale: a push updated the entry after this
-	// snapshot copied it. Serving falls back to the locked path for dirty
-	// rows; the next rebuild re-copies them and clears the bits.
+	// Bit r&31 of dirty[r>>5] marks row r stale: a push updated the entry
+	// after this snapshot copied it. Serving falls back to the locked path
+	// for dirty rows; the next rebuild re-copies them under a fresh bitmap.
+	// A bit a row keeps a shard's marks in a few KB: no miss of their own.
 	dirty      []atomic.Uint32
-	dirtyCount atomic.Int64
+	dirtyCount atomic.Int64 // rows marked
+}
+
+func newDirtyBits(rows int) []atomic.Uint32 { return make([]atomic.Uint32, (rows+31)/32) }
+
+// snapRow returns the published row of k — shared and immutable, valid for
+// as long as the caller holds it, whatever is republished meanwhile — or nil
+// when the snapshot cannot serve k (absent or dirty) and the locked path
+// must.
+//
+// oevet:hotpath
+func (s *shard) snapRow(k uint64) []float32 {
+	if sn := s.snap.Load(); sn != nil {
+		if r, ok := sn.Row(k); ok && sn.dirty[r>>5].Load()&(1<<(r&31)) == 0 {
+			return sn.At(r)
+		}
+	}
+	return nil
 }
 
 // serveQCap bounds the per-shard queue of fallback-served keys awaiting
@@ -127,13 +146,25 @@ func (e *Engine) ServeSnapshotsEnabled() bool { return e.serveOn.Load() }
 // oevet:hotpath
 func (e *Engine) ServeRead(k uint64, dst []float32) (ServeSource, error) {
 	s := e.shards[e.shardIndex(k)]
-	if sn := s.snap.Load(); sn != nil {
-		if r, ok := sn.Row(k); ok && sn.dirty[r].Load() == 0 {
-			copy(dst, sn.At(r))
-			return ServeSnap, nil
-		}
+	if row := s.snapRow(k); row != nil {
+		copy(dst, row)
+		return ServeSnap, nil
 	}
 	return s.serveReadSlow(k, dst)
+}
+
+// ServeSnapRows is the fast path of ServeRead for a block of keys at once:
+// rows[i] becomes the published snapshot row of keys[i] (shared, read-only),
+// or nil where only ServeRead's locked path can answer. Nothing in the loop
+// waits on the key before it, so the probes of a block miss the cache side
+// by side, not one after another. len(rows) >= len(keys).
+//
+// oevet:hotpath
+func (e *Engine) ServeSnapRows(keys []uint64, rows [][]float32) {
+	rows = rows[:len(keys)]
+	for i, k := range keys {
+		rows[i] = e.shards[e.shardIndex(k)].snapRow(k)
+	}
 }
 
 // serveReadSlow is the locked fallback for keys the snapshot cannot serve.
@@ -188,9 +219,14 @@ func (s *shard) markServeDirty(ent *entry) {
 	if sn == nil || ent.snapEpoch != sn.epoch {
 		return
 	}
-	r := ent.snapRow
-	if sn.dirty[r].Swap(1) == 0 {
-		sn.dirtyCount.Add(1)
+	// A CAS loop, not atomic.Uint32.Or: go.mod is go 1.22. Rows of other
+	// stripes share the word, so only the 0→1 edge of this bit counts.
+	w, bit := &sn.dirty[ent.snapRow>>5], uint32(1)<<(ent.snapRow&31)
+	for old := w.Load(); old&bit == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|bit) {
+			sn.dirtyCount.Add(1)
+			return
+		}
 	}
 }
 
@@ -219,21 +255,22 @@ func (s *shard) rebuildSnapLocked() {
 			RowView: old.CloneRows(),
 			epoch:   old.epoch,
 			ents:    old.ents,
-			dirty:   make([]atomic.Uint32, len(old.dirty)),
+			dirty:   newDirtyBits(len(old.ents)),
 		}
 		ok := true
-		for r := range old.dirty {
-			if old.dirty[r].Load() == 0 {
-				continue
+	words:
+		for w := range old.dirty {
+			for set := old.dirty[w].Load(); set != 0; set &= set - 1 {
+				r := w<<5 + bits.TrailingZeros32(set)
+				ent := old.ents[r]
+				if ent == nil || !ent.inDRAM() {
+					// The dirty entry left DRAM between the push and this
+					// round without tripping snapStale; re-walk from scratch.
+					ok = false
+					break words
+				}
+				copy(sn.At(int32(r)), ent.weights(dim))
 			}
-			ent := old.ents[r]
-			if ent == nil || !ent.inDRAM() {
-				// The dirty entry left DRAM between the push and this
-				// round without tripping snapStale; re-walk from scratch.
-				ok = false
-				break
-			}
-			copy(sn.At(int32(r)), ent.weights(dim))
 		}
 		if ok {
 			s.snap.Store(sn)
@@ -248,7 +285,7 @@ func (s *shard) rebuildSnapLocked() {
 		RowView: cache.NewRowView(dim, n),
 		epoch:   s.snapEpoch,
 		ents:    make([]*entry, 0, n),
-		dirty:   make([]atomic.Uint32, n),
+		dirty:   newDirtyBits(n),
 	}
 	s.lru.Each(func(ent *entry) bool {
 		sn.ents = append(sn.ents, ent)

@@ -354,3 +354,119 @@ func TestServeNoTornReads(t *testing.T) {
 		})
 	}
 }
+
+// TestServeDirtyBitmap pins the one-bit-per-row dirty marks: pushes of
+// different stripes mark rows that share a bitmap word concurrently (run it
+// under -race), every row counts once however often it is marked, the
+// incremental rebuild re-copies exactly the marked rows into a snapshot with
+// a clean bitmap, and a full rebuild starts clean too.
+func TestServeDirtyBitmap(t *testing.T) {
+	const (
+		dim     = 4
+		nkeys   = 96 // three bitmap words
+		markers = 8
+	)
+	e := newTestEngine(t, testConfig(dim, 256, 128))
+	keys := make([]uint64, nkeys)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	runBatch(t, e, 0, keys, nil)
+	e.EnableServeSnapshots()
+	s := e.shards[0]
+	old := s.snap.Load()
+	if old.Len() != nkeys || len(old.dirty) != nkeys/32 {
+		t.Fatalf("snapshot of %d rows with %d dirty words, want %d and %d", old.Len(), len(old.dirty), nkeys, nkeys/32)
+	}
+
+	// Every entry moves; only two keys in three are marked — each by several
+	// goroutines at once, under the locks a push holds.
+	marked := func(k uint64) bool { return k%3 != 0 }
+	want := 0
+	s.mu.Lock()
+	for _, k := range keys {
+		s.index[k].weights(dim)[0] = 1000 + float32(k)
+		if marked(k) {
+			want++
+		}
+	}
+	s.mu.Unlock()
+	var wg sync.WaitGroup
+	for g := 0; g < markers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			for i := range keys {
+				k := keys[(i+g*7)%nkeys]
+				if !marked(k) {
+					continue
+				}
+				stripe := &s.stripes[k%uint64(len(s.stripes))]
+				stripe.Lock()
+				s.markServeDirty(s.index[k])
+				stripe.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := old.dirtyCount.Load(); got != int64(want) {
+		t.Fatalf("dirtyCount = %d after %d goroutines marked %d distinct rows", got, markers, want)
+	}
+	dst := make([]float32, dim)
+	for _, k := range keys {
+		if src, _ := e.ServeRead(k, dst); (src == ServeSnap) == marked(k) {
+			t.Fatalf("key %d (marked %v) served from source %d", k, marked(k), src)
+		}
+	}
+
+	clean := func(step string, sn *shardSnap) {
+		t.Helper()
+		if n := sn.dirtyCount.Load(); n != 0 {
+			t.Fatalf("%s: dirtyCount = %d", step, n)
+		}
+		for w := range sn.dirty {
+			if set := sn.dirty[w].Load(); set != 0 {
+				t.Fatalf("%s: dirty word %d = %#x", step, w, set)
+			}
+		}
+	}
+	s.mu.Lock()
+	s.rebuildSnapLocked()
+	s.mu.Unlock()
+	inc := s.snap.Load()
+	if inc == old || inc.epoch != old.epoch {
+		t.Fatalf("rebuild of a membership-stable hot set was not incremental (epoch %d -> %d)", old.epoch, inc.epoch)
+	}
+	clean("incremental rebuild", inc)
+	for _, k := range keys {
+		r, _ := inc.Row(k)
+		got, prev := inc.At(r)[0], old.At(r)[0]
+		if marked(k) && got != 1000+float32(k) {
+			t.Fatalf("marked key %d not re-copied: %v", k, got)
+		}
+		if !marked(k) && got != prev {
+			t.Fatalf("unmarked key %d re-copied: %v, was %v", k, got, prev)
+		}
+	}
+
+	// Marks on the new snapshot, then a membership change: the full rebuild
+	// picks up every row and carries no mark over.
+	s.mu.Lock()
+	s.markServeDirty(s.index[keys[0]])
+	s.markServeDirty(s.index[keys[40]])
+	s.snapStale = true
+	s.rebuildSnapLocked()
+	s.mu.Unlock()
+	full := s.snap.Load()
+	if full.epoch == inc.epoch {
+		t.Fatal("stale hot set rebuilt incrementally")
+	}
+	clean("full rebuild", full)
+	for _, k := range keys {
+		if src, _ := e.ServeRead(k, dst); src != ServeSnap || dst[0] != 1000+float32(k) {
+			t.Fatalf("key %d after full rebuild: source %d, row %v", k, src, dst)
+		}
+	}
+}

@@ -114,6 +114,11 @@ type bagScratch struct {
 	tick uint8
 }
 
+// serveBlock is how many keys PullBags resolves ahead of pooling them:
+// enough that the index probes of a block overlap their cache misses, few
+// enough that the resolved rows (24 B each) stay on the stack.
+const serveBlock = 32
+
 // srcReplica extends core's read sources with the replica overlay, so one
 // tally array indexed by source covers every way a key can be served.
 const srcReplica = core.ServeInit + 1
@@ -206,10 +211,12 @@ func (h *Handler) Dim() int { return h.dim }
 // guarantees offsets are valid (rpc.ValidateBagOffsets) and len(out) ==
 // (len(offsets)-1)*dim.
 //
-// The first key of a bag is read straight into the output row; the rest
-// land in the pooled scratch row and are vector-added, so pooling itself
-// allocates nothing. Per-source tallies accumulate in a local array and
-// fold into the counters once per request.
+// Keys are resolved serveBlock at a time (core.Engine.ServeSnapRows): a
+// clean snapshot hit yields the published row itself, which is copied (first
+// key of a bag) or added (the rest) straight into the output row; only cold,
+// dirty or unknown keys go through the locked ServeRead into the pooled
+// scratch row, so pooling itself allocates nothing. Per-source tallies
+// accumulate in a local array and fold into the counters once per request.
 //
 // oevet:hotpath
 func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
@@ -238,6 +245,10 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 	// request; the overlay is only probed for keys the engine does not know.
 	eng, reps := h.eng.Load(), h.replicas.Load()
 	var tally [srcReplica + 1]int64
+	// Offsets are contiguous from 0, so j below walks keys in order and
+	// refills the block whenever it runs out, bag boundaries or not.
+	var block [serveBlock][]float32
+	base, next := 0, 0
 	bags := len(offsets) - 1
 	for b := 0; b < bags; b++ {
 		lo, hi := int(offsets[b]), int(offsets[b+1])
@@ -247,26 +258,30 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 			continue
 		}
 		for j := lo; j < hi; j++ {
-			row := dst
-			if j > lo {
+			if j == next {
+				base, next = j, min(j+serveBlock, len(keys))
+				eng.ServeSnapRows(keys[base:next], block[:])
+			}
+			row, src := block[j-base], core.ServeSnap
+			if row == nil {
+				var err error
 				row = sc.row
-			}
-			src, err := eng.ServeRead(keys[j], row)
-			if err != nil {
-				h.scratchPool.Put(sc)
-				return err
-			}
-			// Unknown to the engine: a key this node does not own. Serve the
-			// failover replica when the overlay holds one — locally owned
-			// keys never reach here, so engine state always wins.
-			if src == core.ServeInit && replicaRow(reps, keys[j], row) {
-				src = srcReplica
+				if src, err = eng.ServeRead(keys[j], row); err != nil {
+					h.scratchPool.Put(sc)
+					return err
+				}
+				// Unknown to the engine: a key this node does not own. Serve the
+				// failover replica when the overlay holds one — locally owned
+				// keys never reach here, so engine state always wins.
+				if src == core.ServeInit && replicaRow(reps, keys[j], row) {
+					src = srcReplica
+				}
 			}
 			tally[src]++
-			if j > lo {
-				for i := range dst {
-					dst[i] += row[i]
-				}
+			if j == lo {
+				copy(dst, row)
+			} else {
+				cache.AddInto(dst, row)
 			}
 		}
 		if mean {

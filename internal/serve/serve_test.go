@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"openembedding/internal/cache"
 	"openembedding/internal/core"
 	"openembedding/internal/device"
 	"openembedding/internal/obs"
@@ -65,27 +68,39 @@ func train(t testing.TB, e *core.Engine, batch int64, keys []uint64, grad float3
 	return dst
 }
 
-// poolRef replicates the handler's pooling arithmetic (sequential float32
-// adds, multiply-by-reciprocal mean) over rows fetched one at a time.
-func poolRef(t testing.TB, e *core.Engine, mean bool, offsets []uint32, keys []uint64) []float32 {
+// poolRef is the handler's request loop as it was before keys were resolved a
+// block at a time, kept as the oracle: one ServeRead per key in key order —
+// the first key of a bag into the output row, the rest into a scratch row and
+// added with a plain loop — the replica overlay for keys the engine does not
+// know, multiply-by-reciprocal mean. It returns the pooled rows and how many
+// keys each source served.
+func poolRef(t testing.TB, e *core.Engine, reps *cache.RowView, mean bool, offsets []uint32, keys []uint64) ([]float32, [srcReplica + 1]int64) {
 	t.Helper()
 	dim := e.Dim()
 	bags := len(offsets) - 1
 	out := make([]float32, bags*dim)
-	row := make([]float32, dim)
+	scratch := make([]float32, dim)
+	var tally [srcReplica + 1]int64
 	for b := 0; b < bags; b++ {
 		lo, hi := int(offsets[b]), int(offsets[b+1])
 		dst := out[b*dim : (b+1)*dim]
 		for j := lo; j < hi; j++ {
-			if _, err := e.ServeRead(keys[j], row); err != nil {
+			row := dst
+			if j > lo {
+				row = scratch
+			}
+			src, err := e.ServeRead(keys[j], row)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if j == lo {
-				copy(dst, row)
-				continue
+			if src == core.ServeInit && replicaRow(reps, keys[j], row) {
+				src = srcReplica
 			}
-			for i := range dst {
-				dst[i] += row[i]
+			tally[src]++
+			if j > lo {
+				for i := range dst {
+					dst[i] += row[i]
+				}
 			}
 		}
 		if mean && hi > lo {
@@ -95,7 +110,112 @@ func poolRef(t testing.TB, e *core.Engine, mean bool, offsets []uint32, keys []u
 			}
 		}
 	}
-	return out
+	return out, tally
+}
+
+// TestPullBagsBlockReadMatchesOldLoop drives seeded requests over every kind
+// of key the handler can meet — clean snapshot hits, rows dirtied by a push
+// whose batch has not ended, PMem-resident keys, unknown keys with and
+// without a replica — in empty, one-key and multi-key bags, some longer than
+// a block so they straddle block boundaries wherever they start, sum and
+// mean; the output bits and all five per-source counters must equal the old
+// loop's.
+func TestPullBagsBlockReadMatchesOldLoop(t *testing.T) {
+	const dim = 8
+	e := newTestEngine(t, dim, 1024, 64, 4)
+	var trained, dirty, unknown, replicated []uint64
+	for k := uint64(1); k <= 256; k++ {
+		trained = append(trained, k)
+	}
+	for lo := 0; lo < len(trained); lo += 32 { // 64 stay cached, 192 go to PMem
+		train(t, e, int64(lo/32), trained[lo:lo+32], 0.5)
+	}
+	reg := obs.NewRegistry()
+	h := New(e, reg)
+
+	// Push without EndBatch: these rows are cached, published and dirty.
+	dirty = trained[len(trained)-12:]
+	buf := make([]float32, len(dirty)*dim)
+	if err := e.Pull(8, dirty, buf); err != nil {
+		t.Fatal(err)
+	}
+	e.EndPullPhase(8)
+	e.WaitMaintenance()
+	for i := range buf {
+		buf[i] = 0.25
+	}
+	if err := e.Push(8, dirty, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(20261003))
+	for k := uint64(5000); k < 5040; k++ {
+		unknown = append(unknown, k)
+		if k%2 == 0 {
+			replicated = append(replicated, k)
+		}
+	}
+	repRows := make([]float32, len(replicated)*dim)
+	for i := range repRows {
+		repRows[i] = rng.Float32() - 0.5
+	}
+	if err := h.MergeReplicas(replicated, repRows); err != nil {
+		t.Fatal(err)
+	}
+
+	counters := []string{"serve_snap_hits", "serve_dram_fallback", "serve_pmem_fallback", "serve_init_served", "serve_replica_hits"}
+	var seen [srcReplica + 1]int64
+	for req := 0; req < 40; req++ {
+		var offsets []uint32
+		var keys []uint64
+		for b, bags := 0, 1+rng.Intn(60); b < bags; b++ {
+			offsets = append(offsets, uint32(len(keys)))
+			n := rng.Intn(5) // empty, one-key and short bags
+			if rng.Intn(8) == 0 {
+				n = serveBlock - 3 + rng.Intn(2*serveBlock)
+			}
+			for ; n > 0; n-- {
+				pool := trained
+				if c := rng.Intn(10); c == 0 {
+					pool = unknown
+				} else if c == 1 {
+					pool = dirty
+				}
+				keys = append(keys, pool[rng.Intn(len(pool))])
+			}
+		}
+		offsets = append(offsets, uint32(len(keys)))
+		mean := req%2 == 1
+
+		var before [srcReplica + 1]int64
+		for i, name := range counters {
+			before[i] = reg.Counter(name).Value()
+		}
+		out := make([]float32, (len(offsets)-1)*dim)
+		for i := range out {
+			out[i] = 777 // the handler must overwrite every float
+		}
+		if err := h.PullBags(mean, offsets, keys, out); err != nil {
+			t.Fatal(err)
+		}
+		want, tally := poolRef(t, e, h.replicas.Load(), mean, offsets, keys)
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("request %d (mean %v): out[%d] = %v, the old loop has %v", req, mean, i, out[i], want[i])
+			}
+		}
+		for i, name := range counters {
+			if got := reg.Counter(name).Value() - before[i]; got != tally[i] {
+				t.Fatalf("request %d: %s grew by %d, the old loop counts %d", req, name, got, tally[i])
+			}
+			seen[i] += tally[i]
+		}
+	}
+	for i, name := range counters {
+		if seen[i] == 0 {
+			t.Fatalf("no key was served as %s: the test lost a case", name)
+		}
+	}
 }
 
 func TestPullBagsPooling(t *testing.T) {
@@ -123,7 +243,7 @@ func TestPullBagsPooling(t *testing.T) {
 		if err := h.PullBags(mean, offsets, bagKeys, out); err != nil {
 			t.Fatal(err)
 		}
-		want := poolRef(t, e, mean, offsets, bagKeys)
+		want, _ := poolRef(t, e, nil, mean, offsets, bagKeys)
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("mean=%v out[%d] = %v, want %v", mean, i, out[i], want[i])
