@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"openembedding/internal/cache"
-	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
@@ -24,15 +23,14 @@ import (
 // Options configures a cluster Client.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
-	// retry policy, client-side RPC metrics). Each node's copy gets a
-	// deterministic label ("node<i>", unless RPC.Label is set), which names
-	// its injector stream and, with RPC.Retry.Seed, keys its retry jitter —
-	// so a seeded chaos run replays identically.
+	// retry policy and shared retry budget, the deterministic fault
+	// injector, client-side RPC metrics) — except RPC.Breaker: a breaker is
+	// one peer's state, so a shared one would let a dead node fail-fast the
+	// live ones; set Breakers instead. Each node's copy gets a deterministic
+	// label ("node<i>", unless RPC.Label is set), which names its injector
+	// stream and, with RPC.Retry.Seed, keys its retry jitter — so a seeded
+	// chaos run replays identically.
 	RPC rpc.Options
-	// Inject, when set, arms the deterministic fault injector on every
-	// per-node connection (client-side dial and wire faults). Nil leaves
-	// the hot path untouched.
-	Inject *faultinject.Injector
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
 	// cluster_straggler_ns (slowest minus fastest node per fan-out),
@@ -41,11 +39,6 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// HedgeDelay, when positive, arms hedged replica reads in PullBags:
-	// if a node's bag request has not answered within HedgeDelay, one
-	// hedged request is issued to the keys' replica nodes and the first
-	// success wins. Zero disables hedging; hard failures still fail over.
-	HedgeDelay time.Duration
 	// Detector, when set, arms the suspicion-based failure detector
 	// (detector.go): dedicated per-node probe connections feed
 	// inter-arrival accrual, and PullBags preempts reads to suspected
@@ -93,8 +86,7 @@ type Client struct {
 	nextID uint64
 	// dialOpts reproduces DialOpts' per-node connection setup for nodes
 	// that join later.
-	dialOpts   Options
-	hedgeDelay time.Duration
+	dialOpts Options
 	// fans recycles the working memory of Pull, Push and PullBags calls
 	// (see fan): one per call in flight, so calls sharing the Client never
 	// share scratch.
@@ -125,8 +117,7 @@ type Client struct {
 	migrations  *obs.Counter
 	migKeys     *obs.Counter
 	failovers   *obs.Counter
-	failoversBy [3]*obs.Counter // indexed by failoverCause
-	hedged      *obs.Counter
+	failoversBy [2]*obs.Counter // indexed by failoverCause
 	reg         *obs.Registry
 }
 
@@ -142,11 +133,10 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cluster: no node addresses")
 	}
 	c := &Client{
-		dim:        dim,
-		addrs:      append([]string(nil), addrs...),
-		spans:      opts.Spans,
-		dialOpts:   opts,
-		hedgeDelay: opts.HedgeDelay,
+		dim:      dim,
+		addrs:    append([]string(nil), addrs...),
+		spans:    opts.Spans,
+		dialOpts: opts,
 	}
 	reg := opts.Obs // nil registry: nil, free metrics
 	c.reg = reg
@@ -162,8 +152,6 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c.failovers = reg.Counter("cluster_failovers")
 	c.failoversBy[causeHard] = reg.Counter("cluster_failovers_hard")
 	c.failoversBy[causeSuspect] = reg.Counter("cluster_failovers_suspect")
-	c.failoversBy[causeHedge] = reg.Counter("cluster_failovers_hedge")
-	c.hedged = reg.Counter("cluster_hedged_reads")
 	// Detector time source: explicit Clock > obs monotonic clock >
 	// process-monotonic fallback.
 	c.nowFn = opts.Clock
@@ -201,18 +189,16 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 // jitter), so seeded chaos runs replay identically even after joins.
 func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
-	if c.dialOpts.Inject != nil {
-		ro.Inject = c.dialOpts.Inject
-	}
 	if ro.Label == "" {
 		ro.Label = fmt.Sprintf("node%d", n)
 	}
-	// The breaker is per-peer state; the budget (already in ro) is shared
-	// across all of this Client's nodes by construction.
-	if c.dialOpts.Breakers && ro.Breaker == nil {
-		bk := rpc.NewBreaker(0, 0)
-		bk.SetObs(c.reg)
-		ro.Breaker = bk
+	// The breaker is per-peer state, so the caller's is never forwarded;
+	// the budget (already in ro) is shared across all of this Client's
+	// nodes by construction.
+	ro.Breaker = nil
+	if c.dialOpts.Breakers {
+		ro.Breaker = rpc.NewBreaker(0, 0)
+		ro.Breaker.SetObs(c.reg)
 	}
 	return rpc.DialOpts(addr, ro)
 }
@@ -225,9 +211,6 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 // it must always reach the wire.
 func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
-	if c.dialOpts.Inject != nil {
-		ro.Inject = c.dialOpts.Inject
-	}
 	ro.Label = fmt.Sprintf("node%d/probe", n)
 	ro.Retry = rpc.RetryPolicy{MaxAttempts: 1}
 	ro.Budget = nil
@@ -595,12 +578,12 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // A node that fails with a degraded error — transport failure, timeout,
 // shed (busy) or an open breaker — is failed over: its keys are regrouped
 // by their per-key replica node and re-read there, so one dead node costs
-// latency, not errors. With Options.HedgeDelay set, a node that is merely
-// slow gets one hedged replica read after the deadline. With
-// Options.Detector, a *suspected* owner is preempted entirely. All of it
-// is the one ladder in failover.go. PullBags drops the staleness flag;
-// serving frontends that must distinguish degraded answers use
-// PullBagsResult.
+// latency, not errors — provided SyncReplicas has sent the replicas those
+// keys' rows: a replica answers only what it holds, and a key no sync
+// covered fails the read. With Options.Detector, a *suspected* owner is
+// preempted entirely. All of it is the one ladder in failover.go. PullBags
+// drops the staleness flag; serving frontends that must distinguish
+// degraded answers use PullBagsResult.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	_, err := c.PullBagsResult(mean, offsets, keys, out)
 	return err

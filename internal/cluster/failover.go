@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"time"
 
 	"openembedding/internal/cache"
 	"openembedding/internal/rpc"
@@ -12,16 +10,18 @@ import (
 
 // Replicated bag reads (DESIGN.md §15) with gray-failure degradation
 // (§16): every key has a preferred owner and, with two or more nodes, a
-// distinct replica (Ring.Secondary) kept warm by SyncReplicas pushes into
-// the replica's serve overlay. PullBags prefers the owner; the owner is
-// routed around when it is *degraded* — a transport failure or timeout, a
-// shed (busy) response, an open circuit breaker, or mere suspicion by the
-// failure detector — and the keys are regrouped by their per-key replica
-// and re-read there. When the replicas cannot answer either, the stale
-// fallback tier (serve.StaleTier) is the last line: the read succeeds,
-// flagged stale, instead of erroring. Training pushes remain single-owner:
-// replicas serve reads only, and a replica row is as stale as the last
-// SyncReplicas that refreshed it.
+// distinct replica (Ring.Secondary) that holds a copy of the row once a
+// SyncReplicas call has pushed it into the replica's serve overlay.
+// PullBags prefers the owner; the owner is routed around when it is
+// *degraded* — a transport failure or timeout, a shed (busy) response, an
+// open circuit breaker, or mere suspicion by the failure detector — and the
+// keys are regrouped by their per-key replica and re-read there, as replica
+// reads: a replica answers only rows it was sent, never the initializer an
+// owner serves for an unknown key. When the replicas cannot answer either,
+// the stale fallback tier (serve.StaleTier) is the last line: the read
+// succeeds, flagged stale, instead of erroring. Training pushes remain
+// single-owner: replicas serve reads only, a replica row is as old as the
+// last SyncReplicas that covered its key, and nothing here schedules one.
 
 // errSuspectedOwner is the failover cause recorded when the detector
 // preempts an owner read.
@@ -33,28 +33,21 @@ type failoverCause int
 const (
 	causeHard    failoverCause = iota // the owner answered with a degraded error
 	causeSuspect                      // the detector preempted the owner read
-	causeHedge                        // a hedged replica read won the race
 )
 
 // countFailover tallies one replica-answered share in the aggregate counter
-// and its cause-split counter (cluster_failovers_{hard,suspect,hedge}).
+// and its cause-split counter (cluster_failovers_{hard,suspect}).
 func (c *Client) countFailover(cause failoverCause) {
 	c.failovers.Add(1)
 	c.failoversBy[cause].Add(1)
-}
-
-// bagRes is one bag read's outcome on its way through a channel.
-type bagRes struct {
-	vals []float32
-	err  error
 }
 
 // bagNode is PullBags' per-node step: node n's share, down the ladder. The
 // owner read's destination is the node's pooled buffer — except for the
 // call's first share, which is decoded where it is wanted, in the caller's
 // out: nothing else writes out until every node has returned. A first share
-// some other step answered (a replica, the stale tier, any step of a hedging
-// client) owns its slice and costs one copy.
+// some other step answered (a replica, the stale tier) owns its slice and
+// costs one copy.
 //
 // oevet:hotpath
 func (f *fan) bagNode(n int) (err error) {
@@ -77,48 +70,27 @@ func (f *fan) bagNode(n int) (err error) {
 //     owner would burn the full read deadline before surfacing an error,
 //     which is exactly the latency the detector exists to save. A healthy
 //     answer, or an error no replica could do better on, ends here.
-//  2. replicas — on a degraded owner error, on suspicion, or (HedgeDelay)
-//     as soon as the owner has been silent for the hedge deadline, in
-//     which case the two race and the first success wins.
+//  2. replicas — on a degraded owner error or on suspicion.
 //  3. stale    — the fallback tier answers, flagged, rather than erroring.
 //  4. owner after all — only for a suspected owner skipped in step 1, when
 //     no stale tier is configured: it is the best remaining option.
 //  5. error    — the last step's.
 //
-// The share is returned in dst — the node's pooled buffer — when the owner
-// answers, and in a slice of the step's own otherwise. With HedgeDelay a
-// race's loser can still be in flight when this returns, so a hedging
-// client works on private copies throughout: pooled memory would be handed
-// to the next call under the loser's feet.
+// The share is returned in dst when the owner answers, and in a slice of
+// the step's own otherwise.
 func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64, dst []float32) (_ []float32, stale bool, _ error) {
-	if c.hedgeDelay > 0 {
-		offs, keys, dst = slices.Clone(offs), slices.Clone(keys), make([]float32, len(dst)) //oevet:alloc-ok hedging pays for private memory
-	}
 	cause, why := errSuspectedOwner, causeSuspect
-	var owner <-chan bagRes // an owner read still in flight behind its hedge
 	if !c.Suspected(n) {
-		var res bagRes
-		if res, owner = c.bagOwner(n, offs, keys, dst); owner != nil {
-			c.hedged.Add(1)
-			cause, why = fmt.Errorf("hedged past %v", c.hedgeDelay), causeHedge
-		} else if res.err == nil || !rpc.IsDegraded(res.err) {
-			return res.vals, false, res.err
-		} else {
-			cause, why = res.err, causeHard
+		err := c.nodes[n].PullBagsInto(false, offs, keys, dst)
+		if err == nil || !rpc.IsDegraded(err) {
+			return dst, false, err
 		}
+		cause, why = err, causeHard
 	}
-	var rep bagRes
-	if owner == nil {
-		rep.vals, rep.err = c.bagViaReplicas(ring, n, bags, offs, keys, cause)
-	} else {
-		var ownerWon bool
-		if rep, ownerWon = c.bagRace(owner, ring, n, bags, offs, keys, cause); ownerWon {
-			return rep.vals, false, nil
-		}
-	}
-	if rep.err == nil {
+	vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, cause)
+	if err == nil {
 		c.countFailover(why)
-		return rep.vals, false, nil
+		return vals, false, nil
 	}
 	if vals, ok := c.bagStale(bags, offs, keys); ok {
 		return vals, true, nil
@@ -126,63 +98,7 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 	if why == causeSuspect {
 		return dst, false, c.nodes[n].PullBagsInto(false, offs, keys, dst)
 	}
-	return nil, false, rep.err
-}
-
-// bagRace is step 2 started early: the replica read races the owner read
-// still in flight behind its hedge, and the first success wins. ownerWon
-// tells the caller not to count a failover; otherwise the outcome is the
-// replicas'.
-//
-// oevet:coldpath a race runs only when the owner was silent past the hedge deadline
-func (c *Client) bagRace(owner <-chan bagRes, ring *Ring, n, bags int, offs []uint32, keys []uint64, cause error) (_ bagRes, ownerWon bool) {
-	hedge := make(chan bagRes, 1)
-	go func() {
-		vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, cause)
-		hedge <- bagRes{vals: vals, err: err}
-	}()
-	select {
-	case rep := <-hedge:
-		if rep.err != nil {
-			if res := <-owner; res.err == nil {
-				return res, true
-			}
-		}
-		return rep, false
-	case res := <-owner:
-		if res.err == nil {
-			return res, true
-		}
-		return <-hedge, false
-	}
-}
-
-// bagOwner is step 1 of the ladder. Without HedgeDelay it is a plain
-// synchronous read. With it, the read runs on its own goroutine and, when
-// still unanswered at the hedge deadline, is handed back in flight (a
-// non-nil channel) so the replica step can race it; the owner answering in
-// time — the steady state — never pays for a replica round-trip.
-func (c *Client) bagOwner(n int, offs []uint32, keys []uint64, dst []float32) (bagRes, <-chan bagRes) {
-	if c.hedgeDelay <= 0 {
-		return bagRes{vals: dst, err: c.nodes[n].PullBagsInto(false, offs, keys, dst)}, nil
-	}
-	return c.bagOwnerHedged(n, offs, keys, dst)
-}
-
-// oevet:coldpath a hedging client trades allocations for its tail latency
-func (c *Client) bagOwnerHedged(n int, offs []uint32, keys []uint64, dst []float32) (bagRes, <-chan bagRes) {
-	owner := make(chan bagRes, 1)
-	go func() {
-		owner <- bagRes{vals: dst, err: c.nodes[n].PullBagsInto(false, offs, keys, dst)}
-	}()
-	timer := time.NewTimer(c.hedgeDelay)
-	defer timer.Stop()
-	select {
-	case res := <-owner:
-		return res, nil
-	case <-timer.C:
-		return bagRes{}, owner
-	}
+	return nil, false, err
 }
 
 // bagViaReplicas re-reads node n's share from the keys' replica nodes:
@@ -191,7 +107,7 @@ func (c *Client) bagOwnerHedged(n int, offs []uint32, keys []uint64, dst []float
 // added in that same order — so the substituted partial is bit-identical
 // to what a deterministic replica sum would produce, and the caller's
 // node-order accumulation stays deterministic. cause is the owner's
-// failure, returned when some key has no replica to fail over to.
+// failure: why the share is being read here, said in every error.
 //
 // oevet:coldpath failing over is the degraded path
 func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []uint64, cause error) ([]float32, error) {
@@ -219,8 +135,8 @@ func (c *Client) bagViaReplicas(ring *Ring, n, bags int, offs []uint32, keys []u
 		if len(repKeys[r]) == 0 {
 			continue
 		}
-		if err := c.nodes[r].PullBagsInto(false, repOffs[r], repKeys[r], vals); err != nil {
-			return nil, fmt.Errorf("replica node %d (%s): %w", r, c.addrs[r], err)
+		if err := c.nodes[r].PullReplicaBagsInto(repOffs[r], repKeys[r], vals); err != nil {
+			return nil, fmt.Errorf("replica node %d (%s): %w (owner: %w)", r, c.addrs[r], err, cause)
 		}
 		cache.AddInto(acc, vals)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,7 @@ func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
 	var vnow atomic.Int64
 	c, err := DialOpts(4, []string{n.Addr()}, Options{
 		Obs:      reg,
-		Inject:   inj,
+		RPC:      rpc.Options{Inject: inj},
 		Detector: &DetectorConfig{Interval: 100 * time.Millisecond, Threshold: 3, Window: 4},
 		Clock:    func() time.Duration { return time.Duration(vnow.Load()) },
 	})
@@ -260,6 +261,46 @@ func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["cluster_failovers"]; got != 0 {
 		t.Fatalf("cluster_failovers = %d, want 0 (no replica answered)", got)
+	}
+}
+
+// TestBreakerPerNode: a circuit breaker is one peer's state. A breaker the
+// caller put in Options.RPC is never handed to the per-node connections —
+// shared, one dead node's failures would fail-fast every live one — and
+// Breakers builds each node its own: the dead node's opens, the live node
+// keeps answering.
+func TestBreakerPerNode(t *testing.T) {
+	live, gone := startElasticNode(t), startElasticNode(t)
+	shared := rpc.NewBreaker(1, 1<<30) // opens on one failure, all but never probes
+	reg := obs.NewRegistry()
+	c, err := DialOpts(4, []string{live.Addr(), gone.Addr()}, Options{
+		RPC:      rpc.Options{Breaker: shared, Retry: rpc.RetryPolicy{MaxAttempts: 1}},
+		Breakers: true,
+		Obs:      reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := gone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*rpc.DefaultBreakerThreshold; i++ {
+		if _, err := c.NodeHealth(1); err == nil {
+			t.Fatal("ping to a closed node succeeded")
+		}
+	}
+	if _, err := c.NodeHealth(1); !errors.Is(err, rpc.ErrBreakerOpen) {
+		t.Fatalf("dead node after %d failures: %v, want its breaker open", 2*rpc.DefaultBreakerThreshold, err)
+	}
+	if _, err := c.NodeHealth(0); err != nil {
+		t.Fatalf("live node: %v (the dead node's failures reached its breaker)", err)
+	}
+	if shared.Open() {
+		t.Fatal("the caller's breaker was forwarded to a node connection")
+	}
+	if got := reg.Snapshot().Counters["rpc_breaker_open"]; got != 1 {
+		t.Fatalf("rpc_breaker_open = %d, want 1 (the dead node's own)", got)
 	}
 }
 
@@ -384,12 +425,12 @@ func TestServingGrayFailureSoak(t *testing.T) {
 			Budget:       rpc.NewBudget(4, 0),
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
+			Inject:       inj,
 		},
 		Breakers: true,
 		Detector: &DetectorConfig{Interval: 100 * time.Millisecond, Threshold: 3, Window: 4},
 		Clock:    func() time.Duration { return time.Duration(vnow.Load()) },
 		Stale:    stale,
-		Inject:   inj,
 		Obs:      reg,
 	})
 	if err != nil {

@@ -2,14 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"openembedding/internal/obs"
 	"openembedding/internal/ps"
+	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
 )
 
@@ -288,19 +288,13 @@ func TestPullBagsFailoverOnDeadNode(t *testing.T) {
 		t.Fatalf("cluster_failovers = %d, want >= 1", got)
 	}
 	// Cause attribution: a dead owner is a hard failover — no detector is
-	// armed (no suspicion) and no hedging is configured.
+	// armed (no suspicion).
 	if hard := s.Counters["cluster_failovers_hard"]; hard != s.Counters["cluster_failovers"] {
 		t.Fatalf("cluster_failovers_hard = %d, want %d (all failovers hard-caused)",
 			hard, s.Counters["cluster_failovers"])
 	}
 	if got := s.Counters["cluster_failovers_suspect"]; got != 0 {
 		t.Fatalf("cluster_failovers_suspect = %d, want 0 (no detector armed)", got)
-	}
-	if got := s.Counters["cluster_failovers_hedge"]; got != 0 {
-		t.Fatalf("cluster_failovers_hedge = %d, want 0 (no hedging configured)", got)
-	}
-	if got := s.Counters["cluster_hedged_reads"]; got != 0 {
-		t.Fatalf("cluster_hedged_reads = %d, want 0 (no hedging configured)", got)
 	}
 
 	// A pooled bag over all keys still agrees with the reference sum
@@ -321,44 +315,46 @@ func TestPullBagsFailoverOnDeadNode(t *testing.T) {
 	}
 }
 
-// TestPullBagsHedgedRead arms HedgeDelay against a node that accepts and
-// never answers: the hedged replica read must answer the request long
-// before the read deadline, and the hedge counter must tick.
-func TestPullBagsHedgedRead(t *testing.T) {
-	real := startElasticNode(t)
-	hung, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestPullBagsFailoverUnsyncedReplica: what answers after a failure is a
+// version of the row, or an error. Nothing schedules SyncReplicas, so after
+// an owner dies its keys' Ring.Secondary nodes may never have been sent the
+// rows — and a replica that serves what an owner serves for an unknown key,
+// the initializer, would answer a trained key with a row that was never a
+// version of it, as a live answer. A failover read therefore says it is one,
+// and a replica answers only rows it holds: an unsynced key fails the read
+// with an error naming the owner, the replica node and the key; a key some
+// sync covered answers bit-exactly; and an owner still answers a key nobody
+// trained with its initializer.
+func TestPullBagsFailoverUnsyncedReplica(t *testing.T) {
+	c, ns, _ := startElasticCluster(t, 2)
+	keys := testKeys(24)
+	w := trainStep(t, c, 0, keys, 1)
+	for i := range w {
+		w[i] -= 0.1
 	}
-	defer hung.Close()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		for {
-			conn, err := hung.Accept()
-			if err != nil {
-				return
-			}
-			go func() { <-done; conn.Close() }()
+	const dead = 1
+	addr := ns[dead].Addr()
+	var deadKeys []uint64
+	for _, k := range keys {
+		if c.Owner(k) == dead {
+			deadKeys = append(deadKeys, k)
 		}
-	}()
-
-	reg := obs.NewRegistry()
-	c, err := DialOpts(4, []string{real.Addr(), hung.Addr().String()}, Options{
-		RPC:        rpc.Options{ReadTimeout: 5 * time.Second},
-		HedgeDelay: 20 * time.Millisecond,
-		Obs:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-
-	// Keys owned by the hung node; their replica is the live one.
-	var keys []uint64
-	for k := uint64(0); len(keys) < 4; k++ {
-		if c.Owner(k) == 1 {
-			keys = append(keys, k)
+	if len(deadKeys) < 2 {
+		t.Fatalf("node %d owns %d of the keys, the test needs 2", dead, len(deadKeys))
+	}
+	// The owner goes away and comes back on its address, so a later
+	// SyncReplicas can read it; its state is untouched throughout.
+	down := func() {
+		t.Helper()
+		if err := ns[dead].Unlisten(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up := func() {
+		t.Helper()
+		if err := ns[dead].Listen(addr); err != nil {
+			t.Fatal(err)
 		}
 	}
 	offs := make([]uint32, len(keys)+1)
@@ -366,30 +362,79 @@ func TestPullBagsHedgedRead(t *testing.T) {
 		offs[i+1] = uint32(i + 1)
 	}
 	out := make([]float32, len(keys)*c.dim)
-	start := time.Now()
-	if err := c.PullBags(false, offs, keys, out); err != nil {
-		t.Fatalf("hedged pull-bags: %v", err)
+	wantErr := func(label string, err error, res BagResult, key uint64) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: read answered (stale=%v) though no replica holds key %d", label, res.Stale, key)
+		}
+		for _, part := range []string{
+			fmt.Sprintf("cluster: node %d (%s)", dead, addr),
+			"replica node 0",
+			fmt.Sprintf("no replica of key %d on this node", key),
+		} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s: error %q does not name %q", label, err, part)
+			}
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedged read took %v; the hedge should answer in ~HedgeDelay", elapsed)
+
+	down()
+	res, err := c.PullBagsResult(false, offs, keys, out)
+	if err == nil {
+		wrong := 0
+		for i := range keys {
+			if !slices.Equal(out[i*c.dim:(i+1)*c.dim], w[i*c.dim:(i+1)*c.dim]) {
+				wrong++
+			}
+		}
+		t.Errorf("nothing synced: %d of %d keys answered with rows that are not the trained rows", wrong, len(keys))
 	}
-	s := reg.Snapshot()
-	if got := s.Counters["cluster_hedged_reads"]; got < 1 {
-		t.Fatalf("cluster_hedged_reads = %d, want >= 1", got)
+	wantErr("nothing synced", err, res, deadKeys[0])
+
+	// One of the dead node's keys synced: a bag that also holds another
+	// still fails, on the first key no sync covered.
+	up()
+	if _, err := c.SyncReplicas(deadKeys[:1]); err != nil {
+		t.Fatalf("sync replicas: %v", err)
 	}
-	// Cause attribution: the hedged replica result won the race against a
-	// node that never answers, so the failover is hedge-caused — not hard
-	// (the owner surfaced no error before the hedge won) and not suspicion
-	// (no detector armed).
-	if got := s.Counters["cluster_failovers_hedge"]; got < 1 {
-		t.Fatalf("cluster_failovers_hedge = %d, want >= 1", got)
+	down()
+	pooled := make([]float32, c.dim)
+	res, err = c.PullBagsResult(false, []uint32{0, uint32(len(keys))}, keys, pooled)
+	wantErr("partially synced bag", err, res, deadKeys[1])
+	one := make([]float32, c.dim)
+	if err := c.PullBags(false, []uint32{0, 1}, deadKeys[:1], one); err != nil {
+		t.Fatalf("the synced key alone: %v", err)
 	}
-	if got := s.Counters["cluster_failovers_suspect"]; got != 0 {
-		t.Fatalf("cluster_failovers_suspect = %d, want 0 (no detector armed)", got)
+
+	up()
+	if _, err := c.SyncReplicas(keys); err != nil {
+		t.Fatalf("sync replicas: %v", err)
 	}
-	if got := s.Counters["cluster_failovers"]; got < s.Counters["cluster_failovers_hedge"] {
-		t.Fatalf("cluster_failovers = %d < hedge-caused %d; aggregate must cover the split",
-			got, s.Counters["cluster_failovers_hedge"])
+	down()
+	res, err = c.PullBagsResult(false, offs, keys, out)
+	if err != nil || res.Stale {
+		t.Fatalf("synced read = (stale=%v, %v), want a live answer", res.Stale, err)
+	}
+	for i := range out {
+		if out[i] != w[i] {
+			t.Fatalf("failover row [%d] = %v, want %v (bit-exact replica)", i, out[i], w[i])
+		}
+	}
+
+	// An owner read of a key nobody trained is still the initializer row.
+	fresh := uint64(1 << 40)
+	for c.Owner(fresh) == dead {
+		fresh++
+	}
+	if err := c.PullBags(false, []uint32{0, 1}, []uint64{fresh}, one); err != nil {
+		t.Fatalf("owner read of an untrained key: %v", err)
+	}
+	init := make([]float32, c.dim)
+	psengine.XavierInit(c.dim)(fresh, init)
+	for i := range init {
+		if one[i] != init[i] {
+			t.Fatalf("untrained key row = %v, want the initializer %v", one, init)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"openembedding/internal/ps"
 )
@@ -183,8 +182,7 @@ func TestClusterPullBagsValidation(t *testing.T) {
 // the node's rows of the bag in key order starting from the first row, or +0
 // for a bag none of whose keys the node owns. So a −0 survives exactly when
 // every addend is −0 — a one-key bag read through one contacted node returns
-// the bits Client.Pull returns — and with or without HedgeDelay (a private
-// copy of the first share instead of a decode into out) the bits are equal.
+// the bits Client.Pull returns.
 func TestClusterPullBagsSignedZero(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	store := storeConfig()
@@ -212,99 +210,97 @@ func TestClusterPullBagsSignedZero(t *testing.T) {
 			t.Cleanup(func() { n.Close() })
 			addrs = append(addrs, n.Addr())
 		}
-		for _, hedge := range []time.Duration{0, time.Minute} {
-			c, err := DialOpts(4, addrs, Options{HedgeDelay: hedge})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			dim := c.Dim()
-			rows := make([]float32, len(keys)*dim)
-			if err := c.Pull(0, keys, rows); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.EndPullPhase(0); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.EndBatch(0); err != nil {
-				t.Fatal(err)
-			}
+		c, err := Dial(4, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		dim := c.Dim()
+		rows := make([]float32, len(keys)*dim)
+		if err := c.Pull(0, keys, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EndPullPhase(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EndBatch(0); err != nil {
+			t.Fatal(err)
+		}
 
-			// The rule, from the pulled rows.
-			want := make([]float32, bags*dim)
-			for b := 0; b < bags; b++ {
-				first := true
-				for n := 0; n < nodes; n++ {
-					share, empty := make([]float32, dim), true
-					for j := offsets[b]; j < offsets[b+1]; j++ {
-						if c.Owner(keys[j]) != n {
-							continue
-						}
-						for i := range share {
-							if empty {
-								share[i] = rows[int(j)*dim+i]
-							} else {
-								share[i] += rows[int(j)*dim+i]
-							}
-						}
-						empty = false
+		// The rule, from the pulled rows.
+		want := make([]float32, bags*dim)
+		for b := 0; b < bags; b++ {
+			first := true
+			for n := 0; n < nodes; n++ {
+				share, empty := make([]float32, dim), true
+				for j := offsets[b]; j < offsets[b+1]; j++ {
+					if c.Owner(keys[j]) != n {
+						continue
 					}
 					for i := range share {
-						if first {
-							want[b*dim+i] = share[i]
+						if empty {
+							share[i] = rows[int(j)*dim+i]
 						} else {
-							want[b*dim+i] += share[i]
+							share[i] += rows[int(j)*dim+i]
 						}
 					}
-					first = false
+					empty = false
+				}
+				for i := range share {
+					if first {
+						want[b*dim+i] = share[i]
+					} else {
+						want[b*dim+i] += share[i]
+					}
+				}
+				first = false
+			}
+		}
+		out := make([]float32, bags*dim)
+		for i := range out {
+			out[i] = 777
+		}
+		if err := c.PullBags(false, offsets, keys, out); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%d nodes: out[%d] = %v (%#x), the rule says %v (%#x)", nodes, i,
+					out[i], math.Float32bits(out[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+		// A gather all of whose keys one node owns: the other node
+		// has no share to add, whichever of the two comes first.
+		for n := 0; n < nodes; n++ {
+			var own []uint64
+			for _, k := range keys {
+				if c.Owner(k) == n {
+					own = append(own, k)
 				}
 			}
-			out := make([]float32, bags*dim)
-			for i := range out {
-				out[i] = 777
-			}
-			if err := c.PullBags(false, offsets, keys, out); err != nil {
+			one := make([]float32, dim)
+			if err := c.PullBags(false, []uint32{0, uint32(len(own))}, own, one); err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%d nodes, hedge %v: out[%d] = %v (%#x), the rule says %v (%#x)", nodes, hedge, i,
-						out[i], math.Float32bits(out[i]), want[i], math.Float32bits(want[i]))
+			var sum float32
+			for i, k := range own {
+				if i == 0 {
+					sum = float32(k)
+				} else {
+					sum += float32(k)
 				}
 			}
-			// A gather all of whose keys one node owns: the other node
-			// has no share to add, whichever of the two comes first.
-			for n := 0; n < nodes; n++ {
-				var own []uint64
-				for _, k := range keys {
-					if c.Owner(k) == n {
-						own = append(own, k)
-					}
-				}
-				one := make([]float32, dim)
-				if err := c.PullBags(false, []uint32{0, uint32(len(own))}, own, one); err != nil {
-					t.Fatal(err)
-				}
-				var sum float32
-				for i, k := range own {
-					if i == 0 {
-						sum = float32(k)
-					} else {
-						sum += float32(k)
-					}
-				}
-				if one[2] != sum {
-					t.Fatalf("%d nodes: node %d's keys alone gathered %v, want %v", nodes, n, one[2], sum)
-				}
+			if one[2] != sum {
+				t.Fatalf("%d nodes: node %d's keys alone gathered %v, want %v", nodes, n, one[2], sum)
 			}
-			// The visible instances: bag 0 is key 1 alone.
-			got := math.Float32bits(out[0])
-			if nodes == 1 && got != math.Float32bits(negZero) {
-				t.Fatalf("one node: a one-key bag of a row holding -0 gathered %#x, Pull returns -0", got)
-			}
-			if nodes == 2 && got != 0 {
-				t.Fatalf("two nodes: -0 plus the other node's empty share gathered %#x, want +0", got)
-			}
+		}
+		// The visible instances: bag 0 is key 1 alone.
+		got := math.Float32bits(out[0])
+		if nodes == 1 && got != math.Float32bits(negZero) {
+			t.Fatalf("one node: a one-key bag of a row holding -0 gathered %#x, Pull returns -0", got)
+		}
+		if nodes == 2 && got != 0 {
+			t.Fatalf("two nodes: -0 plus the other node's empty share gathered %#x, want +0", got)
 		}
 	}
 }

@@ -402,16 +402,14 @@ func (c *Client) fail(op string, after time.Duration, err error) error {
 func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 	start := c.opts.Obs.Now()
 	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	// Propagate the read deadline — the longest this caller will wait for
-	// the response — so the server can abandon work we have given up on.
-	if err := writeFrame(c.bw, &c.sc.hdr, body, c.opts.ReadTimeout); err != nil {
+	if err := writeFrame(c.bw, &c.sc.hdr, body); err != nil {
 		return nil, c.fail(op, c.opts.WriteTimeout, err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, c.fail(op, c.opts.WriteTimeout, err)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	resp, _, err := readFrame(c.br, &c.sc.hdr, c.sc.in)
+	resp, err := readFrame(c.br, &c.sc.hdr, c.sc.in)
 	if err != nil {
 		return nil, c.fail(op, c.opts.ReadTimeout, err)
 	}
@@ -427,17 +425,6 @@ func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 // fences.
 func retryable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
-}
-
-// fencedMsg lists the batch-protocol messages subject to epoch fencing.
-// Hello, Ping, Stats, CompletedCkpt and Rollback are exempt: they are how a
-// fenced client observes and heals the fence.
-func fencedMsg(t byte) bool {
-	switch t {
-	case MsgPull, MsgPush, MsgEndPullPhase, MsgEndBatch, MsgCheckpoint:
-		return true
-	}
-	return false
 }
 
 // backoff returns the jittered exponential delay before retry attempt a
@@ -479,9 +466,10 @@ func (c *Client) do(body []byte) (*Reader, error) {
 
 // doLocked runs the request with redial + bounded retry and returns a
 // reader over the response frame in c.sc.in, valid until the next request.
-// Caller holds c.mu.
+// body[0] is a request type of msgTable: every caller builds its body with
+// one of the Msg constants. Caller holds c.mu.
 func (c *Client) doLocked(body []byte) (Reader, error) {
-	op := msgName(body[0])
+	spec := &msgTable[body[0]]
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	var lastErr error
@@ -511,10 +499,10 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 		// epoch leaves this client fenced until AdoptEpoch. Failing here
 		// (rather than on the wire) keeps the error crisp even when the
 		// server is mid-recovery.
-		if c.ep >= 0 && c.se != c.ep && fencedMsg(body[0]) {
+		if c.ep >= 0 && c.se != c.ep && spec.fenced {
 			return Reader{}, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se} //oevet:alloc-ok a fenced client stops training until it recovers
 		}
-		resp, err := c.roundTrip(op, body)
+		resp, err := c.roundTrip(spec.name, body)
 		if err != nil {
 			lastErr = err
 			if !retryable(err) {
@@ -527,22 +515,13 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 		// regrow the retry budget, whatever the response says.
 		c.opts.Breaker.OnSuccess()
 		c.opts.Budget.OnSuccess()
-		r, err := DecodeResponse(resp)
+		r, err := decodeResponse(resp, c.addr, c.ep)
 		if err != nil {
+			// Server-side fence: record the newer epoch, so the next fenced
+			// request fails here instead of on the wire.
 			var ee *EpochError
 			if errors.As(err, &ee) {
-				// Server-side fence: record the newer epoch and surface a
-				// fully-attributed error.
 				c.se = ee.ServerEpoch
-				return Reader{}, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: ee.ServerEpoch}
-			}
-			var ce *RemoteCorruptError
-			if errors.As(err, &ce) {
-				return Reader{}, &RemoteCorruptError{Addr: c.addr, Msg: ce.Msg}
-			}
-			var be *BusyError
-			if errors.As(err, &be) {
-				return Reader{}, &BusyError{Addr: c.addr, Msg: be.Msg}
 			}
 			return Reader{}, err
 		}
@@ -571,33 +550,6 @@ func (c *Client) doMutating(msg byte, batch int64) error {
 	defer c.release()
 	_, err := c.doLocked(c.startMutating(msg, batch).b)
 	return err
-}
-
-// msgNames names the request types for error and metric labels.
-var msgNames = [...]string{
-	MsgPull:          "pull",
-	MsgPush:          "push",
-	MsgEndPullPhase:  "end-pull-phase",
-	MsgEndBatch:      "end-batch",
-	MsgCheckpoint:    "checkpoint",
-	MsgCompletedCkpt: "completed-checkpoint",
-	MsgStats:         "stats",
-	MsgPing:          "ping",
-	MsgHello:         "hello",
-	MsgRollback:      "rollback",
-	MsgScrub:         "scrub",
-	MsgPullBag:       "pull-bag",
-	MsgMigrateRange:  "migrate-range",
-	MsgAdoptRange:    "adopt-range",
-	MsgDropRange:     "drop-range",
-	MsgReplicate:     "replicate",
-}
-
-func msgName(t byte) string {
-	if int(t) < len(msgNames) && msgNames[t] != "" {
-		return msgNames[t]
-	}
-	return fmt.Sprintf("msg-0x%02x", t) //oevet:alloc-ok no client method sends an unnamed type
 }
 
 // pull is the one Pull implementation: the rows are decoded, under mu,

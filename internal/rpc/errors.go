@@ -81,8 +81,7 @@ func (e *RemoteCorruptError) Is(target error) bool { return target == ErrRemoteC
 var ErrClientClosed = errors.New("rpc: client closed")
 
 // ErrBusy matches (via errors.Is) requests the server shed under overload
-// (serving-tier admission control) or abandoned because the caller's
-// propagated deadline had already expired. Never retried transparently —
+// (serving-tier admission control). Never retried transparently —
 // re-offering shed load is the retry storm the budget exists to prevent —
 // but failover-eligible: a replica may well have capacity.
 var ErrBusy = errors.New("rpc: server busy")
@@ -90,7 +89,7 @@ var ErrBusy = errors.New("rpc: server busy")
 // BusyError is the typed error for a MsgErrBusy response.
 type BusyError struct {
 	Addr string // server address (empty when decoded without context)
-	Msg  string // the remote shed/abandon reason
+	Msg  string // the remote shed reason
 }
 
 // Error implements error.

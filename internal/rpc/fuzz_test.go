@@ -66,9 +66,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 // KindTorn fault produces on the wire — must decode to an error, never a
 // panic, a hang, or silently truncated data.
 func FuzzFrameTear(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(3))
 	f.Add([]byte{}, uint16(0))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint16(40))
+	eachRow(func(t byte, _ *msgSpec) {
+		body := wellFormed(t, 1)
+		f.Add(body, uint16(len(body)/2))
+	})
 	f.Fuzz(func(t *testing.T, body []byte, cutAt uint16) {
 		var wire bytes.Buffer
 		if err := WriteFrame(&wire, body); err != nil {
@@ -113,15 +116,17 @@ func TestServerHandleNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	// Targeted malformed cases.
-	for _, body := range [][]byte{
-		nil,
-		{},
-		{MsgPull},                         // missing batch
-		{MsgPull, 0, 0, 0, 0, 0, 0, 0, 0}, // missing keys
-		{MsgPush, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0}, // truncated count
-		{0x7f, 0, 0, 0, 0, 0, 0, 0, 0},             // unknown type
-	} {
+	// Every row's well-formed request cut short at every byte, and a type
+	// with no row: an error response each.
+	srv.control = stubControl{}
+	cases := [][]byte{{0x7f, 0, 0, 0, 0, 0, 0, 0, 0}}
+	eachRow(func(t byte, _ *msgSpec) {
+		body := wellFormed(t, 1)
+		for cut := range body {
+			cases = append(cases, body[:cut])
+		}
+	})
+	for _, body := range cases {
 		resp := srv.handle(body)
 		if len(resp) == 0 || resp[0] != MsgErr {
 			t.Fatalf("malformed body %v got response %v", body, resp)

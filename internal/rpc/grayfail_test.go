@@ -1,8 +1,6 @@
 package rpc
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -221,77 +219,6 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	}
 	if got := budget.Tokens(); got != 2 {
 		t.Fatalf("budget tokens = %v after fast-failed ping, want 2 (fast-fails are free)", got)
-	}
-}
-
-// TestDispatchDeadlineAbandon: a request whose propagated deadline expired
-// while it queued is answered MsgErrBusy without touching the engine.
-func TestDispatchDeadlineAbandon(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := bareServer(testEngine(t), nil)
-	s.reg = reg
-	s.abandoned = reg.Counter("rpc_server_deadline_abandoned")
-	elapsed := time.Duration(0)
-	base := time.Unix(1000, 0)
-	s.now = func() time.Time { return base.Add(elapsed) }
-
-	ping := NewBuffer(MsgPing, 0).Bytes()
-
-	// Fresh request, generous deadline: served normally.
-	cn := &srvConn{bound: -1}
-	arrival := s.now()
-	resp := s.dispatchDeadline(cn, ping, arrival, 5*time.Millisecond)
-	if _, err := DecodeResponse(resp); err != nil {
-		t.Fatalf("fresh request rejected: %v", err)
-	}
-
-	// 10ms of simulated queueing against a 5ms budget: abandoned busy.
-	arrival = s.now()
-	elapsed += 10 * time.Millisecond
-	resp = s.dispatchDeadline(cn, ping, arrival, 5*time.Millisecond)
-	if _, err := DecodeResponse(resp); !errors.Is(err, ErrBusy) {
-		t.Fatalf("expired request decoded to %v, want ErrBusy", err)
-	}
-	if got := reg.Snapshot().Counters["rpc_server_deadline_abandoned"]; got != 1 {
-		t.Fatalf("abandoned counter = %d, want 1", got)
-	}
-
-	// Deadline 0 means "none propagated": never abandoned, however stale.
-	arrival = s.now()
-	elapsed += time.Hour
-	resp = s.dispatchDeadline(cn, ping, arrival, 0)
-	if _, err := DecodeResponse(resp); err != nil {
-		t.Fatalf("deadline-free request abandoned: %v", err)
-	}
-	if got := reg.Snapshot().Counters["rpc_server_deadline_abandoned"]; got != 1 {
-		t.Fatalf("abandoned counter = %d, want still 1", got)
-	}
-}
-
-func TestFrameDeadlineRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	body := []byte{MsgPing, 1, 2, 3}
-	if err := WriteFrameDeadline(&buf, body, 1500*time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	got, dl, err := ReadFrameDeadline(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatalf("body = %v, want %v", got, body)
-	}
-	if dl != 1500*time.Microsecond {
-		t.Fatalf("deadline = %v, want 1.5ms", dl)
-	}
-
-	// Plain WriteFrame propagates no deadline.
-	buf.Reset()
-	if err := WriteFrame(&buf, body); err != nil {
-		t.Fatal(err)
-	}
-	if _, dl, err := ReadFrameDeadline(bufio.NewReader(&buf)); err != nil || dl != 0 {
-		t.Fatalf("plain frame deadline = (%v, %v), want (0, nil)", dl, err)
 	}
 }
 

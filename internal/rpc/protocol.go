@@ -4,19 +4,17 @@
 // portable stand-in, with the network's virtual cost modeled separately by
 // the simulator).
 //
-// Frame layout: 4-byte little-endian body length, a 4-byte little-endian
-// deadline (the caller's remaining time budget in microseconds, 0 when the
-// caller has none — responses always carry 0), then the body:
+// Frame layout: 4-byte little-endian body length, then the body:
 //
 //	[1]  message type
 //	[8]  batch ID (where applicable)
 //	[..] type-specific payload (counts are uint32, keys uint64, floats
 //	     float32 bit patterns, all little-endian)
 //
-// The deadline rides in the frame header, not the body, so the server can
-// abandon a request whose caller has already timed out before it decodes
-// or executes anything. Responses reuse the same framing: MsgOK / MsgErr /
-// typed payloads.
+// Responses reuse the same framing: MsgOK / MsgErr / typed payloads. What a
+// request type is — its name, whether it is epoch-fenced, deduplicated or
+// control-plane, and the handler that answers it — is one row of msgTable,
+// below.
 package rpc
 
 import (
@@ -25,13 +23,13 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 	"unsafe"
 
 	"openembedding/internal/psengine"
 )
 
-// Message types.
+// Message types. Requests count up from 1 and each has one row in msgTable;
+// responses start at 0x80.
 const (
 	MsgPull byte = iota + 1
 	MsgPush
@@ -49,22 +47,21 @@ const (
 	MsgHello
 	// MsgRollback asks the node to roll its engine back to the checkpoint
 	// in the batch field (the coordinated replay protocol; see DESIGN.md
-	// §10). Exempt from epoch fencing, since it is how a fenced cluster
-	// re-synchronizes.
+	// §10). It is how a fenced cluster re-synchronizes.
 	MsgRollback
 	// MsgScrub asks the node to run one full integrity pass over its
 	// persisted records (DESIGN.md §11). The response is MsgData carrying
-	// the scrub report's six counters. Exempt from epoch fencing: scrubbing
-	// is an admin/repair operation, like Rollback and Stats.
+	// the scrub report's six counters.
 	MsgScrub
 	// MsgPullBag is the serving tier's multi-sample embedding-bag gather
 	// (DESIGN.md §14): one request carries a pooling mode byte (0 = sum,
-	// 1 = mean), a count-prefixed uint32 offsets array (bags+1 entries,
-	// offsets[0] == 0, non-decreasing, last == len(keys); a zero-length bag
-	// pools to the zero vector) and the concatenated key list. The response
-	// is MsgData with bags×dim pooled floats — the server does the pooling,
-	// so only one row per bag crosses the wire. Exempt from epoch fencing
-	// and dedup: serving is read-only and eventually consistent, decoupled
+	// 1 = mean, 2 = sum asked of a failover replica, which answers only
+	// rows it holds — see BagServer.PullReplicaBags), a count-prefixed
+	// uint32 offsets array (bags+1 entries, offsets[0] == 0, non-decreasing,
+	// last == len(keys); a zero-length bag pools to the zero vector) and the
+	// concatenated key list. The response is MsgData with bags×dim pooled
+	// floats — the server does the pooling, so only one row per bag crosses
+	// the wire. Serving is read-only and eventually consistent, decoupled
 	// from the training epoch protocol.
 	MsgPullBag
 	// MsgMigrateRange is the migration coordinator's range export
@@ -72,26 +69,27 @@ const (
 	// entries with dataVersion >= since are returned; a very negative
 	// floor selects everything), and the payload carries the resume
 	// cursor, the page size, and the moving hash intervals. The response
-	// is MsgData with a more flag and the page's entries. Exempt from
-	// epoch fencing and dedup: it is an idempotent admin read, issued by
-	// the coordinator that is itself moving the epoch.
+	// is MsgData with a more flag and the page's entries. An idempotent
+	// admin read, issued by the coordinator that is itself moving the epoch.
 	MsgMigrateRange
 	// MsgAdoptRange installs migrated entries on the target node,
 	// overwriting same-key state and flushing each entry durably before
-	// the OK. Exempt from fencing (admin) and dedup (idempotent: adopting
-	// the same entries twice converges to the same state).
+	// the OK. Idempotent: adopting the same entries twice converges to the
+	// same state.
 	MsgAdoptRange
 	// MsgDropRange removes the keys of the given hash intervals from the
 	// node — index, cache, and durable records — after ownership moved
-	// away. The response is MsgData with the dropped-entry count. Exempt
-	// from fencing and dedup (idempotent: re-dropping a dropped range
-	// drops nothing).
+	// away. The response is MsgData with the dropped-entry count.
+	// Idempotent: re-dropping a dropped range drops nothing.
 	MsgDropRange
 	// MsgReplicate installs read-only serving replicas of the given rows
-	// on the node (the R=2 failover copies). Exempt from fencing and
-	// dedup: replicas are eventually-consistent serving state, outside
-	// the training epoch protocol.
+	// on the node (the R=2 failover copies): eventually-consistent serving
+	// state, outside the training epoch protocol.
 	MsgReplicate
+
+	// numMsgs is msgTable's length: one slot per request type, and slot 0
+	// for the type byte no request carries.
+	numMsgs = int(MsgReplicate) + 1
 
 	MsgOK   byte = 0x80
 	MsgErr  byte = 0x81
@@ -106,19 +104,64 @@ const (
 	// the scrubber's and the recovery protocol's job.
 	MsgErrCorrupt byte = 0x85
 	// MsgErrBusy reports a request the node shed under overload (admission
-	// control at the serving tier) or abandoned because the caller's
-	// propagated deadline had already expired. Distinct from MsgErr so
-	// callers can fail over to a replica instead of treating overload as an
-	// application bug; NOT transparently retried — hammering an overloaded
-	// node is exactly the retry storm the budget exists to prevent.
+	// control at the serving tier). Distinct from MsgErr so callers can fail
+	// over to a replica instead of treating overload as an application bug;
+	// NOT transparently retried — hammering an overloaded node is exactly
+	// the retry storm the budget exists to prevent.
 	MsgErrBusy byte = 0x86
 )
 
-// Mutating message bodies (Push, EndPullPhase, EndBatch, Checkpoint) carry,
-// directly after the batch ID, a client ID and a client-assigned sequence
-// number. The server caches the last response per client and replays it
-// when a retry re-delivers the same sequence, making every mutating op
-// at-most-once under retries.
+// msgSpec is everything the protocol knows about one request type.
+type msgSpec struct {
+	// name labels the request in errors, oectl output and the server's
+	// latency series (rpc_server_<name>_ns).
+	name string
+	// fenced requests are the batch protocol: refused, on both ends, from a
+	// connection bound to another epoch than the server's. Everything else
+	// is how a fenced client observes and heals the fence, or is outside
+	// the training epoch protocol altogether.
+	fenced bool
+	// dedup requests mutate: their body carries, directly after the batch
+	// ID, a client ID and a client-assigned sequence number, and the server
+	// replays its cached response when a retry re-delivers the sequence —
+	// at most once under retries. The others are reads or idempotent.
+	dedup bool
+	// control requests are answered by the node's Control; a server without
+	// one refuses them by name.
+	control bool
+	// serve answers the request: the response body, or the error to encode.
+	serve func(*Server, *request) ([]byte, error)
+}
+
+// msgTable is the protocol: one row per request type, indexed by its type
+// byte. Dispatch, fencing (server and client), dedup, the refusal of control
+// messages, request names and metric names are all read from here.
+var msgTable = [numMsgs]msgSpec{
+	MsgPull:          {name: "pull", fenced: true, serve: (*Server).servePull},
+	MsgPush:          {name: "push", fenced: true, dedup: true, serve: (*Server).servePush},
+	MsgEndPullPhase:  {name: "end-pull-phase", fenced: true, dedup: true, serve: (*Server).serveEndPullPhase},
+	MsgEndBatch:      {name: "end-batch", fenced: true, dedup: true, serve: (*Server).serveEndBatch},
+	MsgCheckpoint:    {name: "checkpoint", fenced: true, dedup: true, serve: (*Server).serveCheckpoint},
+	MsgCompletedCkpt: {name: "completed-checkpoint", serve: (*Server).serveCompletedCkpt},
+	MsgStats:         {name: "stats", serve: (*Server).serveStats},
+	MsgPing:          {name: "ping", serve: (*Server).servePing},
+	MsgHello:         {name: "hello", serve: (*Server).serveHello},
+	MsgRollback:      {name: "rollback", control: true, serve: (*Server).serveRollback},
+	MsgScrub:         {name: "scrub", control: true, serve: (*Server).serveScrub},
+	MsgPullBag:       {name: "pull-bag", serve: (*Server).servePullBag},
+	MsgMigrateRange:  {name: "migrate-range", control: true, serve: (*Server).serveMigrateRange},
+	MsgAdoptRange:    {name: "adopt-range", control: true, serve: (*Server).serveAdoptRange},
+	MsgDropRange:     {name: "drop-range", control: true, serve: (*Server).serveDropRange},
+	MsgReplicate:     {name: "replicate", control: true, serve: (*Server).serveReplicate},
+}
+
+// specOf returns t's row, or nil for a type byte no request carries.
+func specOf(t byte) *msgSpec {
+	if int(t) < numMsgs && msgTable[t].serve != nil {
+		return &msgTable[t]
+	}
+	return nil
+}
 
 // MaxFrame bounds a frame body; larger frames indicate protocol corruption.
 const MaxFrame = 64 << 20
@@ -126,43 +169,23 @@ const MaxFrame = 64 << 20
 // ErrFrameTooLarge indicates a frame over MaxFrame.
 var ErrFrameTooLarge = errors.New("rpc: frame too large")
 
-// frameHdrSize is the wire header: body length + propagated deadline.
-const frameHdrSize = 8
+// frameHdrSize is the wire header: the body length.
+const frameHdrSize = 4
 
-// maxDeadlineMicros is the largest deadline the 4-byte header field can
-// carry (~71 minutes); longer budgets are clamped, which only ever makes
-// the server more patient, never less.
-const maxDeadlineMicros = 1<<32 - 1
-
-// WriteFrame writes one frame to w with no propagated deadline.
+// WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, body []byte) error {
-	return WriteFrameDeadline(w, body, 0)
-}
-
-// WriteFrameDeadline writes one frame carrying the caller's remaining time
-// budget (0 means none). The deadline is relative, not an absolute
-// timestamp, so it needs no clock synchronization between peers.
-func WriteFrameDeadline(w io.Writer, body []byte, deadline time.Duration) error {
 	var hdr [frameHdrSize]byte
-	return writeFrame(w, &hdr, body, deadline)
+	return writeFrame(w, &hdr, body)
 }
 
-// writeFrame is WriteFrameDeadline with the header bytes supplied by the
-// caller: a header declared here would escape through w.Write and cost an
-// allocation per frame, so a connection passes the one in its scratch.
-func writeFrame(w io.Writer, hdr *[frameHdrSize]byte, body []byte, deadline time.Duration) error {
+// writeFrame is WriteFrame with the header bytes supplied by the caller: a
+// header declared here would escape through w.Write and cost an allocation
+// per frame, so a connection passes the one in its scratch.
+func writeFrame(w io.Writer, hdr *[frameHdrSize]byte, body []byte) error {
 	if len(body) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	micros := uint64(0)
-	if deadline > 0 {
-		micros = uint64(deadline / time.Microsecond)
-		if micros > maxDeadlineMicros {
-			micros = maxDeadlineMicros
-		}
-	}
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(micros))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -170,36 +193,28 @@ func writeFrame(w io.Writer, hdr *[frameHdrSize]byte, body []byte, deadline time
 	return err
 }
 
-// ReadFrame reads one frame from r, discarding the propagated deadline.
+// ReadFrame reads one frame from r into a fresh body.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	body, _, err := ReadFrameDeadline(r)
-	return body, err
-}
-
-// ReadFrameDeadline reads one frame into a fresh body and returns it with
-// the caller's propagated deadline (0 when the caller set none).
-func ReadFrameDeadline(r io.Reader) ([]byte, time.Duration, error) {
 	var hdr [frameHdrSize]byte
 	return readFrame(r, &hdr, nil)
 }
 
-// readFrame is ReadFrameDeadline into the caller's memory: the body lands
-// in buf's array (grown when it is too small) and the returned slice
-// aliases it, so it is only valid until the caller reuses buf.
-func readFrame(r io.Reader, hdr *[frameHdrSize]byte, buf []byte) ([]byte, time.Duration, error) {
+// readFrame is ReadFrame into the caller's memory: the body lands in buf's
+// array (grown when it is too small) and the returned slice aliases it, so
+// it is only valid until the caller reuses buf.
+func readFrame(r io.Reader, hdr *[frameHdrSize]byte, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, 0, ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
-	deadline := time.Duration(binary.LittleEndian.Uint32(hdr[4:])) * time.Microsecond
 	body := fit(buf, int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return body, deadline, nil
+	return body, nil
 }
 
 // maxScratch bounds, in bytes, each buffer a connection keeps between
@@ -514,7 +529,7 @@ func EpochErrBody(serverEpoch int64) []byte {
 // CorruptErrBody encodes a data-integrity error response.
 func CorruptErrBody(err error) []byte { return errBody(MsgErrCorrupt, err) }
 
-// BusyErrBody encodes an overload-shed (or deadline-abandoned) response.
+// BusyErrBody encodes an overload-shed response.
 func BusyErrBody(err error) []byte { return errBody(MsgErrBusy, err) }
 
 // HashInterval is a closed range [Lo, Hi] of ring positions (key hashes,
@@ -619,8 +634,14 @@ func readMigEntries(r *Reader) ([]psengine.MigEntry, error) {
 
 // DecodeResponse inspects a response body: nil error for MsgOK/MsgData
 // (returning a reader over the rest, which aliases body), the remote error
-// for MsgErr, or a typed *EpochError for MsgErrEpoch.
+// for MsgErr, or a typed *EpochError / *RemoteCorruptError / *BusyError.
 func DecodeResponse(body []byte) (Reader, error) {
+	return decodeResponse(body, "", -1)
+}
+
+// decodeResponse is DecodeResponse on a connection: a typed remote error
+// names the peer (addr) and, for an epoch fence, the epoch the client was at.
+func decodeResponse(body []byte, addr string, clientEpoch int64) (Reader, error) {
 	r := Reader{b: body}
 	t, err := r.Type()
 	if err != nil {
@@ -629,27 +650,27 @@ func DecodeResponse(body []byte) (Reader, error) {
 	if t == MsgOK || t == MsgData {
 		return r, nil
 	}
-	return Reader{}, remoteErr(t, &r)
+	return Reader{}, remoteErr(t, &r, addr, clientEpoch)
 }
 
 // oevet:coldpath an error response is not the steady state
-func remoteErr(t byte, r *Reader) error {
+func remoteErr(t byte, r *Reader, addr string, clientEpoch int64) error {
 	switch t {
 	case MsgErrEpoch:
 		se, err := r.I64()
 		if err != nil {
 			return err
 		}
-		return &EpochError{ServerEpoch: se, ClientEpoch: -1}
+		return &EpochError{Addr: addr, ClientEpoch: clientEpoch, ServerEpoch: se}
 	case MsgErr, MsgErrCorrupt, MsgErrBusy:
 		msg, err := r.String()
 		switch {
 		case err != nil:
 			return err
 		case t == MsgErrCorrupt:
-			return &RemoteCorruptError{Msg: msg}
+			return &RemoteCorruptError{Addr: addr, Msg: msg}
 		case t == MsgErrBusy:
-			return &BusyError{Msg: msg}
+			return &BusyError{Addr: addr, Msg: msg}
 		}
 		return fmt.Errorf("rpc: remote: %s", msg)
 	default:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,11 +36,12 @@ type ServerOptions struct {
 	// scrub, migration, replication). Nil rejects each of them with MsgErr;
 	// the connection stays alive either way.
 	Control Control
-	// Obs, when set, receives server metrics: rpc_server_pull_ns /
-	// rpc_server_push_ns / rpc_server_other_ns request-service histograms,
+	// Obs, when set, receives server metrics: one request-service
+	// histogram per request type (rpc_server_<name>_ns with the table's
+	// name, '-' as '_': rpc_server_pull_ns, rpc_server_pull_bag_ns, ...),
 	// rpc_server_bytes_in/out, rpc_server_requests, the rpc_server_conns
-	// gauge, and the fault-tolerance counters rpc_server_epoch_rejects,
-	// rpc_server_dedup_hits and rpc_server_deadline_abandoned.
+	// gauge, and the fault-tolerance counters rpc_server_epoch_rejects and
+	// rpc_server_dedup_hits.
 	Obs *obs.Registry
 }
 
@@ -131,20 +133,13 @@ type Server struct {
 
 	// metrics (nil, and free, without ServerOptions.Obs)
 	reg          *obs.Registry
-	pullNS       *obs.Histogram
-	pushNS       *obs.Histogram
-	otherNS      *obs.Histogram
+	serveNS      [numMsgs]*obs.Histogram // by request type
 	bytesIn      *obs.Counter
 	bytesOut     *obs.Counter
 	requests     *obs.Counter
 	connsG       *obs.Gauge
 	epochRejects *obs.Counter
 	dedupHits    *obs.Counter
-	abandoned    *obs.Counter
-
-	// now is the wall clock used to measure a request's age against its
-	// propagated deadline; tests override it to simulate queueing delay.
-	now func() time.Time
 }
 
 // Serve starts a server for engine on addr ("127.0.0.1:0" picks a free
@@ -167,7 +162,6 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 		control: opts.Control,
 		conns:   make(map[net.Conn]struct{}),
 		dedup:   make(map[int64]dedupEntry),
-		now:     time.Now,
 	}
 	s.SetEngine(engine)
 	s.epoch.Store(opts.Epoch)
@@ -176,16 +170,17 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 	}
 	reg := opts.Obs // nil registry: nil, free metrics
 	s.reg = reg
-	s.pullNS = reg.Histogram("rpc_server_pull_ns")
-	s.pushNS = reg.Histogram("rpc_server_push_ns")
-	s.otherNS = reg.Histogram("rpc_server_other_ns")
+	for t, spec := range msgTable {
+		if spec.serve != nil {
+			s.serveNS[t] = reg.Histogram("rpc_server_" + strings.ReplaceAll(spec.name, "-", "_") + "_ns")
+		}
+	}
 	s.bytesIn = reg.Counter("rpc_server_bytes_in")
 	s.bytesOut = reg.Counter("rpc_server_bytes_out")
 	s.requests = reg.Counter("rpc_server_requests")
 	s.connsG = reg.Gauge("rpc_server_conns")
 	s.epochRejects = reg.Counter("rpc_server_epoch_rejects")
 	s.dedupHits = reg.Counter("rpc_server_dedup_hits")
-	s.abandoned = reg.Counter("rpc_server_deadline_abandoned")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -232,11 +227,52 @@ func (s *Server) acceptLoop() {
 }
 
 // srvConn is one accepted connection's state: the epoch its MsgHello bound
-// it to (negative before the handshake; server epochs never are) and the
-// scratch its requests are decoded into and answered from.
+// it to (negative before the handshake; server epochs never are), the
+// scratch its requests are decoded into and answered from, and the request
+// in flight. The request lives here rather than on dispatch's stack on
+// purpose: it is handed to its handler through the table's func value, so a
+// stack one would escape and cost every request an allocation.
 type srvConn struct {
 	bound int64
 	sc    wireScratch
+	req   request
+}
+
+// request is one request as parse read it and as its handler sees it.
+type request struct {
+	spec   *msgSpec
+	batch  int64
+	client int64    // dedup rows only: the client ID ...
+	seq    int64    // ... and its sequence number
+	r      Reader   // over the body, past the header: the payload
+	cn     *srvConn // the connection: its scratch and, for hello, its bound epoch
+}
+
+// parse reads body's header — type, batch and, on a dedup row, client ID and
+// sequence — into the connection's request, once: everything downstream
+// works from the request and the payload reader it leaves behind.
+func (cn *srvConn) parse(body []byte) (*request, error) {
+	req := &cn.req
+	*req = request{cn: cn, r: Reader{b: body}}
+	t, err := req.r.Type()
+	if err != nil {
+		return nil, err
+	}
+	if req.batch, err = req.r.I64(); err != nil {
+		return nil, err
+	}
+	if req.spec = specOf(t); req.spec == nil {
+		return nil, refusef("unknown message type 0x%02x", t)
+	}
+	if req.spec.dedup {
+		if req.client, err = req.r.I64(); err != nil {
+			return nil, err
+		}
+		if req.seq, err = req.r.I64(); err != nil {
+			return nil, err
+		}
+	}
+	return req, nil
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -263,36 +299,25 @@ func (s *Server) serveConn(conn net.Conn) {
 // it and lets go of scratch the request grew past maxScratch. An error —
 // EOF or a broken connection — ends the connection's loop.
 func (s *Server) serveOne(cn *srvConn, br *bufio.Reader, bw *bufio.Writer) error {
-	body, deadline, err := readFrame(br, &cn.sc.hdr, cn.sc.in)
+	body, err := readFrame(br, &cn.sc.hdr, cn.sc.in)
 	if err != nil {
 		return err
 	}
 	cn.sc.in = body
-	arrival := s.now()
 	var start time.Duration
 	if s.reg != nil {
 		start = s.reg.Now()
 	}
-	resp := s.dispatchDeadline(cn, body, arrival, deadline)
+	resp := s.dispatch(cn, body)
 	if s.reg != nil {
-		d := s.reg.Now() - start
-		var t byte
-		if len(body) > 0 {
-			t = body[0]
-		}
-		switch t {
-		case MsgPull:
-			s.pullNS.Observe(d)
-		case MsgPush:
-			s.pushNS.Observe(d)
-		default:
-			s.otherNS.Observe(d)
+		if cn.req.spec != nil { // a request the table knows: body[0] is its row
+			s.serveNS[body[0]].Observe(s.reg.Now() - start)
 		}
 		s.requests.Add(1)
 		s.bytesIn.Add(int64(len(body)) + frameHdrSize)
 		s.bytesOut.Add(int64(len(resp)) + frameHdrSize)
 	}
-	if err := writeFrame(bw, &cn.sc.hdr, resp, 0); err != nil {
+	if err := writeFrame(bw, &cn.sc.hdr, resp); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -302,30 +327,15 @@ func (s *Server) serveOne(cn *srvConn, br *bufio.Reader, bw *bufio.Writer) error
 	return nil
 }
 
-// dispatchDeadline abandons requests whose caller's propagated deadline
-// has already expired — the caller stopped listening, so executing the
-// work (and growing the engine's queue) helps nobody — then delegates to
-// dispatch. The response is a MsgErrBusy so a stray still-listening caller
-// fails over rather than retrying.
-func (s *Server) dispatchDeadline(cn *srvConn, body []byte, arrival time.Time, deadline time.Duration) []byte {
-	if deadline > 0 && s.now().Sub(arrival) >= deadline {
-		s.abandoned.Add(1)
-		return BusyErrBody(fmt.Errorf("deadline %v expired before execution", deadline))
-	}
-	return s.dispatch(cn, body)
-}
-
-// dispatch applies per-connection epoch fencing and per-client dedup, then
-// delegates to handleOn.
+// dispatch answers one request body on its connection: parse, then what the
+// request's row in msgTable asks for — the epoch fence, the dedup cache —
+// then the row's handler.
 func (s *Server) dispatch(cn *srvConn, body []byte) []byte {
-	if len(body) == 0 {
-		return ErrBody(ErrTruncated)
+	req, err := cn.parse(body)
+	if err != nil {
+		return ErrBody(err)
 	}
-	t := body[0]
-	if t == MsgHello {
-		return s.handleHello(&cn.bound, body)
-	}
-	if fencedMsg(t) {
+	if req.spec.fenced {
 		if cn.bound < 0 {
 			return ErrBody(errNoHello)
 		}
@@ -334,84 +344,53 @@ func (s *Server) dispatch(cn *srvConn, body []byte) []byte {
 			return EpochErrBody(cur)
 		}
 	}
-	if mutatingMsg(t) {
-		return s.handleMutating(&cn.sc, body)
+	if req.spec.dedup {
+		return s.serveOnce(req)
 	}
-	return s.handleOn(&cn.sc, body)
+	return s.serve(req)
 }
 
-// handleHello binds the connection to an epoch and replies with the
-// server's current one. A client epoch < 0 adopts the current epoch.
-func (s *Server) handleHello(bound *int64, body []byte) []byte {
-	r := NewReader(body)
-	r.Type()
-	if _, err := r.I64(); err != nil { // batch field, unused
-		return ErrBody(err)
-	}
-	clientEpoch, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if _, err := r.I64(); err != nil { // client ID, informational
-		return ErrBody(err)
-	}
-	cur := s.epoch.Load()
-	if clientEpoch < 0 {
-		clientEpoch = cur
-	}
-	*bound = clientEpoch
-	return i64Resp(cur)
-}
-
-// mutatingMsg lists the messages that carry a clientID+seq pair and are
-// subject to at-most-once dedup.
-func mutatingMsg(t byte) bool {
-	switch t {
-	case MsgPush, MsgEndPullPhase, MsgEndBatch, MsgCheckpoint:
-		return true
-	}
-	return false
-}
-
-// handleMutating peeks the clientID+seq pair that mutating bodies carry
-// after the batch field, consults the dedup cache, and stores the response
-// for replay.
-func (s *Server) handleMutating(sc *wireScratch, body []byte) []byte {
-	r := Reader{b: body}
-	r.Type()
-	if _, err := r.I64(); err != nil { // batch
-		return ErrBody(err)
-	}
-	clientID, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	seq, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
+// serveOnce is serve behind the dedup cache: a retry of the client's last
+// sequence is answered from the cache, an older one refused.
+func (s *Server) serveOnce(req *request) []byte {
 	s.dedupMu.Lock()
-	last, ok := s.dedup[clientID]
+	last, ok := s.dedup[req.client]
 	s.dedupMu.Unlock()
 	if ok {
-		if seq == last.seq {
+		if req.seq == last.seq {
 			// Retry of the last request: the mutation already ran (or its
 			// response was lost in flight after running); replay it.
 			s.dedupHits.Add(1)
 			return last.resp
 		}
-		if seq < last.seq {
-			return ErrBody(fmt.Errorf("stale sequence %d from client %d (last %d)",
-				seq, clientID, last.seq))
+		if req.seq < last.seq {
+			return ErrBody(refusef("stale sequence %d from client %d (last %d)",
+				req.seq, req.client, last.seq))
 		}
 	}
 	// The cached body outlives the request, so it must never be a slice of
-	// sc: mutating handlers answer with the shared okBody or a fresh error
-	// body, never from sc.out.
-	resp := s.handleOn(sc, body)
+	// the connection's scratch: dedup rows answer with the shared okBody or
+	// a fresh error body, never from sc.out.
+	resp := s.serve(req)
 	s.dedupMu.Lock()
-	s.dedup[clientID] = dedupEntry{seq: seq, resp: resp}
+	s.dedup[req.client] = dedupEntry{seq: req.seq, resp: resp}
 	s.dedupMu.Unlock()
+	return resp
+}
+
+// serve runs the request's handler and encodes its outcome. It is the one
+// error mapping: whatever a handler returns — a decode error, or the
+// engine's, the Control's or the BagServer's — goes through errResp. The
+// data-plane handlers decode into the connection's scratch and answer from
+// it, so their response is only valid until the connection's next request.
+func (s *Server) serve(req *request) []byte {
+	if req.spec.control && s.control == nil {
+		return ErrBody(refusef("%s unsupported by this node", req.spec.name))
+	}
+	resp, err := req.spec.serve(s, req)
+	if err != nil {
+		return errResp(err)
+	}
 	return resp
 }
 
@@ -419,83 +398,16 @@ func (s *Server) handleMutating(sc *wireScratch, body []byte) []byte {
 // fencing, no dedup, throw-away scratch — which is how tests and fuzzers
 // exercise the handlers in process.
 func (s *Server) handle(body []byte) []byte {
-	return s.handleOn(new(wireScratch), body)
+	req, err := new(srvConn).parse(body)
+	if err != nil {
+		return ErrBody(err)
+	}
+	return s.serve(req)
 }
 
-// handleOn dispatches one request body and returns the response body. It
-// performs no fencing or dedup — dispatch layers those on top. The
-// data-plane handlers decode into sc and answer from it, so their response
-// is only valid until sc's next request.
-func (s *Server) handleOn(sc *wireScratch, body []byte) []byte {
-	r := &Reader{b: body}
-	t, err := r.Type()
-	if err != nil {
-		return ErrBody(err)
-	}
-	batch, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if mutatingMsg(t) {
-		// Skip the clientID+seq pair; handleMutating already consumed its
-		// meaning.
-		if _, err := r.I64(); err != nil {
-			return ErrBody(err)
-		}
-		if _, err := r.I64(); err != nil {
-			return ErrBody(err)
-		}
-	}
-	eng := *s.engine.Load()
-	switch t {
-	case MsgPull:
-		return s.handlePull(eng, sc, batch, r)
-	case MsgPush:
-		return s.handlePush(eng, sc, batch, r)
-	case MsgEndPullPhase:
-		eng.EndPullPhase(batch)
-		return OKBody()
-	case MsgEndBatch:
-		if err := eng.EndBatch(batch); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	case MsgCheckpoint:
-		if err := eng.RequestCheckpoint(batch); err != nil {
-			return ErrBody(err)
-		}
-		return OKBody()
-	case MsgCompletedCkpt:
-		// A progress poll also drives background checkpoint finalization
-		// forward when the engine supports it, so a trainer waiting for a
-		// commit is never stuck behind "no more batches are coming".
-		if adv, ok := eng.(advancer); ok {
-			if err := adv.AdvanceCheckpoints(); err != nil {
-				return errResp(err)
-			}
-		}
-		return i64Resp(eng.CompletedCheckpoint())
-	case MsgPullBag:
-		return s.handlePullBag(sc, r)
-	case MsgStats:
-		st := eng.Stats()
-		return fieldsResp(statsFields(&st))
-	case MsgRollback, MsgScrub, MsgMigrateRange, MsgAdoptRange, MsgDropRange, MsgReplicate:
-		if s.control == nil {
-			return ErrBody(fmt.Errorf("%s unsupported by this node", msgName(t)))
-		}
-		return s.handleControl(t, batch, r)
-	case MsgPing:
-		// The health probe reports the node's epoch and whether it serves
-		// bag reads; Ping ignores the payload, PingInfo decodes it.
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(s.epoch.Load())
-		out.PutBool(s.bags != nil)
-		return out.Bytes()
-	default:
-		return ErrBody(fmt.Errorf("unknown message type 0x%02x", t))
-	}
-}
+// eng returns the engine behind the server. A handler loads it once, so a
+// request is answered by one engine throughout (see SetEngine).
+func (s *Server) eng() psengine.Engine { return *s.engine.Load() }
 
 // i64Resp encodes a MsgData response carrying one int64.
 func i64Resp(v int64) []byte {
@@ -514,97 +426,12 @@ func fieldsResp(fields []*int64) []byte {
 	return out.Bytes()
 }
 
-// handleControl serves one control-plane message (type and batch already
-// consumed) through the node's Control. It decodes into fresh memory: what
-// AdoptRange or Replicate installs may be kept.
-func (s *Server) handleControl(t byte, batch int64, r *Reader) []byte {
-	switch t {
-	case MsgRollback:
-		if err := s.control.Rollback(batch); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	case MsgScrub:
-		rep, err := s.control.Scrub()
-		if err != nil {
-			return errResp(err)
-		}
-		return fieldsResp(scrubFields(&rep))
-	case MsgMigrateRange:
-		// The batch field carries the delta floor (since).
-		afterKey, err := r.I64()
-		if err != nil {
-			return ErrBody(err)
-		}
-		max, err := r.I64()
-		if err != nil {
-			return ErrBody(err)
-		}
-		ivs, err := readIntervals(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		entries, more, err := s.control.MigrateRange(batch, uint64(afterKey), int(max), ivs)
-		if err != nil {
-			return errResp(err)
-		}
-		size := 1 + 1 + 8
-		for _, me := range entries {
-			size += 8 + 8 + 4 + 4*len(me.Data)
-		}
-		if size > MaxFrame {
-			return ErrBody(fmt.Errorf("rpc: migration page of %d entries is %d bytes, over the frame limit: ask for fewer than %d",
-				len(entries), size, max))
-		}
-		out := &Buffer{b: make([]byte, 0, size)}
-		out.reset(MsgData)
-		out.PutBool(more)
-		putMigEntries(out, entries)
-		return out.Bytes()
-	case MsgAdoptRange:
-		entries, err := readMigEntries(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		if err := s.control.AdoptRange(entries); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	case MsgDropRange:
-		ivs, err := readIntervals(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		n, err := s.control.DropRange(ivs)
-		if err != nil {
-			return errResp(err)
-		}
-		return i64Resp(int64(n))
-	default: // MsgReplicate
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
-		}
-		rows, err := r.Floats()
-		if err != nil {
-			return ErrBody(err)
-		}
-		if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
-			return ErrBody(fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys)))
-		}
-		if err := s.control.Replicate(keys, rows); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	}
-}
-
-// errRespTooLarge refuses a request whose answer would not fit a frame —
+// errTooLarge refuses a request whose answer would not fit a frame —
 // before executing it, and as an application error: writing the oversized
 // response would fail and cost the client its connection (and three
 // retries of the same doomed request).
-func errRespTooLarge(floats int) []byte {
-	return ErrBody(refusef("rpc: response of %d floats exceeds the frame limit", floats))
+func errTooLarge(floats int) error {
+	return refusef("rpc: response of %d floats exceeds the frame limit", floats)
 }
 
 // floatsResp encodes the data-plane response — MsgData and sc.vals as one
@@ -615,81 +442,229 @@ func floatsResp(sc *wireScratch) []byte {
 	return sc.out.b
 }
 
-// handlePull serves one MsgPull body (type and batch already consumed):
-// keys decoded into, rows pulled into and the response encoded from the
-// connection's scratch.
+// The handlers, one per row of msgTable. Each is handed the parsed request
+// (type, batch and any client ID / sequence already consumed) and returns the
+// response body or the error serve encodes.
+
+// serveHello binds the connection to an epoch and replies with the server's
+// current one. A client epoch < 0 adopts the current epoch. The client ID
+// that follows it is informational.
+func (s *Server) serveHello(req *request) ([]byte, error) {
+	clientEpoch, err := req.r.I64()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := req.r.I64(); err != nil {
+		return nil, err
+	}
+	cur := s.epoch.Load()
+	if clientEpoch < 0 {
+		clientEpoch = cur
+	}
+	req.cn.bound = clientEpoch
+	return i64Resp(cur), nil
+}
+
+// servePull answers from the connection's scratch: keys decoded into it,
+// rows pulled into it and the response encoded from it.
 //
 // oevet:hotpath
-func (s *Server) handlePull(eng psengine.Engine, sc *wireScratch, batch int64, r *Reader) []byte {
-	var err error
-	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
-		return ErrBody(err)
+func (s *Server) servePull(req *request) (_ []byte, err error) {
+	eng, sc := s.eng(), &req.cn.sc
+	if sc.keys, err = req.r.KeysInto(sc.keys); err != nil {
+		return nil, err
 	}
 	n := len(sc.keys) * eng.Dim()
 	if 1+4+4*n > MaxFrame {
-		return errRespTooLarge(n)
+		return nil, errTooLarge(n)
 	}
 	sc.vals = fit(sc.vals, n)
-	if err := eng.Pull(batch, sc.keys, sc.vals); err != nil {
-		return errResp(err)
+	if err := eng.Pull(req.batch, sc.keys, sc.vals); err != nil {
+		return nil, err
 	}
-	return floatsResp(sc)
+	return floatsResp(sc), nil
 }
 
-// handlePush serves one MsgPush body. The engine must not keep keys or
-// grads: both are the connection's scratch.
+// servePush hands the engine the connection's scratch: it must keep
+// neither keys nor grads.
 //
 // oevet:hotpath
-func (s *Server) handlePush(eng psengine.Engine, sc *wireScratch, batch int64, r *Reader) []byte {
-	var err error
-	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
-		return ErrBody(err)
+func (s *Server) servePush(req *request) (_ []byte, err error) {
+	sc := &req.cn.sc
+	if sc.keys, err = req.r.KeysInto(sc.keys); err != nil {
+		return nil, err
 	}
-	if sc.vals, err = r.FloatsInto(sc.vals); err != nil {
-		return ErrBody(err)
+	if sc.vals, err = req.r.FloatsInto(sc.vals); err != nil {
+		return nil, err
 	}
-	if err := eng.Push(batch, sc.keys, sc.vals); err != nil {
-		return errResp(err)
-	}
-	return OKBody()
+	return okBody, s.eng().Push(req.batch, sc.keys, sc.vals)
 }
 
-// handlePullBag serves one MsgPullBag body (type and batch already
-// consumed). Malformed bags — bad pooling mode, truncated or inconsistent
-// offsets, offsets past the end of the key list — are answered with
-// MsgErr; the connection stays alive (serveConn only drops a connection on
-// transport failure, never on an application error).
+func (s *Server) serveEndPullPhase(req *request) ([]byte, error) {
+	s.eng().EndPullPhase(req.batch)
+	return okBody, nil
+}
+
+func (s *Server) serveEndBatch(req *request) ([]byte, error) {
+	return okBody, s.eng().EndBatch(req.batch)
+}
+
+func (s *Server) serveCheckpoint(req *request) ([]byte, error) {
+	return okBody, s.eng().RequestCheckpoint(req.batch)
+}
+
+// serveCompletedCkpt answers a progress poll, which also drives background
+// checkpoint finalization forward when the engine supports it, so a trainer
+// waiting for a commit is never stuck behind "no more batches are coming".
+func (s *Server) serveCompletedCkpt(*request) ([]byte, error) {
+	eng := s.eng()
+	if adv, ok := eng.(advancer); ok {
+		if err := adv.AdvanceCheckpoints(); err != nil {
+			return nil, err
+		}
+	}
+	return i64Resp(eng.CompletedCheckpoint()), nil
+}
+
+func (s *Server) serveStats(*request) ([]byte, error) {
+	st := s.eng().Stats()
+	return fieldsResp(statsFields(&st)), nil
+}
+
+// servePing answers the health probe with the node's epoch and whether it
+// serves bag reads; Ping ignores the payload, PingInfo decodes it.
+func (s *Server) servePing(*request) ([]byte, error) {
+	out := &Buffer{b: []byte{MsgData}}
+	out.PutI64(s.epoch.Load())
+	out.PutBool(s.bags != nil)
+	return out.Bytes(), nil
+}
+
+// servePullBag refuses malformed bags — bad pooling mode, truncated or
+// inconsistent offsets, offsets past the end of the key list — with MsgErr;
+// the connection stays alive (serveConn only drops a connection on transport
+// failure, never on an application error).
 //
 // oevet:hotpath
-func (s *Server) handlePullBag(sc *wireScratch, r *Reader) []byte {
+func (s *Server) servePullBag(req *request) (_ []byte, err error) {
 	if s.bags == nil {
-		return ErrBody(errNoBags)
+		return nil, errNoBags
 	}
-	mode, err := r.U8()
+	sc := &req.cn.sc
+	mode, err := req.r.U8()
 	if err != nil {
-		return ErrBody(err)
+		return nil, err
 	}
-	if mode > 1 {
-		return ErrBody(refusef("rpc: bad pooling mode %d", mode))
+	if mode > bagReplica {
+		return nil, refusef("rpc: bad pooling mode %d", mode)
 	}
-	if sc.offs, err = r.U32sInto(sc.offs); err != nil {
-		return ErrBody(err)
+	if sc.offs, err = req.r.U32sInto(sc.offs); err != nil {
+		return nil, err
 	}
-	if sc.keys, err = r.KeysInto(sc.keys); err != nil {
-		return ErrBody(err)
+	if sc.keys, err = req.r.KeysInto(sc.keys); err != nil {
+		return nil, err
 	}
 	if err := ValidateBagOffsets(sc.offs, len(sc.keys)); err != nil {
-		return ErrBody(err)
+		return nil, err
 	}
 	n := (len(sc.offs) - 1) * s.bags.Dim()
 	if 1+4+4*n > MaxFrame {
-		return errRespTooLarge(n)
+		return nil, errTooLarge(n)
 	}
 	sc.vals = fit(sc.vals, n)
-	if err := s.bags.PullBags(mode == 1, sc.offs, sc.keys, sc.vals); err != nil {
-		return errResp(err)
+	if mode == bagReplica {
+		err = s.bags.PullReplicaBags(sc.offs, sc.keys, sc.vals)
+	} else {
+		err = s.bags.PullBags(mode == bagMean, sc.offs, sc.keys, sc.vals)
 	}
-	return floatsResp(sc)
+	if err != nil {
+		return nil, err
+	}
+	return floatsResp(sc), nil
+}
+
+// The control-plane handlers decode into fresh memory: what AdoptRange or
+// Replicate installs may be kept.
+
+func (s *Server) serveRollback(req *request) ([]byte, error) {
+	return okBody, s.control.Rollback(req.batch)
+}
+
+func (s *Server) serveScrub(*request) ([]byte, error) {
+	rep, err := s.control.Scrub()
+	if err != nil {
+		return nil, err
+	}
+	return fieldsResp(scrubFields(&rep)), nil
+}
+
+// serveMigrateRange exports one page; the batch field carries the delta
+// floor (since).
+func (s *Server) serveMigrateRange(req *request) ([]byte, error) {
+	afterKey, err := req.r.I64()
+	if err != nil {
+		return nil, err
+	}
+	max, err := req.r.I64()
+	if err != nil {
+		return nil, err
+	}
+	ivs, err := readIntervals(&req.r)
+	if err != nil {
+		return nil, err
+	}
+	entries, more, err := s.control.MigrateRange(req.batch, uint64(afterKey), int(max), ivs)
+	if err != nil {
+		return nil, err
+	}
+	size := 1 + 1 + 8
+	for _, me := range entries {
+		size += 8 + 8 + 4 + 4*len(me.Data)
+	}
+	if size > MaxFrame {
+		return nil, fmt.Errorf("rpc: migration page of %d entries is %d bytes, over the frame limit: ask for fewer than %d",
+			len(entries), size, max)
+	}
+	out := &Buffer{b: make([]byte, 0, size)}
+	out.reset(MsgData)
+	out.PutBool(more)
+	putMigEntries(out, entries)
+	return out.Bytes(), nil
+}
+
+func (s *Server) serveAdoptRange(req *request) ([]byte, error) {
+	entries, err := readMigEntries(&req.r)
+	if err != nil {
+		return nil, err
+	}
+	return okBody, s.control.AdoptRange(entries)
+}
+
+func (s *Server) serveDropRange(req *request) ([]byte, error) {
+	ivs, err := readIntervals(&req.r)
+	if err != nil {
+		return nil, err
+	}
+	n, err := s.control.DropRange(ivs)
+	if err != nil {
+		return nil, err
+	}
+	return i64Resp(int64(n)), nil
+}
+
+func (s *Server) serveReplicate(req *request) ([]byte, error) {
+	keys, err := req.r.Keys()
+	if err != nil {
+		return nil, err
+	}
+	rows, err := req.r.Floats()
+	if err != nil {
+		return nil, err
+	}
+	if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
+		return nil, fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys))
+	}
+	return okBody, s.control.Replicate(keys, rows)
 }
 
 // Close stops accepting, closes live connections and waits for handlers.

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
@@ -21,8 +20,9 @@ import (
 // drops the gradients. What a test measures against it is the wire path.
 type stubEngine struct {
 	psengine.Engine
-	dim   int
-	pulls atomic.Int64
+	dim       int
+	pulls     atomic.Int64
+	mutations atomic.Int64 // Push, EndPullPhase, EndBatch and RequestCheckpoint calls
 }
 
 func (e *stubEngine) Dim() int { return e.dim }
@@ -32,12 +32,17 @@ func (e *stubEngine) Pull(int64, []uint64, []float32) error {
 	return nil
 }
 
-func (e *stubEngine) Push(int64, []uint64, []float32) error { return nil }
+func (e *stubEngine) Push(int64, []uint64, []float32) error { e.mutations.Add(1); return nil }
+func (e *stubEngine) EndPullPhase(int64)                    { e.mutations.Add(1) }
+func (e *stubEngine) EndBatch(int64) error                  { e.mutations.Add(1); return nil }
+func (e *stubEngine) RequestCheckpoint(int64) error         { e.mutations.Add(1); return nil }
+func (e *stubEngine) CompletedCheckpoint() int64            { return -1 }
+func (e *stubEngine) Stats() psengine.Stats                 { return psengine.Stats{} }
 
 // bareServer is a server with no listener behind it: tests and fuzzers
 // drive its handlers in process.
 func bareServer(eng psengine.Engine, bags BagServer) *Server {
-	s := &Server{bags: bags, now: time.Now}
+	s := &Server{bags: bags, dedup: make(map[int64]dedupEntry)}
 	s.SetEngine(eng)
 	return s
 }

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +141,17 @@ func replicaRow(reps *cache.RowView, k uint64, row []float32) bool {
 	return true
 }
 
+// errNoReplica fails a replica read of a key this node neither owns nor was
+// sent a copy of: the initializer row is an owner's answer for a key nobody
+// trained, and this node cannot know that nobody did.
+//
+// oevet:coldpath a failover read of a key no SyncReplicas covered is an error, not the steady state
+//
+//go:noinline
+func errNoReplica(k uint64) error {
+	return fmt.Errorf("serve: no replica of key %d on this node", k)
+}
+
 // New returns a handler over eng, enabling the engine's serve snapshots.
 // reg may be nil (metrics disabled).
 func New(eng *core.Engine, reg *obs.Registry) *Handler {
@@ -210,6 +222,20 @@ func (h *Handler) Dim() int { return h.dim }
 // mean is set; an empty bag pools to the zero vector. The caller
 // guarantees offsets are valid (rpc.ValidateBagOffsets) and len(out) ==
 // (len(offsets)-1)*dim.
+func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
+	return h.pullBags(mean, false, offsets, keys, out)
+}
+
+// PullReplicaBags implements rpc.BagServer: the sum-pooled PullBags of a
+// failover read, which this node answers as the keys' replica. A key the
+// engine does not know and the overlay does not hold fails the request —
+// this node was never sent the row, and the initializer it would otherwise
+// serve is not a version of a row its owner may have trained.
+func (h *Handler) PullReplicaBags(offsets []uint32, keys []uint64, out []float32) error {
+	return h.pullBags(false, true, offsets, keys, out)
+}
+
+// pullBags is the one gather behind PullBags and PullReplicaBags.
 //
 // Keys are resolved serveBlock at a time (core.Engine.ServeSnapRows): a
 // clean snapshot hit yields the published row itself, which is copied (first
@@ -219,7 +245,7 @@ func (h *Handler) Dim() int { return h.dim }
 // accumulate in a local array and fold into the counters once per request.
 //
 // oevet:hotpath
-func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
+func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, out []float32) error {
 	// Admission control: shed beyond the watermark instead of queueing.
 	// Disabled (the default) this is one atomic load; the shed path itself
 	// allocates nothing (errShed is preallocated).
@@ -270,11 +296,18 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 					h.scratchPool.Put(sc)
 					return err
 				}
-				// Unknown to the engine: a key this node does not own. Serve the
-				// failover replica when the overlay holds one — locally owned
-				// keys never reach here, so engine state always wins.
-				if src == core.ServeInit && replicaRow(reps, keys[j], row) {
-					src = srcReplica
+				// Unknown to the engine: a key this node does not own, or one
+				// nobody trained. Serve the failover replica when the overlay
+				// holds one — locally owned keys never reach here, so engine
+				// state always wins — and otherwise the initializer row, which
+				// only an owner read may be answered with.
+				if src == core.ServeInit {
+					if replicaRow(reps, keys[j], row) {
+						src = srcReplica
+					} else if replica {
+						h.scratchPool.Put(sc)
+						return errNoReplica(keys[j])
+					}
 				}
 			}
 			tally[src]++

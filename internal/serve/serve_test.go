@@ -267,6 +267,62 @@ func TestPullBagsPooling(t *testing.T) {
 	}
 }
 
+// TestPullReplicaBags: a replica read pools exactly what an owner read
+// pools — engine rows, overlay rows — except that a key the engine does not
+// know and the overlay does not hold fails it: the initializer is an owner's
+// answer. The refused request gives back its scratch and its admission slot.
+func TestPullReplicaBags(t *testing.T) {
+	const dim = 8
+	e := newTestEngine(t, dim, 256, 128, 2)
+	train(t, e, 0, []uint64{1, 2, 3, 4}, 1.0)
+	h := New(e, nil)
+	h.SetMaxInflight(1)
+	rep := make([]float32, dim)
+	for i := range rep {
+		rep[i] = float32(i) - 2.5
+	}
+	if err := h.MergeReplicas([]uint64{5000}, rep); err != nil {
+		t.Fatal(err)
+	}
+
+	offsets, keys := []uint32{0, 2, 2, 5}, []uint64{1, 5000, 5000, 2, 3}
+	got, want := make([]float32, 3*dim), make([]float32, 3*dim)
+	if err := h.PullReplicaBags(offsets, keys, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.PullBags(false, offsets, keys, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("replica read out[%d] = %v, owner read %v", i, got[i], want[i])
+		}
+	}
+
+	keys[3] = 5001 // in nobody's engine, in nobody's overlay
+	err := h.PullReplicaBags(offsets, keys, got)
+	if err == nil || err.Error() != "serve: no replica of key 5001 on this node" {
+		t.Fatalf("replica read of an unsynced key: %v", err)
+	}
+	if n := h.Inflight(); n != 0 {
+		t.Fatalf("%d requests in flight after the refusal", n)
+	}
+	if err := h.PullBags(false, offsets, keys, got); err != nil {
+		t.Fatalf("owner read of the same keys: %v", err)
+	}
+	init := make([]float32, dim)
+	psengine.XavierInit(dim)(5001, init)
+	one := make([]float32, dim)
+	if err := h.PullBags(false, []uint32{0, 1}, keys[3:4], one); err != nil {
+		t.Fatal(err)
+	}
+	for i := range init {
+		if one[i] != init[i] {
+			t.Fatalf("owner read of an untrained key = %v, want the initializer %v", one, init)
+		}
+	}
+}
+
 // TestPullBagsZeroAllocs pins the whole serving request path — bag loop,
 // snapshot reads, pooling, metrics — at zero heap allocations per request,
 // the property CI also gates on the 26x128 shape (BenchmarkBagGather).

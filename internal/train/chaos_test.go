@@ -150,9 +150,9 @@ func runChaosCluster(t *testing.T, seed uint64, chaos bool) chaosResult {
 			},
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
+			Inject:       inj,
 		},
-		Inject: inj,
-		Obs:    reg,
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,9 +106,9 @@ func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
 			Budget:       rpc.NewBudget(1024, 1),
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
+			Inject:       inj,
 		},
-		Inject: inj,
-		Obs:    reg,
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
