@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -229,26 +230,45 @@ func benchPushParallel(b *testing.B, shards int) {
 	})
 }
 
-// BenchmarkEngineColdBatch is the engine rung of the cold workload: one PS
-// batch per op (two loaders' Pull, EndPullPhase, Push, EndBatch) over a key
-// space 16x the cache, so nearly every key is a miss, a promotion, an
-// eviction and a record flush — the maintenance drain is the batch. Run with
-// -benchmem: the steady state allocates a handful of objects per batch (the
-// fan-out's goroutines), not two per miss.
+// BenchmarkEngineColdBatch is the engine rung of the cold workload, in
+// engine-local-cold's shape (2^18 keys over a cache of 2^14, default shards,
+// two loaders of 4096 uniform draws pulling and pushing side by side): one PS
+// batch per op, so nearly every key is a miss, a promotion, an eviction and a
+// record flush, each over lines no cache holds — the maintenance drain is the
+// batch. Run with -benchmem: the steady state allocates a handful of objects
+// per batch (the goroutines of the fan-out and of the second loader), not two
+// per miss.
 func BenchmarkEngineColdBatch(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e, pool, grads := coldBatches(b, shards)
-			dst := make([]float32, len(pool[0][0])*e.Dim())
-			batch := int64(1 << 20)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := coldBatch(e, batch, pool[i%len(pool)], dst, grads); err != nil {
-					b.Fatal(err)
-				}
-				batch++
-			}
-		})
+	e, pool, grads := coldBatches(b, 0, workloadCold)
+	dim := e.Dim()
+	var dst [2][]float32
+	for l := range dst {
+		dst[l] = make([]float32, workloadCold.draws*dim)
 	}
+	// both runs f for the two loaders at once, the second on its own
+	// goroutine, as bench/'s batch loop does.
+	both := func(f func(l int) error) error {
+		second := make(chan error, 1)
+		go func() { second <- f(1) }()
+		return errors.Join(f(0), <-second)
+	}
+	batch := int64(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keys := pool[i%len(pool)]
+		err := both(func(l int) error { return e.Pull(batch, keys[l], dst[l]) })
+		e.EndPullPhase(batch)
+		if err == nil {
+			err = both(func(l int) error { return e.Push(batch, keys[l], grads) })
+		}
+		if err == nil {
+			err = e.EndBatch(batch)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*workloadCold.draws), "ns/key")
 }

@@ -132,6 +132,7 @@ type Engine struct {
 
 type maintTask struct {
 	batch   int64
+	newest  int64 // the batch's flush-before-overwrite threshold (roundThreshold)
 	sh      *shard
 	entries []accessRec
 }
@@ -139,13 +140,15 @@ type maintTask struct {
 // opScratch holds one request's reusable buffers, one lane per shard so the
 // fanned-out shard tasks never share a slice.
 type opScratch struct {
-	byShard [][]int32     // positions in keys partitioned by shard
-	ids     []int32       // shards with a non-empty sublist
-	recs    [][]accessRec // per-shard access records
-	miss    [][]missRun   // per-shard first-touch runs
-	pmem    [][]pmemRun   // per-shard PMem-resident runs awaiting coalescing
-	rows    [][][]float32 // per-shard rows the PMem-resident runs stage their payloads in
-	sortBuf [][]uint64    // per-shard (key,pos) packing scratch for sortPosByKey
+	byShard [][]int32        // positions in keys partitioned by shard
+	ids     []int32          // shards with a non-empty sublist
+	recs    [][]accessRec    // per-shard access records
+	miss    [][]missRun      // per-shard first-touch runs
+	pmem    [][]pmemRun      // per-shard PMem-resident runs, served together
+	reads   [][]pmem.ReadRec // per-shard (slot, key) of those runs: the scattered read's list
+	rows    [][][]float32    // per-shard rows the PMem-resident runs stage their payloads in
+	push    [][]pushRun      // per-shard push runs resolved to their entries
+	sortBuf [][]uint64       // per-shard (key,pos) packing scratch for sortPosByKey
 
 	// fan is the request's fan-out frame: the wait group, error slot and
 	// work description the helper goroutines need, preallocated here so a
@@ -304,7 +307,9 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 			recs:    make([][]accessRec, nShards),
 			miss:    make([][]missRun, nShards),
 			pmem:    make([][]pmemRun, nShards),
+			reads:   make([][]pmem.ReadRec, nShards),
 			rows:    make([][][]float32, nShards),
+			push:    make([][]pushRun, nShards),
 			sortBuf: make([][]uint64, nShards),
 		}
 	}
@@ -344,6 +349,7 @@ func (e *Engine) putScratch(sc *opScratch) {
 		sc.recs[i] = sc.recs[i][:0]
 		sc.miss[i] = sc.miss[i][:0]
 		sc.pmem[i] = sc.pmem[i][:0]
+		sc.reads[i] = sc.reads[i][:0]
 	}
 	sc.ids = sc.ids[:0]
 	sc.fan.e, sc.fan.sc, sc.fan.keys, sc.fan.buf, sc.fan.err = nil, nil, nil, nil, nil
@@ -557,9 +563,12 @@ func (e *Engine) Stats() psengine.Stats {
 	}
 }
 
-// Close stops the maintainer pool. It does not flush dirty cache entries;
-// call RequestCheckpoint + WaitMaintenance first for a clean shutdown, or
-// rely on recovery semantics (unflushed data is, correctly, lost).
+// Close stops the maintainer pool and returns once no maintenance round is
+// running: the maintainers drain what was queued, and a round a waiter took
+// off the queue (WaitMaintenance) is waited for too. It does not flush dirty
+// cache entries; call RequestCheckpoint + WaitMaintenance first for a clean
+// shutdown, or rely on recovery semantics (unflushed data is, correctly,
+// lost).
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -568,6 +577,7 @@ func (e *Engine) Close() error {
 	close(e.maintCh)
 	e.closeMu.Unlock()
 	e.maintWG.Wait()
+	e.pending.Wait()
 	return nil
 }
 

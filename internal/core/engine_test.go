@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"openembedding/internal/device"
+	"openembedding/internal/obs"
 	"openembedding/internal/optim"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
@@ -482,13 +484,20 @@ func TestErrorPaths(t *testing.T) {
 
 // TestCloseDuringBatch: a node closes its engine to roll it back while other
 // connections are mid-batch, so Close may land between any two calls of the
-// batch protocol — EndPullPhase's hand-off to the maintainers included. The
-// batch then fails as ErrClosed; it never panics on the closed task queue.
+// batch protocol — EndPullPhase's hand-off to the maintainers and a Push that
+// is running a round it took off the queue (WaitMaintenance) included. The
+// batch then fails as ErrClosed; it never panics on the closed task queue,
+// and no queued round is lost: once Close has returned every task has been
+// run and retired, whoever ran it.
 func TestCloseDuringBatch(t *testing.T) {
 	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	dst := make([]float32, len(keys)*4)
+	grads := constGrads(len(keys), 4, 1)
 	for round := 0; round < 50; round++ {
-		e := newTestEngine(t, testConfig(4, 64, 4))
+		cfg := testConfig(4, 64, 4)
+		cfg.Shards = 2
+		cfg.Obs = obs.NewRegistry()
+		e := newTestEngine(t, cfg)
 		done := make(chan error, 1)
 		go func() {
 			for b := int64(0); ; b++ {
@@ -497,18 +506,29 @@ func TestCloseDuringBatch(t *testing.T) {
 					return
 				}
 				e.EndPullPhase(b)
+				if err := e.Push(b, keys, grads); err != nil {
+					done <- err
+					return
+				}
 				if err := e.EndBatch(b); err != nil {
 					done <- err
 					return
 				}
 			}
 		}()
+		if round%2 == 1 {
+			runtime.Gosched() // let some rounds land mid-batch rather than before it
+		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if depth := cfg.Obs.Gauge("engine_maint_queue_depth").Value(); depth != 0 {
+			t.Fatalf("round %d: Close returned with %d maintenance tasks queued or running", round, depth)
 		}
 		if err := <-done; !errors.Is(err, psengine.ErrClosed) {
 			t.Fatalf("round %d: batch against a closing engine: %v, want ErrClosed", round, err)
 		}
+		e.WaitMaintenance() // nothing pending: returns at once
 	}
 }
 

@@ -26,8 +26,9 @@ const finalizerBudget = 4096
 // issued, the GPU phase begins, and the deferred cache maintenance of
 // Algorithm 2 is handed to the maintainer pool (Alg. 2 lines 6-8 gate
 // maintenance on pull completion; here the explicit signal replaces the
-// polling loop). One task per non-empty shard is queued, so MaintThreads
-// maintainers run shard maintenance concurrently.
+// polling loop). One task per non-empty shard is queued: a round nobody is
+// waiting for runs on the MaintThreads background maintainers, a round
+// somebody is waiting for also runs on the waiters (WaitMaintenance).
 func (e *Engine) EndPullPhase(batch int64) {
 	if e.cfg.PipelineDisabled {
 		return // maintenance already ran inline during Pull
@@ -47,10 +48,7 @@ func (e *Engine) EndPullPhase(batch int64) {
 		e.closeMu.RUnlock()
 		return // the maintainers are gone; Close discards what was queued
 	}
-	// Activate the head checkpoint once per batch at the coordinator,
-	// before any shard task can flush: the activation scan takes shard
-	// locks, so it cannot live inside shard maintenance (see checkpoint.go).
-	e.activateHead()
+	newest := e.roundThreshold()
 	for _, s := range e.shards {
 		entries := s.accessQ.Drain()
 		if entries == nil {
@@ -58,13 +56,47 @@ func (e *Engine) EndPullPhase(batch int64) {
 		}
 		e.pending.Add(1)
 		e.obs.MaintQueue.Add(1)
-		e.maintCh <- maintTask{batch: batch, sh: s, entries: entries}
+		e.maintCh <- maintTask{batch: batch, newest: newest, sh: s, entries: entries}
 	}
 	e.closeMu.RUnlock()
 }
 
-// WaitMaintenance implements psengine.Engine.
-func (e *Engine) WaitMaintenance() { e.pending.Wait() }
+// roundThreshold opens a batch's maintenance at the coordinator, before any
+// of its shard rounds can flush. It activates the head checkpoint (the
+// activation scan takes shard locks, so it cannot live inside shard
+// maintenance, see checkpoint.go) and then reads the flush-before-overwrite
+// threshold — the newest pending checkpoint — ONCE for all the batch's
+// rounds. The rounds of one batch run concurrently (maintainers and helping
+// waiters), and one shard's finalizer can complete the checkpoint while
+// another shard's round has not started: a threshold each round read for
+// itself would make the flush count depend on that schedule (DESIGN.md §18).
+func (e *Engine) roundThreshold() int64 {
+	e.activateHead()
+	return e.newestCheckpoint()
+}
+
+// WaitMaintenance implements psengine.Engine. A waiter works: it first runs
+// whatever maintenance tasks are still queued — through runTask, the body of
+// a maintainer's loop iteration — and only then blocks for the rounds other
+// threads are running. Nothing is started and nobody is woken, so when
+// maintenance finished inside the compute phase the queue is empty and this
+// is a bare wait. The caller holds no engine lock (a round takes its shard's
+// lock exclusively). A closed channel falls through to the wait.
+func (e *Engine) WaitMaintenance() {
+	for {
+		select {
+		case task, ok := <-e.maintCh:
+			if ok {
+				e.obs.MaintHelped.Add(1)
+				e.runTask(task)
+				continue
+			}
+		default:
+		}
+		e.pending.Wait()
+		return
+	}
+}
 
 // errMaintenance wraps asynchronous maintenance failures; EndBatch surfaces
 // them.
@@ -102,34 +134,43 @@ func (b *maintErrBox) take() error {
 func (e *Engine) maintainLoop() {
 	defer e.maintWG.Done()
 	for task := range e.maintCh {
-		// Drain timing and the span happen outside every lock; the gauge
-		// reports tasks queued or running, so it drops only once the drain
-		// is done.
-		var start time.Duration
-		if e.obs.Enabled() {
-			start = e.obs.Now()
-		}
-		sp := e.spans.Start("maint.drain", "engine", int64(task.sh.id), task.batch)
-		err := task.sh.runMaintenance(task.batch, task.entries)
-		sp.EndArg("entries", int64(len(task.entries)))
-		task.sh.accessQ.Recycle(task.entries)
-		if e.obs.Enabled() {
-			e.obs.MaintDrain.Observe(e.obs.Now() - start)
-		}
-		e.obs.MaintQueue.Add(-1)
-		if err != nil {
-			e.maintErrs.set(err)
-		} else if err := e.finalizeCheckpoints(); err != nil {
-			e.maintErrs.set(err)
-		}
-		// Scrub healing that regressed state (restored or fenced entries)
-		// must reach the node so it can fence its epoch; fire the callback
-		// here, outside every shard lock.
-		if e.scrubLoss.Swap(0) > 0 {
-			e.notifyIntegrityLoss()
-		}
-		e.pending.Done()
+		e.runTask(task)
 	}
+}
+
+// runTask runs one queued shard round to completion and retires it from
+// pending: what a maintainer does per task, and what a waiter does for the
+// tasks it finds queued. The caller holds no engine lock.
+//
+// oevet:coldpath a whole maintenance round (scrub, snapshot rebuild, checkpoint finalizer): when a waiting Push runs it, it runs in place of the wait, not on the per-key path; TestMaintenanceAllocs pins the round's steady-state allocations
+func (e *Engine) runTask(task maintTask) {
+	// Drain timing and the span happen outside every lock; the gauge
+	// reports tasks queued or running, so it drops only once the drain
+	// is done.
+	var start time.Duration
+	if e.obs.Enabled() {
+		start = e.obs.Now()
+	}
+	sp := e.spans.Start("maint.drain", "engine", int64(task.sh.id), task.batch)
+	err := task.sh.runMaintenance(task.batch, task.newest, task.entries)
+	sp.EndArg("entries", int64(len(task.entries)))
+	task.sh.accessQ.Recycle(task.entries)
+	if e.obs.Enabled() {
+		e.obs.MaintDrain.Observe(e.obs.Now() - start)
+	}
+	e.obs.MaintQueue.Add(-1)
+	if err != nil {
+		e.maintErrs.set(err)
+	} else if err := e.finalizeCheckpoints(); err != nil {
+		e.maintErrs.set(err)
+	}
+	// Scrub healing that regressed state (restored or fenced entries)
+	// must reach the node so it can fence its epoch; fire the callback
+	// here, outside every shard lock.
+	if e.scrubLoss.Swap(0) > 0 {
+		e.notifyIntegrityLoss()
+	}
+	e.pending.Done()
 }
 
 // inlineMaintain is the pipeline-disabled path: maintenance for every shard
@@ -137,10 +178,10 @@ func (e *Engine) maintainLoop() {
 //
 // oevet:coldpath pipeline-disabled ablation: paying maintenance (and its allocations) on the request thread is the measured effect, not hot-path overhead
 func (e *Engine) inlineMaintain(batch int64) {
-	e.activateHead()
+	newest := e.roundThreshold()
 	for _, s := range e.shards {
 		recs := s.accessQ.Drain()
-		err := s.runMaintenance(batch, recs)
+		err := s.runMaintenance(batch, newest, recs)
 		s.accessQ.Recycle(recs)
 		if err != nil {
 			e.maintErrs.set(err)
@@ -168,13 +209,13 @@ func (e *Engine) inlineMaintain(batch int64) {
 // is what per-record flushing decided, counted and charged; only the
 // wall-clock cost of the I/O — and of the bookkeeping, which commitLocked
 // settles per round instead of per record — is shared.
-func (s *shard) runMaintenance(batch int64, recs []accessRec) error {
+func (s *shard) runMaintenance(batch, newest int64, recs []accessRec) error {
 	e := s.eng
 	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	err := s.drainLocked(batch, recs)
+	err := s.drainLocked(batch, newest, recs)
 	// Commit even when the drain stopped early: the flushes queued before
 	// the failure are decided, and their entries hold no other copy.
 	if cerr := s.commitLocked(); err == nil {
@@ -205,15 +246,15 @@ func (s *shard) runMaintenance(batch int64, recs []accessRec) error {
 // state: promoted rows arrive staged in the access records, evicted rows go
 // back to the row pool, and the write-back list keeps its capacity.
 //
+// newest is the batch's flush-before-overwrite threshold (roundThreshold):
+// once any queued checkpoint needs a data version, it must reach PMem before
+// the coming push replaces it.
+//
 // oevet:hotpath
 // oevet:holds core.shard.mu 10
-func (s *shard) drainLocked(batch int64, recs []accessRec) error {
+func (s *shard) drainLocked(batch, newest int64, recs []accessRec) error {
 	e := s.eng
 	meter := e.cfg.Meter
-	// Flush-before-overwrite tests against the newest pending checkpoint:
-	// once any queued checkpoint needs this data version, it must reach
-	// PMem before the coming push replaces it.
-	newest := e.newestCheckpoint()
 	// Pipelined maintenance runs off the critical path on dedicated
 	// threads: plain CPU work. With the pipeline disabled (Fig. 9
 	// ablation) the same work runs inline under the shard's exclusive

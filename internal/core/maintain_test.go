@@ -6,9 +6,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"openembedding/internal/device"
 	"openembedding/internal/faultinject"
+	"openembedding/internal/obs"
 	"openembedding/internal/optim"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
@@ -312,21 +314,159 @@ func TestCrashAfterEveryCommitPrefix(t *testing.T) {
 	}
 }
 
-// coldBatches prepares a steady-state cold engine: every key of a key space
-// 16x the cache exists and has been through PMem, and pool holds uniform
-// key batches over it for two loaders.
-func coldBatches(tb testing.TB, shards int) (*Engine, [][2][]uint64, []float32) {
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// helpShard1 ends batch 0's pull phase of a two-shard, one-maintainer engine
+// with the maintainer parked inside shard 0's round (another goroutine holds
+// that shard's lock), starts a WaitMaintenance on its own goroutine and
+// returns once that waiter has run shard 1's round itself. waited closes when
+// the WaitMaintenance returns, which it cannot before release is called.
+func helpShard1(t *testing.T, e *Engine, reg *obs.Registry) (release func(), waited chan struct{}) {
+	t.Helper()
+	locked, unlock := make(chan struct{}), make(chan struct{})
+	go func() {
+		e.shards[0].mu.Lock()
+		close(locked)
+		<-unlock
+		e.shards[0].mu.Unlock()
+	}()
+	<-locked
+	e.EndPullPhase(0)
+	// Tasks are queued in shard order: the maintainer takes shard 0's and
+	// blocks on the held lock, shard 1's stays queued.
+	waitFor(t, "the maintainer to take shard 0's task", func() bool { return len(e.maintCh) == 1 })
+	waited = make(chan struct{})
+	go func() {
+		e.WaitMaintenance()
+		close(waited)
+	}()
+	helped, depth := reg.Counter("engine_maint_helped"), reg.Gauge("engine_maint_queue_depth")
+	waitFor(t, "the waiter to run shard 1's round", func() bool { return helped.Value() == 1 && depth.Value() == 1 })
+	select {
+	case <-waited:
+		t.Fatal("WaitMaintenance returned while shard 0's round was still blocked")
+	default:
+	}
+	return func() { close(unlock) }, waited
+}
+
+// TestWaitMaintenanceHelps: a thread that waits for maintenance runs the
+// rounds still queued. With one maintainer stuck inside shard 0's round (the
+// test holds that shard's lock), a WaitMaintenance on another goroutine must
+// run shard 1's round itself — seen before shard 0 is released — and return
+// only once the maintainer's round is done too.
+func TestWaitMaintenanceHelps(t *testing.T) {
+	cfg := testConfig(2, 64, 16)
+	cfg.Shards, cfg.MaintThreads = 2, 1
+	cfg.Obs = obs.NewRegistry()
+	e := newTestEngine(t, cfg)
+	var keys []uint64
+	var inShard [2][]uint64
+	for k := uint64(1); len(inShard[0]) < 3 || len(inShard[1]) < 3; k++ {
+		keys = append(keys, k)
+		inShard[e.shardIndex(k)] = append(inShard[e.shardIndex(k)], k)
+	}
+	if err := e.Pull(0, keys, make([]float32, len(keys)*2)); err != nil {
+		t.Fatal(err)
+	}
+
+	s0, s1 := e.shards[0], e.shards[1]
+	release, waited := helpShard1(t, e, cfg.Obs)
+	if n := s1.accessQ.Len(); n != 0 {
+		t.Errorf("shard 1's access queue holds %d records after its round", n)
+	}
+	s1.mu.RLock()
+	for _, k := range inShard[1] {
+		if ent := s1.index[k]; ent == nil || !ent.node.InList() || ent.version != 0 {
+			t.Errorf("key %d of shard 1 is not in its LRU at batch 0 after the helped round", k)
+		}
+	}
+	cached := s1.lru.Len()
+	s1.mu.RUnlock()
+	if cached != len(inShard[1]) {
+		t.Errorf("shard 1's LRU holds %d entries, want the batch's %d", cached, len(inShard[1]))
+	}
+
+	release()
+	<-waited
+	if got := cfg.Obs.Counter("engine_maint_helped").Value(); got != 1 {
+		t.Errorf("engine_maint_helped = %d, want 1: shard 0's round ran on the maintainer", got)
+	}
+	s0.mu.RLock()
+	if got := s0.lru.Len(); got != len(inShard[0]) {
+		t.Errorf("shard 0's LRU holds %d entries after its round, want %d", got, len(inShard[0]))
+	}
+	s0.mu.RUnlock()
+	if err := e.EndBatch(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// helperMaintenanceError (a case of TestMaintenanceErrorSurfaces): a
+// maintenance error raised inside a round a waiter ran — not a maintainer —
+// reaches the caller at EndBatch all the same. The media poisons every
+// flush; the maintainer is stuck in shard 0's round, so the error on record
+// before shard 0 is released is the helper's.
+func helperMaintenanceError(t *testing.T) {
+	cfg := testConfig(2, 64, 2) // one cached entry per shard: each round evicts, dirty
+	cfg.Shards, cfg.MaintThreads = 2, 1
+	cfg.Obs = obs.NewRegistry()
+	inj := faultinject.New(3, faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindPoison, Prob: 1, From: 1})
+	e, _ := newFaultEngine(t, cfg, 256, inj)
+	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	if err := e.Pull(0, keys, make([]float32, len(keys)*2)); err != nil {
+		t.Fatal(err)
+	}
+	if e.shards[0].accessQ.Len() < 2 || e.shards[1].accessQ.Len() < 2 {
+		t.Fatal("the keys do not spread over both shards")
+	}
+	release, waited := helpShard1(t, e, cfg.Obs)
+	if err := e.maintErrs.peek(); !errors.Is(err, errMaintenance) || !errors.Is(err, pmem.ErrPoisoned) {
+		t.Errorf("after the helped round the pending error is %v, want a maintenance error wrapping the poison", err)
+	}
+	release()
+	<-waited
+	if err := e.EndBatch(0); !errors.Is(err, errMaintenance) || !errors.Is(err, pmem.ErrPoisoned) {
+		t.Fatalf("EndBatch = %v, want the helper's maintenance error", err)
+	}
+}
+
+// coldGeom is a cold stream's geometry: the key space, the DRAM cache and
+// the draws each of the two loaders pulls per batch.
+type coldGeom struct {
+	keyspace, cache, draws int
+}
+
+var (
+	// smallCold keeps a whole run in a few megabytes: ~500 misses per batch,
+	// enough for the allocation pin and quick to build.
+	smallCold = coldGeom{keyspace: 1 << 13, cache: 1 << 9, draws: 256}
+	// workloadCold is the geometry of bench/'s engine-local-cold: a ~120 MB
+	// arena image (and as much again durable) that no cache level holds, so
+	// every record a batch reads or writes back is a run of cache misses.
+	workloadCold = coldGeom{keyspace: 1 << 18, cache: 1 << 14, draws: 4096}
+)
+
+// coldBatches prepares a steady-state cold engine of geometry g: every key of
+// a key space 16x the cache exists and has been through PMem, and pool holds
+// uniform key batches over it for two loaders. shards 0 is the default.
+func coldBatches(tb testing.TB, shards int, g coldGeom) (*Engine, [][2][]uint64, []float32) {
 	tb.Helper()
-	const (
-		dim      = 16
-		keyspace = 1 << 13
-		draws    = 256
-	)
+	const dim = 16
+	keyspace, draws := g.keyspace, g.draws
 	cfg := psengine.Config{
 		Dim:          dim,
 		Optimizer:    optim.NewAdaGrad(0.05),
 		Capacity:     keyspace,
-		CacheEntries: keyspace / 16,
+		CacheEntries: g.cache,
 		Shards:       shards,
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
@@ -353,7 +493,7 @@ func coldBatches(tb testing.TB, shards int) (*Engine, [][2][]uint64, []float32) 
 		for l := range pool[i] {
 			pool[i][l] = make([]uint64, draws)
 			for j := range pool[i][l] {
-				pool[i][l][j] = next() % keyspace
+				pool[i][l][j] = next() % uint64(keyspace)
 			}
 		}
 	}
@@ -418,7 +558,7 @@ func TestMaintenanceAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		e, pool, grads := coldBatches(t, 2)
+		e, pool, grads := coldBatches(t, 2, smallCold)
 		dst := make([]float32, len(pool[0][0])*e.Dim())
 		b := int64(1 << 20)
 		before := e.Stats()

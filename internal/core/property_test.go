@@ -270,7 +270,8 @@ func TestPushDoesNotReorderLRU(t *testing.T) {
 
 // TestMaintenanceErrorSurfaces: when the arena cannot hold the retained
 // versions a pending checkpoint needs, the failure must reach the caller
-// at EndBatch, not vanish in a maintainer goroutine.
+// at EndBatch, not vanish in a maintainer goroutine — or in a request thread
+// that ran the round while it waited (helperMaintenanceError).
 func TestMaintenanceErrorSurfaces(t *testing.T) {
 	cfg := testConfig(2, 8, 2)
 	cfg = cfg.WithDefaults()
@@ -318,4 +319,6 @@ func TestMaintenanceErrorSurfaces(t *testing.T) {
 	// With 7 keys in 8 slots and retention pressure the engine either
 	// survives by reclaiming (fine) or surfaces ErrFull-wrapped errors —
 	// it must never panic or deadlock. Reaching here is the assertion.
+
+	t.Run("raised-in-a-helper", helperMaintenanceError)
 }

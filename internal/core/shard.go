@@ -37,11 +37,11 @@ type missRun struct {
 	rec        int32
 }
 
-// pmemRun is one PMem-resident key's run, deferred by the sweep so that
-// consecutive runs whose records sit in adjacent arena slots can be served
-// by a single coalesced verified read.
+// pmemRun is one PMem-resident key's run, deferred by the sweep so that the
+// shard call's PMem-resident runs are served by one scattered verified read.
+// The sweep appends the run's (slot, key) to the lane's read list at the same
+// index.
 type pmemRun struct {
-	ent        *entry
 	start, end int32
 	rec        int32 // index of the run's access record, which takes the staged row
 }
@@ -49,7 +49,8 @@ type pmemRun struct {
 // shard owns one slice of the key space: its own index map, reader/writer
 // lock, intrusive LRU list, access queue and side queue. Request threads on
 // different shards never contend, and each shard's maintenance is an
-// independent task, so MaintThreads maintainers genuinely run in parallel.
+// independent task: rounds of different shards run in parallel, on the
+// background maintainers and on the request threads waiting for them.
 //
 // The paper's single reader/writer lock (Alg. 1 line 3, Alg. 2 line 9)
 // becomes one lock per shard; the locking discipline within a shard is
@@ -175,20 +176,20 @@ func fanOutRow(dst []float32, dim, i int, rest []int32) {
 // pulled k times in one batch becomes one run — one index probe, one tier
 // read, and k-1 in-DRAM fan-out copies — and the per-key meter charge
 // becomes one batched ChargeN per sublist. PMem-resident runs are deferred
-// and served together so adjacent-slot records coalesce into ranged
-// verified reads (servePMem). Scratch slices come from sc at the given lane
-// (one lane per shard, so concurrent shard pulls of one request never share
-// a buffer).
+// and served together by one scattered verified read (servePMem). Scratch
+// slices come from sc at the given lane (one lane per shard, so concurrent
+// shard pulls of one request never share a buffer).
 func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc *opScratch, lane int) error {
 	e := s.eng
 	dim := e.cfg.Dim
 	recs := sc.recs[lane][:0]
 	miss := sc.miss[lane][:0]
 	runs := sc.pmem[lane][:0]
+	reads := sc.reads[lane][:0]
 	rows := sc.rows[lane][:0]
 	defer func() {
 		// Hand the (possibly grown) buffers back to the scratch lane.
-		sc.recs[lane], sc.miss[lane], sc.pmem[lane], sc.rows[lane] = recs, miss, runs, rows[:0]
+		sc.recs[lane], sc.miss[lane], sc.pmem[lane], sc.reads[lane], sc.rows[lane] = recs, miss, runs, reads, rows[:0]
 	}()
 
 	n := len(idxs)
@@ -220,7 +221,8 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 			recs = append(recs, accessRec{ent: ent}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 		default:
 			// servePMem stages the run's row in its access record.
-			runs = append(runs, pmemRun{ent: ent, start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			runs = append(runs, pmemRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			reads = append(reads, pmem.ReadRec{Slot: ent.slot, Key: ent.key})                         //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 			recs = append(recs, accessRec{ent: ent})
 		}
 		start = end
@@ -229,7 +231,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 	var err error
 	if len(runs) > 0 {
 		rows = s.takeRows(rows, len(runs))
-		dup, err = s.servePMem(runs, rows, recs, idxs, dst, sc.obsSample)
+		dup, err = s.servePMem(runs, reads, rows, recs, idxs, dst, sc.obsSample)
 	}
 	s.mu.RUnlock()
 	if hits+dup > 0 {
@@ -256,69 +258,56 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 	return nil
 }
 
-// servePMem serves the PMem-resident runs the sweep deferred. Runs arrive
-// in sorted-key order; maximal chains of consecutive arena slots are served
-// by one ranged verified read each (one bounds check, one crash-lock
-// acquisition, one sequential CRC32C sweep over the contiguous bytes),
-// decoding each payload straight from the device view into the run's row —
-// no intermediate copy. Chain shape only changes wall-clock cost: the virtual
-// charge is per record (ReadPayloadsVerified's charge-equivalence
-// invariant), so simulated time never depends on the nondeterministic slot
-// adjacency the maintainers happened to produce.
+// servePMem serves the PMem-resident runs the sweep deferred with one
+// scattered verified read over reads (reads[i] is run i's slot and key, in
+// sorted-key order): one crash-lock hold, one read charge, the records'
+// cache misses overlapped a block at a time, and each payload decoded
+// straight from the device view into the run's row — no intermediate copy.
+// Where the records sit only changes wall-clock cost: the virtual charge is
+// per record (ReadScatteredVerified's charge rule), so simulated time never
+// depends on the slots the maintainers happened to pick.
 //
 // rows[i] is the row run i stages: the whole verified payload is decoded
 // into it (the weights are then copied out to dst), and the run's access
 // record carries it to the maintainer, whose promotion adopts it.
 //
-// Caller holds s.mu shared, which keeps ent.slot stable (flushes that move
-// a record run under the exclusive lock). Returns the number of duplicate
-// positions fanned out in DRAM.
-func (s *shard) servePMem(runs []pmemRun, rows [][]float32, recs []accessRec, idxs []int32, dst []float32, sampled bool) (int64, error) {
+// Caller holds s.mu shared, which keeps the entries' slots stable (flushes
+// that move a record run under the exclusive lock). Returns the number of
+// duplicate positions fanned out in DRAM.
+func (s *shard) servePMem(runs []pmemRun, reads []pmem.ReadRec, rows [][]float32, recs []accessRec, idxs []int32, dst []float32, sampled bool) (int64, error) {
 	e := s.eng
 	dim := e.cfg.Dim
-	var dup, reads int64
+	var dup int64
 	var missStart time.Duration
-	for g := 0; g < len(runs); {
-		h := g + 1
-		for h < len(runs) && runs[h].ent.slot == runs[h-1].ent.slot+1 {
-			h++
-		}
-		if sampled {
-			missStart = e.obs.Now()
-		}
-		served := 0
-		err := e.arena.ReadPayloadsVerified(runs[g].ent.slot, h-g,
-			func(i int) uint64 { return runs[g+i].ent.key }, //oevet:alloc-ok both callbacks run synchronously inside ReadPayloadsVerified and do not escape; the 0-alloc benchmark gate verifies
-			func(i int, payload []byte) {
-				r := runs[g+i]
-				row := rows[g+i]
-				pmem.DecodeFloats(row, payload)
-				p := int(idxs[r.start])
-				copy(dst[p*dim:(p+1)*dim], row[:dim])
-				fanOutRow(dst, dim, p, idxs[r.start+1:r.end])
-				recs[r.rec].row = row
-				dup += int64(r.end - r.start - 1)
-				served++
-			})
-		reads += int64(served)
-		if err != nil {
-			if reads > 0 {
-				e.pmemReads.Add(reads)
-				e.misses.Add(reads)
-			}
-			if pmem.IsIntegrity(err) {
-				e.obs.CorruptServe.Add(1)
-				err = fmt.Errorf("core: pull of key %d: %w", runs[g+served].ent.key, err)
-			}
-			return dup, err
-		}
-		if sampled {
-			e.obs.MissService.Observe(e.obs.Now() - missStart)
-		}
-		g = h
+	if sampled {
+		missStart = e.obs.Now()
 	}
-	e.pmemReads.Add(reads)
-	e.misses.Add(reads)
+	served, err := e.arena.ReadScatteredVerified(reads, func(i int, payload []byte) { //oevet:alloc-ok the callback runs synchronously inside ReadScatteredVerified and does not escape; the 0-alloc benchmark gate verifies
+		r := runs[i]
+		row := rows[i]
+		pmem.DecodeFloats(row, payload)
+		p := int(idxs[r.start])
+		copy(dst[p*dim:(p+1)*dim], row[:dim])
+		fanOutRow(dst, dim, p, idxs[r.start+1:r.end])
+		recs[r.rec].row = row
+		dup += int64(r.end - r.start - 1)
+	})
+	if served > 0 {
+		e.pmemReads.Add(int64(served))
+		e.misses.Add(int64(served))
+	}
+	if err != nil {
+		if pmem.IsIntegrity(err) {
+			e.obs.CorruptServe.Add(1)
+			err = fmt.Errorf("core: pull of key %d: %w", reads[served].Key, err)
+		}
+		return dup, err
+	}
+	if sampled {
+		// One miss's share of the call: the misses of a block are served
+		// together, so no single one can be timed apart.
+		e.obs.MissService.Observe((e.obs.Now() - missStart) / time.Duration(len(reads)))
+	}
 	return dup, nil
 }
 
@@ -371,16 +360,39 @@ func (s *shard) createMissing(batch int64, keys []uint64, idxs []int32, miss []m
 	return nil
 }
 
+// pushRun is one key's run of a push sublist, resolved to its entry:
+// idxs[start:end] are the batch positions carrying the key's gradients.
+type pushRun struct {
+	ent        *entry
+	start, end int32
+}
+
+// pushBlock is how many runs push touches ahead of applying them, so that a
+// block's entry and row misses are in flight together (DESIGN.md §18).
+const pushBlock = 16
+
+// pushSink receives what touchRuns loads (see pmem's touchSink).
+var pushSink atomic.Uint64
+
 // push applies this shard's portion of a Push: idxs as in pull, sorted by
 // (key, position) so each key's gradients form one run applied under a
 // single stripe acquisition — in batch-position order, because float
 // optimizer updates do not commute.
+//
+// The sublist's runs are first resolved to their entries in one tight loop
+// (the index probes' misses overlap; nothing is written yet), then applied a
+// block at a time, each block's entries and rows touched before the stripes
+// are taken. An unknown key therefore fails the call before any gradient of
+// this shard's sublist has been applied; sublists of other shards run
+// independently and may have been. Any other error (an inline promotion that
+// fails its read) leaves the runs before the failing one applied.
 func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch, lane int) error {
 	e := s.eng
 	dim := e.cfg.Dim
 	n := len(idxs)
 	sc.sortBuf[lane] = sortPosByKey(idxs, keys, sc.sortBuf[lane])
 	e.cfg.Meter.ChargeN(simclock.Compute, time.Duration(n)*psengine.IndexProbeCost, int64(n))
+	runs := sc.push[lane][:0]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for start := 0; start < n; {
@@ -391,34 +403,60 @@ func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, 
 		}
 		ent := s.index[k]
 		if ent == nil {
+			sc.push[lane] = runs
 			return fmt.Errorf("core: push of unknown key %d", k)
 		}
-		stripe := &s.stripes[k%uint64(len(s.stripes))]
-		stripe.Lock()
-		if !ent.inDRAM() {
-			// Fallback for caches smaller than one batch's working set:
-			// promote inline (charged as a PMem read) and let EndBatch link
-			// the entry into the LRU. This is a genuine extra device read
-			// (the entry was evicted after the pull), so it is counted.
-			if err := s.readPromote(ent); err != nil {
-				stripe.Unlock()
-				return err
-			}
-			s.sideQ.Push(ent)
-		}
-		for _, p := range idxs[start:end] {
-			i := int(p)
-			e.cfg.Optimizer.Apply(ent.weights(dim), ent.state(dim), grads[i*dim:(i+1)*dim])
-		}
-		ent.dirty = true
-		ent.dataVersion = batch
-		s.markServeDirty(ent)
-		stripe.Unlock()
+		runs = append(runs, pushRun{ent: ent, start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 		start = end
 	}
+	sc.push[lane] = runs
+	var sink uint64
+	for lo := 0; lo < len(runs); lo += pushBlock {
+		blk := runs[lo:min(lo+pushBlock, len(runs))]
+		sink += touchRuns(blk)
+		for _, r := range blk {
+			ent := r.ent
+			stripe := &s.stripes[ent.key%uint64(len(s.stripes))]
+			stripe.Lock()
+			if !ent.inDRAM() {
+				// Fallback for caches smaller than one batch's working set:
+				// promote inline (charged as a PMem read) and let EndBatch link
+				// the entry into the LRU. This is a genuine extra device read
+				// (the entry was evicted after the pull), so it is counted.
+				if err := s.readPromote(ent); err != nil {
+					stripe.Unlock()
+					return err
+				}
+				s.sideQ.Push(ent)
+			}
+			for _, p := range idxs[r.start:r.end] {
+				i := int(p)
+				e.cfg.Optimizer.Apply(ent.weights(dim), ent.state(dim), grads[i*dim:(i+1)*dim])
+			}
+			ent.dirty = true
+			ent.dataVersion = batch
+			s.markServeDirty(ent)
+			stripe.Unlock()
+		}
+	}
+	pushSink.Store(sink)
 	// One batched charge per sublist for the DRAM stores and optimizer math
 	// — totals and op counts identical to the per-position accounting.
 	e.dram.ChargeWriteN(4*dim, int64(n))
 	e.cfg.Meter.ChargeN(simclock.Compute, time.Duration(n)*optimizerCost(dim), int64(n))
 	return nil
+}
+
+// touchRuns loads from both cache lines of each run's entry. Only fields
+// nothing writes while the shard lock is held shared are read (key: never
+// written; snapEpoch: written under the exclusive lock), so the pass needs
+// no stripe.
+//
+// oevet:hotpath
+func touchRuns(blk []pushRun) (sum uint64) {
+	for i := range blk {
+		ent := blk[i].ent
+		sum += ent.key + ent.snapEpoch
+	}
+	return sum
 }

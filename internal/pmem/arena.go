@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sync"
 )
@@ -406,11 +407,14 @@ func (a *Arena) WriteRecord(slot uint32, key uint64, version int64, payload []by
 // CRC computed in place, the whole batch runs under one acquisition of the
 // device's crash lock, and the traffic counters and the write charge are
 // settled once (one op per flush issued, exactly what per-record writes
-// charge). The media-fault model is still consulted once per flush, in
-// record order, so a seeded fault schedule lands on the same records as it
-// does with per-record writes. With verify set every record must read back
-// valid from the durable image before the next one is written
-// (WriteRecordVerified's contract, retries included).
+// charge). Records are taken a block at a time: the block's rows and the
+// image and durable lines of their slots are touched first (touchBlock), so
+// persistRecord then runs over lines already on their way. The media-fault
+// model is still consulted once per flush, in record order, so a seeded
+// fault schedule lands on the same records as it does with per-record
+// writes. With verify set every record must read back valid from the durable
+// image before the next one is written (WriteRecordVerified's contract,
+// retries included).
 //
 // It returns how many records are durable. On error that is the index of
 // the record that failed; the records after it were not written.
@@ -421,21 +425,51 @@ func (a *Arena) WriteBatch(recs []WriteRec, verify bool) (int, error) {
 	d := a.dev
 	var flushes int64
 	var err error
+	var sink byte
 	done := 0
 	d.crashMu.RLock()
-	for i := range recs {
-		r := &recs[i]
-		n, werr := a.persistRecord(r.Slot, r.Key, r.Version, nil, r.Row, verify)
-		flushes += n
-		if werr != nil {
-			err = werr
-			break
+	for lo := 0; lo < len(recs) && err == nil; lo += overlapBlock {
+		blk := recs[lo:min(lo+overlapBlock, len(recs))]
+		sink += a.touchBlock(blk)
+		for i := range blk {
+			r := &blk[i]
+			n, werr := a.persistRecord(r.Slot, r.Key, r.Version, nil, r.Row, verify)
+			flushes += n
+			if werr != nil {
+				err = werr
+				break
+			}
+			done++
 		}
-		done++
 	}
 	d.crashMu.RUnlock()
+	touchSink.Store(uint32(sink))
 	a.noteRecordFlushes(flushes)
 	return done, err
+}
+
+// touchBlock loads one value from each cache line a block of a group commit
+// is about to read or write: every record's row, and the image and durable
+// bytes of its slot. A slot out of range is skipped — persistRecord rejects
+// it when its turn comes — so nothing is loaded that the record's own bounds
+// check would not admit.
+//
+// oevet:hotpath
+func (a *Arena) touchBlock(blk []WriteRec) (sum byte) {
+	d := a.dev
+	n := a.recLen()
+	for i := range blk {
+		r := &blk[i]
+		for j := 0; j < len(r.Row); j += 16 {
+			sum += byte(math.Float32bits(r.Row[j]))
+		}
+		if int(r.Slot) >= a.slots {
+			continue
+		}
+		off := a.slotOffset(r.Slot)
+		sum += touchLines(d.image[off:off+n]) + touchLines(d.durable[off:off+n])
+	}
+	return sum
 }
 
 // writeOne is a group commit of one record whose payload is already

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 )
 
 // CorruptError reports a record (or header word) that failed its CRC32C.
@@ -90,72 +91,101 @@ func (a *Arena) readVerified(slot uint32, key uint64, dst []byte, row []float32)
 // oevet:charge read
 func (a *Arena) ChargeRecordReads(count int64) { a.dev.timed.ChargeReadN(a.payloadBytes, count) }
 
-// ReadPayloadsVerified is the coalesced form of ReadPayloadVerified: it
-// serves the count records occupying the consecutive slots [lo, lo+count)
-// with one bounds check, one crash-lock acquisition and a single sequential
-// sweep over the contiguous device bytes, validating each record's CRC32C
-// from that one pass. key(i) must return the expected key of slot lo+i;
-// serve(i, payload) receives each verified payload as a view into the
-// device image, valid only for the duration of the call (the callback runs
-// under the device's crash lock and must not re-enter the device).
+// ReadRec names one record of a scattered verified read: the slot the index
+// says holds the record, and the key it must carry.
+type ReadRec struct {
+	Slot uint32
+	Key  uint64
+}
+
+// overlapBlock is how many records the batched read and write paths touch
+// ahead of the per-record work: the cache lines of one block's records are
+// loaded in a tight loop first, so their misses are in flight together
+// instead of one record's at a time (DESIGN.md §18).
+const overlapBlock = 16
+
+// touchSink receives what the touch passes load, so the loads are not dead
+// code. Go has no prefetch intrinsic: independent loads in a tight loop are
+// what put a block's misses in flight. Stored once per call.
+var touchSink atomic.Uint32
+
+// touchLines loads one byte from each cache line b overlaps.
+//
+// oevet:hotpath
+func touchLines(b []byte) (sum byte) {
+	for i := 0; i < len(b); i += 64 {
+		sum += b[i]
+	}
+	if len(b) > 0 {
+		sum += b[len(b)-1]
+	}
+	return sum
+}
+
+// ReadScatteredVerified is the batched form of ReadPayloadVerified — the
+// read twin of WriteBatch: it serves recs, which may sit anywhere in the
+// arena, in order, under one acquisition of the device's crash lock and with
+// one read charge. serve(i, payload) receives each verified payload as a
+// view into the device image, valid only for the duration of the call (the
+// callback runs under the device's crash lock and must not re-enter the
+// device). It returns how many records were served: on error that is the
+// index of the record that failed, and the records after it were not read.
+//
+// Records are taken a block at a time: a first pass bounds-checks and
+// poison-checks each record of the block and loads one byte from each of its
+// cache lines — never outside what the record's own bounds check admitted —
+// and a second pass decodes, CRC-verifies, key-checks and serves them.
 //
 // Integrity semantics are ReadPayloadVerified's, per record: a rotted or
 // structurally-wrong record fails with a typed *CorruptError naming its
 // slot, and poisoned media fails typed before any of its bytes are served.
-// The charge-equivalence invariant also holds per record: the call charges
-// exactly one payload-sized PMem read per record that the per-record path
-// would have charged — never StreamReadCost of the span — so virtual time
-// is independent of whether a run's slots happened to be adjacent (slot
-// adjacency depends on maintainer scheduling, which determinism forbids
-// from influencing simulated results).
+// So is the charge: exactly one payload-sized PMem read per record served
+// plus the one that failed its checksum or key (its bytes were fetched), and
+// none for a record out of bounds or poisoned — never a stream cost, so
+// virtual time is independent of where the maintainers happened to put the
+// records.
 //
 // oevet:charge read
-//
-//oevet:charge-ok the count<=0 guard returns before any device access: zero work, zero charge
-func (a *Arena) ReadPayloadsVerified(lo uint32, count int, key func(i int) uint64, serve func(i int, payload []byte)) error {
-	if count <= 0 {
-		return nil
-	}
-	off := a.slotOffset(lo)
-	recLen := slotHeaderLen + a.payloadBytes
-	span := (count-1)*a.slotSize + recLen
-	if err := a.dev.check(off, span); err != nil {
-		return err
-	}
-	// Poison is checked per record up front (the no-fault fast path is one
-	// atomic load): records before the first poisoned one are still served
-	// and charged, exactly as the per-record loop would have.
-	limit, poisonErr := count, error(nil)
-	for i := 0; i < count; i++ {
-		if err := a.dev.poisonCheck(off+i*a.slotSize, recLen); err != nil {
-			limit, poisonErr = i, err
-			break
-		}
-	}
-	charged := int64(limit)
+func (a *Arena) ReadScatteredVerified(recs []ReadRec, serve func(i int, payload []byte)) (int, error) {
+	d := a.dev
+	n := a.recLen()
+	served, charged := 0, 0
 	var err error
-	a.dev.crashMu.RLock()
-	view := a.dev.image[off : off+span]
-	for i := 0; i < limit; i++ {
-		recOff := i * a.slotSize
-		rec, derr := a.decode(lo+uint32(i), view[recOff:recOff+recLen])
-		if derr == nil && rec.Key != key(i) {
-			derr = &CorruptError{Key: key(i), Slot: lo + uint32(i), Off: int64(off + recOff)}
+	var sink byte
+	d.crashMu.RLock()
+	for lo := 0; lo < len(recs) && err == nil; lo += overlapBlock {
+		blk := recs[lo:min(lo+overlapBlock, len(recs))]
+		admitted := len(blk)
+		for i := range blk {
+			off := a.slotOffset(blk[i].Slot)
+			if err = d.check(off, n); err == nil {
+				err = d.poisonCheck(off, n)
+			}
+			if err != nil {
+				admitted = i
+				break
+			}
+			sink += touchLines(d.image[off : off+n])
 		}
-		if derr != nil {
-			// Records 0..i-1 were served; the failing record still pays its
-			// read (its bytes were fetched), matching ReadPayloadVerified.
-			charged, err = int64(i+1), derr
-			break
+		for i := range blk[:admitted] {
+			r := &blk[i]
+			off := a.slotOffset(r.Slot)
+			rec, derr := a.decode(r.Slot, d.image[off:off+n])
+			if derr == nil && rec.Key != r.Key {
+				derr = &CorruptError{Key: r.Key, Slot: r.Slot, Off: int64(off)}
+			}
+			if derr != nil {
+				charged, err = 1, derr
+				break
+			}
+			serve(lo+i, rec.Payload)
+			served++
 		}
-		serve(i, rec.Payload)
 	}
-	a.dev.crashMu.RUnlock()
-	a.dev.timed.ChargeReadN(a.payloadBytes, charged)
-	if err != nil {
-		return err
-	}
-	return poisonErr
+	d.crashMu.RUnlock()
+	touchSink.Store(uint32(sink))
+	d.timed.ChargeReadN(a.payloadBytes, int64(served+charged))
+	return served, err
 }
 
 // CheckRecord validates the record in slot against key without copying the

@@ -16,6 +16,10 @@ import (
 //	                        core engine samples it with pull, 1-in-8)
 //	engine_maint_queue_depth  queued maintenance tasks (gauge)
 //	engine_maint_drain_ns   one shard maintenance drain
+//	engine_maint_helped     drains run by a request thread waiting for
+//	                        maintenance rather than by a maintainer: of
+//	                        engine_maint_drain_ns's count, the share that
+//	                        was not hidden behind the compute phase
 //	engine_ckpt_stall_ns    checkpoint work a batch boundary waited out
 //	engine_ckpt_flush_bytes bytes persisted for checkpoints/evictions
 //	engine_evictions_shard<i> per-shard LRU evictions (via ShardEvictions)
@@ -45,6 +49,7 @@ type EngineObs struct {
 	MaintDrain  *obs.Histogram
 	CkptStall   *obs.Histogram
 	MaintQueue  *obs.Gauge
+	MaintHelped *obs.Counter
 	FlushBytes  *obs.Counter
 
 	CorruptServe    *obs.Counter
@@ -71,6 +76,7 @@ func NewEngineObs(reg *obs.Registry) *EngineObs {
 	m.MaintDrain = reg.Histogram("engine_maint_drain_ns")
 	m.CkptStall = reg.Histogram("engine_ckpt_stall_ns")
 	m.MaintQueue = reg.Gauge("engine_maint_queue_depth")
+	m.MaintHelped = reg.Counter("engine_maint_helped")
 	m.FlushBytes = reg.Counter("engine_ckpt_flush_bytes")
 	m.CorruptServe = reg.Counter("engine_corrupt_serve")
 	m.RecoverFallback = reg.Counter("engine_recover_fallback")

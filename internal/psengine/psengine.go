@@ -94,14 +94,16 @@ type Config struct {
 	// Spans receives per-batch spans (maintenance drains, checkpoint
 	// finalization) for the Chrome-trace exporter. Nil disables tracing.
 	Spans *obs.Tracer
-	// MaintThreads is the cache-maintainer pool size for pipelined engines;
-	// 0 defaults to 1. Maintenance is one task per shard, so up to
-	// min(Shards, GOMAXPROCS) maintainers can run in parallel. That pays
-	// when a round is real work — a cold cache promoting, evicting and
-	// flushing thousands of records per batch gains a third from the second
-	// maintainer — and costs when it is not: with the working set cached a
-	// round is a few LRU relinks, and a second maintainer only adds wake-ups
-	// that compete with the workers for the CPUs (DESIGN.md §18).
+	// MaintThreads is the number of background cache maintainers of a
+	// pipelined engine; 0 defaults to 1. Maintenance is one task per shard.
+	// A round nobody is waiting for runs on this pool, off the request
+	// path; a round somebody is waiting for (Push, EndBatch, WaitMaintenance)
+	// also runs on the waiting threads themselves, so a cold cache — whose
+	// rounds are real work and never finish inside the compute phase —
+	// drains on every core that would otherwise sleep, whatever this field
+	// says. It bounds only the background pool: more maintainers than one
+	// add wake-ups that compete with the workers for the CPUs when the
+	// working set is cached and a round is a few LRU relinks (DESIGN.md §18).
 	MaintThreads int
 	// Shards is the number of independent key-space shards for engines that
 	// partition their index, cache and maintenance (PMem-OE). Each shard has
