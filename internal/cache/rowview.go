@@ -2,12 +2,16 @@ package cache
 
 import "fmt"
 
-// RowView is an immutable key→row table: the one format in which the
-// serving tier holds copies of embedding rows (DESIGN.md §14). A view is
-// built once — Append, CloneRows + At, or Merge — and never written after
-// it is published (by value inside a larger snapshot, or behind an atomic
-// pointer), so any number of readers probe it without a lock and a row read
-// from it is the complete row its publisher copied, as old as that publish.
+// RowView is a key→row table: the one format in which the serving tier
+// holds copies of embedding rows (DESIGN.md §14). A view is built — Append,
+// CloneRows + At, or Merge — and then published (by value inside a larger
+// snapshot, or behind an atomic pointer), and it is never written while it
+// is published or a reader still holds it, so any number of readers probe it
+// without a lock and a row read from it is the complete row its publisher
+// copied, as old as that publish. Its index and key list never change at
+// all. A publisher that has withdrawn a view and knows no reader holds it
+// (core's shard snapshots count their readers) may rewrite rows through At
+// and publish it again; one that cannot know builds a new view instead.
 //
 // The index format is private to this file: readers see Row, At and Lookup
 // only, so changing the probe or the slab layout is a change to one type.
@@ -87,7 +91,7 @@ func (v *RowView) Append(k uint64, row []float32) int32 {
 // CloneRows returns an unpublished view over the same keys in the same row
 // order — index and key list shared, both immutable — with a private copy
 // of the rows, for a builder that rewrites some of them through At before
-// publishing.
+// publishing. It costs the whole slab, whatever the builder then rewrites.
 func (v *RowView) CloneRows() RowView {
 	next := *v
 	next.rows = make([]float32, len(v.rows))
@@ -137,7 +141,8 @@ func (v *RowView) Row(k uint64) (int32, bool) {
 	return -1, false
 }
 
-// At returns row r: shared, read-only once the view is published.
+// At returns row r: shared, and read-only while the view is published or
+// held by a reader.
 //
 // oevet:hotpath
 func (v *RowView) At(r int32) []float32 {

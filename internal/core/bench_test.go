@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"openembedding/internal/device"
 	"openembedding/internal/obs"
@@ -271,4 +272,90 @@ func BenchmarkEngineColdBatch(b *testing.B) {
 		batch++
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*workloadCold.draws), "ns/key")
+}
+
+// BenchmarkSnapRepublish is the writer's rung of serve-tcp-mixed: the
+// incremental snapshot republish at the workload's shape — 65 536 trained
+// rows of dim 16 in a cache that holds them all, default shards, serving on,
+// and per op one writer batch of 2 048 flash-crowd draws (≈1 700 distinct,
+// scattered rows). Pull, EndPullPhase and Push run with the timer stopped —
+// Push is what marks the rows dirty — so ns/op and, with -benchmem, B/op are
+// EndBatch's: the re-copy of the rows the batch dirtied into the shard's
+// spare slab. CI holds B/op under 4 KB; a republish that clones the slab
+// shows as ≈4 MB.
+func BenchmarkSnapRepublish(b *testing.B) {
+	const (
+		rows  = 1 << 16
+		draws = 2048
+		chunk = 8192
+	)
+	cfg := psengine.Config{
+		Dim:          benchDim,
+		Optimizer:    optim.NewSGD(0.1),
+		Capacity:     1 << 18,
+		CacheEntries: 1 << 17,
+	}.WithDefaults()
+	payload := pmem.FloatBytes(cfg.EntryFloats())
+	slots := cfg.Capacity * 2
+	arena, err := pmem.NewArena(pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil)), payload, slots)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(cfg, arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+
+	dst := make([]float32, chunk*benchDim)
+	grads := make([]float32, chunk*benchDim)
+	for i := range grads {
+		grads[i] = float32(i%200)/1e4 - 0.01
+	}
+	batch := int64(0)
+	step := func(keys []uint64, timed bool) {
+		err := e.Pull(batch, keys, dst[:len(keys)*benchDim])
+		e.EndPullPhase(batch)
+		if err == nil {
+			err = e.Push(batch, keys, grads[:len(keys)*benchDim])
+		}
+		if timed {
+			b.StartTimer()
+		}
+		if err == nil {
+			err = e.EndBatch(batch)
+		}
+		if timed {
+			b.StopTimer()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch++
+	}
+	keys := make([]uint64, chunk)
+	for lo := 0; lo < rows; lo += chunk {
+		for i := range keys {
+			keys[i] = uint64(lo + i)
+		}
+		step(keys, false)
+	}
+	e.EnableServeSnapshots()
+	// The writer batches of the workload: the flash crowd moves to a fresh
+	// hot window every 32 batches.
+	fc := workload.NewFlashCrowd(rows, 4096, 0.9, time.Second, 1)
+	pool := make([][]uint64, 128)
+	for i := range pool {
+		fc.Advance(time.Duration(i/32) * time.Second)
+		pool[i] = workload.Batch(fc, draws)
+	}
+	step(pool[0], false) // the first republish of an epoch has no spare yet
+	step(pool[1], false)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		step(pool[i%len(pool)], true)
+	}
 }

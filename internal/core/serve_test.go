@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"openembedding/internal/obs"
 	"openembedding/internal/optim"
 	"openembedding/internal/psengine"
 )
@@ -181,7 +183,11 @@ func TestServeReadZeroAllocs(t *testing.T) {
 // post-push row bit-exactly — never a torn mix — whichever tier serves it.
 // SGD with a constant gradient makes every legal row enumerable: after m
 // pushes the row is exactly w0 - m*lr (computed element-wise in float32),
-// so any observed row must bit-match one of the precomputed versions.
+// so any observed row must bit-match one of the precomputed versions. Half the
+// readers read key by key (ServeRead), half the way serve.Handler gathers:
+// pin every shard's snapshot, resolve a block of keys, read the resolved rows
+// in place while the writer republishes every batch and both slabs of every
+// shard are rewritten many times over, unpin.
 func TestServeNoTornReads(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		shards := shards
@@ -193,14 +199,17 @@ func TestServeNoTornReads(t *testing.T) {
 				batches = 300
 				reads   = 30_000 // per reader
 				readers = 4
+				gather  = 8   // keys a reader resolves under one set of pins
 				lr      = 0.5 // lr*g = 0.5: exactly representable, like the engine's own op
 			)
+			reg := obs.NewRegistry()
 			e := newTestEngine(t, psengine.Config{
 				Dim:          dim,
 				Optimizer:    optim.NewSGD(lr),
 				Capacity:     4096,
 				CacheEntries: 256,
 				Shards:       shards,
+				Obs:          reg,
 			})
 			keys := make([]uint64, nkeys)
 			for i := range keys {
@@ -263,10 +272,14 @@ func TestServeNoTornReads(t *testing.T) {
 					defer startOnce.Do(started.Done) // also on early error exit
 					rng := rand.New(rand.NewSource(int64(r + 1)))
 					dst := make([]float32, dim)
+					var pins SnapPins
+					var kis [gather]int
+					var block [gather]uint64
+					var rows [gather][]float32
 					// Readers run for the writer's whole push sequence (so
 					// reads genuinely interleave with pushes of the same
 					// keys) and for at least `reads` iterations.
-					for n := 0; ; n++ {
+					for n := 0; ; n += gather {
 						select {
 						case <-done:
 							if n >= reads {
@@ -274,18 +287,38 @@ func TestServeNoTornReads(t *testing.T) {
 							}
 						default:
 						}
-						ki := rng.Intn(nkeys)
-						src, err := e.ServeRead(keys[ki], dst)
-						if err != nil {
-							t.Errorf("reader %d: %v", r, err)
-							return
+						for i := range kis {
+							kis[i] = rng.Intn(nkeys)
+							block[i] = keys[kis[i]]
 						}
-						bySource[src].Add(1)
-						if !matches(ki, dst) {
-							t.Errorf("reader %d: torn row for key %d (source %d): %v",
-								r, keys[ki], src, append([]float32(nil), dst...))
-							return
+						pinned := r%2 == 1
+						if pinned {
+							e.PinSnapshots(&pins)
+							pins.Rows(block[:], rows[:])
 						}
+						for i, ki := range kis {
+							row, src := dst, ServeSnap
+							var err error
+							switch {
+							case !pinned:
+								src, err = e.ServeRead(keys[ki], dst)
+							case rows[i] != nil:
+								row = rows[i]
+							default:
+								src, err = e.ServeReadLocked(keys[ki], dst)
+							}
+							if err != nil {
+								t.Errorf("reader %d: %v", r, err)
+								return
+							}
+							bySource[src].Add(1)
+							if !matches(ki, row) {
+								t.Errorf("reader %d: torn row for key %d (source %d): %v",
+									r, keys[ki], src, append([]float32(nil), row...))
+								return
+							}
+						}
+						pins.Unpin()
 						startOnce.Do(started.Done)
 					}
 				}(r)
@@ -349,8 +382,15 @@ func TestServeNoTornReads(t *testing.T) {
 			if bySource[ServeInit].Load() != 0 {
 				t.Error("trained key served from the initializer")
 			}
-			t.Logf("reads: snap=%d dram=%d pmem=%d",
-				bySource[ServeSnap].Load(), bySource[ServeDRAM].Load(), bySource[ServePMem].Load())
+			if n := e.SnapshotPins(); n != 0 {
+				t.Errorf("%d pins left after the readers returned", n)
+			}
+			recycled, cloned := snapCounts(reg)
+			if recycled < batches/4 {
+				t.Errorf("%d republishes recycled a slab (%d cloned one): the readers never let the slabs take turns", recycled, cloned)
+			}
+			t.Logf("reads: snap=%d dram=%d pmem=%d; republishes: recycled=%d cloned=%d",
+				bySource[ServeSnap].Load(), bySource[ServeDRAM].Load(), bySource[ServePMem].Load(), recycled, cloned)
 		})
 	}
 }
@@ -468,5 +508,169 @@ func TestServeDirtyBitmap(t *testing.T) {
 		if src, _ := e.ServeRead(k, dst); src != ServeSnap || dst[0] != 1000+float32(k) {
 			t.Fatalf("key %d after full rebuild: source %d, row %v", k, src, dst)
 		}
+	}
+}
+
+// newServeTestEngine returns a one-shard serving engine over keys 1..nkeys,
+// all cached, with the registry its snapshot counters land in.
+func newServeTestEngine(t *testing.T, dim, nkeys int) (*Engine, []uint64, *obs.Registry) {
+	t.Helper()
+	cfg := testConfig(dim, 4*nkeys, 2*nkeys)
+	cfg.Obs = obs.NewRegistry()
+	e := newTestEngine(t, cfg)
+	keys := make([]uint64, nkeys)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	runBatch(t, e, 0, keys, nil)
+	e.EnableServeSnapshots()
+	return e, keys, cfg.Obs
+}
+
+// snapCounts reads the incremental-republish counters.
+func snapCounts(reg *obs.Registry) (recycled, cloned int64) {
+	return reg.Counter("engine_snap_recycled").Value(), reg.Counter("engine_snap_cloned").Value()
+}
+
+// TestServeRepublishUnion pins what a recycled slab has to be brought up to
+// date with. A spare missed the round that retired it as well as the round
+// that rewrites it: with row A pushed in round N only and row B in round N+1
+// only, the slab republished at N+1 is the one retired at N and must take A
+// and B, and the one republished at N+2 — retired at N+1 — must take B. A
+// rebuild that re-copies only the published snapshot's own dirty rows serves
+// A's pre-push row, clean, after N+1, and B's after N+2.
+func TestServeRepublishUnion(t *testing.T) {
+	const dim = 8
+	e, keys, reg := newServeTestEngine(t, dim, 96)
+	a, b, c := keys[3], keys[40], keys[70] // three bitmap words
+	w0 := make([]float32, dim)
+	if _, err := e.ServeRead(a, w0); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(step string) {
+		t.Helper()
+		got, want := make([]float32, dim), make([]float32, dim)
+		for _, k := range keys {
+			src, err := e.ServeRead(k, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src != ServeSnap {
+				t.Fatalf("%s: key %d served from source %d, want a clean snapshot hit", step, k, src)
+			}
+			if _, err := e.ServeReadLocked(k, want); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: snapshot row of key %d = %v, the engine holds %v", step, k, got, want)
+				}
+			}
+		}
+	}
+	runBatch(t, e, 1, []uint64{a}, constGrads(1, dim, 1)) // round N: the first of the epoch, a clone
+	check("after publish N")
+	runBatch(t, e, 2, []uint64{b}, constGrads(1, dim, 1))
+	check("after publish N+1")
+	runBatch(t, e, 3, []uint64{c}, constGrads(1, dim, 1))
+	check("after publish N+2")
+
+	got := make([]float32, dim)
+	if _, err := e.ServeRead(a, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := w0[0] - 0.1; got[0] != want { // SGD lr=0.1, g=1
+		t.Fatalf("row A = %v after its push, want %v: the oracle read a stale row too", got[0], want)
+	}
+	if recycled, cloned := snapCounts(reg); recycled != 2 || cloned != 1 {
+		t.Fatalf("recycled %d, cloned %d republishes; want 2 and 1, or the union was never exercised", recycled, cloned)
+	}
+
+	// A round that dirtied nothing republishes nothing and leaves the spare's
+	// frozen marks standing: the next round still owes it row C.
+	runBatch(t, e, 4, keys[:8], nil)
+	runBatch(t, e, 5, []uint64{a}, constGrads(1, dim, 1))
+	check("after an idle round and publish N+3")
+	if recycled, cloned := snapCounts(reg); recycled != 3 || cloned != 1 {
+		t.Fatalf("recycled %d, cloned %d after the idle round; want 3 and 1", recycled, cloned)
+	}
+}
+
+// TestServePinnedRowsSurviveRepublish: a row resolved under a pin is valid
+// until the pin is released. Every round a new reader pins what is published
+// and resolves every key, then a batch pushes every key and republishes — so
+// each rebuild finds the snapshot it would recycle held by the reader of the
+// round before, has to clone instead, and every reader's rows stay, bit for
+// bit, what it resolved. A rebuild that skips the pins check rewrites the
+// first reader's slab in the second round. Once the readers let go the slabs
+// take turns again; one that never does has cost its one clone and no more.
+func TestServePinnedRowsSurviveRepublish(t *testing.T) {
+	const (
+		dim    = 8
+		rounds = 4
+	)
+	e, keys, reg := newServeTestEngine(t, dim, 64)
+	type reader struct {
+		pins SnapPins
+		rows [][]float32
+		want []float32
+	}
+	readers := make([]*reader, rounds)
+	verify := func(step string) {
+		t.Helper()
+		for ri, r := range readers {
+			if r == nil {
+				continue
+			}
+			for i, row := range r.rows {
+				for j, v := range row {
+					if math.Float32bits(v) != math.Float32bits(r.want[i*dim+j]) {
+						t.Fatalf("%s: reader %d's pinned row of key %d is %v, it resolved %v",
+							step, ri, keys[i], row, r.want[i*dim:(i+1)*dim])
+					}
+				}
+			}
+		}
+	}
+	grads := constGrads(len(keys), dim, 1)
+	for n := 0; n < rounds; n++ {
+		r := &reader{rows: make([][]float32, len(keys))}
+		e.PinSnapshots(&r.pins)
+		r.pins.Rows(keys, r.rows)
+		for i, row := range r.rows {
+			if row == nil {
+				t.Fatalf("round %d: key %d is not a clean snapshot hit", n, keys[i])
+			}
+			r.want = append(r.want, row...)
+		}
+		readers[n] = r
+		runBatch(t, e, int64(n+1), keys, grads)
+		verify(fmt.Sprintf("after republish %d", n+1))
+	}
+	if recycled, cloned := snapCounts(reg); recycled != 0 || cloned != rounds {
+		t.Fatalf("recycled %d, cloned %d republishes under pins; want 0 and %d", recycled, cloned, rounds)
+	}
+	if got := e.SnapshotPins(); got != 1 {
+		t.Fatalf("%d pins on the published and spare snapshots, want the last reader's on the spare", got)
+	}
+
+	// All but the first reader let go. Its snapshot is long out of the
+	// rotation: the slabs take turns, and its rows still stand.
+	for _, r := range readers[1:] {
+		r.pins.Unpin()
+	}
+	readers = readers[:1]
+	for n := rounds; n < rounds+3; n++ {
+		runBatch(t, e, int64(n+1), keys, grads)
+	}
+	verify("after the slabs took turns again")
+	if recycled, cloned := snapCounts(reg); recycled != 3 || cloned != rounds {
+		t.Fatalf("recycled %d, cloned %d after the readers let go; want 3 and %d", recycled, cloned, rounds)
+	}
+	readers[0].pins.Unpin()
+	readers[0].pins.Unpin() // releasing twice releases once
+	if got := e.SnapshotPins(); got != 0 {
+		t.Fatalf("%d pins left after every reader released", got)
 	}
 }

@@ -99,12 +99,15 @@ type shard struct {
 	// (nil, and therefore free, when obs is disabled).
 	evictObs *obs.Counter
 
-	// snap is the shard's published serve snapshot (serve.go): loaded
+	// snap is the shard's published serve snapshot (serve.go): pinned
 	// lock-free by serving threads, stored only under the exclusive lock.
-	// snapStale (guarded by mu) records a hot-set membership change since
-	// the last publication and forces the next rebuild to be full;
-	// snapEpoch (guarded by mu) numbers full rebuilds.
+	// spare (guarded by mu) is the snapshot the last incremental publish
+	// retired, whose slab the next one rewrites if no reader still pins it;
+	// nil after a full rebuild. snapStale (guarded by mu) records a hot-set
+	// membership change since the last publication and forces the next
+	// rebuild to be full; snapEpoch (guarded by mu) numbers full rebuilds.
 	snap      atomic.Pointer[shardSnap]
+	spare     *shardSnap
 	snapStale bool
 	snapEpoch uint64
 

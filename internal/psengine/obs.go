@@ -20,6 +20,15 @@ import (
 //	                        maintenance rather than by a maintainer: of
 //	                        engine_maint_drain_ns's count, the share that
 //	                        was not hidden behind the compute phase
+//	engine_snap_rebuild_ns  one shard's incremental republish of its serve
+//	                        snapshot (the per-batch cost of serving)
+//	engine_snap_recycled    incremental republishes that rewrote the spare
+//	                        slab: cost in proportion to the rows dirtied
+//	engine_snap_cloned      incremental republishes that had to copy the
+//	                        whole slab — the first of an epoch, or a reader
+//	                        still pinned the spare; a deployment where this
+//	                        keeps pace with engine_snap_recycled has readers
+//	                        that outlive a batch
 //	engine_ckpt_stall_ns    checkpoint work a batch boundary waited out
 //	engine_ckpt_flush_bytes bytes persisted for checkpoints/evictions
 //	engine_evictions_shard<i> per-shard LRU evictions (via ShardEvictions)
@@ -52,6 +61,10 @@ type EngineObs struct {
 	MaintHelped *obs.Counter
 	FlushBytes  *obs.Counter
 
+	SnapRebuild  *obs.Histogram
+	SnapRecycled *obs.Counter
+	SnapCloned   *obs.Counter
+
 	CorruptServe    *obs.Counter
 	RecoverFallback *obs.Counter
 	ScrubScanned    *obs.Counter
@@ -78,6 +91,9 @@ func NewEngineObs(reg *obs.Registry) *EngineObs {
 	m.MaintQueue = reg.Gauge("engine_maint_queue_depth")
 	m.MaintHelped = reg.Counter("engine_maint_helped")
 	m.FlushBytes = reg.Counter("engine_ckpt_flush_bytes")
+	m.SnapRebuild = reg.Histogram("engine_snap_rebuild_ns")
+	m.SnapRecycled = reg.Counter("engine_snap_recycled")
+	m.SnapCloned = reg.Counter("engine_snap_cloned")
 	m.CorruptServe = reg.Counter("engine_corrupt_serve")
 	m.RecoverFallback = reg.Counter("engine_recover_fallback")
 	m.ScrubScanned = reg.Counter("engine_scrub_scanned")

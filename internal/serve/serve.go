@@ -8,13 +8,14 @@
 // (sum or mean) so only one dim-sized row per bag crosses the wire back —
 // the embedding-bag shape that dominates DLRM inference latency.
 //
-// Reads go through the engine's lock-free snapshot path
-// (core.Engine.ServeRead): clean hot keys are served from an immutable
-// per-shard snapshot with no shard mutex and no push stripe, and the
-// steady-state request performs zero heap allocations (pinned by
-// TestPullBagsZeroAllocs and the oevet allocfree analyzer). Cold, dirty or
-// unknown keys fall back to the engine's locked path; keys the fallback
-// read from PMem are promoted into the hot set by the next Refresh.
+// Reads go through the engine's lock-free snapshot path: a gather pins
+// every shard's published snapshot once (core.Engine.PinSnapshots), serves
+// clean hot keys from the pinned slabs with no shard mutex and no push
+// stripe, and unpins when it is done; the steady-state request performs zero
+// heap allocations (pinned by TestPullBagsZeroAllocs and the oevet allocfree
+// analyzer). Cold, dirty or unknown keys fall back to the engine's locked
+// path; keys the fallback read from PMem are promoted into the hot set by
+// the next Refresh.
 package serve
 
 import (
@@ -109,10 +110,12 @@ func IsShed(err error) bool {
 	return errors.As(err, &o)
 }
 
-// bagScratch is one request's reusable state.
+// bagScratch is one request's reusable state. It goes back to the pool
+// through Handler.release only, which drops the pins first.
 type bagScratch struct {
 	row  []float32
 	tick uint8
+	pins core.SnapPins
 }
 
 // serveBlock is how many keys PullBags resolves ahead of pooling them:
@@ -235,14 +238,26 @@ func (h *Handler) PullReplicaBags(offsets []uint32, keys []uint64, out []float32
 	return h.pullBags(false, true, offsets, keys, out)
 }
 
+// release unpins the snapshots sc's gather read from — no row it resolved
+// is used past here — and returns sc to the pool.
+//
+// oevet:hotpath
+func (h *Handler) release(sc *bagScratch) {
+	sc.pins.Unpin()
+	h.scratchPool.Put(sc)
+}
+
 // pullBags is the one gather behind PullBags and PullReplicaBags.
 //
-// Keys are resolved serveBlock at a time (core.Engine.ServeSnapRows): a
-// clean snapshot hit yields the published row itself, which is copied (first
-// key of a bag) or added (the rest) straight into the output row; only cold,
-// dirty or unknown keys go through the locked ServeRead into the pooled
-// scratch row, so pooling itself allocates nothing. Per-source tallies
-// accumulate in a local array and fold into the counters once per request.
+// It pins every shard's published snapshot once, into the pooled scratch,
+// and resolves keys against the pinned snapshots serveBlock at a time
+// (core.SnapPins.Rows): a clean hit yields the snapshot row itself — valid
+// until the pins are released, whatever training republishes meanwhile —
+// which is copied (first key of a bag) or added (the rest) straight into the
+// output row; only cold, dirty or unknown keys go through the engine's locked
+// path into the pooled scratch row, so pooling itself allocates nothing.
+// Per-source tallies accumulate in a local array and fold into the counters
+// once per request. Every exit after the pin leaves through release.
 //
 // oevet:hotpath
 func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, out []float32) error {
@@ -270,6 +285,7 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 	// One atomic load each of the engine and the replica overlay per
 	// request; the overlay is only probed for keys the engine does not know.
 	eng, reps := h.eng.Load(), h.replicas.Load()
+	eng.PinSnapshots(&sc.pins) //oevet:alloc-ok sizes the pooled pin table on a scratch's first gather only: the capacity persists across requests
 	var tally [srcReplica + 1]int64
 	// Offsets are contiguous from 0, so j below walks keys in order and
 	// refills the block whenever it runs out, bag boundaries or not.
@@ -286,14 +302,14 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 		for j := lo; j < hi; j++ {
 			if j == next {
 				base, next = j, min(j+serveBlock, len(keys))
-				eng.ServeSnapRows(keys[base:next], block[:])
+				sc.pins.Rows(keys[base:next], block[:])
 			}
 			row, src := block[j-base], core.ServeSnap
 			if row == nil {
 				var err error
 				row = sc.row
-				if src, err = eng.ServeRead(keys[j], row); err != nil {
-					h.scratchPool.Put(sc)
+				if src, err = eng.ServeReadLocked(keys[j], row); err != nil {
+					h.release(sc)
 					return err
 				}
 				// Unknown to the engine: a key this node does not own, or one
@@ -305,7 +321,7 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 					if replicaRow(reps, keys[j], row) {
 						src = srcReplica
 					} else if replica {
-						h.scratchPool.Put(sc)
+						h.release(sc)
 						return errNoReplica(keys[j])
 					}
 				}
@@ -334,7 +350,7 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 	if sampled {
 		h.bagNS.Observe(h.reg.Now() - start)
 	}
-	h.scratchPool.Put(sc)
+	h.release(sc)
 	return nil
 }
 

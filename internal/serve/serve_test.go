@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,14 +23,18 @@ import (
 
 func newTestEngine(t testing.TB, dim, capacity, cache, shards int) *core.Engine {
 	t.Helper()
-	cfg := psengine.Config{
+	return newTestEngineCfg(t, psengine.Config{
 		Dim:          dim,
 		Optimizer:    optim.NewSGD(0.1),
 		Capacity:     capacity,
 		CacheEntries: cache,
 		Shards:       shards,
 		Meter:        simclock.NewMeter(),
-	}
+	})
+}
+
+func newTestEngineCfg(t testing.TB, cfg psengine.Config) *core.Engine {
+	t.Helper()
 	cfg = cfg.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 4
@@ -414,4 +423,301 @@ func TestRefreshSingleFlightAndCounters(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
+}
+
+// TestPullBagsNoTornReads holds core's TestServeNoTornReads oracle to whole
+// gathers: SGD at lr·g = 0.5 makes every legal row after m pushes exactly
+// w0 − 0.5m in float32, and a one-key bag pools to its key's row, so every
+// row of every answer must bit-match some complete version — while a writer
+// pushes every key and republishes every batch, for long enough that both
+// slabs of every shard are rewritten many times under the gathers' pins.
+func TestPullBagsNoTornReads(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Parallel()
+			const (
+				dim     = 8
+				nkeys   = 96
+				batches = 300
+				readers = 3
+				bags    = 2*serveBlock + 5 // a gather spans blocks
+				lr      = 0.5
+			)
+			reg := obs.NewRegistry()
+			e := newTestEngineCfg(t, psengine.Config{
+				Dim:          dim,
+				Optimizer:    optim.NewSGD(lr),
+				Capacity:     4096,
+				CacheEntries: 256,
+				Shards:       shards,
+				Obs:          reg,
+			})
+			keys := make([]uint64, nkeys)
+			for i := range keys {
+				keys[i] = uint64(i*977 + 13) // spread across shards
+			}
+			w0 := train(t, e, 0, keys, 0)
+			// version[ki] maps the bits of element 0 after m pushes to m; a row
+			// is legal when every element is its own w0 less m halves.
+			version := make([]map[uint32]int, nkeys)
+			for ki := range keys {
+				version[ki] = make(map[uint32]int, batches+1)
+				v := w0[ki*dim]
+				for m := 0; m <= batches; m++ {
+					version[ki][math.Float32bits(v)] = m
+					v -= lr
+				}
+			}
+			legal := func(ki int, row []float32) bool {
+				m, ok := version[ki][math.Float32bits(row[0])]
+				for i := 0; ok && i < dim; i++ {
+					v := w0[ki*dim+i]
+					for n := 0; n < m; n++ {
+						v -= lr
+					}
+					ok = math.Float32bits(row[i]) == math.Float32bits(v)
+				}
+				return ok
+			}
+
+			h := New(e, reg)
+			offsets := make([]uint32, bags+1)
+			for i := range offsets {
+				offsets[i] = uint32(i)
+			}
+			done := make(chan struct{})
+			var gathers atomic.Int64
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r + 1)))
+					kis := make([]int, bags)
+					req := make([]uint64, bags)
+					out := make([]float32, bags*dim)
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						for i := range kis {
+							kis[i] = rng.Intn(nkeys)
+							req[i] = keys[kis[i]]
+						}
+						if err := h.PullBags(false, offsets, req, out); err != nil {
+							t.Errorf("reader %d: %v", r, err)
+							return
+						}
+						for i, ki := range kis {
+							if row := out[i*dim : (i+1)*dim]; !legal(ki, row) {
+								t.Errorf("reader %d: torn row for key %d: %v", r, req[i], row)
+								return
+							}
+						}
+						gathers.Add(1)
+					}
+				}(r)
+			}
+			// The writer keeps no further ahead than a batch a gather, so the
+			// two interleave on any number of cores, and gathers once itself
+			// between its push and its republish: every row dirty, every key
+			// down the locked path, which the readers alone might never catch.
+			grads := make([]float32, nkeys*dim)
+			for i := range grads {
+				grads[i] = 1
+			}
+			buf := make([]float32, nkeys*dim)
+			write := func(b int64) error {
+				if err := e.Pull(b, keys, buf); err != nil {
+					return err
+				}
+				e.EndPullPhase(b)
+				if err := e.Push(b, keys, grads); err != nil {
+					return err
+				}
+				if err := h.PullBags(false, offsets, keys[:bags], buf[:bags*dim]); err != nil {
+					return err
+				}
+				for ki := 0; ki < bags; ki++ {
+					if row := buf[ki*dim : (ki+1)*dim]; !legal(ki, row) {
+						return fmt.Errorf("dirty-window gather: torn row for key %d: %v", keys[ki], row)
+					}
+				}
+				return e.EndBatch(b)
+			}
+			var err error
+			for b := int64(1); b <= batches && err == nil && !t.Failed(); b++ {
+				for gathers.Load() < b && !t.Failed() {
+					runtime.Gosched()
+				}
+				if err = write(b); err != nil {
+					err = fmt.Errorf("batch %d: %w", b, err)
+				}
+			}
+			close(done)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if n := e.SnapshotPins(); n != 0 {
+				t.Errorf("%d pins left after the readers returned", n)
+			}
+			recycled := reg.Counter("engine_snap_recycled").Value()
+			cloned := reg.Counter("engine_snap_cloned").Value()
+			if recycled < batches/4 {
+				t.Errorf("%d republishes recycled a slab (%d cloned one): the gathers never let the slabs take turns", recycled, cloned)
+			}
+			if reg.Counter("serve_snap_hits").Value() == 0 || reg.Counter("serve_dram_fallback").Value() == 0 {
+				t.Errorf("snapshot hits %d, locked DRAM reads %d: a path went unexercised",
+					reg.Counter("serve_snap_hits").Value(), reg.Counter("serve_dram_fallback").Value())
+			}
+			t.Logf("republishes: recycled=%d cloned=%d", recycled, cloned)
+		})
+	}
+}
+
+// corruptRecords flips one payload bit of every record in e's arena, in the
+// volatile image only: whatever key the locked path reads from PMem next
+// fails its checksum.
+func corruptRecords(t *testing.T, e *core.Engine) {
+	t.Helper()
+	a := e.Arena()
+	var slots []uint32
+	if err := a.Scan(func(r pmem.Record) error {
+		slots = append(slots, r.Slot)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dev := a.Device()
+	for _, slot := range slots {
+		off := a.SlotOffset(slot) + 24 // payload starts after the 24-byte slot header
+		var b [1]byte
+		if err := dev.Read(off, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x40
+		if err := dev.Write(off, b[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPullBagsReleasesPins: a gather's pins are gone when it returns, however
+// it returns — answered, refused for a key no replica covers, failed by the
+// engine, or shed before it pinned anything — and a gather that SetEngine
+// overtakes mid-flight finishes on the engine it pinned and releases that
+// engine's pins, not the new one's. A leaked pin would make every later
+// republish of that slab a clone.
+func TestPullBagsReleasesPins(t *testing.T) {
+	const (
+		dim     = 8
+		shards  = 4
+		gateKey = 9000 // nobody trains it: reading it runs the initializer
+	)
+	// The initializer is the one call the locked path makes with no lock
+	// held; armed, it parks a gather between its pin and its unpin.
+	var armed atomic.Bool
+	entered, resume := make(chan struct{}), make(chan struct{})
+	xavier := psengine.XavierInit(dim)
+	cfg := psengine.Config{
+		Dim:          dim,
+		Optimizer:    optim.NewSGD(0.1),
+		Capacity:     1024,
+		CacheEntries: 32,
+		Shards:       shards,
+		Initializer: func(k uint64, dst []float32) {
+			if k == gateKey && armed.Load() {
+				entered <- struct{}{}
+				<-resume
+			}
+			xavier(k, dst)
+		},
+	}
+	e := newTestEngineCfg(t, cfg)
+	keys := make([]uint64, 128)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	for lo := 0; lo < len(keys); lo += 32 { // 32 stay cached, 96 go to PMem
+		train(t, e, int64(lo/32), keys[lo:lo+32], 0.5)
+	}
+	h := New(e, nil)
+	offsets := make([]uint32, len(keys)+1)
+	for i := range offsets {
+		offsets[i] = uint32(i)
+	}
+	out := make([]float32, len(keys)*dim)
+	pins := func(step string, eng *core.Engine, want int) {
+		t.Helper()
+		if got := eng.SnapshotPins(); got != want {
+			t.Fatalf("%s: %d pins held, want %d", step, got, want)
+		}
+	}
+
+	if err := h.PullBags(false, offsets, keys, out); err != nil {
+		t.Fatal(err)
+	}
+	pins("after an answered gather", e, 0)
+
+	req := append([]uint64{keys[0], keys[100]}, 5001) // cached, PMem-resident, unknown
+	if err := h.PullReplicaBags(offsets[:4], req, out[:3*dim]); err == nil {
+		t.Fatal("replica read of a key nobody holds was answered")
+	}
+	pins("after a refused replica read", e, 0)
+
+	// A gather parked mid-flight holds one pin a shard; beside it the
+	// watermark sheds a second request, which pins nothing; and the engine is
+	// swapped under it.
+	h.SetMaxInflight(1)
+	armed.Store(true)
+	parked := make(chan error, 1)
+	parkedOut := make([]float32, 2*dim)
+	go func() { parked <- h.PullBags(false, offsets[:3], []uint64{keys[0], gateKey}, parkedOut) }()
+	<-entered
+	armed.Store(false)
+	pins("with a gather parked", e, shards)
+	if err := h.PullBags(false, offsets, keys, out); !IsShed(err) {
+		t.Fatalf("second request at watermark 1: %v, want a shed", err)
+	}
+	pins("after a shed beside the parked gather", e, shards)
+	h.SetMaxInflight(0)
+
+	e2 := newTestEngineCfg(t, cfg)
+	train(t, e2, 0, keys[:32], 0.25)
+	h.SetEngine(e2)
+	if err := h.PullBags(false, offsets[:33], keys[:32], out[:32*dim]); err != nil {
+		t.Fatal(err)
+	}
+	pins("the new engine, after a gather of its own", e2, 0)
+	pins("the old engine, its gather still parked", e, shards)
+	want := make([]float32, 2*dim)
+	if _, err := e.ServeRead(keys[0], want[:dim]); err != nil {
+		t.Fatal(err)
+	}
+	xavier(gateKey, want[dim:])
+	close(resume)
+	if err := <-parked; err != nil {
+		t.Fatalf("the parked gather: %v", err)
+	}
+	for i := range want {
+		if math.Float32bits(parkedOut[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("the parked gather answered %v, the engine it pinned holds %v", parkedOut, want)
+		}
+	}
+	pins("the old engine, after its gather returned", e, 0)
+	pins("the new engine, after the old one's gather returned", e2, 0)
+
+	// Last, because it wrecks the store: every PMem-resident key now fails
+	// its checksum on the locked path, and the gather fails with it.
+	h.SetEngine(e)
+	corruptRecords(t, e)
+	if err := h.PullBags(false, offsets, keys, out); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("gather over corrupt records: %v, want ErrCorrupt", err)
+	}
+	pins("after a gather the engine failed", e, 0)
 }
