@@ -20,16 +20,16 @@ import (
 	"openembedding/internal/serve"
 )
 
-// Options configures a cluster Client.
+// Options configures a cluster Client. Node health (health.go) has no
+// options: it is always on, and a client nobody probes opens no probe
+// connections.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
 	// retry policy and shared retry budget, the deterministic fault
-	// injector, client-side RPC metrics) — except RPC.Breaker: a breaker is
-	// one peer's state, so a shared one would let a dead node fail-fast the
-	// live ones; set Breakers instead. Each node's copy gets a deterministic
-	// label ("node<i>", unless RPC.Label is set), which names its injector
-	// stream and, with RPC.Retry.Seed, keys its retry jitter — so a seeded
-	// chaos run replays identically.
+	// injector, client-side RPC metrics). Each node's copy gets a
+	// deterministic label ("node<i>", unless RPC.Label is set), which names
+	// its injector stream and, with RPC.Retry.Seed, keys its retry jitter —
+	// so a seeded chaos run replays identically.
 	RPC rpc.Options
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
@@ -39,28 +39,11 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// Detector, when set, arms the suspicion-based failure detector
-	// (detector.go): dedicated per-node probe connections feed
-	// inter-arrival accrual, and PullBags preempts reads to suspected
-	// owners — failing over to replicas (and the stale tier) before the
-	// gray-failed owner's read deadline burns. Probe cadence is driven by
-	// Probe calls (deterministic soaks) or StartProber (wall clock).
-	Detector *DetectorConfig
-	// Breakers, when set, gives every per-node connection its own circuit
-	// breaker (rpc.Breaker defaults): consecutive transport failures to a
-	// node make later calls fail fast — immediately eligible for failover
-	// — instead of re-paying dial and read deadlines per request.
-	Breakers bool
 	// Stale, when set, is the degraded-serving fallback tier: PullBags
 	// tracks its hot keys there, RefreshStale snapshots their rows, and a
 	// read whose owner AND replicas are all degraded is answered from the
 	// tier — flagged stale via PullBagsResult — instead of erroring.
 	Stale *serve.StaleTier
-	// Clock is the failure detector's time source. Nil defaults to the
-	// obs registry's monotonic clock (or a process-monotonic fallback);
-	// deterministic soaks pass the virtual clock so suspicion transitions
-	// replay with the run.
-	Clock func() time.Duration
 }
 
 // Client is a partitioned parameter-server client.
@@ -96,14 +79,15 @@ type Client struct {
 	// batch — the hook may train, forcing delta rounds.
 	migrateHook func(round int, batch int64) int64
 
-	// Gray-failure machinery (all nil/zero unless armed via Options).
-	// healthMu guards probes and proberStop — the only Client state the
+	// Gray-failure machinery. health is the per-node up/down table
+	// (health.go); healthMu guards its reset, the ring store that goes
+	// with it and the probe state below — the only Client state the
 	// background prober goroutine shares with Join/Leave and Close.
-	det        *Detector
-	nowFn      func() time.Duration
 	stale      *serve.StaleTier
+	health     health
 	healthMu   sync.Mutex
-	probes     []*rpc.Client
+	probeAddrs []string      // the membership probe connections are dialed to
+	probes     []*rpc.Client // dialed by the membership's first probe round
 	proberStop func()
 
 	// metrics (nil, and free, without Options.Obs)
@@ -152,17 +136,8 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c.failovers = reg.Counter("cluster_failovers")
 	c.failoversBy[causeHard] = reg.Counter("cluster_failovers_hard")
 	c.failoversBy[causeSuspect] = reg.Counter("cluster_failovers_suspect")
-	// Detector time source: explicit Clock > obs monotonic clock >
-	// process-monotonic fallback.
-	c.nowFn = opts.Clock
-	if c.nowFn == nil {
-		if c.reg != nil {
-			c.nowFn = c.reg.Now
-		} else {
-			base := time.Now()
-			c.nowFn = func() time.Duration { return time.Since(base) }
-		}
-	}
+	c.health.suspicions = reg.Counter("cluster_suspicions")
+	c.health.downNodes = reg.Gauge("cluster_suspected_nodes")
 	c.stale = opts.Stale
 	c.stale.SetObs(opts.Obs)
 	opts.RPC.Budget.SetObs(opts.Obs)
@@ -176,11 +151,7 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		c.ids = append(c.ids, uint64(n))
 	}
 	c.nextID = uint64(len(addrs))
-	c.ring.Store(NewRing(c.ids))
-	if opts.Detector != nil {
-		c.det = NewDetector(len(c.nodes), *opts.Detector, opts.Obs)
-		c.resizeHealth()
-	}
+	c.install(NewRing(c.ids))
 	return c, nil
 }
 
@@ -192,132 +163,7 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	if ro.Label == "" {
 		ro.Label = fmt.Sprintf("node%d", n)
 	}
-	// The breaker is per-peer state, so the caller's is never forwarded;
-	// the budget (already in ro) is shared across all of this Client's
-	// nodes by construction.
-	ro.Breaker = nil
-	if c.dialOpts.Breakers {
-		ro.Breaker = rpc.NewBreaker(0, 0)
-		ro.Breaker.SetObs(c.reg)
-	}
 	return rpc.DialOpts(addr, ro)
-}
-
-// dialProbe opens node n's dedicated health-probe connection: its own
-// injector stream ("node<i>/probe", so probe traffic never perturbs the
-// data connections' deterministic fault streams), single attempts, the
-// probe cadence as every deadline (a probe that outlives its round has
-// already failed), and no budget or breaker — a probe IS the health check,
-// it must always reach the wire.
-func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
-	ro := c.dialOpts.RPC
-	ro.Label = fmt.Sprintf("node%d/probe", n)
-	ro.Retry = rpc.RetryPolicy{MaxAttempts: 1}
-	ro.Budget = nil
-	ro.Breaker = nil
-	ro.Obs = nil // probe RTTs would skew the data-path client metrics
-	ro.DialTimeout = c.det.cfg.Interval
-	ro.ReadTimeout = c.det.cfg.Interval
-	ro.WriteTimeout = c.det.cfg.Interval
-	return rpc.DialOpts(addr, ro)
-}
-
-// resizeHealth realigns the failure detector and the probe connections
-// with the current node table (initial dial, Join, Leave). Per-index
-// accrual state resets: membership changed, so old indexes are
-// meaningless. A node whose probe connection cannot even be set up is
-// left unobserved — never-observed nodes are not suspected, and hard
-// errors on its data connection speak for themselves.
-func (c *Client) resizeHealth() {
-	if c.det == nil {
-		return
-	}
-	c.det.Resize(len(c.nodes))
-	c.healthMu.Lock()
-	old := c.probes
-	c.probes = nil
-	c.healthMu.Unlock()
-	for _, p := range old {
-		if p != nil {
-			p.Close()
-		}
-	}
-	probes := make([]*rpc.Client, len(c.addrs))
-	for n, a := range c.addrs {
-		if p, err := c.dialProbe(a, n); err == nil {
-			probes[n] = p
-		}
-	}
-	c.healthMu.Lock()
-	c.probes = probes
-	c.healthMu.Unlock()
-}
-
-// Probe runs one health round: every node is pinged in parallel on its
-// dedicated probe connection, successful answers feed the detector's
-// accrual state, and suspicion is re-evaluated for every node so the
-// cluster_suspicions counter and suspected gauge advance at probe
-// cadence. Deterministic soaks call Probe explicitly between virtual
-// clock advances; wall-clock deployments use StartProber.
-func (c *Client) Probe() {
-	if c.det == nil {
-		return
-	}
-	c.healthMu.Lock()
-	probes := c.probes
-	c.healthMu.Unlock()
-	ok := make([]bool, len(probes))
-	eachNode(len(probes), func(i int) bool { return probes[i] != nil }, func(i int) error {
-		ok[i] = probes[i].Ping() == nil
-		return nil
-	})
-	now := c.nowFn()
-	for i, healthy := range ok {
-		if healthy {
-			c.det.Observe(i, now)
-		}
-	}
-	for i := range ok {
-		c.det.Suspected(i, now)
-	}
-}
-
-// StartProber runs Probe every interval (the detector's Interval when
-// interval <= 0) on a background goroutine until the returned stop
-// function is called; Close stops it too. Wall-clock deployments only —
-// deterministic soaks drive Probe explicitly against the virtual clock.
-func (c *Client) StartProber(interval time.Duration) (stop func()) {
-	if c.det == nil {
-		return func() {}
-	}
-	if interval <= 0 {
-		interval = c.det.cfg.Interval
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	stop = func() { once.Do(func() { close(done) }) }
-	c.healthMu.Lock()
-	c.proberStop = stop
-	c.healthMu.Unlock()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				c.Probe()
-			}
-		}
-	}()
-	return stop
-}
-
-// Suspected reports whether the failure detector currently suspects node
-// n (always false without Options.Detector).
-func (c *Client) Suspected(n int) bool {
-	return c.det != nil && c.det.Suspected(n, c.nowFn())
 }
 
 // Epoch returns the current ownership epoch: 0 at dial, bumped by every
@@ -575,15 +421,15 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // during the call (the first share is decoded into it): after an error its
 // contents are unspecified.
 //
-// A node that fails with a degraded error — transport failure, timeout,
-// shed (busy) or an open breaker — is failed over: its keys are regrouped
-// by their per-key replica node and re-read there, so one dead node costs
-// latency, not errors — provided SyncReplicas has sent the replicas those
-// keys' rows: a replica answers only what it holds, and a key no sync
-// covered fails the read. With Options.Detector, a *suspected* owner is
-// preempted entirely. All of it is the one ladder in failover.go. PullBags
-// drops the staleness flag; serving frontends that must distinguish
-// degraded answers use PullBagsResult.
+// A node that fails with a degraded error — transport failure, timeout or
+// shed (busy) — is failed over: its keys are regrouped by their per-key
+// replica node and re-read there, so one dead node costs latency, not
+// errors — provided SyncReplicas has sent the replicas those keys' rows: a
+// replica answers only what it holds, and a key no sync covered fails the
+// read. An owner the health table holds down is not asked at all. All of
+// it is the one ladder in failover.go. PullBags drops the staleness flag;
+// serving frontends that must distinguish degraded answers use
+// PullBagsResult.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	_, err := c.PullBagsResult(mean, offsets, keys, out)
 	return err
@@ -833,21 +679,15 @@ func (c *Client) Stats() (psengine.Stats, error) {
 }
 
 // Close stops the background prober (if running) and closes every node
-// and probe connection.
+// and probe connection; a probe round still in flight dials nothing new.
 func (c *Client) Close() error {
 	c.healthMu.Lock()
 	stop := c.proberStop
 	c.proberStop = nil
-	probes := c.probes
-	c.probes = nil
+	c.resetProbes(nil)
 	c.healthMu.Unlock()
 	if stop != nil {
 		stop()
-	}
-	for _, p := range probes {
-		if p != nil {
-			p.Close()
-		}
 	}
 	var first error
 	for _, n := range c.nodes {

@@ -13,26 +13,27 @@ import (
 // distinct replica (Ring.Secondary) that holds a copy of the row once a
 // SyncReplicas call has pushed it into the replica's serve overlay.
 // PullBags prefers the owner; the owner is routed around when it is
-// *degraded* — a transport failure or timeout, a shed (busy) response, an
-// open circuit breaker, or mere suspicion by the failure detector — and the
-// keys are regrouped by their per-key replica and re-read there, as replica
-// reads: a replica answers only rows it was sent, never the initializer an
-// owner serves for an unknown key. When the replicas cannot answer either,
-// the stale fallback tier (serve.StaleTier) is the last line: the read
-// succeeds, flagged stale, instead of erroring. Training pushes remain
-// single-owner: replicas serve reads only, a replica row is as old as the
-// last SyncReplicas that covered its key, and nothing here schedules one.
+// *degraded* — its read failed on the transport, timed out or was shed
+// (busy), or the health table (health.go) holds it down and the read is
+// skipped — and the keys are regrouped by their per-key replica and
+// re-read there, as replica reads: a replica answers only rows it was
+// sent, never the initializer an owner serves for an unknown key. When the
+// replicas cannot answer either, the stale fallback tier (serve.StaleTier)
+// is the last line: the read succeeds, flagged stale, instead of erroring.
+// Training pushes remain single-owner: replicas serve reads only, a
+// replica row is as old as the last SyncReplicas that covered its key, and
+// nothing here schedules one.
 
-// errSuspectedOwner is the failover cause recorded when the detector
-// preempts an owner read.
-var errSuspectedOwner = errors.New("cluster: owner suspected by failure detector")
+// errOwnerDown is the failover cause recorded when a down owner's read is
+// skipped.
+var errOwnerDown = errors.New("cluster: owner down")
 
 // failoverCause attributes a failover for the split counters.
 type failoverCause int
 
 const (
 	causeHard    failoverCause = iota // the owner answered with a degraded error
-	causeSuspect                      // the detector preempted the owner read
+	causeSuspect                      // the owner was down and its read skipped
 )
 
 // countFailover tallies one replica-answered share in the aggregate counter
@@ -66,22 +67,23 @@ func (f *fan) bagNode(n int) (err error) {
 // sums for all bags over keys, grouped under offs — down the one failover
 // ladder (the step column of the DESIGN.md §16 failure taxonomy):
 //
-//  1. owner    — skipped while the detector suspects it: a gray-failed
-//     owner would burn the full read deadline before surfacing an error,
-//     which is exactly the latency the detector exists to save. A healthy
-//     answer, or an error no replica could do better on, ends here.
-//  2. replicas — on a degraded owner error or on suspicion.
+//  1. owner    — skipped while the health table holds it down: a
+//     gray-failed owner would burn the full read deadline before
+//     surfacing an error, every read. A healthy answer, or an error no
+//     replica could do better on, ends here.
+//  2. replicas — on a degraded owner error or a skipped owner.
 //  3. stale    — the fallback tier answers, flagged, rather than erroring.
-//  4. owner after all — only for a suspected owner skipped in step 1, when
-//     no stale tier is configured: it is the best remaining option.
-//  5. error    — the last step's.
+//  4. owner after all — only for an owner skipped in step 1, when no stale
+//     tier is configured: it is the best remaining option.
+//  5. error    — the last step's; step 4's also carries step 2's.
 //
-// The share is returned in dst when the owner answers, and in a slice of
-// the step's own otherwise.
+// Every owner read is an exchange the health table counts. The share is
+// returned in dst when the owner answers, and in a slice of the step's own
+// otherwise.
 func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64, dst []float32) (_ []float32, stale bool, _ error) {
-	cause, why := errSuspectedOwner, causeSuspect
-	if !c.Suspected(n) {
-		err := c.nodes[n].PullBagsInto(false, offs, keys, dst)
+	cause, why := errOwnerDown, causeSuspect
+	if !c.health.skip(n) {
+		err := c.ownerRead(n, offs, keys, dst)
 		if err == nil || !rpc.IsDegraded(err) {
 			return dst, false, err
 		}
@@ -96,9 +98,20 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 		return vals, true, nil
 	}
 	if why == causeSuspect {
-		return dst, false, c.nodes[n].PullBagsInto(false, offs, keys, dst)
+		if oerr := c.ownerRead(n, offs, keys, dst); oerr != nil {
+			return nil, false, fmt.Errorf("%w; owner asked after all: %w", err, oerr)
+		}
+		return dst, false, nil
 	}
 	return nil, false, err
+}
+
+// ownerRead reads node n's share from the owner into dst and counts the
+// exchange.
+func (c *Client) ownerRead(n int, offs []uint32, keys []uint64, dst []float32) error {
+	err := c.nodes[n].PullBagsInto(false, offs, keys, dst)
+	c.health.record(n, err)
+	return err
 }
 
 // bagViaReplicas re-reads node n's share from the keys' replica nodes:

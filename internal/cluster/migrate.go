@@ -242,10 +242,7 @@ func (c *Client) Join(batch int64, addr string) error {
 	c.addrs = append(c.addrs, addr)
 	c.ids = append(c.ids, c.nextID)
 	c.nextID++
-	c.ring.Store(nr.withEpoch(r.Epoch() + 1))
-	// Realign failure detection with the grown membership (indexes moved;
-	// the joiner needs a probe connection).
-	c.resizeHealth()
+	c.install(nr.withEpoch(r.Epoch() + 1))
 	// Step 5: cleanup — durably erase the moved arcs from their sources,
 	// then follow the fences those drops raised.
 	for _, mv := range moves {
@@ -318,10 +315,7 @@ func (c *Client) Leave(batch int64, node int) error {
 	c.nodes = slices.Delete(slices.Clone(c.nodes), node, node+1)
 	c.addrs = slices.Delete(slices.Clone(c.addrs), node, node+1)
 	c.ids = slices.Delete(slices.Clone(c.ids), node, node+1)
-	c.ring.Store(nr.withEpoch(r.Epoch() + 1))
-	// Realign failure detection with the shrunk membership (indexes moved;
-	// the leaver's probe connection must go).
-	c.resizeHealth()
+	c.install(nr.withEpoch(r.Epoch() + 1))
 	// Step 5: the leaver exits the cluster; its durable image goes with
 	// it, so no cleanup drop is needed. Close the connection.
 	leaving.Close() //nolint:errcheck // the node is leaving; a close error changes nothing

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -287,14 +288,14 @@ func TestPullBagsFailoverOnDeadNode(t *testing.T) {
 	if got := s.Counters["cluster_failovers"]; got < 1 {
 		t.Fatalf("cluster_failovers = %d, want >= 1", got)
 	}
-	// Cause attribution: a dead owner is a hard failover — no detector is
-	// armed (no suspicion).
+	// Cause attribution: a dead owner's failed read is a hard failover —
+	// two reads are fewer than downAfter, so no read was skipped.
 	if hard := s.Counters["cluster_failovers_hard"]; hard != s.Counters["cluster_failovers"] {
 		t.Fatalf("cluster_failovers_hard = %d, want %d (all failovers hard-caused)",
 			hard, s.Counters["cluster_failovers"])
 	}
 	if got := s.Counters["cluster_failovers_suspect"]; got != 0 {
-		t.Fatalf("cluster_failovers_suspect = %d, want 0 (no detector armed)", got)
+		t.Fatalf("cluster_failovers_suspect = %d, want 0 (the owner never went down)", got)
 	}
 
 	// A pooled bag over all keys still agrees with the reference sum
@@ -322,9 +323,10 @@ func TestPullBagsFailoverOnDeadNode(t *testing.T) {
 // the initializer, would answer a trained key with a row that was never a
 // version of it, as a live answer. A failover read therefore says it is one,
 // and a replica answers only rows it holds: an unsynced key fails the read
-// with an error naming the owner, the replica node and the key; a key some
-// sync covered answers bit-exactly; and an owner still answers a key nobody
-// trained with its initializer.
+// with an error naming the owner, the replica node, the key and the owner's
+// transport failure — also once the owner is down and its read is skipped,
+// then asked after all; a key some sync covered answers bit-exactly; and an
+// owner still answers a key nobody trained with its initializer.
 func TestPullBagsFailoverUnsyncedReplica(t *testing.T) {
 	c, ns, _ := startElasticCluster(t, 2)
 	keys := testKeys(24)
@@ -376,20 +378,30 @@ func TestPullBagsFailoverUnsyncedReplica(t *testing.T) {
 				t.Fatalf("%s: error %q does not name %q", label, err, part)
 			}
 		}
+		if !errors.Is(err, rpc.ErrUnavailable) {
+			t.Fatalf("%s: error %q does not carry the owner's transport failure", label, err)
+		}
 	}
 
+	// downAfter reads fail on the owner; the later ones skip it, ask it
+	// after all, and must say the same.
 	down()
-	res, err := c.PullBagsResult(false, offs, keys, out)
-	if err == nil {
-		wrong := 0
-		for i := range keys {
-			if !slices.Equal(out[i*c.dim:(i+1)*c.dim], w[i*c.dim:(i+1)*c.dim]) {
-				wrong++
+	for r := 0; r < downAfter+2; r++ {
+		res, err := c.PullBagsResult(false, offs, keys, out)
+		if err == nil {
+			wrong := 0
+			for i := range keys {
+				if !slices.Equal(out[i*c.dim:(i+1)*c.dim], w[i*c.dim:(i+1)*c.dim]) {
+					wrong++
+				}
 			}
+			t.Errorf("nothing synced: %d of %d keys answered with rows that are not the trained rows", wrong, len(keys))
 		}
-		t.Errorf("nothing synced: %d of %d keys answered with rows that are not the trained rows", wrong, len(keys))
+		wantErr(fmt.Sprintf("nothing synced, read %d", r), err, res, deadKeys[0])
 	}
-	wantErr("nothing synced", err, res, deadKeys[0])
+	if !c.Down(dead) {
+		t.Fatalf("owner not down after %d failed reads", downAfter+2)
+	}
 
 	// One of the dead node's keys synced: a bag that also holds another
 	// still fails, on the first key no sync covered.
@@ -399,7 +411,7 @@ func TestPullBagsFailoverUnsyncedReplica(t *testing.T) {
 	}
 	down()
 	pooled := make([]float32, c.dim)
-	res, err = c.PullBagsResult(false, []uint32{0, uint32(len(keys))}, keys, pooled)
+	res, err := c.PullBagsResult(false, []uint32{0, uint32(len(keys))}, keys, pooled)
 	wantErr("partially synced bag", err, res, deadKeys[1])
 	one := make([]float32, c.dim)
 	if err := c.PullBags(false, []uint32{0, 1}, deadKeys[:1], one); err != nil {

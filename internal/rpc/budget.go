@@ -84,109 +84,3 @@ func (b *Budget) Tokens() float64 {
 	defer b.mu.Unlock()
 	return b.tokens
 }
-
-// Breaker is a per-peer circuit breaker. Threshold consecutive transport
-// failures open it; while open, calls fail fast with *BreakerOpenError
-// without touching the wire, except that every ProbeEvery-th blocked call
-// is let through as a half-open probe. A probe success closes the breaker;
-// a probe failure leaves it open. All transitions are functions of call
-// and failure *counts*, never wall time, so breaker behavior in a seeded
-// chaos run replays with the run.
-//
-// A nil *Breaker allows everything (legacy behavior).
-type Breaker struct {
-	mu          sync.Mutex
-	threshold   int
-	probeEvery  int
-	consecutive int // consecutive failures observed
-	open        bool
-	blocked     int // calls rejected since the breaker opened
-
-	opens *obs.Counter // rpc_breaker_open (nil-safe)
-}
-
-// DefaultBreakerThreshold and DefaultBreakerProbeEvery are the NewBreaker
-// defaults: open after 5 consecutive failures, probe every 8th blocked
-// call.
-const (
-	DefaultBreakerThreshold  = 5
-	DefaultBreakerProbeEvery = 8
-)
-
-// NewBreaker returns a closed breaker. threshold <= 0 and probeEvery <= 0
-// take the defaults.
-func NewBreaker(threshold, probeEvery int) *Breaker {
-	if threshold <= 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	if probeEvery <= 0 {
-		probeEvery = DefaultBreakerProbeEvery
-	}
-	return &Breaker{threshold: threshold, probeEvery: probeEvery}
-}
-
-// SetObs registers the rpc_breaker_open counter on reg; it counts
-// closed-to-open transitions.
-func (k *Breaker) SetObs(reg *obs.Registry) {
-	if k == nil || reg == nil {
-		return
-	}
-	k.mu.Lock()
-	k.opens = reg.Counter("rpc_breaker_open")
-	k.mu.Unlock()
-}
-
-// Allow reports whether a call may touch the wire: always while closed,
-// every ProbeEvery-th call while open (the half-open probe). A nil
-// breaker always allows.
-func (k *Breaker) Allow() bool {
-	if k == nil {
-		return true
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if !k.open {
-		return true
-	}
-	k.blocked++
-	return k.blocked%k.probeEvery == 0
-}
-
-// OnSuccess records a successful round-trip: failures reset, and an open
-// breaker closes (the probe succeeded). Nil-safe.
-func (k *Breaker) OnSuccess() {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	k.consecutive = 0
-	k.open = false
-	k.blocked = 0
-	k.mu.Unlock()
-}
-
-// OnFailure records a transport failure; Threshold consecutive failures
-// open the breaker. Nil-safe.
-func (k *Breaker) OnFailure() {
-	if k == nil {
-		return
-	}
-	k.mu.Lock()
-	k.consecutive++
-	if !k.open && k.consecutive >= k.threshold {
-		k.open = true
-		k.blocked = 0
-		k.opens.Add(1)
-	}
-	k.mu.Unlock()
-}
-
-// Open reports whether the breaker is currently open (tests and oectl).
-func (k *Breaker) Open() bool {
-	if k == nil {
-		return false
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.open
-}

@@ -72,11 +72,6 @@ type Options struct {
 	// clients bounds the total retry amplification a dead node can cause.
 	// Nil keeps unbudgeted retries.
 	Budget *Budget
-	// Breaker, when set, is this peer's circuit breaker: consecutive
-	// transport failures open it, after which calls fail fast with
-	// *BreakerOpenError and only periodic half-open probes touch the wire.
-	// Nil disables breaking.
-	Breaker *Breaker
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
 	// rpc_client_retries, rpc_client_redials.
@@ -420,10 +415,11 @@ func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// retryable reports whether a failed attempt may be retried: transport
+// IsRetryable reports whether a failed attempt may be retried: transport
 // failures and timeouts only — never remote application errors or epoch
-// fences.
-func retryable(err error) bool {
+// fences. It is also what the cluster client's node health counts as a
+// failed exchange.
+func IsRetryable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
 }
 
@@ -475,24 +471,17 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 	var lastErr error
 	for a := 0; a < c.opts.Retry.MaxAttempts; a++ {
 		if a > 0 {
-			// Breaker fast-fails never touched the wire, so they cost no
-			// budget token; every other retry must withdraw one or stop.
-			if !errors.Is(lastErr, ErrBreakerOpen) && !c.opts.Budget.TryRetry() {
+			if !c.opts.Budget.TryRetry() {
 				return Reader{}, lastErr
 			}
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))
 		}
-		if !c.opts.Breaker.Allow() {
-			lastErr = &BreakerOpenError{Addr: c.addr} //oevet:alloc-ok fast-failing a dead peer is not the steady state
-			continue
-		}
 		if err := c.ensureConn(); err != nil {
 			lastErr = err
-			if !retryable(err) {
+			if !IsRetryable(err) {
 				return Reader{}, err
 			}
-			c.opts.Breaker.OnFailure()
 			continue
 		}
 		// Client-side fence: a redial that found the server at a newer
@@ -505,15 +494,13 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 		resp, err := c.roundTrip(spec.name, body)
 		if err != nil {
 			lastErr = err
-			if !retryable(err) {
+			if !IsRetryable(err) {
 				return Reader{}, err
 			}
-			c.opts.Breaker.OnFailure()
 			continue
 		}
-		// Any response at all proves the peer alive: close the breaker and
-		// regrow the retry budget, whatever the response says.
-		c.opts.Breaker.OnSuccess()
+		// Any response at all proves the peer alive: regrow the retry
+		// budget, whatever the response says.
 		c.opts.Budget.OnSuccess()
 		r, err := decodeResponse(resp, c.addr, c.ep)
 		if err != nil {

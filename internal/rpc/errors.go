@@ -103,30 +103,6 @@ func (e *BusyError) Error() string {
 // Is reports true for ErrBusy targets.
 func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 
-// ErrBreakerOpen matches (via errors.Is) requests failed fast by an open
-// per-peer circuit breaker: the peer failed enough consecutive requests
-// that re-attempting every call would only feed a retry storm, so calls
-// fail locally and only periodic probes touch the wire.
-var ErrBreakerOpen = errors.New("rpc: circuit breaker open")
-
-// BreakerOpenError is the typed error for a breaker fast-failure.
-type BreakerOpenError struct {
-	Addr string // server address
-}
-
-// Error implements error.
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("rpc: circuit breaker open for %s", e.Addr)
-}
-
-// Is reports true for ErrBreakerOpen and — because an open breaker means
-// the peer is, as far as this client knows, unreachable — for
-// ErrUnavailable, so the cluster recovery protocol treats fast-failed
-// requests exactly like transport failures.
-func (e *BreakerOpenError) Is(target error) bool {
-	return target == ErrBreakerOpen || target == ErrUnavailable
-}
-
 // IsRecoverable reports whether err is a failure the cluster recovery
 // protocol can heal: a transport failure or timeout (the node may have
 // crashed — redial and replay) or an epoch fence (the node recovered —
@@ -138,8 +114,8 @@ func IsRecoverable(err error) bool {
 
 // IsDegraded reports whether err means the peer cannot serve this request
 // right now but a replica might: every recoverable failure, plus overload
-// sheds and breaker fast-failures. The serving failover path keys on this
-// — a degraded owner is routed around, never hammered.
+// sheds. The serving failover path keys on this — a degraded owner is
+// routed around, never hammered.
 func IsDegraded(err error) bool {
-	return IsRecoverable(err) || errors.Is(err, ErrBusy) || errors.Is(err, ErrBreakerOpen)
+	return IsRecoverable(err) || errors.Is(err, ErrBusy)
 }

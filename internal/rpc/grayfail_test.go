@@ -12,9 +12,9 @@ import (
 )
 
 // Gray-failure hardening tests (DESIGN.md §16): the shared retry budget
-// bounds retry amplification, the per-peer circuit breaker fast-fails a
-// persistently failing node, and the server abandons work whose caller's
-// propagated deadline already expired.
+// bounds retry amplification, and a shed (busy) answer is degraded but
+// never retried. Whether a node is worth asking at all is the cluster
+// client's health table (internal/cluster).
 
 // TestRetryStormBudgetBounded is the retry-storm regression: many clients
 // hammering one dead node share a retry budget, so the total connection
@@ -86,53 +86,6 @@ func TestRetryStormBudgetBounded(t *testing.T) {
 	}
 }
 
-// TestBreakerStateMachine walks the breaker through its whole lifecycle
-// as a pure function of call and failure counts.
-func TestBreakerStateMachine(t *testing.T) {
-	reg := obs.NewRegistry()
-	k := NewBreaker(3, 4)
-	k.SetObs(reg)
-
-	type step struct {
-		op   string // "fail", "ok", "allow"
-		want bool   // for "allow": expected verdict
-	}
-	steps := []step{
-		{op: "allow", want: true}, // closed
-		{op: "fail"}, {op: "fail"},
-		{op: "allow", want: true}, // 2 failures: still closed
-		{op: "fail"},              // 3rd consecutive: opens
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: true}, // every 4th blocked call probes
-		{op: "fail"},              // probe failed: stays open
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: true}, // next probe
-		{op: "ok"},                // probe succeeded: closes
-		{op: "allow", want: true},
-		{op: "fail"}, {op: "fail"}, {op: "fail"}, // re-opens
-		{op: "allow", want: false},
-	}
-	for i, s := range steps {
-		switch s.op {
-		case "fail":
-			k.OnFailure()
-		case "ok":
-			k.OnSuccess()
-		case "allow":
-			if got := k.Allow(); got != s.want {
-				t.Fatalf("step %d: Allow() = %v, want %v (open=%v)", i, got, s.want, k.Open())
-			}
-		}
-	}
-	if got := reg.Snapshot().Counters["rpc_breaker_open"]; got != 2 {
-		t.Fatalf("rpc_breaker_open = %d, want 2 closed-to-open transitions", got)
-	}
-}
-
 func TestBudgetTokenArithmetic(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBudget(2, 0.5)
@@ -167,58 +120,64 @@ func TestBudgetTokenArithmetic(t *testing.T) {
 	}
 }
 
-// TestBreakerFastFailCostsNoBudget: once the breaker is open, blocked
-// attempts never withdraw retry tokens — fast-fails are free, so a broken
-// peer cannot starve the budget other peers' retries draw from.
+// shedBags is a BagServer stub that sheds every pooled read and counts the
+// requests that reach it; replica reads answer as sumBags does.
+type shedBags struct {
+	sumBags
+	calls atomic.Int64
+}
+
+type shedErr struct{}
+
+func (shedErr) Error() string { return "stub: shed" }
+func (shedErr) Busy() bool    { return true }
+
+func (s *shedBags) PullBags(bool, []uint32, []uint64, []float32) error {
+	s.calls.Add(1)
+	return shedErr{}
+}
+
+func (s *shedBags) PullReplicaBags(offsets []uint32, keys []uint64, out []float32) error {
+	s.calls.Add(1)
+	return s.sumBags.PullReplicaBags(offsets, keys, out)
+}
+
+// TestBreakerFastFailCostsNoBudget (named for the deleted breaker's
+// fast-fail; skipping a down node before the wire is now the cluster
+// health table's, checked by cluster's TestBreakerPerNode): an answer
+// that fails fast — a shed (busy) read or a remote error — ends the
+// request on the attempt that got it, so it is sent once and withdraws no
+// retry-budget token.
 func TestBreakerFastFailCostsNoBudget(t *testing.T) {
-	// A refused port: listen, note the address, close.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	bags := &shedBags{sumBags: sumBags{dim: 4}}
+	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Bags: bags})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-
+	defer srv.Close()
 	budget := NewBudget(3, 0)
-	bk := NewBreaker(1, 100) // opens on the first failure, probes rarely
-	c, err := DialOpts(addr, Options{
-		Retry:       RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond, Seed: 3},
-		Budget:      budget,
-		Breaker:     bk,
-		DialTimeout: time.Second,
+	c, err := DialOpts(srv.Addr(), Options{
+		Retry:  RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond, Seed: 3},
+		Budget: budget,
 	})
 	if err != nil {
-		t.Fatalf("dial: %v (initial connect failures defer to redial-on-demand)", err)
+		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// First ping: the free first attempt fails on the wire and opens the
-	// breaker; attempt 2 withdraws a token and is then blocked; attempt 3
-	// follows a breaker fast-fail, so it is free.
-	err = c.Ping()
-	if err == nil {
-		t.Fatal("ping to a refused port succeeded")
+	_, err = c.PullBags(false, []uint32{0, 2}, []uint64{10, 20})
+	if !errors.Is(err, ErrBusy) || !IsDegraded(err) {
+		t.Fatalf("shed read err = %v, want a degraded ErrBusy", err)
 	}
-	if !bk.Open() {
-		t.Fatal("breaker still closed after a wire failure with threshold 1")
+	err = c.PullReplicaBagsInto([]uint32{0, 1}, []uint64{404}, make([]float32, 4))
+	if err == nil || IsRetryable(err) {
+		t.Fatalf("remote error = %v, want a non-retryable failure", err)
 	}
-	if got := budget.Tokens(); got != 2 {
-		t.Fatalf("budget tokens = %v after first ping, want 2 (one wire retry)", got)
+	if got := bags.calls.Load(); got != 2 {
+		t.Fatalf("server saw %d requests for 2 fast-failed reads, want 2 (neither retried)", got)
 	}
-
-	// Second ping: every attempt is breaker-blocked; none cost a token.
-	err = c.Ping()
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("ping err = %v, want ErrBreakerOpen", err)
-	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("breaker-open err = %v, want Is(ErrUnavailable) so failover treats it as degraded", err)
-	}
-	if !IsDegraded(err) {
-		t.Fatalf("IsDegraded(%v) = false, want true", err)
-	}
-	if got := budget.Tokens(); got != 2 {
-		t.Fatalf("budget tokens = %v after fast-failed ping, want 2 (fast-fails are free)", got)
+	if got := budget.Tokens(); got != 3 {
+		t.Fatalf("budget tokens = %v after fast-failed reads, want 3 (fast-fails are free)", got)
 	}
 }
 
