@@ -1,17 +1,15 @@
 package cache
 
-import "fmt"
-
 // RowView is a key→row table: the one format in which the serving tier
 // holds copies of embedding rows (DESIGN.md §14). A view is built — Append,
-// CloneRows + At, or Merge — and then published (by value inside a larger
-// snapshot, or behind an atomic pointer), and it is never written while it
-// is published or a reader still holds it, so any number of readers probe it
-// without a lock and a row read from it is the complete row its publisher
-// copied, as old as that publish. Its index and key list never change at
-// all. A publisher that has withdrawn a view and knows no reader holds it
-// (core's shard snapshots count their readers) may rewrite rows through At
-// and publish it again; one that cannot know builds a new view instead.
+// or CloneRows + At — and then published (by value inside a larger
+// snapshot), and it is never written while it is published or a reader
+// still holds it, so any number of readers probe it without a lock and a
+// row read from it is the complete row its publisher copied, as old as
+// that publish. Its index and key list never change at all. A publisher
+// that has withdrawn a view and knows no reader holds it (core's shard
+// snapshots count their readers) may rewrite rows through At and publish
+// it again; one that cannot know builds a new view instead.
 //
 // The index format is private to this file: readers see Row, At and Lookup
 // only, so changing the probe or the slab layout is a change to one type.
@@ -99,31 +97,6 @@ func (v *RowView) CloneRows() RowView {
 	return next
 }
 
-// Merge returns a new view holding v's rows plus row i of rows (row-major,
-// len(keys)*dim floats) as the row of keys[i]; v itself is unchanged. A key
-// already present — in v, or earlier in keys — has its row replaced, so the
-// last occurrence wins. With limit > 0 the result holds at most limit rows:
-// keys that would add a row beyond it are dropped, replacements never are.
-func (v *RowView) Merge(keys []uint64, rows []float32, limit int) (*RowView, error) {
-	dim := v.dim
-	if len(rows) != len(keys)*dim {
-		return nil, fmt.Errorf("cache: %d row floats for %d keys (dim %d)", len(rows), len(keys), dim)
-	}
-	next := NewRowView(dim, len(v.keys)+len(keys))
-	for r, k := range v.keys {
-		next.Append(k, v.At(int32(r)))
-	}
-	for i, k := range keys {
-		row := rows[i*dim : (i+1)*dim]
-		if r, ok := next.Row(k); ok {
-			copy(next.At(r), row)
-		} else if limit <= 0 || len(next.keys) < limit {
-			next.Append(k, row)
-		}
-	}
-	return &next, nil
-}
-
 // Row returns the row number of k.
 //
 // oevet:hotpath
@@ -172,11 +145,11 @@ func (v *RowView) Len() int {
 }
 
 // AddInto adds src into dst, dst[i] += src[i]: the one summation kernel of
-// the gather path (server-side pooling, the client's share combine, the
-// replica and stale sums). Each element takes exactly one addition, so the
-// unroll changes no result bit; BenchmarkAddInto puts it at 1.7x on a
-// 3 328-row share and even on one row, and a body this size is compiled
-// once, out of line, not at a different address mod 64 in every caller.
+// the gather path (server-side pooling and the client's share combine).
+// Each element takes exactly one addition, so the unroll changes no result
+// bit; BenchmarkAddInto puts it at 1.7x on a 3 328-row share and even on
+// one row, and a body this size is compiled once, out of line, not at a
+// different address mod 64 in every caller.
 // len(src) >= len(dst); reslicing hoists the bounds checks.
 //
 // oevet:hotpath

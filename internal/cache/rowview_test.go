@@ -2,29 +2,14 @@ package cache
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// refView is the reference model: the map of private row copies that the
-// replica overlay and the stale tier each used to be.
+// refView is the reference model: a map of private row copies.
 type refView map[uint64][]float32
-
-// merge is Merge on the model: last occurrence wins, a key that would add
-// a row beyond limit is dropped, a replacement never is.
-func (m refView) merge(keys []uint64, rows []float32, dim, limit int) refView {
-	next := make(refView, len(m)+len(keys))
-	for k, row := range m {
-		next[k] = row
-	}
-	for i, k := range keys {
-		if _, ok := next[k]; ok || limit <= 0 || len(next) < limit {
-			next[k] = append([]float32(nil), rows[i*dim:(i+1)*dim]...)
-		}
-	}
-	return next
-}
 
 // checkView compares v with the model on every key the model holds and on
 // keys it does not.
@@ -62,14 +47,14 @@ func checkView(t *testing.T, step string, v *RowView, m refView, absent []uint64
 
 // TestRowViewMatchesReferenceMap checks the view against the map model:
 // first the cases a random walk only reaches by luck, then random sequences
-// of the three publishers' operations.
+// of builds and rewrites.
 func TestRowViewMatchesReferenceMap(t *testing.T) {
 	t.Run("edges", rowViewEdges)
 	t.Run("random", rowViewRandomWalk)
 }
 
-// walkKeys is the random walk's key space: small, so merges overlap what is
-// held and repeat keys inside one call, and made of the keys an index gets
+// walkKeys is the random walk's key space: small, so builds and rewrites
+// overlap what is held, and made of the keys an index gets
 // wrong first — 0 and ^0 (no key may double as the empty mark), a sequential
 // run, a run a table length apart (equal in every low bit a mask would
 // keep), and a run that shares one home slot in the 64-slot index a view of
@@ -88,10 +73,9 @@ func walkKeys() []uint64 {
 	return keys
 }
 
-// rowViewRandomWalk drives build (Append), rewrite (CloneRows + At), merge
-// and bounded republish (Merge) in random order, and after every step
-// checks the new view AND the one it was derived from: a published view
-// never changes.
+// rowViewRandomWalk drives build (Append) and rewrite (CloneRows + At) in
+// random order, and after every step checks the new view AND the one it was
+// derived from: a published view never changes.
 func rowViewRandomWalk(t *testing.T) {
 	const dim = 3
 	space := walkKeys()
@@ -99,23 +83,12 @@ func rowViewRandomWalk(t *testing.T) {
 	absent := append([]uint64{15, 63, 1 << 40, ^uint64(0) - 1}, space...)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		batch := func(n int) ([]uint64, []float32) {
-			keys := make([]uint64, n)
-			rows := make([]float32, n*dim)
-			for i := range keys {
-				keys[i] = space[rng.Intn(keySpace)]
-			}
-			for i := range rows {
-				rows[i] = rng.Float32()
-			}
-			return keys, rows
-		}
 		empty := NewRowView(dim, 0)
 		v, m := &empty, refView{}
 		for step := 0; step < 60; step++ {
 			prev, prevM := v, m
 			var name string
-			switch op := rng.Intn(4); op {
+			switch op := rng.Intn(2); op {
 			case 0: // engine full rebuild: distinct keys appended in order
 				name = "build"
 				n := rng.Intn(keySpace)
@@ -140,7 +113,7 @@ func rowViewRandomWalk(t *testing.T) {
 				if len(c.index) > 0 && &c.index[0] != &v.index[0] {
 					t.Fatalf("seed %d: CloneRows copied the index", seed)
 				}
-				m = m.merge(nil, nil, dim, 0)
+				m = maps.Clone(m)
 				for k := range prevM {
 					if rng.Intn(3) == 0 {
 						row := []float32{rng.Float32(), rng.Float32(), rng.Float32()}
@@ -150,26 +123,6 @@ func rowViewRandomWalk(t *testing.T) {
 					}
 				}
 				v = &c
-			case 2: // replica overlay: unbounded copy-on-write merge
-				name = "merge"
-				keys, rows := batch(rng.Intn(12))
-				next, err := v.Merge(keys, rows, 0)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				v, m = next, m.merge(keys, rows, dim, 0)
-			case 3: // stale tier: one bounded pass replaces everything
-				name = "republish"
-				keys, rows := batch(rng.Intn(24))
-				limit := 1 + rng.Intn(8)
-				next, err := empty.Merge(keys, rows, limit)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				v, m = next, refView{}.merge(keys, rows, dim, limit)
-				if v.Len() > limit {
-					t.Fatalf("seed %d: %d rows published past limit %d", seed, v.Len(), limit)
-				}
 			}
 			checkView(t, name, v, m, absent)
 			checkView(t, name+" (source view)", prev, prevM, absent)
@@ -179,38 +132,6 @@ func rowViewRandomWalk(t *testing.T) {
 
 func rowViewEdges(t *testing.T) {
 	const dim = 2
-	empty := NewRowView(dim, 0)
-
-	// Merge onto empty, key 0, and a key repeated in one merge: last wins.
-	v, err := empty.Merge([]uint64{0, 5, 0}, []float32{1, 1, 2, 2, 3, 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkView(t, "merge onto empty", v, refView{0: {3, 3}, 5: {2, 2}}, []uint64{1})
-	if empty.Len() != 0 {
-		t.Fatal("merge wrote into its source view")
-	}
-
-	// Merge copies: the caller's buffer stays the caller's.
-	buf := []float32{7, 7}
-	v2, err := v.Merge([]uint64{9}, buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99
-	checkView(t, "merge copies", v2, refView{0: {3, 3}, 5: {2, 2}, 9: {7, 7}}, nil)
-
-	// A float count that does not match the key count is still an error.
-	if _, err := v.Merge([]uint64{1, 2}, []float32{1, 2, 3}, 0); err == nil {
-		t.Fatal("3 floats for 2 keys of dim 2 accepted")
-	}
-
-	// The limit drops keys that would add a row, never a replacement.
-	v3, err := v.Merge([]uint64{8, 5, 9}, []float32{8, 8, 6, 6, 9, 9}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkView(t, "limit", v3, refView{0: {3, 3}, 5: {6, 6}, 8: {8, 8}}, []uint64{9})
 
 	// A nil view reads as empty, and so does the zero view — whatever the
 	// key hashes to — until something is appended to it.

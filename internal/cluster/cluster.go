@@ -3,7 +3,9 @@
 // their IDs (Sec. IV) onto a consistent-hash ring (ring.go), and each
 // pull/push fans out to the owning nodes in parallel and reassembles the
 // responses in input order. Membership can change live (Join/Leave,
-// migrate.go) and serving reads fail over to R=2 replicas (failover.go).
+// migrate.go). A serving read asks each key's owner and no other node: an
+// owner the node health table holds down (health.go) is not asked, and its
+// share fails at once with an error that names it.
 package cluster
 
 import (
@@ -17,7 +19,6 @@ import (
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
-	"openembedding/internal/serve"
 )
 
 // Options configures a cluster Client. Node health (health.go) has no
@@ -25,11 +26,11 @@ import (
 // connections.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
-	// retry policy and shared retry budget, the deterministic fault
-	// injector, client-side RPC metrics). Each node's copy gets a
-	// deterministic label ("node<i>", unless RPC.Label is set), which names
-	// its injector stream and, with RPC.Retry.Seed, keys its retry jitter —
-	// so a seeded chaos run replays identically.
+	// retry policy, the deterministic fault injector, client-side RPC
+	// metrics). Each node's copy gets a deterministic label ("node<i>",
+	// unless RPC.Label is set), which names its injector stream and, with
+	// RPC.Retry.Seed, keys its retry jitter — so a seeded chaos run replays
+	// identically.
 	RPC rpc.Options
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
@@ -39,11 +40,6 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// Stale, when set, is the degraded-serving fallback tier: PullBags
-	// tracks its hot keys there, RefreshStale snapshots their rows, and a
-	// read whose owner AND replicas are all degraded is answered from the
-	// tier — flagged stale via PullBagsResult — instead of erroring.
-	Stale *serve.StaleTier
 }
 
 // Client is a partitioned parameter-server client.
@@ -83,7 +79,6 @@ type Client struct {
 	// (health.go); healthMu guards its reset, the ring store that goes
 	// with it and the probe state below — the only Client state the
 	// background prober goroutine shares with Join/Leave and Close.
-	stale      *serve.StaleTier
 	health     health
 	healthMu   sync.Mutex
 	probeAddrs []string      // the membership probe connections are dialed to
@@ -100,8 +95,6 @@ type Client struct {
 	replays     *obs.Counter
 	migrations  *obs.Counter
 	migKeys     *obs.Counter
-	failovers   *obs.Counter
-	failoversBy [2]*obs.Counter // indexed by failoverCause
 	reg         *obs.Registry
 }
 
@@ -133,14 +126,8 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c.replays = reg.Counter("cluster_replays")
 	c.migrations = reg.Counter("cluster_migrations")
 	c.migKeys = reg.Counter("cluster_migrated_keys")
-	c.failovers = reg.Counter("cluster_failovers")
-	c.failoversBy[causeHard] = reg.Counter("cluster_failovers_hard")
-	c.failoversBy[causeSuspect] = reg.Counter("cluster_failovers_suspect")
 	c.health.suspicions = reg.Counter("cluster_suspicions")
 	c.health.downNodes = reg.Gauge("cluster_suspected_nodes")
-	c.stale = opts.Stale
-	c.stale.SetObs(opts.Obs)
-	opts.RPC.Budget.SetObs(opts.Obs)
 	for n, a := range addrs {
 		cl, err := c.dialNode(a, n)
 		if err != nil {
@@ -210,18 +197,15 @@ type fan struct {
 	batch int64
 	rows  []float32 // the caller's dst (Pull) or grads (Push)
 	ring  *Ring     // the ring the plan is made on
-	bags  int       // PullBags: the bag count
 	out   []float32 // PullBags: the caller's out, where share `first` lands
 	first int       // PullBags: the lowest node holding keys of this call
 
 	// Per node, index-aligned with c.nodes.
-	keys  [][]uint64
-	pos   [][]int     // each key's position in the caller's list (Pull, Push)
-	offs  [][]uint32  // bag offsets over keys (PullBags)
-	buf   [][]float32 // pulled rows, grouped grads, or the node's bag partial
-	part  [][]float32 // PullBags: each share as answered — buf[n], or a failover's own slice
-	stale []bool
-	durs  []time.Duration
+	keys [][]uint64
+	pos  [][]int     // each key's position in the caller's list (Pull, Push)
+	offs [][]uint32  // bag offsets over keys (PullBags)
+	buf  [][]float32 // pulled rows, grouped grads, or the node's bag partial
+	durs []time.Duration
 }
 
 // fan takes a call's working memory from the pool, shaped to the current
@@ -247,16 +231,12 @@ func (f *fan) reshape(nn int) {
 	f.pos = make([][]int, nn)
 	f.offs = make([][]uint32, nn)
 	f.buf = make([][]float32, nn)
-	f.part = make([][]float32, nn)
-	f.stale = make([]bool, nn)
 	f.durs = make([]time.Duration, nn)
 }
 
 // release returns f to the pool, holding on to none of the caller's memory.
 func (f *fan) release() {
 	f.rows, f.out, f.ring = nil, nil, nil
-	clear(f.part)
-	clear(f.stale)
 	f.c.fans.Put(f)
 }
 
@@ -410,6 +390,28 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 	return err
 }
 
+// bagNode is PullBags' per-node step: node n's share, read from its owner.
+// The destination is the node's pooled buffer — except for the call's first
+// share, which is decoded where it is wanted, in the caller's out: nothing
+// else writes out until every node has returned. An owner the health table
+// holds down is not asked; its share fails at once with errSkipped. Every
+// owner read is an exchange the table counts.
+//
+// oevet:hotpath
+func (f *fan) bagNode(n int) error {
+	c := f.c
+	if c.health.skip(n) {
+		return errSkipped
+	}
+	dst := f.out
+	if n != f.first {
+		dst = f.floats(n, len(f.out))
+	}
+	err := c.nodes[n].PullBagsInto(false, f.offs[n], f.keys[n], dst)
+	c.health.record(n, err)
+	return err
+}
+
 // PullBags gathers pooled embedding bags across the cluster (the serving
 // tier's read path): bag b is keys[offsets[b]:offsets[b+1]], pooled into
 // out[b*dim:(b+1)*dim] — sum, or mean when mean is set. Each bag's keys
@@ -421,51 +423,26 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // during the call (the first share is decoded into it): after an error its
 // contents are unspecified.
 //
-// A node that fails with a degraded error — transport failure, timeout or
-// shed (busy) — is failed over: its keys are regrouped by their per-key
-// replica node and re-read there, so one dead node costs latency, not
-// errors — provided SyncReplicas has sent the replicas those keys' rows: a
-// replica answers only what it holds, and a key no sync covered fails the
-// read. An owner the health table holds down is not asked at all. All of
-// it is the one ladder in failover.go. PullBags drops the staleness flag;
-// serving frontends that must distinguish degraded answers use
-// PullBagsResult.
-func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
-	_, err := c.PullBagsResult(mean, offsets, keys, out)
-	return err
-}
-
-// BagResult describes how a PullBagsResult answer was produced.
-type BagResult struct {
-	// Stale is set when any node's share was answered from the stale
-	// fallback tier (owner and replicas all degraded) rather than live
-	// state: the pooled values are no fresher than the tier's last
-	// RefreshStale pass, and keys never refreshed contributed zero.
-	Stale bool
-}
-
-// PullBagsResult is PullBags plus degradation visibility: the gather
-// succeeds whenever live owners, replicas, or the stale tier can answer,
-// and the result reports whether any share came back stale.
+// A share is asked of its owner and of no other node. An owner that fails
+// fails the call with an error attributed to the node; an owner the health
+// table holds down is not asked, and its share fails at once with an error
+// that names the node and satisfies errors.Is(err, rpc.ErrUnavailable).
 //
 // oevet:hotpath
-func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out []float32) (BagResult, error) {
+func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	if err := rpc.ValidateBagOffsets(offsets, len(keys)); err != nil {
-		return BagResult{}, err
+		return err
 	}
 	bags := len(offsets) - 1
 	if len(out) != bags*c.dim {
 		//oevet:alloc-ok a caller bug, not the steady state
-		return BagResult{}, fmt.Errorf("cluster: out has %d floats, want %d (%d bags x dim %d)",
+		return fmt.Errorf("cluster: out has %d floats, want %d (%d bags x dim %d)",
 			len(out), bags*c.dim, bags, c.dim)
 	}
-	// Feed the stale tier's hot set from live serving traffic (no-op
-	// without Options.Stale).
-	c.stale.Track(keys)
 	start := c.reg.Now()
 	f := c.fan((*fan).bagNode, false, 0)
 	defer f.release()
-	f.bags, f.out = bags, out
+	f.out = out
 	for n := range f.offs {
 		f.offs[n] = append(f.offs[n], 0) //oevet:alloc-ok a pooled group keeps the capacity it grew to
 	}
@@ -481,19 +458,17 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 	for f.first = 0; f.first < len(f.keys) && !f.has(f.first); f.first++ {
 	}
 	if n, err := f.run(); err != nil {
-		return BagResult{}, c.nodeErr(n, err)
+		return c.nodeErr(n, err)
 	}
 	// Shares combine in node-index order, whatever the width: the one
 	// float-addition order every gather of the same state repeats. The
 	// first share is already in out (bagNode); the others are added to it.
-	var res BagResult
 	if f.first == len(f.keys) {
 		clear(out) // no key at all: every bag pools to the zero vector
 	}
-	for n, part := range f.part {
-		res.Stale = res.Stale || f.stale[n]
-		if n > f.first && f.has(n) {
-			cache.AddInto(out, part)
+	for n := f.first + 1; n < len(f.keys); n++ {
+		if f.has(n) {
+			cache.AddInto(out, f.buf[n])
 		}
 	}
 	if mean {
@@ -510,35 +485,7 @@ func (c *Client) PullBagsResult(mean bool, offsets []uint32, keys []uint64, out 
 		}
 	}
 	c.bagNS.Observe(c.reg.Now() - start)
-	return res, nil
-}
-
-// RefreshStale snapshots the tracked hot keys into the stale tier: every
-// tracked key is re-read as a single-key bag (the sum pooling of one key
-// IS its row, and MsgPullBag is fence-exempt, so a refresh never perturbs
-// the batch protocol) and the whole pass is published as one view
-// (DESIGN.md §14: a row is as old as the pass that published it). A pass
-// whose own reads came back stale publishes nothing — there is nothing
-// fresher to install. Keys are refreshed in ascending order, so a seeded
-// soak's refresh traffic replays deterministically.
-func (c *Client) RefreshStale() error {
-	if c.stale == nil {
-		return fmt.Errorf("cluster: no stale tier configured")
-	}
-	keys := c.stale.TrackedKeys()
-	if len(keys) == 0 {
-		return nil
-	}
-	offs := make([]uint32, len(keys)+1)
-	for i := range offs {
-		offs[i] = uint32(i)
-	}
-	out := make([]float32, len(keys)*c.dim)
-	res, err := c.PullBagsResult(false, offs, keys, out)
-	if err != nil || res.Stale {
-		return err
-	}
-	return c.stale.Publish(c.dim, keys, out)
+	return nil
 }
 
 // pushNode groups node n's gradients into its pooled buffer and sends them.

@@ -11,20 +11,19 @@ import (
 )
 
 // Node health (DESIGN.md §16): one table answers "should a serving read
-// ask node n?" for step 1 of the failover ladder, and counts decide it,
-// never a clock:
+// ask node n?", and counts decide it, never a clock:
 //
 //   - a transport failure or timeout (rpc.IsRetryable) is a failed
 //     exchange, and downAfter of them in a row make the node down;
 //     a busy, remote or epoch answer is an answer, not a failure;
 //   - any answered exchange makes the node up again;
-//   - while a node is down, bagRequest skips its owner read. Whoever
-//     watches a down node brings it back: once a Probe round has run
-//     since it went down only probes do, and until then every
-//     halfOpenEvery-th skipped read is sent to the owner as a half-open
-//     probe.
+//   - while a node is down, bagNode skips its owner read, and the share
+//     fails at once with errSkipped. Whoever watches a down node brings it
+//     back: once a Probe round has run since it went down only probes
+//     do, and until then every halfOpenEvery-th skipped read is sent to
+//     the owner as a half-open probe.
 //
-// The exchanges are owner reads (bagRequest) and Probe pings; the
+// The exchanges are owner reads (bagNode) and Probe pings; the
 // training path consults and feeds nothing. Health is a pure function of
 // the sequence of exchange outcomes, so a seeded soak replays its
 // transitions with the run. Join and Leave reset the table: indexes moved.
@@ -35,6 +34,11 @@ const (
 	// outlives its round has already failed.
 	probeTimeout = 100 * time.Millisecond
 )
+
+// errSkipped is a skipped owner read's error: the node is down and was not
+// asked. It is an rpc.ErrUnavailable, as the failures that took the node
+// down were, and PullBags attributes it to the node like any other.
+var errSkipped = fmt.Errorf("owner down, not asked: %w", rpc.ErrUnavailable)
 
 // nodeHealth is one node's row. While the node is up, a read of it is one
 // atomic load and an answered exchange another.
@@ -172,13 +176,11 @@ func (c *Client) recordRound(epoch int64, probes []*rpc.Client, errs []error) {
 // dialProbe opens node n's probe connection: its own injector stream
 // ("node<i>/probe", so probe traffic never perturbs the data connections'
 // deterministic fault streams), single attempts, probeTimeout as every
-// deadline, and no budget or metrics — a probe IS the health check, it
-// must always reach the wire.
+// deadline, and no metrics.
 func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
 	ro.Label = fmt.Sprintf("node%d/probe", n)
 	ro.Retry = rpc.RetryPolicy{MaxAttempts: 1}
-	ro.Budget = nil
 	ro.Obs = nil // probe RTTs would skew the data-path client metrics
 	ro.DialTimeout, ro.ReadTimeout, ro.WriteTimeout = probeTimeout, probeTimeout, probeTimeout
 	return rpc.DialOpts(addr, ro)

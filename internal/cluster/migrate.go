@@ -324,52 +324,3 @@ func (c *Client) Leave(batch int64, node int) error {
 	c.migrationNS.Observe(c.reg.Now() - start)
 	return nil
 }
-
-// SyncReplicas refreshes the failover replicas for keys: each key's row
-// is read from its owner and pushed into its replica node's serve
-// overlay (R=2). Keys without a replica (single-node ring) are skipped.
-// Returns the number of rows pushed. Replica rows are read-only and as
-// stale as the last sync; training pushes remain single-owner.
-func (c *Client) SyncReplicas(keys []uint64) (int, error) {
-	r := c.ring.Load()
-	nn := len(c.nodes)
-	// Read each key's row from its owner via single-key bags.
-	ownKeys := make([][]uint64, nn)
-	for _, k := range keys {
-		if r.Secondary(k) < 0 {
-			continue
-		}
-		ownKeys[r.Owner(k)] = append(ownKeys[r.Owner(k)], k)
-	}
-	repKeys := make([][]uint64, nn)
-	repRows := make([][]float32, nn)
-	for n := 0; n < nn; n++ {
-		if len(ownKeys[n]) == 0 {
-			continue
-		}
-		offs := make([]uint32, len(ownKeys[n])+1)
-		for i := range ownKeys[n] {
-			offs[i+1] = uint32(i + 1)
-		}
-		rows := make([]float32, len(ownKeys[n])*c.dim)
-		if err := c.nodes[n].PullBagsInto(false, offs, ownKeys[n], rows); err != nil {
-			return 0, c.nodeErr(n, fmt.Errorf("sync replicas read: %w", err))
-		}
-		for i, k := range ownKeys[n] {
-			s := r.Secondary(k)
-			repKeys[s] = append(repKeys[s], k)
-			repRows[s] = append(repRows[s], rows[i*c.dim:(i+1)*c.dim]...)
-		}
-	}
-	pushed := 0
-	for s := 0; s < nn; s++ {
-		if len(repKeys[s]) == 0 {
-			continue
-		}
-		if err := c.nodes[s].Replicate(repKeys[s], repRows[s]); err != nil {
-			return pushed, c.nodeErr(s, fmt.Errorf("sync replicas push: %w", err))
-		}
-		pushed += len(repKeys[s])
-	}
-	return pushed, nil
-}

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"openembedding/internal/obs"
 	"openembedding/internal/ps"
-	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
 )
 
@@ -242,212 +239,6 @@ func TestClusterJoinDeltaReplay(t *testing.T) {
 		want[i] -= 0.1
 	}
 	pullExact(t, "post-delta-join", c, 2, keys, want)
-}
-
-// TestPullBagsFailoverOnDeadNode is the replicated-serving acceptance
-// test: after a replica sync, killing one node surfaces ZERO errors to
-// PullBags callers — the dead node's keys are re-read from their
-// replicas — and the failover counter accounts for it.
-func TestPullBagsFailoverOnDeadNode(t *testing.T) {
-	c, ns, reg := startElasticCluster(t, 3)
-	keys := testKeys(36)
-	w := trainStep(t, c, 0, keys, 1)
-	for i := range w {
-		w[i] -= 0.1
-	}
-
-	pushed, err := c.SyncReplicas(keys)
-	if err != nil {
-		t.Fatalf("sync replicas: %v", err)
-	}
-	if pushed != len(keys) {
-		t.Fatalf("replicas pushed = %d, want %d", pushed, len(keys))
-	}
-
-	dead := 1
-	if err := ns[dead].Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Single-key bags: every key must come back bit-exact, dead owner or
-	// not, with no error surfaced.
-	offs := make([]uint32, len(keys)+1)
-	for i := range keys {
-		offs[i+1] = uint32(i + 1)
-	}
-	out := make([]float32, len(keys)*c.dim)
-	if err := c.PullBags(false, offs, keys, out); err != nil {
-		t.Fatalf("pull-bags with dead node: %v", err)
-	}
-	for i := range out {
-		if out[i] != w[i] {
-			t.Fatalf("failover row [%d] = %v, want %v (bit-exact replica)", i, out[i], w[i])
-		}
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["cluster_failovers"]; got < 1 {
-		t.Fatalf("cluster_failovers = %d, want >= 1", got)
-	}
-	// Cause attribution: a dead owner's failed read is a hard failover —
-	// two reads are fewer than downAfter, so no read was skipped.
-	if hard := s.Counters["cluster_failovers_hard"]; hard != s.Counters["cluster_failovers"] {
-		t.Fatalf("cluster_failovers_hard = %d, want %d (all failovers hard-caused)",
-			hard, s.Counters["cluster_failovers"])
-	}
-	if got := s.Counters["cluster_failovers_suspect"]; got != 0 {
-		t.Fatalf("cluster_failovers_suspect = %d, want 0 (the owner never went down)", got)
-	}
-
-	// A pooled bag over all keys still agrees with the reference sum
-	// (within float tolerance: replica partials sum in a different order).
-	sumOut := make([]float32, c.dim)
-	if err := c.PullBags(false, []uint32{0, uint32(len(keys))}, keys, sumOut); err != nil {
-		t.Fatalf("pooled bag with dead node: %v", err)
-	}
-	for d := 0; d < c.dim; d++ {
-		var want float32
-		for i := range keys {
-			want += w[i*c.dim+d]
-		}
-		diff := sumOut[d] - want
-		if diff > 1e-3 || diff < -1e-3 {
-			t.Fatalf("pooled[%d] = %v, want %v", d, sumOut[d], want)
-		}
-	}
-}
-
-// TestPullBagsFailoverUnsyncedReplica: what answers after a failure is a
-// version of the row, or an error. Nothing schedules SyncReplicas, so after
-// an owner dies its keys' Ring.Secondary nodes may never have been sent the
-// rows — and a replica that serves what an owner serves for an unknown key,
-// the initializer, would answer a trained key with a row that was never a
-// version of it, as a live answer. A failover read therefore says it is one,
-// and a replica answers only rows it holds: an unsynced key fails the read
-// with an error naming the owner, the replica node, the key and the owner's
-// transport failure — also once the owner is down and its read is skipped,
-// then asked after all; a key some sync covered answers bit-exactly; and an
-// owner still answers a key nobody trained with its initializer.
-func TestPullBagsFailoverUnsyncedReplica(t *testing.T) {
-	c, ns, _ := startElasticCluster(t, 2)
-	keys := testKeys(24)
-	w := trainStep(t, c, 0, keys, 1)
-	for i := range w {
-		w[i] -= 0.1
-	}
-	const dead = 1
-	addr := ns[dead].Addr()
-	var deadKeys []uint64
-	for _, k := range keys {
-		if c.Owner(k) == dead {
-			deadKeys = append(deadKeys, k)
-		}
-	}
-	if len(deadKeys) < 2 {
-		t.Fatalf("node %d owns %d of the keys, the test needs 2", dead, len(deadKeys))
-	}
-	// The owner goes away and comes back on its address, so a later
-	// SyncReplicas can read it; its state is untouched throughout.
-	down := func() {
-		t.Helper()
-		if err := ns[dead].Unlisten(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	up := func() {
-		t.Helper()
-		if err := ns[dead].Listen(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	offs := make([]uint32, len(keys)+1)
-	for i := range keys {
-		offs[i+1] = uint32(i + 1)
-	}
-	out := make([]float32, len(keys)*c.dim)
-	wantErr := func(label string, err error, res BagResult, key uint64) {
-		t.Helper()
-		if err == nil {
-			t.Fatalf("%s: read answered (stale=%v) though no replica holds key %d", label, res.Stale, key)
-		}
-		for _, part := range []string{
-			fmt.Sprintf("cluster: node %d (%s)", dead, addr),
-			"replica node 0",
-			fmt.Sprintf("no replica of key %d on this node", key),
-		} {
-			if !strings.Contains(err.Error(), part) {
-				t.Fatalf("%s: error %q does not name %q", label, err, part)
-			}
-		}
-		if !errors.Is(err, rpc.ErrUnavailable) {
-			t.Fatalf("%s: error %q does not carry the owner's transport failure", label, err)
-		}
-	}
-
-	// downAfter reads fail on the owner; the later ones skip it, ask it
-	// after all, and must say the same.
-	down()
-	for r := 0; r < downAfter+2; r++ {
-		res, err := c.PullBagsResult(false, offs, keys, out)
-		if err == nil {
-			wrong := 0
-			for i := range keys {
-				if !slices.Equal(out[i*c.dim:(i+1)*c.dim], w[i*c.dim:(i+1)*c.dim]) {
-					wrong++
-				}
-			}
-			t.Errorf("nothing synced: %d of %d keys answered with rows that are not the trained rows", wrong, len(keys))
-		}
-		wantErr(fmt.Sprintf("nothing synced, read %d", r), err, res, deadKeys[0])
-	}
-	if !c.Down(dead) {
-		t.Fatalf("owner not down after %d failed reads", downAfter+2)
-	}
-
-	// One of the dead node's keys synced: a bag that also holds another
-	// still fails, on the first key no sync covered.
-	up()
-	if _, err := c.SyncReplicas(deadKeys[:1]); err != nil {
-		t.Fatalf("sync replicas: %v", err)
-	}
-	down()
-	pooled := make([]float32, c.dim)
-	res, err := c.PullBagsResult(false, []uint32{0, uint32(len(keys))}, keys, pooled)
-	wantErr("partially synced bag", err, res, deadKeys[1])
-	one := make([]float32, c.dim)
-	if err := c.PullBags(false, []uint32{0, 1}, deadKeys[:1], one); err != nil {
-		t.Fatalf("the synced key alone: %v", err)
-	}
-
-	up()
-	if _, err := c.SyncReplicas(keys); err != nil {
-		t.Fatalf("sync replicas: %v", err)
-	}
-	down()
-	res, err = c.PullBagsResult(false, offs, keys, out)
-	if err != nil || res.Stale {
-		t.Fatalf("synced read = (stale=%v, %v), want a live answer", res.Stale, err)
-	}
-	for i := range out {
-		if out[i] != w[i] {
-			t.Fatalf("failover row [%d] = %v, want %v (bit-exact replica)", i, out[i], w[i])
-		}
-	}
-
-	// An owner read of a key nobody trained is still the initializer row.
-	fresh := uint64(1 << 40)
-	for c.Owner(fresh) == dead {
-		fresh++
-	}
-	if err := c.PullBags(false, []uint32{0, 1}, []uint64{fresh}, one); err != nil {
-		t.Fatalf("owner read of an untrained key: %v", err)
-	}
-	init := make([]float32, c.dim)
-	psengine.XavierInit(c.dim)(fresh, init)
-	for i := range init {
-		if one[i] != init[i] {
-			t.Fatalf("untrained key row = %v, want the initializer %v", one, init)
-		}
-	}
 }
 
 // TestBroadcastPartialFailure: a broadcast against a cluster with one dead

@@ -106,46 +106,6 @@ func (r *Ring) Owner(key uint64) int {
 	return int(r.points[r.succ(rpc.KeyHash(key))].node)
 }
 
-// Replicas appends up to want distinct node indexes for key — the owner
-// first, then the next distinct nodes clockwise — into out and returns it.
-// With fewer than want nodes in the ring, all of them are returned.
-func (r *Ring) Replicas(key uint64, want int, out []int) []int {
-	out = out[:0]
-	if want > len(r.ids) {
-		want = len(r.ids)
-	}
-	i := r.succ(rpc.KeyHash(key))
-	for len(out) < want {
-		n := int(r.points[i].node)
-		seen := false
-		for _, m := range out {
-			if m == n {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, n)
-		}
-		i++
-		if i == len(r.points) {
-			i = 0
-		}
-	}
-	return out
-}
-
-// Secondary returns the first distinct node clockwise after key's owner —
-// the R=2 read replica — or -1 in a single-node ring.
-func (r *Ring) Secondary(key uint64) int {
-	var buf [2]int
-	reps := r.Replicas(key, 2, buf[:0])
-	if len(reps) < 2 {
-		return -1
-	}
-	return reps[1]
-}
-
 // arcIntervals converts the half-open ring arc (pred, p] into closed,
 // non-wrapping intervals. pred == p (a full-circle arc) cannot arise from
 // distinct ring points and is rejected by the callers.

@@ -92,26 +92,6 @@ func TestRingPlacementPinned(t *testing.T) {
 	}
 }
 
-// TestRingReplicas: the secondary is a distinct node (or -1 on a
-// single-node ring), and Replicas returns the owner first.
-func TestRingReplicas(t *testing.T) {
-	r := NewRing(ringIDs(3))
-	var buf [2]int
-	for k := uint64(0); k < 10_000; k++ {
-		own, sec := r.Owner(k), r.Secondary(k)
-		if sec == own || sec < 0 || sec >= 3 {
-			t.Fatalf("key %d: owner %d secondary %d", k, own, sec)
-		}
-		reps := r.Replicas(k, 2, buf[:0])
-		if len(reps) != 2 || reps[0] != own || reps[1] != sec {
-			t.Fatalf("key %d: replicas %v, want [%d %d]", k, reps, own, sec)
-		}
-	}
-	if s := NewRing(ringIDs(1)).Secondary(7); s != -1 {
-		t.Fatalf("single-node secondary = %d, want -1", s)
-	}
-}
-
 // TestJoinPlanCoversExactly: the union of a join plan's intervals covers
 // precisely the keys the new node owns in the grown ring, each attributed
 // to the key's old owner as source.
@@ -182,8 +162,8 @@ func TestLeavePlanCoversExactly(t *testing.T) {
 
 // TestRingIsTheOnlyPlacement: a default-options client places keys on the
 // ring built from its node ids at ownership epoch 0 — there is no other
-// placement to select — and a one-node ring owns everything with no
-// replica, which is all a fixed single-node deployment needs.
+// placement to select — and a one-node ring owns everything, which is all
+// a fixed single-node deployment needs.
 func TestRingIsTheOnlyPlacement(t *testing.T) {
 	c, _ := startClusterOpts(t, "dram-ps", 3, Options{})
 	if got := c.Epoch(); got != 0 {
@@ -197,8 +177,8 @@ func TestRingIsTheOnlyPlacement(t *testing.T) {
 	}
 	one := NewRing(ringIDs(1))
 	for k := uint64(0); k < 1000; k++ {
-		if one.Owner(k) != 0 || one.Secondary(k) != -1 {
-			t.Fatalf("key %d on a one-node ring: owner %d secondary %d", k, one.Owner(k), one.Secondary(k))
+		if one.Owner(k) != 0 {
+			t.Fatalf("key %d on a one-node ring: owner %d", k, one.Owner(k))
 		}
 	}
 	// The training path works end to end on the default placement.

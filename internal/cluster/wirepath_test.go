@@ -16,8 +16,7 @@ type idleBags struct{ dim int }
 
 func (b idleBags) Dim() int { return b.dim }
 
-func (idleBags) PullBags(bool, []uint32, []uint64, []float32) error  { return nil }
-func (idleBags) PullReplicaBags([]uint32, []uint64, []float32) error { return nil }
+func (idleBags) PullBags(bool, []uint32, []uint64, []float32) error { return nil }
 
 // TestClusterPullBagsAllocs pins the gather's steady state above the wire:
 // on one node the plan, the fan-out (inline) and the accumulation allocate

@@ -75,15 +75,15 @@ type NodeConfig struct {
 	// server answers MsgPullBag through a serve.Handler over the engine's
 	// lock-free snapshot path (DESIGN.md §14). The handler lives as long as
 	// the node: Crash/Restart/rollback swap the engine under it, so its
-	// replicas and its admission watermark (ServeHandler().SetMaxInflight)
+	// admission watermark (ServeHandler().SetMaxInflight) and its counters
 	// carry over.
 	Serve bool
 }
 
 // Node is one parameter-server node: an engine over its device, unserved
 // after Open and on the wire after Listen. On a pmem-oe node it is also the
-// server's rpc.Control — rollback, scrub, migration and replication act on
-// the node, not on the engine of the moment.
+// server's rpc.Control — rollback, scrub and migration act on the node, not
+// on the engine of the moment.
 type Node struct {
 	cfg NodeConfig
 	dev *pmem.Device // nil for dram-ps
@@ -120,9 +120,9 @@ type Node struct {
 	// every applier clears it under mu (applyPendingFenceLocked).
 	pendingFence atomic.Bool
 
-	// serve is the node's MsgPullBag and MsgReplicate endpoint (nil unless
-	// cfg.Serve), created with the first engine; adoptEngine points it at
-	// each later one.
+	// serve is the node's MsgPullBag endpoint (nil unless cfg.Serve),
+	// created with the first engine; adoptEngine points it at each later
+	// one.
 	serve *serve.Handler
 }
 
@@ -304,15 +304,6 @@ func (n *Node) DropRange(ivs []rpc.HashInterval) (int, error) {
 		n.fence()
 	}
 	return dropped, err
-}
-
-// Replicate serves MsgReplicate: install read-only serving replicas. They
-// are serving state only — installing them needs no fence.
-func (n *Node) Replicate(keys []uint64, rows []float32) error {
-	if n.serve == nil {
-		return fmt.Errorf("ps: replication needs a serving node (NodeConfig.Serve)")
-	}
-	return n.serve.MergeReplicas(keys, rows)
 }
 
 // armMediaFaults arms the PMem media-fault model on the node's device when

@@ -216,9 +216,9 @@ func shedsUnderLoad(t *testing.T, h *serve.Handler, key uint64) bool {
 }
 
 // TestNodeServeStateSurvivesEngineSwaps: what is set on the node's handler
-// is set on the node. An admission watermark armed and a replica merged
-// before a crash still shed and still answer after the restart and after a
-// rollback, with nothing re-armed or re-fetched in between.
+// is set on the node. An admission watermark armed before a crash still
+// sheds after the restart and after a rollback, with nothing re-armed in
+// between, and the same handler answers bag reads throughout.
 func TestNodeServeStateSurvivesEngineSwaps(t *testing.T) {
 	n, cl := startServeNode(t)
 	driveConst(t, cl, 0, []uint64{1, 2, 3}, 1.0)
@@ -226,24 +226,13 @@ func TestNodeServeStateSurvivesEngineSwaps(t *testing.T) {
 
 	h := n.ServeHandler()
 	h.SetMaxInflight(1)
-	const foreign = 999 // a key this node's engine never sees
-	replica := []float32{1, 2, 3, 4}
-	if err := cl.Replicate([]uint64{foreign}, replica); err != nil {
-		t.Fatal(err)
-	}
 	check := func(stage string) {
 		t.Helper()
 		if n.ServeHandler() != h {
 			t.Fatalf("%s: the node's serve handler changed", stage)
 		}
-		got, err := cl.PullBags(false, []uint32{0, 1}, []uint64{foreign})
-		if err != nil {
-			t.Fatalf("%s: replica read: %v", stage, err)
-		}
-		for i := range replica {
-			if got[i] != replica[i] {
-				t.Fatalf("%s: replica row = %v, want %v", stage, got, replica)
-			}
+		if _, err := cl.PullBags(false, []uint32{0, 3}, []uint64{1, 2, 3}); err != nil {
+			t.Fatalf("%s: bag read: %v", stage, err)
 		}
 		if !shedsUnderLoad(t, h, 1) {
 			t.Fatalf("%s: watermark 1 never shed under concurrent load", stage)

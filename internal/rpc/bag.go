@@ -9,23 +9,15 @@ package rpc
 // the connection's scratch: out arrives holding the previous request's
 // answer, so PullBags writes every row of it (empty bags included), and
 // keeps none of the slices past its return.
-//
-// PullReplicaBags is the sum-pooled gather asked of the node as a failover
-// replica: the keys' owner is degraded and this node was sent copies of
-// their rows (MsgReplicate). An owner answers a key nobody trained with
-// its deterministic initializer; a replica that was never sent the key must
-// not — the owner may hold a trained row — so it fails the request instead.
 type BagServer interface {
 	Dim() int
 	PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error
-	PullReplicaBags(offsets []uint32, keys []uint64, out []float32) error
 }
 
 // Pooling modes: the byte a MsgPullBag payload opens with.
 const (
 	bagSum byte = iota
 	bagMean
-	bagReplica // sum, asked of the node as a failover replica
 )
 
 // ValidateBagOffsets checks a bag-offsets array against its key list:
@@ -53,12 +45,12 @@ func ValidateBagOffsets(offsets []uint32, nkeys int) error {
 // decoded, under mu, into dst's array when they fit it.
 //
 // oevet:hotpath
-func (c *Client) pullBags(mode byte, offsets []uint32, keys []uint64, dst []float32) ([]float32, error) {
+func (c *Client) pullBags(mean bool, offsets []uint32, keys []uint64, dst []float32) ([]float32, error) {
 	c.mu.Lock()
 	defer c.release()
 	b := &c.sc.out
 	b.Reset(MsgPullBag, 0)
-	b.PutU8(mode)
+	b.PutBool(mean) // the pooling mode: bagMean or bagSum
 	b.PutU32s(offsets)
 	b.PutKeys(keys)
 	r, err := c.doLocked(b.b)
@@ -68,34 +60,17 @@ func (c *Client) pullBags(mode byte, offsets []uint32, keys []uint64, dst []floa
 	return r.FloatsInto(dst)
 }
 
-// poolMode is the wire byte of an owner read's pooling.
-func poolMode(mean bool) byte {
-	if mean {
-		return bagMean
-	}
-	return bagSum
-}
-
 // PullBags gathers pooled embedding bags from the server: bag i is
 // keys[offsets[i]:offsets[i+1]], pooled server-side (sum, or mean when
 // mean is set) so the response carries one dim-sized row per bag.
 // Read-only and idempotent, like Pull.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64) ([]float32, error) {
-	return c.pullBags(poolMode(mean), offsets, keys, nil)
+	return c.pullBags(mean, offsets, keys, nil)
 }
 
 // PullBagsInto is PullBags straight into the caller's memory: dst must be
 // exactly the (len(offsets)-1)*dim floats the server answers with.
 func (c *Client) PullBagsInto(mean bool, offsets []uint32, keys []uint64, dst []float32) error {
-	got, err := c.pullBags(poolMode(mean), offsets, keys, dst[:0:len(dst)])
-	return filled(got, dst, err)
-}
-
-// PullReplicaBagsInto is the sum-pooled PullBagsInto of a failover read: it
-// asks the node as the keys' replica (BagServer.PullReplicaBags), so a key
-// the node was never sent a copy of fails the request instead of being
-// answered with an initializer row.
-func (c *Client) PullReplicaBagsInto(offsets []uint32, keys []uint64, dst []float32) error {
-	got, err := c.pullBags(bagReplica, offsets, keys, dst[:0:len(dst)])
+	got, err := c.pullBags(mean, offsets, keys, dst[:0:len(dst)])
 	return filled(got, dst, err)
 }

@@ -1,10 +1,7 @@
 package rpc
 
 import (
-	"errors"
 	"net"
-	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,15 +31,6 @@ func (s *sumBags) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 		}
 	}
 	return nil
-}
-
-// PullReplicaBags answers like an owner, except for key 404: the one key
-// the stub was "never sent".
-func (s *sumBags) PullReplicaBags(offsets []uint32, keys []uint64, out []float32) error {
-	if slices.Contains(keys, 404) {
-		return errors.New("stub: no replica of key 404")
-	}
-	return s.PullBags(false, offsets, keys, out)
 }
 
 func TestValidateBagOffsets(t *testing.T) {
@@ -133,8 +121,8 @@ func TestPullBagRoundTripProperty(t *testing.T) {
 
 // TestPullBagMalformed: the targeted malformed shapes from the wire spec —
 // truncated offsets, offsets past the end of the key list, decreasing
-// offsets, a bad pooling mode — must each come back MsgErr, and legal
-// zero-length bags must not.
+// offsets, a bad pooling mode (2 among them: only sum and mean exist) —
+// must each come back MsgErr, and legal zero-length bags must not.
 func TestPullBagMalformed(t *testing.T) {
 	srv := bareServer(testEngine(t), &sumBags{dim: 4})
 
@@ -153,6 +141,7 @@ func TestPullBagMalformed(t *testing.T) {
 		"missing leading 0":   encodePullBag(false, []uint32{1, 3}, []uint64{1, 2, 3}),
 		"no offsets":          encodePullBag(false, nil, nil),
 		"bad pooling mode":    append(append([]byte{}, full[:9]...), 7),
+		"pooling mode 2":      append(append(append([]byte{}, full[:9]...), 2), full[10:]...),
 		"keys cut mid-stream": full[:len(full)-3],
 	}
 	for name, body := range cases {
@@ -178,8 +167,8 @@ func FuzzPullBagDecode(f *testing.F) {
 	f.Add([]byte{0}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0}, []byte{}, 0) // offset past end
 	f.Add([]byte{1}, []byte{1, 0, 0, 0}, []byte{}, 3)                         // truncated offsets
 	f.Add([]byte{9}, []byte{}, []byte{}, 0)                                   // bad mode
-	f.Add([]byte{bagReplica}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
-		[]byte{1, 0, 0, 0, 148, 1, 0, 0, 0, 0, 0, 0}, 0) // a replica read of the key the stub was never sent
+	f.Add([]byte{2}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+		[]byte{1, 0, 0, 0, 148, 1, 0, 0, 0, 0, 0, 0}, 0) // a well-formed bag under mode 2, which is no mode
 	f.Fuzz(func(t *testing.T, mode, rawOffsets, rawKeys []byte, cut int) {
 		srv := bareServer(testEngine(t), &sumBags{dim: 4})
 		body := append([]byte{MsgPullBag, 0, 0, 0, 0, 0, 0, 0, 0}, mode...)
@@ -271,34 +260,5 @@ func TestPullBagConnectionSurvivesMalformed(t *testing.T) {
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("client connection broken after remote error: %v", err)
-	}
-}
-
-// TestPullReplicaBagsRoundTrip: pooling mode 2 reaches the BagServer as a
-// replica read — its answer and its refusal both cross the wire, the
-// refusal as a plain remote error that keeps the connection — and the mode
-// after it is still no mode.
-func TestPullReplicaBagsRoundTrip(t *testing.T) {
-	srv, cl := stubServer(t, testEngine(t), ServerOptions{Bags: &sumBags{dim: 4}})
-	got := make([]float32, 4)
-	if err := cl.PullReplicaBagsInto([]uint32{0, 2}, []uint64{10, 20}, got); err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range []float32{30, 32, 34, 36} {
-		if got[i] != w {
-			t.Fatalf("replica read pooled %v", got)
-		}
-	}
-	err := cl.PullReplicaBagsInto([]uint32{0, 2}, []uint64{10, 404}, got)
-	if err == nil || !strings.Contains(err.Error(), "no replica of key 404") || IsDegraded(err) {
-		t.Fatalf("replica read of a key the node was never sent: %v", err)
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("connection broken after the refusal: %v", err)
-	}
-	body := encodePullBag(false, []uint32{0, 1}, []uint64{10})
-	body[9] = bagReplica + 1
-	if _, err := DecodeResponse(srv.handle(body)); err == nil || !strings.Contains(err.Error(), "bad pooling mode 3") {
-		t.Fatalf("pooling mode 3 answered %v", err)
 	}
 }

@@ -94,8 +94,7 @@ type stubBags struct{ dim int }
 
 func (s stubBags) Dim() int { return s.dim }
 
-func (stubBags) PullBags(bool, []uint32, []uint64, []float32) error  { return nil }
-func (stubBags) PullReplicaBags([]uint32, []uint64, []float32) error { return nil }
+func (stubBags) PullBags(bool, []uint32, []uint64, []float32) error { return nil }
 
 // bagShape is the serving benchmark's request: bags one-key bags (the
 // Criteo 26 fields x 128 samples), each pooling to one dim-16 row.

@@ -66,12 +66,6 @@ type Options struct {
 	// Labels must be deterministic across runs (a node index, not an
 	// ephemeral address); it defaults to the dialed address.
 	Label string
-	// Budget, when set, is the shared retry token bucket: every transparent
-	// retry (not first attempts) withdraws a token and gives up with the
-	// last error when the bucket is empty. Sharing one Budget across many
-	// clients bounds the total retry amplification a dead node can cause.
-	// Nil keeps unbudgeted retries.
-	Budget *Budget
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
 	// rpc_client_retries, rpc_client_redials.
@@ -471,9 +465,6 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 	var lastErr error
 	for a := 0; a < c.opts.Retry.MaxAttempts; a++ {
 		if a > 0 {
-			if !c.opts.Budget.TryRetry() {
-				return Reader{}, lastErr
-			}
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))
 		}
@@ -499,9 +490,6 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 			}
 			continue
 		}
-		// Any response at all proves the peer alive: regrow the retry
-		// budget, whatever the response says.
-		c.opts.Budget.OnSuccess()
 		r, err := decodeResponse(resp, c.addr, c.ep)
 		if err != nil {
 			// Server-side fence: record the newer epoch, so the next fenced
@@ -660,8 +648,8 @@ type NodeHealth struct {
 }
 
 // PingInfo round-trips a health probe and decodes the node's epoch and
-// serving status (exempt from epoch fencing, like Ping — it is how the
-// failover path and operators observe a node).
+// serving status (exempt from epoch fencing, like Ping — it is how
+// operators observe a node).
 func (c *Client) PingInfo() (NodeHealth, error) {
 	start := time.Now()
 	r, err := c.do(NewBuffer(MsgPing, 0).Bytes())
@@ -725,16 +713,6 @@ func (c *Client) DropRange(ivs []HashInterval) (int64, error) {
 		return 0, err
 	}
 	return r.I64()
-}
-
-// Replicate installs read-only serving replicas of rows (len(keys) rows,
-// row-major) on the node. Idempotent, so safe under retries.
-func (c *Client) Replicate(keys []uint64, rows []float32) error {
-	b := NewBuffer(MsgReplicate, 0)
-	b.PutKeys(keys)
-	b.PutFloats(rows)
-	_, err := c.do(b.Bytes())
-	return err
 }
 
 // Close closes the connection. A redial racing with Close observes the

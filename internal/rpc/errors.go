@@ -81,9 +81,9 @@ func (e *RemoteCorruptError) Is(target error) bool { return target == ErrRemoteC
 var ErrClientClosed = errors.New("rpc: client closed")
 
 // ErrBusy matches (via errors.Is) requests the server shed under overload
-// (serving-tier admission control). Never retried transparently —
-// re-offering shed load is the retry storm the budget exists to prevent —
-// but failover-eligible: a replica may well have capacity.
+// (serving-tier admission control). Never retried transparently:
+// re-offering shed load is a retry storm against the one node that said it
+// has no capacity. The shed surfaces to the caller.
 var ErrBusy = errors.New("rpc: server busy")
 
 // BusyError is the typed error for a MsgErrBusy response.
@@ -110,12 +110,4 @@ func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout) ||
 		errors.Is(err, ErrEpochFenced)
-}
-
-// IsDegraded reports whether err means the peer cannot serve this request
-// right now but a replica might: every recoverable failure, plus overload
-// sheds. The serving failover path keys on this — a degraded owner is
-// routed around, never hammered.
-func IsDegraded(err error) bool {
-	return IsRecoverable(err) || errors.Is(err, ErrBusy)
 }

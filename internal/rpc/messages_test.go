@@ -31,7 +31,6 @@ var payloads = map[byte]func(*Buffer){
 	},
 	MsgAdoptRange: func(b *Buffer) { putMigEntries(b, []psengine.MigEntry{{Key: 1, Data: make([]float32, 4)}}) },
 	MsgDropRange:  func(b *Buffer) { putIntervals(b, []HashInterval{{Lo: 0, Hi: 1 << 63}}) },
-	MsgReplicate:  func(b *Buffer) { b.PutKeys([]uint64{1}); b.PutFloats(make([]float32, 4)) },
 }
 
 // wellFormed builds a request of type t the way a client does: the header
@@ -78,11 +77,7 @@ func (f faulty) Rollback(int64) error                               { return f.e
 func (f faulty) Scrub() (psengine.ScrubReport, error)               { return psengine.ScrubReport{}, f.err }
 func (f faulty) AdoptRange([]psengine.MigEntry) error               { return f.err }
 func (f faulty) DropRange([]HashInterval) (int, error)              { return 0, f.err }
-func (f faulty) Replicate([]uint64, []float32) error                { return f.err }
 func (f faulty) PullBags(bool, []uint32, []uint64, []float32) error { return f.err }
-func (f faulty) PullReplicaBags([]uint32, []uint64, []float32) error {
-	return f.err
-}
 func (f faulty) MigrateRange(int64, uint64, int, []HashInterval) ([]psengine.MigEntry, bool, error) {
 	return nil, false, f.err
 }
@@ -149,7 +144,6 @@ func TestMessageTable(t *testing.T) {
 		"MsgMigrateRange":  {name: "migrate-range", control: true},
 		"MsgAdoptRange":    {name: "adopt-range", control: true},
 		"MsgDropRange":     {name: "drop-range", control: true},
-		"MsgReplicate":     {name: "replicate", control: true},
 	}
 	consts := requestConsts(t)
 	if len(consts) != numMsgs-1 || len(consts) != len(want) {

@@ -55,14 +55,12 @@ const (
 	MsgScrub
 	// MsgPullBag is the serving tier's multi-sample embedding-bag gather
 	// (DESIGN.md §14): one request carries a pooling mode byte (0 = sum,
-	// 1 = mean, 2 = sum asked of a failover replica, which answers only
-	// rows it holds — see BagServer.PullReplicaBags), a count-prefixed
-	// uint32 offsets array (bags+1 entries, offsets[0] == 0, non-decreasing,
-	// last == len(keys); a zero-length bag pools to the zero vector) and the
-	// concatenated key list. The response is MsgData with bags×dim pooled
-	// floats — the server does the pooling, so only one row per bag crosses
-	// the wire. Serving is read-only and eventually consistent, decoupled
-	// from the training epoch protocol.
+	// 1 = mean), a count-prefixed uint32 offsets array (bags+1 entries,
+	// offsets[0] == 0, non-decreasing, last == len(keys); a zero-length bag
+	// pools to the zero vector) and the concatenated key list. The response
+	// is MsgData with bags×dim pooled floats — the server does the pooling,
+	// so only one row per bag crosses the wire. Serving is read-only and
+	// eventually consistent, decoupled from the training epoch protocol.
 	MsgPullBag
 	// MsgMigrateRange is the migration coordinator's range export
 	// (DESIGN.md §15): the batch field carries the delta floor (only
@@ -82,14 +80,10 @@ const (
 	// away. The response is MsgData with the dropped-entry count.
 	// Idempotent: re-dropping a dropped range drops nothing.
 	MsgDropRange
-	// MsgReplicate installs read-only serving replicas of the given rows
-	// on the node (the R=2 failover copies): eventually-consistent serving
-	// state, outside the training epoch protocol.
-	MsgReplicate
 
 	// numMsgs is msgTable's length: one slot per request type, and slot 0
 	// for the type byte no request carries.
-	numMsgs = int(MsgReplicate) + 1
+	numMsgs = int(MsgDropRange) + 1
 
 	MsgOK   byte = 0x80
 	MsgErr  byte = 0x81
@@ -104,10 +98,9 @@ const (
 	// the scrubber's and the recovery protocol's job.
 	MsgErrCorrupt byte = 0x85
 	// MsgErrBusy reports a request the node shed under overload (admission
-	// control at the serving tier). Distinct from MsgErr so callers can fail
-	// over to a replica instead of treating overload as an application bug;
-	// NOT transparently retried — hammering an overloaded node is exactly
-	// the retry storm the budget exists to prevent.
+	// control at the serving tier). Distinct from MsgErr so callers can tell
+	// overload from an application bug; NOT transparently retried —
+	// hammering an overloaded node is a retry storm.
 	MsgErrBusy byte = 0x86
 )
 
@@ -152,7 +145,6 @@ var msgTable = [numMsgs]msgSpec{
 	MsgMigrateRange:  {name: "migrate-range", control: true, serve: (*Server).serveMigrateRange},
 	MsgAdoptRange:    {name: "adopt-range", control: true, serve: (*Server).serveAdoptRange},
 	MsgDropRange:     {name: "drop-range", control: true, serve: (*Server).serveDropRange},
-	MsgReplicate:     {name: "replicate", control: true, serve: (*Server).serveReplicate},
 }
 
 // specOf returns t's row, or nil for a type byte no request carries.

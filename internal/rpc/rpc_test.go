@@ -256,14 +256,13 @@ func TestNoControlRejectsControlMessages(t *testing.T) {
 		{"migrate-range", func() error { _, _, err := cl.MigrateRange(0, 0, 1, nil); return err }},
 		{"adopt-range", func() error { return cl.AdoptRange(nil) }},
 		{"drop-range", func() error { _, err := cl.DropRange(nil); return err }},
-		{"replicate", func() error { return cl.Replicate([]uint64{1}, []float32{1}) }},
 	}
 	for _, c := range calls {
 		err := c.call()
 		if want := "rpc: remote: " + c.name + " unsupported by this node"; err == nil || err.Error() != want {
 			t.Fatalf("%s: err = %v, want %q", c.name, err, want)
 		}
-		if IsDegraded(err) {
+		if IsRetryable(err) {
 			t.Fatalf("%s: %v reads as a transport failure", c.name, err)
 		}
 	}

@@ -33,7 +33,7 @@ type ServerOptions struct {
 	// connection stays alive either way.
 	Bags BagServer
 	// Control, when set, serves the control-plane messages (rollback,
-	// scrub, migration, replication). Nil rejects each of them with MsgErr;
+	// scrub, migration). Nil rejects each of them with MsgErr;
 	// the connection stays alive either way.
 	Control Control
 	// Obs, when set, receives server metrics: one request-service
@@ -67,9 +67,6 @@ type Control interface {
 	// node's index, cache and durable records; it returns how many entries
 	// went.
 	DropRange(ivs []HashInterval) (int, error)
-	// Replicate serves MsgReplicate: install read-only serving replicas of
-	// the given rows (len(rows) a positive multiple of len(keys)).
-	Replicate(keys []uint64, rows []float32) error
 }
 
 // advancer is the optional engine hook the MsgCompletedCkpt handler drives:
@@ -103,7 +100,7 @@ var errNoBags = errors.New("bag serving unsupported by this node")
 // so a steady-state Pull, Push or PullBag allocates nothing. The loan ends
 // with the request: the engine and the BagServer keep none of the slices
 // they are handed, control-plane handlers decode into fresh memory (what
-// Adopt or Replicate installs may be kept), and the dedup cache only ever
+// Adopt installs may be kept), and the dedup cache only ever
 // holds the shared okBody or a freshly built error body — never a slice of
 // a connection's response frame.
 //
@@ -555,7 +552,7 @@ func (s *Server) servePullBag(req *request) (_ []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode > bagReplica {
+	if mode > bagMean {
 		return nil, refusef("rpc: bad pooling mode %d", mode)
 	}
 	if sc.offs, err = req.r.U32sInto(sc.offs); err != nil {
@@ -572,19 +569,14 @@ func (s *Server) servePullBag(req *request) (_ []byte, err error) {
 		return nil, errTooLarge(n)
 	}
 	sc.vals = fit(sc.vals, n)
-	if mode == bagReplica {
-		err = s.bags.PullReplicaBags(sc.offs, sc.keys, sc.vals)
-	} else {
-		err = s.bags.PullBags(mode == bagMean, sc.offs, sc.keys, sc.vals)
-	}
-	if err != nil {
+	if err := s.bags.PullBags(mode == bagMean, sc.offs, sc.keys, sc.vals); err != nil {
 		return nil, err
 	}
 	return floatsResp(sc), nil
 }
 
-// The control-plane handlers decode into fresh memory: what AdoptRange or
-// Replicate installs may be kept.
+// The control-plane handlers decode into fresh memory: what AdoptRange
+// installs may be kept.
 
 func (s *Server) serveRollback(req *request) ([]byte, error) {
 	return okBody, s.control.Rollback(req.batch)
@@ -652,21 +644,6 @@ func (s *Server) serveDropRange(req *request) ([]byte, error) {
 	return i64Resp(int64(n)), nil
 }
 
-func (s *Server) serveReplicate(req *request) ([]byte, error) {
-	keys, err := req.r.Keys()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := req.r.Floats()
-	if err != nil {
-		return nil, err
-	}
-	if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
-		return nil, fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys))
-	}
-	return okBody, s.control.Replicate(keys, rows)
-}
-
 // Close stops accepting, closes live connections and waits for handlers.
 // The engine is not closed; the caller owns it.
 func (s *Server) Close() error {
@@ -690,7 +667,7 @@ func (s *Server) Close() error {
 // package's corrupt/poisoned errors, without importing it here) so clients
 // see MsgErrCorrupt instead of a generic MsgErr, and overload sheds
 // (anything exposing Busy() bool — the serve package's admission-control
-// error) so clients see MsgErrBusy and fail over instead of retrying.
+// error) so clients see MsgErrBusy and do not retry.
 func errResp(err error) []byte {
 	var ie interface{ IntegrityError() bool }
 	if errors.As(err, &ie) && ie.IntegrityError() {

@@ -58,7 +58,6 @@ func (c stubControl) MigrateRange(int64, uint64, int, []HashInterval) ([]psengin
 }
 func (stubControl) AdoptRange([]psengine.MigEntry) error  { return nil }
 func (stubControl) DropRange([]HashInterval) (int, error) { return 0, nil }
-func (stubControl) Replicate([]uint64, []float32) error   { return nil }
 
 func stubServer(t testing.TB, eng psengine.Engine, opts ServerOptions) (*Server, *Client) {
 	t.Helper()
@@ -310,7 +309,7 @@ func TestOversizedResponseKeepsConnection(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "frame limit") {
 			t.Fatalf("%s: err = %v, want the remote frame-limit refusal", what, err)
 		}
-		if IsDegraded(err) {
+		if IsRetryable(err) {
 			t.Fatalf("%s: %v reads as a transport failure", what, err)
 		}
 	}

@@ -20,7 +20,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +32,8 @@ import (
 // Handler serves pooled embedding-bag reads from a node's engine. It lives
 // as long as the node: the engine sits behind an atomic pointer (SetEngine)
 // so a crash/restart or rollback swaps the engine under the same handler,
-// and the replica overlay, the admission watermark and the counters carry
-// over. Safe for concurrent use by any number of connections.
+// and the admission watermark and the counters carry over. Safe for
+// concurrent use by any number of connections.
 type Handler struct {
 	eng atomic.Pointer[core.Engine]
 	dim int
@@ -47,22 +46,12 @@ type Handler struct {
 	// the one in flight.
 	refreshing atomic.Bool
 
-	// replicas is the failover overlay (DESIGN.md §15): read-only rows for
-	// keys this node does NOT own, pushed by the cluster via MsgReplicate
-	// and served when the engine does not know a key. Readers load the
-	// published view once per request; MergeReplicas copies on write under
-	// replicaMu — replication pushes are rare and reads are the hot path,
-	// so the copy cost sits on the right side.
-	replicas  atomic.Pointer[cache.RowView]
-	replicaMu sync.Mutex
-
 	// Admission control (DESIGN.md §16): when maxInflight is positive, a
 	// request arriving while inflight is already at the watermark is shed
 	// with errShed — a busy-flavored error the RPC server maps to
-	// MsgErrBusy, so overload degrades into fast, explicit rejections the
-	// caller can fail over, never into queue collapse. Zero (the default)
-	// disables admission entirely: the steady-state request pays one
-	// atomic load.
+	// MsgErrBusy, so overload degrades into fast, explicit rejections,
+	// never into queue collapse. Zero (the default) disables admission
+	// entirely: the steady-state request pays one atomic load.
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
 
@@ -75,7 +64,6 @@ type Handler struct {
 	//	serve_dram_fallback keys served from the DRAM cache under the stripe
 	//	serve_pmem_fallback keys served by a verified PMem read
 	//	serve_init_served   unknown keys served from the initializer
-	//	serve_replica_hits  keys served from the failover replica overlay
 	//	serve_refreshes     hot-set refresh passes completed
 	//	serve_shed          requests rejected at the inflight watermark
 	reg          *obs.Registry
@@ -86,15 +74,14 @@ type Handler struct {
 	dramFallback *obs.Counter
 	pmemFallback *obs.Counter
 	initServed   *obs.Counter
-	replicaHits  *obs.Counter
 	refreshes    *obs.Counter
 	shed         *obs.Counter
 }
 
 // overloadError is the admission-control rejection. Its Busy method marks
 // it for the RPC server's MsgErrBusy mapping, so a remote caller sees
-// rpc.ErrBusy — a degraded-but-alive signal, distinct from a transport
-// failure — and fails over instead of retrying the overloaded node.
+// rpc.ErrBusy — an alive-but-overloaded signal, distinct from a transport
+// failure — and does not retry the overloaded node.
 type overloadError struct{}
 
 func (overloadError) Error() string { return "serve: inflight watermark exceeded, request shed" }
@@ -123,45 +110,11 @@ type bagScratch struct {
 // enough that the resolved rows (24 B each) stay on the stack.
 const serveBlock = 32
 
-// srcReplica extends core's read sources with the replica overlay, so one
-// tally array indexed by source covers every way a key can be served.
-const srcReplica = core.ServeInit + 1
-
-// replicaRow copies k's failover replica into row and reports whether the
-// overlay holds one. Out of line on purpose: the per-key loop of PullBags
-// runs measurably faster without this body inside it (serve.self_us 53 -> 48
-// in traced serve-tcp-hot runs), and only unknown keys pay the call.
-//
-// oevet:coldpath only keys the engine does not know reach the overlay
-//
-//go:noinline
-func replicaRow(reps *cache.RowView, k uint64, row []float32) bool {
-	rep := reps.Lookup(k)
-	if rep == nil {
-		return false
-	}
-	copy(row, rep)
-	return true
-}
-
-// errNoReplica fails a replica read of a key this node neither owns nor was
-// sent a copy of: the initializer row is an owner's answer for a key nobody
-// trained, and this node cannot know that nobody did.
-//
-// oevet:coldpath a failover read of a key no SyncReplicas covered is an error, not the steady state
-//
-//go:noinline
-func errNoReplica(k uint64) error {
-	return fmt.Errorf("serve: no replica of key %d on this node", k)
-}
-
 // New returns a handler over eng, enabling the engine's serve snapshots.
 // reg may be nil (metrics disabled).
 func New(eng *core.Engine, reg *obs.Registry) *Handler {
 	h := &Handler{dim: eng.Dim(), reg: reg}
 	dim := h.dim
-	empty := cache.NewRowView(dim, 0)
-	h.replicas.Store(&empty)
 	h.scratchPool.New = func() any {
 		return &bagScratch{row: make([]float32, dim)}
 	}
@@ -173,7 +126,6 @@ func New(eng *core.Engine, reg *obs.Registry) *Handler {
 		h.dramFallback = reg.Counter("serve_dram_fallback")
 		h.pmemFallback = reg.Counter("serve_pmem_fallback")
 		h.initServed = reg.Counter("serve_init_served")
-		h.replicaHits = reg.Counter("serve_replica_hits")
 		h.refreshes = reg.Counter("serve_refreshes")
 		h.shed = reg.Counter("serve_shed")
 	}
@@ -187,20 +139,6 @@ func New(eng *core.Engine, reg *obs.Registry) *Handler {
 func (h *Handler) SetEngine(eng *core.Engine) {
 	eng.EnableServeSnapshots()
 	h.eng.Store(eng)
-}
-
-// MergeReplicas installs or overwrites failover replicas: row i of rows
-// (row-major, len(keys)*dim floats) becomes the replica of keys[i]. The
-// rows are copied; the caller keeps ownership of its buffers.
-func (h *Handler) MergeReplicas(keys []uint64, rows []float32) error {
-	h.replicaMu.Lock()
-	defer h.replicaMu.Unlock()
-	next, err := h.replicas.Load().Merge(keys, rows, 0)
-	if err != nil {
-		return err
-	}
-	h.replicas.Store(next)
-	return nil
 }
 
 // SetMaxInflight sets the admission watermark: requests arriving while n
@@ -220,24 +158,6 @@ func (h *Handler) Inflight() int64 { return h.inflight.Load() }
 // Dim implements rpc.BagServer.
 func (h *Handler) Dim() int { return h.dim }
 
-// PullBags implements rpc.BagServer: bag b is keys[offsets[b]:
-// offsets[b+1]], pooled into out[b*dim:(b+1)*dim] — sum, or mean when
-// mean is set; an empty bag pools to the zero vector. The caller
-// guarantees offsets are valid (rpc.ValidateBagOffsets) and len(out) ==
-// (len(offsets)-1)*dim.
-func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
-	return h.pullBags(mean, false, offsets, keys, out)
-}
-
-// PullReplicaBags implements rpc.BagServer: the sum-pooled PullBags of a
-// failover read, which this node answers as the keys' replica. A key the
-// engine does not know and the overlay does not hold fails the request —
-// this node was never sent the row, and the initializer it would otherwise
-// serve is not a version of a row its owner may have trained.
-func (h *Handler) PullReplicaBags(offsets []uint32, keys []uint64, out []float32) error {
-	return h.pullBags(false, true, offsets, keys, out)
-}
-
 // release unpins the snapshots sc's gather read from — no row it resolved
 // is used past here — and returns sc to the pool.
 //
@@ -247,7 +167,11 @@ func (h *Handler) release(sc *bagScratch) {
 	h.scratchPool.Put(sc)
 }
 
-// pullBags is the one gather behind PullBags and PullReplicaBags.
+// PullBags implements rpc.BagServer: bag b is keys[offsets[b]:
+// offsets[b+1]], pooled into out[b*dim:(b+1)*dim] — sum, or mean when
+// mean is set; an empty bag pools to the zero vector. The caller
+// guarantees offsets are valid (rpc.ValidateBagOffsets) and len(out) ==
+// (len(offsets)-1)*dim.
 //
 // It pins every shard's published snapshot once, into the pooled scratch,
 // and resolves keys against the pinned snapshots serveBlock at a time
@@ -260,7 +184,7 @@ func (h *Handler) release(sc *bagScratch) {
 // once per request. Every exit after the pin leaves through release.
 //
 // oevet:hotpath
-func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, out []float32) error {
+func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	// Admission control: shed beyond the watermark instead of queueing.
 	// Disabled (the default) this is one atomic load; the shed path itself
 	// allocates nothing (errShed is preallocated).
@@ -282,11 +206,9 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 			sampled = true
 		}
 	}
-	// One atomic load each of the engine and the replica overlay per
-	// request; the overlay is only probed for keys the engine does not know.
-	eng, reps := h.eng.Load(), h.replicas.Load()
+	eng := h.eng.Load()        // once per request: the gather is answered by one engine
 	eng.PinSnapshots(&sc.pins) //oevet:alloc-ok sizes the pooled pin table on a scratch's first gather only: the capacity persists across requests
-	var tally [srcReplica + 1]int64
+	var tally [core.ServeInit + 1]int64
 	// Offsets are contiguous from 0, so j below walks keys in order and
 	// refills the block whenever it runs out, bag boundaries or not.
 	var block [serveBlock][]float32
@@ -312,19 +234,6 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 					h.release(sc)
 					return err
 				}
-				// Unknown to the engine: a key this node does not own, or one
-				// nobody trained. Serve the failover replica when the overlay
-				// holds one — locally owned keys never reach here, so engine
-				// state always wins — and otherwise the initializer row, which
-				// only an owner read may be answered with.
-				if src == core.ServeInit {
-					if replicaRow(reps, keys[j], row) {
-						src = srcReplica
-					} else if replica {
-						h.release(sc)
-						return errNoReplica(keys[j])
-					}
-				}
 			}
 			tally[src]++
 			if j == lo {
@@ -346,7 +255,6 @@ func (h *Handler) pullBags(mean, replica bool, offsets []uint32, keys []uint64, 
 	h.dramFallback.Add(tally[core.ServeDRAM])
 	h.pmemFallback.Add(tally[core.ServePMem])
 	h.initServed.Add(tally[core.ServeInit])
-	h.replicaHits.Add(tally[srcReplica])
 	if sampled {
 		h.bagNS.Observe(h.reg.Now() - start)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"openembedding/internal/cache"
 	"openembedding/internal/core"
 	"openembedding/internal/device"
 	"openembedding/internal/obs"
@@ -80,16 +79,15 @@ func train(t testing.TB, e *core.Engine, batch int64, keys []uint64, grad float3
 // poolRef is the handler's request loop as it was before keys were resolved a
 // block at a time, kept as the oracle: one ServeRead per key in key order —
 // the first key of a bag into the output row, the rest into a scratch row and
-// added with a plain loop — the replica overlay for keys the engine does not
-// know, multiply-by-reciprocal mean. It returns the pooled rows and how many
-// keys each source served.
-func poolRef(t testing.TB, e *core.Engine, reps *cache.RowView, mean bool, offsets []uint32, keys []uint64) ([]float32, [srcReplica + 1]int64) {
+// added with a plain loop — multiply-by-reciprocal mean. It returns the
+// pooled rows and how many keys each source served.
+func poolRef(t testing.TB, e *core.Engine, mean bool, offsets []uint32, keys []uint64) ([]float32, [core.ServeInit + 1]int64) {
 	t.Helper()
 	dim := e.Dim()
 	bags := len(offsets) - 1
 	out := make([]float32, bags*dim)
 	scratch := make([]float32, dim)
-	var tally [srcReplica + 1]int64
+	var tally [core.ServeInit + 1]int64
 	for b := 0; b < bags; b++ {
 		lo, hi := int(offsets[b]), int(offsets[b+1])
 		dst := out[b*dim : (b+1)*dim]
@@ -101,9 +99,6 @@ func poolRef(t testing.TB, e *core.Engine, reps *cache.RowView, mean bool, offse
 			src, err := e.ServeRead(keys[j], row)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if src == core.ServeInit && replicaRow(reps, keys[j], row) {
-				src = srcReplica
 			}
 			tally[src]++
 			if j > lo {
@@ -124,15 +119,14 @@ func poolRef(t testing.TB, e *core.Engine, reps *cache.RowView, mean bool, offse
 
 // TestPullBagsBlockReadMatchesOldLoop drives seeded requests over every kind
 // of key the handler can meet — clean snapshot hits, rows dirtied by a push
-// whose batch has not ended, PMem-resident keys, unknown keys with and
-// without a replica — in empty, one-key and multi-key bags, some longer than
-// a block so they straddle block boundaries wherever they start, sum and
-// mean; the output bits and all five per-source counters must equal the old
-// loop's.
+// whose batch has not ended, PMem-resident keys, unknown keys — in empty,
+// one-key and multi-key bags, some longer than a block so they straddle
+// block boundaries wherever they start, sum and mean; the output bits and
+// all four per-source counters must equal the old loop's.
 func TestPullBagsBlockReadMatchesOldLoop(t *testing.T) {
 	const dim = 8
 	e := newTestEngine(t, dim, 1024, 64, 4)
-	var trained, dirty, unknown, replicated []uint64
+	var trained, dirty, unknown []uint64
 	for k := uint64(1); k <= 256; k++ {
 		trained = append(trained, k)
 	}
@@ -160,20 +154,10 @@ func TestPullBagsBlockReadMatchesOldLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261003))
 	for k := uint64(5000); k < 5040; k++ {
 		unknown = append(unknown, k)
-		if k%2 == 0 {
-			replicated = append(replicated, k)
-		}
-	}
-	repRows := make([]float32, len(replicated)*dim)
-	for i := range repRows {
-		repRows[i] = rng.Float32() - 0.5
-	}
-	if err := h.MergeReplicas(replicated, repRows); err != nil {
-		t.Fatal(err)
 	}
 
-	counters := []string{"serve_snap_hits", "serve_dram_fallback", "serve_pmem_fallback", "serve_init_served", "serve_replica_hits"}
-	var seen [srcReplica + 1]int64
+	counters := []string{"serve_snap_hits", "serve_dram_fallback", "serve_pmem_fallback", "serve_init_served"}
+	var seen [core.ServeInit + 1]int64
 	for req := 0; req < 40; req++ {
 		var offsets []uint32
 		var keys []uint64
@@ -196,7 +180,7 @@ func TestPullBagsBlockReadMatchesOldLoop(t *testing.T) {
 		offsets = append(offsets, uint32(len(keys)))
 		mean := req%2 == 1
 
-		var before [srcReplica + 1]int64
+		var before [core.ServeInit + 1]int64
 		for i, name := range counters {
 			before[i] = reg.Counter(name).Value()
 		}
@@ -207,7 +191,7 @@ func TestPullBagsBlockReadMatchesOldLoop(t *testing.T) {
 		if err := h.PullBags(mean, offsets, keys, out); err != nil {
 			t.Fatal(err)
 		}
-		want, tally := poolRef(t, e, h.replicas.Load(), mean, offsets, keys)
+		want, tally := poolRef(t, e, mean, offsets, keys)
 		for i := range want {
 			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("request %d (mean %v): out[%d] = %v, the old loop has %v", req, mean, i, out[i], want[i])
@@ -252,7 +236,7 @@ func TestPullBagsPooling(t *testing.T) {
 		if err := h.PullBags(mean, offsets, bagKeys, out); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := poolRef(t, e, nil, mean, offsets, bagKeys)
+		want, _ := poolRef(t, e, mean, offsets, bagKeys)
 		for i := range want {
 			if out[i] != want[i] {
 				t.Fatalf("mean=%v out[%d] = %v, want %v", mean, i, out[i], want[i])
@@ -273,62 +257,6 @@ func TestPullBagsPooling(t *testing.T) {
 	}
 	if reg.Counter("serve_snap_hits").Value() == 0 {
 		t.Fatal("no snapshot hits recorded")
-	}
-}
-
-// TestPullReplicaBags: a replica read pools exactly what an owner read
-// pools — engine rows, overlay rows — except that a key the engine does not
-// know and the overlay does not hold fails it: the initializer is an owner's
-// answer. The refused request gives back its scratch and its admission slot.
-func TestPullReplicaBags(t *testing.T) {
-	const dim = 8
-	e := newTestEngine(t, dim, 256, 128, 2)
-	train(t, e, 0, []uint64{1, 2, 3, 4}, 1.0)
-	h := New(e, nil)
-	h.SetMaxInflight(1)
-	rep := make([]float32, dim)
-	for i := range rep {
-		rep[i] = float32(i) - 2.5
-	}
-	if err := h.MergeReplicas([]uint64{5000}, rep); err != nil {
-		t.Fatal(err)
-	}
-
-	offsets, keys := []uint32{0, 2, 2, 5}, []uint64{1, 5000, 5000, 2, 3}
-	got, want := make([]float32, 3*dim), make([]float32, 3*dim)
-	if err := h.PullReplicaBags(offsets, keys, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PullBags(false, offsets, keys, want); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("replica read out[%d] = %v, owner read %v", i, got[i], want[i])
-		}
-	}
-
-	keys[3] = 5001 // in nobody's engine, in nobody's overlay
-	err := h.PullReplicaBags(offsets, keys, got)
-	if err == nil || err.Error() != "serve: no replica of key 5001 on this node" {
-		t.Fatalf("replica read of an unsynced key: %v", err)
-	}
-	if n := h.Inflight(); n != 0 {
-		t.Fatalf("%d requests in flight after the refusal", n)
-	}
-	if err := h.PullBags(false, offsets, keys, got); err != nil {
-		t.Fatalf("owner read of the same keys: %v", err)
-	}
-	init := make([]float32, dim)
-	psengine.XavierInit(dim)(5001, init)
-	one := make([]float32, dim)
-	if err := h.PullBags(false, []uint32{0, 1}, keys[3:4], one); err != nil {
-		t.Fatal(err)
-	}
-	for i := range init {
-		if one[i] != init[i] {
-			t.Fatalf("owner read of an untrained key = %v, want the initializer %v", one, init)
-		}
 	}
 }
 
@@ -608,10 +536,10 @@ func corruptRecords(t *testing.T, e *core.Engine) {
 }
 
 // TestPullBagsReleasesPins: a gather's pins are gone when it returns, however
-// it returns — answered, refused for a key no replica covers, failed by the
-// engine, or shed before it pinned anything — and a gather that SetEngine
-// overtakes mid-flight finishes on the engine it pinned and releases that
-// engine's pins, not the new one's. A leaked pin would make every later
+// it returns — answered, failed by the engine, or shed before it pinned
+// anything — and a gather that SetEngine overtakes mid-flight finishes on
+// the engine it pinned and releases that engine's pins, not the new one's.
+// A leaked pin would make every later
 // republish of that slab a clone.
 func TestPullBagsReleasesPins(t *testing.T) {
 	const (
@@ -663,12 +591,6 @@ func TestPullBagsReleasesPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	pins("after an answered gather", e, 0)
-
-	req := append([]uint64{keys[0], keys[100]}, 5001) // cached, PMem-resident, unknown
-	if err := h.PullReplicaBags(offsets[:4], req, out[:3*dim]); err == nil {
-		t.Fatal("replica read of a key nobody holds was answered")
-	}
-	pins("after a refused replica read", e, 0)
 
 	// A gather parked mid-flight holds one pin a shard; beside it the
 	// watermark sheds a second request, which pins nothing; and the engine is

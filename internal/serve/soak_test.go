@@ -211,7 +211,7 @@ func TestServeSoakValuesMatchEngine(t *testing.T) {
 	if err := h.PullBags(true, offsets, bagKeys, out); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := poolRef(t, e, nil, true, offsets, bagKeys)
+	want, _ := poolRef(t, e, true, offsets, bagKeys)
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("out[%d] = %v, want %v", i, out[i], want[i])

@@ -91,10 +91,6 @@ func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
 		addrs = append(addrs, n.Addr())
 	}
 
-	// The retry budget rides along sized with ample headroom: windowed
-	// partitions must not be able to starve recovery (the storm-bounding
-	// behavior under a *tight* budget is rpc's own regression test, where
-	// token interleaving cannot perturb a bit-exactness gate).
 	cl, err := cluster.DialOpts(chaosDim, addrs, cluster.Options{
 		RPC: rpc.Options{
 			Retry: rpc.RetryPolicy{
@@ -103,7 +99,6 @@ func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
 				MaxBackoff:  20 * time.Millisecond,
 				Seed:        seed,
 			},
-			Budget:       rpc.NewBudget(1024, 1),
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
 			Inject:       inj,
