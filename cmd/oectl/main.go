@@ -42,8 +42,7 @@
 // /metrics.json and pretty-prints the node's latency percentiles (pull,
 // push, miss service, RPC RTT), byte counters and checkpoint stalls; scrub
 // additionally prints that node's lifetime integrity counters (records
-// scanned/healed by the background scrubber, corrupt serves, recovery
-// fallbacks).
+// scanned/healed by scrubs, corrupt serves, recovery fallbacks).
 package main
 
 import (

@@ -37,7 +37,6 @@ func newBenchEngineObs(b *testing.B, shards int, reg *obs.Registry) *Engine {
 		Optimizer:    optim.NewSGD(0.1),
 		Capacity:     1 << 16,
 		CacheEntries: 2 * benchKeySpace,
-		MaintThreads: 4,
 		Shards:       shards,
 		Obs:          reg,
 		// Meter left nil: virtual-time charges are no-ops, so the numbers

@@ -66,7 +66,7 @@ type Engine struct {
 
 	// maintenance scheduling
 	maintCh   chan maintTask
-	maintWG   sync.WaitGroup // maintainer goroutines
+	maintWG   sync.WaitGroup // the background maintainer
 	pending   sync.WaitGroup // outstanding maintenance tasks
 	currBatch atomic.Int64
 	maintErrs maintErrBox
@@ -104,16 +104,6 @@ type Engine struct {
 	// at the flush site and healed by rewrite/realloc, so the durable image
 	// stays exactly what a fault-free run would hold.
 	flushVerify bool
-	// scrubShare is each shard's background-scrub budget per maintenance
-	// round (cfg.ScrubRate split across shards; 0 disables).
-	scrubShare int
-	// integrityNotify (a func(), set via SetIntegrityNotify) fires after a
-	// background scrub round that restored or fenced entries — state
-	// regressions the node must answer with an epoch fence and coordinated
-	// replay. scrubLoss accumulates those regressions under shard locks;
-	// the maintainer drains it and fires the callback outside every lock.
-	integrityNotify atomic.Value
-	scrubLoss       atomic.Int64
 	// recoverInfo records how the engine was recovered (recover.go).
 	recoverInfo RecoverInfo
 
@@ -258,12 +248,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		spans:   cfg.Spans,
 	}
 	e.flushVerify = arena.Device().MediaFaultsArmed() && !cfg.FlushVerifyDisabled
-	if cfg.ScrubRate > 0 {
-		e.scrubShare = cfg.ScrubRate / nShards
-		if e.scrubShare == 0 {
-			e.scrubShare = 1
-		}
-	}
 	// shardIndex multiplies by the golden ratio and keeps the top log2(n)
 	// bits. For n == 1 the shift is 64, which Go defines as yielding 0.
 	e.shardShift = uint(64 - bits.TrailingZeros(uint(nShards)))
@@ -313,10 +297,8 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 			sortBuf: make([][]uint64, nShards),
 		}
 	}
-	for i := 0; i < cfg.MaintThreads; i++ {
-		e.maintWG.Add(1)
-		go e.maintainLoop()
-	}
+	e.maintWG.Add(1)
+	go e.maintainLoop()
 	return e, nil
 }
 
@@ -446,7 +428,7 @@ func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
 
 // Push applies gradients with the server-side optimizer. Entries accessed
 // in the pull phase of the same batch are already (or are being) promoted
-// to DRAM by the maintainers; Push waits for that promotion to complete, as
+// to DRAM by maintenance; Push waits for that promotion to complete, as
 // the paper's pipeline guarantees by construction (maintenance runs during
 // the much longer GPU phase).
 //
@@ -563,12 +545,12 @@ func (e *Engine) Stats() psengine.Stats {
 	}
 }
 
-// Close stops the maintainer pool and returns once no maintenance round is
-// running: the maintainers drain what was queued, and a round a waiter took
-// off the queue (WaitMaintenance) is waited for too. It does not flush dirty
-// cache entries; call RequestCheckpoint + WaitMaintenance first for a clean
-// shutdown, or rely on recovery semantics (unflushed data is, correctly,
-// lost).
+// Close stops the background maintainer and returns once no maintenance
+// round is running: the maintainer drains what was queued, and a round a
+// waiter took off the queue (WaitMaintenance) is waited for too. It does not
+// flush dirty cache entries; call RequestCheckpoint + WaitMaintenance first
+// for a clean shutdown, or rely on recovery semantics (unflushed data is,
+// correctly, lost).
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil

@@ -484,7 +484,7 @@ func TestErrorPaths(t *testing.T) {
 
 // TestCloseDuringBatch: a node closes its engine to roll it back while other
 // connections are mid-batch, so Close may land between any two calls of the
-// batch protocol — EndPullPhase's hand-off to the maintainers and a Push that
+// batch protocol — EndPullPhase's hand-off to the maintainer and a Push that
 // is running a round it took off the queue (WaitMaintenance) included. The
 // batch then fails as ErrClosed; it never panics on the closed task queue,
 // and no queued round is lost: once Close has returned every task has been

@@ -34,15 +34,12 @@ type coldGolden struct {
 // share one flush-before-overwrite threshold (Engine.roundThreshold): the
 // entries born in the batch after a checkpoint request are now flushed
 // before their overwrite on every schedule, as they always were with one
-// shard — which is why the recovered state is the shards=1 one.
+// shard — which is why the recovered state is the shards=1 one. The
+// "/maint=1" in each name is the one background maintainer an engine runs.
 var coldGoldens = map[string]coldGolden{
 	"shards=1/maint=1": {stats: psengine.Stats{Entries: 4088, CachedEntries: 256, Hits: 6382, Misses: 20498, PMemReads: 29541, PMemWrites: 26959, Evictions: 32896, CheckpointsDone: 2}, completed: 44,
 		meter: "dram_read=516942/6382 dram_write=5162752/60032 pmem_read=15165972/49562 pmem_write=2669227/26962 lock_sync=9460/473 compute=2608290/139838 ", recovered: 0x25f29fd2466d2879},
-	"shards=1/maint=2": {stats: psengine.Stats{Entries: 4088, CachedEntries: 256, Hits: 6382, Misses: 20498, PMemReads: 29541, PMemWrites: 26959, Evictions: 32896, CheckpointsDone: 2}, completed: 44,
-		meter: "dram_read=516942/6382 dram_write=5162752/60032 pmem_read=15165972/49562 pmem_write=2669227/26962 lock_sync=9460/473 compute=2608290/139838 ", recovered: 0x25f29fd2466d2879},
 	"shards=8/maint=1": {stats: psengine.Stats{Entries: 4088, CachedEntries: 256, Hits: 6375, Misses: 20505, PMemReads: 29330, PMemWrites: 26792, Evictions: 32706, CheckpointsDone: 2}, completed: 44,
-		meter: "dram_read=516375/6375 dram_write=5146412/59842 pmem_read=15109974/49379 pmem_write=2652694/26795 lock_sync=29540/1477 compute=2605440/139648 ", recovered: 0x25f29fd2466d2879},
-	"shards=8/maint=2": {stats: psengine.Stats{Entries: 4088, CachedEntries: 256, Hits: 6375, Misses: 20505, PMemReads: 29330, PMemWrites: 26792, Evictions: 32706, CheckpointsDone: 2}, completed: 44,
 		meter: "dram_read=516375/6375 dram_write=5146412/59842 pmem_read=15109974/49379 pmem_write=2652694/26795 lock_sync=29540/1477 compute=2605440/139648 ", recovered: 0x25f29fd2466d2879},
 }
 
@@ -50,7 +47,7 @@ var coldGoldens = map[string]coldGolden{
 // cache, two pulls and two pushes per batch as two loaders would issue
 // them, checkpoints requested mid-stream — then crashes the device and
 // recovers it.
-func runColdStream(t *testing.T, shards, maintThreads int) coldGolden {
+func runColdStream(t *testing.T, shards int) coldGolden {
 	t.Helper()
 	const (
 		dim      = 8
@@ -66,7 +63,6 @@ func runColdStream(t *testing.T, shards, maintThreads int) coldGolden {
 		CacheEntries: keyspace / 16,
 		Meter:        meter,
 		Shards:       shards,
-		MaintThreads: maintThreads,
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 3
@@ -158,49 +154,44 @@ func runColdStream(t *testing.T, shards, maintThreads int) coldGolden {
 
 // TestColdStreamMatchesParentGoldens pins the maintenance drain's
 // behaviour to the per-record engine it replaced: same decisions, same
-// simulated time, same durable state, at every shard and maintainer count —
-// and, at one shard count, the same whatever the maintainer count.
+// simulated time, same durable state, at every shard count.
 func TestColdStreamMatchesParentGoldens(t *testing.T) {
 	for _, shards := range []int{1, 8} {
-		for _, mt := range []int{1, 2} {
-			name := fmt.Sprintf("shards=%d/maint=%d", shards, mt)
-			t.Run(name, func(t *testing.T) {
-				got := runColdStream(t, shards, mt)
-				if os.Getenv("OE_GOLDEN_PRINT") != "" {
-					fmt.Printf("\t%q: {stats: psengine.Stats{Entries: %d, CachedEntries: %d, Hits: %d, Misses: %d, PMemReads: %d, PMemWrites: %d, Evictions: %d, CheckpointsDone: %d}, completed: %d,\n\t\tmeter: %q, recovered: %#x},\n",
-						name, got.stats.Entries, got.stats.CachedEntries, got.stats.Hits, got.stats.Misses,
-						got.stats.PMemReads, got.stats.PMemWrites, got.stats.Evictions, got.stats.CheckpointsDone,
-						got.completed, got.meter, got.recovered)
-					return
-				}
-				want, ok := coldGoldens[name]
-				if !ok {
-					t.Fatalf("no golden for %s", name)
-				}
-				if got != want {
-					t.Errorf("cold stream diverged from the per-record engine\n got %+v\nwant %+v", got, want)
-				}
-			})
-		}
+		name := fmt.Sprintf("shards=%d/maint=1", shards)
+		t.Run(name, func(t *testing.T) {
+			got := runColdStream(t, shards)
+			if os.Getenv("OE_GOLDEN_PRINT") != "" {
+				fmt.Printf("\t%q: {stats: psengine.Stats{Entries: %d, CachedEntries: %d, Hits: %d, Misses: %d, PMemReads: %d, PMemWrites: %d, Evictions: %d, CheckpointsDone: %d}, completed: %d,\n\t\tmeter: %q, recovered: %#x},\n",
+					name, got.stats.Entries, got.stats.CachedEntries, got.stats.Hits, got.stats.Misses,
+					got.stats.PMemReads, got.stats.PMemWrites, got.stats.Evictions, got.stats.CheckpointsDone,
+					got.completed, got.meter, got.recovered)
+				return
+			}
+			want, ok := coldGoldens[name]
+			if !ok {
+				t.Fatalf("no golden for %s", name)
+			}
+			if got != want {
+				t.Errorf("cold stream diverged from the per-record engine\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestColdStreamRepeats: what a cold stream leaves behind is a function of
-// the stream at every shard and maintainer count — with two CPUs, so that a
-// batch's shard rounds (maintainers and helping waiters) really do overlap
-// each other and each other's finalizers.
+// the stream at every shard count — with two CPUs, so that a batch's shard
+// rounds (the maintainer and helping waiters) really do overlap each other
+// and each other's finalizers.
 func TestColdStreamRepeats(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, shards := range []int{2, 8} {
-		for _, mt := range []int{1, 2} {
-			t.Run(fmt.Sprintf("shards=%d/maint=%d", shards, mt), func(t *testing.T) {
-				first := runColdStream(t, shards, mt)
-				for i := 1; i < 8; i++ {
-					if got := runColdStream(t, shards, mt); got != first {
-						t.Fatalf("run %d of the same stream differs from run 0\n got %+v\nwant %+v", i, got, first)
-					}
+		t.Run(fmt.Sprintf("shards=%d/maint=1", shards), func(t *testing.T) {
+			first := runColdStream(t, shards)
+			for i := 1; i < 8; i++ {
+				if got := runColdStream(t, shards); got != first {
+					t.Fatalf("run %d of the same stream differs from run 0\n got %+v\nwant %+v", i, got, first)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"openembedding/internal/pmem"
@@ -208,41 +207,6 @@ func TestScrubFencesUnrecoverableKey(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("reborn key %d = %v, want deterministic init %v", k, got, want)
 		}
-	}
-}
-
-// TestBackgroundScrubNotifiesOnLoss: the budgeted scrub step that rides the
-// maintainer pool fences an unrecoverable key and fires the integrity-loss
-// callback (the node's cue to fence its epoch) before WaitMaintenance
-// returns.
-func TestBackgroundScrubNotifiesOnLoss(t *testing.T) {
-	cfg := testConfig(4, 100, 50)
-	cfg.ScrubRate = 256 // full pass every round
-	e := newTestEngine(t, cfg)
-	var fired atomic.Int32
-	e.SetIntegrityNotify(func() { fired.Add(1) })
-
-	keys := []uint64{1, 2, 3, 4, 5, 6}
-	runBatch(t, e, 0, keys, constGrads(6, 4, 1))
-	fill := make([]uint64, 50)
-	for i := range fill {
-		fill[i] = 100 + uint64(i)
-	}
-	runBatch(t, e, 1, fill, constGrads(50, 4, 1))
-	commitCheckpoint(t, e, 1) // reclaims the retired init-valued records
-
-	k, slot := persistedEvicted(t, e, keys)
-	smashSlot(t, e.Arena(), slot)
-	if fired.Load() != 0 {
-		t.Fatal("integrity notify fired before any loss")
-	}
-	// The next maintenance round's scrub step finds and fences the record.
-	runBatch(t, e, 2, []uint64{100, 101}, nil)
-	if fired.Load() == 0 {
-		t.Fatal("background scrub fenced a key without firing the integrity notify")
-	}
-	if _, _, present := entrySnapshot(e, k); present {
-		t.Fatalf("background scrub left corrupt key %d indexed", k)
 	}
 }
 

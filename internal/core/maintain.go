@@ -24,11 +24,11 @@ const finalizerBudget = 4096
 
 // EndPullPhase implements psengine.Engine: every pull of the batch has been
 // issued, the GPU phase begins, and the deferred cache maintenance of
-// Algorithm 2 is handed to the maintainer pool (Alg. 2 lines 6-8 gate
+// Algorithm 2 is handed to the maintainer (Alg. 2 lines 6-8 gate
 // maintenance on pull completion; here the explicit signal replaces the
 // polling loop). One task per non-empty shard is queued: a round nobody is
-// waiting for runs on the MaintThreads background maintainers, a round
-// somebody is waiting for also runs on the waiters (WaitMaintenance).
+// waiting for runs on the one background maintainer, a round somebody is
+// waiting for also runs on the waiters (WaitMaintenance, DESIGN.md §18).
 func (e *Engine) EndPullPhase(batch int64) {
 	if e.cfg.PipelineDisabled {
 		return // maintenance already ran inline during Pull
@@ -46,7 +46,7 @@ func (e *Engine) EndPullPhase(batch int64) {
 	e.closeMu.RLock()
 	if e.closed.Load() {
 		e.closeMu.RUnlock()
-		return // the maintainers are gone; Close discards what was queued
+		return // the maintainer is gone; Close discards what was queued
 	}
 	newest := e.roundThreshold()
 	for _, s := range e.shards {
@@ -66,10 +66,11 @@ func (e *Engine) EndPullPhase(batch int64) {
 // activation scan takes shard locks, so it cannot live inside shard
 // maintenance, see checkpoint.go) and then reads the flush-before-overwrite
 // threshold — the newest pending checkpoint — ONCE for all the batch's
-// rounds. The rounds of one batch run concurrently (maintainers and helping
-// waiters), and one shard's finalizer can complete the checkpoint while
-// another shard's round has not started: a threshold each round read for
-// itself would make the flush count depend on that schedule (DESIGN.md §18).
+// rounds. The rounds of one batch run concurrently (the maintainer and
+// helping waiters), and one shard's finalizer can complete the checkpoint
+// while another shard's round has not started: a threshold each round read
+// for itself would make the flush count depend on that schedule (DESIGN.md
+// §18).
 func (e *Engine) roundThreshold() int64 {
 	e.activateHead()
 	return e.newestCheckpoint()
@@ -142,7 +143,7 @@ func (e *Engine) maintainLoop() {
 // pending: what a maintainer does per task, and what a waiter does for the
 // tasks it finds queued. The caller holds no engine lock.
 //
-// oevet:coldpath a whole maintenance round (scrub, snapshot rebuild, checkpoint finalizer): when a waiting Push runs it, it runs in place of the wait, not on the per-key path; TestMaintenanceAllocs pins the round's steady-state allocations
+// oevet:coldpath a whole maintenance round (snapshot rebuild, checkpoint finalizer): when a waiting Push runs it, it runs in place of the wait, not on the per-key path; TestMaintenanceAllocs pins the round's steady-state allocations
 func (e *Engine) runTask(task maintTask) {
 	// Drain timing and the span happen outside every lock; the gauge
 	// reports tasks queued or running, so it drops only once the drain
@@ -164,12 +165,6 @@ func (e *Engine) runTask(task maintTask) {
 	} else if err := e.finalizeCheckpoints(); err != nil {
 		e.maintErrs.set(err)
 	}
-	// Scrub healing that regressed state (restored or fenced entries)
-	// must reach the node so it can fence its epoch; fire the callback
-	// here, outside every shard lock.
-	if e.scrubLoss.Swap(0) > 0 {
-		e.notifyIntegrityLoss()
-	}
 	e.pending.Done()
 }
 
@@ -190,9 +185,6 @@ func (e *Engine) inlineMaintain(batch int64) {
 	}
 	if err := e.finalizeCheckpoints(); err != nil {
 		e.maintErrs.set(err)
-	}
-	if e.scrubLoss.Swap(0) > 0 {
-		e.notifyIntegrityLoss()
 	}
 }
 
@@ -223,15 +215,6 @@ func (s *shard) runMaintenance(batch, newest int64, recs []accessRec) error {
 	}
 	if err != nil {
 		return err
-	}
-	// Background integrity scrub: verify a bounded slice of this shard's
-	// persisted records while the exclusive lock is already held. The budget
-	// is per maintenance round (not wall clock), so scrub progress — and any
-	// healing it triggers — is a deterministic function of the batch stream.
-	if e.scrubShare > 0 {
-		if err := s.scrubStepLocked(e.scrubShare, e.rollbackTargets()); err != nil {
-			return err
-		}
 	}
 	// Serving mode: republish this shard's hot-set snapshot while the
 	// exclusive lock is already held, so serve reads see the batch's pushes

@@ -359,13 +359,13 @@ func helpShard1(t *testing.T, e *Engine, reg *obs.Registry) (release func(), wai
 }
 
 // TestWaitMaintenanceHelps: a thread that waits for maintenance runs the
-// rounds still queued. With one maintainer stuck inside shard 0's round (the
+// rounds still queued. With the maintainer stuck inside shard 0's round (the
 // test holds that shard's lock), a WaitMaintenance on another goroutine must
 // run shard 1's round itself — seen before shard 0 is released — and return
 // only once the maintainer's round is done too.
 func TestWaitMaintenanceHelps(t *testing.T) {
 	cfg := testConfig(2, 64, 16)
-	cfg.Shards, cfg.MaintThreads = 2, 1
+	cfg.Shards = 2
 	cfg.Obs = obs.NewRegistry()
 	e := newTestEngine(t, cfg)
 	var keys []uint64
@@ -417,7 +417,7 @@ func TestWaitMaintenanceHelps(t *testing.T) {
 // before shard 0 is released is the helper's.
 func helperMaintenanceError(t *testing.T) {
 	cfg := testConfig(2, 64, 2) // one cached entry per shard: each round evicts, dirty
-	cfg.Shards, cfg.MaintThreads = 2, 1
+	cfg.Shards = 2
 	cfg.Obs = obs.NewRegistry()
 	inj := faultinject.New(3, faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindPoison, Prob: 1, From: 1})
 	e, _ := newFaultEngine(t, cfg, 256, inj)
@@ -545,7 +545,7 @@ func coldBatch(e *Engine, b int64, keys [2][]uint64, dst, grads []float32) error
 // TestMaintenanceAllocs pins the steady-state cold batch: Pull → EndPullPhase
 // → Push → EndBatch over a key space 16x the cache — ~500 misses, promotions,
 // evictions and record flushes per batch — allocates at most 8 objects, at
-// GOMAXPROCS 1 and 2 (process-wide mallocs, so the maintainers' are
+// GOMAXPROCS 1 and 2 (process-wide mallocs, so the maintainer's are
 // counted). Before the group-commit drain the same batch allocated about two
 // objects per miss.
 func TestMaintenanceAllocs(t *testing.T) {

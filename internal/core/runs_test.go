@@ -234,7 +234,6 @@ func TestPMemChargeEquivalentAcrossCoalescing(t *testing.T) {
 	const dim, nKeys = 4, 16
 	pull := func(interleave bool) (simclock.Snapshot, []float32) {
 		cfg := testConfig(dim, 256, 1) // cache of one: everything flushes to PMem
-		cfg.MaintThreads = 1           // deterministic flush (= slot) order
 		meter := cfg.Meter
 		e := newTestEngine(t, cfg)
 		defer e.Close()
@@ -303,7 +302,6 @@ func TestRunCoalescingAcrossFragmentation(t *testing.T) {
 	const dim, nKeys = 4, 32
 	build := func() *Engine {
 		cfg := testConfig(dim, 256, 1)
-		cfg.MaintThreads = 1
 		e := newTestEngine(t, cfg)
 		// Three creation waves shuffle key-vs-slot order: keys {0,3,6,...},
 		// then {1,4,7,...}, then {2,5,8,...}. A sorted pull of any key subset
@@ -376,7 +374,6 @@ func TestPullPushZeroAllocs(t *testing.T) {
 				Capacity:     4096,
 				CacheEntries: 2048,
 				Shards:       shards,
-				MaintThreads: 2,
 			}
 			e := newTestEngine(t, cfg)
 			keys := make([]uint64, batchLen)

@@ -32,27 +32,12 @@ import (
 // escape — it predates at least one applied push, so recovering to T
 // through it diverges from the state checkpoint T actually captured.
 //
-// Restored and fenced entries regress node state, so the engine notifies
-// the node (SetIntegrityNotify), which fences its epoch and lets the
-// trainer run coordinated rollback+replay — the same machinery a crash
-// uses, which is what keeps training exact.
-//
-// Background scrubbing rides the existing maintainer pool with a per-round
-// entry budget (Config.ScrubRate) instead of a wall-clock rate: engine
-// behavior must stay a pure function of the request stream, and the budget
-// keeps the request hot path untouched either way.
-
-// SetIntegrityNotify registers f to run after a background scrub round
-// that restored or fenced entries (state regressions needing an epoch
-// fence and replay). Safe to call at any time; nil clears nothing — pass
-// a no-op instead.
-func (e *Engine) SetIntegrityNotify(f func()) { e.integrityNotify.Store(f) }
-
-func (e *Engine) notifyIntegrityLoss() {
-	if f, ok := e.integrityNotify.Load().(func()); ok && f != nil {
-		f()
-	}
-}
+// Restored and fenced entries regress node state: the caller of Scrub (the
+// node) fences its epoch and lets the trainer run coordinated
+// rollback+replay — the same machinery a crash uses, which is what keeps
+// training exact. Scrubbing runs when asked (ps.Node.Scrub, the scrub RPC,
+// oectl scrub), never in the background: a pass takes each shard's lock
+// exclusively, and its cost and its heals belong to whoever asked.
 
 // Scrub runs one full integrity pass over every persisted record and
 // returns what it found and healed. It takes each shard's exclusive lock
@@ -91,8 +76,7 @@ func (e *Engine) Scrub() (psengine.ScrubReport, error) {
 // could land on: the two retained completed checkpoints, every queued
 // request, and the last sealed batch (the newest batch a future request
 // may still target) — mirroring reclaim's retention rule. It takes
-// ckptMu, which orders after shard locks, so it is safe from any scrub
-// context (with or without a shard lock held).
+// ckptMu.
 func (e *Engine) rollbackTargets() []int64 {
 	e.ckptMu.Lock()
 	targets := append([]int64(nil), e.ckptQueue...)
@@ -127,61 +111,11 @@ func coverageLost(ent *entry, targets []int64) bool {
 	return false
 }
 
-// scrubStepLocked verifies up to budget entries of this shard, resuming
-// at the shard's cursor and wrapping — the background scrub step appended
-// to each maintenance round. targets is the engine's rollback-target
-// snapshot, taken by the caller before the shard lock. Caller holds the
-// shard's exclusive lock.
-//
-// oevet:holds core.shard.mu 10
-func (s *shard) scrubStepLocked(budget int, targets []int64) error {
-	e := s.eng
-	if len(s.index) == 0 {
-		return nil
-	}
-	keys := s.scrubKeysLocked()
-	idx, found := slices.BinarySearch(keys, s.scrubCursor)
-	if found {
-		idx++
-	}
-	var rep psengine.ScrubReport
-	var err error
-	for n := 0; n < budget && n < len(keys); n++ {
-		if idx >= len(keys) {
-			idx = 0
-		}
-		k := keys[idx]
-		idx++
-		s.scrubCursor = k
-		ent := s.index[k]
-		if ent == nil || ent.slot == noSlot {
-			continue
-		}
-		if err = s.scrubEntryLocked(ent, targets, &rep); err != nil {
-			break
-		}
-	}
-	e.applyScrubObs(rep)
-	if loss := rep.Restored + rep.Fenced; loss > 0 {
-		e.noteScrubLoss(loss)
-	}
-	return err
-}
-
-// noteScrubLoss parks the epoch-fence obligation for scrub heals that lost
-// state: the accumulator is drained after every maintenance round (outside
-// all shard locks) and handed to the node's integrity callback, which
-// fences the epoch. Parking under the shard lock instead of notifying
-// directly is what keeps the lock order acyclic.
-//
-// oevet:fence-park
-func (e *Engine) noteScrubLoss(loss int64) { e.scrubLoss.Add(loss) }
-
 // scrubEntryLocked verifies one entry's persisted record and heals it if
 // the media lost it, trying the heal ladder in order (see the file
 // comment). targets is the caller's rollback-target snapshot. Restored and
-// fenced heals discard state the caller must fence the epoch for (or park
-// via noteScrubLoss). Caller holds the entry's shard lock exclusively.
+// fenced heals discard state the caller must fence the epoch for. Caller
+// holds the entry's shard lock exclusively.
 //
 // oevet:fence-need
 // oevet:holds core.shard.mu 10
@@ -272,11 +206,11 @@ func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.Scru
 }
 
 // scrubKeysLocked returns this shard's keys in ascending order (the
-// deterministic scrub walk order), rebuilding the cached snapshot only
-// when an index insert or delete invalidated it — the background step
-// runs every maintenance round to verify a handful of entries, and an
-// O(n log n) re-sort per round under the exclusive shard lock would
-// dwarf the work it budgets. Deletions observed through a stale snapshot
+// deterministic scrub and migration walk order), rebuilding the cached
+// snapshot only when an index insert or delete invalidated it — a
+// migration export pages through the shard one page per call, and an
+// O(n log n) re-sort per page under the shard lock would dwarf the page
+// it serves. Deletions observed through a stale snapshot
 // are harmless (lookups find nil and skip), but the cache is invalidated
 // on them anyway so the slice cannot pin dropped keys forever. Caller
 // holds the shard lock.

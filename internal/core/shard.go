@@ -50,7 +50,7 @@ type pmemRun struct {
 // lock, intrusive LRU list, access queue and side queue. Request threads on
 // different shards never contend, and each shard's maintenance is an
 // independent task: rounds of different shards run in parallel, on the
-// background maintainers and on the request threads waiting for them.
+// background maintainer and on the request threads waiting for them.
 //
 // The paper's single reader/writer lock (Alg. 1 line 3, Alg. 2 line 9)
 // becomes one lock per shard; the locking discipline within a shard is
@@ -83,15 +83,10 @@ type shard struct {
 	// capacity is this shard's slice of the DRAM cache budget.
 	capacity int
 
-	// scrubCursor is the last key the background scrubber verified in this
-	// shard; the next round resumes just past it (wrapping), so a full pass
-	// completes every ceil(entries/budget) rounds. Guarded by mu.
-	scrubCursor uint64
-
-	// scrubKeys caches the sorted-key snapshot the scrubber walks, rebuilt
-	// lazily when scrubKeysStale records an index insert or delete — the
-	// background step must not re-sort the whole key set under the
-	// exclusive lock every maintenance round. Both guarded by mu.
+	// scrubKeys caches the sorted-key snapshot Scrub and ExportRange walk,
+	// rebuilt lazily when scrubKeysStale records an index insert or delete —
+	// a migration must not re-sort the whole key set under the lock for
+	// every page it exports. Both guarded by mu.
 	scrubKeys      []uint64
 	scrubKeysStale bool
 
@@ -268,7 +263,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 // straight from the device view into the run's row — no intermediate copy.
 // Where the records sit only changes wall-clock cost: the virtual charge is
 // per record (ReadScatteredVerified's charge rule), so simulated time never
-// depends on the slots the maintainers happened to pick.
+// depends on the slots maintenance happened to pick.
 //
 // rows[i] is the row run i stages: the whole verified payload is decoded
 // into it (the weights are then copied out to dst), and the run's access

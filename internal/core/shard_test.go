@@ -70,7 +70,6 @@ func TestShardDeterminismAcrossShardCounts(t *testing.T) {
 		cfg := testConfig(4, 1024, 32)
 		cfg.Optimizer = optim.NewAdaGrad(0.05) // stateful: state must round-trip too
 		cfg.Shards = shards
-		cfg.MaintThreads = 2
 		e := newTestEngine(t, cfg)
 		rng := rand.New(rand.NewSource(123)) // same stream for every shard count
 
@@ -180,7 +179,6 @@ func TestShardedStressCrossShardWithCheckpoints(t *testing.T) {
 		Dim:          8,
 		Capacity:     8192,
 		CacheEntries: 256,
-		MaintThreads: 4,
 		Shards:       8,
 	}
 	e := newTestEngine(t, cfg)

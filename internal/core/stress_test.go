@@ -21,7 +21,6 @@ func TestPipelinedStressWithCheckpoints(t *testing.T) {
 		Dim:          8,
 		Capacity:     4096,
 		CacheEntries: 128,
-		MaintThreads: 4,
 		Meter:        nil,
 	}
 	e := newTestEngine(t, cfg)

@@ -152,16 +152,16 @@ func Fig2(o Options) (*Table, error) {
 		Columns: []string{"ms", "pull accesses", "update accesses"},
 	}
 	nonZero := 0
-	for _, b := range res.Recorder.PerMillisecond() {
+	for _, b := range res.Trace.PerMillisecond() {
 		if b.Pulls == 0 && b.Pushes == 0 {
 			continue // idle period between the bursts
 		}
 		t.AddRow(fmt.Sprintf("%d", b.Ms), fmt.Sprintf("%d", b.Pulls), fmt.Sprintf("%d", b.Pushes))
 		nonZero++
 	}
-	pulls, pushes := res.Recorder.PairCounts()
+	pulls, pushes := res.Trace.PairCounts()
 	t.AddNote("pull accesses = %d, update accesses = %d (pairs: equal totals)", pulls, pushes)
-	t.AddNote("%d busy ms out of %d ms span: bursts at batch boundaries, idle between", nonZero, len(res.Recorder.PerMillisecond()))
+	t.AddNote("%d busy ms out of %d ms span: bursts at batch boundaries, idle between", nonZero, len(res.Trace.PerMillisecond()))
 	return t, nil
 }
 

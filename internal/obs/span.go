@@ -66,8 +66,7 @@ func (t *Tracer) Now() time.Duration {
 }
 
 // Emit appends a completed span record. Use this directly when the caller
-// owns the timestamps (the virtual-time trace.Recorder does); wall-clock
-// spans use Start/End instead.
+// owns the timestamps; wall-clock spans use Start/End instead.
 func (t *Tracer) Emit(rec SpanRecord) {
 	if t == nil {
 		return

@@ -113,13 +113,6 @@ type Node struct {
 	// node has recovered at least once). Guarded by mu.
 	lastRecover core.RecoverInfo
 
-	// pendingFence records a scrub-driven state loss whose epoch fence has
-	// not been applied yet. The engine consumes its loss signal before
-	// notifying (scrubLoss.Swap in the maintainer), so the notification
-	// must never be dropped: integrityFence sets this BEFORE trying mu and
-	// every applier clears it under mu (applyPendingFenceLocked).
-	pendingFence atomic.Bool
-
 	// serve is the node's MsgPullBag endpoint (nil unless cfg.Serve),
 	// created with the first engine; adoptEngine points it at each later
 	// one.
@@ -315,13 +308,9 @@ func (n *Node) armMediaFaults() {
 }
 
 // adoptEngine puts a fresh core engine behind the node — behind the serve
-// handler and the RPC server too, when the node has them — and wires the
-// node-level integrity plumbing into it: a background scrub round that
-// loses state (restores or fences entries) must fence the node's epoch so
-// every client re-synchronizes through the recovery protocol before
-// touching the regressed state. Caller holds mu, or is Open.
+// handler and the RPC server too, when the node has them. Caller holds mu,
+// or is Open.
 func (n *Node) adoptEngine(eng *core.Engine) {
-	eng.SetIntegrityNotify(n.integrityFence)
 	n.lastRecover = eng.RecoverInfo()
 	if n.cfg.Serve {
 		if n.serve == nil {
@@ -354,88 +343,33 @@ func (n *Node) recoverLocked() (int64, error) {
 // Crash/Restart and rollback.
 func (n *Node) ServeHandler() *serve.Handler { return n.serve }
 
-// integrityFence records and (when possible, immediately) applies an epoch
-// fence after scrub-driven state loss. It runs on a maintainer goroutine,
-// so it must never block on mu: a concurrent Crash/Close holds mu while
-// draining the maintainer pool, and waiting here would deadlock. It must
-// also never LOSE the fence — the engine consumed the loss signal before
-// notifying (scrubLoss.Swap), and mu's other takers (Addr, Epoch,
-// LastRecoverInfo, Close) do not bump the epoch — so the loss is parked in
-// pendingFence first and, when TryLock finds mu busy, handed to a detached
-// goroutine that may block: the maintainer-pool drain never waits on it,
-// and applying late is safe because a crash/restart/rollback that raced
-// past bumps the epoch itself (making the parked fence redundant —
-// applyPendingFenceLocked drops it on a crashed node) and
-// rpc.Server.SetEpoch is an atomic store, valid even after server close.
-//
-// oevet:fence-obligated
-func (n *Node) integrityFence() {
-	n.parkFence()
-	if n.mu.TryLock() {
-		n.applyPendingFenceLocked()
-		n.mu.Unlock()
-		return
-	}
-	go func() {
-		n.mu.Lock()
-		n.applyPendingFenceLocked()
-		n.mu.Unlock()
-	}()
-}
-
-// parkFence parks the node's epoch-fence obligation in pendingFence for a
-// later applyPendingFenceLocked (or for any epoch bump, which subsumes it).
-// Parking must happen before any attempt on mu so the obligation cannot be
-// dropped between "loss observed" and "fence applied" — the exact shape of
-// the PR 5 dropped-fence bug.
-//
-// oevet:fence-park
-func (n *Node) parkFence() { n.pendingFence.Store(true) }
-
-// fence parks and applies an epoch fence from a request handler, which —
-// unlike a maintainer goroutine — may wait for mu.
+// fence bumps the node epoch after a request lost or replaced state, so
+// every client re-synchronizes through the recovery protocol before
+// touching it. A crashed node skips the bump: Restart bumps the epoch
+// itself, which fences every client strictly harder.
 //
 // oevet:fence-apply
 func (n *Node) fence() {
-	n.parkFence()
 	n.mu.Lock()
-	n.applyPendingFenceLocked()
-	n.mu.Unlock()
+	defer n.mu.Unlock()
+	if !n.crashed {
+		n.fenceEpochLocked()
+	}
 }
 
-// fenceEpochLocked bumps the node epoch, publishes it to the serving RPC
-// server, and clears any parked fence the bump subsumes (a bump re-fences
-// every client strictly harder than the scrub fence would have). Caller
-// holds mu.
+// fenceEpochLocked bumps the node epoch and publishes it to the serving RPC
+// server. Caller holds mu.
 //
 // oevet:fence-apply
 func (n *Node) fenceEpochLocked() {
-	n.pendingFence.Store(false)
 	n.epoch++
 	if n.srv != nil {
 		n.srv.SetEpoch(n.epoch)
 	}
 }
 
-// applyPendingFenceLocked applies a parked integrity fence, if any. Caller
-// holds mu. On a crashed node the fence is dropped as redundant: the
-// restart/recovery path bumps the epoch itself, which re-fences every
-// client strictly harder than the scrub fence would have.
-//
-// oevet:fence-apply
-func (n *Node) applyPendingFenceLocked() {
-	if !n.pendingFence.Swap(false) {
-		return
-	}
-	if n.crashed {
-		return
-	}
-	n.fenceEpochLocked()
-}
-
 // Scrub serves MsgScrub: one full integrity pass over the node's records.
-// State-losing heals (restored or fenced entries) fence the epoch exactly
-// like the background path.
+// State-losing heals (restored or fenced entries) fence the epoch.
 func (n *Node) Scrub() (psengine.ScrubReport, error) {
 	rep, err := n.core.Load().Scrub()
 	// Fence BEFORE surfacing any error: a pass that failed mid-way may
@@ -535,8 +469,7 @@ func (n *Node) Restart() (int64, error) {
 	if err != nil {
 		return -1, fmt.Errorf("ps: restart: %w", err)
 	}
-	// This bump subsumes any fence parked against the old engine's state;
-	// the server below starts at the bumped epoch.
+	// The server below starts at the bumped epoch.
 	n.fenceEpochLocked()
 	if n.addr != "" {
 		if err := n.listenLocked(n.addr); err != nil {
@@ -568,7 +501,6 @@ func (n *Node) Rollback(target int64) error {
 		return fmt.Errorf("ps: rollback to %d: %w", target, err)
 	}
 	n.adoptEngine(eng)
-	// This bump subsumes any fence parked against the old engine's state.
 	n.fenceEpochLocked()
 	return nil
 }

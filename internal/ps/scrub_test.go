@@ -129,34 +129,6 @@ func TestPullReturnsRemoteCorrupt(t *testing.T) {
 	}
 }
 
-// TestIntegrityFenceLosslessUnderContention pins the no-dropped-fence
-// guarantee: the engine consumes its loss signal before notifying, so a
-// fence arriving while mu is busy (as during a concurrent Crash/Close
-// draining the maintainer pool) must neither block the maintainer nor be
-// lost — it parks and applies as soon as mu frees up.
-func TestIntegrityFenceLosslessUnderContention(t *testing.T) {
-	n, _ := startNodeWith(t, restartNodeConfig())
-	n.mu.Lock() // what the notify would race against
-	n.integrityFence()
-	if n.epoch != 0 {
-		n.mu.Unlock()
-		t.Fatal("fence applied while mu was held")
-	}
-	n.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Epoch() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked fence was dropped: epoch never moved after mu was released")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Uncontended, the fence applies synchronously.
-	n.integrityFence()
-	if got := n.Epoch(); got != 2 {
-		t.Fatalf("uncontended fence: epoch %d, want 2", got)
-	}
-}
-
 // TestScrubUnsupportedEngine: nodes without an integrity scrubber reject the
 // RPC cleanly instead of crashing or pretending.
 func TestScrubUnsupportedEngine(t *testing.T) {

@@ -43,8 +43,7 @@ import (
 //	engine_scrub_restored   corrupt records replaced by a retained
 //	                        checkpointed record (requires replay)
 //	engine_scrub_fenced     keys dropped for deterministic re-init
-//	engine_scrub_progress   gauge: cumulative records verified (advances as
-//	                        background rounds walk the key space)
+//	engine_scrub_progress   gauge: cumulative records verified
 //
 // All handles are resolved once here; recording is atomics-only and every
 // field is nil when the registry is nil, so instrumentation points need no

@@ -94,17 +94,6 @@ type Config struct {
 	// Spans receives per-batch spans (maintenance drains, checkpoint
 	// finalization) for the Chrome-trace exporter. Nil disables tracing.
 	Spans *obs.Tracer
-	// MaintThreads is the number of background cache maintainers of a
-	// pipelined engine; 0 defaults to 1. Maintenance is one task per shard.
-	// A round nobody is waiting for runs on this pool, off the request
-	// path; a round somebody is waiting for (Push, EndBatch, WaitMaintenance)
-	// also runs on the waiting threads themselves, so a cold cache — whose
-	// rounds are real work and never finish inside the compute phase —
-	// drains on every core that would otherwise sleep, whatever this field
-	// says. It bounds only the background pool: more maintainers than one
-	// add wake-ups that compete with the workers for the CPUs when the
-	// working set is cached and a round is a few LRU relinks (DESIGN.md §18).
-	MaintThreads int
 	// Shards is the number of independent key-space shards for engines that
 	// partition their index, cache and maintenance (PMem-OE). Each shard has
 	// its own lock, so request threads on different shards never contend and
@@ -125,19 +114,11 @@ type Config struct {
 	// fault-tolerant cluster needs: coordinated replay may roll a node back
 	// to a checkpoint its peers have already superseded (DESIGN.md §10).
 	RetainCheckpoints int
-	// ScrubRate is the background integrity-scrub budget for PMem-backed
-	// engines: at most this many persisted records are checksum-verified
-	// per maintenance round (the scrub rides the maintainer pool, so the
-	// request hot path is untouched). 0 disables background scrubbing.
-	// The budget is per round rather than per wall-clock second because
-	// engine behavior must stay a pure function of the request stream
-	// (DESIGN.md §11); a full pass can always be forced via Scrub.
-	ScrubRate int
 	// FlushVerifyDisabled turns off the durable read-back verification that
 	// PMem-backed engines perform after each record flush when a media-fault
 	// model is armed. With verification off, injected media faults land on
-	// the image and must be caught later by the scrubber or recovery —
-	// the configuration the scrub soak uses to exercise detection+repair.
+	// the image and must be caught later by a scrub or recovery — the
+	// configuration the scrub soak uses to exercise detection+repair.
 	FlushVerifyDisabled bool
 }
 
@@ -200,9 +181,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = c.Capacity / 8
-	}
-	if c.MaintThreads == 0 {
-		c.MaintThreads = 1
 	}
 	if c.Shards == 0 {
 		c.Shards = runtime.GOMAXPROCS(0)

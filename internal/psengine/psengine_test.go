@@ -14,7 +14,7 @@ func TestWithDefaults(t *testing.T) {
 	if c.Dim != 64 || c.Optimizer == nil || c.Initializer == nil {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
-	if c.Capacity != 1<<20 || c.CacheEntries != c.Capacity/8 || c.MaintThreads != 1 {
+	if c.Capacity != 1<<20 || c.CacheEntries != c.Capacity/8 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.

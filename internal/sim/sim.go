@@ -15,7 +15,6 @@ import (
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 	"openembedding/internal/simclock"
-	"openembedding/internal/trace"
 	"openembedding/internal/workload"
 )
 
@@ -83,7 +82,7 @@ type Config struct {
 	WarmupBatches, MeasureBatches int
 	// Seed drives the workload.
 	Seed int64
-	// RecordTrace attaches a trace recorder (Fig. 2).
+	// RecordTrace records every request in Result.Trace (Fig. 2).
 	RecordTrace bool
 }
 
@@ -140,7 +139,7 @@ type Result struct {
 	Phases   PhaseBreakdown
 	Ckpts    int
 	Stats    psengine.Stats
-	Recorder *trace.Recorder
+	Trace    *Trace
 	// EntriesBytes is the simulated store's entry payload size (scaled).
 	EntryBytes int
 }
@@ -174,10 +173,8 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg, EntryBytes: pmem.FloatBytes(store.EntryFloats()) + 24}
 	r := resourcesFor(cfg.Engine, cfg.GPUs)
 	scaleUp := float64(cfg.RealDraws) / float64(cfg.Draws)
-	var rec *trace.Recorder
 	if cfg.RecordTrace {
-		rec = &trace.Recorder{}
-		res.Recorder = rec
+		res.Trace = &Trace{}
 	}
 
 	// Per-worker samplers and a reusable gradient buffer.
@@ -215,8 +212,8 @@ func Run(cfg Config) (Result, error) {
 			// Pull phase: the synchronous burst.
 			before := meter.Snapshot()
 			for w, keys := range keysByWorker {
-				if rec != nil && measure {
-					rec.Record(clock, trace.Pull, batch, len(keys))
+				if res.Trace != nil && measure {
+					res.Trace.record(clock, false, len(keys))
 				}
 				if err := eng.Pull(batch, keys, pullBuf[:len(keys)*cfg.Dim]); err != nil {
 					return fmt.Errorf("sim: pull (worker %d): %w", w, err)
@@ -242,8 +239,8 @@ func Run(cfg Config) (Result, error) {
 			before = meter.Snapshot()
 			pushClock := clock + pullT + maxDur(GPUBatchTime, maintT)
 			for w, keys := range keysByWorker {
-				if rec != nil && measure {
-					rec.Record(pushClock, trace.Push, batch, len(keys))
+				if res.Trace != nil && measure {
+					res.Trace.record(pushClock, true, len(keys))
 				}
 				if err := eng.Push(batch, keys, grads[:len(keys)*cfg.Dim]); err != nil {
 					return fmt.Errorf("sim: push (worker %d): %w", w, err)

@@ -220,7 +220,7 @@ func TestTracePairs(t *testing.T) {
 	cfg := quick("pmem-oe", 4)
 	cfg.RecordTrace = true
 	res := run(t, cfg)
-	pulls, pushes := res.Recorder.PairCounts()
+	pulls, pushes := res.Trace.PairCounts()
 	if pulls == 0 || pulls != pushes {
 		t.Fatalf("pull/update pairs broken: %d vs %d", pulls, pushes)
 	}

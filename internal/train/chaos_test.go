@@ -69,8 +69,6 @@ func chaosTrainConfig(seed uint64) Config {
 			return workload.NewCriteo(workload.CriteoConfig{Scale: 0.0002, Seed: 5, StreamSeed: s})
 		},
 		CheckpointEvery: chaosCkptEvery,
-		MaxReplays:      40,
-		CommitTimeout:   10 * time.Second,
 	}
 }
 

@@ -20,19 +20,32 @@ import (
 // The scrub soak is the media-integrity counterpart of the chaos soak:
 // instead of healing faults at the write site (flush verification), it lets
 // seeded bit-rot land silently in the stored records and requires the
-// background scrubber to find and repair every hit. The cache is sized to
-// hold every entry, so each corrupt record still has an intact DRAM copy
-// and every heal is a transparent in-place repair — no state regression, no
-// epoch movement — and the final model state must be bit-identical to a
-// fault-free run.
+// scrubs an operator runs (Client.Scrub, oectl scrub) to find and repair
+// every hit. The cache is sized to hold every entry, so each corrupt record
+// still has an intact DRAM copy and every heal is a transparent in-place
+// repair — no state regression, no epoch movement — and the final model
+// state must be bit-identical to a fault-free run.
+
+// checkLosslessScrub fails the test unless rep healed every corrupt record
+// it found in place.
+func checkLosslessScrub(t *testing.T, what string, rep psengine.ScrubReport) {
+	t.Helper()
+	if rep.Restored != 0 || rep.Fenced != 0 || rep.Quarantined != 0 {
+		t.Fatalf("%s lost state with every entry DRAM-resident: %+v", what, rep)
+	}
+	if rep.Corrupt != rep.Repaired {
+		t.Fatalf("%s left corruption unrepaired: %+v", what, rep)
+	}
+}
 
 // runScrubCluster runs the full training job against a fresh 3-node
-// pmem-oe cluster with flush verification OFF and the background scrubber
-// ON; with rot enabled it arms seeded bit-rot on the PMem flush stream.
-// After training (rot runs only) it drives explicit scrubs until the
-// cluster verifies clean and requires every heal to have been a
-// transparent repair.
-func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine.ScrubReport) {
+// pmem-oe cluster with flush verification OFF; with rot enabled it arms
+// seeded bit-rot on the PMem flush stream and scrubs the cluster before
+// every chaosCkptEvery-th batch. After training (rot runs only) it drives
+// explicit scrubs until the cluster verifies clean. Every heal must have
+// been a transparent repair. It returns the run's result and the sums of
+// the in-training and the final scrub reports.
+func runScrubCluster(t *testing.T, seed uint64, rot bool) (res chaosResult, during, final psengine.ScrubReport) {
 	t.Helper()
 	var inj *faultinject.Injector
 	if rot {
@@ -58,9 +71,8 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine
 				Meter:             simclock.NewMeter(),
 				Shards:            1,
 				RetainCheckpoints: 2,
-				ScrubRate:         256,
 				// Faults land in the stored records (no write-site healing):
-				// the scrubber, not flush verification, is under test.
+				// scrubbing, not flush verification, is under test.
 				FlushVerifyDisabled: true,
 			},
 			Inject:     inj,
@@ -89,6 +101,21 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine
 	t.Cleanup(func() { cl.Close() })
 
 	cfg := chaosTrainConfig(seed)
+	if rot {
+		// Between batches the cluster is quiescent, as when an operator runs
+		// oectl scrub between training steps.
+		cfg.BatchStart = func(b int64) {
+			if b == 0 || b%chaosCkptEvery != 0 {
+				return
+			}
+			rep, err := cl.Scrub()
+			if err != nil {
+				t.Fatalf("scrub before batch %d: %v", b, err)
+			}
+			checkLosslessScrub(t, fmt.Sprintf("scrub before batch %d", b), rep)
+			during.Add(rep)
+		}
+	}
 	tr, err := New(cfg, cl)
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +125,14 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine
 		t.Fatalf("run (seed %d, rot %v): %v", seed, rot, err)
 	}
 
-	var healed psengine.ScrubReport
 	if rot {
-		// One explicit full pass sweeps whatever the background budget has
-		// not reached yet; a second pass proves the first healed everything.
-		rep, err := cl.Scrub()
+		// One full pass sweeps what rotted since the last in-training scrub;
+		// a second pass proves the first healed everything.
+		final, err = cl.Scrub()
 		if err != nil {
 			t.Fatalf("scrub: %v", err)
 		}
-		if rep.Restored != 0 || rep.Fenced != 0 || rep.Quarantined != 0 {
-			t.Fatalf("scrub lost state with every entry DRAM-resident: %+v", rep)
-		}
-		if rep.Corrupt != rep.Repaired {
-			t.Fatalf("scrub left corruption unrepaired: %+v", rep)
-		}
-		healed = rep
+		checkLosslessScrub(t, "final scrub", final)
 		again, err := cl.Scrub()
 		if err != nil {
 			t.Fatalf("re-scrub: %v", err)
@@ -149,7 +169,7 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine
 		emb[k] = dst[i*chaosDim : (i+1)*chaosDim]
 	}
 
-	res := chaosResult{
+	res = chaosResult{
 		dense:   tr.Model().Params(),
 		emb:     emb,
 		steps:   out.Steps,
@@ -159,40 +179,33 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (chaosResult, psengine
 	for _, n := range psNodes {
 		res.epochs = append(res.epochs, n.Epoch())
 	}
-	if rot {
-		// The background scrubber must actually have been running during
-		// training, not just the explicit passes above: the per-round budget
-		// alone scans far more records than two full passes.
-		snap := reg.Snapshot()
-		passes := 2 * healed.Scanned
-		if scanned := snap.Counters["engine_scrub_scanned"]; scanned <= passes {
-			t.Fatalf("engine_scrub_scanned = %d, want > %d (background scrub never ran)", scanned, passes)
-		}
-	}
-	return res, healed
+	return res, during, final
 }
 
 // TestScrubSoak: with seeded silent bit-rot landing in stored records all
-// through training (flush verification off), the background scrubber plus
-// one explicit sweep must repair every hit in place — zero restored, fenced
-// or quarantined entries, zero epoch movement — and the final model state
-// must be bit-identical to a fault-free run. Seeded via OE_CHAOS_SEED like
-// the chaos soak.
+// through training (flush verification off), scrubs run between batches
+// plus one sweep after training must repair every hit in place — zero
+// restored, fenced or quarantined entries, zero epoch movement — and the
+// final model state must be bit-identical to a fault-free run. Seeded via
+// OE_CHAOS_SEED like the chaos soak.
 func TestScrubSoak(t *testing.T) {
 	seed := chaosSeed(t)
 	t.Logf("scrub-soak seed = %d (set OE_CHAOS_SEED to override)", seed)
 
-	ref, _ := runScrubCluster(t, seed, false)
-	rotted, healed := runScrubCluster(t, seed, true)
+	ref, _, _ := runScrubCluster(t, seed, false)
+	rotted, during, final := runScrubCluster(t, seed, true)
 
 	if rotted.counts[faultinject.KindBitRot] < 1 {
 		t.Errorf("bit-rot faults = %d, want >= 1 (rules never fired; raise Prob or steps)",
 			rotted.counts[faultinject.KindBitRot])
 	}
+	if during.Repaired < 1 {
+		t.Errorf("in-training scrubs healed %d records (%+v), want >= 1", during.Repaired, during)
+	}
 	if ref.replays != 0 || rotted.replays != 0 {
 		t.Errorf("replays = %d/%d, want 0/0 (repairs must be transparent)", ref.replays, rotted.replays)
 	}
 	compareChaosStates(t, "scrub-vs-fault-free", ref, rotted)
-	t.Logf("survived: faults=%v healed=%+v — final state bit-identical to fault-free run",
-		rotted.counts, healed)
+	t.Logf("survived: faults=%v healed in training=%+v after=%+v — final state bit-identical to fault-free run",
+		rotted.counts, during, final)
 }

@@ -74,11 +74,22 @@ func (l Local) CompletedCheckpoint() (int64, error) {
 // (implemented by cluster.Client). After a Recoverable request failure the
 // trainer queries the committed checkpoint, calls Recover(commit) to roll
 // every node back to it, rewinds its own dense model and data streams, and
-// replays from commit+1 (DESIGN.md §10).
+// replays from commit+1 (DESIGN.md §10). A Run against a Recoverer always
+// recovers; for a remote cluster the nodes must retain two checkpoints
+// (ps.Node's default).
 type Recoverer interface {
 	Recover(commit int64) error
 	Recoverable(err error) bool
 }
+
+// maxReplays bounds the rollback + replay recoveries a Run performs without
+// the cluster-wide commit advancing: a failure that recurs however often the
+// run replays stops the run, while failures spread over a long run, with
+// checkpoints committing between them, never run out of replays.
+const maxReplays = 40
+
+// commitTimeout bounds each checkpoint-commit gate of a recovering Run.
+const commitTimeout = 30 * time.Second
 
 // Config configures a training run.
 type Config struct {
@@ -102,18 +113,6 @@ type Config struct {
 	DenseCheckpointDir string
 	// StartBatch is the first batch ID (checkpoint+1 when resuming).
 	StartBatch int64
-	// MaxReplays bounds how many rollback + replay recoveries one Run may
-	// perform (0, the default, disables recovery: the first error aborts
-	// the run exactly as before). Recovery requires a ParamServer that
-	// implements Recoverer and, for a remote cluster, engines configured
-	// with RetainCheckpoints >= 2. While recovery is enabled every
-	// requested checkpoint is also gated to completion before training
-	// continues, so the cluster-wide commit is always a batch the trainer
-	// holds a dense snapshot for.
-	MaxReplays int
-	// CommitTimeout bounds each checkpoint-commit gate when MaxReplays > 0.
-	// Defaults to 30s.
-	CommitTimeout time.Duration
 	// BatchStart, when set, is called just before each batch's pull phase
 	// with the batch ID — the hook where a chaos harness fires its node
 	// crash schedule. Replayed batches invoke it again; a harness that must
@@ -142,8 +141,8 @@ type Trainer struct {
 	workers []*worker
 
 	// snaps holds dense-parameter snapshots keyed by committed batch (and
-	// StartBatch-1 for the initial state) while recovery is enabled; a
-	// rewind restores the snapshot of the rollback target.
+	// StartBatch-1 for the initial state) when the parameter server is a
+	// Recoverer; a rewind restores the snapshot of the rollback target.
 	snaps map[int64][]float32
 
 	// metrics (nil, and free, without Config.Obs)
@@ -208,14 +207,17 @@ type EpochStats struct {
 
 // Run executes steps synchronous batches and returns per-step statistics.
 //
-// With Config.MaxReplays > 0 and a Recoverer ParamServer, a recoverable
-// batch failure (node crash, epoch fence, exhausted transport retries)
-// triggers the replay protocol instead of aborting: the trainer rolls the
-// cluster back to the committed checkpoint, restores its dense snapshot,
-// rewinds every worker's data stream, truncates the recorded steps, and
-// re-executes from the batch after the commit. Replayed batches recompute
-// bit-identically — same samples, same dense state, same embedding state —
-// so a chaos run converges to the exact state of a fault-free run.
+// Against a Recoverer ParamServer, a recoverable batch failure (node crash,
+// epoch fence, exhausted transport retries) triggers the replay protocol
+// instead of aborting: the trainer rolls the cluster back to the committed
+// checkpoint, restores its dense snapshot, rewinds every worker's data
+// stream, truncates the recorded steps, and re-executes from the batch after
+// the commit. Replayed batches recompute bit-identically — same samples,
+// same dense state, same embedding state — so a chaos run converges to the
+// exact state of a fault-free run. Every requested checkpoint is then also
+// gated to completion before training continues, so the cluster-wide commit
+// is always a batch the trainer holds a dense snapshot for. Any other
+// ParamServer, and any other error, aborts the run at the first failure.
 func (tr *Trainer) Run(steps int) (EpochStats, error) {
 	var out EpochStats
 	cfg := tr.cfg
@@ -229,15 +231,13 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 	}
 
 	rec, _ := tr.ps.(Recoverer)
-	if cfg.MaxReplays > 0 {
-		if rec == nil {
-			return out, fmt.Errorf("train: MaxReplays set but the parameter server implements no Recoverer")
-		}
+	if rec != nil {
 		tr.snaps = map[int64][]float32{}
 		tr.snapshotDense(cfg.StartBatch - 1)
 	}
 
-	replays := 0
+	// replays counts the recoveries made since the commit advanced to at.
+	replays, at := 0, cfg.StartBatch-1
 	for s := 0; s < steps; {
 		batch := cfg.StartBatch + int64(s)
 		if cfg.BatchStart != nil {
@@ -248,12 +248,22 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 			s++
 			continue
 		}
-		if cfg.MaxReplays <= 0 || !rec.Recoverable(err) || replays >= cfg.MaxReplays {
+		if rec == nil || !rec.Recoverable(err) {
+			return out, err
+		}
+		commit, rerr := tr.ps.CompletedCheckpoint()
+		if rerr != nil {
+			//oevet:errwrap-ok the superseded recoverable error is cited as context; the live commit query failure is wrapped
+			return out, fmt.Errorf("train: replay (after %v): locating commit: %w", err, rerr)
+		}
+		if commit > at {
+			replays, at = 0, commit
+		}
+		if replays == maxReplays {
 			return out, err
 		}
 		replays++
-		commit, rerr := tr.rewind(rec, &out)
-		if rerr != nil {
+		if rerr := tr.rewind(rec, commit, &out); rerr != nil {
 			//oevet:errwrap-ok the superseded recoverable error is cited as context; the live rewind failure is wrapped
 			return out, fmt.Errorf("train: replay %d (after %v): %w", replays, err, rerr)
 		}
@@ -264,7 +274,7 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 
 // runBatch executes one synchronous batch end to end: pull, compute,
 // allreduce, push, seal, and (when due) checkpoint request — gated to
-// completion when recovery is on. Any error leaves the batch incomplete;
+// completion against a Recoverer. Any error leaves the batch incomplete;
 // the caller either aborts or rolls back and replays.
 func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase time.Duration) error {
 	cfg := tr.cfg
@@ -462,13 +472,9 @@ func (tr *Trainer) snapshotDense(batch int64) {
 // gateCheckpoint polls the parameter server until the requested checkpoint
 // is durable cluster-wide; each poll also drives checkpoint progress (over
 // RPC through the server's progress hook, locally through
-// AdvanceCheckpoints). Bounded by Config.CommitTimeout.
+// AdvanceCheckpoints). Bounded by commitTimeout.
 func (tr *Trainer) gateCheckpoint(batch int64) error {
-	timeout := tr.cfg.CommitTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(commitTimeout)
 	for {
 		done, err := tr.ps.CompletedCheckpoint()
 		if err != nil {
@@ -478,32 +484,27 @@ func (tr *Trainer) gateCheckpoint(batch int64) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("train: checkpoint %d did not commit within %v (at %d)", batch, timeout, done)
+			return fmt.Errorf("train: checkpoint %d did not commit within %v (at %d)", batch, commitTimeout, done)
 		}
 	}
 }
 
 // rewind runs the worker half of the recovery protocol after a recoverable
 // batch failure: roll every node back to the cluster-wide committed
-// checkpoint, restore the matching dense snapshot on every worker, rebuild
-// each worker's data stream and skip the batches already committed, and
-// truncate the recorded steps. It returns the commit the run resumes
-// after.
-func (tr *Trainer) rewind(rec Recoverer, out *EpochStats) (int64, error) {
+// checkpoint commit, restore the matching dense snapshot on every worker,
+// rebuild each worker's data stream and skip the batches already committed,
+// and truncate the recorded steps.
+func (tr *Trainer) rewind(rec Recoverer, commit int64, out *EpochStats) error {
 	cfg := tr.cfg
-	commit, err := tr.ps.CompletedCheckpoint()
-	if err != nil {
-		return -1, fmt.Errorf("locating commit: %w", err)
-	}
 	if commit < cfg.StartBatch-1 {
-		return -1, fmt.Errorf("commit %d is before the run's start batch %d", commit, cfg.StartBatch)
+		return fmt.Errorf("commit %d is before the run's start batch %d", commit, cfg.StartBatch)
 	}
 	snap, ok := tr.snaps[commit]
 	if !ok {
-		return -1, fmt.Errorf("no dense snapshot for commit %d", commit)
+		return fmt.Errorf("no dense snapshot for commit %d", commit)
 	}
 	if err := rec.Recover(commit); err != nil {
-		return -1, err
+		return err
 	}
 	consumed := int(commit - cfg.StartBatch + 1)
 	for _, w := range tr.workers {
@@ -522,7 +523,7 @@ func (tr *Trainer) rewind(rec Recoverer, out *EpochStats) (int64, error) {
 	} else {
 		out.FinalLoss = 0
 	}
-	return commit, nil
+	return nil
 }
 
 // allreduce averages every worker's dense parameters — the synchronous
