@@ -73,11 +73,11 @@ func main() {
 			CacheEntries: *cache,
 			Optimizer:    opt,
 			Shards:       *shards,
+			Obs:          reg,
+			Spans:        spans,
 		},
 		PMemImage:     *image,
 		CheckpointDir: *ckptDir,
-		Obs:           reg,
-		Spans:         spans,
 		Serve:         *serveBags,
 	})
 	if err != nil {

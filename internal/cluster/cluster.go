@@ -22,8 +22,7 @@ import (
 )
 
 // Options configures a cluster Client. Node health (health.go) has no
-// options: it is always on, and a client nobody probes opens no probe
-// connections.
+// options: it is always on, and it is fed by the serving reads alone.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
 	// retry policy, the deterministic fault injector, client-side RPC
@@ -75,15 +74,10 @@ type Client struct {
 	// batch — the hook may train, forcing delta rounds.
 	migrateHook func(round int, batch int64) int64
 
-	// Gray-failure machinery. health is the per-node up/down table
-	// (health.go); healthMu guards its reset, the ring store that goes
-	// with it and the probe state below — the only Client state the
-	// background prober goroutine shares with Join/Leave and Close.
-	health     health
-	healthMu   sync.Mutex
-	probeAddrs []string      // the membership probe connections are dialed to
-	probes     []*rpc.Client // dialed by the membership's first probe round
-	proberStop func()
+	// health is the per-node up/down table (health.go). Join and Leave
+	// reset it with the ring; like every membership change, they must not
+	// race other calls.
+	health health
 
 	// metrics (nil, and free, without Options.Obs)
 	fanWidth    *obs.Histogram
@@ -319,8 +313,8 @@ func (f *fan) run() (n int, err error) {
 // accepts all) — the last of them on the caller's goroutine, the others
 // concurrently on their own — waits for all of them, and returns the lowest
 // failing index with its error (-1, nil when none failed). It is the one
-// per-node goroutine loop: fan-outs, broadcasts, bag gathers and probe
-// rounds all go through it.
+// per-node goroutine loop: fan-outs, broadcasts and bag gathers all go
+// through it.
 //
 // oevet:coldpath a fan-out wider than one node pays for its goroutines; a one-node call never comes here
 func eachNode(n int, want func(i int) bool, fn func(i int) error) (int, error) {
@@ -625,17 +619,8 @@ func (c *Client) Stats() (psengine.Stats, error) {
 	return total, nil
 }
 
-// Close stops the background prober (if running) and closes every node
-// and probe connection; a probe round still in flight dials nothing new.
+// Close closes every node connection.
 func (c *Client) Close() error {
-	c.healthMu.Lock()
-	stop := c.proberStop
-	c.proberStop = nil
-	c.resetProbes(nil)
-	c.healthMu.Unlock()
-	if stop != nil {
-		stop()
-	}
 	var first error
 	for _, n := range c.nodes {
 		if n == nil {

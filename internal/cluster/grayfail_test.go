@@ -25,17 +25,17 @@ import (
 
 // TestHealthStateMachine walks the health table over exchange sequences.
 // A step is an exchange and a node: f transport failure, t timeout, a
-// answer, b busy, r remote error, e epoch fence (owner reads); P failed
-// probe, p answered probe; s a read that must skip the owner, o one that
-// must ask it; R a membership change (Join/Leave).
+// answer, c corruption answer, r remote error, e epoch fence (owner reads);
+// s a read that must skip the owner, o one that must ask it; R a
+// membership change (Join/Leave).
 func TestHealthStateMachine(t *testing.T) {
 	_, remote := rpc.DecodeResponse(rpc.ErrBody(errors.New("boom")))
-	_, busy := rpc.DecodeResponse(rpc.BusyErrBody(errors.New("shed")))
+	_, corrupt := rpc.DecodeResponse(rpc.CorruptErrBody(errors.New("bad checksum")))
 	outcome := map[byte]error{
 		'f': &rpc.TransportError{Addr: "n", Op: "pullbag", Err: io.ErrUnexpectedEOF},
 		't': &rpc.TimeoutError{Addr: "n", Op: "pullbag", After: time.Second},
 		'a': nil,
-		'b': busy,
+		'c': corrupt,
 		'r': remote,
 		'e': &rpc.EpochError{Addr: "n", ClientEpoch: 1, ServerEpoch: 2},
 	}
@@ -48,17 +48,12 @@ func TestHealthStateMachine(t *testing.T) {
 	}{
 		{"two failures leave a node up", "f0 t0 o0", [2]bool{}, 0},
 		{"three make it down", "f0 t0 f0 s0", [2]bool{true}, 1},
-		{"busy, remote and epoch answers are answers", "f0 f0 b0 f0 f0 r0 f0 f0 e0 o0", [2]bool{}, 0},
+		{"remote, corrupt and epoch answers are answers", "f0 f0 c0 f0 f0 r0 f0 f0 e0 o0", [2]bool{}, 0},
 		{"a read answer brings a down node up", "f0 f0 f0 a0 o0", [2]bool{}, 1},
-		{"so does a busy one", "f0 f0 f0 b0 o0", [2]bool{}, 1},
-		{"so does a probe answer", "f0 f0 f0 p0 o0", [2]bool{}, 1},
 		{"every 8th skip asks the owner while nobody probes",
 			"f0 f0 f0 " + skips(7) + "o0 f0 " + skips(7) + "o0 a0 o0", [2]bool{}, 1},
-		{"once a probe has run only probes bring it back",
-			"f0 f0 f0 s0 s0 P0 " + skips(16) + "p0 o0", [2]bool{}, 1},
-		{"a node probes took down is watched by probes", "P0 P0 P0 " + skips(16), [2]bool{true}, 1},
 		{"going down again re-arms the half-open read",
-			"f0 f0 f0 P0 p0 f0 f0 f0 " + skips(7) + "o0", [2]bool{true}, 2},
+			"f0 f0 f0 s0 s0 a0 f0 f0 f0 " + skips(7) + "o0", [2]bool{true}, 2},
 		{"nodes are independent", "f1 f1 f1 o0 s1 f0 f0 a0 s1 o0", [2]bool{false, true}, 1},
 		{"a membership change resets every node", "f0 f0 f0 f1 f1 R o0 o1 f1 o1", [2]bool{}, 1},
 	}
@@ -75,10 +70,6 @@ func TestHealthStateMachine(t *testing.T) {
 				}
 				n := int(st[1] - '0')
 				switch op {
-				case 'P':
-					h.probe(n, outcome['f'])
-				case 'p':
-					h.probe(n, nil)
 				case 's', 'o':
 					if got := h.skip(n); got != (op == 's') {
 						t.Fatalf("step %d (%s): skip = %v", i, st, got)
@@ -104,39 +95,6 @@ func TestHealthStateMachine(t *testing.T) {
 				t.Errorf("cluster_suspected_nodes = %d, want %d", got, wantDown)
 			}
 		})
-	}
-}
-
-// TestProbeRoundAcrossMembershipChange: a probe round records by node
-// index, so a round that a Join or Leave overtook between its pings and
-// its record would mark whichever node holds the index now. Such a round
-// records nothing.
-func TestProbeRoundAcrossMembershipChange(t *testing.T) {
-	live, gone := startElasticNode(t), startElasticNode(t)
-	c, err := DialOpts(4, []string{live.Addr(), gone.Addr()}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if err := gone.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < downAfter; i++ {
-		epoch, probes, errs := c.pingRound()
-		if errs[1] == nil {
-			t.Fatal("setup: a ping of the closed node answered")
-		}
-		c.ring.Store(c.ring.Load().withEpoch(epoch + 1)) // what Join and Leave do in between
-		c.recordRound(epoch, probes, errs)
-	}
-	if c.Down(1) {
-		t.Fatal("probe rounds overtaken by a membership change were recorded")
-	}
-	for i := 0; i < downAfter; i++ {
-		c.Probe()
-	}
-	if !c.Down(1) || c.Down(0) {
-		t.Fatalf("after %d current rounds: down = (%v, %v), want (false, true)", downAfter, c.Down(0), c.Down(1))
 	}
 }
 
@@ -281,14 +239,17 @@ func TestDownOwnerFailsFast(t *testing.T) {
 }
 
 // TestSuspectedOwnerAskedAfterAll (named for the ladder step that used to
-// ask a skipped sole owner after all): a sole owner that probes took down
-// is not asked — not by a read, and not by a half-open read, although it
-// is listening again — and its reads fail at once, attributed to it. One
-// answered probe brings it back, and its keys answer live again.
+// ask a skipped sole owner after all): a sole owner that its reads took
+// down is not asked while it is down — not even though it is listening
+// again — and its reads fail at once, attributed to it. It comes back
+// through its own reads: the halfOpenEvery-th skipped read asks it, it
+// answers, and from then on its keys answer live.
 func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
 	n := startElasticNode(t)
 	addr := n.Addr()
-	c, err := DialOpts(4, []string{addr}, Options{})
+	c, err := DialOpts(4, []string{addr}, Options{
+		RPC: rpc.Options{Retry: rpc.RetryPolicy{MaxAttempts: 1}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,35 +260,41 @@ func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
 	for i := range w {
 		w[i] -= 0.1
 	}
-	// The node is away for downAfter probe rounds, then back on its
-	// address, with its state untouched.
+	named := fmt.Sprintf("node 0 (%s)", addr)
+	offs := oneKeyBags(len(keys))
+	out := make([]float32, len(keys)*c.dim)
+	read := func(label string) {
+		t.Helper()
+		err := c.PullBags(false, offs, keys, out)
+		if err == nil || !strings.Contains(err.Error(), named) || !errors.Is(err, rpc.ErrUnavailable) {
+			t.Fatalf("%s: %v, want an rpc.ErrUnavailable naming %s", label, err, named)
+		}
+	}
+	// The node is away for downAfter reads, then back on its address, with
+	// its state untouched.
 	if err := n.Unlisten(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < downAfter; i++ {
-		c.Probe()
+	for r := 0; r < downAfter; r++ {
+		read(fmt.Sprintf("read %d of an unlistened owner", r))
 	}
 	if !c.Down(0) {
-		t.Fatalf("node not down after %d failed probe rounds", downAfter)
+		t.Fatalf("node not down after %d failed reads", downAfter)
 	}
 	if err := n.Listen(addr); err != nil {
 		t.Fatal(err)
 	}
-
-	named := fmt.Sprintf("node 0 (%s)", addr)
-	offs := oneKeyBags(len(keys))
-	out := make([]float32, len(keys)*c.dim)
-	for r := 0; r < 2*halfOpenEvery; r++ {
-		err := c.PullBags(false, offs, keys, out)
-		if err == nil || !strings.Contains(err.Error(), named) || !errors.Is(err, rpc.ErrUnavailable) {
-			t.Fatalf("read %d of a probed-down owner: %v, want an rpc.ErrUnavailable naming %s without asking it", r, err, named)
-		}
+	for r := 0; r < halfOpenEvery-1; r++ {
+		read(fmt.Sprintf("skipped read %d of a down owner", r))
 	}
-	c.Probe()
+	if !c.Down(0) {
+		t.Fatal("a skipped read brought the owner up")
+	}
+	readExact(t, "the half-open read", c, keys, w)
 	if c.Down(0) {
-		t.Fatal("an answered probe left the owner down")
+		t.Fatal("an answered half-open read left the owner down")
 	}
-	readExact(t, "after the answered probe", c, keys, w)
+	readExact(t, "after the half-open read", c, keys, w)
 }
 
 // TestBreakerPerNode (named for the per-connection breakers the health
@@ -393,14 +360,14 @@ func TestBreakerPerNode(t *testing.T) {
 }
 
 // TestServingGrayFailureSoak walks what serving does under a gray failure.
-// Node 1 is silently partitioned from the serving client — data link and
-// probe link alike, every write lost as an instant timeout — for an
-// occurrence window of each link's write stream, which then closes. While
-// the partition holds, reads of node 1's keys fail attributed to it; once
-// it is down they stop reaching the wire, and after a probe round not even
-// a half-open read does. The other nodes' keys answer bit-exact throughout.
-// When the windows have closed, one probe round brings node 1 up and its
-// keys answer bit-exact again.
+// Node 1 is silently partitioned from the serving client — every write
+// lost as an instant timeout — for an occurrence window of the link's
+// write stream, which then closes. While the partition holds, reads of
+// node 1's keys fail attributed to it; once it is down they stop reaching
+// the wire, except every halfOpenEvery-th, the half-open read, which fails
+// too while the partition holds and leaves node 1 down. The other nodes'
+// keys answer bit-exact throughout. When the window has closed, the next
+// half-open read reaches node 1, answers bit-exact and brings it up.
 func TestServingGrayFailureSoak(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 3; i++ {
@@ -415,16 +382,13 @@ func TestServingGrayFailureSoak(t *testing.T) {
 	keys := testKeys(36)
 	trainStep(t, trainer, 0, keys, 1)
 
-	// Each window ends at the first write its link makes after the
-	// partition has done its work: on the data link, the dial's hello plus
-	// one hello per attempt of the downAfter failed reads; on the probe
-	// link, the first round's dial and its ping.
+	// The window ends at the first write the link makes after the
+	// partition has done its work: the dial's hello, then one hello per
+	// attempt of the downAfter failed reads and of the first half-open read.
 	const attempts = 2
 	inj := faultinject.New(7,
 		faultinject.Rule{Point: faultinject.PointConnWrite, Label: "node1", Kind: faultinject.KindPartition, Prob: 1,
-			Until: 1 + downAfter*attempts + 1},
-		faultinject.Rule{Point: faultinject.PointConnWrite, Label: "node1/probe", Kind: faultinject.KindPartition, Prob: 1,
-			Until: 2 + 1},
+			Until: 1 + (downAfter+1)*attempts + 1},
 	)
 	reg := obs.NewRegistry()
 	c, err := DialOpts(4, addrs, Options{
@@ -445,58 +409,63 @@ func TestServingGrayFailureSoak(t *testing.T) {
 	deadKeys, liveKeys := splitByOwner(c, keys, 1)
 	deadRows, liveRows := rowsOf(t, "trainer", trainer, deadKeys), rowsOf(t, "trainer", trainer, liveKeys)
 	named := fmt.Sprintf("node 1 (%s)", addrs[1])
-	// A data-link write into the partition times out; probe connections
-	// report no metrics. So this counts the reads' wire attempts on node 1.
+	// A write into the partition times out, so this counts the reads' wire
+	// attempts on node 1.
 	wire := func() int64 { return reg.Snapshot().Counters["rpc_client_timeouts"] }
 	readDead := func() error {
 		return c.PullBags(false, oneKeyBags(len(deadKeys)), deadKeys, make([]float32, len(deadKeys)*c.dim))
 	}
+	partitioned := func(label string) {
+		t.Helper()
+		before := wire()
+		if err := readDead(); !errors.Is(err, rpc.ErrTimeout) || !strings.Contains(err.Error(), named) {
+			t.Fatalf("%s: %v, want a timeout naming %s", label, err, named)
+		}
+		if got := wire() - before; got != attempts {
+			t.Fatalf("%s made %d wire attempts, want %d", label, got, attempts)
+		}
+		readExact(t, label+", the other nodes' keys", c, liveKeys, liveRows)
+	}
 	skipped := func(label string) {
 		t.Helper()
+		before := wire()
 		if err := readDead(); !errors.Is(err, rpc.ErrUnavailable) || !strings.Contains(err.Error(), named) {
 			t.Fatalf("%s: %v, want an rpc.ErrUnavailable naming %s", label, err, named)
 		}
+		if got := wire() - before; got != 0 {
+			t.Fatalf("%s of a down owner reached the wire %d times", label, got)
+		}
 		readExact(t, label+", the other nodes' keys", c, liveKeys, liveRows)
+	}
+	onlyNode1Down := func(label string) {
+		t.Helper()
+		if !c.Down(1) || c.Down(0) || c.Down(2) {
+			t.Fatalf("%s: down = (%v, %v, %v), want only node 1", label, c.Down(0), c.Down(1), c.Down(2))
+		}
 	}
 
 	// Partitioned and up: every read of node 1's keys reaches the wire,
 	// times out on every attempt and fails attributed to node 1.
 	for r := 0; r < downAfter; r++ {
-		before := wire()
-		if err := readDead(); !errors.Is(err, rpc.ErrTimeout) || !strings.Contains(err.Error(), named) {
-			t.Fatalf("partitioned read %d: %v, want a timeout naming %s", r, err, named)
-		}
-		if got := wire() - before; got != attempts {
-			t.Fatalf("partitioned read %d made %d wire attempts, want %d", r, got, attempts)
-		}
-		readExact(t, fmt.Sprintf("partitioned read %d, the other nodes' keys", r), c, liveKeys, liveRows)
+		partitioned(fmt.Sprintf("partitioned read %d", r))
 	}
-	if !c.Down(1) {
-		t.Fatalf("partitioned owner not down after %d failed reads", downAfter)
-	}
+	onlyNode1Down(fmt.Sprintf("after %d failed reads", downAfter))
 
-	// Down: its reads stop reaching the wire. Short of the half-open read,
-	// a probe round runs; node 1's probe is lost too, and from then on only
-	// probes may bring it back, so no half-open read reaches it either.
-	before := wire()
+	// Down and still partitioned: its reads stop reaching the wire, and
+	// the half-open read that does fails and leaves it down.
 	for r := 0; r < halfOpenEvery-1; r++ {
 		skipped(fmt.Sprintf("down, read %d", r))
 	}
-	c.Probe()
-	if !c.Down(1) || c.Down(0) || c.Down(2) {
-		t.Fatalf("after a probe round: down = (%v, %v, %v), want only node 1", c.Down(0), c.Down(1), c.Down(2))
-	}
-	for r := 0; r < 2*halfOpenEvery; r++ {
-		skipped(fmt.Sprintf("down and probed, read %d", r))
-	}
-	if got := wire(); got != before {
-		t.Fatalf("%d reads of a down owner reached the wire", got-before)
-	}
+	partitioned("the first half-open read")
+	onlyNode1Down("after a failed half-open read")
 
-	// Both windows have closed: one probe round brings node 1 up.
-	c.Probe()
+	// The window has closed: the next half-open read brings node 1 up.
+	for r := 0; r < halfOpenEvery-1; r++ {
+		skipped(fmt.Sprintf("down, healed, read %d", r))
+	}
+	readExact(t, "the second half-open read, node 1's keys", c, deadKeys, deadRows)
 	if c.Down(1) {
-		t.Fatal("node 1 still down after the partition healed and a probe round ran")
+		t.Fatal("node 1 still down after an answered half-open read")
 	}
 	readExact(t, "healed, node 1's keys", c, deadKeys, deadRows)
 	readExact(t, "healed, the other nodes' keys", c, liveKeys, liveRows)
@@ -510,9 +479,7 @@ func TestServingGrayFailureSoak(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterClose is the post-soak leak gate: a client that
-// nobody probes holds no probe connections, and one with the prober
-// running, its probe connections and nodes, must unwind completely on
-// Close.
+// has trained and served, and its nodes, must unwind completely on Close.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -531,21 +498,6 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	trainStep(t, c, 0, keys, 1)
 	if err := c.PullBags(false, []uint32{0, uint32(len(keys))}, keys, make([]float32, c.dim)); err != nil {
 		t.Fatal(err)
-	}
-	probes := func() int {
-		c.healthMu.Lock()
-		defer c.healthMu.Unlock()
-		return len(c.probes)
-	}
-	if got := probes(); got != 0 {
-		t.Fatalf("an unprobed client holds %d probe connections, want 0", got)
-	}
-	c.StartProber(2 * time.Millisecond)
-	for deadline := time.Now().Add(5 * time.Second); probes() != len(addrs); {
-		if time.Now().After(deadline) {
-			t.Fatal("the prober never dialed its probe connections")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

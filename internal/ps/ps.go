@@ -41,6 +41,12 @@ type NodeConfig struct {
 	// RetainCheckpoints to 2, not the bare engine's 1: the rollback it
 	// serves may target the checkpoint before the latest (DESIGN.md §10),
 	// so that one has to exist. An explicit 1 is honoured.
+	//
+	// Store.Obs and Store.Spans are the node's one home for observability:
+	// the registry reaches the engine (engine_* metrics), the RPC server
+	// (rpc_server_* metrics) and the serve handler (serve_* metrics), and
+	// ObsHandler serves it and dumps the span ring over HTTP. Nil disables
+	// them.
 	Store psengine.Config
 	// PMemImage, when non-empty, is the file the PMem device image is
 	// loaded from (if present) and saved to on Close.
@@ -64,19 +70,11 @@ type NodeConfig struct {
 	// address). Only meaningful for PMem-backed engines; the model is armed
 	// after the arena is formatted and stays armed across Crash/Restart.
 	MediaLabel string
-	// Obs enables node observability: the registry is handed to the engine
-	// (engine_* metrics) and the RPC server (rpc_server_* metrics), and
-	// ObsHandler serves it over HTTP. Nil disables all of it.
-	Obs *obs.Registry
-	// Spans is the node's span ring, handed to the engine; ObsHandler dumps
-	// it as Chrome trace JSON. Nil disables tracing.
-	Spans *obs.Tracer
 	// Serve enables the online inference tier on a pmem-oe node: the RPC
 	// server answers MsgPullBag through a serve.Handler over the engine's
 	// lock-free snapshot path (DESIGN.md §14). The handler lives as long as
 	// the node: Crash/Restart/rollback swap the engine under it, so its
-	// admission watermark (ServeHandler().SetMaxInflight) and its counters
-	// carry over.
+	// counters carry over.
 	Serve bool
 }
 
@@ -145,8 +143,6 @@ func Open(cfg NodeConfig) (*Node, error) {
 		cfg.Store.RetainCheckpoints = 2
 	}
 	store := cfg.Store.WithDefaults()
-	store.Obs = cfg.Obs
-	store.Spans = cfg.Spans
 	cfg.Store = store
 	n := &Node{cfg: cfg, RecoveredBatch: -1}
 
@@ -228,7 +224,7 @@ func (n *Node) listenLocked(addr string) error {
 		Epoch:  n.epoch,
 		Inject: n.cfg.Inject,
 		Label:  n.cfg.Label,
-		Obs:    n.cfg.Obs,
+		Obs:    n.cfg.Store.Obs,
 	}
 	if n.baseline == nil {
 		opts.Control = n
@@ -314,7 +310,7 @@ func (n *Node) adoptEngine(eng *core.Engine) {
 	n.lastRecover = eng.RecoverInfo()
 	if n.cfg.Serve {
 		if n.serve == nil {
-			n.serve = serve.New(eng, n.cfg.Obs)
+			n.serve = serve.New(eng, n.cfg.Store.Obs)
 		} else {
 			n.serve.SetEngine(eng)
 		}
@@ -394,7 +390,7 @@ func (n *Node) LastRecoverInfo() core.RecoverInfo {
 // ObsHandler returns the node's observability HTTP handler (/metrics,
 // /metrics.json, /debug/obs). With no registry or tracer configured it still
 // serves well-formed empty documents.
-func (n *Node) ObsHandler() http.Handler { return obs.Handler(n.cfg.Obs, n.cfg.Spans) }
+func (n *Node) ObsHandler() http.Handler { return obs.Handler(n.cfg.Store.Obs, n.cfg.Store.Spans) }
 
 // Addr returns the node's bound address (stable across Crash/Restart).
 func (n *Node) Addr() string {

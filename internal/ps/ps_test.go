@@ -1,9 +1,12 @@
 package ps
 
 import (
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"openembedding/internal/obs"
 	"openembedding/internal/optim"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
@@ -118,6 +121,52 @@ func TestNodeRestartRecovers(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("recovered[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestNodeStoreObsReachesEngine: Store.Obs and Store.Spans are the node's
+// one home for observability. A registry set there reaches the engine, the
+// RPC server and the serve handler, and ObsHandler serves it and the span
+// ring.
+func TestNodeStoreObsReachesEngine(t *testing.T) {
+	reg, spans := obs.NewRegistry(), obs.NewTracer(16)
+	cfg := serveNodeConfig()
+	cfg.Store.Obs, cfg.Store.Spans = reg, spans
+	n, err := StartNode("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	cl, err := rpc.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	keys := []uint64{1, 2, 3}
+	driveBatch(t, cl, 0, keys, make([]float32, len(keys)*4))
+	if _, err := cl.PullBags(false, []uint32{0, 3}, keys); err != nil {
+		t.Fatal(err)
+	}
+
+	s := reg.Snapshot()
+	// The engine times a sample of its pulls, so its series is looked for,
+	// not counted.
+	if _, ok := s.Histograms["engine_pull_ns"]; !ok {
+		t.Error("no engine_pull_ns: the engine did not get Store.Obs")
+	}
+	if got := s.Counters["rpc_server_requests"]; got == 0 {
+		t.Error("rpc_server_requests = 0: the RPC server did not get Store.Obs")
+	}
+	if got := s.Counters["serve_requests"]; got != 1 {
+		t.Errorf("serve_requests = %d, want 1: the serve handler did not get Store.Obs", got)
+	}
+	spans.Start("test.span", "test", 0, 0).End()
+	for path, want := range map[string]string{"/metrics": "engine_pull_ns", "/debug/obs": "test.span"} {
+		rec := httptest.NewRecorder()
+		n.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("ObsHandler %s does not show %s", path, want)
 		}
 	}
 }

@@ -2,15 +2,12 @@ package ps
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"openembedding/internal/optim"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
-	"openembedding/internal/serve"
 	"openembedding/internal/simclock"
 )
 
@@ -184,48 +181,15 @@ func TestNodeServeSurvivesCrashRestart(t *testing.T) {
 	}
 }
 
-// shedsUnderLoad hammers h with concurrent long gathers until one of them
-// is shed at the admission watermark, or gives up after a few seconds.
-func shedsUnderLoad(t *testing.T, h *serve.Handler, key uint64) bool {
-	t.Helper()
-	keys := make([]uint64, 1<<13)
-	for i := range keys {
-		keys[i] = key
-	}
-	offsets := []uint32{0, uint32(len(keys))}
-	var shed atomic.Bool
-	deadline := time.Now().Add(5 * time.Second)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float32, h.Dim())
-			for !shed.Load() && time.Now().Before(deadline) {
-				if err := h.PullBags(false, offsets, keys, out); serve.IsShed(err) {
-					shed.Store(true)
-				} else if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return shed.Load()
-}
-
-// TestNodeServeStateSurvivesEngineSwaps: what is set on the node's handler
-// is set on the node. An admission watermark armed before a crash still
-// sheds after the restart and after a rollback, with nothing re-armed in
-// between, and the same handler answers bag reads throughout.
+// TestNodeServeStateSurvivesEngineSwaps: the node's handler is the node's.
+// The same handler answers bag reads before a crash, after the restart and
+// after a rollback.
 func TestNodeServeStateSurvivesEngineSwaps(t *testing.T) {
 	n, cl := startServeNode(t)
 	driveConst(t, cl, 0, []uint64{1, 2, 3}, 1.0)
 	commitOverWire(t, cl, 0)
 
 	h := n.ServeHandler()
-	h.SetMaxInflight(1)
 	check := func(stage string) {
 		t.Helper()
 		if n.ServeHandler() != h {
@@ -233,9 +197,6 @@ func TestNodeServeStateSurvivesEngineSwaps(t *testing.T) {
 		}
 		if _, err := cl.PullBags(false, []uint32{0, 3}, []uint64{1, 2, 3}); err != nil {
 			t.Fatalf("%s: bag read: %v", stage, err)
-		}
-		if !shedsUnderLoad(t, h, 1) {
-			t.Fatalf("%s: watermark 1 never shed under concurrent load", stage)
 		}
 	}
 	check("before any swap")

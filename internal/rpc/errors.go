@@ -80,29 +80,6 @@ func (e *RemoteCorruptError) Is(target error) bool { return target == ErrRemoteC
 // ErrClientClosed is returned by operations on a Client after Close.
 var ErrClientClosed = errors.New("rpc: client closed")
 
-// ErrBusy matches (via errors.Is) requests the server shed under overload
-// (serving-tier admission control). Never retried transparently:
-// re-offering shed load is a retry storm against the one node that said it
-// has no capacity. The shed surfaces to the caller.
-var ErrBusy = errors.New("rpc: server busy")
-
-// BusyError is the typed error for a MsgErrBusy response.
-type BusyError struct {
-	Addr string // server address (empty when decoded without context)
-	Msg  string // the remote shed reason
-}
-
-// Error implements error.
-func (e *BusyError) Error() string {
-	if e.Addr == "" {
-		return fmt.Sprintf("rpc: busy: %s", e.Msg)
-	}
-	return fmt.Sprintf("rpc: busy at %s: %s", e.Addr, e.Msg)
-}
-
-// Is reports true for ErrBusy targets.
-func (e *BusyError) Is(target error) bool { return target == ErrBusy }
-
 // IsRecoverable reports whether err is a failure the cluster recovery
 // protocol can heal: a transport failure or timeout (the node may have
 // crashed — redial and replay) or an epoch fence (the node recovered —

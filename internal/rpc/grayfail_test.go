@@ -9,41 +9,42 @@ import (
 	"openembedding/internal/obs"
 )
 
-// Gray-failure hardening tests (DESIGN.md §16): a shed (busy) answer or a
+// Gray-failure hardening tests (DESIGN.md §16): a corruption answer or a
 // remote error ends its request on the attempt that got it. Whether a node
 // is worth asking at all is the cluster client's health table
 // (internal/cluster).
 
-// shedBags is a BagServer stub that sheds every sum read, fails every mean
-// read with a plain remote error, and counts the requests that reach it.
-type shedBags struct {
+// failBags is a BagServer stub that fails every sum read with a corruption
+// error, every mean read with a plain remote error, and counts the requests
+// that reach it.
+type failBags struct {
 	dim   int
 	calls atomic.Int64
 }
 
-type shedErr struct{}
+type corruptErr struct{}
 
-func (shedErr) Error() string { return "stub: shed" }
-func (shedErr) Busy() bool    { return true }
+func (corruptErr) Error() string        { return "stub: corrupt" }
+func (corruptErr) IntegrityError() bool { return true }
 
-func (s *shedBags) Dim() int { return s.dim }
+func (s *failBags) Dim() int { return s.dim }
 
-func (s *shedBags) PullBags(mean bool, _ []uint32, _ []uint64, _ []float32) error {
+func (s *failBags) PullBags(mean bool, _ []uint32, _ []uint64, _ []float32) error {
 	s.calls.Add(1)
 	if mean {
 		return errors.New("stub: remote failure")
 	}
-	return shedErr{}
+	return corruptErr{}
 }
 
 // TestBreakerFastFailCostsNoBudget (named for the deleted breaker's
 // fast-fail and the deleted retry budget; skipping a down node before the
 // wire is the cluster health table's, checked by cluster's
-// TestDownOwnerFailsFast): an answer that fails fast — a shed (busy) read
+// TestDownOwnerFailsFast): an answer that fails fast — a corruption answer
 // or a remote error — ends the request on the attempt that got it, so it
 // is sent once however many attempts the retry policy allows.
 func TestBreakerFastFailCostsNoBudget(t *testing.T) {
-	bags := &shedBags{dim: 4}
+	bags := &failBags{dim: 4}
 	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Bags: bags})
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +61,11 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	defer c.Close()
 
 	_, err = c.PullBags(false, []uint32{0, 2}, []uint64{10, 20})
-	if !errors.Is(err, ErrBusy) || IsRetryable(err) {
-		t.Fatalf("shed read err = %v, want a non-retryable ErrBusy", err)
+	if !errors.Is(err, ErrRemoteCorrupt) || IsRetryable(err) {
+		t.Fatalf("corrupt read err = %v, want a non-retryable ErrRemoteCorrupt", err)
 	}
 	_, err = c.PullBags(true, []uint32{0, 1}, []uint64{404})
-	if err == nil || IsRetryable(err) || errors.Is(err, ErrBusy) {
+	if err == nil || IsRetryable(err) || errors.Is(err, ErrRemoteCorrupt) {
 		t.Fatalf("remote error = %v, want a non-retryable remote failure", err)
 	}
 	if got := bags.calls.Load(); got != 2 {
@@ -72,27 +73,6 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["rpc_client_retries"]; got != 0 {
 		t.Fatalf("rpc_client_retries = %d after fast-failed reads, want 0", got)
-	}
-}
-
-// TestBusyErrorMappedEndToEnd: a handler error that reports Busy() comes
-// back over the wire as MsgErrBusy and decodes to a *BusyError the retry
-// loop does not retry.
-func TestBusyErrorMappedEndToEnd(t *testing.T) {
-	resp := BusyErrBody(errors.New("shed: inflight watermark exceeded"))
-	_, err := DecodeResponse(resp)
-	if err == nil {
-		t.Fatal("busy body decoded as success")
-	}
-	var be *BusyError
-	if !errors.As(err, &be) {
-		t.Fatalf("decoded err = %T, want *BusyError", err)
-	}
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("err = %v, want Is(ErrBusy)", err)
-	}
-	if IsRecoverable(err) {
-		t.Fatal("busy is retryable; retrying a shedding node makes overload worse")
 	}
 }
 

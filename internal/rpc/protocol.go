@@ -97,11 +97,7 @@ const (
 	// ordinary application errors; NOT transparently retried — healing is
 	// the scrubber's and the recovery protocol's job.
 	MsgErrCorrupt byte = 0x85
-	// MsgErrBusy reports a request the node shed under overload (admission
-	// control at the serving tier). Distinct from MsgErr so callers can tell
-	// overload from an application bug; NOT transparently retried —
-	// hammering an overloaded node is a retry storm.
-	MsgErrBusy byte = 0x86
+	// 0x86 stays unused: response type numbers are never reused.
 )
 
 // msgSpec is everything the protocol knows about one request type.
@@ -521,9 +517,6 @@ func EpochErrBody(serverEpoch int64) []byte {
 // CorruptErrBody encodes a data-integrity error response.
 func CorruptErrBody(err error) []byte { return errBody(MsgErrCorrupt, err) }
 
-// BusyErrBody encodes an overload-shed response.
-func BusyErrBody(err error) []byte { return errBody(MsgErrBusy, err) }
-
 // HashInterval is a closed range [Lo, Hi] of ring positions (key hashes,
 // not keys); a wrapping arc is two intervals. The cluster's placement ring
 // produces them and the node's migration hooks turn them into key
@@ -626,7 +619,7 @@ func readMigEntries(r *Reader) ([]psengine.MigEntry, error) {
 
 // DecodeResponse inspects a response body: nil error for MsgOK/MsgData
 // (returning a reader over the rest, which aliases body), the remote error
-// for MsgErr, or a typed *EpochError / *RemoteCorruptError / *BusyError.
+// for MsgErr, or a typed *EpochError / *RemoteCorruptError.
 func DecodeResponse(body []byte) (Reader, error) {
 	return decodeResponse(body, "", -1)
 }
@@ -654,15 +647,13 @@ func remoteErr(t byte, r *Reader, addr string, clientEpoch int64) error {
 			return err
 		}
 		return &EpochError{Addr: addr, ClientEpoch: clientEpoch, ServerEpoch: se}
-	case MsgErr, MsgErrCorrupt, MsgErrBusy:
+	case MsgErr, MsgErrCorrupt:
 		msg, err := r.String()
 		switch {
 		case err != nil:
 			return err
 		case t == MsgErrCorrupt:
 			return &RemoteCorruptError{Addr: addr, Msg: msg}
-		case t == MsgErrBusy:
-			return &BusyError{Addr: addr, Msg: msg}
 		}
 		return fmt.Errorf("rpc: remote: %s", msg)
 	default:

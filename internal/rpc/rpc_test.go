@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -94,8 +95,11 @@ func TestDecodeResponseError(t *testing.T) {
 	if _, err := DecodeResponse(OKBody()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeResponse([]byte{0x55}); err == nil {
-		t.Fatal("unknown type accepted")
+	for _, typ := range []byte{0x55, 0x86} { // 0x86 is unused
+		_, err := DecodeResponse([]byte{typ, 0, 0, 0, 0})
+		if err == nil || !strings.Contains(err.Error(), "unexpected response type") {
+			t.Fatalf("type 0x%02x: err = %v, want an unexpected response type", typ, err)
+		}
 	}
 }
 

@@ -665,17 +665,11 @@ func (s *Server) Close() error {
 // errResp encodes an engine failure, distinguishing typed data-integrity
 // errors (anything whose chain exposes IntegrityError() bool — the pmem
 // package's corrupt/poisoned errors, without importing it here) so clients
-// see MsgErrCorrupt instead of a generic MsgErr, and overload sheds
-// (anything exposing Busy() bool — the serve package's admission-control
-// error) so clients see MsgErrBusy and do not retry.
+// see MsgErrCorrupt instead of a generic MsgErr.
 func errResp(err error) []byte {
 	var ie interface{ IntegrityError() bool }
 	if errors.As(err, &ie) && ie.IntegrityError() {
 		return CorruptErrBody(err)
-	}
-	var be interface{ Busy() bool }
-	if errors.As(err, &be) && be.Busy() {
-		return BusyErrBody(err)
 	}
 	return ErrBody(err)
 }

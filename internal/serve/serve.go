@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ import (
 // Handler serves pooled embedding-bag reads from a node's engine. It lives
 // as long as the node: the engine sits behind an atomic pointer (SetEngine)
 // so a crash/restart or rollback swaps the engine under the same handler,
-// and the admission watermark and the counters carry over. Safe for
+// and the counters carry over. It answers every request it gets. Safe for
 // concurrent use by any number of connections.
 type Handler struct {
 	eng atomic.Pointer[core.Engine]
@@ -46,15 +45,6 @@ type Handler struct {
 	// the one in flight.
 	refreshing atomic.Bool
 
-	// Admission control (DESIGN.md §16): when maxInflight is positive, a
-	// request arriving while inflight is already at the watermark is shed
-	// with errShed — a busy-flavored error the RPC server maps to
-	// MsgErrBusy, so overload degrades into fast, explicit rejections,
-	// never into queue collapse. Zero (the default) disables admission
-	// entirely: the steady-state request pays one atomic load.
-	inflight    atomic.Int64
-	maxInflight atomic.Int64
-
 	// metrics (all nil, and free, when the registry is nil):
 	//
 	//	serve_bag_ns        request latency histogram (sampled 1-in-8)
@@ -65,7 +55,6 @@ type Handler struct {
 	//	serve_pmem_fallback keys served by a verified PMem read
 	//	serve_init_served   unknown keys served from the initializer
 	//	serve_refreshes     hot-set refresh passes completed
-	//	serve_shed          requests rejected at the inflight watermark
 	reg          *obs.Registry
 	bagNS        *obs.Histogram
 	requests     *obs.Counter
@@ -75,26 +64,6 @@ type Handler struct {
 	pmemFallback *obs.Counter
 	initServed   *obs.Counter
 	refreshes    *obs.Counter
-	shed         *obs.Counter
-}
-
-// overloadError is the admission-control rejection. Its Busy method marks
-// it for the RPC server's MsgErrBusy mapping, so a remote caller sees
-// rpc.ErrBusy — an alive-but-overloaded signal, distinct from a transport
-// failure — and does not retry the overloaded node.
-type overloadError struct{}
-
-func (overloadError) Error() string { return "serve: inflight watermark exceeded, request shed" }
-func (overloadError) Busy() bool    { return true }
-
-// errShed is preallocated so the shed path does not allocate under the
-// very load it exists to survive.
-var errShed error = overloadError{}
-
-// IsShed reports whether err is an admission-control rejection.
-func IsShed(err error) bool {
-	var o overloadError
-	return errors.As(err, &o)
 }
 
 // bagScratch is one request's reusable state. It goes back to the pool
@@ -127,7 +96,6 @@ func New(eng *core.Engine, reg *obs.Registry) *Handler {
 		h.pmemFallback = reg.Counter("serve_pmem_fallback")
 		h.initServed = reg.Counter("serve_init_served")
 		h.refreshes = reg.Counter("serve_refreshes")
-		h.shed = reg.Counter("serve_shed")
 	}
 	h.SetEngine(eng)
 	return h
@@ -140,20 +108,6 @@ func (h *Handler) SetEngine(eng *core.Engine) {
 	eng.EnableServeSnapshots()
 	h.eng.Store(eng)
 }
-
-// SetMaxInflight sets the admission watermark: requests arriving while n
-// are already in flight are shed with a busy error instead of queueing.
-// n <= 0 disables admission control (the default).
-func (h *Handler) SetMaxInflight(n int) {
-	if n < 0 {
-		n = 0
-	}
-	h.maxInflight.Store(int64(n))
-}
-
-// Inflight returns the number of bag requests currently executing (tests
-// and oectl; always 0 with admission control disabled).
-func (h *Handler) Inflight() int64 { return h.inflight.Load() }
 
 // Dim implements rpc.BagServer.
 func (h *Handler) Dim() int { return h.dim }
@@ -185,17 +139,6 @@ func (h *Handler) release(sc *bagScratch) {
 //
 // oevet:hotpath
 func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
-	// Admission control: shed beyond the watermark instead of queueing.
-	// Disabled (the default) this is one atomic load; the shed path itself
-	// allocates nothing (errShed is preallocated).
-	if max := h.maxInflight.Load(); max > 0 {
-		if h.inflight.Add(1) > max {
-			h.inflight.Add(-1)
-			h.shed.Add(1)
-			return errShed
-		}
-		defer h.inflight.Add(-1)
-	}
 	dim := h.dim
 	sc := h.scratchPool.Get().(*bagScratch)
 	var start time.Duration

@@ -536,11 +536,10 @@ func corruptRecords(t *testing.T, e *core.Engine) {
 }
 
 // TestPullBagsReleasesPins: a gather's pins are gone when it returns, however
-// it returns — answered, failed by the engine, or shed before it pinned
-// anything — and a gather that SetEngine overtakes mid-flight finishes on
-// the engine it pinned and releases that engine's pins, not the new one's.
-// A leaked pin would make every later
-// republish of that slab a clone.
+// it returns — answered or failed by the engine — and a gather that
+// SetEngine overtakes mid-flight finishes on the engine it pinned and
+// releases that engine's pins, not the new one's. A leaked pin would make
+// every later republish of that slab a clone.
 func TestPullBagsReleasesPins(t *testing.T) {
 	const (
 		dim     = 8
@@ -592,10 +591,8 @@ func TestPullBagsReleasesPins(t *testing.T) {
 	}
 	pins("after an answered gather", e, 0)
 
-	// A gather parked mid-flight holds one pin a shard; beside it the
-	// watermark sheds a second request, which pins nothing; and the engine is
+	// A gather parked mid-flight holds one pin a shard, and the engine is
 	// swapped under it.
-	h.SetMaxInflight(1)
 	armed.Store(true)
 	parked := make(chan error, 1)
 	parkedOut := make([]float32, 2*dim)
@@ -603,11 +600,6 @@ func TestPullBagsReleasesPins(t *testing.T) {
 	<-entered
 	armed.Store(false)
 	pins("with a gather parked", e, shards)
-	if err := h.PullBags(false, offsets, keys, out); !IsShed(err) {
-		t.Fatalf("second request at watermark 1: %v, want a shed", err)
-	}
-	pins("after a shed beside the parked gather", e, shards)
-	h.SetMaxInflight(0)
 
 	e2 := newTestEngineCfg(t, cfg)
 	train(t, e2, 0, keys[:32], 0.25)

@@ -124,11 +124,11 @@ func runChaosCluster(t *testing.T, seed uint64, chaos bool) chaosResult {
 				Meter:             simclock.NewMeter(),
 				Shards:            1, // single shard: deterministic checkpoint progress
 				RetainCheckpoints: 2,
+				Obs:               reg,
 			},
 			Inject:     inj,
 			Label:      fmt.Sprintf("srv%d", i),
 			MediaLabel: fmt.Sprintf("m%d", i),
-			Obs:        reg,
 		})
 		if err != nil {
 			t.Fatal(err)

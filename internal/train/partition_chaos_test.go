@@ -77,11 +77,11 @@ func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
 				Meter:             simclock.NewMeter(),
 				Shards:            1,
 				RetainCheckpoints: 2,
+				Obs:               reg,
 			},
 			Inject:     inj,
 			Label:      fmt.Sprintf("srv%d", i),
 			MediaLabel: fmt.Sprintf("m%d", i),
-			Obs:        reg,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -74,11 +74,11 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (res chaosResult, duri
 				// Faults land in the stored records (no write-site healing):
 				// scrubbing, not flush verification, is under test.
 				FlushVerifyDisabled: true,
+				Obs:                 reg,
 			},
 			Inject:     inj,
 			Label:      fmt.Sprintf("srv%d", i),
 			MediaLabel: fmt.Sprintf("m%d", i),
-			Obs:        reg,
 		})
 		if err != nil {
 			t.Fatal(err)
