@@ -43,29 +43,58 @@ func (c DeepFMConfig) withDefaults() DeepFMConfig {
 	return c
 }
 
+// Check reports a configuration NewDeepFM cannot build: a non-positive
+// field count, embedding dimension or hidden width, or a negative dense
+// feature count.
+func (c DeepFMConfig) Check() error {
+	if c.Fields <= 0 || c.Dim <= 0 {
+		return fmt.Errorf("model: Fields (%d) and Dim (%d) must be positive", c.Fields, c.Dim)
+	}
+	if c.Dense < 0 {
+		return fmt.Errorf("model: Dense (%d) must not be negative", c.Dense)
+	}
+	for _, h := range c.Hidden {
+		if h <= 0 {
+			return fmt.Errorf("model: hidden widths %v must be positive", c.Hidden)
+		}
+	}
+	return nil
+}
+
 // layer is one fully connected layer.
 type layer struct {
 	in, out int
 	w       []float32 // out x in, row-major
 	b       []float32
+	gW, gB  []float32 // the batch's accumulated gradient of w and b
+	act     []float32 // one example's output: post-ReLU on hidden layers, linear on the last
 }
 
-// DeepFM is the dense model. It is not safe for concurrent use; in
-// data-parallel training each worker owns a replica and gradients are
-// averaged (the Horovod allreduce of the paper's setup, which
-// internal/train performs).
+// DeepFM is the dense model. It is not safe for concurrent use — not even
+// Predict and Loss, which share the training scratch; in data-parallel
+// training each worker owns a replica and gradients are averaged (the
+// Horovod allreduce of the paper's setup, which internal/train performs).
 type DeepFM struct {
-	cfg    DeepFMConfig
-	layers []layer // MLP over [embeddings ++ dense], final layer scalar
-	wDense []float32
-	bias   float32
+	cfg     DeepFMConfig
+	layers  []layer // MLP over [embeddings ++ dense], final layer scalar
+	wDense  []float32
+	bias    float32
+	nParams int
+
+	// One example's scratch, reused by every call (DESIGN.md §19).
+	input        []float32 // embeddings ++ dense: the first layer's input
+	fmSum        []float32 // sum of the field embedding vectors
+	delta, spare []float32 // backprop: the gradient at a layer's output, and the buffer for its input's
+	active       []int32   // backprop: the rows of a layer whose delta is not zero
+	gDense       []float32 // the batch's accumulated gradient of wDense
 }
 
-// NewDeepFM builds a model with Xavier-initialized dense parameters.
+// NewDeepFM builds a model with Xavier-initialized dense parameters. It
+// panics on a configuration Check rejects.
 func NewDeepFM(cfg DeepFMConfig) *DeepFM {
 	cfg = cfg.withDefaults()
-	if cfg.Fields <= 0 || cfg.Dim <= 0 {
-		panic("model: Fields and Dim must be positive")
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &DeepFM{cfg: cfg, wDense: make([]float32, cfg.Dense)}
@@ -73,6 +102,8 @@ func NewDeepFM(cfg DeepFMConfig) *DeepFM {
 		m.wDense[i] = float32(rng.NormFloat64()) * 0.1
 	}
 	in := cfg.Fields*cfg.Dim + cfg.Dense
+	m.input = make([]float32, in)
+	widest := in
 	widths := append(append([]int{}, cfg.Hidden...), 1)
 	for _, out := range widths {
 		l := layer{in: in, out: out, w: make([]float32, in*out), b: make([]float32, out)}
@@ -80,9 +111,17 @@ func NewDeepFM(cfg DeepFMConfig) *DeepFM {
 		for i := range l.w {
 			l.w[i] = (rng.Float32()*2 - 1) * bound
 		}
+		l.gW, l.gB, l.act = make([]float32, len(l.w)), make([]float32, out), make([]float32, out)
+		m.nParams += len(l.w) + len(l.b)
+		widest = max(widest, out)
 		m.layers = append(m.layers, l)
 		in = out
 	}
+	m.nParams += len(m.wDense) + 1
+	m.fmSum = make([]float32, cfg.Dim)
+	m.delta, m.spare = make([]float32, widest), make([]float32, widest)
+	m.active = make([]int32, 0, widest)
+	m.gDense = make([]float32, cfg.Dense)
 	return m
 }
 
@@ -93,108 +132,190 @@ func (m *DeepFM) Config() DeepFMConfig { return m.cfg }
 // (Fields * Dim).
 func (m *DeepFM) InputFloats() int { return m.cfg.Fields * m.cfg.Dim }
 
-// forwardOne runs one example, returning the logit and the activations
-// needed for backprop.
-type forwardState struct {
-	input []float32   // embeddings ++ dense
-	acts  [][]float32 // post-ReLU activations per layer (last = linear out)
-	fmSum []float32   // sum of field embedding vectors
-	fm    float32     // second-order FM term
-}
-
-func (m *DeepFM) forwardOne(emb, dense []float32) forwardState {
-	cfg := m.cfg
-	st := forwardState{}
+// forward runs one example and returns its logit. It leaves what the
+// backward pass reads in the scratch: the input, the field sum and every
+// layer's activations. The one forward kernel: Step, Predict and Loss all
+// run it.
+func (m *DeepFM) forward(emb, dense []float32) float32 {
+	dim := m.cfg.Dim
 
 	// FM second order: 0.5 * (||sum_f v_f||^2 - sum_f ||v_f||^2).
-	st.fmSum = make([]float32, cfg.Dim)
+	fmSum := m.fmSum
+	clear(fmSum)
 	var sumSq float32
-	for f := 0; f < cfg.Fields; f++ {
-		v := emb[f*cfg.Dim : (f+1)*cfg.Dim]
+	for f := 0; f < m.cfg.Fields; f++ {
+		v := emb[f*dim : (f+1)*dim]
 		for d, x := range v {
-			st.fmSum[d] += x
+			fmSum[d] += x
 			sumSq += x * x
 		}
 	}
 	var normSq float32
-	for _, x := range st.fmSum {
+	for _, x := range fmSum {
 		normSq += x * x
 	}
-	st.fm = 0.5 * (normSq - sumSq)
+	fm := 0.5 * (normSq - sumSq)
 
 	// MLP over [embeddings ++ dense].
-	st.input = make([]float32, len(emb)+len(dense))
-	copy(st.input, emb)
-	copy(st.input[len(emb):], dense)
-	a := st.input
-	for li, l := range m.layers {
-		out := make([]float32, l.out)
-		for o := 0; o < l.out; o++ {
-			s := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, x := range a {
-				s += row[i] * x
-			}
-			if li < len(m.layers)-1 && s < 0 {
-				s = 0 // ReLU on hidden layers
-			}
-			out[o] = s
-		}
-		st.acts = append(st.acts, out)
-		a = out
+	copy(m.input, emb)
+	copy(m.input[len(emb):], dense)
+	a := m.input
+	for li := range m.layers {
+		l := &m.layers[li]
+		l.forward(a, li < len(m.layers)-1)
+		a = l.act
 	}
-	return st
-}
 
-// logit combines the model terms for one forward state plus the dense
-// linear part.
-func (m *DeepFM) logit(st forwardState, dense []float32) float32 {
-	z := m.bias + st.fm + st.acts[len(st.acts)-1][0]
+	z := m.bias + fm + a[0]
 	for i, x := range dense {
 		z += m.wDense[i] * x
 	}
 	return z
 }
 
+// forward sets act[o] = relu?(b[o] + sum_i w[o][i]*a[i]). Each row's sum
+// runs in ascending i, as a plain dot product would, but four rows share
+// one pass over a: their sums are independent add chains the CPU overlaps,
+// where one row at a time waits on every add.
+func (l *layer) forward(a []float32, relu bool) {
+	n := len(a)
+	o := 0
+	for ; o+4 <= l.out; o += 4 {
+		r0 := l.w[o*n:][:n]
+		r1 := l.w[(o+1)*n:][:n]
+		r2 := l.w[(o+2)*n:][:n]
+		r3 := l.w[(o+3)*n:][:n]
+		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+		for i, x := range a {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+			s2 += r2[i] * x
+			s3 += r3[i] * x
+		}
+		act := l.act[o : o+4]
+		act[0], act[1], act[2], act[3] = s0, s1, s2, s3
+	}
+	for ; o < l.out; o++ {
+		r := l.w[o*n:][:n]
+		s := l.b[o]
+		for i, x := range a {
+			s += r[i] * x
+		}
+		l.act[o] = s
+	}
+	if relu {
+		for o, s := range l.act {
+			if s < 0 {
+				l.act[o] = 0
+			}
+		}
+	}
+}
+
+// backward accumulates one example's gradient of w and b from delta, the
+// gradient at the layer's output, and aPrev, its input; it writes the
+// gradient at the input into next. Rows whose delta is zero add nothing and
+// are skipped. next[i] sums its rows' terms in ascending row order, four
+// rows per pass over aPrev.
+func (l *layer) backward(next, delta, aPrev []float32, active []int32) {
+	active = active[:0]
+	for o, d := range delta {
+		if d != 0 {
+			active = append(active, int32(o)) //oevet:alloc-ok the scratch holds the widest layer's rows
+		}
+	}
+	n := len(aPrev)
+	clear(next)
+	next = next[:n]
+	k := 0
+	for ; k+4 <= len(active); k += 4 {
+		o0, o1, o2, o3 := int(active[k]), int(active[k+1]), int(active[k+2]), int(active[k+3])
+		d0, d1, d2, d3 := delta[o0], delta[o1], delta[o2], delta[o3]
+		r0, g0 := l.w[o0*n:][:n], l.gW[o0*n:][:n]
+		r1, g1 := l.w[o1*n:][:n], l.gW[o1*n:][:n]
+		r2, g2 := l.w[o2*n:][:n], l.gW[o2*n:][:n]
+		r3, g3 := l.w[o3*n:][:n], l.gW[o3*n:][:n]
+		for i, x := range aPrev {
+			g0[i] += d0 * x
+			g1[i] += d1 * x
+			g2[i] += d2 * x
+			g3[i] += d3 * x
+			s := next[i]
+			s += d0 * r0[i]
+			s += d1 * r1[i]
+			s += d2 * r2[i]
+			s += d3 * r3[i]
+			next[i] = s
+		}
+		l.gB[o0] += d0
+		l.gB[o1] += d1
+		l.gB[o2] += d2
+		l.gB[o3] += d3
+	}
+	for ; k < len(active); k++ {
+		o := int(active[k])
+		d := delta[o]
+		r, g := l.w[o*n:][:n], l.gW[o*n:][:n]
+		for i, x := range aPrev {
+			g[i] += d * x
+			next[i] += d * r[i]
+		}
+		l.gB[o] += d
+	}
+}
+
 func sigmoid(z float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(z))))
+}
+
+// checkBatch validates the buffers of n examples.
+func (m *DeepFM) checkBatch(emb, dense []float32, n int) error {
+	cfg := m.cfg
+	if len(emb) != n*cfg.Fields*cfg.Dim {
+		return fmt.Errorf("model: emb has %d floats, want %d", len(emb), n*cfg.Fields*cfg.Dim) //oevet:alloc-ok a malformed batch is a caller bug, not the steady state
+	}
+	if len(dense) != n*cfg.Dense {
+		return fmt.Errorf("model: dense has %d floats, want %d", len(dense), n*cfg.Dense) //oevet:alloc-ok a malformed batch is a caller bug, not the steady state
+	}
+	return nil
 }
 
 // Step trains on one mini-batch. emb holds the pulled embeddings, one
 // example after another (n * Fields * Dim floats); dense holds n * Dense
 // floats; labels holds n values in {0, 1}.
 //
-// It returns the mean log loss and the gradient of the loss with respect to
-// every embedding input (same layout as emb) for pushing back to the
-// parameter server. Dense parameters are updated in place with SGD.
-func (m *DeepFM) Step(emb, dense, labels []float32) (float64, []float32, error) {
+// It returns the mean log loss and writes the gradient of the loss with
+// respect to every embedding input into embGrad (same layout as emb, every
+// float overwritten), for pushing back to the parameter server. Dense
+// parameters are updated in place with SGD. A Step allocates nothing.
+//
+// oevet:hotpath
+func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 	cfg := m.cfg
 	n := len(labels)
-	if len(emb) != n*cfg.Fields*cfg.Dim {
-		return 0, nil, fmt.Errorf("model: emb has %d floats, want %d", len(emb), n*cfg.Fields*cfg.Dim)
+	if err := m.checkBatch(emb, dense, n); err != nil {
+		return 0, err
 	}
-	if len(dense) != n*cfg.Dense {
-		return 0, nil, fmt.Errorf("model: dense has %d floats, want %d", len(dense), n*cfg.Dense)
+	if len(embGrad) != len(emb) {
+		return 0, fmt.Errorf("model: embGrad has %d floats, want %d", len(embGrad), len(emb)) //oevet:alloc-ok a malformed batch is a caller bug, not the steady state
 	}
 
-	embGrad := make([]float32, len(emb))
+	clear(embGrad)
 	// Accumulated dense-parameter gradients (applied after the batch).
-	gW := make([][]float32, len(m.layers))
-	gB := make([][]float32, len(m.layers))
-	for li, l := range m.layers {
-		gW[li] = make([]float32, len(l.w))
-		gB[li] = make([]float32, len(l.b))
+	for li := range m.layers {
+		clear(m.layers[li].gW)
+		clear(m.layers[li].gB)
 	}
-	gDense := make([]float32, cfg.Dense)
+	gDense := m.gDense
+	clear(gDense)
 	var gBias float32
 	var totalLoss float64
 
+	in := cfg.Fields * cfg.Dim
 	for ex := 0; ex < n; ex++ {
-		embEx := emb[ex*cfg.Fields*cfg.Dim : (ex+1)*cfg.Fields*cfg.Dim]
+		embEx := emb[ex*in : (ex+1)*in]
 		denseEx := dense[ex*cfg.Dense : (ex+1)*cfg.Dense]
-		st := m.forwardOne(embEx, denseEx)
-		z := m.logit(st, denseEx)
-		p := sigmoid(z)
+		p := sigmoid(m.forward(embEx, denseEx))
 		y := labels[ex]
 		totalLoss += logLossOne(float64(p), float64(y))
 
@@ -206,39 +327,26 @@ func (m *DeepFM) Step(emb, dense, labels []float32) (float64, []float32, error) 
 		}
 
 		// FM second-order gradient: d fm / d v_f = fmSum - v_f.
-		gEmbEx := embGrad[ex*cfg.Fields*cfg.Dim : (ex+1)*cfg.Fields*cfg.Dim]
+		gEmbEx := embGrad[ex*in : (ex+1)*in]
 		for f := 0; f < cfg.Fields; f++ {
 			v := embEx[f*cfg.Dim : (f+1)*cfg.Dim]
 			g := gEmbEx[f*cfg.Dim : (f+1)*cfg.Dim]
 			for d := range v {
-				g[d] += dz * (st.fmSum[d] - v[d])
+				g[d] += dz * (m.fmSum[d] - v[d])
 			}
 		}
 
-		// MLP backprop.
-		delta := []float32{dz} // gradient at the (linear) output layer
+		// MLP backprop: delta is the gradient at the (linear) output layer.
+		delta, spare := m.delta[:1], m.spare
+		delta[0] = dz
 		for li := len(m.layers) - 1; li >= 0; li-- {
-			l := m.layers[li]
-			var aPrev []float32
-			if li == 0 {
-				aPrev = st.input
-			} else {
-				aPrev = st.acts[li-1]
+			l := &m.layers[li]
+			aPrev := m.input
+			if li > 0 {
+				aPrev = m.layers[li-1].act
 			}
-			next := make([]float32, l.in)
-			for o := 0; o < l.out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				row := l.w[o*l.in : (o+1)*l.in]
-				gRow := gW[li][o*l.in : (o+1)*l.in]
-				for i, x := range aPrev {
-					gRow[i] += d * x
-					next[i] += d * row[i]
-				}
-				gB[li][o] += d
-			}
+			next := spare[:l.in]
+			l.backward(next, delta, aPrev, m.active)
 			if li > 0 {
 				// ReLU gate of the previous layer.
 				for i, a := range aPrev {
@@ -247,11 +355,11 @@ func (m *DeepFM) Step(emb, dense, labels []float32) (float64, []float32, error) 
 					}
 				}
 			}
-			delta = next
+			delta, spare = next, delta[:cap(delta)]
 		}
 		// delta now holds dLoss/dInput; its embedding prefix adds to the
 		// embedding gradient.
-		for i := 0; i < cfg.Fields*cfg.Dim; i++ {
+		for i := range gEmbEx {
 			gEmbEx[i] += delta[i]
 		}
 	}
@@ -261,10 +369,10 @@ func (m *DeepFM) Step(emb, dense, labels []float32) (float64, []float32, error) 
 	for li := range m.layers {
 		l := &m.layers[li]
 		for i := range l.w {
-			l.w[i] -= lr * gW[li][i]
+			l.w[i] -= lr * l.gW[i]
 		}
 		for i := range l.b {
-			l.b[i] -= lr * gB[li][i]
+			l.b[i] -= lr * l.gB[i]
 		}
 	}
 	for i := range m.wDense {
@@ -272,22 +380,19 @@ func (m *DeepFM) Step(emb, dense, labels []float32) (float64, []float32, error) 
 	}
 	m.bias -= lr * gBias
 
-	return totalLoss / float64(n), embGrad, nil
+	return totalLoss / float64(n), nil
 }
 
 // Predict returns click probabilities for a batch without updating
 // parameters.
 func (m *DeepFM) Predict(emb, dense []float32, n int) ([]float32, error) {
-	cfg := m.cfg
-	if len(emb) != n*cfg.Fields*cfg.Dim || len(dense) != n*cfg.Dense {
-		return nil, fmt.Errorf("model: predict buffer sizes wrong")
+	if err := m.checkBatch(emb, dense, n); err != nil {
+		return nil, err
 	}
+	in, nd := m.cfg.Fields*m.cfg.Dim, m.cfg.Dense
 	out := make([]float32, n)
-	for ex := 0; ex < n; ex++ {
-		embEx := emb[ex*cfg.Fields*cfg.Dim : (ex+1)*cfg.Fields*cfg.Dim]
-		denseEx := dense[ex*cfg.Dense : (ex+1)*cfg.Dense]
-		st := m.forwardOne(embEx, denseEx)
-		out[ex] = sigmoid(m.logit(st, denseEx))
+	for ex := range out {
+		out[ex] = sigmoid(m.forward(emb[ex*in:(ex+1)*in], dense[ex*nd:(ex+1)*nd]))
 	}
 	return out, nil
 }
@@ -306,25 +411,29 @@ func (m *DeepFM) Loss(emb, dense, labels []float32) (float64, error) {
 	return total / float64(len(labels)), nil
 }
 
-// Params returns a flat copy of every dense parameter (used by the
-// allreduce in data-parallel training and by dense checkpointing).
+// Params returns a flat copy of every dense parameter (used by dense
+// checkpointing and the trainer's rollback snapshots).
 func (m *DeepFM) Params() []float32 {
-	var out []float32
+	return m.AppendParams(make([]float32, 0, m.nParams))
+}
+
+// AppendParams appends every dense parameter to dst in Params order and
+// returns the extended slice; a dst with room for them is not reallocated
+// (the trainer's allreduce reuses one).
+func (m *DeepFM) AppendParams(dst []float32) []float32 {
 	for _, l := range m.layers {
-		out = append(out, l.w...)
-		out = append(out, l.b...)
+		dst = append(dst, l.w...)
+		dst = append(dst, l.b...)
 	}
-	out = append(out, m.wDense...)
-	out = append(out, m.bias)
-	return out
+	dst = append(dst, m.wDense...)
+	return append(dst, m.bias)
 }
 
 // SetParams overwrites every dense parameter from a flat slice produced by
 // Params.
 func (m *DeepFM) SetParams(p []float32) error {
-	want := len(m.Params())
-	if len(p) != want {
-		return fmt.Errorf("model: SetParams got %d floats, want %d", len(p), want)
+	if len(p) != m.nParams {
+		return fmt.Errorf("model: SetParams got %d floats, want %d", len(p), m.nParams)
 	}
 	off := 0
 	for li := range m.layers {

@@ -12,6 +12,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,6 +146,10 @@ type Trainer struct {
 	// Recoverer; a rewind restores the snapshot of the rollback target.
 	snaps map[int64][]float32
 
+	// sum and peer are the allreduce's buffers: the parameter sum, and the
+	// replica being added to it.
+	sum, peer []float32
+
 	// metrics (nil, and free, without Config.Obs)
 	batchNS   *obs.Histogram
 	pullNS    *obs.Histogram
@@ -157,10 +162,29 @@ type worker struct {
 	id    int
 	model *model.DeepFM
 	data  *workload.CriteoSynthetic
+
+	// The batch in flight. Every buffer is reused by the next batch, which
+	// starts after this one's EndBatch has returned: keys, weights and
+	// grads, which Pull and Push are handed, are not written before then
+	// (DESIGN.md §19).
+	samples []workload.Sample
+	seen    map[uint64]int32 // workload.IndexKeys' scratch
+	keys    []uint64         // workload.UniqueKeys(samples)
+	slots   []int32          // per (sample, model field): the key's index in keys
+	weights []float32        // pulled rows, one per key
+	emb     []float32        // the model's inputs, gathered from weights
+	dense   []float32
+	labels  []float32
+	embGrad []float32 // the model's embedding gradient, per (sample, field)
+	grads   []float32 // embGrad summed per key, for the push
+	loss    float64
+	err     error
 }
 
 // New builds a trainer. Every worker starts from identical dense
-// parameters (same model seed), as a broadcast would ensure.
+// parameters (same model seed), as a broadcast would ensure. A model that
+// reads more sparse fields or dense features than a sample carries is
+// rejected, as is one NewDeepFM cannot build.
 func New(cfg Config, ps ParamServer) (*Trainer, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -170,6 +194,13 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 	}
 	if cfg.Data == nil {
 		return nil, fmt.Errorf("train: Data source required")
+	}
+	if err := cfg.Model.Check(); err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
+	if cfg.Model.Fields > workload.CriteoNumSparse || cfg.Model.Dense > workload.CriteoNumDense {
+		return nil, fmt.Errorf("train: model reads %d sparse fields and %d dense features; a sample has %d and %d",
+			cfg.Model.Fields, cfg.Model.Dense, workload.CriteoNumSparse, workload.CriteoNumDense)
 	}
 	tr := &Trainer{cfg: cfg, ps: ps}
 	if reg := cfg.Obs; reg != nil {
@@ -186,6 +217,7 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 			id:    w,
 			model: model.NewDeepFM(cfg.Model),
 			data:  cfg.Data(cfg.DataSeed + int64(w)),
+			seen:  map[uint64]int32{},
 		})
 	}
 	return tr, nil
@@ -287,40 +319,21 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase tim
 	bsp := cfg.Spans.Start("train.batch", "train", 0, batch)
 	psp := cfg.Spans.Start("train.pull", "train", 0, batch)
 
-	type workItem struct {
-		samples []workload.Sample
-		keys    []uint64
-		keyIdx  map[uint64]int
-		weights []float32
-		loss    float64
-		grads   []float32 // per unique key, summed
-		err     error
-	}
-	items := make([]*workItem, len(tr.workers))
-
 	// Pull phase: all workers in parallel (the paper's burst).
 	var wg sync.WaitGroup
-	for i, w := range tr.workers {
+	for _, w := range tr.workers {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func(w *worker) {
 			defer wg.Done()
-			it := &workItem{}
-			items[i] = it
-			it.samples = w.data.NextBatch(cfg.BatchSize)
-			it.keys = workload.UniqueKeys(it.samples)
-			it.keyIdx = make(map[uint64]int, len(it.keys))
-			for j, k := range it.keys {
-				it.keyIdx[k] = j
-			}
-			it.weights = make([]float32, len(it.keys)*dim)
-			it.err = tr.ps.Pull(batch, it.keys, it.weights)
-		}(i, w)
+			w.samples = w.data.NextBatch(cfg.BatchSize)
+			w.keys, w.slots = workload.IndexKeys(w.samples, fields, w.seen, w.keys, w.slots)
+			w.weights = resize(w.weights, len(w.keys)*dim)
+			w.err = tr.ps.Pull(batch, w.keys, w.weights)
+		}(w)
 	}
 	wg.Wait()
-	for _, it := range items {
-		if it.err != nil {
-			return it.err
-		}
+	if err := tr.workerErr(); err != nil {
+		return err
 	}
 	if err := tr.ps.EndPullPhase(batch); err != nil {
 		return err
@@ -337,47 +350,20 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase tim
 
 	// Compute phase: dense forward/backward per worker, gradients
 	// aggregated per unique key.
-	for i, w := range tr.workers {
+	for _, w := range tr.workers {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func(w *worker) {
 			defer wg.Done()
-			it := items[i]
-			n := len(it.samples)
-			emb := make([]float32, n*fields*dim)
-			dense := make([]float32, n*cfg.Model.Dense)
-			labels := make([]float32, n)
-			for ex, sm := range it.samples {
-				for f := 0; f < fields; f++ {
-					ki := it.keyIdx[sm.Sparse[f]]
-					copy(emb[(ex*fields+f)*dim:(ex*fields+f+1)*dim], it.weights[ki*dim:(ki+1)*dim])
-				}
-				copy(dense[ex*cfg.Model.Dense:(ex+1)*cfg.Model.Dense], sm.Dense[:cfg.Model.Dense])
-				labels[ex] = sm.Label
+			w.gather(fields, dim, cfg.Model.Dense)
+			w.loss, w.err = w.model.Step(w.emb, w.dense, w.labels, w.embGrad)
+			if w.err == nil {
+				w.scatter(dim)
 			}
-			loss, embGrad, err := w.model.Step(emb, dense, labels)
-			if err != nil {
-				it.err = err
-				return
-			}
-			it.loss = loss
-			it.grads = make([]float32, len(it.keys)*dim)
-			for ex := range it.samples {
-				for f := 0; f < fields; f++ {
-					ki := it.keyIdx[it.samples[ex].Sparse[f]]
-					src := embGrad[(ex*fields+f)*dim : (ex*fields+f+1)*dim]
-					dst := it.grads[ki*dim : (ki+1)*dim]
-					for d := range src {
-						dst[d] += src[d]
-					}
-				}
-			}
-		}(i, w)
+		}(w)
 	}
 	wg.Wait()
-	for _, it := range items {
-		if it.err != nil {
-			return it.err
-		}
+	if err := tr.workerErr(); err != nil {
+		return err
 	}
 
 	// Dense allreduce: average parameters across workers.
@@ -393,21 +379,20 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase tim
 	usp := cfg.Spans.Start("train.push", "train", 0, batch)
 
 	// Push phase: all workers in parallel.
-	var stepLoss float64
-	for i, w := range tr.workers {
+	for _, w := range tr.workers {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func(w *worker) {
 			defer wg.Done()
-			it := items[i]
-			it.err = tr.ps.Push(batch, it.keys, it.grads)
-		}(i, w)
+			w.err = tr.ps.Push(batch, w.keys, w.grads)
+		}(w)
 	}
 	wg.Wait()
-	for _, it := range items {
-		if it.err != nil {
-			return it.err
-		}
-		stepLoss += it.loss
+	if err := tr.workerErr(); err != nil {
+		return err
+	}
+	var stepLoss float64
+	for _, w := range tr.workers {
+		stepLoss += w.loss
 	}
 	stepLoss /= float64(len(tr.workers))
 
@@ -449,6 +434,58 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase tim
 		tr.skew.Set(int64((cfg.Meter.Sum() - virtBase) - (cfg.Obs.Now() - wallBase)))
 	}
 	return nil
+}
+
+// workerErr returns the first worker's error of the phase just run.
+func (tr *Trainer) workerErr() error {
+	for _, w := range tr.workers {
+		if w.err != nil {
+			return w.err
+		}
+	}
+	return nil
+}
+
+// gather lays the batch out as the model's inputs — each (sample, field)'s
+// pulled row, the dense features and the labels — and sizes the buffer
+// Step writes the embedding gradient into.
+//
+// oevet:hotpath
+func (w *worker) gather(fields, dim, nDense int) {
+	n := len(w.samples)
+	w.emb = resize(w.emb, n*fields*dim)
+	w.embGrad = resize(w.embGrad, n*fields*dim)
+	w.dense = resize(w.dense, n*nDense)
+	w.labels = resize(w.labels, n)
+	for s, j := range w.slots {
+		copy(w.emb[s*dim:(s+1)*dim], w.weights[int(j)*dim:(int(j)+1)*dim])
+	}
+	for ex := range w.samples {
+		sm := &w.samples[ex]
+		copy(w.dense[ex*nDense:(ex+1)*nDense], sm.Dense[:nDense])
+		w.labels[ex] = sm.Label
+	}
+}
+
+// scatter sums the embedding gradient per key, in (sample, field) order.
+//
+// oevet:hotpath
+func (w *worker) scatter(dim int) {
+	w.grads = resize(w.grads, len(w.keys)*dim)
+	clear(w.grads)
+	for s, j := range w.slots {
+		src := w.embGrad[s*dim : (s+1)*dim]
+		dst := w.grads[int(j)*dim : (int(j)+1)*dim]
+		for d := range src {
+			dst[d] += src[d]
+		}
+	}
+}
+
+// resize returns buf with length n, reusing its array when it is big
+// enough; what it holds is stale.
+func resize(buf []float32, n int) []float32 {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // snapshotDense records the current dense parameters (all replicas are
@@ -532,9 +569,10 @@ func (tr *Trainer) allreduce() {
 	if len(tr.workers) == 1 {
 		return
 	}
-	sum := tr.workers[0].model.Params()
+	sum := tr.workers[0].model.AppendParams(tr.sum[:0])
 	for _, w := range tr.workers[1:] {
-		for i, v := range w.model.Params() {
+		tr.peer = w.model.AppendParams(tr.peer[:0])
+		for i, v := range tr.peer {
 			sum[i] += v
 		}
 	}
@@ -546,6 +584,7 @@ func (tr *Trainer) allreduce() {
 		// SetParams only fails on length mismatch, impossible here.
 		_ = w.model.SetParams(sum)
 	}
+	tr.sum = sum
 }
 
 // Model returns worker 0's dense model (all replicas are identical after

@@ -1,6 +1,9 @@
 package train
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"openembedding/internal/core"
@@ -138,5 +141,128 @@ func TestResumeFromCheckpointBatchIDs(t *testing.T) {
 func TestTrainerValidation(t *testing.T) {
 	if _, err := New(Config{}, Local{}); err == nil {
 		t.Fatal("missing data source accepted")
+	}
+}
+
+// TestNewRejectsModelWiderThanData: a model that reads more sparse fields
+// or dense features than a sample carries, or one NewDeepFM cannot build,
+// is an error from New — not a panic in a worker goroutine at the first
+// batch, which would take the whole process down with it.
+func TestNewRejectsModelWiderThanData(t *testing.T) {
+	for name, edit := range map[string]func(*model.DeepFMConfig){
+		"fields":      func(m *model.DeepFMConfig) { m.Fields = workload.CriteoNumSparse + 1 },
+		"dense":       func(m *model.DeepFMConfig) { m.Dense = workload.CriteoNumDense + 1 },
+		"no fields":   func(m *model.DeepFMConfig) { m.Fields = 0 },
+		"no dim":      func(m *model.DeepFMConfig) { m.Dim = 0 },
+		"neg dense":   func(m *model.DeepFMConfig) { m.Dense = -1 },
+		"zero hidden": func(m *model.DeepFMConfig) { m.Hidden = []int{16, 0} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := trainerConfig(1)
+			edit(&cfg.Model)
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("New panicked: %v", p)
+					}
+				}()
+				_, err = New(cfg, Local{})
+			}()
+			if err == nil {
+				t.Fatalf("New accepted %+v", cfg.Model)
+			}
+		})
+	}
+}
+
+// recordingPS notes every key list the trainer hands it, and checks at
+// EndBatch that none of them changed while the batch was in flight (bench's
+// psTimer replays sampled calls' keys up to then).
+type recordingPS struct {
+	Local
+	mu     sync.Mutex
+	pulls  map[int64][][]uint64
+	pushes map[int64][][]uint64
+	live   [][]uint64 // the slices handed over in this batch, and copies
+	copies [][]uint64
+	bad    []string
+}
+
+func (r *recordingPS) note(calls map[int64][][]uint64, batch int64, keys []uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := append([]uint64(nil), keys...)
+	calls[batch] = append(calls[batch], c)
+	r.live, r.copies = append(r.live, keys), append(r.copies, c)
+}
+
+func (r *recordingPS) Pull(batch int64, keys []uint64, dst []float32) error {
+	r.note(r.pulls, batch, keys)
+	return r.Local.Pull(batch, keys, dst)
+}
+
+func (r *recordingPS) Push(batch int64, keys []uint64, grads []float32) error {
+	r.note(r.pushes, batch, keys)
+	return r.Local.Push(batch, keys, grads)
+}
+
+func (r *recordingPS) EndBatch(batch int64) error {
+	for i, keys := range r.live {
+		if !slices.Equal(keys, r.copies[i]) {
+			r.bad = append(r.bad, fmt.Sprintf("batch %d: call %d's keys changed before EndBatch", batch, i))
+		}
+	}
+	r.live, r.copies = r.live[:0], r.copies[:0]
+	return r.Local.EndBatch(batch)
+}
+
+// TestPullsUniqueKeysInOrder pins what the trainer puts on the wire: every
+// worker pulls and pushes exactly workload.UniqueKeys of its samples, in
+// that order, over all 26 sparse fields even when the model reads fewer,
+// so the bytes a node sees (and faultinject's occurrence numbering) stay
+// those of the keys alone — and it hands the lists over untouched until
+// the batch's EndBatch.
+func TestPullsUniqueKeysInOrder(t *testing.T) {
+	const workers, steps = 2, 4
+	for _, fields := range []int{workload.CriteoNumSparse, 20} {
+		t.Run(fmt.Sprint("fields=", fields), func(t *testing.T) {
+			cfg := trainerConfig(workers)
+			cfg.Model.Fields = fields
+			rec := &recordingPS{
+				Local: Local{Engine: newOEEngine(t, 8, 1<<18, 4096)},
+				pulls: map[int64][][]uint64{}, pushes: map[int64][][]uint64{},
+			}
+			tr, err := New(cfg, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Run(steps); err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range rec.bad {
+				t.Error(msg)
+			}
+			var want [workers][][]uint64
+			for w := range want {
+				data := cfg.Data(cfg.DataSeed + int64(w))
+				for b := 0; b < steps; b++ {
+					want[w] = append(want[w], workload.UniqueKeys(data.NextBatch(cfg.BatchSize)))
+				}
+			}
+			for b := 0; b < steps; b++ {
+				for name, calls := range map[string][][]uint64{"pull": rec.pulls[int64(b)], "push": rec.pushes[int64(b)]} {
+					if len(calls) != workers {
+						t.Fatalf("batch %d: %d %ss, want %d", b, len(calls), name, workers)
+					}
+					// Workers call concurrently: match each worker's list to one call.
+					for w := range want {
+						if !slices.ContainsFunc(calls, func(keys []uint64) bool { return slices.Equal(keys, want[w][b]) }) {
+							t.Fatalf("batch %d: no %s carries worker %d's UniqueKeys (%d keys)", b, name, w, len(want[w][b]))
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -158,16 +158,35 @@ func (g *CriteoSynthetic) NextBatch(n int) []Sample {
 // UniqueKeys returns the deduplicated embedding keys referenced by a batch
 // of samples — what the worker pulls from the parameter server.
 func UniqueKeys(batch []Sample) []uint64 {
-	seen := make(map[uint64]struct{}, len(batch)*CriteoNumSparse)
-	keys := make([]uint64, 0, len(batch)*CriteoNumSparse)
+	n := len(batch) * CriteoNumSparse
+	keys, _ := IndexKeys(batch, 0, make(map[uint64]int32, n), make([]uint64, 0, n), nil)
+	return keys
+}
+
+// IndexKeys deduplicates the keys of a batch over every sparse field, in
+// first-seen order, into keys[:0] — the keys UniqueKeys returns — and in
+// the same pass records in slots[:0], for each sample and each of its first
+// fields fields, the index into keys of that field's key. seen is scratch
+// the caller owns; IndexKeys clears it first. The returned slices reuse the
+// arrays of keys and slots when they have room, so a trainer that passes
+// back what it got indexes every batch without allocating.
+//
+// oevet:hotpath
+func IndexKeys(batch []Sample, fields int, seen map[uint64]int32, keys []uint64, slots []int32) ([]uint64, []int32) {
+	clear(seen)
+	keys, slots = keys[:0], slots[:0]
 	for i := range batch {
-		for _, k := range batch[i].Sparse {
-			if _, dup := seen[k]; dup {
-				continue
+		for f, k := range &batch[i].Sparse {
+			j, ok := seen[k]
+			if !ok {
+				j = int32(len(keys))
+				seen[k] = j
+				keys = append(keys, k) //oevet:alloc-ok the caller keeps the capacity it grew to
 			}
-			seen[k] = struct{}{}
-			keys = append(keys, k)
+			if f < fields {
+				slots = append(slots, j) //oevet:alloc-ok the caller keeps the capacity it grew to
+			}
 		}
 	}
-	return keys
+	return keys, slots
 }

@@ -180,6 +180,32 @@ func TestUniqueKeysDedup(t *testing.T) {
 	}
 }
 
+// TestIndexKeysSlots: every slot names its (sample, field)'s key, fields
+// past the first ones get no slot, and a second batch indexed into the
+// first one's buffers allocates nothing.
+func TestIndexKeysSlots(t *testing.T) {
+	const fields = 20
+	g := NewCriteo(CriteoConfig{Scale: 0.0005, Seed: 4})
+	batch := g.NextBatch(512)
+	seen := map[uint64]int32{}
+	keys, slots := IndexKeys(batch, fields, seen, nil, nil)
+	if len(slots) != len(batch)*fields {
+		t.Fatalf("%d slots for %d samples of %d fields", len(slots), len(batch), fields)
+	}
+	for s := range batch {
+		for f := 0; f < fields; f++ {
+			if k := keys[slots[s*fields+f]]; k != batch[s].Sparse[f] {
+				t.Fatalf("sample %d field %d: slot names key %d, sample has %d", s, f, k, batch[s].Sparse[f])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		keys, slots = IndexKeys(batch, fields, seen, keys, slots)
+	}); allocs != 0 {
+		t.Errorf("re-indexing allocated %.0f times", allocs)
+	}
+}
+
 func TestAdjustedSkewTailOrdering(t *testing.T) {
 	const keys = 100_000
 	const draws = 200_000
