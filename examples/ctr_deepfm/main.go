@@ -85,8 +85,12 @@ func main() {
 }
 
 func evaluateAUC(ps *openembedding.Server, tr *train.Trainer, data *workload.CriteoSynthetic, n int) (float64, error) {
+	m := tr.Model()
+	cfg := m.Config()
 	samples := data.NextBatch(n)
-	keys := workload.UniqueKeys(samples)
+	// The trainer's deduplication rule: slots[ex*Fields+f] is the index
+	// into keys of sample ex's field f.
+	keys, slots := workload.IndexKeys(samples, cfg.Fields, map[uint64]int32{}, nil, nil)
 	weights := make([]float32, len(keys)*ps.Dim())
 	if err := ps.Pull(1_000_000, keys, weights); err != nil {
 		return 0, err
@@ -95,22 +99,14 @@ func evaluateAUC(ps *openembedding.Server, tr *train.Trainer, data *workload.Cri
 	if err := ps.EndBatch(1_000_000); err != nil {
 		return 0, err
 	}
-	idx := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		idx[k] = i
-	}
 
-	m := tr.Model()
-	cfg := m.Config()
 	emb := make([]float32, n*cfg.Fields*cfg.Dim)
 	dense := make([]float32, n*cfg.Dense)
 	labels := make([]float32, n)
+	for s, j := range slots {
+		copy(emb[s*cfg.Dim:(s+1)*cfg.Dim], weights[int(j)*cfg.Dim:(int(j)+1)*cfg.Dim])
+	}
 	for ex, s := range samples {
-		for f := 0; f < cfg.Fields; f++ {
-			ki := idx[s.Sparse[f]]
-			copy(emb[(ex*cfg.Fields+f)*cfg.Dim:(ex*cfg.Fields+f+1)*cfg.Dim],
-				weights[ki*cfg.Dim:(ki+1)*cfg.Dim])
-		}
 		copy(dense[ex*cfg.Dense:(ex+1)*cfg.Dense], s.Dense[:cfg.Dense])
 		labels[ex] = s.Label
 	}

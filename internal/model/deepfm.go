@@ -65,9 +65,33 @@ func (c DeepFMConfig) Check() error {
 type layer struct {
 	in, out int
 	w       []float32 // out x in, row-major
+	wT      []float32 // w transposed, in x out rounded up to 4; the padding columns stay zero
 	b       []float32
 	gW, gB  []float32 // the batch's accumulated gradient of w and b
-	act     []float32 // one example's output: post-ReLU on hidden layers, linear on the last
+	act     []float32 // one example's output: post-ReLU on hidden layers, linear on the last; cap is wT's width
+}
+
+func newLayer(in, out int) layer {
+	width := (out + 3) &^ 3
+	return layer{
+		in: in, out: out,
+		w:   make([]float32, in*out),
+		wT:  make([]float32, in*width),
+		b:   make([]float32, out),
+		gW:  make([]float32, in*out),
+		gB:  make([]float32, out),
+		act: make([]float32, width)[:out],
+	}
+}
+
+// transpose rebuilds wT from w. Everything that writes w calls it.
+func (l *layer) transpose() {
+	width := cap(l.act)
+	for o := 0; o < l.out; o++ {
+		for i, x := range l.w[o*l.in : (o+1)*l.in] {
+			l.wT[i*width+o] = x
+		}
+	}
 }
 
 // DeepFM is the dense model. It is not safe for concurrent use — not even
@@ -85,7 +109,6 @@ type DeepFM struct {
 	input        []float32 // embeddings ++ dense: the first layer's input
 	fmSum        []float32 // sum of the field embedding vectors
 	delta, spare []float32 // backprop: the gradient at a layer's output, and the buffer for its input's
-	active       []int32   // backprop: the rows of a layer whose delta is not zero
 	gDense       []float32 // the batch's accumulated gradient of wDense
 }
 
@@ -106,12 +129,12 @@ func NewDeepFM(cfg DeepFMConfig) *DeepFM {
 	widest := in
 	widths := append(append([]int{}, cfg.Hidden...), 1)
 	for _, out := range widths {
-		l := layer{in: in, out: out, w: make([]float32, in*out), b: make([]float32, out)}
+		l := newLayer(in, out)
 		bound := float32(math.Sqrt(6 / float64(in+out)))
 		for i := range l.w {
 			l.w[i] = (rng.Float32()*2 - 1) * bound
 		}
-		l.gW, l.gB, l.act = make([]float32, len(l.w)), make([]float32, out), make([]float32, out)
+		l.transpose()
 		m.nParams += len(l.w) + len(l.b)
 		widest = max(widest, out)
 		m.layers = append(m.layers, l)
@@ -120,7 +143,6 @@ func NewDeepFM(cfg DeepFMConfig) *DeepFM {
 	m.nParams += len(m.wDense) + 1
 	m.fmSum = make([]float32, cfg.Dim)
 	m.delta, m.spare = make([]float32, widest), make([]float32, widest)
-	m.active = make([]int32, 0, widest)
 	m.gDense = make([]float32, cfg.Dense)
 	return m
 }
@@ -140,17 +162,17 @@ func (m *DeepFM) forward(emb, dense []float32) float32 {
 	dim := m.cfg.Dim
 
 	// FM second order: 0.5 * (||sum_f v_f||^2 - sum_f ||v_f||^2).
+	// fmSum adds 1*v_f, which is v_f exactly; sumSq is one ordered chain,
+	// so it stays scalar.
 	fmSum := m.fmSum
 	clear(fmSum)
-	var sumSq float32
 	for f := 0; f < m.cfg.Fields; f++ {
-		v := emb[f*dim : (f+1)*dim]
-		for d, x := range v {
-			fmSum[d] += x
-			sumSq += x * x
-		}
+		axpy(1, emb[f*dim:(f+1)*dim], fmSum)
 	}
-	var normSq float32
+	var sumSq, normSq float32
+	for _, x := range emb {
+		sumSq += x * x
+	}
 	for _, x := range fmSum {
 		normSq += x * x
 	}
@@ -174,35 +196,12 @@ func (m *DeepFM) forward(emb, dense []float32) float32 {
 }
 
 // forward sets act[o] = relu?(b[o] + sum_i w[o][i]*a[i]). Each row's sum
-// runs in ascending i, as a plain dot product would, but four rows share
-// one pass over a: their sums are independent add chains the CPU overlaps,
-// where one row at a time waits on every add.
+// starts at b[o] and runs in ascending i, as a plain dot product would;
+// gemvT runs every row's sum in one pass over a.
 func (l *layer) forward(a []float32, relu bool) {
-	n := len(a)
-	o := 0
-	for ; o+4 <= l.out; o += 4 {
-		r0 := l.w[o*n:][:n]
-		r1 := l.w[(o+1)*n:][:n]
-		r2 := l.w[(o+2)*n:][:n]
-		r3 := l.w[(o+3)*n:][:n]
-		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
-		for i, x := range a {
-			s0 += r0[i] * x
-			s1 += r1[i] * x
-			s2 += r2[i] * x
-			s3 += r3[i] * x
-		}
-		act := l.act[o : o+4]
-		act[0], act[1], act[2], act[3] = s0, s1, s2, s3
-	}
-	for ; o < l.out; o++ {
-		r := l.w[o*n:][:n]
-		s := l.b[o]
-		for i, x := range a {
-			s += r[i] * x
-		}
-		l.act[o] = s
-	}
+	y := l.act[:cap(l.act)]
+	clear(y[copy(y, l.b):])
+	gemvT(y, a, l.wT)
 	if relu {
 		for o, s := range l.act {
 			if s < 0 {
@@ -215,51 +214,16 @@ func (l *layer) forward(a []float32, relu bool) {
 // backward accumulates one example's gradient of w and b from delta, the
 // gradient at the layer's output, and aPrev, its input; it writes the
 // gradient at the input into next. Rows whose delta is zero add nothing and
-// are skipped. next[i] sums its rows' terms in ascending row order, four
-// rows per pass over aPrev.
-func (l *layer) backward(next, delta, aPrev []float32, active []int32) {
-	active = active[:0]
-	for o, d := range delta {
-		if d != 0 {
-			active = append(active, int32(o)) //oevet:alloc-ok the scratch holds the widest layer's rows
-		}
-	}
+// are skipped. next[i] sums its rows' terms in ascending row order.
+func (l *layer) backward(next, delta, aPrev []float32) {
 	n := len(aPrev)
 	clear(next)
-	next = next[:n]
-	k := 0
-	for ; k+4 <= len(active); k += 4 {
-		o0, o1, o2, o3 := int(active[k]), int(active[k+1]), int(active[k+2]), int(active[k+3])
-		d0, d1, d2, d3 := delta[o0], delta[o1], delta[o2], delta[o3]
-		r0, g0 := l.w[o0*n:][:n], l.gW[o0*n:][:n]
-		r1, g1 := l.w[o1*n:][:n], l.gW[o1*n:][:n]
-		r2, g2 := l.w[o2*n:][:n], l.gW[o2*n:][:n]
-		r3, g3 := l.w[o3*n:][:n], l.gW[o3*n:][:n]
-		for i, x := range aPrev {
-			g0[i] += d0 * x
-			g1[i] += d1 * x
-			g2[i] += d2 * x
-			g3[i] += d3 * x
-			s := next[i]
-			s += d0 * r0[i]
-			s += d1 * r1[i]
-			s += d2 * r2[i]
-			s += d3 * r3[i]
-			next[i] = s
+	for o, d := range delta {
+		if d == 0 {
+			continue
 		}
-		l.gB[o0] += d0
-		l.gB[o1] += d1
-		l.gB[o2] += d2
-		l.gB[o3] += d3
-	}
-	for ; k < len(active); k++ {
-		o := int(active[k])
-		d := delta[o]
-		r, g := l.w[o*n:][:n], l.gW[o*n:][:n]
-		for i, x := range aPrev {
-			g[i] += d * x
-			next[i] += d * r[i]
-		}
+		axpy(d, aPrev, l.gW[o*n:(o+1)*n])
+		axpy(d, l.w[o*n:(o+1)*n], next)
 		l.gB[o] += d
 	}
 }
@@ -328,13 +292,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 
 		// FM second-order gradient: d fm / d v_f = fmSum - v_f.
 		gEmbEx := embGrad[ex*in : (ex+1)*in]
-		for f := 0; f < cfg.Fields; f++ {
-			v := embEx[f*cfg.Dim : (f+1)*cfg.Dim]
-			g := gEmbEx[f*cfg.Dim : (f+1)*cfg.Dim]
-			for d := range v {
-				g[d] += dz * (m.fmSum[d] - v[d])
-			}
-		}
+		fmGrad(dz, m.fmSum, embEx, gEmbEx)
 
 		// MLP backprop: delta is the gradient at the (linear) output layer.
 		delta, spare := m.delta[:1], m.spare
@@ -346,7 +304,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 				aPrev = m.layers[li-1].act
 			}
 			next := spare[:l.in]
-			l.backward(next, delta, aPrev, m.active)
+			l.backward(next, delta, aPrev)
 			if li > 0 {
 				// ReLU gate of the previous layer.
 				for i, a := range aPrev {
@@ -359,9 +317,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 		}
 		// delta now holds dLoss/dInput; its embedding prefix adds to the
 		// embedding gradient.
-		for i := range gEmbEx {
-			gEmbEx[i] += delta[i]
-		}
+		axpy(1, delta[:in], gEmbEx)
 	}
 
 	// Apply SGD to the dense parameters.
@@ -374,6 +330,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 		for i := range l.b {
 			l.b[i] -= lr * l.gB[i]
 		}
+		l.transpose()
 	}
 	for i := range m.wDense {
 		m.wDense[i] -= lr * gDense[i]
@@ -440,6 +397,7 @@ func (m *DeepFM) SetParams(p []float32) error {
 		l := &m.layers[li]
 		off += copy(l.w, p[off:off+len(l.w)])
 		off += copy(l.b, p[off:off+len(l.b)])
+		l.transpose()
 	}
 	off += copy(m.wDense, p[off:off+len(m.wDense)])
 	m.bias = p[off]

@@ -454,6 +454,57 @@ func TestStepMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSetParamsRefreshesKernelLayout: the forward pass reads wT, a
+// transposed copy of every layer's weights, so whatever overwrites the
+// weights must rebuild it. After SetParams with perturbed parameters on
+// both the model and the reference (which reads w alone), five further
+// steps stay bit-identical.
+func TestSetParamsRefreshesKernelLayout(t *testing.T) {
+	odd := DeepFMConfig{Fields: 5, Dim: 3, Hidden: []int{13, 7, 3}, LR: 0.1, Seed: 3}
+	for _, cfg := range []DeepFMConfig{trainShape(), odd} {
+		m := NewDeepFM(cfg)
+		ref := reference{NewDeepFM(cfg)}
+		rng := rand.New(rand.NewSource(11))
+		p := m.Params()
+		for i := range p {
+			p[i] = p[i]*1.5 + float32(rng.NormFloat64())*0.05
+		}
+		if err := m.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		const batch = 16
+		grad := make([]float32, batch*cfg.Fields*cfg.Dim)
+		for step := 0; step < 5; step++ {
+			emb, dense, labels := randomBatch(rng, cfg, batch)
+			loss, err := m.Step(emb, dense, labels, grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLoss, wantGrad, err := ref.Step(emb, dense, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("hidden %v, step %d: loss %v, reference %v", cfg.Hidden, step, loss, wantLoss)
+			}
+			for i := range grad {
+				if math.Float32bits(grad[i]) != math.Float32bits(wantGrad[i]) {
+					t.Fatalf("hidden %v, step %d: embGrad[%d] = %v, reference %v", cfg.Hidden, step, i, grad[i], wantGrad[i])
+				}
+			}
+			got, want := m.Params(), ref.Params()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("hidden %v, step %d: param %d = %v, reference %v", cfg.Hidden, step, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestStepZeroAllocs pins the kernel's scratch: after the first call a Step
 // allocates nothing (allocfree holds the same claim statically).
 func TestStepZeroAllocs(t *testing.T) {

@@ -53,6 +53,7 @@ type CriteoSynthetic struct {
 	offsets [CriteoNumSparse]uint64
 	total   uint64
 	rng     *rand.Rand
+	norm    float64 // 1 - exp(-FieldSkew), sampleField's normalizer
 	// hidden model: one weight per (field, bucketed id) plus dense weights
 	fieldW [CriteoNumSparse][]float32
 	denseW [CriteoNumDense]float32
@@ -75,7 +76,7 @@ func NewCriteo(cfg CriteoConfig) *CriteoSynthetic {
 	}
 	// The hidden label model comes from Seed; the sample stream below is
 	// re-seeded from StreamSeed once the model weights are drawn.
-	g := &CriteoSynthetic{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g := &CriteoSynthetic{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), norm: 1 - math.Exp(-cfg.FieldSkew)}
 	var off uint64
 	for f, c := range criteoCardinalities {
 		n := int(math.Max(2, float64(c)*cfg.Scale))
@@ -137,8 +138,7 @@ func (g *CriteoSynthetic) sampleField(f int) int {
 	n := g.cards[f]
 	lambda := g.cfg.FieldSkew
 	u := g.rng.Float64()
-	norm := 1 - math.Exp(-lambda)
-	x := -math.Log(1-u*norm) / lambda
+	x := -math.Log(1-u*g.norm) / lambda
 	id := int(x * float64(n))
 	if id >= n {
 		id = n - 1

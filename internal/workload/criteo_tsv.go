@@ -76,8 +76,10 @@ func (c *CriteoTSV) Next() (Sample, error) {
 		if raw == "" {
 			continue // missing: stays 0
 		}
+		// ParseFloat accepts "nan" and "inf" without error; one such
+		// feature would poison every dense parameter at the next update.
 		v, err := strconv.ParseFloat(raw, 32)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return s, fmt.Errorf("workload: criteo tsv line %d: dense I%d %q", c.line, i+1, raw)
 		}
 		if v < 0 {

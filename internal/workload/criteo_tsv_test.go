@@ -98,6 +98,17 @@ func TestCriteoTSVErrors(t *testing.T) {
 	if _, err := NewCriteoTSV(strings.NewReader(bad+"\n"), 10).Next(); err == nil {
 		t.Fatal("bad dense accepted")
 	}
+	// ParseFloat reads these without error; each must still be refused,
+	// on the line it sits on.
+	for _, raw := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "infinity"} {
+		line := "0\t" + raw + strings.Repeat("\t", CriteoNumDense+CriteoNumSparse-1)
+		c := NewCriteoTSV(strings.NewReader(line+"\n"), 10)
+		if s, err := c.Next(); err == nil {
+			t.Fatalf("dense %q accepted as %v", raw, s.Dense[0])
+		} else if !strings.Contains(err.Error(), "line 1: dense I1") {
+			t.Fatalf("dense %q: error %q does not name the line and feature", raw, err)
+		}
+	}
 }
 
 func TestCriteoTSVNegativeDenseClamped(t *testing.T) {

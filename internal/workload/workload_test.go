@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -161,6 +163,34 @@ func TestCriteoFieldSkew(t *testing.T) {
 	share := TopShare(counts, g.cards[2], []float64{0.01})[0]
 	if share < 0.2 {
 		t.Fatalf("top-1%% share of big field = %.3f, want skewed (>0.2)", share)
+	}
+}
+
+// TestCriteoStreamPinned: the synthetic stream is a function of its seeds
+// alone. An FNV-1a hash over every feature, key and label of the first
+// 4 × 512 samples of one (Seed, StreamSeed) equals the value captured when
+// the test was written, so a generator change that moves one draw shows.
+func TestCriteoStreamPinned(t *testing.T) {
+	const want = 0x65d1074f8cdcdb17
+	g := NewCriteo(CriteoConfig{Scale: 0.01, Seed: 9, StreamSeed: 3})
+	h := fnv.New64a()
+	var buf [8]byte
+	for b := 0; b < 4; b++ {
+		for _, s := range g.NextBatch(512) {
+			for _, v := range s.Dense {
+				binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(v))
+				h.Write(buf[:4])
+			}
+			for _, k := range s.Sparse {
+				binary.LittleEndian.PutUint64(buf[:], k)
+				h.Write(buf[:])
+			}
+			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(s.Label))
+			h.Write(buf[:4])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("stream hash %#x, want %#x: the sample stream moved", got, want)
 	}
 }
 
