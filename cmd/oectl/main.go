@@ -464,7 +464,6 @@ func scrapeIntegrity(base string) error {
 	} {
 		fmt.Printf("%-26s %d\n", name, snap.Counters[name])
 	}
-	fmt.Printf("%-26s %d\n", "engine_scrub_progress", snap.Gauges["engine_scrub_progress"])
 	return nil
 }
 

@@ -1,15 +1,9 @@
 // Command oevet runs the OpenEmbedding invariant analyzer suite: lockorder,
-// pmemdurability, determinism, faultdet, atomicstat, chargeflow, allocfree,
-// epochfence and errwrap (see internal/analysis and DESIGN.md §8, §13).
-//
-// Standalone (authoritative; cross-package facts flow in dependency order):
+// pmemdurability, determinism, chargeflow, allocfree, epochfence and errwrap
+// (see internal/analysis and DESIGN.md §8, §13). Packages are analyzed in
+// dependency order, so cross-package facts flow:
 //
 //	go run ./cmd/oevet -baseline .oevet-baseline ./...
-//
-// As a vet tool:
-//
-//	go build -o "$(go env GOPATH)/bin/oevet" ./cmd/oevet
-//	go vet -vettool="$(command -v oevet)" ./...
 package main
 
 import (

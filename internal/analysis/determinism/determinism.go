@@ -1,20 +1,25 @@
-// Package determinism mechanizes the bit-reproducibility contract of the
-// simulation packages: every Table/Figure reproduction must produce the
-// same bytes on every run, so packages marked
+// Package determinism mechanizes the bit-reproducibility contract: every
+// Table/Figure reproduction must produce the same bytes on every run, and a
+// chaos run must replay from its printed seed alone, so packages marked
 //
 //	//oevet:deterministic-package
 //
-// (internal/sim, internal/core, internal/experiments) must not consult the
-// wall clock, draw from the process-global math/rand source, or let map
+// (internal/sim, internal/core, internal/experiments, internal/faultinject)
+// must not consult the wall clock or a random number generator, or let map
 // iteration order leak into their results.
 //
 // Three checks:
 //
 //   - wall clock: calls to time.Now / time.Since / time.Until are reported
-//     (simulated time lives in internal/simclock);
-//   - global rand: calls to package-level math/rand functions (rand.Intn,
-//     rand.Float64, rand.Shuffle, ...) are reported; rand.New(rand.NewSource
-//     (seed)) and methods on the resulting *rand.Rand are allowed;
+//     (simulated time lives in internal/simclock). time.Sleep and Duration
+//     arithmetic are fine: executing a delay is deterministic, deciding
+//     from the clock is not;
+//   - randomness: every math/rand and math/rand/v2 call is reported,
+//     constructors and *rand.Rand methods included — a seeded generator is
+//     still a stateful stream whose draw order depends on goroutine
+//     interleaving once two streams share it — and so is every crypto/rand
+//     call (OS entropy never replays). Randomness is a stateless hash of
+//     the seed and the decision's coordinates (splitmix64);
 //   - map iteration: `for ... range m` over a map is reported unless the
 //     loop matches a provably order-independent shape:
 //     1. the sorted-keys idiom — the body is a single `s = append(s, k)`
@@ -41,15 +46,11 @@ import (
 // Analyzer flags nondeterminism sources in marked packages.
 var Analyzer = &oeanalysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall clock, global math/rand and map-order dependent loops in //oevet:deterministic-package packages",
+	Doc:  "forbid wall clock, math/rand, crypto/rand and map-order dependent loops in //oevet:deterministic-package packages",
 	Run:  run,
 }
 
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// randConstructors are the package-level math/rand functions that build
-// explicitly seeded generators rather than using the global source.
-var randConstructors = map[string]bool{"New": true, "NewSource": true}
 
 func run(pass *oeanalysis.Pass) error {
 	if !oeanalysis.PackageMarked(pass.Files, "deterministic-package") {
@@ -93,9 +94,13 @@ func checkCall(pass *oeanalysis.Pass, info *types.Info, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "call to time.%s in a deterministic package; use the simulated clock (internal/simclock)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if pkgLevel && !randConstructors[fn.Name()] {
-			pass.Reportf(call.Pos(), "call to global rand.%s in a deterministic package; use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+		what := "rand." + fn.Name()
+		if !pkgLevel {
+			what = "(rand stream)." + fn.Name()
 		}
+		pass.Reportf(call.Pos(), "call to %s in a deterministic package; derive it as a stateless hash of the seed (splitmix64)", what)
+	case "crypto/rand":
+		pass.Reportf(call.Pos(), "call to crypto/rand %s in a deterministic package; OS entropy can never replay from a seed", fn.Name())
 	}
 }
 

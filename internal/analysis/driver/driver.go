@@ -1,15 +1,7 @@
-// Package driver assembles the oevet analyzer suite and runs it in the two
-// supported modes:
-//
-//   - standalone (`oevet ./...`): loads packages via `go list -export`,
-//     analyzes them in dependency order (so cross-package facts flow), and
-//     enforces the //oevet:ignore baseline;
-//   - vettool (`go vet -vettool=$(which oevet) ./...`): implements the
-//     cmd/go vet config protocol — one invocation per package with a JSON
-//     .cfg file. Facts do not cross packages in this mode (cmd/go gives
-//     each invocation only export data, which carries no annotations), so
-//     the standalone mode is the authoritative CI gate; the vettool mode
-//     exists so the suite composes with `go vet` workflows.
+// Package driver assembles the oevet analyzer suite and runs it: `oevet
+// ./...` loads the packages via `go list -export`, analyzes their
+// production files in dependency order (so cross-package facts flow), and
+// enforces the //oevet:ignore baseline.
 package driver
 
 import (
@@ -21,12 +13,10 @@ import (
 	"strings"
 
 	"openembedding/internal/analysis/allocfree"
-	"openembedding/internal/analysis/atomicstat"
 	"openembedding/internal/analysis/chargeflow"
 	"openembedding/internal/analysis/determinism"
 	"openembedding/internal/analysis/epochfence"
 	"openembedding/internal/analysis/errwrap"
-	"openembedding/internal/analysis/faultdet"
 	"openembedding/internal/analysis/lockorder"
 	"openembedding/internal/analysis/oeanalysis"
 	"openembedding/internal/analysis/pmemdurability"
@@ -37,8 +27,6 @@ var Suite = []*oeanalysis.Analyzer{
 	lockorder.Analyzer,
 	pmemdurability.Analyzer,
 	determinism.Analyzer,
-	faultdet.Analyzer,
-	atomicstat.Analyzer,
 	chargeflow.Analyzer,
 	allocfree.Analyzer,
 	epochfence.Analyzer,

@@ -1,164 +1,14 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
-
-	"openembedding/internal/analysis/oeanalysis"
 )
-
-// vetConfig mirrors the JSON configuration cmd/go hands a -vettool binary
-// (the unitchecker protocol): one file per package, named *.cfg.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// RunVet executes the suite for one package described by a vet .cfg file.
-// It returns the process exit code: 0 clean, 2 diagnostics found.
-func RunVet(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "oevet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "oevet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// cmd/go requires the vetx (facts) output file to exist even though
-	// this suite exchanges facts only in standalone mode.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("oevet-novetx\n"), 0o666); err != nil {
-			fmt.Fprintf(stderr, "oevet: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Same policy as standalone mode: only production code is analyzed.
-	// Tests deliberately violate the invariants (torn-write crash tests,
-	// map-order shuffles), and excluding them keeps the two modes and the
-	// ignore baseline consistent. cmd/go folds in-package _test.go files
-	// into the same .cfg, so they are filtered here (production files never
-	// reference test files, so the subset typechecks on its own); external
-	// test packages (*_test / *.test IDs) are skipped outright.
-	if strings.Contains(cfg.ImportPath, ".test") || strings.HasSuffix(cfg.ImportPath, "_test") {
-		return 0
-	}
-	goFiles := cfg.GoFiles[:0:0]
-	for _, name := range cfg.GoFiles {
-		if !strings.HasSuffix(name, "_test.go") {
-			goFiles = append(goFiles, name)
-		}
-	}
-	if len(goFiles) == 0 {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "oevet: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("oevet: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := oeanalysis.NewInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "oevet: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	facts := oeanalysis.NewFacts()
-	// Single-package mode: no cross-package fact exchange, so fact-driven
-	// diagnostics (and the unused-suppression meta-check that depends on
-	// them) are left to the authoritative standalone run.
-	facts.Complete = false
-	var raw []oeanalysis.Diagnostic
-	for _, a := range Suite {
-		diags, err := oeanalysis.Run(a, fset, files, pkg, info, facts)
-		if err != nil {
-			fmt.Fprintf(stderr, "oevet: %v\n", err)
-			return 1
-		}
-		raw = append(raw, diags...)
-	}
-	res := apply(raw, collectIgnores(fset, files))
-	for _, d := range res.Diagnostics {
-		fmt.Fprintf(stderr, "%s: %s (%s)\n", d.Pos, d.Message, d.Analyzer)
-	}
-	if len(res.Diagnostics) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// version is reported to cmd/go for build caching (-V=full) and to humans.
-const version = "v1.0.0"
 
 // Main is the cmd/oevet entry point; it returns the process exit code.
 func Main(args []string, stdout, stderr io.Writer) int {
-	// Vet protocol: `oevet -V=full` must print a stable identity line.
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" || a == "--V=full" {
-			fmt.Fprintf(stdout, "oevet version %s\n", version)
-			return 0
-		}
-	}
-	// Vet protocol: cmd/go probes `oevet -flags` for the tool's flag set
-	// (JSON); this suite is configured by source annotations, not flags.
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	// Vet protocol: a single *.cfg argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return RunVet(args[0], stderr)
-	}
-
 	var (
 		baseline      string
 		writeBaseline bool
@@ -234,14 +84,11 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `usage: oevet [-baseline file] [-write-baseline] [packages]
 
 Runs the OpenEmbedding invariant suite (lockorder, pmemdurability,
-determinism, faultdet, atomicstat, chargeflow, allocfree, epochfence,
-errwrap) over the given package patterns (default ./...).
+determinism, chargeflow, allocfree, epochfence, errwrap) over the
+production files of the given package patterns (default ./...).
 
   -baseline file    compare the //oevet:ignore count against the pinned
                     census in file (both directions)
   -write-baseline   regenerate the baseline file instead of checking it
-
-As a vet tool (single-package mode, no cross-package facts):
-  go vet -vettool=$(command -v oevet) ./...
 `)
 }

@@ -80,7 +80,7 @@ func (p *Pass) Diagnostics() []Diagnostic {
 }
 
 // Run executes one analyzer over an already type-checked package. facts may
-// be nil for a standalone (single-package) run.
+// be nil for a single-package run (the analyzer corpora).
 func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *Facts) ([]Diagnostic, error) {
 	if facts == nil {
 		facts = NewFacts()

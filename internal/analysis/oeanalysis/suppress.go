@@ -16,11 +16,7 @@ import (
 // intentional") and stays next to the code it justifies.
 //
 // The reason is mandatory, and a suppressor that suppresses nothing is
-// itself reported — stale justifications rot into lies otherwise. The
-// unused-directive check only runs when the pass's fact store is Complete:
-// in vettool mode (single package, no cross-package facts) a directive
-// covering a fact-driven diagnostic never fires, and reporting it as unused
-// there would contradict the authoritative standalone run.
+// itself reported — stale justifications rot into lies otherwise.
 type Suppressor struct {
 	pass *Pass
 	verb string
@@ -90,7 +86,7 @@ func (s *Suppressor) Finish() {
 		switch {
 		case e.reason == "":
 			s.pass.Reportf(posOf(s.pass, e.pos), "//oevet:%s requires a justification: //oevet:%s <reason>", s.verb, s.verb)
-		case !e.used && s.pass.Facts.Complete:
+		case !e.used:
 			s.pass.Reportf(posOf(s.pass, e.pos), "unused //oevet:%s directive (suppresses nothing); delete it", s.verb)
 		}
 	}

@@ -57,19 +57,9 @@ type Facts struct {
 	// it discards state the caller must fence), "apply" (it bumps the
 	// epoch), or "park" (it records the obligation for a later apply).
 	FenceClass map[string]string
-
-	// Complete reports whether the store saw every dependency (standalone
-	// mode, which analyzes in dependency order). The vettool protocol runs
-	// one package at a time with no fact exchange and clears it; suppression
-	// directives that cover fact-driven diagnostics cannot be judged unused
-	// there, so the Suppressor skips its unused-directive meta-diagnostic
-	// when Complete is false. Standalone mode stays authoritative.
-	Complete bool
 }
 
-// NewFacts returns an empty fact store, marked Complete (the standalone
-// driver and tests thread one store across all packages in dependency
-// order; only the vettool path clears the flag).
+// NewFacts returns an empty fact store.
 func NewFacts() *Facts {
 	return &Facts{
 		Acquires:   make(map[string][]Lock),
@@ -78,7 +68,6 @@ func NewFacts() *Facts {
 		Charges:    make(map[string]ChargeSummary),
 		Allocates:  make(map[string]string),
 		FenceClass: make(map[string]string),
-		Complete:   true,
 	}
 }
 

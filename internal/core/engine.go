@@ -68,7 +68,6 @@ type Engine struct {
 	maintCh   chan maintTask
 	maintWG   sync.WaitGroup // the background maintainer
 	pending   sync.WaitGroup // outstanding maintenance tasks
-	currBatch atomic.Int64
 	maintErrs maintErrBox
 
 	// lastEnded is the most recent batch EndBatch sealed.
@@ -282,7 +281,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 	e.fanout = make(chan struct{}, fan)
 	e.completedCkpt.Store(-1)
 	e.prevCompleted.Store(-1)
-	e.currBatch.Store(-1)
 	e.lastEnded.Store(-1)
 	e.ckptActive = -1
 	e.scratchPool.New = func() any {
@@ -381,12 +379,6 @@ func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
 	}
 	if err := psengine.CheckBuf(keys, dst, e.cfg.Dim); err != nil {
 		return err
-	}
-	// Conditional store: every pull of a batch writing the same value turns
-	// the line into a read-mostly one instead of a per-call cross-core
-	// invalidation.
-	if e.currBatch.Load() != batch {
-		e.currBatch.Store(batch)
 	}
 	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
 

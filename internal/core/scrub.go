@@ -244,5 +244,4 @@ func (e *Engine) applyScrubObs(rep psengine.ScrubReport) {
 	e.obs.ScrubRepaired.Add(rep.Repaired)
 	e.obs.ScrubRestored.Add(rep.Restored)
 	e.obs.ScrubFenced.Add(rep.Fenced)
-	e.obs.ScrubProgress.Add(rep.Scanned)
 }

@@ -43,7 +43,6 @@ import (
 //	engine_scrub_restored   corrupt records replaced by a retained
 //	                        checkpointed record (requires replay)
 //	engine_scrub_fenced     keys dropped for deterministic re-init
-//	engine_scrub_progress   gauge: cumulative records verified
 //
 // All handles are resolved once here; recording is atomics-only and every
 // field is nil when the registry is nil, so instrumentation points need no
@@ -71,7 +70,6 @@ type EngineObs struct {
 	ScrubRepaired   *obs.Counter
 	ScrubRestored   *obs.Counter
 	ScrubFenced     *obs.Counter
-	ScrubProgress   *obs.Gauge
 }
 
 // NewEngineObs resolves the canonical engine metrics from reg. It always
@@ -100,7 +98,6 @@ func NewEngineObs(reg *obs.Registry) *EngineObs {
 	m.ScrubRepaired = reg.Counter("engine_scrub_repaired")
 	m.ScrubRestored = reg.Counter("engine_scrub_restored")
 	m.ScrubFenced = reg.Counter("engine_scrub_fenced")
-	m.ScrubProgress = reg.Gauge("engine_scrub_progress")
 	return m
 }
 
