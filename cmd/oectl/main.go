@@ -276,10 +276,8 @@ func main() {
 // times three attempts. It returns the unreachable nodes.
 func pingNodes(w io.Writer, addrs []string) (unreachable []string) {
 	opts := rpc.Options{
-		DialTimeout:  3 * time.Second,
-		ReadTimeout:  3 * time.Second,
-		WriteTimeout: 3 * time.Second,
-		Retry:        rpc.RetryPolicy{MaxAttempts: 1},
+		Timeout: 3 * time.Second,
+		Retry:   rpc.RetryPolicy{MaxAttempts: 1},
 	}
 	for i, a := range addrs {
 		// A refused or timed-out connect is deferred to the first request,

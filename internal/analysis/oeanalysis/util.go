@@ -24,11 +24,6 @@ type ChargeSummary struct {
 	Read, Write, StreamRead, StreamWrite ChargeBound
 }
 
-// Zero reports whether no class can be charged on any path.
-func (s ChargeSummary) Zero() bool {
-	return s.Read.Max == 0 && s.Write.Max == 0 && s.StreamRead.Max == 0 && s.StreamWrite.Max == 0
-}
-
 // Facts is the cross-package side channel of the suite: analyzers export
 // what annotations declare about a package's objects while that package is
 // being analyzed, and later packages (the driver analyzes in dependency

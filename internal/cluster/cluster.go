@@ -5,7 +5,9 @@
 // responses in input order. Membership can change live (Join/Leave,
 // migrate.go). A serving read asks each key's owner and no other node: an
 // owner the node health table holds down (health.go) is not asked, and its
-// share fails at once with an error that names it.
+// share fails at once with an error that names it. The package never opens
+// a connection itself: each node is an rpc.Client dialed through
+// Options.RPC.Dial, TCP unless the caller supplies another transport.
 package cluster
 
 import (
@@ -24,12 +26,11 @@ import (
 // Options configures a cluster Client. Node health (health.go) has no
 // options: it is always on, and it is fed by the serving reads alone.
 type Options struct {
-	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
-	// retry policy, the deterministic fault injector, client-side RPC
-	// metrics). Each node's copy gets a deterministic label ("node<i>",
-	// unless RPC.Label is set), which names its injector stream and, with
-	// RPC.Retry.Seed, keys its retry jitter — so a seeded chaos run replays
-	// identically.
+	// RPC is forwarded to every per-node rpc.DialOpts call (the deadline,
+	// the dial function, the retry policy, client-side RPC metrics). Each
+	// node's copy gets a deterministic label ("node<i>", unless RPC.Label is
+	// set), which with RPC.Retry.Seed keys its retry jitter — so a seeded
+	// chaos run replays identically.
 	RPC rpc.Options
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
@@ -137,8 +138,8 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 }
 
 // dialNode opens one per-node connection with the client's stored options
-// under the deterministic label "node<i>" (injector stream and retry
-// jitter), so seeded chaos runs replay identically even after joins.
+// under the deterministic label "node<i>" (retry jitter), so seeded chaos
+// runs replay identically even after joins.
 func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
 	if ro.Label == "" {

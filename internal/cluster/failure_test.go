@@ -73,7 +73,7 @@ func keysForAllNodes(t *testing.T, nodes, count int) []uint64 {
 // hanging the whole fan-out.
 func TestFanOutNodeFailure(t *testing.T) {
 	cl, nodes := startClusterOpts(t, "dram-ps", 3, Options{
-		RPC: rpc.Options{ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second},
+		RPC: rpc.Options{Timeout: 2 * time.Second},
 	})
 	keys := keysForAllNodes(t, 3, 9)
 	dst := make([]float32, len(keys)*4)
@@ -163,7 +163,7 @@ func TestFanOutHungNodeTimesOut(t *testing.T) {
 	}()
 
 	cl, err := DialOpts(4, []string{real.Addr(), hung.Addr().String()}, Options{
-		RPC: rpc.Options{ReadTimeout: 150 * time.Millisecond},
+		RPC: rpc.Options{Timeout: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +214,8 @@ func TestClusterRecoverAfterCrash(t *testing.T) {
 	}
 	cl, err := DialOpts(4, addrs, Options{
 		RPC: rpc.Options{
-			Retry:        rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
+			Retry:   rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
+			Timeout: 2 * time.Second,
 		},
 		Obs: reg,
 	})

@@ -178,7 +178,7 @@ func TestDownOwnerFailsFast(t *testing.T) {
 	})
 
 	c, err := DialOpts(4, []string{live.Addr(), ln.Addr().String()}, Options{
-		RPC: rpc.Options{ReadTimeout: deadline, Retry: rpc.RetryPolicy{MaxAttempts: 1}},
+		RPC: rpc.Options{Timeout: deadline, Retry: rpc.RetryPolicy{MaxAttempts: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -390,14 +390,18 @@ func TestServingGrayFailureSoak(t *testing.T) {
 		faultinject.Rule{Point: faultinject.PointConnWrite, Label: "node1", Kind: faultinject.KindPartition, Prob: 1,
 			Until: 1 + (downAfter+1)*attempts + 1},
 	)
+	labels := map[string]string{}
+	for i, a := range addrs {
+		labels[a] = fmt.Sprintf("node%d", i)
+	}
+	tcpDial := func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, 2*time.Second) }
 	reg := obs.NewRegistry()
 	c, err := DialOpts(4, addrs, Options{
 		RPC: rpc.Options{
-			Retry:        rpc.RetryPolicy{MaxAttempts: attempts, Backoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond, Seed: 7},
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
-			Inject:       inj,
-			Obs:          reg,
+			Retry:   rpc.RetryPolicy{MaxAttempts: attempts, Backoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond, Seed: 7},
+			Timeout: 2 * time.Second,
+			Dial:    inj.WrapDial(tcpDial, func(addr string) string { return labels[addr] }),
+			Obs:     reg,
 		},
 		Obs: reg,
 	})

@@ -73,8 +73,7 @@ func (h *migChaosHarness) dial() *Client {
 				MaxBackoff:  20 * time.Millisecond,
 				Seed:        h.seed,
 			},
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
+			Timeout: 2 * time.Second,
 		},
 		Obs: h.reg,
 	})

@@ -125,16 +125,6 @@ func (m Model) EffectiveReadBandwidth(accessSize int) float64 {
 	return float64(accessSize) / c.Seconds()
 }
 
-// EffectiveWriteBandwidth is the write-side counterpart of
-// EffectiveReadBandwidth.
-func (m Model) EffectiveWriteBandwidth(accessSize int) float64 {
-	c := m.WriteCost(accessSize)
-	if c <= 0 {
-		return 0
-	}
-	return float64(accessSize) / c.Seconds()
-}
-
 // Timed couples a Model with the meter categories its accesses charge,
 // so call sites need a single line per access.
 type Timed struct {

@@ -1,8 +1,14 @@
 // Package faultinject is a deterministic, seeded fault injector for the
 // distributed stack: connection resets, torn frames, delays, dropped
 // responses and whole-node crash schedules, at scripted or seeded-random
-// points. A nil *Injector is valid everywhere and costs one nil check, so
-// the fault-free hot path is unchanged.
+// points. A nil *Injector is valid everywhere and injects nothing.
+//
+// Nothing in the production stack knows the injector exists. Wire faults
+// reach a connection through the dial and listen functions the RPC layer
+// already takes (WrapDial for rpc.Options.Dial, WrapListen for
+// ps.NodeConfig.Listen), which a test wraps around TCP or an in-memory
+// network alike; media faults reach a PMem device through
+// pmem.Device.SetMediaFaults.
 //
 // Determinism contract: every decision is a pure function of (seed, point,
 // label, per-stream occurrence number, rule index) — never of wall-clock
@@ -41,10 +47,6 @@ const (
 	// analog): the media-fault point for bit-rot in flushed lines,
 	// silently-dropped flushes and line poisoning.
 	PointPMemFlush
-	// PointPMemRead fires on simulated PMem reads (reserved for read-side
-	// media faults; poisoned-line reads fail without consulting a rule).
-	PointPMemRead
-	numPoints
 )
 
 func (p Point) String() string {
@@ -57,8 +59,6 @@ func (p Point) String() string {
 		return "conn-write"
 	case PointPMemFlush:
 		return "pmem-flush"
-	case PointPMemRead:
-		return "pmem-read"
 	default:
 		return fmt.Sprintf("point-%d", uint8(p))
 	}
@@ -190,16 +190,6 @@ type streamKey struct {
 	label string
 }
 
-// VirtualClock is the clock surface the injector needs to realize injected
-// delays in virtual time instead of wall time: *simclock.Clock satisfies
-// it. Advancing a virtual clock is what lets a deterministic soak express
-// "this link was slow for 300ms" without sleeping 300ms of CI wall time —
-// and what lets a virtual-clock-driven failure detector observe the
-// slowness.
-type VirtualClock interface {
-	Advance(d time.Duration) time.Duration
-}
-
 // Injector decides faults from a seed and a rule set. The zero value of
 // *Injector (nil) injects nothing.
 type Injector struct {
@@ -209,7 +199,6 @@ type Injector struct {
 	mu    sync.Mutex
 	calls map[streamKey]uint64 // per-(point,label) occurrence counter
 	fired []int                // per-rule fire count (for Count caps)
-	clock VirtualClock         // nil: injected delays sleep wall time
 
 	total [numKinds]atomic.Int64
 
@@ -234,37 +223,6 @@ func (in *Injector) Seed() uint64 {
 		return 0
 	}
 	return in.seed
-}
-
-// SetClock attaches a virtual clock: from then on every injected delay
-// (KindDelay, KindSlow) advances the clock instead of sleeping wall time.
-// Attach before any traffic flows; nil detaches.
-func (in *Injector) SetClock(c VirtualClock) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.clock = c
-	in.mu.Unlock()
-}
-
-// Sleep realizes an injected delay: against the attached virtual clock when
-// one is set, as a wall-clock sleep otherwise. Nil-safe.
-func (in *Injector) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	var clk VirtualClock
-	if in != nil {
-		in.mu.Lock()
-		clk = in.clock
-		in.mu.Unlock()
-	}
-	if clk != nil {
-		clk.Advance(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // SetObs registers the faultinject_injected_<kind> counters on reg; every

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"testing"
-	"time"
 )
 
 // Gray-failure fault model tests (DESIGN.md §16): partitions surface as
@@ -88,59 +87,6 @@ func TestWindowsArePerLabel(t *testing.T) {
 	}
 	if f := in.On(PointConnWrite, "node0"); f.Kind != KindNone {
 		t.Fatalf("node0 occurrence 2 fired %v (rule is node1-scoped)", f.Kind)
-	}
-}
-
-// recordClock captures Advance calls without sleeping.
-type recordClock struct{ advanced []time.Duration }
-
-func (c *recordClock) Advance(d time.Duration) time.Duration {
-	c.advanced = append(c.advanced, d)
-	var sum time.Duration
-	for _, a := range c.advanced {
-		sum += a
-	}
-	return sum
-}
-
-func TestSleepRoutesToVirtualClock(t *testing.T) {
-	in := New(1)
-	clk := &recordClock{}
-	in.SetClock(clk)
-	start := time.Now()
-	in.Sleep(5 * time.Second) // would hang the test if it slept wall time
-	if wall := time.Since(start); wall > time.Second {
-		t.Fatalf("Sleep blocked %v of wall time despite virtual clock", wall)
-	}
-	if len(clk.advanced) != 1 || clk.advanced[0] != 5*time.Second {
-		t.Fatalf("clock advances = %v, want [5s]", clk.advanced)
-	}
-}
-
-func TestInjectedDelayUsesVirtualClock(t *testing.T) {
-	// A KindSlow link delay on the conn wrapper advances the virtual
-	// clock instead of stalling the wall clock, so partition soaks with
-	// slow links stay fast.
-	in := New(1, Rule{Point: PointConnWrite, Label: "s", Kind: KindSlow, Prob: 1, Delay: 3 * time.Second})
-	clk := &recordClock{}
-	in.SetClock(clk)
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() { b.Read(make([]byte, 16)) }()
-	w := in.WrapConn(a, "s")
-	start := time.Now()
-	if _, err := w.Write([]byte("x")); err != nil {
-		t.Fatalf("slow write failed: %v (slow delays, it must not fail)", err)
-	}
-	if wall := time.Since(start); wall > time.Second {
-		t.Fatalf("slow write blocked %v of wall time", wall)
-	}
-	if len(clk.advanced) != 1 || clk.advanced[0] != 3*time.Second {
-		t.Fatalf("clock advances = %v, want [3s]", clk.advanced)
-	}
-	if got := in.Counts()[KindSlow]; got != 1 {
-		t.Fatalf("slow count = %d, want 1", got)
 	}
 }
 

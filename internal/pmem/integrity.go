@@ -398,10 +398,3 @@ func (a *Arena) Quarantine(slot uint32) {
 	a.occupied.remove(slot)
 	a.quarantined.add(slot)
 }
-
-// QuarantinedCount reports how many slots have been quarantined.
-func (a *Arena) QuarantinedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.quarantined.n
-}

@@ -3,7 +3,8 @@
 // the node can recover after a restart (Sec. V-C), served over the RPC
 // protocol or used in process. Node is the only thing in the tree that puts
 // an engine on the wire: oeps, the public openembedding.Server and every
-// soak run the same one.
+// soak run the same one. The wire is whatever NodeConfig.Listen opens — TCP
+// by default; a soak's fault-injecting or in-memory listener otherwise.
 //
 // A pmem-oe node is restartable in-process: Crash tears down the server
 // and engine and drops unpersisted device state, Restart recovers a fresh
@@ -16,6 +17,7 @@ package ps
 import (
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -54,14 +56,14 @@ type NodeConfig struct {
 	// CheckpointDir configures the incremental checkpointer for the
 	// baseline engines.
 	CheckpointDir string
-	// Inject, when set, arms the deterministic fault injector on the node's
-	// RPC server (server-side wire faults). Nil leaves the hot path
-	// untouched.
+	// Listen opens the listener the node serves on: net.Listen("tcp", addr)
+	// when nil. Restart re-listens on the same address through it. A soak
+	// passes a listener that injects wire faults, or an in-memory network.
+	Listen func(addr string) (net.Listener, error)
+	// Inject, when set with MediaLabel, arms the deterministic fault
+	// injector's PMem media faults on the node's device. Wire faults are
+	// not configured here: they ride on Listen.
 	Inject *faultinject.Injector
-	// Label is the injector stream label for this node's server-side
-	// connections; it must be deterministic across runs (a node index, not
-	// an address). Defaults to "server".
-	Label string
 	// MediaLabel, when non-empty (and Inject is set), arms the PMem media-
 	// fault model on the node's device with this injector stream label:
 	// flushes can then rot a bit, be silently dropped, or poison the flushed
@@ -106,10 +108,6 @@ type Node struct {
 	// node started from an existing PMem image (-1 otherwise); Restart
 	// updates it to the checkpoint the restarted engine recovered to.
 	RecoveredBatch int64
-
-	// lastRecover is the most recent recovery's outcome (zero until the
-	// node has recovered at least once). Guarded by mu.
-	lastRecover core.RecoverInfo
 
 	// serve is the node's MsgPullBag endpoint (nil unless cfg.Serve),
 	// created with the first engine; adoptEngine points it at each later
@@ -220,23 +218,23 @@ func (n *Node) Listen(addr string) error {
 // listenLocked starts the RPC server at the node's current engine and
 // epoch. Caller holds mu.
 func (n *Node) listenLocked(addr string) error {
-	opts := rpc.ServerOptions{
-		Epoch:  n.epoch,
-		Inject: n.cfg.Inject,
-		Label:  n.cfg.Label,
-		Obs:    n.cfg.Store.Obs,
+	listen := n.cfg.Listen
+	if listen == nil {
+		listen = func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
 	}
+	ln, err := listen(addr)
+	if err != nil {
+		return fmt.Errorf("ps: listen: %w", err)
+	}
+	opts := rpc.ServerOptions{Epoch: n.epoch, Obs: n.cfg.Store.Obs}
 	if n.baseline == nil {
 		opts.Control = n
 	}
 	if n.serve != nil { // only ever set on a pmem-oe node
 		opts.Bags = n.serve
 	}
-	srv, err := rpc.ServeOpts(addr, n.Engine(), opts)
-	if err != nil {
-		return err
-	}
-	n.srv, n.addr = srv, srv.Addr()
+	n.srv = rpc.ServeListener(ln, n.Engine(), opts)
+	n.addr = n.srv.Addr()
 	return nil
 }
 
@@ -307,7 +305,6 @@ func (n *Node) armMediaFaults() {
 // handler and the RPC server too, when the node has them. Caller holds mu,
 // or is Open.
 func (n *Node) adoptEngine(eng *core.Engine) {
-	n.lastRecover = eng.RecoverInfo()
 	if n.cfg.Serve {
 		if n.serve == nil {
 			n.serve = serve.New(eng, n.cfg.Store.Obs)
@@ -376,15 +373,6 @@ func (n *Node) Scrub() (psengine.ScrubReport, error) {
 		n.fence()
 	}
 	return rep, err
-}
-
-// LastRecoverInfo reports the most recent recovery's outcome (zero value
-// until the node has recovered at least once): which checkpoint it landed
-// on and whether corrupt durable header words forced a cur→prev fallback.
-func (n *Node) LastRecoverInfo() core.RecoverInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastRecover
 }
 
 // ObsHandler returns the node's observability HTTP handler (/metrics,

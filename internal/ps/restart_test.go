@@ -35,9 +35,8 @@ func startRestartNode(t *testing.T) (*Node, *rpc.Client) {
 	}
 	t.Cleanup(func() { n.Close() })
 	cl, err := rpc.DialOpts(n.Addr(), rpc.Options{
-		Retry:        rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
-		ReadTimeout:  2 * time.Second,
-		WriteTimeout: 2 * time.Second,
+		Retry:   rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,8 +50,8 @@ func swapUnderLoad(t *testing.T) {
 
 	dial := func() *rpc.Client {
 		cl, err := rpc.DialOpts(n.Addr(), rpc.Options{
-			Retry:       rpc.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
-			ReadTimeout: 5 * time.Second,
+			Retry:   rpc.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+			Timeout: 5 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -12,15 +12,14 @@ import (
 	"sync"
 	"time"
 
-	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 )
 
-// DefaultTimeout is the dial / per-request read / per-request write
-// deadline applied when an Options field is zero. A hung or partitioned
-// server therefore turns into an error instead of blocking a cluster
-// fan-out forever.
+// DefaultTimeout is the dial, per-request write and per-request read
+// deadline when Options.Timeout is zero. A hung or partitioned server
+// therefore turns into an error instead of blocking a cluster fan-out
+// forever.
 const DefaultTimeout = 30 * time.Second
 
 // RetryPolicy bounds the client's transparent retry of requests that failed
@@ -46,25 +45,22 @@ type RetryPolicy struct {
 
 // Options configures a Client.
 type Options struct {
-	// DialTimeout bounds connection establishment. Defaults to
-	// DefaultTimeout.
-	DialTimeout time.Duration
-	// ReadTimeout bounds each request's response wait, measured from when
-	// the request hits the wire. Defaults to DefaultTimeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each request's write+flush. Defaults to
-	// DefaultTimeout.
-	WriteTimeout time.Duration
+	// Timeout bounds connection establishment, each request's write+flush,
+	// and each request's response wait measured from when the request hit
+	// the wire. Defaults to DefaultTimeout.
+	Timeout time.Duration
+	// Dial opens every connection the client uses, the first and each
+	// redial: net.DialTimeout("tcp", addr, Timeout) when nil. A dialer that
+	// injects faults or reaches an in-memory network goes here; its errors
+	// are classified like TCP's (a net.Error timeout is a *TimeoutError,
+	// anything else a *TransportError).
+	Dial func(addr string) (net.Conn, error)
 	// Retry bounds the transparent retry of transport failures, with
 	// exponential backoff and seeded jitter.
 	Retry RetryPolicy
-	// Inject, when set, threads the deterministic fault injector into the
-	// transport: dial faults and wire faults on every connection. Nil (the
-	// default) leaves the hot path untouched.
-	Inject *faultinject.Injector
-	// Label is the injector stream label for this client's connections.
-	// Labels must be deterministic across runs (a node index, not an
-	// ephemeral address); it defaults to the dialed address.
+	// Label keys the retry jitter stream with Retry.Seed. Labels must be
+	// deterministic across runs (a node index, not an ephemeral address);
+	// it defaults to the dialed address.
 	Label string
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
@@ -78,9 +74,11 @@ func (o Options) withDefaults() Options {
 			*d = v
 		}
 	}
-	def(&o.DialTimeout, DefaultTimeout)
-	def(&o.ReadTimeout, DefaultTimeout)
-	def(&o.WriteTimeout, DefaultTimeout)
+	def(&o.Timeout, DefaultTimeout)
+	if o.Dial == nil {
+		timeout := o.Timeout
+		o.Dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
+	}
 	def(&o.Retry.Backoff, 2*time.Millisecond)
 	def(&o.Retry.MaxBackoff, 250*time.Millisecond)
 	if o.Retry.MaxAttempts <= 0 {
@@ -152,10 +150,9 @@ func newClientID() (int64, error) {
 // client-assigned sequence number; the server replays its cached response
 // for a retried sequence, making retries at-most-once.
 type Client struct {
-	addr  string
-	label string
-	opts  Options
-	id    int64 // collision-free client ID for server-side dedup
+	addr string
+	opts Options
+	id   int64 // collision-free client ID for server-side dedup
 
 	mu   sync.Mutex  // serializes requests; guards all fields below
 	sc   wireScratch // frames of the request in flight; see the Client doc
@@ -175,9 +172,6 @@ type Client struct {
 	conn   net.Conn
 	closed bool
 
-	// testRedialDelay widens the dial/install race window in tests.
-	testRedialDelay time.Duration
-
 	// metrics (nil, and free, without Options.Obs)
 	rtt      *obs.Histogram
 	bytesIn  *obs.Counter
@@ -188,7 +182,7 @@ type Client struct {
 	redials  *obs.Counter
 }
 
-// Dial connects with default options (30s dial/read/write deadlines, three
+// Dial connects over TCP with default options (30s deadlines, three
 // attempts per request).
 func Dial(addr string) (*Client, error) { return DialOpts(addr, Options{}) }
 
@@ -204,21 +198,21 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		addr:  addr,
-		label: opts.Label,
-		opts:  opts,
-		id:    id,
-		ep:    -1,
-		se:    -1,
+		addr: addr,
+		opts: opts,
+		id:   id,
+		ep:   -1,
+		se:   -1,
 	}
-	if c.label == "" {
-		c.label = addr
+	label := opts.Label
+	if label == "" {
+		label = addr
 	}
 	// The jitter stream is a function of the configured seed and label
 	// only — never of the random client ID — so a seeded chaos run replays
 	// its backoffs. xorshift needs a non-zero state.
 	h := fnv.New64a()
-	h.Write([]byte(c.label))
+	h.Write([]byte(label))
 	if c.rng = opts.Retry.Seed ^ h.Sum64(); c.rng == 0 {
 		c.rng = 0x9e3779b97f4a7c15
 	}
@@ -247,9 +241,15 @@ func (c *Client) Epoch() int64 {
 	return c.ep
 }
 
-func isTimeout(err error) bool {
+// wireErr types an I/O failure of op, a dial's included: a deadline expiry
+// (a net.Error whose Timeout is true) as *TimeoutError, anything else as
+// *TransportError.
+func (c *Client) wireErr(op string, err error) error {
 	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	if errors.As(err, &ne) && ne.Timeout() {
+		return &TimeoutError{Addr: c.addr, Op: op, After: c.opts.Timeout}
+	}
+	return &TransportError{Addr: c.addr, Op: op, Err: err}
 }
 
 // connect dials, installs the connection (unless Close won the race) and
@@ -257,28 +257,10 @@ func isTimeout(err error) bool {
 //
 // oevet:coldpath a connection is dialed once, and again only after it broke
 func (c *Client) connect() error {
-	if f := c.opts.Inject.On(faultinject.PointDial, c.label); f.Kind != faultinject.KindNone {
-		switch f.Kind {
-		case faultinject.KindDelay, faultinject.KindSlow:
-			c.opts.Inject.Sleep(f.Delay)
-		case faultinject.KindPartition:
-			// A partitioned dial is silent SYN loss: the deadline expires.
-			return &TimeoutError{Addr: c.addr, Op: "dial", After: c.opts.DialTimeout}
-		default:
-			return &TransportError{Addr: c.addr, Op: "dial", Err: faultinject.ErrInjected}
-		}
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := c.opts.Dial(c.addr)
 	if err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Addr: c.addr, Op: "dial", After: c.opts.DialTimeout}
-		}
-		return &TransportError{Addr: c.addr, Op: "dial", Err: err}
+		return c.wireErr("dial", err)
 	}
-	if c.testRedialDelay > 0 {
-		time.Sleep(c.testRedialDelay)
-	}
-	conn = c.opts.Inject.WrapConn(conn, c.label)
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
@@ -364,17 +346,14 @@ func (c *Client) ensureConn() error {
 	return c.connect()
 }
 
-// fail marks the connection broken with the request's error, translating
-// deadline expiries into *TimeoutError and other I/O failures into
-// *TransportError. Caller holds c.mu.
+// fail marks the connection broken with the request's error, typed by
+// wireErr. Caller holds c.mu.
 //
 // oevet:coldpath a request that broke its connection is not the steady state
-func (c *Client) fail(op string, after time.Duration, err error) error {
-	if isTimeout(err) {
-		err = &TimeoutError{Addr: c.addr, Op: op, After: after}
+func (c *Client) fail(op string, err error) error {
+	err = c.wireErr(op, err)
+	if errors.Is(err, ErrTimeout) {
 		c.timeouts.Add(1)
-	} else {
-		err = &TransportError{Addr: c.addr, Op: op, Err: err}
 	}
 	c.err = err
 	c.connMu.Lock()
@@ -390,17 +369,17 @@ func (c *Client) fail(op string, after time.Duration, err error) error {
 // has ensured a connection.
 func (c *Client) roundTrip(op string, body []byte) ([]byte, error) {
 	start := c.opts.Obs.Now()
-	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 	if err := writeFrame(c.bw, &c.sc.hdr, body); err != nil {
-		return nil, c.fail(op, c.opts.WriteTimeout, err)
+		return nil, c.fail(op, err)
 	}
 	if err := c.bw.Flush(); err != nil {
-		return nil, c.fail(op, c.opts.WriteTimeout, err)
+		return nil, c.fail(op, err)
 	}
-	c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
+	c.conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
 	resp, err := readFrame(c.br, &c.sc.hdr, c.sc.in)
 	if err != nil {
-		return nil, c.fail(op, c.opts.ReadTimeout, err)
+		return nil, c.fail(op, err)
 	}
 	c.sc.in = resp
 	c.bytesOut.Add(int64(len(body)) + frameHdrSize)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,14 +22,100 @@ func ftClient(t *testing.T, addr string, opts Options) *Client {
 	if opts.Retry.Backoff == 0 {
 		opts.Retry.Backoff = time.Millisecond
 	}
-	opts.ReadTimeout = 2 * time.Second
-	opts.WriteTimeout = 2 * time.Second
+	opts.Timeout = 2 * time.Second
 	cl, err := DialOpts(addr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// tcpListen and tcpDial are the default transport as the functions the
+// fault injector's wrappers take.
+func tcpListen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+func tcpDial(addr string) (net.Conn, error)       { return net.DialTimeout("tcp", addr, 2*time.Second) }
+
+// serveInjected serves a test engine on loopback behind a listener whose
+// connections read and write through inj under the stream label "server".
+func serveInjected(t *testing.T, inj *faultinject.Injector, opts ServerOptions) *Server {
+	t.Helper()
+	ln, err := inj.WrapListen(tcpListen, "server")("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeListener(ln, testEngine(t), opts)
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// TestDialAndListenCarryEveryConnection: Options.Dial and the server's
+// listener are the only ways onto the network. A counting Dial sees the
+// first connect and each redial after an injected reset, the counting
+// listener sees every connection the server answers, and a zero-value
+// Options still reaches a TCP server.
+func TestDialAndListenCarryEveryConnection(t *testing.T) {
+	ln, err := tcpListen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingListener{Listener: ln}
+	srv := ServeListener(counted, testEngine(t), ServerOptions{})
+	defer srv.Close()
+
+	// Client writes: #1 hello, #2 ping (reset), #3 hello after the redial,
+	// #4 the ping's retry, #5 ping (reset), #6 hello, #7 the retry.
+	inj := faultinject.New(1,
+		faultinject.Rule{Point: faultinject.PointConnWrite, Kind: faultinject.KindReset, Nth: 2},
+		faultinject.Rule{Point: faultinject.PointConnWrite, Kind: faultinject.KindReset, Nth: 5},
+	)
+	var dials atomic.Int32
+	dial := inj.WrapDial(func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return tcpDial(addr)
+	}, func(string) string { return "c" })
+	reg := obs.NewRegistry()
+	cl := ftClient(t, srv.Addr(), Options{Dial: dial, Obs: reg})
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("dials after DialOpts = %d, want 1 (the first connect)", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("ping %d through an injected reset: %v", i, err)
+		}
+	}
+	if got, redials := dials.Load(), reg.Snapshot().Counters["rpc_client_redials"]; got != 3 || redials != 2 {
+		t.Fatalf("dials = %d with %d redials, want 3 with 2 (one per injected reset)", got, redials)
+	}
+	if got := counted.accepted.Load(); got != 3 {
+		t.Fatalf("listener accepted %d conns, want 3 (one per dial)", got)
+	}
+
+	plain, err := DialOpts(srv.Addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if err := plain.Ping(); err != nil {
+		t.Fatalf("zero-value Options against a TCP server: %v", err)
+	}
+	if got := counted.accepted.Load(); got != 4 {
+		t.Fatalf("listener accepted %d conns, want 4 (the default TCP dial's too)", got)
+	}
 }
 
 // TestRedialAfterServerRestart: a client survives the server process
@@ -75,11 +162,7 @@ func TestPushRetryDedup(t *testing.T) {
 		Point: faultinject.PointConnWrite, Label: "server",
 		Kind: faultinject.KindDrop, Nth: 3,
 	})
-	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Inject: inj, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveInjected(t, inj, ServerOptions{Obs: reg})
 	cl := ftClient(t, srv.Addr(), Options{})
 
 	keys := []uint64{1}
@@ -208,12 +291,18 @@ func TestCloseDuringRedialNoLeak(t *testing.T) {
 		Point: faultinject.PointConnWrite, Label: "c",
 		Kind: faultinject.KindReset, Nth: 2,
 	})
+	// Once armed, the dial holds each fresh conn long enough, between dial
+	// and install, for Close to land in the window.
+	var redialDelay atomic.Int64
+	slowDial := func(addr string) (net.Conn, error) {
+		conn, err := tcpDial(addr)
+		time.Sleep(time.Duration(redialDelay.Load()))
+		return conn, err
+	}
 	cl, err := DialOpts(srv.Addr(), Options{
-		Retry:        RetryPolicy{MaxAttempts: 1},
-		Inject:       inj,
-		Label:        "c",
-		ReadTimeout:  2 * time.Second,
-		WriteTimeout: 2 * time.Second,
+		Retry:   RetryPolicy{MaxAttempts: 1},
+		Dial:    inj.WrapDial(slowDial, func(string) string { return "c" }),
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +311,8 @@ func TestCloseDuringRedialNoLeak(t *testing.T) {
 		t.Fatal("injected reset did not surface")
 	}
 
-	// The next request redials; the test hook holds the fresh conn between
-	// dial and install long enough for Close to land in the window.
-	cl.testRedialDelay = 200 * time.Millisecond
+	// The next request redials, slowly.
+	redialDelay.Store(int64(200 * time.Millisecond))
 	done := make(chan error, 1)
 	go func() { done <- cl.Ping() }()
 	time.Sleep(50 * time.Millisecond)
@@ -261,13 +349,9 @@ func TestServerTornResponse(t *testing.T) {
 		Point: faultinject.PointConnWrite, Label: "server",
 		Kind: faultinject.KindTorn, Nth: 2,
 	})
-	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveInjected(t, inj, ServerOptions{})
 
-	cl, err := DialOpts(srv.Addr(), Options{ReadTimeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
+	cl, err := DialOpts(srv.Addr(), Options{Timeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +379,7 @@ func TestTornResponseRetries(t *testing.T) {
 		Point: faultinject.PointConnWrite, Label: "server",
 		Kind: faultinject.KindTorn, Nth: 2,
 	})
-	srv, err := ServeOpts("127.0.0.1:0", testEngine(t), ServerOptions{Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveInjected(t, inj, ServerOptions{})
 	cl := ftClient(t, srv.Addr(), Options{Obs: reg})
 	if _, err := cl.Pull(0, []uint64{1}); err != nil {
 		t.Fatalf("pull through torn response: %v", err)

@@ -4,6 +4,12 @@
 // portable stand-in, with the network's virtual cost modeled separately by
 // the simulator).
 //
+// The connection is the package's one seam with the network: a Client dials
+// through Options.Dial and a Server answers what its listener accepts
+// (ServeListener), both TCP by default. Anything that is not TCP — a
+// fault-injecting wrapper, an in-memory network — is supplied there, so
+// the framing, retry and fencing code above it runs unchanged.
+//
 // Frame layout: 4-byte little-endian body length, then the body:
 //
 //	[1]  message type
@@ -448,9 +454,6 @@ func (r *Reader) U8() (byte, error) {
 	r.off++
 	return v, nil
 }
-
-// U32s consumes a count-prefixed uint32 list into a fresh slice.
-func (r *Reader) U32s() ([]uint32, error) { return listInto[uint32](r, nil) }
 
 // U32sInto is KeysInto for a uint32 list.
 func (r *Reader) U32sInto(dst []uint32) ([]uint32, error) { return listInto(r, dst) }

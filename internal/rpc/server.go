@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 )
@@ -21,13 +20,6 @@ type ServerOptions struct {
 	// crash restarts its server at a higher epoch, which fences every
 	// client still synchronized to the old one.
 	Epoch int64
-	// Inject, when set, wraps accepted connections with the deterministic
-	// fault injector (server-side wire faults: torn responses, resets,
-	// drops). Nil leaves the hot path untouched.
-	Inject *faultinject.Injector
-	// Label is the injector stream label for this server's connections;
-	// it defaults to "server".
-	Label string
 	// Bags, when set, serves MsgPullBag (the serving tier's pooled
 	// embedding-bag gather). Nil rejects bag requests with MsgErr; the
 	// connection stays alive either way.
@@ -88,7 +80,7 @@ var errNoHello = errors.New("rpc: batch-protocol request before MsgHello")
 // errNoBags answers MsgPullBag on a node without a serving tier.
 var errNoBags = errors.New("bag serving unsupported by this node")
 
-// Server exposes one storage engine (one shard) over TCP. Each accepted
+// Server exposes one storage engine (one shard) on a listener. Each accepted
 // connection is served by its own goroutine, one request at a time; a
 // worker that wants request parallelism opens several connections, as the
 // paper's multi-threaded pull handlers do.
@@ -115,8 +107,6 @@ type Server struct {
 	engine  atomic.Pointer[psengine.Engine] // never nil; see SetEngine
 	ln      net.Listener
 	epoch   atomic.Int64
-	inject  *faultinject.Injector
-	label   string
 	bags    BagServer
 	control Control
 
@@ -145,16 +135,22 @@ func Serve(addr string, engine psengine.Engine) (*Server, error) {
 	return ServeOpts(addr, engine, ServerOptions{})
 }
 
-// ServeOpts starts a server with explicit options.
+// ServeOpts starts a server with explicit options on a TCP listener.
 func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen: %w", err)
 	}
+	return ServeListener(ln, engine, opts), nil
+}
+
+// ServeListener starts a server on ln, which it owns from then on (Close
+// closes it). Every connection the server answers comes from ln.Accept, so
+// a listener that wraps its conns — with injected faults, say — or one of
+// an in-memory network carries the whole server side.
+func ServeListener(ln net.Listener, engine psengine.Engine, opts ServerOptions) *Server {
 	s := &Server{
 		ln:      ln,
-		inject:  opts.Inject,
-		label:   opts.Label,
 		bags:    opts.Bags,
 		control: opts.Control,
 		conns:   make(map[net.Conn]struct{}),
@@ -162,9 +158,6 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 	}
 	s.SetEngine(engine)
 	s.epoch.Store(opts.Epoch)
-	if s.label == "" {
-		s.label = "server"
-	}
 	reg := opts.Obs // nil registry: nil, free metrics
 	s.reg = reg
 	for t, spec := range msgTable {
@@ -180,7 +173,7 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 	s.dedupHits = reg.Counter("rpc_server_dedup_hits")
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address.
@@ -282,11 +275,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// The injected wrapper sits between the raw conn (which Close tracks)
-	// and the framing, so server-side faults tear/drop/reset responses.
-	wire := s.inject.WrapConn(conn, s.label)
-	br := bufio.NewReaderSize(wire, 1<<16)
-	bw := bufio.NewWriterSize(wire, 1<<16)
+	br := bufio.NewReaderSize(conn, 1<<16)
+	bw := bufio.NewWriterSize(conn, 1<<16)
 	cn := &srvConn{bound: -1}
 	for s.serveOne(cn, br, bw) == nil {
 	}

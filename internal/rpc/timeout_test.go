@@ -27,17 +27,17 @@ func timeoutTestEngine(t *testing.T) psengine.Engine {
 
 func TestOptionsWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.DialTimeout != DefaultTimeout || o.ReadTimeout != DefaultTimeout || o.WriteTimeout != DefaultTimeout {
-		t.Fatalf("zero options did not default to 30s: %+v", o)
+	if o.Timeout != DefaultTimeout || o.Dial == nil {
+		t.Fatalf("zero options did not default to a 30s TCP dial: %+v", o)
 	}
 	if o.Retry.MaxAttempts != 3 || o.Retry.Backoff != 2*time.Millisecond || o.Retry.MaxBackoff != 250*time.Millisecond {
 		t.Fatalf("zero retry policy did not default to 3 attempts, 2ms..250ms: %+v", o.Retry)
 	}
-	o = Options{WriteTimeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1, Backoff: time.Millisecond}}.withDefaults()
-	if o.WriteTimeout != time.Second || o.Retry.MaxAttempts != 1 || o.Retry.Backoff != time.Millisecond {
+	o = Options{Timeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1, Backoff: time.Millisecond}}.withDefaults()
+	if o.Timeout != time.Second || o.Retry.MaxAttempts != 1 || o.Retry.Backoff != time.Millisecond {
 		t.Fatalf("explicit options overridden: %+v", o)
 	}
-	if o.DialTimeout != DefaultTimeout || o.Retry.MaxBackoff != 250*time.Millisecond {
+	if o.Dial == nil || o.Retry.MaxBackoff != 250*time.Millisecond {
 		t.Fatalf("unset fields beside explicit ones not defaulted: %+v", o)
 	}
 }
@@ -90,9 +90,9 @@ func TestReadTimeoutOnHungServer(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c, err := DialOpts(ln.Addr().String(), Options{
-		ReadTimeout: 100 * time.Millisecond,
-		Retry:       RetryPolicy{Backoff: time.Millisecond},
-		Obs:         reg,
+		Timeout: 100 * time.Millisecond,
+		Retry:   RetryPolicy{Backoff: time.Millisecond},
+		Obs:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)

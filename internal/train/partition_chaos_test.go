@@ -1,20 +1,10 @@
 package train
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 	"time"
 
-	"openembedding/internal/cluster"
 	"openembedding/internal/faultinject"
-	"openembedding/internal/obs"
-	"openembedding/internal/optim"
-	"openembedding/internal/ps"
-	"openembedding/internal/psengine"
-	"openembedding/internal/rpc"
-	"openembedding/internal/simclock"
-	"openembedding/internal/workload"
 )
 
 // The partition chaos soak (DESIGN.md §16) drives real training through
@@ -29,12 +19,13 @@ import (
 // with a shared budget, rollback + replay, epoch fencing, dedup) must
 // land training bit-identically to a fault-free run.
 
-// runPartitionChaos runs the training job against a fresh 3-node cluster;
-// with chaos enabled it arms the partition/slow/reset rules. Write-side
-// and dial streams only: their occurrence numbers are exact frame/dial
-// counts, so the windowed schedules replay bit-identically (read-call
-// counts could vary with TCP segmentation).
-func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
+// runPartitionChaos runs the training job against a fresh 3-node cluster
+// over the given transport; with chaos enabled it arms the
+// partition/slow/reset rules. Write-side and dial streams only: their
+// occurrence numbers are exact frame/dial counts, so the windowed schedules
+// replay bit-identically, over TCP and in memory alike (read-call counts
+// could vary with TCP segmentation).
+func runPartitionChaos(t *testing.T, kind string, seed uint64, chaos bool) chaosResult {
 	t.Helper()
 	var inj *faultinject.Injector
 	if chaos {
@@ -61,122 +52,46 @@ func runPartitionChaos(t *testing.T, seed uint64, chaos bool) chaosResult {
 			faultinject.Rule{Point: faultinject.PointConnWrite, Kind: faultinject.KindReset, Prob: 0.01},
 		)
 	}
-	reg := obs.NewRegistry()
-	inj.SetObs(reg)
-
-	var psNodes []*ps.Node
-	var addrs []string
-	for i := 0; i < chaosNodes; i++ {
-		n, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{
-			Engine: "pmem-oe",
-			Store: psengine.Config{
-				Dim:               chaosDim,
-				Optimizer:         optim.NewAdaGrad(0.05),
-				Capacity:          1 << 14,
-				CacheEntries:      1024,
-				Meter:             simclock.NewMeter(),
-				Shards:            1,
-				RetainCheckpoints: 2,
-				Obs:               reg,
-			},
-			Inject:     inj,
-			Label:      fmt.Sprintf("srv%d", i),
-			MediaLabel: fmt.Sprintf("m%d", i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		psNodes = append(psNodes, n)
-		addrs = append(addrs, n.Addr())
-	}
-
-	cl, err := cluster.DialOpts(chaosDim, addrs, cluster.Options{
-		RPC: rpc.Options{
-			Retry: rpc.RetryPolicy{
-				MaxAttempts: 6,
-				Backoff:     time.Millisecond,
-				MaxBackoff:  20 * time.Millisecond,
-				Seed:        seed,
-			},
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
-			Inject:       inj,
-		},
-		Obs: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
-	tr, err := New(chaosTrainConfig(seed), cl)
+	sc := startSoakCluster(t, kind, seed, inj, nil)
+	cfg := chaosTrainConfig(seed)
+	tr, err := New(cfg, sc.cl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := tr.Run(chaosSteps)
 	if err != nil {
-		t.Fatalf("run (seed %d, chaos %v): %v", seed, chaos, err)
+		t.Fatalf("run (%s, seed %d, chaos %v): %v", kind, seed, chaos, err)
 	}
-
-	cfg := chaosTrainConfig(seed)
-	keySet := map[uint64]bool{}
-	stream := cfg.Data(cfg.DataSeed)
-	for s := 0; s < chaosSteps; s++ {
-		for _, k := range workload.UniqueKeys(stream.NextBatch(cfg.BatchSize)) {
-			keySet[k] = true
-		}
-	}
-	keys := make([]uint64, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dst := make([]float32, len(keys)*chaosDim)
-	if err := cl.Pull(chaosSteps, keys, dst); err != nil {
-		t.Fatalf("final readout pull: %v", err)
-	}
-	emb := make(map[uint64][]float32, len(keys))
-	for i, k := range keys {
-		emb[k] = dst[i*chaosDim : (i+1)*chaosDim]
-	}
-
-	res := chaosResult{
-		dense:   tr.Model().Params(),
-		emb:     emb,
-		steps:   out.Steps,
-		counts:  inj.Counts(),
-		replays: reg.Snapshot().Counters["cluster_replays"],
-	}
-	for _, n := range psNodes {
-		res.epochs = append(res.epochs, n.Epoch())
-	}
-	return res
+	return sc.result(t, cfg, tr, out, inj)
 }
 
 // TestPartitionChaosBitIdenticalToFaultFree is the gray-failure tentpole
 // gate: training through asymmetric partitions and slow links converges
-// to exactly — bit-identically — the state of a fault-free run.
+// to exactly — bit-identically — the state of a fault-free run. It runs
+// once per transport; the survived: lines match.
 func TestPartitionChaosBitIdenticalToFaultFree(t *testing.T) {
 	seed := chaosSeed(t)
 	t.Logf("partition chaos seed = %d (set OE_CHAOS_SEED to override)", seed)
+	for _, kind := range soakTransports {
+		t.Run(kind, func(t *testing.T) {
+			ref := runPartitionChaos(t, kind, seed, false)
+			chaos := runPartitionChaos(t, kind, seed, true)
 
-	ref := runPartitionChaos(t, seed, false)
-	chaos := runPartitionChaos(t, seed, true)
+			if got := chaos.counts[faultinject.KindPartition]; got < 1 {
+				t.Errorf("partitions = %d, want >= 1 (counts %v)", got, chaos.counts)
+			}
+			if got := chaos.counts[faultinject.KindSlow]; got < 1 {
+				t.Errorf("slow-link delays = %d, want >= 1 (counts %v)", got, chaos.counts)
+			}
+			if ref.replays != 0 {
+				t.Errorf("fault-free run replayed %d times", ref.replays)
+			}
 
-	if got := chaos.counts[faultinject.KindPartition]; got < 1 {
-		t.Errorf("partitions = %d, want >= 1 (counts %v)", got, chaos.counts)
+			compareChaosStates(t, "partition-chaos-vs-fault-free", ref, chaos)
+			t.Logf("survived: faults=%v replays=%d — final state bit-identical to fault-free run",
+				chaos.counts, chaos.replays)
+		})
 	}
-	if got := chaos.counts[faultinject.KindSlow]; got < 1 {
-		t.Errorf("slow-link delays = %d, want >= 1 (counts %v)", got, chaos.counts)
-	}
-	if ref.replays != 0 {
-		t.Errorf("fault-free run replayed %d times", ref.replays)
-	}
-
-	compareChaosStates(t, "partition-chaos-vs-fault-free", ref, chaos)
-	t.Logf("survived: faults=%v replays=%d — final state bit-identical to fault-free run",
-		chaos.counts, chaos.replays)
 }
 
 // TestPartitionChaosDeterministicReplay reruns the identical partition
@@ -185,19 +100,11 @@ func TestPartitionChaosBitIdenticalToFaultFree(t *testing.T) {
 func TestPartitionChaosDeterministicReplay(t *testing.T) {
 	seed := chaosSeed(t)
 	t.Logf("partition chaos seed = %d", seed)
-	a := runPartitionChaos(t, seed, true)
-	b := runPartitionChaos(t, seed, true)
-
-	if len(a.counts) != len(b.counts) {
-		t.Fatalf("fault mixes differ: %v vs %v", a.counts, b.counts)
+	for _, kind := range soakTransports {
+		t.Run(kind, func(t *testing.T) {
+			a := runPartitionChaos(t, kind, seed, true)
+			b := runPartitionChaos(t, kind, seed, true)
+			compareReplays(t, "partition-replay-determinism", a, b)
+		})
 	}
-	for k, v := range a.counts {
-		if b.counts[k] != v {
-			t.Fatalf("fault counts differ for %v: %d vs %d (full: %v vs %v)", k, v, b.counts[k], a.counts, b.counts)
-		}
-	}
-	if a.replays != b.replays {
-		t.Fatalf("replays differ: %d vs %d", a.replays, b.replays)
-	}
-	compareChaosStates(t, "partition-replay-determinism", a, b)
 }

@@ -2,19 +2,10 @@ package train
 
 import (
 	"fmt"
-	"sort"
 	"testing"
-	"time"
 
-	"openembedding/internal/cluster"
 	"openembedding/internal/faultinject"
-	"openembedding/internal/obs"
-	"openembedding/internal/optim"
-	"openembedding/internal/ps"
 	"openembedding/internal/psengine"
-	"openembedding/internal/rpc"
-	"openembedding/internal/simclock"
-	"openembedding/internal/workload"
 )
 
 // The scrub soak is the media-integrity counterpart of the chaos soak:
@@ -45,60 +36,22 @@ func checkLosslessScrub(t *testing.T, what string, rep psengine.ScrubReport) {
 // explicit scrubs until the cluster verifies clean. Every heal must have
 // been a transparent repair. It returns the run's result and the sums of
 // the in-training and the final scrub reports.
-func runScrubCluster(t *testing.T, seed uint64, rot bool) (res chaosResult, during, final psengine.ScrubReport) {
+func runScrubCluster(t *testing.T, seed uint64, rot bool) (_ chaosResult, during, final psengine.ScrubReport) {
 	t.Helper()
 	var inj *faultinject.Injector
 	if rot {
 		inj = faultinject.New(seed,
 			faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Prob: 0.01})
 	}
-	reg := obs.NewRegistry()
-	inj.SetObs(reg)
-
-	var psNodes []*ps.Node
-	var addrs []string
-	for i := 0; i < chaosNodes; i++ {
-		n, err := ps.StartNode("127.0.0.1:0", ps.NodeConfig{
-			Engine: "pmem-oe",
-			Store: psengine.Config{
-				Dim:       chaosDim,
-				Optimizer: optim.NewAdaGrad(0.05),
-				Capacity:  1 << 14,
-				// Every entry stays DRAM-resident: each corrupt record has an
-				// intact cached copy, so every scrub heal is a lossless
-				// in-place repair.
-				CacheEntries:      1 << 14,
-				Meter:             simclock.NewMeter(),
-				Shards:            1,
-				RetainCheckpoints: 2,
-				// Faults land in the stored records (no write-site healing):
-				// scrubbing, not flush verification, is under test.
-				FlushVerifyDisabled: true,
-				Obs:                 reg,
-			},
-			Inject:     inj,
-			Label:      fmt.Sprintf("srv%d", i),
-			MediaLabel: fmt.Sprintf("m%d", i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		psNodes = append(psNodes, n)
-		addrs = append(addrs, n.Addr())
-	}
-
-	cl, err := cluster.DialOpts(chaosDim, addrs, cluster.Options{
-		RPC: rpc.Options{
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
-		},
-		Obs: reg,
+	sc := startSoakCluster(t, "tcp", seed, inj, func(store *psengine.Config) {
+		// Every entry stays DRAM-resident: each corrupt record has an intact
+		// cached copy, so every scrub heal is a lossless in-place repair.
+		store.CacheEntries = 1 << 14
+		// Faults land in the stored records (no write-site healing):
+		// scrubbing, not flush verification, is under test.
+		store.FlushVerifyDisabled = true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	cl := sc.cl
 
 	cfg := chaosTrainConfig(seed)
 	if rot {
@@ -140,46 +93,14 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (res chaosResult, duri
 		if again.Corrupt != 0 {
 			t.Fatalf("second scrub still finds corruption: %+v", again)
 		}
-		for i, n := range psNodes {
+		for i, n := range sc.nodes {
 			if ep := n.Epoch(); ep != 0 {
 				t.Fatalf("node %d epoch = %d after transparent repairs, want 0", i, ep)
 			}
 		}
 	}
 
-	// Readout: every key the run trained, in sorted (deterministic) order.
-	keySet := map[uint64]bool{}
-	stream := cfg.Data(cfg.DataSeed)
-	for s := 0; s < chaosSteps; s++ {
-		for _, k := range workload.UniqueKeys(stream.NextBatch(cfg.BatchSize)) {
-			keySet[k] = true
-		}
-	}
-	keys := make([]uint64, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dst := make([]float32, len(keys)*chaosDim)
-	if err := cl.Pull(chaosSteps, keys, dst); err != nil {
-		t.Fatalf("final readout pull: %v", err)
-	}
-	emb := make(map[uint64][]float32, len(keys))
-	for i, k := range keys {
-		emb[k] = dst[i*chaosDim : (i+1)*chaosDim]
-	}
-
-	res = chaosResult{
-		dense:   tr.Model().Params(),
-		emb:     emb,
-		steps:   out.Steps,
-		counts:  inj.Counts(),
-		replays: reg.Snapshot().Counters["cluster_replays"],
-	}
-	for _, n := range psNodes {
-		res.epochs = append(res.epochs, n.Epoch())
-	}
-	return res, during, final
+	return sc.result(t, cfg, tr, out, inj), during, final
 }
 
 // TestScrubSoak: with seeded silent bit-rot landing in stored records all
