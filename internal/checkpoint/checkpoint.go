@@ -52,9 +52,8 @@ type Entry struct {
 // Writer writes delta checkpoint files into a directory and charges their
 // size to a checkpoint device model.
 type Writer struct {
-	dir      string
-	device   *device.Timed // cost model of the checkpoint device (may be nil)
-	quantize bool
+	dir    string
+	device *device.Timed // cost model of the checkpoint device (may be nil)
 
 	// metrics (nil, and free, without SetObs)
 	writeNS    *obs.Histogram
@@ -82,15 +81,6 @@ func (w *Writer) SetObs(reg *obs.Registry) {
 	w.deltasDone = reg.Counter("ckpt_deltas_written")
 }
 
-// SetQuantize toggles fp16 payload quantization (Check-N-Run's checkpoint
-// compression, cited by the paper as complementary): halves checkpoint
-// bytes — and therefore the synchronous pause and the recovery read — at
-// the cost of ~3 decimal digits of weight precision.
-func (w *Writer) SetQuantize(on bool) { w.quantize = on }
-
-// file-header flag bits.
-const flagFP16 = uint64(1)
-
 // deltaName formats the file name for a delta covering up to batch.
 func deltaName(batch int64) string { return fmt.Sprintf("delta-%016d.ckpt", batch) }
 
@@ -115,27 +105,20 @@ func (w *Writer) WriteDelta(batch int64, entries []Entry) error {
 	h := crc32.New(crcTable)
 	out := io.MultiWriter(bw, h)
 
-	var flags uint64
-	if w.quantize {
-		flags |= flagFP16
-	}
+	// hdr[24:32] is a flags word: always zero, and ReadDelta rejects any
+	// other value.
 	var hdr [32]byte
 	copy(hdr[:8], fileMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(batch))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(entries)))
-	binary.LittleEndian.PutUint64(hdr[24:], flags)
 	if _, err := out.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	valBytes := 4
-	if w.quantize {
-		valBytes = 2
-	}
 	var total int64 = int64(len(hdr))
 	scratch := make([]byte, 0, 1024)
 	for _, e := range entries {
-		need := 8 + 4 + valBytes*len(e.Payload)
+		need := 8 + 4 + 4*len(e.Payload)
 		if cap(scratch) < need {
 			scratch = make([]byte, 0, need)
 		}
@@ -143,11 +126,7 @@ func (w *Writer) WriteDelta(batch int64, entries []Entry) error {
 		binary.LittleEndian.PutUint64(buf[0:], e.Key)
 		binary.LittleEndian.PutUint32(buf[8:], uint32(len(e.Payload)))
 		for i, v := range e.Payload {
-			if w.quantize {
-				binary.LittleEndian.PutUint16(buf[12+2*i:], Float32ToHalf(v))
-			} else {
-				binary.LittleEndian.PutUint32(buf[12+4*i:], floatBits(v))
-			}
+			binary.LittleEndian.PutUint32(buf[12+4*i:], floatBits(v))
 		}
 		if _, err := out.Write(buf); err != nil {
 			f.Close()
@@ -230,11 +209,14 @@ func ReadDelta(dir string, batch int64, dev *device.Timed) ([]Entry, error) {
 	if got := int64(binary.LittleEndian.Uint64(raw[8:])); got != batch {
 		return nil, fmt.Errorf("%w: batch %d in file named %d", ErrCorrupt, got, batch)
 	}
+	if flags := binary.LittleEndian.Uint64(raw[24:]); flags != 0 {
+		return nil, fmt.Errorf("%w: flags %#x", ErrCorrupt, flags)
+	}
+	// Every entry takes at least its 12-byte key and length, so a count
+	// the body cannot hold is corrupt — rejected before it sizes anything.
 	count := binary.LittleEndian.Uint64(raw[16:])
-	flags := binary.LittleEndian.Uint64(raw[24:])
-	valBytes := 4
-	if flags&flagFP16 != 0 {
-		valBytes = 2
+	if count > uint64(len(body)-32)/12 {
+		return nil, fmt.Errorf("%w: %d entries in a %d-byte body", ErrCorrupt, count, len(body))
 	}
 	entries := make([]Entry, 0, count)
 	off := 32
@@ -245,18 +227,14 @@ func ReadDelta(dir string, batch int64, dev *device.Timed) ([]Entry, error) {
 		key := binary.LittleEndian.Uint64(body[off:])
 		n := int(binary.LittleEndian.Uint32(body[off+8:]))
 		off += 12
-		if off+valBytes*n > len(body) {
+		if off+4*n > len(body) {
 			return nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
 		}
 		payload := make([]float32, n)
 		for j := 0; j < n; j++ {
-			if valBytes == 2 {
-				payload[j] = HalfToFloat32(binary.LittleEndian.Uint16(body[off+2*j:]))
-			} else {
-				payload[j] = floatFromBits(binary.LittleEndian.Uint32(body[off+4*j:]))
-			}
+			payload[j] = floatFromBits(binary.LittleEndian.Uint32(body[off+4*j:]))
 		}
-		off += valBytes * n
+		off += 4 * n
 		entries = append(entries, Entry{Key: key, Payload: payload})
 	}
 	return entries, nil

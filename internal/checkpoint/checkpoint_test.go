@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -127,21 +129,43 @@ func TestRestoreEmptyDir(t *testing.T) {
 }
 
 func TestReadDeltaDetectsCorruption(t *testing.T) {
-	w, dir, _ := testWriter(t)
-	if err := w.WriteDelta(3, []Entry{{Key: 1, Payload: []float32{1, 2}}}); err != nil {
-		t.Fatal(err)
+	// reseal rewrites the trailing CRC32C over an edited file, so only the
+	// header checks stand between the edit and the reader.
+	reseal := func(raw []byte) {
+		binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(raw[:len(raw)-4], crcTable))
 	}
-	path := filepath.Join(dir, deltaName(3))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDelta(dir, 3, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+	for _, tc := range []struct {
+		name string
+		edit func(raw []byte)
+	}{
+		{"flipped byte", func(raw []byte) { raw[len(raw)/2] ^= 0xff }},
+		{"count past the body", func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[16:], 1<<60)
+			reseal(raw)
+		}},
+		{"nonzero flags", func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[24:], 1)
+			reseal(raw)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, dir, _ := testWriter(t)
+			if err := w.WriteDelta(3, []Entry{{Key: 1, Payload: []float32{1, 2}}}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, deltaName(3))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadDelta(dir, 3, nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+		})
 	}
 }
 

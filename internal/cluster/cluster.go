@@ -26,11 +26,9 @@ import (
 // Options configures a cluster Client. Node health (health.go) has no
 // options: it is always on, and it is fed by the serving reads alone.
 type Options struct {
-	// RPC is forwarded to every per-node rpc.DialOpts call (the deadline,
-	// the dial function, the retry policy, client-side RPC metrics). Each
-	// node's copy gets a deterministic label ("node<i>", unless RPC.Label is
-	// set), which with RPC.Retry.Seed keys its retry jitter — so a seeded
-	// chaos run replays identically.
+	// RPC is every per-node rpc.DialOpts call's options, unchanged: the
+	// deadline, the dial function, the attempts per request and the
+	// client-side RPC metrics.
 	RPC rpc.Options
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
@@ -63,9 +61,8 @@ type Client struct {
 	// never reused, so a membership history replays to the same ring.
 	ids    []uint64
 	nextID uint64
-	// dialOpts reproduces DialOpts' per-node connection setup for nodes
-	// that join later.
-	dialOpts Options
+	// rpcOpts dials every node's connection, a joiner's included.
+	rpcOpts rpc.Options
 	// fans recycles the working memory of Pull, Push and PullBags calls
 	// (see fan): one per call in flight, so calls sharing the Client never
 	// share scratch.
@@ -105,10 +102,10 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cluster: no node addresses")
 	}
 	c := &Client{
-		dim:      dim,
-		addrs:    append([]string(nil), addrs...),
-		spans:    opts.Spans,
-		dialOpts: opts,
+		dim:     dim,
+		addrs:   append([]string(nil), addrs...),
+		spans:   opts.Spans,
+		rpcOpts: opts.RPC,
 	}
 	reg := opts.Obs // nil registry: nil, free metrics
 	c.reg = reg
@@ -124,7 +121,7 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c.health.suspicions = reg.Counter("cluster_suspicions")
 	c.health.downNodes = reg.Gauge("cluster_suspected_nodes")
 	for n, a := range addrs {
-		cl, err := c.dialNode(a, n)
+		cl, err := rpc.DialOpts(a, c.rpcOpts)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: node %d (%s): %w", n, a, err)
@@ -135,17 +132,6 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c.nextID = uint64(len(addrs))
 	c.install(NewRing(c.ids))
 	return c, nil
-}
-
-// dialNode opens one per-node connection with the client's stored options
-// under the deterministic label "node<i>" (retry jitter), so seeded chaos
-// runs replay identically even after joins.
-func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
-	ro := c.dialOpts.RPC
-	if ro.Label == "" {
-		ro.Label = fmt.Sprintf("node%d", n)
-	}
-	return rpc.DialOpts(addr, ro)
 }
 
 // Epoch returns the current ownership epoch: 0 at dial, bumped by every

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"openembedding/internal/optim"
 	"openembedding/internal/ps"
@@ -145,9 +144,7 @@ func TestDialFailures(t *testing.T) {
 	// on demand, exactly as after a mid-run disconnect — but the first
 	// request names the node and fails with a transport error once its
 	// attempts are spent.
-	c, err := DialOpts(4, []string{"127.0.0.1:1"}, Options{
-		RPC: rpc.Options{Retry: rpc.RetryPolicy{Backoff: time.Millisecond}},
-	})
+	c, err := DialOpts(4, []string{"127.0.0.1:1"}, Options{})
 	if err != nil {
 		t.Fatalf("dial of a dead address: %v", err)
 	}

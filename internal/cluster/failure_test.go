@@ -214,8 +214,8 @@ func TestClusterRecoverAfterCrash(t *testing.T) {
 	}
 	cl, err := DialOpts(4, addrs, Options{
 		RPC: rpc.Options{
-			Retry:   rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
-			Timeout: 2 * time.Second,
+			MaxAttempts: 5,
+			Timeout:     2 * time.Second,
 		},
 		Obs: reg,
 	})

@@ -178,7 +178,7 @@ func TestDownOwnerFailsFast(t *testing.T) {
 	})
 
 	c, err := DialOpts(4, []string{live.Addr(), ln.Addr().String()}, Options{
-		RPC: rpc.Options{Timeout: deadline, Retry: rpc.RetryPolicy{MaxAttempts: 1}},
+		RPC: rpc.Options{Timeout: deadline, MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestSuspectedOwnerAskedAfterAll(t *testing.T) {
 	n := startElasticNode(t)
 	addr := n.Addr()
 	c, err := DialOpts(4, []string{addr}, Options{
-		RPC: rpc.Options{Retry: rpc.RetryPolicy{MaxAttempts: 1}},
+		RPC: rpc.Options{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestBreakerPerNode(t *testing.T) {
 		}
 	}()
 	c, err := DialOpts(4, []string{live.Addr(), ln.Addr().String()}, Options{
-		RPC: rpc.Options{Retry: rpc.RetryPolicy{MaxAttempts: 2, Backoff: 100 * time.Microsecond, Seed: 3}},
+		RPC: rpc.Options{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -398,10 +398,10 @@ func TestServingGrayFailureSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := DialOpts(4, addrs, Options{
 		RPC: rpc.Options{
-			Retry:   rpc.RetryPolicy{MaxAttempts: attempts, Backoff: 200 * time.Microsecond, MaxBackoff: 2 * time.Millisecond, Seed: 7},
-			Timeout: 2 * time.Second,
-			Dial:    inj.WrapDial(tcpDial, func(addr string) string { return labels[addr] }),
-			Obs:     reg,
+			MaxAttempts: attempts,
+			Timeout:     2 * time.Second,
+			Dial:        inj.WrapDial(tcpDial, func(addr string) string { return labels[addr] }),
+			Obs:         reg,
 		},
 		Obs: reg,
 	})

@@ -184,7 +184,7 @@ func (c *Client) Join(batch int64, addr string) error {
 	r := c.ring.Load()
 	start := c.reg.Now()
 	nr, moves := r.joinPlan(c.nextID)
-	nc, err := c.dialNode(addr, len(c.nodes))
+	nc, err := rpc.DialOpts(addr, c.rpcOpts)
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: %w", addr, err)
 	}

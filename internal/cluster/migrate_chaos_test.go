@@ -67,13 +67,8 @@ func (h *migChaosHarness) dial() *Client {
 	h.t.Helper()
 	cl, err := DialOpts(migChaosDim, h.addrs, Options{
 		RPC: rpc.Options{
-			Retry: rpc.RetryPolicy{
-				MaxAttempts: 6,
-				Backoff:     time.Millisecond,
-				MaxBackoff:  20 * time.Millisecond,
-				Seed:        h.seed,
-			},
-			Timeout: 2 * time.Second,
+			MaxAttempts: 6,
+			Timeout:     2 * time.Second,
 		},
 		Obs: h.reg,
 	})

@@ -97,12 +97,6 @@ type Engine struct {
 	// durably in the arena header so recovery can roll back one checkpoint.
 	prevCompleted atomic.Int64
 
-	// flushVerify makes every record flush prove itself against the durable
-	// image (set when a media-fault model is armed on the device and the
-	// config does not opt out): rot, dropped flushes and poison are caught
-	// at the flush site and healed by rewrite/realloc, so the durable image
-	// stays exactly what a fault-free run would hold.
-	flushVerify bool
 	// recoverInfo records how the engine was recovered (recover.go).
 	recoverInfo RecoverInfo
 
@@ -246,7 +240,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		obs:     psengine.NewEngineObs(cfg.Obs),
 		spans:   cfg.Spans,
 	}
-	e.flushVerify = arena.Device().MediaFaultsArmed() && !cfg.FlushVerifyDisabled
 	// shardIndex multiplies by the golden ratio and keeps the top log2(n)
 	// bits. For n == 1 the shift is 64, which Go defines as yielding 0.
 	e.shardShift = uint(64 - bits.TrailingZeros(uint(nShards)))
@@ -311,6 +304,17 @@ func (e *Engine) Config() psengine.Config { return e.cfg }
 
 // Arena exposes the underlying PMem arena (used by recovery and tests).
 func (e *Engine) Arena() *pmem.Arena { return e.arena }
+
+// verifyFlushes reports whether record flushes must prove themselves
+// against the durable image: while a media-fault model is armed on the
+// device, unless the config opts out. It is asked at each commit, so an
+// engine built before the model was armed verifies from then on. Rot,
+// dropped flushes and poison are caught at the flush site and healed by
+// rewrite/realloc, so the durable image stays exactly what a fault-free
+// run would hold.
+func (e *Engine) verifyFlushes() bool {
+	return !e.cfg.FlushVerifyDisabled && e.arena.Device().MediaFaultsArmed()
+}
 
 // shardIndex maps a key to its shard: Fibonacci hashing keeps the top bits
 // well mixed, and the power-of-two shard count makes the map a shift.

@@ -482,7 +482,7 @@ func (s *shard) commitChunkLocked(recs []pmem.WriteRec, ents []*entry) (int, err
 		}
 	}
 	recs = recs[:n]
-	done, err := e.arena.WriteBatch(recs, e.flushVerify)
+	done, err := e.arena.WriteBatch(recs, e.verifyFlushes())
 	if err != nil {
 		done, err = s.retryPoisonedLocked(recs, done, err)
 	}
@@ -541,7 +541,7 @@ func (s *shard) retryPoisonedLocked(recs []pmem.WriteRec, done int, err error) (
 		}
 		recs[done].Slot = slot
 		var more int
-		if more, err = e.arena.WriteBatch(recs[done:], e.flushVerify); more > 0 {
+		if more, err = e.arena.WriteBatch(recs[done:], e.verifyFlushes()); more > 0 {
 			tries = -1 // a later record is failing now; it gets its own four
 		}
 		done += more

@@ -241,6 +241,9 @@ func TestCommitFailureLeavesEntriesConsistent(t *testing.T) {
 func TestCrashAfterEveryCommitPrefix(t *testing.T) {
 	cfg := testConfig(2, 64, 4)
 	cfg.Optimizer = optim.NewAdaGrad(0.1)
+	// The dropped flushes are the power cut, not a failing medium: the
+	// write site must not prove and redo them.
+	cfg.FlushVerifyDisabled = true
 	keysOf := func(b int64) []uint64 {
 		keys := make([]uint64, 10)
 		for i := range keys {
@@ -310,6 +313,44 @@ func TestCrashAfterEveryCommitPrefix(t *testing.T) {
 					t.Fatalf("prefix %d: key %d float %d = %v, checkpoint 5 held %v", prefix, k, i, got[k][i], row[i])
 				}
 			}
+		}
+	}
+}
+
+// TestFlushVerifyFollowsArming arms a media fault on the device of an
+// engine that trained a batch unarmed: the engine asks the device at each
+// commit, so the first commit after arming — the checkpoint's record
+// flush — already proves itself against the durable image, finds the
+// flush dropped and redoes it. The checkpointed row then survives a power
+// cut.
+func TestFlushVerifyFollowsArming(t *testing.T) {
+	cfg := testConfig(2, 64, 4)
+	e, dev := newFaultEngine(t, cfg, 64, nil)
+	keys := []uint64{1}
+	runBatch(t, e, 0, keys, constGrads(1, 2, 1))
+	inj := faultinject.New(1, faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindDrop, Nth: 1})
+	dev.SetMediaFaults(inj, "m")
+	commitCheckpoint(t, e, 0)
+	if got := inj.Counts()[faultinject.KindDrop]; got != 1 {
+		t.Fatalf("dropped flushes = %d, want 1", got)
+	}
+	e.Close()
+	dev.Crash()
+	rcfg := cfg
+	rcfg.Meter = simclock.NewMeter()
+	r, at, err := Recover(rcfg, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if at != 0 {
+		t.Fatalf("recovered to checkpoint %d, want 0", at)
+	}
+	got := runBatch(t, r, 1, keys, nil)
+	want := runBatchValues(t, cfg, keys)
+	for i := range got {
+		if want[i] -= 0.1; got[i] != want[i] {
+			t.Fatalf("recovered row[%d] = %v, want the checkpointed %v", i, got[i], want[i])
 		}
 	}
 }

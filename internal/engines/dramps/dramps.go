@@ -63,9 +63,6 @@ type Options struct {
 	// CheckpointDir receives incremental checkpoint files; empty disables
 	// checkpointing (RequestCheckpoint then fails).
 	CheckpointDir string
-	// QuantizeCheckpoint stores checkpoint payloads as fp16 (Check-N-Run's
-	// compression, cited by the paper), halving checkpoint bytes.
-	QuantizeCheckpoint bool
 	// AsyncCheckpoint makes RequestCheckpoint return immediately and dump
 	// in the background while training continues — the alternative
 	// Sec. II-A discusses and rejects: entries updated mid-dump make the
@@ -97,7 +94,6 @@ func New(cfg psengine.Config, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.SetQuantize(opts.QuantizeCheckpoint)
 		w.SetObs(cfg.Obs)
 		e.writer = w
 	}

@@ -239,41 +239,3 @@ func TestAsyncCheckpointTearsBatches(t *testing.T) {
 		t.Fatalf("expected torn checkpoint (keyA at batch 0, keyB at batch 1): diff=%v want=%v", diff, wantTear)
 	}
 }
-
-func TestQuantizedCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	e, err := New(psengine.Config{Dim: 4, Optimizer: optim.NewSGD(0.1), Capacity: 64},
-		Options{CheckpointDir: dir, QuantizeCheckpoint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	drive(t, e, 0, []uint64{1, 2}, true)
-	if err := e.RequestCheckpoint(0); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float32, 8)
-	if err := e.Pull(1, []uint64{1, 2}, want); err != nil {
-		t.Fatal(err)
-	}
-
-	re, newest, err := Restore(psengine.Config{Dim: 4, Optimizer: optim.NewSGD(0.1), Capacity: 64},
-		Options{CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if newest != 0 {
-		t.Fatalf("restored batch %d", newest)
-	}
-	got := make([]float32, 8)
-	if err := re.Pull(1, []uint64{1, 2}, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		diff := float64(got[i] - want[i])
-		if diff > 1e-3 || diff < -1e-3 {
-			t.Fatalf("quantized restore[%d] = %v, want ~%v", i, got[i], want[i])
-		}
-	}
-}

@@ -85,9 +85,6 @@ type Options struct {
 	// CheckpointDir receives incremental checkpoint files; empty disables
 	// checkpointing.
 	CheckpointDir string
-	// QuantizeCheckpoint stores checkpoint payloads as fp16 (Check-N-Run's
-	// compression, cited by the paper), halving checkpoint bytes.
-	QuantizeCheckpoint bool
 }
 
 // New creates an Ori-Cache engine over the given arena.
@@ -118,7 +115,6 @@ func New(cfg psengine.Config, arena *pmem.Arena, opts Options) (*Engine, error) 
 		if err != nil {
 			return nil, err
 		}
-		w.SetQuantize(opts.QuantizeCheckpoint)
 		w.SetObs(cfg.Obs)
 		e.writer = w
 	}

@@ -281,6 +281,14 @@ func (in *Injector) On(point Point, label string) Fault {
 	return f
 }
 
+// FlushFault is On at PointPMemFlush in the form pmem.MediaFaults takes:
+// the fault's kind by name ("none" for most calls) and its Arg. It is how a
+// PMem device consults the injector without importing this package.
+func (in *Injector) FlushFault(label string) (string, uint64) {
+	f := in.On(PointPMemFlush, label)
+	return f.Kind.String(), f.Arg
+}
+
 // count records one injected fault of the given kind (also used by
 // harnesses that perform scheduled crashes themselves).
 func (in *Injector) count(k Kind) {

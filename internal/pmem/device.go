@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"openembedding/internal/device"
-	"openembedding/internal/faultinject"
 )
 
 // Common errors returned by the pmem package.
@@ -57,8 +56,8 @@ type Device struct {
 	crashMu sync.RWMutex // held exclusively during Crash/Save/restore
 
 	// media is the optional seeded media-fault model (bit-rot, dropped
-	// flushes, poisoned ranges); nil on the fault-free path. Set during
-	// setup via SetMediaFaults, before concurrent use.
+	// flushes, poisoned ranges); nil on the fault-free path. Set by
+	// SetMediaFaults while the device is quiescent.
 	media *mediaState
 }
 
@@ -166,20 +165,22 @@ func (d *Device) Flush(off, n int) error {
 // range to the durable image. The caller holds crashMu shared across as
 // many write-backs as it groups under one fence, then calls noteFlushes.
 func (d *Device) flushLocked(off, n int) {
-	var f faultinject.Fault
-	if m := d.media; m != nil {
-		f = m.inj.On(faultinject.PointPMemFlush, m.label)
+	m := d.media
+	if m == nil {
+		copy(d.durable[off:off+n], d.image[off:off+n])
+		return
 	}
-	if f.Kind != faultinject.KindDrop {
+	kind, arg := m.faults.FlushFault(m.label)
+	if kind != "drop" {
 		copy(d.durable[off:off+n], d.image[off:off+n])
 	}
-	switch f.Kind {
-	case faultinject.KindBitRot:
-		d.rotLocked(off, n, f.Arg)
-	case faultinject.KindPoison:
-		d.media.poison(off, n)
-	case faultinject.KindNone:
-		if m := d.media; m != nil && m.hasPoison.Load() {
+	switch kind {
+	case "bitrot":
+		d.rotLocked(off, n, arg)
+	case "poison":
+		m.poison(off, n)
+	case "none":
+		if m.hasPoison.Load() {
 			m.clearPoison(off, n)
 		}
 	}

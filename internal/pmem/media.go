@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"openembedding/internal/faultinject"
 )
 
 // ErrPoisoned indicates a read that touched an uncorrectable (poisoned)
@@ -36,13 +34,23 @@ func IsIntegrity(err error) bool {
 	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrPoisoned)
 }
 
-// mediaState is the seeded media-fault model attached to a Device:
-// bit-rot in flushed lines, silently-dropped flushes and poisoned
-// (uncorrectable-read) ranges, every decision a pure function of the
-// injector seed and the per-device flush occurrence stream.
+// MediaFaults is the seeded fault model SetMediaFaults arms.
+// FlushFault consumes one occurrence of label's flush stream and names
+// what the medium does to that flush: "none", "drop", "bitrot" (arg picks
+// the bit) or "poison". faultinject.Injector implements it; the device
+// knows the model only by this method, so nothing built on a device
+// imports the injector.
+type MediaFaults interface {
+	FlushFault(label string) (kind string, arg uint64)
+}
+
+// mediaState is the media-fault model attached to a Device: bit-rot in
+// flushed lines, silently-dropped flushes and poisoned (uncorrectable-read)
+// ranges, every decision a pure function of the model's seed and the
+// per-device flush occurrence stream.
 type mediaState struct {
-	inj   *faultinject.Injector
-	label string
+	faults MediaFaults
+	label  string
 
 	mu        sync.Mutex
 	poisoned  []poisonRange
@@ -52,20 +60,23 @@ type mediaState struct {
 type poisonRange struct{ off, end int }
 
 // SetMediaFaults arms the seeded media-fault model: every Flush consults
-// inj at PointPMemFlush under the given stream label. Arm the model after
-// formatting the arena (so the format itself is not a fault target) and
-// before serving; the fault stream is deterministic as long as flushes on
-// this device are issued in a deterministic order.
-func (d *Device) SetMediaFaults(inj *faultinject.Injector, label string) {
-	if inj == nil {
+// faults under the given stream label; nil disarms it. Arm the model after
+// formatting the arena (so the format itself is not a fault target), while
+// nothing uses the device concurrently — on a node, after it starts and
+// before any client dials. The model stays armed across Crash. The fault
+// stream is deterministic as long as flushes on this device are issued in
+// a deterministic order.
+func (d *Device) SetMediaFaults(faults MediaFaults, label string) {
+	if faults == nil {
 		d.media = nil
 		return
 	}
-	d.media = &mediaState{inj: inj, label: label}
+	d.media = &mediaState{faults: faults, label: label}
 }
 
 // MediaFaultsArmed reports whether a media-fault model is attached. Engines
-// use it to decide whether flushes need read-back verification.
+// ask it at each commit to decide whether flushes need read-back
+// verification.
 func (d *Device) MediaFaultsArmed() bool { return d.media != nil }
 
 // poisonCheck returns a typed error when [off, off+n) overlaps a poisoned

@@ -26,7 +26,6 @@ import (
 	"openembedding/internal/core"
 	"openembedding/internal/device"
 	"openembedding/internal/engines"
-	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
@@ -59,19 +58,10 @@ type NodeConfig struct {
 	// Listen opens the listener the node serves on: net.Listen("tcp", addr)
 	// when nil. Restart re-listens on the same address through it. A soak
 	// passes a listener that injects wire faults, or an in-memory network.
+	// Nothing here configures faults: PMem media faults are armed on the
+	// node's device (pmem.Device.SetMediaFaults, reached through the
+	// engine's Arena), which outlives Crash, Restart and rollback.
 	Listen func(addr string) (net.Listener, error)
-	// Inject, when set with MediaLabel, arms the deterministic fault
-	// injector's PMem media faults on the node's device. Wire faults are
-	// not configured here: they ride on Listen.
-	Inject *faultinject.Injector
-	// MediaLabel, when non-empty (and Inject is set), arms the PMem media-
-	// fault model on the node's device with this injector stream label:
-	// flushes can then rot a bit, be silently dropped, or poison the flushed
-	// range, per the injector's rules. Empty leaves media faults off. The
-	// label must be deterministic across runs (a node index, not an
-	// address). Only meaningful for PMem-backed engines; the model is armed
-	// after the arena is formatted and stays armed across Crash/Restart.
-	MediaLabel string
 	// Serve enables the online inference tier on a pmem-oe node: the RPC
 	// server answers MsgPullBag through a serve.Handler over the engine's
 	// lock-free snapshot path (DESIGN.md §14). The handler lives as long as
@@ -153,9 +143,6 @@ func Open(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		if existing && oe {
-			// Media faults armed before recovery: the rebuild scan verifies
-			// checksums and must see the fault model a live node would.
-			n.armMediaFaults()
 			if _, err := n.recoverLocked(); err != nil {
 				return nil, fmt.Errorf("ps: recover: %w", err)
 			}
@@ -175,10 +162,6 @@ func Open(cfg NodeConfig) (*Node, error) {
 		n.baseline = eng
 		return n, nil
 	}
-	// Armed after the arena format (formatting is setup, not a fault
-	// target) but before the engine exists, so the engine sees the
-	// model and turns on flush verification.
-	n.armMediaFaults()
 	eng, err := core.New(store, arena)
 	if err != nil {
 		return nil, err
@@ -291,14 +274,6 @@ func (n *Node) DropRange(ivs []rpc.HashInterval) (int, error) {
 		n.fence()
 	}
 	return dropped, err
-}
-
-// armMediaFaults arms the PMem media-fault model on the node's device when
-// configured (no-op otherwise).
-func (n *Node) armMediaFaults() {
-	if n.dev != nil && n.cfg.Inject != nil && n.cfg.MediaLabel != "" {
-		n.dev.SetMediaFaults(n.cfg.Inject, n.cfg.MediaLabel)
-	}
 }
 
 // adoptEngine puts a fresh core engine behind the node — behind the serve

@@ -9,27 +9,30 @@ import (
 	"openembedding/internal/rpc"
 )
 
-// scrubNodeConfig arms the seeded media-fault model on a pmem-oe node with
-// flush-verification off, so injected faults survive into the stored records
-// and the scrubber (not the write path) is what finds them.
-func scrubNodeConfig(rules ...faultinject.Rule) NodeConfig {
+// scrubNodeConfig is a pmem-oe node with flush-verification off, so
+// injected media faults survive into the stored records and the scrubber
+// (not the write path) is what finds them.
+func scrubNodeConfig() NodeConfig {
 	cfg := restartNodeConfig()
-	cfg.Inject = faultinject.New(42, rules...)
-	cfg.MediaLabel = "m"
 	cfg.Store.FlushVerifyDisabled = true
 	return cfg
 }
 
-func startNodeWith(t *testing.T, cfg NodeConfig) (*Node, *rpc.Client) {
+// startNodeWith starts a node and dials it. Rules, when given, arm the
+// seeded media-fault model on the node's device before the client dials.
+func startNodeWith(t *testing.T, cfg NodeConfig, rules ...faultinject.Rule) (*Node, *rpc.Client) {
 	t.Helper()
 	n, err := StartNode("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
+	if len(rules) > 0 {
+		n.dev.SetMediaFaults(faultinject.New(42, rules...), "m")
+	}
 	cl, err := rpc.DialOpts(n.Addr(), rpc.Options{
-		Retry:   rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
-		Timeout: 2 * time.Second,
+		MaxAttempts: 5,
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +45,8 @@ func startNodeWith(t *testing.T, cfg NodeConfig) (*Node, *rpc.Client) {
 // the scrub RPC and corrected in place from the CRC32C syndrome — no state
 // loss, so the epoch does not move.
 func TestScrubRPCRepairsTransparently(t *testing.T) {
-	n, cl := startNodeWith(t, scrubNodeConfig(
-		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Nth: 1}))
+	n, cl := startNodeWith(t, scrubNodeConfig(),
+		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Nth: 1})
 	keys := []uint64{1, 2, 3}
 	driveConst(t, cl, 0, keys, 1.0) // first maintenance flush is the rotted one
 
@@ -82,8 +85,8 @@ func TestPullReturnsRemoteCorrupt(t *testing.T) {
 	// current record, served straight from PMem on the next pull. (Poison,
 	// not rot: a single rotted bit is now corrected in place, and this test
 	// needs genuinely unrecoverable media.)
-	n, cl := startNodeWith(t, scrubNodeConfig(
-		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindPoison, Nth: 4}))
+	n, cl := startNodeWith(t, scrubNodeConfig(),
+		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindPoison, Nth: 4})
 	keys := []uint64{1, 2, 3}
 	driveConst(t, cl, 0, keys, 1.0)
 	fill := make([]uint64, 10)
@@ -144,8 +147,8 @@ func TestScrubUnsupportedEngine(t *testing.T) {
 // wins, nothing deadlocks or panics, the scrub call returns (a report or a
 // typed error), and the node restarts cleanly afterwards.
 func TestCrashDuringScrub(t *testing.T) {
-	n, cl := startNodeWith(t, scrubNodeConfig(
-		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Nth: 2}))
+	n, cl := startNodeWith(t, scrubNodeConfig(),
+		faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Nth: 2})
 	keys := []uint64{1, 2, 3, 4, 5}
 	driveConst(t, cl, 0, keys, 1.0)
 	commitOverWire(t, cl, 0)

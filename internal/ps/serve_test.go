@@ -35,8 +35,8 @@ func startServeNode(t *testing.T) (*Node, *rpc.Client) {
 	}
 	t.Cleanup(func() { n.Close() })
 	cl, err := rpc.DialOpts(n.Addr(), rpc.Options{
-		Retry:   rpc.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond},
-		Timeout: 2 * time.Second,
+		MaxAttempts: 5,
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func BenchmarkClientPull(b *testing.B) {
 // policy and (idle) injection hooks armed: the fault-free overhead of fault
 // tolerance.
 func BenchmarkClientPullRetryEnabled(b *testing.B) {
-	cl, keys, rows := benchSetup(b, Options{Retry: RetryPolicy{MaxAttempts: 3}})
+	cl, keys, rows := benchSetup(b, Options{MaxAttempts: 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cl.PullInto(0, keys, rows); err != nil {
@@ -79,7 +79,7 @@ func BenchmarkClientPush(b *testing.B) {
 // BenchmarkClientPushRetryEnabled: the mutating path with dedup sequence
 // numbers active server-side.
 func BenchmarkClientPushRetryEnabled(b *testing.B) {
-	cl, keys, grads := benchSetup(b, Options{Retry: RetryPolicy{MaxAttempts: 3}})
+	cl, keys, grads := benchSetup(b, Options{MaxAttempts: 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := cl.Push(0, keys, grads); err != nil {

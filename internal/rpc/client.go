@@ -22,26 +22,12 @@ import (
 // forever.
 const DefaultTimeout = 30 * time.Second
 
-// RetryPolicy bounds the client's transparent retry of requests that failed
-// on the transport (a broken connection is always redialed; the policy only
-// says how often one request is re-sent). Remote application errors and
-// epoch fences are never retried. The zero value means the defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the total tries per request, including the first.
-	// Defaults to 3; 1 means a request is tried once and its transport
-	// error surfaces (health probes, oectl ping), with the connection
-	// still redialed by the next request.
-	MaxAttempts int
-	// Backoff is the base delay before the first retry; each further retry
-	// doubles it. Defaults to 2ms.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth. Defaults to 250ms.
-	MaxBackoff time.Duration
-	// Seed drives the backoff jitter (a seeded xorshift stream keyed by
-	// Seed and Options.Label — never the global math/rand — so chaos runs
-	// replay deterministically).
-	Seed uint64
-}
+// The backoff before a request's retry a (a >= 1) is retryBackoff doubled
+// a-1 times and capped at maxRetryBackoff, times a jitter in [0.5, 1.5).
+const (
+	retryBackoff    = 2 * time.Millisecond
+	maxRetryBackoff = 250 * time.Millisecond
+)
 
 // Options configures a Client.
 type Options struct {
@@ -55,13 +41,15 @@ type Options struct {
 	// are classified like TCP's (a net.Error timeout is a *TimeoutError,
 	// anything else a *TransportError).
 	Dial func(addr string) (net.Conn, error)
-	// Retry bounds the transparent retry of transport failures, with
-	// exponential backoff and seeded jitter.
-	Retry RetryPolicy
-	// Label keys the retry jitter stream with Retry.Seed. Labels must be
-	// deterministic across runs (a node index, not an ephemeral address);
-	// it defaults to the dialed address.
-	Label string
+	// MaxAttempts is the total tries of a request that fails on the
+	// transport, the first included; a broken connection is always
+	// redialed, this only says how often one request is re-sent. Defaults
+	// to 3; 1 means a request is tried once and its transport error
+	// surfaces (oectl), with the connection still redialed by the next
+	// request. Remote application errors and epoch fences are never
+	// retried. Between tries the client backs off 2 ms, doubling up to
+	// 250 ms, jittered by a xorshift stream keyed by the dialed address.
+	MaxAttempts int
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
 	// rpc_client_retries, rpc_client_redials.
@@ -69,20 +57,15 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	def := func(d *time.Duration, v time.Duration) {
-		if *d <= 0 {
-			*d = v
-		}
+	if o.Timeout <= 0 {
+		o.Timeout = DefaultTimeout
 	}
-	def(&o.Timeout, DefaultTimeout)
 	if o.Dial == nil {
 		timeout := o.Timeout
 		o.Dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
 	}
-	def(&o.Retry.Backoff, 2*time.Millisecond)
-	def(&o.Retry.MaxBackoff, 250*time.Millisecond)
-	if o.Retry.MaxAttempts <= 0 {
-		o.Retry.MaxAttempts = 3
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = 3
 	}
 	return o
 }
@@ -141,8 +124,8 @@ func newClientID() (int64, error) {
 // the request/response framing may be desynchronized (a late response could
 // answer the wrong request), so the client closes the socket. A broken
 // connection is redialed — by the failing request (up to
-// Retry.MaxAttempts tries, with exponential backoff + seeded jitter) and on
-// demand by later requests. Every connection starts with the MsgHello epoch
+// Options.MaxAttempts tries, with capped exponential backoff and jitter)
+// and on demand by later requests. Every connection starts with the MsgHello epoch
 // handshake: if the server's epoch moved (it crashed+recovered or rolled
 // back), the client is *fenced* — batch-protocol requests fail with a typed
 // *EpochError until AdoptEpoch re-synchronizes — so a stale client can
@@ -204,16 +187,11 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 		ep:   -1,
 		se:   -1,
 	}
-	label := opts.Label
-	if label == "" {
-		label = addr
-	}
-	// The jitter stream is a function of the configured seed and label
-	// only — never of the random client ID — so a seeded chaos run replays
-	// its backoffs. xorshift needs a non-zero state.
+	// The jitter stream is a function of the address only, never of the
+	// random client ID. xorshift needs a non-zero state.
 	h := fnv.New64a()
-	h.Write([]byte(label))
-	if c.rng = opts.Retry.Seed ^ h.Sum64(); c.rng == 0 {
+	h.Write([]byte(addr))
+	if c.rng = h.Sum64(); c.rng == 0 {
 		c.rng = 0x9e3779b97f4a7c15
 	}
 	reg := opts.Obs // nil registry: nil, free metrics
@@ -397,14 +375,15 @@ func IsRetryable(err error) bool {
 }
 
 // backoff returns the jittered exponential delay before retry attempt a
-// (a >= 1). The jitter stream is seeded (RetryPolicy.Seed), never global
-// math/rand, so chaos runs replay.
+// (a >= 1). The doubling stops at the cap, so no attempt count overflows
+// it. The jitter stream is the client's own, never global math/rand.
 func (c *Client) backoff(a int) time.Duration {
-	d := c.opts.Retry.Backoff << uint(a-1)
-	if max := c.opts.Retry.MaxBackoff; d > max {
-		d = max
+	d := retryBackoff
+	for i := 1; i < a && d < maxRetryBackoff; i++ {
+		d *= 2
 	}
-	// xorshift step of the seeded stream; jitter in [0.5, 1.5).
+	d = min(d, maxRetryBackoff)
+	// xorshift step of the client's stream; jitter in [0.5, 1.5).
 	c.rng ^= c.rng << 13
 	c.rng ^= c.rng >> 7
 	c.rng ^= c.rng << 17
@@ -442,7 +421,7 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	var lastErr error
-	for a := 0; a < c.opts.Retry.MaxAttempts; a++ {
+	for a := 0; a < c.opts.MaxAttempts; a++ {
 		if a > 0 {
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))

@@ -12,15 +12,12 @@ import (
 	"openembedding/internal/obs"
 )
 
-// ftClient dials with short timeouts and a short backoff so injected
-// faults turn into fast failures.
+// ftClient dials with a short timeout and four attempts (unless opts
+// sets them) so injected faults turn into fast failures.
 func ftClient(t *testing.T, addr string, opts Options) *Client {
 	t.Helper()
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry.MaxAttempts = 4
-	}
-	if opts.Retry.Backoff == 0 {
-		opts.Retry.Backoff = time.Millisecond
+	if opts.MaxAttempts == 0 {
+		opts.MaxAttempts = 4
 	}
 	opts.Timeout = 2 * time.Second
 	cl, err := DialOpts(addr, opts)
@@ -300,9 +297,9 @@ func TestCloseDuringRedialNoLeak(t *testing.T) {
 		return conn, err
 	}
 	cl, err := DialOpts(srv.Addr(), Options{
-		Retry:   RetryPolicy{MaxAttempts: 1},
-		Dial:    inj.WrapDial(slowDial, func(string) string { return "c" }),
-		Timeout: 2 * time.Second,
+		MaxAttempts: 1,
+		Dial:        inj.WrapDial(slowDial, func(string) string { return "c" }),
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +348,7 @@ func TestServerTornResponse(t *testing.T) {
 	})
 	srv := serveInjected(t, inj, ServerOptions{})
 
-	cl, err := DialOpts(srv.Addr(), Options{Timeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
+	cl, err := DialOpts(srv.Addr(), Options{Timeout: 2 * time.Second, MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"openembedding/internal/obs"
 )
@@ -52,8 +51,8 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	defer srv.Close()
 	reg := obs.NewRegistry()
 	c, err := DialOpts(srv.Addr(), Options{
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond, Seed: 3},
-		Obs:   reg,
+		MaxAttempts: 3,
+		Obs:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)

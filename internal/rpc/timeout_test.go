@@ -30,15 +30,28 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.Timeout != DefaultTimeout || o.Dial == nil {
 		t.Fatalf("zero options did not default to a 30s TCP dial: %+v", o)
 	}
-	if o.Retry.MaxAttempts != 3 || o.Retry.Backoff != 2*time.Millisecond || o.Retry.MaxBackoff != 250*time.Millisecond {
-		t.Fatalf("zero retry policy did not default to 3 attempts, 2ms..250ms: %+v", o.Retry)
+	if o.MaxAttempts != 3 {
+		t.Fatalf("zero options did not default to 3 attempts: %+v", o)
 	}
-	o = Options{Timeout: time.Second, Retry: RetryPolicy{MaxAttempts: 1, Backoff: time.Millisecond}}.withDefaults()
-	if o.Timeout != time.Second || o.Retry.MaxAttempts != 1 || o.Retry.Backoff != time.Millisecond {
+	o = Options{Timeout: time.Second, MaxAttempts: 1}.withDefaults()
+	if o.Timeout != time.Second || o.MaxAttempts != 1 {
 		t.Fatalf("explicit options overridden: %+v", o)
 	}
-	if o.Dial == nil || o.Retry.MaxBackoff != 250*time.Millisecond {
+	if o.Dial == nil {
 		t.Fatalf("unset fields beside explicit ones not defaulted: %+v", o)
+	}
+}
+
+// TestBackoffBounded: the delay before a retry is positive and at most the
+// 250 ms cap with its jitter, however many attempts a client is allowed —
+// the doubling stops at the cap instead of overflowing past it.
+func TestBackoffBounded(t *testing.T) {
+	const limit = 375 * time.Millisecond // 1.5 × the cap
+	c := &Client{opts: Options{}.withDefaults(), rng: 1}
+	for a := 1; a <= 100; a++ {
+		if d := c.backoff(a); d <= 0 || d > limit {
+			t.Fatalf("backoff(%d) = %v, want in (0, %v]", a, d, limit)
+		}
 	}
 }
 
@@ -91,7 +104,6 @@ func TestReadTimeoutOnHungServer(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := DialOpts(ln.Addr().String(), Options{
 		Timeout: 100 * time.Millisecond,
-		Retry:   RetryPolicy{Backoff: time.Millisecond},
 		Obs:     reg,
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"openembedding/internal/cluster"
+	"openembedding/internal/core"
 	"openembedding/internal/faultinject"
 	"openembedding/internal/model"
 	"openembedding/internal/obs"
@@ -121,12 +122,12 @@ type soakCluster struct {
 }
 
 // startSoakCluster starts the soak's nodes on a fresh transport of the given
-// kind and dials the cluster client with the seeded fast-retry policy. inj
+// kind and dials the cluster client with six attempts per request. inj
 // (nil for a fault-free run) reaches every connection and device under a
 // stable label per node: "srv<i>" on the node's side of its connections,
 // "node<i>" on the worker's, "m<i>" on its PMem media. tune, when set,
 // adjusts each node's store config.
-func startSoakCluster(t *testing.T, kind string, seed uint64, inj *faultinject.Injector, tune func(*psengine.Config)) soakCluster {
+func startSoakCluster(t *testing.T, kind string, inj *faultinject.Injector, tune func(*psengine.Config)) soakCluster {
 	t.Helper()
 	tn := newSoakNet(kind)
 	sc := soakCluster{reg: obs.NewRegistry()}
@@ -148,16 +149,19 @@ func startSoakCluster(t *testing.T, kind string, seed uint64, inj *faultinject.I
 			tune(&store)
 		}
 		n, err := ps.StartNode(tn.addr(i), ps.NodeConfig{
-			Engine:     "pmem-oe",
-			Store:      store,
-			Listen:     inj.WrapListen(tn.listen, fmt.Sprintf("srv%d", i)),
-			Inject:     inj,
-			MediaLabel: fmt.Sprintf("m%d", i),
+			Engine: "pmem-oe",
+			Store:  store,
+			Listen: inj.WrapListen(tn.listen, fmt.Sprintf("srv%d", i)),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
+		if inj != nil {
+			// Armed once, before anything dials: the device outlives
+			// Crash, Restart and rollback.
+			n.Engine().(*core.Engine).Arena().Device().SetMediaFaults(inj, fmt.Sprintf("m%d", i))
+		}
 		sc.nodes = append(sc.nodes, n)
 		addrs = append(addrs, n.Addr())
 		labels[n.Addr()] = fmt.Sprintf("node%d", i)
@@ -165,14 +169,9 @@ func startSoakCluster(t *testing.T, kind string, seed uint64, inj *faultinject.I
 
 	cl, err := cluster.DialOpts(chaosDim, addrs, cluster.Options{
 		RPC: rpc.Options{
-			Retry: rpc.RetryPolicy{
-				MaxAttempts: 6,
-				Backoff:     time.Millisecond,
-				MaxBackoff:  20 * time.Millisecond,
-				Seed:        seed,
-			},
-			Timeout: soakTimeout,
-			Dial:    inj.WrapDial(tn.dial, func(addr string) string { return labels[addr] }),
+			MaxAttempts: 6,
+			Timeout:     soakTimeout,
+			Dial:        inj.WrapDial(tn.dial, func(addr string) string { return labels[addr] }),
 		},
 		Obs: sc.reg,
 	})
@@ -250,7 +249,7 @@ func runChaosCluster(t *testing.T, kind string, seed uint64, chaos bool) chaosRe
 			faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindDrop, Prob: 0.002},
 		)
 	}
-	sc := startSoakCluster(t, kind, seed, inj, nil)
+	sc := startSoakCluster(t, kind, inj, nil)
 
 	cfg := chaosTrainConfig(seed)
 	if chaos {

@@ -14,8 +14,7 @@ import (
 
 // TestTrainerObs runs a short training loop with the observability hooks
 // attached end to end (trainer and engine sharing one registry and span
-// ring) and checks batch/phase histograms, the skew gauge, and the span
-// tree populate.
+// ring) and checks batch/phase histograms and the span tree populate.
 func TestTrainerObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewTracer(4096)
@@ -46,7 +45,6 @@ func TestTrainerObs(t *testing.T) {
 	cfg := trainerConfig(2)
 	cfg.Obs = reg
 	cfg.Spans = ring
-	cfg.Meter = meter
 	tr, err := New(cfg, Local{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +66,6 @@ func TestTrainerObs(t *testing.T) {
 	if s.Histograms["train_pull_ns"].Sum+s.Histograms["train_compute_ns"].Sum+
 		s.Histograms["train_push_ns"].Sum > s.Histograms["train_batch_ns"].Sum {
 		t.Error("phase times exceed batch time")
-	}
-	// The skew gauge must be set; its sign depends on how much real compute
-	// runs per unit of metered engine work (negative when the dense model's
-	// wall time dominates the virtual charges, as in this small test).
-	if skew, ok := s.Gauges["train_virtual_wall_skew_ns"]; !ok || skew == 0 {
-		t.Errorf("train_virtual_wall_skew_ns = %d (present=%v), want set", skew, ok)
 	}
 	// Engine-side metrics land in the same registry.
 	if s.Histograms["engine_push_ns"].Count == 0 {

@@ -52,7 +52,7 @@ func runPartitionChaos(t *testing.T, kind string, seed uint64, chaos bool) chaos
 			faultinject.Rule{Point: faultinject.PointConnWrite, Kind: faultinject.KindReset, Prob: 0.01},
 		)
 	}
-	sc := startSoakCluster(t, kind, seed, inj, nil)
+	sc := startSoakCluster(t, kind, inj, nil)
 	cfg := chaosTrainConfig(seed)
 	tr, err := New(cfg, sc.cl)
 	if err != nil {

@@ -43,7 +43,7 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (_ chaosResult, during
 		inj = faultinject.New(seed,
 			faultinject.Rule{Point: faultinject.PointPMemFlush, Kind: faultinject.KindBitRot, Prob: 0.01})
 	}
-	sc := startSoakCluster(t, "tcp", seed, inj, func(store *psengine.Config) {
+	sc := startSoakCluster(t, "tcp", inj, func(store *psengine.Config) {
 		// Every entry stays DRAM-resident: each corrupt record has an intact
 		// cached copy, so every scrub heal is a lossless in-place repair.
 		store.CacheEntries = 1 << 14

@@ -19,7 +19,6 @@ import (
 	"openembedding/internal/model"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
-	"openembedding/internal/simclock"
 	"openembedding/internal/workload"
 )
 
@@ -121,18 +120,11 @@ type Config struct {
 	BatchStart func(batch int64)
 	// Obs, when set, receives per-batch wall-clock metrics: train_batch_ns
 	// and the train_pull_ns / train_compute_ns / train_push_ns phase
-	// histograms, plus the train_virtual_wall_skew_ns gauge when Meter is
-	// also set.
+	// histograms.
 	Obs *obs.Registry
 	// Spans, when set, records train.batch spans with pull/compute/push
 	// children per batch.
 	Spans *obs.Tracer
-	// Meter, when set together with Obs, is the virtual-time meter charged
-	// by the engine under test; the trainer reports cumulative virtual time
-	// minus cumulative wall time as train_virtual_wall_skew_ns (how far the
-	// simulation's cost model runs ahead of — positive — or behind real
-	// execution).
-	Meter *simclock.Meter
 }
 
 // Trainer runs synchronous training against a parameter server.
@@ -155,7 +147,6 @@ type Trainer struct {
 	pullNS    *obs.Histogram
 	computeNS *obs.Histogram
 	pushNS    *obs.Histogram
-	skew      *obs.Gauge
 }
 
 type worker struct {
@@ -208,9 +199,6 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 		tr.pullNS = reg.Histogram("train_pull_ns")
 		tr.computeNS = reg.Histogram("train_compute_ns")
 		tr.pushNS = reg.Histogram("train_push_ns")
-		if cfg.Meter != nil {
-			tr.skew = reg.Gauge("train_virtual_wall_skew_ns")
-		}
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		tr.workers = append(tr.workers, &worker{
@@ -254,14 +242,6 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 	var out EpochStats
 	cfg := tr.cfg
 
-	// Baselines for the virtual-vs-wall skew gauge: how much virtual time
-	// the cost model charges per unit of wall time over this run.
-	var wallBase, virtBase time.Duration
-	if tr.skew != nil {
-		wallBase = cfg.Obs.Now()
-		virtBase = cfg.Meter.Sum()
-	}
-
 	rec, _ := tr.ps.(Recoverer)
 	if rec != nil {
 		tr.snaps = map[int64][]float32{}
@@ -275,7 +255,7 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 		if cfg.BatchStart != nil {
 			cfg.BatchStart(batch)
 		}
-		err := tr.runBatch(&out, batch, wallBase, virtBase)
+		err := tr.runBatch(&out, batch)
 		if err == nil {
 			s++
 			continue
@@ -308,7 +288,7 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 // allreduce, push, seal, and (when due) checkpoint request — gated to
 // completion against a Recoverer. Any error leaves the batch incomplete;
 // the caller either aborts or rolls back and replays.
-func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase time.Duration) error {
+func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	cfg := tr.cfg
 	fields := cfg.Model.Fields
 	dim := cfg.Model.Dim
@@ -429,9 +409,6 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64, wallBase, virtBase tim
 	bsp.End()
 	if tr.batchNS != nil {
 		tr.batchNS.Observe(cfg.Obs.Now() - batchStart)
-	}
-	if tr.skew != nil {
-		tr.skew.Set(int64((cfg.Meter.Sum() - virtBase) - (cfg.Obs.Now() - wallBase)))
 	}
 	return nil
 }
