@@ -93,13 +93,13 @@ func main() {
 		must(trainBatch(batch))
 	}
 	// Cluster-wide checkpoint: each shard checkpoints independently; the
-	// cluster's durable progress is the minimum across shards. Polling it
-	// also drives each shard's checkpoint to completion.
+	// cluster's durable progress is the minimum across shards. Reading it
+	// waits for each shard to finish the checkpoint.
 	must(cl.RequestCheckpoint(ckptBatch))
-	commit := int64(-1)
-	for commit < ckptBatch {
-		commit, err = cl.CompletedCheckpoint()
-		must(err)
+	commit, err := cl.CompletedCheckpoint()
+	must(err)
+	if commit < ckptBatch {
+		log.Fatalf("cluster checkpoint at %d, want %d", commit, ckptBatch)
 	}
 	st, err := cl.Stats()
 	must(err)

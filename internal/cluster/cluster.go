@@ -525,6 +525,8 @@ func (c *Client) RequestCheckpoint(batch int64) error {
 
 // CompletedCheckpoint returns the cluster-wide durable checkpoint: the
 // minimum over nodes (a checkpoint only counts when every shard has it).
+// Each node's read, in index order, first waits for its queued
+// checkpoints, so one call after RequestCheckpoint(b) says if b is durable.
 func (c *Client) CompletedCheckpoint() (int64, error) {
 	min := int64(1<<62 - 1)
 	for i, n := range c.nodes {

@@ -251,18 +251,10 @@ func TestClusterRecoverAfterCrash(t *testing.T) {
 	if err := cl.RequestCheckpoint(0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done, err := cl.CompletedCheckpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done >= 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint 0 never committed cluster-wide")
-		}
+	if done, err := cl.CompletedCheckpoint(); err != nil {
+		t.Fatal(err)
+	} else if done < 0 {
+		t.Fatal("checkpoint 0 never committed cluster-wide")
 	}
 
 	// Batch 1 trains past the checkpoint; its updates will be lost and
@@ -395,18 +387,10 @@ func TestDefaultClientTrainsAcrossCrash(t *testing.T) {
 				if err := cl.RequestCheckpoint(b); err != nil {
 					t.Fatal(err)
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for {
-					done, err := cl.CompletedCheckpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if done >= b {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("checkpoint %d never committed cluster-wide", b)
-					}
+				if done, err := cl.CompletedCheckpoint(); err != nil {
+					t.Fatal(err)
+				} else if done < b {
+					t.Fatalf("checkpoint %d never committed cluster-wide", b)
 				}
 			}
 			if crash && b == crashAfter {

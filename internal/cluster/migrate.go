@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"openembedding/internal/rpc"
 )
@@ -130,8 +129,8 @@ func (c *Client) verifyMove(dst *rpc.Client, src int, ivs []rpc.HashInterval) er
 }
 
 // ensureCheckpoint drives node cl to a durable checkpoint at batch: skip
-// if already there, else request and poll (CompletedCheckpoint advances
-// the server's checkpoint pump).
+// if already there, else request it and read again (the read waits for
+// every checkpoint the node has queued).
 func (c *Client) ensureCheckpoint(cl *rpc.Client, batch int64) error {
 	v, err := cl.CompletedCheckpoint()
 	if err != nil {
@@ -141,26 +140,19 @@ func (c *Client) ensureCheckpoint(cl *rpc.Client, batch int64) error {
 		return nil
 	}
 	// The request may be rejected if an earlier (crashed) run already
-	// queued this checkpoint; the completion poll below is the authority,
-	// so the request error is only reported if the poll times out.
+	// queued this checkpoint; the read below is the authority, so the
+	// request error is only reported if the checkpoint is still missing.
 	reqErr := cl.RequestCheckpoint(batch)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := cl.CompletedCheckpoint()
-		if err != nil {
-			return err
-		}
-		if v >= batch {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			if reqErr != nil {
-				return fmt.Errorf("checkpoint %d not durable (at %d): %w", batch, v, reqErr)
-			}
-			return fmt.Errorf("checkpoint %d not durable (at %d)", batch, v)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if v, err = cl.CompletedCheckpoint(); err != nil {
+		return err
 	}
+	if v >= batch {
+		return nil
+	}
+	if reqErr != nil {
+		return fmt.Errorf("checkpoint %d not durable (at %d): %w", batch, v, reqErr)
+	}
+	return fmt.Errorf("checkpoint %d not durable (at %d)", batch, v)
 }
 
 // adoptEpochs re-adopts the server epoch on the given connections (the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"openembedding/internal/psengine"
 )
@@ -74,19 +75,31 @@ func (e *Engine) CompletedCheckpoint() int64 { return e.completedCkpt.Load() }
 // rollback (RecoverTo) may target either retained checkpoint.
 func (e *Engine) PrevCompletedCheckpoint() int64 { return e.prevCompleted.Load() }
 
-// AdvanceCheckpoints pushes the active checkpoint toward completion by one
-// finalizer budget without sealing a batch — the progress hook a trainer's
-// checkpoint-commit poll drives over RPC, so a checkpoint requested at the
-// last batch of a run still completes. Safe from any request thread: it
-// takes the same locks as the maintenance finalizer and nothing else.
-func (e *Engine) AdvanceCheckpoints() error {
-	if e.closed.Load() {
-		return psengine.ErrClosed
+// WaitCheckpoints implements psengine.Engine: it runs the finalizer on the
+// caller's thread, a budget per pass, until every checkpoint queued before
+// the call is durable. A pass that lost a race retries; an active checkpoint
+// owing flushes with none listed and none draining can never complete.
+func (e *Engine) WaitCheckpoints() error {
+	target := e.newestCheckpoint()
+	for {
+		if e.closed.Load() {
+			return psengine.ErrClosed
+		}
+		if err := e.maintErrs.peek(); err != nil || e.completedCkpt.Load() >= target {
+			return err
+		}
+		if err := e.finalizeCheckpoints(); err != nil {
+			return err
+		}
+		e.ckptMu.Lock()
+		cp, rem := e.ckptActive, e.ckptRemaining.Load()
+		stuck := cp >= 0 && rem > 0 && !e.ckptActivating && len(e.ckptFlushList) == 0 && e.ckptDraining.Load() == 0
+		e.ckptMu.Unlock()
+		if stuck {
+			return fmt.Errorf("core: checkpoint %d owes %d flushes and has none left to run", cp, rem)
+		}
+		runtime.Gosched()
 	}
-	if err := e.maintErrs.peek(); err != nil {
-		return err
-	}
-	return e.finalizeCheckpoints()
 }
 
 // PendingCheckpoints reports how many checkpoint requests are in flight.
@@ -159,11 +172,14 @@ func (e *Engine) activateHead() int64 {
 			s.mu.Unlock()
 		}
 
+		// Fold the count in before clearing ckptActivating: WaitCheckpoints
+		// reads the two together to tell a finished scan from a running one.
 		e.ckptMu.Lock()
 		e.ckptFlushList = append(e.ckptFlushList, marked...)
+		rem := e.ckptRemaining.Add(count - ckptScanBias)
 		e.ckptActivating = false
 		e.ckptMu.Unlock()
-		if rem := e.ckptRemaining.Add(count - ckptScanBias); rem > 0 {
+		if rem > 0 {
 			return head
 		}
 		// Everything the checkpoint needed was already persisted (or was
@@ -261,8 +277,8 @@ func (e *Engine) finalizeCheckpoints() error {
 		}
 		n := len(e.ckptFlushList)
 		if n == 0 {
-			// Defensive: remaining > 0 but nothing memoized (cannot happen
-			// while the invariant holds); rescan next activation.
+			// Another finalizer is committing the last runs, or (cannot
+			// happen) nothing is left: WaitCheckpoints reports that.
 			e.ckptMu.Unlock()
 			return nil
 		}
@@ -274,6 +290,7 @@ func (e *Engine) finalizeCheckpoints() error {
 		// Copied out: once cp completes, the next activation reuses the list.
 		run = append(run[:0], e.ckptFlushList[lo:]...)
 		e.ckptFlushList = e.ckptFlushList[:lo]
+		e.ckptDraining.Add(1)
 		e.ckptMu.Unlock()
 
 		s.mu.Lock()
@@ -287,6 +304,7 @@ func (e *Engine) finalizeCheckpoints() error {
 		}
 		err := s.commitLocked()
 		s.mu.Unlock()
+		e.ckptDraining.Add(-1)
 		if err != nil {
 			return err
 		}

@@ -56,10 +56,11 @@ type Engine struct {
 	//
 	// oevet:lockrank core.ckptMu 20
 	ckptMu         rankedMutex
-	ckptQueue      []int64  // pending checkpoint requests (Fig. 5 right)
-	ckptActive     int64    // batch being checkpointed, or -1
-	ckptActivating bool     // an activation scan is in flight
-	ckptFlushList  []*entry // memoized entries the active checkpoint needs
+	ckptQueue      []int64      // pending checkpoint requests (Fig. 5 right)
+	ckptActive     int64        // batch being checkpointed, or -1
+	ckptActivating bool         // an activation scan is in flight
+	ckptDraining   atomic.Int32 // finalizer runs taken off the list, not yet committed
+	ckptFlushList  []*entry     // memoized entries the active checkpoint needs
 	// ckptRemaining counts flushes the active checkpoint still needs;
 	// per-shard flushes decrement it without any shared lock.
 	ckptRemaining atomic.Int64

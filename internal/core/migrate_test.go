@@ -244,13 +244,11 @@ func TestAdoptDuringCheckpoint(t *testing.T) {
 	if err := e.AdoptEntries(ents); err != nil {
 		t.Fatalf("adopt during checkpoint: %v", err)
 	}
-	for i := 0; e.CompletedCheckpoint() < 1; i++ {
-		if err := e.AdvanceCheckpoints(); err != nil {
-			t.Fatal(err)
-		}
-		if i > 100000 {
-			t.Fatal("checkpoint never completed after mid-checkpoint adopt")
-		}
+	if err := e.WaitCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if e.CompletedCheckpoint() < 1 {
+		t.Fatal("checkpoint never completed after mid-checkpoint adopt")
 	}
 }
 

@@ -50,20 +50,17 @@ func rollbackScript(n int) []rollbackStep {
 }
 
 // commitCheckpoint requests a checkpoint for the last sealed batch and
-// drives it to completion via AdvanceCheckpoints — the same polling loop
-// the trainer's commit gate runs over RPC.
+// waits for it, as the trainer's commit read does over RPC.
 func commitCheckpoint(t *testing.T, e *Engine, batch int64) {
 	t.Helper()
 	if err := e.RequestCheckpoint(batch); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; e.CompletedCheckpoint() < batch; i++ {
-		if err := e.AdvanceCheckpoints(); err != nil {
-			t.Fatal(err)
-		}
-		if i > 100000 {
-			t.Fatalf("checkpoint %d never completed (at %d)", batch, e.CompletedCheckpoint())
-		}
+	if err := e.WaitCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CompletedCheckpoint(); got < batch {
+		t.Fatalf("checkpoint %d never completed (at %d)", batch, got)
 	}
 }
 

@@ -283,8 +283,8 @@ func (e *Engine) collectAndWrite(batch int64) error {
 	return e.writer.WriteDelta(batch, delta)
 }
 
-// WaitCheckpoints blocks until in-flight asynchronous checkpoints finish
-// and returns the first background error.
+// WaitCheckpoints implements psengine.Engine: it blocks until in-flight
+// asynchronous checkpoints finish and returns the first background error.
 func (e *Engine) WaitCheckpoints() error {
 	e.asyncWG.Wait()
 	e.asyncMu.Lock()

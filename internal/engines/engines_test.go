@@ -132,7 +132,8 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestEnginesCheckpointAndObserve verifies the checkpoint API on every
-// engine that supports it.
+// engine that supports it: a checkpoint completes with one more batch, and
+// one requested with no batch to follow completes by WaitCheckpoints.
 func TestEnginesCheckpointAndObserve(t *testing.T) {
 	engines := buildAll(t)
 	keys := []uint64{1, 2, 3}
@@ -148,6 +149,15 @@ func TestEnginesCheckpointAndObserve(t *testing.T) {
 		driveBatch(t, e, 3, keys, grads)
 		if got := e.CompletedCheckpoint(); got != 2 {
 			t.Fatalf("%s: completed checkpoint = %d, want 2", name, got)
+		}
+		if err := e.RequestCheckpoint(3); err != nil {
+			t.Fatalf("%s: request checkpoint: %v", name, err)
+		}
+		if err := e.WaitCheckpoints(); err != nil {
+			t.Fatalf("%s: wait checkpoints: %v", name, err)
+		}
+		if got := e.CompletedCheckpoint(); got != 3 {
+			t.Fatalf("%s: completed checkpoint after the wait = %d, want 3", name, got)
 		}
 	}
 }

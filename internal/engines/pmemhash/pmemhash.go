@@ -222,6 +222,9 @@ func (e *Engine) RequestCheckpoint(batch int64) error {
 // CompletedCheckpoint implements psengine.Engine.
 func (e *Engine) CompletedCheckpoint() int64 { return e.completedCkpt.Load() }
 
+// WaitCheckpoints implements psengine.Engine; checkpoints are synchronous.
+func (e *Engine) WaitCheckpoints() error { return nil }
+
 // Stats implements psengine.Engine.
 func (e *Engine) Stats() psengine.Stats {
 	return psengine.Stats{

@@ -56,25 +56,19 @@ func driveConst(t *testing.T, cl *rpc.Client, batch int64, keys []uint64, grad f
 	return driveBatch(t, cl, batch, keys, grads)
 }
 
-// commitOverWire requests a checkpoint and polls completion; the polls
-// drive the engine's checkpoint finalizer through the RPC progress hook.
+// commitOverWire requests a checkpoint and reads completion, which waits
+// for it on the node.
 func commitOverWire(t *testing.T, cl *rpc.Client, batch int64) {
 	t.Helper()
 	if err := cl.RequestCheckpoint(batch); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done, err := cl.CompletedCheckpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done >= batch {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("checkpoint %d never completed (at %d)", batch, done)
-		}
+	done, err := cl.CompletedCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done < batch {
+		t.Fatalf("checkpoint %d never completed (at %d)", batch, done)
 	}
 }
 

@@ -14,7 +14,8 @@
 //	    EndBatch(n)               // barrier: batch n fully applied
 //
 // Checkpoints are requested with RequestCheckpoint(n) after EndBatch(n) and
-// complete asynchronously; CompletedCheckpoint reports durable progress.
+// complete asynchronously (WaitCheckpoints finishes them); CompletedCheckpoint
+// reports durable progress.
 package psengine
 
 import (
@@ -276,6 +277,9 @@ type Engine interface {
 	// given completed batch. It returns immediately; completion is
 	// asynchronous (observed via CompletedCheckpoint).
 	RequestCheckpoint(batch int64) error
+	// WaitCheckpoints returns once every checkpoint requested before the
+	// call is durable, or with the error that means it never will be.
+	WaitCheckpoints() error
 	// CompletedCheckpoint returns the newest durable checkpoint batch ID,
 	// or -1 when none has completed.
 	CompletedCheckpoint() int64

@@ -553,7 +553,8 @@ func (c *Client) RequestCheckpoint(batch int64) error {
 	return c.doMutating(MsgCheckpoint, batch)
 }
 
-// CompletedCheckpoint reads the node's durable checkpoint progress.
+// CompletedCheckpoint reads the node's durable checkpoint progress after
+// the node has finished every checkpoint it had queued.
 func (c *Client) CompletedCheckpoint() (int64, error) {
 	r, err := c.do(NewBuffer(MsgCompletedCkpt, 0).Bytes())
 	if err != nil {

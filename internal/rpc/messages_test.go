@@ -72,6 +72,7 @@ func (f faulty) EndPullPhase(int64)                                 {}
 func (f faulty) EndBatch(int64) error                               { return f.err }
 func (f faulty) RequestCheckpoint(int64) error                      { return f.err }
 func (f faulty) CompletedCheckpoint() int64                         { return -1 }
+func (f faulty) WaitCheckpoints() error                             { return f.err }
 func (f faulty) Stats() psengine.Stats                              { return psengine.Stats{} }
 func (f faulty) Rollback(int64) error                               { return f.err }
 func (f faulty) Scrub() (psengine.ScrubReport, error)               { return psengine.ScrubReport{}, f.err }
@@ -290,7 +291,7 @@ func TestMessageTable(t *testing.T) {
 		bad := faulty{err: rotted{}}
 		srv := bareServer(bad, bad)
 		srv.control = bad
-		infallible := map[byte]bool{MsgEndPullPhase: true, MsgCompletedCkpt: true, MsgStats: true, MsgPing: true, MsgHello: true}
+		infallible := map[byte]bool{MsgEndPullPhase: true, MsgStats: true, MsgPing: true, MsgHello: true}
 		eachRow(func(typ byte, spec *msgSpec) {
 			resp := srv.handle(wellFormed(typ, 1))
 			if _, err := DecodeResponse(resp); infallible[typ] != (err == nil) || (err != nil && !errors.Is(err, ErrRemoteCorrupt)) {

@@ -61,11 +61,6 @@ type Control interface {
 	DropRange(ivs []HashInterval) (int, error)
 }
 
-// advancer is the optional engine hook the MsgCompletedCkpt handler drives:
-// it lets a client's checkpoint-progress poll push background checkpoint
-// finalization forward instead of waiting for the next batch.
-type advancer interface{ AdvanceCheckpoints() error }
-
 // dedupEntry caches one client's last mutating request outcome.
 type dedupEntry struct {
 	seq  int64
@@ -500,15 +495,13 @@ func (s *Server) serveCheckpoint(req *request) ([]byte, error) {
 	return okBody, s.eng().RequestCheckpoint(req.batch)
 }
 
-// serveCompletedCkpt answers a progress poll, which also drives background
-// checkpoint finalization forward when the engine supports it, so a trainer
-// waiting for a commit is never stuck behind "no more batches are coming".
+// serveCompletedCkpt waits for every checkpoint the node has queued, then
+// reports its durable progress: one read answers "is batch b durable?",
+// even when no more batches are coming to finish it.
 func (s *Server) serveCompletedCkpt(*request) ([]byte, error) {
 	eng := s.eng()
-	if adv, ok := eng.(advancer); ok {
-		if err := adv.AdvanceCheckpoints(); err != nil {
-			return nil, err
-		}
+	if err := eng.WaitCheckpoints(); err != nil {
+		return nil, err
 	}
 	return i64Resp(eng.CompletedCheckpoint()), nil
 }

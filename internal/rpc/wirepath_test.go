@@ -37,6 +37,7 @@ func (e *stubEngine) EndPullPhase(int64)                    { e.mutations.Add(1)
 func (e *stubEngine) EndBatch(int64) error                  { e.mutations.Add(1); return nil }
 func (e *stubEngine) RequestCheckpoint(int64) error         { e.mutations.Add(1); return nil }
 func (e *stubEngine) CompletedCheckpoint() int64            { return -1 }
+func (e *stubEngine) WaitCheckpoints() error                { return nil }
 func (e *stubEngine) Stats() psengine.Stats                 { return psengine.Stats{} }
 
 // bareServer is a server with no listener behind it: tests and fuzzers

@@ -104,3 +104,50 @@ func TestReplayBoundCountsSinceCommit(t *testing.T) {
 		}
 	})
 }
+
+// lostReplyPS is a flakyPS whose checkpoint request at batch lost takes
+// effect, then loses its reply once: every node queued the checkpoint, but
+// the trainer sees a recoverable failure.
+type lostReplyPS struct {
+	*flakyPS
+	lost int64
+}
+
+func (f *lostReplyPS) RequestCheckpoint(batch int64) error {
+	f.committed = batch
+	if batch != f.lost {
+		return nil
+	}
+	f.lost = -1
+	return fmt.Errorf("reply lost: %w", errFlaky)
+}
+
+// TestReplayAfterLostCheckpointReply: a checkpoint request that took effect
+// but lost its reply becomes the commit the replay reads, so the trainer
+// must already hold the dense snapshot for it. The run recovers to that
+// batch once and completes with every batch recorded once.
+func TestReplayAfterLostCheckpointReply(t *testing.T) {
+	cfg := trainerConfig(1)
+	cfg.BatchSize = 8
+	cfg.CheckpointEvery = 1
+	ps := &lostReplyPS{flakyPS: newFlakyPS(func(int64, int) bool { return false }), lost: 3}
+	tr, err := New(cfg, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := tr.Run(6)
+	if err != nil {
+		t.Fatalf("run with a lost checkpoint reply: %v", err)
+	}
+	if ps.recovers != 1 {
+		t.Fatalf("recoveries %d, want 1", ps.recovers)
+	}
+	for i, st := range out.Steps {
+		if st.Batch != int64(i) {
+			t.Fatalf("steps %+v, want batches 0..5 once each", out.Steps)
+		}
+	}
+	if len(out.Steps) != 6 {
+		t.Fatalf("steps %d, want 6", len(out.Steps))
+	}
+}

@@ -58,14 +58,11 @@ func (l Local) EndBatch(batch int64) error { return l.Engine.EndBatch(batch) }
 func (l Local) RequestCheckpoint(batch int64) error { return l.Engine.RequestCheckpoint(batch) }
 
 // CompletedCheckpoint implements ParamServer. Like the RPC server's
-// progress hook, it first drives the engine's checkpoint finalizer when
-// the engine exposes one, so a trainer's commit-gate poll makes progress
-// instead of spinning on a checkpoint nothing else is finishing.
+// completed-checkpoint request, it first waits for every checkpoint the
+// engine has queued, so one call answers "is batch b durable?".
 func (l Local) CompletedCheckpoint() (int64, error) {
-	if adv, ok := l.Engine.(interface{ AdvanceCheckpoints() error }); ok {
-		if err := adv.AdvanceCheckpoints(); err != nil {
-			return -1, err
-		}
+	if err := l.Engine.WaitCheckpoints(); err != nil {
+		return -1, err
 	}
 	return l.Engine.CompletedCheckpoint(), nil
 }
@@ -87,9 +84,6 @@ type Recoverer interface {
 // run replays stops the run, while failures spread over a long run, with
 // checkpoints committing between them, never run out of replays.
 const maxReplays = 40
-
-// commitTimeout bounds each checkpoint-commit gate of a recovering Run.
-const commitTimeout = 30 * time.Second
 
 // Config configures a training run.
 type Config struct {
@@ -383,18 +377,28 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	if tr.pushNS != nil {
 		tr.pushNS.Observe(cfg.Obs.Now() - pushStart)
 	}
+	// Sealed, so the step counts even if the checkpoint request fails: a
+	// replay keeps it when the batch is the commit, and truncates it if not.
+	out.Steps = append(out.Steps, StepStats{Batch: batch, Loss: stepLoss})
+	out.FinalLoss = stepLoss
 	if cfg.CheckpointEvery > 0 && int(batch-cfg.StartBatch+1)%cfg.CheckpointEvery == 0 {
+		if tr.snaps != nil {
+			// Snapshot BEFORE requesting: a request whose reply is lost, or a
+			// failure mid-gate, can still make this batch the commit, and the
+			// rewind needs its dense state.
+			tr.snapshotDense(batch)
+		}
 		if err := tr.ps.RequestCheckpoint(batch); err != nil {
 			return err
 		}
 		if tr.snaps != nil {
-			// Snapshot BEFORE gating: a failure mid-gate can still leave this
-			// batch as the cluster-wide commit, and the rewind needs the
-			// matching dense state. The dense model does not change between
-			// here and the gate.
-			tr.snapshotDense(batch)
-			if err := tr.gateCheckpoint(batch); err != nil {
+			// The gate: one read waits for the checkpoint on every node.
+			done, err := tr.ps.CompletedCheckpoint()
+			if err != nil {
 				return err
+			}
+			if done < batch {
+				return fmt.Errorf("train: checkpoint %d not durable after the wait (at %d)", batch, done)
 			}
 		}
 		if cfg.DenseCheckpointDir != "" {
@@ -404,8 +408,6 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 		}
 		out.Checkpoints++
 	}
-	out.Steps = append(out.Steps, StepStats{Batch: batch, Loss: stepLoss})
-	out.FinalLoss = stepLoss
 	bsp.End()
 	if tr.batchNS != nil {
 		tr.batchNS.Observe(cfg.Obs.Now() - batchStart)
@@ -480,26 +482,6 @@ func (tr *Trainer) snapshotDense(batch int64) {
 			}
 		}
 		delete(tr.snaps, oldest)
-	}
-}
-
-// gateCheckpoint polls the parameter server until the requested checkpoint
-// is durable cluster-wide; each poll also drives checkpoint progress (over
-// RPC through the server's progress hook, locally through
-// AdvanceCheckpoints). Bounded by commitTimeout.
-func (tr *Trainer) gateCheckpoint(batch int64) error {
-	deadline := time.Now().Add(commitTimeout)
-	for {
-		done, err := tr.ps.CompletedCheckpoint()
-		if err != nil {
-			return err
-		}
-		if done >= batch {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("train: checkpoint %d did not commit within %v (at %d)", batch, commitTimeout, done)
-		}
 	}
 }
 

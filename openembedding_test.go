@@ -258,11 +258,10 @@ func TestServedNodeRecoversCluster(t *testing.T) {
 			if err := c.cl.RequestCheckpoint(b); err != nil {
 				t.Fatal(err)
 			}
-			for done := int64(-1); done < b; {
-				var err error
-				if done, err = c.cl.CompletedCheckpoint(); err != nil {
-					t.Fatal(err)
-				}
+			if done, err := c.cl.CompletedCheckpoint(); err != nil {
+				t.Fatal(err)
+			} else if done < b {
+				t.Fatalf("checkpoint %d never completed (at %d)", b, done)
 			}
 		}
 	}
