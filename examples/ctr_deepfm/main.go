@@ -87,7 +87,7 @@ func main() {
 func evaluateAUC(ps *openembedding.Server, tr *train.Trainer, data *workload.CriteoSynthetic, n int) (float64, error) {
 	m := tr.Model()
 	cfg := m.Config()
-	samples := data.NextBatch(n)
+	samples := data.FillBatch(make([]workload.Sample, n))
 	// The trainer's deduplication rule: slots[ex*Fields+f] is the index
 	// into keys of sample ex's field f.
 	keys, slots := workload.IndexKeys(samples, cfg.Fields, map[uint64]int32{}, nil, nil)

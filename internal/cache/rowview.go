@@ -8,8 +8,8 @@ package cache
 // row read from it is the complete row its publisher copied, as old as
 // that publish. Its index and key list never change at all. A publisher
 // that has withdrawn a view and knows no reader holds it (core's shard
-// snapshots count their readers) may rewrite rows through At and publish
-// it again; one that cannot know builds a new view instead.
+// snapshots count their readers) may rewrite rows through At or CopyRows
+// and publish it again; one that cannot know builds a new view instead.
 //
 // The index format is private to this file: readers see Row, At and Lookup
 // only, so changing the probe or the slab layout is a change to one type.
@@ -95,6 +95,14 @@ func (v *RowView) CloneRows() RowView {
 	next.rows = make([]float32, len(v.rows))
 	copy(next.rows, v.rows)
 	return next
+}
+
+// CopyRows overwrites v's rows with src's. The two views must be over the
+// same keys in the same row order — a CloneRows of one another — so that v,
+// withdrawn and held by no reader, becomes what CloneRows of src would
+// return, with no allocation. It costs the whole slab, like CloneRows.
+func (v *RowView) CopyRows(src *RowView) {
+	copy(v.rows, src.rows)
 }
 
 // Row returns the row number of k.

@@ -282,7 +282,17 @@ func BenchmarkEngineColdBatch(b *testing.B) {
 // EndBatch's: the re-copy of the rows the batch dirtied into the shard's
 // spare slab. CI holds B/op under 4 KB; a republish that clones the slab
 // shows as ≈4 MB.
-func BenchmarkSnapRepublish(b *testing.B) {
+func BenchmarkSnapRepublish(b *testing.B) { benchSnapRepublish(b, false) }
+
+// BenchmarkSnapRepublishPinned is BenchmarkSnapRepublish with a reader that
+// holds every snapshot across two republishes — a gather that outlives a
+// writer batch — so every timed EndBatch finds its spare pinned. It copies
+// the published slab whole into the parked snapshot's slab, so ns/op is a
+// slab copy, and B/op stays under CI's 4 KB; a round that falls back to
+// cloning the slab shows as ≈4 MB.
+func BenchmarkSnapRepublishPinned(b *testing.B) { benchSnapRepublish(b, true) }
+
+func benchSnapRepublish(b *testing.B, pinned bool) {
 	const (
 		rows  = 1 << 16
 		draws = 2048
@@ -348,13 +358,31 @@ func BenchmarkSnapRepublish(b *testing.B) {
 		fc.Advance(time.Duration(i/32) * time.Second)
 		pool[i] = workload.Batch(fc, draws)
 	}
-	step(pool[0], false) // the first republish of an epoch has no spare yet
-	step(pool[1], false)
+	// With pinned, round i pins what it is about to retire and releases what
+	// round i-1 pinned: the spare this round found pinned.
+	var pins [2]SnapPins
+	round := func(i int, timed bool) {
+		if pinned {
+			e.PinSnapshots(&pins[i%2])
+		}
+		step(pool[i%len(pool)], timed)
+		pins[(i+1)%2].Unpin()
+	}
+	// The first republish of an epoch has no spare yet; under pins, the
+	// first pinned spare has nothing parked, and its clone parks it.
+	warm := 2
+	if pinned {
+		warm = 4
+	}
+	for i := 0; i < warm; i++ {
+		round(i, false)
+	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
-		step(pool[i%len(pool)], true)
+		round(i, true)
 	}
+	pins[(b.N+1)%2].Unpin()
 }

@@ -154,11 +154,11 @@ func (e *Engine) activateHead() int64 {
 		e.ckptRemaining.Store(ckptScanBias)
 		e.ckptMu.Unlock()
 
-		// Scan outside ckptMu: shard locks must never nest inside it.
-		var (
-			count  int64
-			marked []*entry
-		)
+		// Scan outside ckptMu: shard locks must never nest inside it. The
+		// list is the engine's, reused by every activation: ckptActivating
+		// lets only one scan at a time.
+		var count int64
+		marked := e.ckptScan[:0]
 		for _, s := range e.shards {
 			s.mu.Lock()
 			s.lru.Each(func(ent *entry) bool {
@@ -176,6 +176,8 @@ func (e *Engine) activateHead() int64 {
 		// reads the two together to tell a finished scan from a running one.
 		e.ckptMu.Lock()
 		e.ckptFlushList = append(e.ckptFlushList, marked...)
+		clear(marked) // hold no entry an eviction has dropped
+		e.ckptScan = marked[:0]
 		rem := e.ckptRemaining.Add(count - ckptScanBias)
 		e.ckptActivating = false
 		e.ckptMu.Unlock()

@@ -61,6 +61,9 @@ type Engine struct {
 	ckptActivating bool         // an activation scan is in flight
 	ckptDraining   atomic.Int32 // finalizer runs taken off the list, not yet committed
 	ckptFlushList  []*entry     // memoized entries the active checkpoint needs
+	// ckptScan is the activation scan's list, kept for the next one. Only
+	// the activation that set ckptActivating touches it.
+	ckptScan []*entry
 	// ckptRemaining counts flushes the active checkpoint still needs;
 	// per-shard flushes decrement it without any shared lock.
 	ckptRemaining atomic.Int64

@@ -27,7 +27,8 @@ import (
 // follows every batch rebuilds the snapshot under the exclusive shard lock
 // it already holds — incrementally (re-copying only dirty rows, into the
 // slab of the snapshot the last publish retired when no reader still pins
-// it: the shard's two slabs take turns) while the hot set is stable, or
+// it, and otherwise into an older retired slab: the shard's slabs take
+// turns) while the hot set is stable, or
 // fully (re-walking the LRU) after any membership change (promotion,
 // eviction, first touch, scrub heal). Because rebuilds run under the
 // exclusive lock, no push or serve fallback can observe a half-built
@@ -59,9 +60,10 @@ const (
 // The view's index and key list and ents never change once built; the row
 // slab, dirty and dirtyCount change under two rules. While the snapshot is
 // published, pushes mark dirty under their stripe and nothing writes the
-// slab. Once a publish has retired it, it is the shard's spare: its bitmap is
-// frozen, and the next incremental rebuild may rewrite its slab and clear its
-// bitmap — only after it has read pins == 0.
+// slab. Once a publish has retired it, it is the shard's spare (and later,
+// perhaps, its parked snapshot): its bitmap is frozen, and an incremental
+// rebuild may rewrite its slab and clear its bitmap — only after it has read
+// pins == 0.
 type shardSnap struct {
 	cache.RowView
 	epoch uint64
@@ -269,14 +271,14 @@ func (p *SnapPins) Unpin() {
 	p.eng = nil
 }
 
-// SnapshotPins returns how many pins readers hold on the shards' published
-// and spare snapshots (tests and diagnostics): zero whenever no ServeRead or
-// pinned gather is in flight, or one of them has leaked its pin.
+// SnapshotPins returns how many pins readers hold on the shards' published,
+// spare and parked snapshots (tests and diagnostics): zero whenever no
+// ServeRead or pinned gather is in flight, or one of them has leaked its pin.
 func (e *Engine) SnapshotPins() int {
 	n := 0
 	for _, s := range e.shards {
 		s.mu.RLock()
-		for _, sn := range []*shardSnap{s.snap.Load(), s.spare} {
+		for _, sn := range []*shardSnap{s.snap.Load(), s.spare, s.parked} {
 			if sn != nil {
 				n += int(sn.pins.Load())
 			}
@@ -358,10 +360,15 @@ func (s *shard) markServeDirty(ent *entry) {
 // rows are re-copied. The slab they are copied into is the spare's — the
 // snapshot the last publish retired — when no reader pins it, and the
 // snapshot it replaces becomes the spare in turn, so a round costs what the
-// batch dirtied; a spare still pinned (or the first round of an epoch, which
-// has none) costs a clone of the published slab instead. A membership change
-// (promotion, eviction, first touch, scrub heal) sets snapStale and forces a
-// full rebuild that walks the LRU in recency order and drops the spare.
+// batch dirtied. A spare still pinned costs a copy of the whole published
+// slab, into the parked snapshot's slab when no reader pins that one (the
+// pinned spare is parked in its place), and into a clone only when both are
+// pinned or the epoch has retired no snapshot yet. A clone round parks the
+// pinned spare when nothing is parked and the readers have not been seen to
+// hold two retired slabs at once since the spare was last free. A membership
+// change (promotion, eviction, first touch, scrub heal) sets snapStale and
+// forces a full rebuild that walks the LRU in recency order and drops the
+// retired snapshots.
 //
 // oevet:holds core.shard.mu 10
 func (s *shard) rebuildSnapLocked() {
@@ -379,19 +386,29 @@ func (s *shard) rebuildSnapLocked() {
 			return
 		}
 		start := e.obs.Now()
-		sn := s.spare
-		recycle := sn != nil && sn.epoch == old.epoch && sn.pins.Load() == 0
-		if !recycle {
-			sn = &shardSnap{
+		spare, parked := s.spare, s.parked
+		sn, recycle := spare, true
+		switch {
+		case spare.freeIn(old.epoch):
+			s.heldLong = false
+		case parked.freeIn(old.epoch):
+			sn = parked
+			sn.CopyRows(&old.RowView)
+			for w := range sn.dirty {
+				sn.dirty[w].Store(0)
+			}
+		default:
+			sn, recycle = &shardSnap{
 				RowView: old.CloneRows(),
 				epoch:   old.epoch,
 				ents:    old.ents,
 				dirty:   newDirtyBits(len(old.ents)),
-			}
+			}, false
 		}
 		// A spare's slab is the published one as of the publish that retired
 		// it: it lacks the rows of that round (its own frozen marks) as well
-		// as the rows of this one. A clone's own bitmap is empty.
+		// as the rows of this one. A parked slab, copied whole, and a clone are
+		// the published one, and their own bitmaps are empty.
 		ok := true
 		var blk [snapBlock]int32
 		n := 0
@@ -415,6 +432,18 @@ func (s *shard) rebuildSnapLocked() {
 		if ok && sn.recopy(blk[:n], dim) {
 			sn.dirtyCount.Store(0)
 			s.snap.Store(sn)
+			switch {
+			case sn == spare, spare == nil:
+				// The union walk, or the epoch's first round: nothing is parked.
+			case sn == parked:
+				s.parked = spare
+			case parked != nil:
+				// Both retired slabs pinned: the readers hold slabs across
+				// republishes, and a slab parked for them would be held too.
+				s.parked, s.heldLong = nil, true
+			case !s.heldLong:
+				s.parked = spare
+			}
 			s.spare = old
 			if recycle {
 				e.obs.SnapRecycled.Add(1)
@@ -444,8 +473,14 @@ func (s *shard) rebuildSnapLocked() {
 		return true
 	})
 	s.snapStale = false
-	s.spare = nil // its rows are in another epoch's order
+	s.spare, s.parked, s.heldLong = nil, nil, false // their rows are in another epoch's order
 	s.snap.Store(sn)
+}
+
+// freeIn reports whether sn is a retired snapshot of epoch that no reader
+// pins: a slab a rebuild may rewrite.
+func (sn *shardSnap) freeIn(epoch uint64) bool {
+	return sn != nil && sn.epoch == epoch && sn.pins.Load() == 0
 }
 
 // snapBlock is how many dirty rows an incremental rebuild touches ahead of

@@ -674,3 +674,85 @@ func TestServePinnedRowsSurviveRepublish(t *testing.T) {
 		t.Fatalf("%d pins left after every reader released", got)
 	}
 }
+
+// TestRepublishPinnedSpareAllocatesNothing: a reader that holds a snapshot
+// across two republishes finds it in the spare slot at the second, and that
+// round copies the published slab whole into the parked snapshot's slab
+// instead of cloning it. Each cycle pins what is published, runs the round
+// that retires it and the round that finds it pinned, and lets go; after
+// the cycle whose clone parks the first pinned spare, a cycle clones
+// nothing and allocates nothing, every key the snapshot serves is the
+// engine's row bit for bit throughout, and SnapshotPins sees the pin on the
+// parked snapshot until it is released.
+func TestRepublishPinnedSpareAllocatesNothing(t *testing.T) {
+	const (
+		dim    = 8
+		cycles = 20
+	)
+	e, keys, reg := newServeTestEngine(t, dim, 64)
+	dst, grads := make([]float32, len(keys)*dim), constGrads(len(keys), dim, 1)
+	got, want := make([]float32, dim), make([]float32, dim)
+	batch := int64(0)
+	round := func() {
+		batch++
+		if err := e.Pull(batch, keys, dst); err != nil {
+			t.Fatal(err)
+		}
+		e.EndPullPhase(batch)
+		e.WaitMaintenance()
+		if err := e.Push(batch, keys, grads); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EndBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			src, err := e.ServeRead(k, got)
+			if err != nil || src != ServeSnap {
+				t.Fatalf("batch %d: key %d served from source %d (%v), want a clean snapshot hit", batch, k, src, err)
+			}
+			if _, err := e.ServeReadLocked(k, want); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("batch %d: snapshot row of key %d = %v, the engine holds %v", batch, k, got, want)
+				}
+			}
+		}
+	}
+	var pins SnapPins
+	cycle := func() {
+		e.PinSnapshots(&pins)
+		round() // retires the pinned snapshot into the spare slot
+		round() // finds it pinned there, and parks it
+		if n := e.SnapshotPins(); n != 1 {
+			t.Fatalf("%d pins counted with the parked snapshot pinned, want 1", n)
+		}
+		pins.Unpin()
+	}
+
+	round() // the epoch's first round has no retired slab: a clone
+	cycle() // the first pinned spare, with nothing parked: a clone that parks it
+	if recycled, cloned := snapCounts(reg); recycled != 1 || cloned != 2 {
+		t.Fatalf("recycled %d, cloned %d republishes before the steady state; want 1 and 2", recycled, cloned)
+	}
+	var allocs float64
+	if raceEnabled || lockRankDebug {
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+	} else {
+		allocs = testing.AllocsPerRun(cycles-1, cycle)
+	}
+	if recycled, cloned := snapCounts(reg); recycled != 1+2*cycles || cloned != 2 {
+		t.Fatalf("recycled %d, cloned %d republishes after %d more cycles; want %d and 2: a pinned spare still costs a clone",
+			recycled, cloned, cycles, 1+2*cycles)
+	}
+	if allocs != 0 {
+		t.Fatalf("a cycle of two republishes, the second over a pinned spare, allocates %v objects, want 0", allocs)
+	}
+	if n := e.SnapshotPins(); n != 0 {
+		t.Fatalf("%d pins left after Unpin", n)
+	}
+}

@@ -98,11 +98,17 @@ type shard struct {
 	// lock-free by serving threads, stored only under the exclusive lock.
 	// spare (guarded by mu) is the snapshot the last incremental publish
 	// retired, whose slab the next one rewrites if no reader still pins it;
-	// nil after a full rebuild. snapStale (guarded by mu) records a hot-set
-	// membership change since the last publication and forces the next
-	// rebuild to be full; snapEpoch (guarded by mu) numbers full rebuilds.
+	// parked (guarded by mu) is an older retired snapshot of the epoch, whose
+	// slab a round takes, rewritten whole, when the spare is pinned. Both are
+	// nil after a full rebuild. heldLong (guarded by mu) records that a round
+	// found both pinned; until a round finds the spare free, no pinned spare
+	// is parked. snapStale (guarded by mu) records a hot-set membership
+	// change since the last publication and forces the next rebuild to be
+	// full; snapEpoch (guarded by mu) numbers full rebuilds.
 	snap      atomic.Pointer[shardSnap]
 	spare     *shardSnap
+	parked    *shardSnap
+	heldLong  bool
 	snapStale bool
 	snapEpoch uint64
 

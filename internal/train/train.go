@@ -136,6 +136,9 @@ type Trainer struct {
 	// replica being added to it.
 	sum, peer []float32
 
+	// wg counts the workers still running the phase fanOut handed them.
+	wg sync.WaitGroup
+
 	// metrics (nil, and free, without Config.Obs)
 	batchNS   *obs.Histogram
 	pullNS    *obs.Histogram
@@ -147,6 +150,9 @@ type worker struct {
 	id    int
 	model *model.DeepFM
 	data  *workload.CriteoSynthetic
+	// jobs carries a Run's phases to the worker's goroutine, which lives as
+	// long as the Run.
+	jobs chan job
 
 	// The batch in flight. Every buffer is reused by the next batch, which
 	// starts after this one's EndBatch has returned: keys, weights and
@@ -164,6 +170,12 @@ type worker struct {
 	grads   []float32 // embGrad summed per key, for the push
 	loss    float64
 	err     error
+}
+
+// job is one phase of one batch, which every worker runs at once.
+type job struct {
+	run   func(w *worker, tr *Trainer, batch int64) error
+	batch int64
 }
 
 // New builds a trainer. Every worker starts from identical dense
@@ -194,12 +206,20 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 		tr.computeNS = reg.Histogram("train_compute_ns")
 		tr.pushNS = reg.Histogram("train_push_ns")
 	}
+	// Every per-batch buffer is sized for the most distinct keys a batch
+	// can have, so no batch grows one: a step allocates nothing.
+	keys := cfg.BatchSize * workload.CriteoNumSparse
 	for w := 0; w < cfg.Workers; w++ {
 		tr.workers = append(tr.workers, &worker{
-			id:    w,
-			model: model.NewDeepFM(cfg.Model),
-			data:  cfg.Data(cfg.DataSeed + int64(w)),
-			seen:  map[uint64]int32{},
+			id:      w,
+			model:   model.NewDeepFM(cfg.Model),
+			data:    cfg.Data(cfg.DataSeed + int64(w)),
+			samples: make([]workload.Sample, cfg.BatchSize),
+			seen:    make(map[uint64]int32, keys),
+			keys:    make([]uint64, 0, keys),
+			slots:   make([]int32, 0, cfg.BatchSize*cfg.Model.Fields),
+			weights: make([]float32, 0, keys*cfg.Model.Dim),
+			grads:   make([]float32, 0, keys*cfg.Model.Dim),
 		})
 	}
 	return tr, nil
@@ -242,6 +262,9 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 		tr.snapshotDense(cfg.StartBatch - 1)
 	}
 
+	tr.startWorkers()
+	defer tr.stopWorkers()
+
 	// replays counts the recoveries made since the commit advanced to at.
 	replays, at := 0, cfg.StartBatch-1
 	for s := 0; s < steps; {
@@ -278,14 +301,49 @@ func (tr *Trainer) Run(steps int) (EpochStats, error) {
 	return out, nil
 }
 
+// startWorkers gives every worker a goroutine for the Run, and stopWorkers
+// ends them. A batch hands its phases to them over their channels, so it
+// starts no goroutine and allocates nothing to fan out.
+func (tr *Trainer) startWorkers() {
+	for _, w := range tr.workers {
+		w.jobs = make(chan job, 1)
+		go tr.work(w, w.jobs)
+	}
+}
+
+func (tr *Trainer) stopWorkers() {
+	for _, w := range tr.workers {
+		close(w.jobs)
+	}
+}
+
+// work runs w's jobs until its channel is closed.
+func (tr *Trainer) work(w *worker, jobs <-chan job) {
+	for j := range jobs {
+		w.err = j.run(w, tr, j.batch)
+		tr.wg.Done()
+	}
+}
+
+// fanOut runs one phase of batch on every worker at once and returns the
+// first worker's error.
+//
+// oevet:hotpath
+func (tr *Trainer) fanOut(batch int64, run func(w *worker, tr *Trainer, batch int64) error) error {
+	tr.wg.Add(len(tr.workers))
+	for _, w := range tr.workers {
+		w.jobs <- job{run, batch}
+	}
+	tr.wg.Wait()
+	return tr.workerErr()
+}
+
 // runBatch executes one synchronous batch end to end: pull, compute,
 // allreduce, push, seal, and (when due) checkpoint request — gated to
 // completion against a Recoverer. Any error leaves the batch incomplete;
 // the caller either aborts or rolls back and replays.
 func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
-	cfg := tr.cfg
-	fields := cfg.Model.Fields
-	dim := cfg.Model.Dim
+	cfg := &tr.cfg
 	var batchStart time.Duration
 	if tr.batchNS != nil {
 		batchStart = cfg.Obs.Now()
@@ -294,19 +352,7 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	psp := cfg.Spans.Start("train.pull", "train", 0, batch)
 
 	// Pull phase: all workers in parallel (the paper's burst).
-	var wg sync.WaitGroup
-	for _, w := range tr.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.samples = w.data.NextBatch(cfg.BatchSize)
-			w.keys, w.slots = workload.IndexKeys(w.samples, fields, w.seen, w.keys, w.slots)
-			w.weights = resize(w.weights, len(w.keys)*dim)
-			w.err = tr.ps.Pull(batch, w.keys, w.weights)
-		}(w)
-	}
-	wg.Wait()
-	if err := tr.workerErr(); err != nil {
+	if err := tr.fanOut(batch, (*worker).pull); err != nil {
 		return err
 	}
 	if err := tr.ps.EndPullPhase(batch); err != nil {
@@ -324,19 +370,7 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 
 	// Compute phase: dense forward/backward per worker, gradients
 	// aggregated per unique key.
-	for _, w := range tr.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.gather(fields, dim, cfg.Model.Dense)
-			w.loss, w.err = w.model.Step(w.emb, w.dense, w.labels, w.embGrad)
-			if w.err == nil {
-				w.scatter(dim)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := tr.workerErr(); err != nil {
+	if err := tr.fanOut(batch, (*worker).compute); err != nil {
 		return err
 	}
 
@@ -353,15 +387,7 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	usp := cfg.Spans.Start("train.push", "train", 0, batch)
 
 	// Push phase: all workers in parallel.
-	for _, w := range tr.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.err = tr.ps.Push(batch, w.keys, w.grads)
-		}(w)
-	}
-	wg.Wait()
-	if err := tr.workerErr(); err != nil {
+	if err := tr.fanOut(batch, (*worker).push); err != nil {
 		return err
 	}
 	var stepLoss float64
@@ -423,6 +449,40 @@ func (tr *Trainer) workerErr() error {
 		}
 	}
 	return nil
+}
+
+// pull draws the worker's next batch into its sample buffer, indexes its
+// keys and pulls their rows.
+//
+// oevet:hotpath
+func (w *worker) pull(tr *Trainer, batch int64) error {
+	cfg := &tr.cfg
+	w.data.FillBatch(w.samples)
+	w.keys, w.slots = workload.IndexKeys(w.samples, cfg.Model.Fields, w.seen, w.keys, w.slots) //oevet:alloc-ok New sized keys and slots for the most a batch can hold
+	w.weights = resize(w.weights, len(w.keys)*cfg.Model.Dim)
+	return tr.ps.Pull(batch, w.keys, w.weights)
+}
+
+// compute runs the dense model's step on the pulled rows and sums its
+// embedding gradient per key.
+//
+// oevet:hotpath
+func (w *worker) compute(tr *Trainer, _ int64) error {
+	m := &tr.cfg.Model
+	w.gather(m.Fields, m.Dim, m.Dense)
+	var err error
+	w.loss, err = w.model.Step(w.emb, w.dense, w.labels, w.embGrad) //oevet:alloc-ok Step formats an error only for inputs of the wrong shape
+	if err == nil {
+		w.scatter(m.Dim)
+	}
+	return err
+}
+
+// push sends the summed gradients of the worker's keys.
+//
+// oevet:hotpath
+func (w *worker) push(tr *Trainer, batch int64) error {
+	return tr.ps.Push(batch, w.keys, w.grads)
 }
 
 // gather lays the batch out as the model's inputs — each (sample, field)'s
@@ -488,8 +548,9 @@ func (tr *Trainer) snapshotDense(batch int64) {
 // rewind runs the worker half of the recovery protocol after a recoverable
 // batch failure: roll every node back to the cluster-wide committed
 // checkpoint commit, restore the matching dense snapshot on every worker,
-// rebuild each worker's data stream and skip the batches already committed,
-// and truncate the recorded steps.
+// rebuild each worker's data stream and skip the batches already committed
+// (re-drawn into the worker's sample buffer), and truncate the recorded
+// steps.
 func (tr *Trainer) rewind(rec Recoverer, commit int64, out *EpochStats) error {
 	cfg := tr.cfg
 	if commit < cfg.StartBatch-1 {
@@ -508,7 +569,7 @@ func (tr *Trainer) rewind(rec Recoverer, commit int64, out *EpochStats) error {
 		_ = w.model.SetParams(snap)
 		w.data = cfg.Data(cfg.DataSeed + int64(w.id))
 		for b := 0; b < consumed; b++ {
-			w.data.NextBatch(cfg.BatchSize)
+			w.data.FillBatch(w.samples)
 		}
 	}
 	for len(out.Steps) > 0 && out.Steps[len(out.Steps)-1].Batch > commit {

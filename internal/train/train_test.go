@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -264,5 +265,65 @@ func TestPullsUniqueKeysInOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// nopPS answers every pull with the same small weight and accepts every
+// push, allocating nothing: a trainer over it shows its own allocations.
+type nopPS struct{}
+
+func (nopPS) Pull(_ int64, _ []uint64, dst []float32) error {
+	for i := range dst {
+		dst[i] = 0.01
+	}
+	return nil
+}
+func (nopPS) Push(int64, []uint64, []float32) error { return nil }
+func (nopPS) EndPullPhase(int64) error              { return nil }
+func (nopPS) EndBatch(int64) error                  { return nil }
+func (nopPS) RequestCheckpoint(int64) error         { return nil }
+func (nopPS) CompletedCheckpoint() (int64, error)   { return -1, nil }
+
+// TestTrainerStepAllocsNothing pins the trainer's steady state: after its
+// first batch, which sizes every buffer, a step draws its samples, indexes
+// its keys, runs the model on each worker and fans its phases out without
+// allocating. The recorded Steps grow as they must, counted by making the
+// same appends here first; the rest is counted the way testing.AllocsPerRun
+// counts, on one P and in whole objects per step, so that the runtime's own
+// occasional allocation (a sudog for a blocked worker, a GC worker) belongs
+// to no step.
+func TestTrainerStepAllocsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const steps = 40
+	growths := 0 // the Steps appends of batches 1..steps-2, which the window covers
+	var sim []StepStats
+	for i := 0; i < steps; i++ {
+		if i > 0 && i < steps-1 && len(sim) == cap(sim) {
+			growths++
+		}
+		sim = append(sim, StepStats{})
+	}
+
+	var first, last runtime.MemStats
+	cfg := trainerConfig(2)
+	cfg.BatchStart = func(batch int64) {
+		switch batch {
+		case 1:
+			runtime.GC() // finish any cycle the setup started: its workers allocate
+			runtime.ReadMemStats(&first)
+		case steps - 1:
+			runtime.ReadMemStats(&last)
+		}
+	}
+	tr, err := New(cfg, nopPS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	if n := (last.Mallocs - first.Mallocs - uint64(growths)) / (steps - 2); n != 0 {
+		t.Fatalf("a step allocates %d objects (%d bytes over batches 1..%d, %d of them the Steps appends), want 0",
+			n, last.TotalAlloc-first.TotalAlloc, steps-2, growths)
 	}
 }

@@ -148,11 +148,20 @@ func (g *CriteoSynthetic) sampleField(f int) int {
 
 // NextBatch generates n samples.
 func (g *CriteoSynthetic) NextBatch(n int) []Sample {
-	out := make([]Sample, n)
-	for i := range out {
-		out[i] = g.Next()
+	return g.FillBatch(make([]Sample, n))
+}
+
+// FillBatch overwrites dst with the next len(dst) samples and returns it:
+// the same draws NextBatch(len(dst)) makes, into a buffer the caller keeps,
+// so a trainer that refills one buffer per step generates its stream
+// without allocating.
+//
+// oevet:hotpath
+func (g *CriteoSynthetic) FillBatch(dst []Sample) []Sample {
+	for i := range dst {
+		dst[i] = g.Next()
 	}
-	return out
+	return dst
 }
 
 // UniqueKeys returns the deduplicated embedding keys referenced by a batch

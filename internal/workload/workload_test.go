@@ -194,6 +194,48 @@ func TestCriteoStreamPinned(t *testing.T) {
 	}
 }
 
+// TestFillBatchMatchesNextBatch: FillBatch into a reused, dirty buffer is
+// the same stream as NextBatch, draw for draw. Two generators with the same
+// seeds take the same batch sizes, one by NextBatch where the other fills,
+// and every sample agrees bit for bit.
+func TestFillBatchMatchesNextBatch(t *testing.T) {
+	cfg := CriteoConfig{Scale: 0.01, Seed: 9, StreamSeed: 3}
+	a, b := NewCriteo(cfg), NewCriteo(cfg)
+	bufA, bufB := make([]Sample, 512), make([]Sample, 512)
+	for i := range bufA {
+		bufA[i].Sparse[0], bufA[i].Dense[0], bufA[i].Label = ^uint64(0), -1, 7
+		bufB[i] = bufA[i]
+	}
+	for step, n := range []int{512, 3, 512, 0, 100, 1, 512, 257} {
+		var x, y []Sample
+		if step%2 == 0 {
+			x, y = a.FillBatch(bufA[:n]), b.NextBatch(n)
+		} else {
+			x, y = a.NextBatch(n), b.FillBatch(bufB[:n])
+		}
+		if len(x) != n || len(y) != n {
+			t.Fatalf("step %d: %d and %d samples, want %d", step, len(x), len(y), n)
+		}
+		if step%2 == 0 && n > 0 && &x[0] != &bufA[0] {
+			t.Fatalf("step %d: FillBatch did not fill the buffer it was given", step)
+		}
+		for i := range x {
+			if !sameSample(&x[i], &y[i]) {
+				t.Fatalf("step %d sample %d: %+v, want %+v", step, i, x[i], y[i])
+			}
+		}
+	}
+}
+
+func sameSample(x, y *Sample) bool {
+	for i := range x.Dense {
+		if math.Float32bits(x.Dense[i]) != math.Float32bits(y.Dense[i]) {
+			return false
+		}
+	}
+	return x.Sparse == y.Sparse && math.Float32bits(x.Label) == math.Float32bits(y.Label)
+}
+
 func TestUniqueKeysDedup(t *testing.T) {
 	g := NewCriteo(CriteoConfig{Scale: 0.0005, Seed: 4})
 	batch := g.NextBatch(512)
