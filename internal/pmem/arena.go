@@ -449,10 +449,10 @@ func (a *Arena) WriteBatch(recs []WriteRec, verify bool) (int, error) {
 }
 
 // touchBlock loads one value from each cache line a block of a group commit
-// is about to read or write: every record's row, and the image and durable
-// bytes of its slot. A slot out of range is skipped — persistRecord rejects
-// it when its turn comes — so nothing is loaded that the record's own bounds
-// check would not admit.
+// is about to read or write: every record's row, and the image bytes of its
+// slot. A slot out of range is skipped — persistRecord rejects it when its
+// turn comes — so nothing is loaded that the record's own bounds check would
+// not admit.
 //
 // oevet:hotpath
 func (a *Arena) touchBlock(blk []WriteRec) (sum byte) {
@@ -467,7 +467,7 @@ func (a *Arena) touchBlock(blk []WriteRec) (sum byte) {
 			continue
 		}
 		off := a.slotOffset(r.Slot)
-		sum += touchLines(d.image[off:off+n]) + touchLines(d.durable[off:off+n])
+		sum += touchLines(d.image[off : off+n])
 	}
 	return sum
 }
@@ -498,7 +498,11 @@ func (a *Arena) noteRecordFlushes(flushes int64) {
 // persistRecord is the one record write path: it encodes the record — its
 // payload given either as bytes or as the float row to encode — into the
 // volatile image at slot, stamps the CRC over the bytes in place, and
-// writes the record back. With verify set the durable image must then
+// writes the record back. Store and write-back run under the caller's one
+// hold of the crash lock, so with the media model unarmed the write-back
+// always settles the range and nothing is saved; an armed model saves the
+// durable bytes before every attempt, so a dropped retry leaves the previous
+// bytes durable. With verify set the durable image must then
 // decode to exactly (key, version) with a valid CRC: a rotted or silently
 // dropped flush is detected and the record re-encoded and re-flushed, a
 // poisoned line is healed by the rewrite when possible, and after three
@@ -524,9 +528,13 @@ func (a *Arena) persistRecord(slot uint32, key uint64, version int64, payload []
 	d := a.dev
 	off := a.slotOffset(slot)
 	img := d.image[off : off+n : off+n]
+	armed := d.media != nil
 	var flushes int64
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
+		if armed {
+			d.saveLocked(off, n)
+		}
 		binary.LittleEndian.PutUint64(img[0:], key)
 		binary.LittleEndian.PutUint64(img[8:], uint64(version))
 		binary.LittleEndian.PutUint32(img[16:], uint32(a.payloadBytes))
@@ -545,7 +553,12 @@ func (a *Arena) persistRecord(slot uint32, key uint64, version int64, payload []
 			lastErr = err
 			continue
 		}
-		rec, err := a.decode(slot, d.durable[off:off+n])
+		durable := img
+		if d.savedLocked(off, n) {
+			durable = slices.Clone(img)
+			d.overlayLocked(off, durable)
+		}
+		rec, err := a.decode(slot, durable)
 		if err != nil {
 			lastErr = err
 			continue

@@ -70,7 +70,7 @@ func TestWriteBatchMatchesPerRecordWrites(t *testing.T) {
 		return run{dev, m}
 	}
 	one, many := build(false), build(true)
-	if !bytes.Equal(one.dev.image, many.dev.image) || !bytes.Equal(one.dev.durable, many.dev.durable) {
+	if !bytes.Equal(one.dev.image, many.dev.image) || !bytes.Equal(one.dev.durableImage(), many.dev.durableImage()) {
 		t.Fatal("group commit and per-record writes left different bytes on the device")
 	}
 	if one.dev.Stats() != many.dev.Stats() {
@@ -187,7 +187,7 @@ func TestWriteBatchFaultOccurrencesPerRecord(t *testing.T) {
 		if oneStats != manyStats {
 			t.Fatalf("seed %d: per-record %+v, batched %+v: the fault schedule landed differently", seed, oneStats, manyStats)
 		}
-		if !bytes.Equal(one.durable, many.durable) {
+		if !bytes.Equal(one.durableImage(), many.durableImage()) {
 			t.Fatalf("seed %d: durable images differ", seed)
 		}
 	}

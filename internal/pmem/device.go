@@ -9,6 +9,11 @@
 //   - Data becomes durable only when explicitly flushed (the CLWB+SFENCE
 //     analog). A simulated power failure (Crash) discards everything that
 //     was written but not flushed.
+//   - The device holds one image. A store first saves the durable value of
+//     each byte it overwrites in an undo record, and a flush drops those
+//     saved bytes again, so the durable image is the image with the undo
+//     record laid over it and the device's memory is its capacity plus
+//     the bytes not yet flushed.
 //   - The durable image can be saved to / reopened from an ordinary file so
 //     recovery works across real process restarts (examples/fault_tolerance).
 //
@@ -20,6 +25,8 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -39,15 +46,16 @@ var (
 	ErrBadImage = errors.New("pmem: bad device image")
 )
 
-// Device is a simulated PMem DIMM: a volatile image over a durable one.
+// Device is a simulated PMem DIMM: a volatile image whose unflushed bytes
+// keep their durable values in an undo record.
 //
 // Concurrent Read/Write/Flush calls on disjoint ranges are safe; callers
 // coordinate access to shared ranges (the Arena does so per slot). Crash and
 // Save require quiescence, as on real hardware.
 type Device struct {
-	image   []byte // what loads/stores observe (CPU-cache analog)
-	durable []byte // what survives a power failure
-	timed   *device.Timed
+	image []byte     // what loads/stores observe (CPU-cache analog)
+	undo  undoRecord // durable values of the bytes stored but not flushed
+	timed *device.Timed
 
 	bytesWritten atomic.Int64 // raw store traffic
 	bytesFlushed atomic.Int64 // persisted traffic (write amplification basis)
@@ -67,11 +75,7 @@ func NewDevice(capacity int, timed *device.Timed) *Device {
 	if capacity <= 0 {
 		panic("pmem: non-positive capacity")
 	}
-	return &Device{
-		image:   make([]byte, capacity),
-		durable: make([]byte, capacity),
-		timed:   timed,
-	}
+	return &Device{image: make([]byte, capacity), timed: timed}
 }
 
 // Capacity returns the device size in bytes.
@@ -132,6 +136,7 @@ func (d *Device) Write(off int, data []byte) error {
 		return err
 	}
 	d.crashMu.RLock()
+	d.saveLocked(off, len(data))
 	copy(d.image[off:], data)
 	d.crashMu.RUnlock()
 	d.bytesWritten.Add(int64(len(data)))
@@ -140,9 +145,9 @@ func (d *Device) Write(off int, data []byte) error {
 
 // Flush persists the range [off, off+n): the CLWB+SFENCE analog. After Flush
 // returns, the range survives Crash — unless the armed media-fault model
-// fires: a dropped flush silently never reaches the durable image, bit-rot
-// flips one deterministic bit after the copy, and poison marks the range
-// uncorrectable. Software cannot observe the fault from Flush itself (it
+// fires: a dropped flush silently never reaches the durable image (the
+// range keeps its saved bytes), bit-rot flips one deterministic bit after
+// the range settles, and poison marks the range uncorrectable. Software cannot observe the fault from Flush itself (it
 // still returns nil), exactly like real hardware; detection is the
 // checksum/read-back layer's job.
 //
@@ -161,18 +166,19 @@ func (d *Device) Flush(off, n int) error {
 
 // flushLocked is one line write-back (one CLWB) with the fence and the
 // accounting left to the caller: it consults the media-fault model — once
-// per call, which is what numbers the fault occurrences — and copies the
-// range to the durable image. The caller holds crashMu shared across as
-// many write-backs as it groups under one fence, then calls noteFlushes.
+// per call, which is what numbers the fault occurrences — and settles the
+// range, dropping its saved bytes so the image is what survives. The caller
+// holds crashMu shared across as many write-backs as it groups under one
+// fence, then calls noteFlushes.
 func (d *Device) flushLocked(off, n int) {
 	m := d.media
 	if m == nil {
-		copy(d.durable[off:off+n], d.image[off:off+n])
+		d.settleLocked(off, n)
 		return
 	}
 	kind, arg := m.faults.FlushFault(m.label)
 	if kind != "drop" {
-		copy(d.durable[off:off+n], d.image[off:off+n])
+		d.settleLocked(off, n)
 	}
 	switch kind {
 	case "bitrot":
@@ -196,23 +202,184 @@ func (d *Device) noteFlushes(n int, count int64) {
 	d.timed.ChargeWriteN(n, count)
 }
 
-// Persist writes data at off and immediately flushes it.
+// Persist writes data at off and immediately flushes it, both under one hold
+// of the crash lock, so no Crash, Save or ReadDurable sees the store without
+// its flush. With the media model unarmed the flush always settles the
+// range, so the store saves nothing; an armed model may drop the flush,
+// which must leave the previous bytes durable.
 //
 // oevet:pmem-flush
 // oevet:charge write
 func (d *Device) Persist(off int, data []byte) error {
-	if err := d.Write(off, data); err != nil {
+	if err := d.check(off, len(data)); err != nil {
 		return err
 	}
-	return d.Flush(off, len(data))
+	d.crashMu.RLock()
+	if d.media != nil {
+		d.saveLocked(off, len(data))
+	}
+	copy(d.image[off:], data)
+	d.flushLocked(off, len(data))
+	d.crashMu.RUnlock()
+	d.bytesWritten.Add(int64(len(data)))
+	d.noteFlushes(len(data), 1)
+	return nil
 }
 
 // Crash simulates a power failure: every store that was not flushed is lost.
-// The device remains usable; its contents are the durable image.
+// The saved bytes go back into the image, so the cost is the unflushed
+// bytes, not the capacity. The device remains usable; its contents are the
+// durable image.
 func (d *Device) Crash() {
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
-	copy(d.image, d.durable)
+	for line, l := range d.undo.lines {
+		l.restore(d.image[line*lineSize:])
+	}
+	clear(d.undo.lines)
+	d.undo.n.Store(0)
+}
+
+// lineSize is the granularity of the undo record: one CPU cache line.
+const lineSize = 64
+
+// undoRecord holds the durable value of every byte that was stored but not
+// yet flushed: one entry per 64-byte line, with a per-byte mask of what the
+// entry saved. A store saves only the bytes it covers, never a whole line:
+// records share lines with their neighbours and shards write neighbours
+// concurrently, so a whole-line save would read a neighbour's bytes in the
+// middle of its store — a data race, and a wrong durable value.
+type undoRecord struct {
+	mu    sync.Mutex
+	lines map[int]undoLine // line index → saved bytes
+	n     atomic.Int64     // len(lines), read without mu to skip an empty record
+}
+
+// undoLine is one line's saved bytes: bit i of mask set means saved[i] is
+// the durable value of the line's byte i.
+type undoLine struct {
+	mask  uint64
+	saved [lineSize]byte
+}
+
+// spanMask returns the mask bits of the bytes of line that [off, off+n)
+// covers.
+func spanMask(line, off, n int) uint64 {
+	base := line * lineSize
+	lo, hi := max(off, base)-base, min(off+n, base+lineSize)-base
+	if hi-lo == lineSize {
+		return ^uint64(0)
+	}
+	return (uint64(1)<<(hi-lo) - 1) << lo
+}
+
+// overlay lays the saved bytes of the line at device offset base over buf,
+// which holds the image bytes at device offset off.
+func (l undoLine) overlay(base, off int, buf []byte) {
+	for m := l.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if j := base + i - off; j >= 0 && j < len(buf) {
+			buf[j] = l.saved[i]
+		}
+	}
+}
+
+// restore writes the saved bytes back into img, the image from the line's
+// first byte on.
+func (l undoLine) restore(img []byte) {
+	for m := l.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		img[i] = l.saved[i]
+	}
+}
+
+// saveLocked records the durable value of every byte of [off, off+n) that
+// has none saved yet; call it before storing to the range. The caller holds
+// crashMu shared and owns the range, so the bytes read are its own.
+func (d *Device) saveLocked(off, n int) {
+	if n == 0 {
+		return
+	}
+	u := &d.undo
+	u.mu.Lock()
+	if u.lines == nil {
+		u.lines = make(map[int]undoLine)
+	}
+	for line := off / lineSize; line*lineSize < off+n; line++ {
+		l := u.lines[line]
+		want := spanMask(line, off, n) &^ l.mask
+		if want == 0 {
+			continue
+		}
+		base := line * lineSize
+		for m := want; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			l.saved[i] = d.image[base+i]
+		}
+		l.mask |= want
+		u.lines[line] = l
+	}
+	u.n.Store(int64(len(u.lines)))
+	u.mu.Unlock()
+}
+
+// settleLocked drops the saved bytes of [off, off+n): the range's image is
+// now its durable value. Only the range's owner saves bytes in it, so a
+// record with no lines at all has none to drop. The caller holds crashMu
+// shared.
+func (d *Device) settleLocked(off, n int) {
+	u := &d.undo
+	if n == 0 || u.n.Load() == 0 {
+		return
+	}
+	u.mu.Lock()
+	for line := off / lineSize; line*lineSize < off+n; line++ {
+		l, ok := u.lines[line]
+		if !ok {
+			continue
+		}
+		if l.mask &^= spanMask(line, off, n); l.mask == 0 {
+			delete(u.lines, line)
+		} else {
+			u.lines[line] = l
+		}
+	}
+	u.n.Store(int64(len(u.lines)))
+	u.mu.Unlock()
+}
+
+// savedLocked reports whether any byte of [off, off+n) has a saved durable
+// value, that is, whether the range's durable bytes differ from its image.
+// The caller holds crashMu shared.
+func (d *Device) savedLocked(off, n int) bool {
+	u := &d.undo
+	if n == 0 || u.n.Load() == 0 {
+		return false
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for line := off / lineSize; line*lineSize < off+n; line++ {
+		if u.lines[line].mask&spanMask(line, off, n) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// overlayLocked turns buf, which holds the image bytes at off, into the
+// durable bytes there. The caller holds crashMu shared.
+func (d *Device) overlayLocked(off int, buf []byte) {
+	u := &d.undo
+	if len(buf) == 0 || u.n.Load() == 0 {
+		return
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for line := off / lineSize; line*lineSize < off+len(buf); line++ {
+		if l, ok := u.lines[line]; ok {
+			l.overlay(line*lineSize, off, buf)
+		}
+	}
 }
 
 // Stats reports raw store traffic, persisted traffic and flush counts.
@@ -237,6 +404,8 @@ var imageMagic = []byte("OEPMEMv1")
 // Save writes the durable image to path (what a real deployment gets for
 // free from a DAX-mapped device file). The volatile image is not saved:
 // only flushed data survives, preserving crash semantics across processes.
+// The image is streamed in chunks with the undo record laid over each, so
+// no second full image is made. On error the temporary file is removed.
 func (d *Device) Save(path string) error {
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
@@ -245,41 +414,68 @@ func (d *Device) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("pmem: save: %w", err)
 	}
-	if _, err := f.Write(imageMagic); err != nil {
-		f.Close()
+	err = d.writeDurable(f)
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("pmem: save: %w", err)
 	}
-	if _, err := f.Write(d.durable); err != nil {
-		f.Close()
-		return fmt.Errorf("pmem: save: %w", err)
+	return nil
+}
+
+// saveChunk is how much of the durable image Save stages at a time.
+const saveChunk = 1 << 20
+
+// writeDurable writes the image magic and the durable image to w. The
+// caller holds crashMu exclusively.
+func (d *Device) writeDurable(w io.Writer) error {
+	if _, err := w.Write(imageMagic); err != nil {
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("pmem: save: %w", err)
+	buf := make([]byte, min(saveChunk, len(d.image)))
+	for off := 0; off < len(d.image); off += len(buf) {
+		chunk := buf[:copy(buf, d.image[off:])]
+		d.overlayLocked(off, chunk)
+		if _, err := w.Write(chunk); err != nil {
+			return err
+		}
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("pmem: save: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // OpenFile loads a previously saved device image. The capacity is taken
-// from the file.
+// from the file, which is read straight into the device's only image.
 func OpenFile(path string, timed *device.Timed) (*Device, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pmem: open: %w", err)
 	}
-	if len(raw) < len(imageMagic) || string(raw[:len(imageMagic)]) != string(imageMagic) {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("pmem: open: %w", err)
+	}
+	magic := make([]byte, len(imageMagic))
+	if st.Size() < int64(len(magic)) {
 		return nil, fmt.Errorf("%w: missing magic in %s", ErrBadImage, path)
 	}
-	data := raw[len(imageMagic):]
-	d := &Device{
-		image:   make([]byte, len(data)),
-		durable: make([]byte, len(data)),
-		timed:   timed,
+	if _, err := io.ReadFull(f, magic); err != nil {
+		return nil, fmt.Errorf("pmem: open: %w", err)
 	}
-	copy(d.image, data)
-	copy(d.durable, data)
-	return d, nil
+	if string(magic) != string(imageMagic) {
+		return nil, fmt.Errorf("%w: missing magic in %s", ErrBadImage, path)
+	}
+	image := make([]byte, st.Size()-int64(len(magic)))
+	if _, err := io.ReadFull(f, image); err != nil {
+		return nil, fmt.Errorf("pmem: open: %w", err)
+	}
+	return &Device{image: image, timed: timed}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"openembedding/internal/device"
@@ -158,6 +159,28 @@ func TestDeviceSaveAndReopen(t *testing.T) {
 	}
 	if !bytes.Equal(vol, make([]byte, 8)) {
 		t.Fatalf("volatile data survived save/open: %q", vol)
+	}
+}
+
+// TestDeviceSaveFailureLeavesNoTemp: a Save that fails — here at the rename,
+// onto a directory that is not empty — returns an error that says it came
+// from the save and leaves no capacity-sized temporary file behind.
+func TestDeviceSaveFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "img")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newTestDevice(t, 4096)
+	if err := d.Persist(0, []byte("durable")); err != nil {
+		t.Fatal(err)
+	}
+	err := d.Save(path)
+	if err == nil || !strings.HasPrefix(err.Error(), "pmem: save: ") {
+		t.Fatalf("Save onto a non-empty directory = %v, want a pmem: save: error", err)
+	}
+	if _, serr := os.Stat(path + ".tmp"); !errors.Is(serr, os.ErrNotExist) {
+		t.Fatalf("failed Save left %s.tmp behind (stat: %v)", path, serr)
 	}
 }
 

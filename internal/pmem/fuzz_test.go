@@ -125,8 +125,7 @@ func FuzzArenaRecover(f *testing.F) {
 		if flipBit != 0 && n > 0 {
 			bit := int(flipBit-1) % (recLen * 8)
 			rotOff := a.slotOffset(firstSlot) + bit/8
-			dev.image[rotOff] ^= 1 << (bit % 8)
-			dev.durable[rotOff] ^= 1 << (bit % 8)
+			dev.image[rotOff] ^= 1 << (bit % 8) // the crash left the image durable
 			delete(want, firstKey)
 			rotted = true
 		}
@@ -137,8 +136,7 @@ func FuzzArenaRecover(f *testing.F) {
 			fullCap := dev.Capacity()
 			size := 1 + int(truncBytes)%(fullCap-1)
 			short := NewDevice(size, device.NewTimedPMem(simclock.NewMeter()))
-			copy(short.image, dev.durable[:size])
-			copy(short.durable, dev.durable[:size])
+			copy(short.image, dev.durableImage()[:size])
 			if _, err := OpenArena(short); err == nil {
 				t.Fatalf("OpenArena on image truncated to %d/%d bytes succeeded", size, fullCap)
 			} else if !errors.Is(err, ErrBadImage) && !errors.Is(err, ErrOutOfRange) {

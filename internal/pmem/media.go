@@ -122,10 +122,11 @@ func (m *mediaState) clearPoison(off, n int) {
 	m.mu.Unlock()
 }
 
-// rotLocked flips one Arg-chosen bit of [off, off+n) in both the volatile
-// and the durable image: the line was flushed correctly and then silently
-// decayed, so loads and recovery both observe the flipped bit. The caller
-// (flushLocked) holds crashMu shared.
+// rotLocked flips one Arg-chosen bit of [off, off+n): the line was flushed
+// correctly and then silently decayed, so loads and recovery both observe
+// the flipped bit. The flush has just settled the range, so the image byte
+// is its durable byte and one flip is both. The caller (flushLocked) holds
+// crashMu shared.
 func (d *Device) rotLocked(off, n int, arg uint64) {
 	if n <= 0 {
 		return
@@ -133,7 +134,6 @@ func (d *Device) rotLocked(off, n int, arg uint64) {
 	byteOff := off + int(arg%uint64(n))
 	bit := byte(1) << ((arg >> 32) % 8)
 	d.image[byteOff] ^= bit
-	d.durable[byteOff] ^= bit
 }
 
 // ReadDurable copies n=len(buf) bytes of the DURABLE image at off into buf:
@@ -148,7 +148,8 @@ func (d *Device) ReadDurable(off int, buf []byte) error {
 		return err
 	}
 	d.crashMu.RLock()
-	copy(buf, d.durable[off:off+len(buf)])
+	copy(buf, d.image[off:off+len(buf)])
+	d.overlayLocked(off, buf)
 	d.crashMu.RUnlock()
 	return nil
 }
