@@ -46,7 +46,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "engine key-space shards, rounded to a power of two (default GOMAXPROCS)")
 		image     = flag.String("pmem-image", "", "PMem image file (recover on start, save on stop)")
 		ckptDir   = flag.String("checkpoint-dir", "", "incremental-checkpoint directory (baseline engines)")
-		traceCap  = flag.Int("trace-spans", obs.DefaultTraceCapacity, "span ring capacity for /debug/obs (with -debug-addr)")
 		serveBags = flag.Bool("serve", false, "enable the online inference tier: answer pull-bag gathers over the lock-free snapshot path (pmem-oe only)")
 		serveRef  = flag.Duration("serve-refresh", 250*time.Millisecond, "hot-set snapshot refresh interval with -serve; 0 disables the background refresher")
 	)
@@ -60,10 +59,8 @@ func main() {
 		log.Fatalf("oeps: %v", err)
 	}
 	var reg *obs.Registry
-	var spans *obs.Tracer
 	if *debugAddr != "" {
 		reg = obs.NewRegistry()
-		spans = obs.NewTracer(*traceCap)
 	}
 	node, err := ps.StartNode(*addr, ps.NodeConfig{
 		Engine: *engine,
@@ -74,7 +71,6 @@ func main() {
 			Optimizer:    opt,
 			Shards:       *shards,
 			Obs:          reg,
-			Spans:        spans,
 		},
 		PMemImage:     *image,
 		CheckpointDir: *ckptDir,

@@ -52,7 +52,9 @@ type ignoreDirective struct {
 }
 
 // RunStandalone analyzes the packages matched by patterns (resolved by the
-// go tool relative to dir) with the full suite.
+// go tool relative to dir) with the full suite. Their in-module
+// dependencies are analyzed first for their facts alone, so one package
+// checks the same as it does inside ./...
 func RunStandalone(dir string, patterns []string) (*Result, error) {
 	pkgs, fset, err := oeanalysis.Load(dir, patterns)
 	if err != nil {
@@ -64,13 +66,17 @@ func RunStandalone(dir string, patterns []string) (*Result, error) {
 		ignores []*ignoreDirective
 	)
 	for _, p := range pkgs {
-		ignores = append(ignores, collectIgnores(fset, p.Files)...)
+		if !p.DepOnly {
+			ignores = append(ignores, collectIgnores(fset, p.Files)...)
+		}
 		for _, a := range Suite {
 			diags, err := oeanalysis.Run(a, fset, p.Files, p.Pkg, p.Info, facts)
 			if err != nil {
 				return nil, err
 			}
-			raw = append(raw, diags...)
+			if !p.DepOnly {
+				raw = append(raw, diags...)
+			}
 		}
 	}
 	return apply(raw, ignores), nil

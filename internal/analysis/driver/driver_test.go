@@ -227,6 +227,26 @@ func TestRunVetSkipsTestFiles(t *testing.T) {
 	}
 }
 
+// TestRunVetOnePackageSeesDependencyFacts: a package run alone checks as it
+// does inside ./...: each of these carries a fence-ok or alloc-ok directive
+// that only a fact exported by one of its dependencies discharges, and the
+// dependencies' own diagnostics and ignores are not the run's (core holds
+// the tree's three ignores; the other three import it).
+func TestRunVetOnePackageSeesDependencyFacts(t *testing.T) {
+	for pkg, ignores := range map[string]int{"core": 3, "ps": 0, "serve": 0, "train": 0} {
+		res, err := RunStandalone(".", []string{"openembedding/internal/" + pkg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range res.Diagnostics {
+			t.Errorf("%s alone: %s: %s (%s)", pkg, d.Pos, d.Message, d.Analyzer)
+		}
+		if res.IgnoresUsed != ignores {
+			t.Errorf("%s alone: %d ignores used, want %d", pkg, res.IgnoresUsed, ignores)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Main: flag errors
 // ---------------------------------------------------------------------------

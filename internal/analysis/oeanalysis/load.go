@@ -25,6 +25,10 @@ type LoadedPackage struct {
 	FileNames  []string
 	Pkg        *types.Package
 	Info       *types.Info
+	// DepOnly marks a dependency of the requested packages, loaded so the
+	// facts it exports reach them: its diagnostics and ignores are not the
+	// run's.
+	DepOnly bool
 }
 
 // listPackage is the subset of `go list -json` output the loader consumes.
@@ -81,9 +85,10 @@ func ExportImporter(fset *token.FileSet, exports map[string]string) types.Import
 }
 
 // Load type-checks every package matched by patterns (relative to dir, a
-// directory inside the module). Test files are not analyzed: the invariants
-// the suite enforces are production-code invariants, and excluding tests
-// keeps the ignore baseline stable under test churn.
+// directory inside the module), preceded by every non-standard package they
+// import, marked DepOnly. Test files are not analyzed: the invariants the
+// suite enforces are production-code invariants, and excluding tests keeps
+// the ignore baseline stable under test churn.
 func Load(dir string, patterns []string) ([]*LoadedPackage, *token.FileSet, error) {
 	pkgs, err := GoList(dir, patterns)
 	if err != nil {
@@ -98,7 +103,7 @@ func Load(dir string, patterns []string) ([]*LoadedPackage, *token.FileSet, erro
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard && p.Name != "" {
+		if !p.Standard && p.Name != "" {
 			targets = append(targets, p)
 		}
 	}
@@ -114,6 +119,7 @@ func Load(dir string, patterns []string) ([]*LoadedPackage, *token.FileSet, erro
 		if err != nil {
 			return nil, nil, err
 		}
+		lp.DepOnly = t.DepOnly
 		out = append(out, lp)
 	}
 	return out, fset, nil

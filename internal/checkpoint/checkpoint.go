@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"openembedding/internal/device"
 	"openembedding/internal/obs"
@@ -55,30 +54,29 @@ type Writer struct {
 	dir    string
 	device *device.Timed // cost model of the checkpoint device (may be nil)
 
-	// metrics (nil, and free, without SetObs)
+	// metrics (nil, and free, without a registry)
+	reg        *obs.Registry
 	writeNS    *obs.Histogram
 	bytesOut   *obs.Counter
 	deltasDone *obs.Counter
 }
 
-// NewWriter creates (if needed) the checkpoint directory.
-func NewWriter(dir string, dev *device.Timed) (*Writer, error) {
+// NewWriter creates (if needed) the checkpoint directory. reg, when set,
+// receives delta-write metrics: ckpt_write_ns (wall time of one synchronous
+// delta dump — the training pause of the incremental baselines),
+// ckpt_bytes_written, and ckpt_deltas_written.
+func NewWriter(dir string, dev *device.Timed, reg *obs.Registry) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &Writer{dir: dir, device: dev}, nil
-}
-
-// SetObs attaches delta-write metrics: ckpt_write_ns (wall time of one
-// synchronous delta dump — the training pause of the incremental baselines),
-// ckpt_bytes_written, and ckpt_deltas_written.
-func (w *Writer) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	w.writeNS = reg.Histogram("ckpt_write_ns")
-	w.bytesOut = reg.Counter("ckpt_bytes_written")
-	w.deltasDone = reg.Counter("ckpt_deltas_written")
+	return &Writer{
+		dir:        dir,
+		device:     dev,
+		reg:        reg,
+		writeNS:    reg.Histogram("ckpt_write_ns"),
+		bytesOut:   reg.Counter("ckpt_bytes_written"),
+		deltasDone: reg.Counter("ckpt_deltas_written"),
+	}, nil
 }
 
 // deltaName formats the file name for a delta covering up to batch.
@@ -91,10 +89,7 @@ func deltaName(batch int64) string { return fmt.Sprintf("delta-%016d.ckpt", batc
 //
 // oevet:charge stream-write
 func (w *Writer) WriteDelta(batch int64, entries []Entry) error {
-	var obsStart time.Time
-	if w.writeNS != nil {
-		obsStart = time.Now()
-	}
+	start := w.reg.Now()
 	path := filepath.Join(w.dir, deltaName(batch))
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -155,11 +150,9 @@ func (w *Writer) WriteDelta(batch int64, entries []Entry) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	w.device.ChargeStreamWrite(total + 4)
-	if w.writeNS != nil {
-		w.writeNS.Observe(time.Since(obsStart))
-		w.bytesOut.Add(total + 4)
-		w.deltasDone.Add(1)
-	}
+	w.writeNS.Observe(w.reg.Now() - start)
+	w.bytesOut.Add(total + 4)
+	w.deltasDone.Add(1)
 	return nil
 }
 

@@ -16,7 +16,7 @@ func testWriter(t *testing.T) (*Writer, string, *simclock.Meter) {
 	t.Helper()
 	dir := t.TempDir()
 	m := simclock.NewMeter()
-	w, err := NewWriter(dir, device.NewTimedSSD(m))
+	w, err := NewWriter(dir, device.NewTimedSSD(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

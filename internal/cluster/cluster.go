@@ -33,11 +33,10 @@ type Options struct {
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
 	// cluster_straggler_ns (slowest minus fastest node per fan-out),
-	// cluster_pull_ns / cluster_push_ns end-to-end latency.
+	// cluster_pull_ns / cluster_push_ns end-to-end latency; and per-batch
+	// spans: cluster.pull / cluster.push parents with per-node
+	// cluster.node children.
 	Obs *obs.Registry
-	// Spans, when set, records per-batch cluster spans: cluster.pull /
-	// cluster.push parents with per-node cluster.node children.
-	Spans *obs.Tracer
 }
 
 // Client is a partitioned parameter-server client.
@@ -50,7 +49,6 @@ type Client struct {
 	dim   int
 	nodes []*rpc.Client
 	addrs []string
-	spans *obs.Tracer
 
 	// ring is the ownership table, never nil. Stored atomically so
 	// concurrent PullBags readers observe a consistent ring while a
@@ -104,7 +102,6 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 	c := &Client{
 		dim:     dim,
 		addrs:   append([]string(nil), addrs...),
-		spans:   opts.Spans,
 		rpcOpts: opts.RPC,
 	}
 	reg := opts.Obs // nil registry: nil, free metrics
@@ -244,12 +241,9 @@ func (f *fan) node(n int) error {
 	if !f.timed {
 		return f.op(f, n)
 	}
-	c := f.c
-	start := c.reg.Now()
-	sp := c.spans.Start("cluster.node", "cluster", int64(n), f.batch)
+	sp := f.c.reg.Start("cluster.node", "cluster", int64(n), f.batch)
 	err := f.op(f, n)
-	sp.EndArg("keys", int64(len(f.keys[n])))
-	f.durs[n] = c.reg.Now() - start
+	f.durs[n] = sp.EndArg("keys", int64(len(f.keys[n])))
 	return err
 }
 
@@ -357,16 +351,14 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 	if err := psengine.CheckBuf(keys, dst, c.dim); err != nil {
 		return err
 	}
-	start := c.reg.Now()
-	sp := c.spans.Start("cluster.pull", "cluster", -1, batch)
+	sp := c.reg.Start("cluster.pull", "cluster", -1, batch)
 	f := c.fan((*fan).pullNode, true, batch)
 	f.rows = dst
 	f.planKeys(keys)
 	err := c.nodeErr(f.run())
 	f.release()
-	sp.EndArg("keys", int64(len(keys)))
-	if err == nil {
-		c.pullNS.Observe(c.reg.Now() - start)
+	if d := sp.EndArg("keys", int64(len(keys))); err == nil {
+		c.pullNS.Observe(d)
 	}
 	return err
 }
@@ -488,16 +480,14 @@ func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
 	if err := psengine.CheckBuf(keys, grads, c.dim); err != nil {
 		return err
 	}
-	start := c.reg.Now()
-	sp := c.spans.Start("cluster.push", "cluster", -1, batch)
+	sp := c.reg.Start("cluster.push", "cluster", -1, batch)
 	f := c.fan((*fan).pushNode, true, batch)
 	f.rows = grads
 	f.planKeys(keys)
 	err := c.nodeErr(f.run())
 	f.release()
-	sp.EndArg("keys", int64(len(keys)))
-	if err == nil {
-		c.pushNS.Observe(c.reg.Now() - start)
+	if d := sp.EndArg("keys", int64(len(keys))); err == nil {
+		c.pushNS.Observe(d)
 	}
 	return err
 }

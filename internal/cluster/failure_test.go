@@ -421,11 +421,11 @@ func TestDefaultClientTrainsAcrossCrash(t *testing.T) {
 }
 
 // TestClusterMetricsAndSpans checks the worker-side fan-out metrics and
-// per-batch spans populate during a normal batch.
+// per-batch spans populate during a normal batch, and that the spans share
+// one clock: every node span lies inside its batch's pull or push span.
 func TestClusterMetricsAndSpans(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(256)
-	cl, _ := startClusterOpts(t, "dram-ps", 3, Options{Obs: reg, Spans: tr})
+	cl, _ := startClusterOpts(t, "dram-ps", 3, Options{Obs: reg})
 	keys := keysForAllNodes(t, 3, 9)
 	dst := make([]float32, len(keys)*4)
 	grads := make([]float32, len(keys)*4)
@@ -462,7 +462,7 @@ func TestClusterMetricsAndSpans(t *testing.T) {
 	}
 
 	var pulls, nodeSpans int
-	for _, sp := range tr.Spans() {
+	for _, sp := range reg.Spans() {
 		switch sp.Name {
 		case "cluster.pull":
 			pulls++
@@ -475,5 +475,21 @@ func TestClusterMetricsAndSpans(t *testing.T) {
 	}
 	if nodeSpans != 12 { // 3 nodes x (pull+push) x 2 batches
 		t.Errorf("cluster.node spans = %d, want 12", nodeSpans)
+	}
+	spans := reg.Spans()
+	for _, n := range spans {
+		if n.Name != "cluster.node" {
+			continue
+		}
+		inside := false
+		for _, p := range spans {
+			if (p.Name == "cluster.pull" || p.Name == "cluster.push") && p.Batch == n.Batch &&
+				p.Start <= n.Start && n.Start+n.Dur <= p.Start+p.Dur {
+				inside = true
+			}
+		}
+		if !inside {
+			t.Errorf("cluster.node span %+v lies in no cluster.pull or cluster.push span of batch %d", n, n.Batch)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"openembedding/internal/cache"
 	"openembedding/internal/device"
-	"openembedding/internal/obs"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 	"openembedding/internal/simclock"
@@ -104,13 +103,13 @@ type Engine struct {
 	// recoverInfo records how the engine was recovered (recover.go).
 	recoverInfo RecoverInfo
 
-	// obs is the engine's metric set (all no-ops when cfg.Obs is nil) and
-	// spans its span tracer. Recording is atomics-only, so it is safe under
-	// any engine lock; timestamps come from obs.Now(), never the time
-	// package (this package is deterministic, and the readings are
-	// observational only — the simulated experiments leave obs nil).
-	obs   *psengine.EngineObs
-	spans *obs.Tracer
+	// obs is the engine's metric set and span source (all no-ops when
+	// cfg.Obs is nil). Metric recording is atomics-only, so it is safe
+	// under any engine lock; a span ends on the ring's leaf mutex.
+	// Timestamps come from obs.Now() and obs.Start, never the time package
+	// (this package is deterministic, and the readings are observational
+	// only — the simulated experiments leave obs nil).
+	obs *psengine.EngineObs
 
 	// scratchPool recycles the per-request partition/access-record buffers
 	// so steady-state Pull and Push allocate nothing.
@@ -242,7 +241,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		dram:    device.NewTimedDRAM(cfg.Meter),
 		maintCh: make(chan maintTask, 64),
 		obs:     psengine.NewEngineObs(cfg.Obs),
-		spans:   cfg.Spans,
 	}
 	// shardIndex multiplies by the golden ratio and keeps the top log2(n)
 	// bits. For n == 1 the shift is 64, which Go defines as yielding 0.

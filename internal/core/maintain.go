@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"openembedding/internal/device"
-	"openembedding/internal/obs"
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 	"openembedding/internal/simclock"
@@ -145,20 +144,12 @@ func (e *Engine) maintainLoop() {
 //
 // oevet:coldpath a whole maintenance round (snapshot rebuild, checkpoint finalizer): when a waiting Push runs it, it runs in place of the wait, not on the per-key path; TestMaintenanceAllocs pins the round's steady-state allocations
 func (e *Engine) runTask(task maintTask) {
-	// Drain timing and the span happen outside every lock; the gauge
-	// reports tasks queued or running, so it drops only once the drain
-	// is done.
-	var start time.Duration
-	if e.obs.Enabled() {
-		start = e.obs.Now()
-	}
-	sp := e.spans.Start("maint.drain", "engine", int64(task.sh.id), task.batch)
+	// The drain's span happens outside every lock; the gauge reports
+	// tasks queued or running, so it drops only once the drain is done.
+	sp := e.obs.Start("maint.drain", "engine", int64(task.sh.id), task.batch)
 	err := task.sh.runMaintenance(task.batch, task.newest, task.entries)
-	sp.EndArg("entries", int64(len(task.entries)))
+	e.obs.MaintDrain.Observe(sp.EndArg("entries", int64(len(task.entries))))
 	task.sh.accessQ.Recycle(task.entries)
-	if e.obs.Enabled() {
-		e.obs.MaintDrain.Observe(e.obs.Now() - start)
-	}
 	e.obs.MaintQueue.Add(-1)
 	if err != nil {
 		e.maintErrs.set(err)
@@ -611,20 +602,12 @@ func (e *Engine) EndBatch(batch int64) error {
 		// Checkpoint stall: the finalizer time a batch boundary waits out.
 		// Both the histogram and the span fire only when checkpoint work was
 		// actually in flight, so neither is diluted by no-op batches.
-		busy := e.ckptRemaining.Load() > 0 || e.PendingCheckpoints() > 0
-		stalled := e.obs.Enabled() && busy
-		var start time.Duration
-		if stalled {
-			start = e.obs.Now()
-		}
-		var sp obs.Span
-		if busy {
-			sp = e.spans.Start("ckpt.finalize", "engine", 0, batch)
-		}
-		err = e.finalizeCheckpoints()
-		sp.End()
-		if stalled {
-			e.obs.CkptStall.Observe(e.obs.Now() - start)
+		if e.obs.Enabled() && (e.ckptRemaining.Load() > 0 || e.PendingCheckpoints() > 0) {
+			sp := e.obs.Start("ckpt.finalize", "engine", 0, batch)
+			err = e.finalizeCheckpoints()
+			e.obs.CkptStall.Observe(sp.End())
+		} else {
+			err = e.finalizeCheckpoints()
 		}
 	}
 	e.lastEnded.Store(batch)

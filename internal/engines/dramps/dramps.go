@@ -90,11 +90,10 @@ func New(cfg psengine.Config, opts Options) (*Engine, error) {
 		e.shards[i].entries = make(map[uint64]*entry)
 	}
 	if opts.CheckpointDir != "" {
-		w, err := checkpoint.NewWriter(opts.CheckpointDir, e.ckptDev)
+		w, err := checkpoint.NewWriter(opts.CheckpointDir, e.ckptDev, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
-		w.SetObs(cfg.Obs)
 		e.writer = w
 	}
 	return e, nil

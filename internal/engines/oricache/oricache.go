@@ -111,11 +111,10 @@ func New(cfg psengine.Config, arena *pmem.Arena, opts Options) (*Engine, error) 
 		// Checkpoints land on PMem charged to cfg.Meter: the default
 		// comparison setup, and the source of the interference Fig. 12
 		// measures.
-		w, err := checkpoint.NewWriter(opts.CheckpointDir, device.NewTimedPMem(cfg.Meter))
+		w, err := checkpoint.NewWriter(opts.CheckpointDir, device.NewTimedPMem(cfg.Meter), cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
-		w.SetObs(cfg.Obs)
 		e.writer = w
 	}
 	return e, nil

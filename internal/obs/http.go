@@ -5,16 +5,15 @@ import (
 	"net/http"
 )
 
-// Handler exposes the registry and tracer over HTTP:
+// Handler exposes the registry over HTTP:
 //
 //	/metrics       flat text (Prometheus-compatible "name value" lines)
 //	/metrics.json  the full Snapshot as JSON (what oectl stats scrapes)
 //	/debug/obs     the span ring as Chrome trace_event JSON — save it and
 //	               load into chrome://tracing or ui.perfetto.dev
 //
-// Either argument may be nil; the corresponding endpoints serve empty but
-// well-formed documents.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
+// A nil registry serves empty but well-formed documents.
+func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -26,7 +25,7 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 	})
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteChromeTrace(w)
+		_ = reg.WriteChromeTrace(w)
 	})
 	return mux
 }

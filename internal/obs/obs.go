@@ -1,7 +1,8 @@
 // Package obs is the repository's low-overhead observability subsystem:
-// a metrics registry (atomic counters, gauges and fixed-bucket log-scale
-// latency histograms), a bounded span-tracing ring dumpable as Chrome
-// trace_event JSON (span.go), and exporters (http.go, bench.go).
+// one registry per process or component that holds atomic counters, gauges
+// and fixed-bucket log-scale latency histograms, plus a bounded span ring
+// dumpable as Chrome trace_event JSON (span.go), all on one clock; and the
+// HTTP exporter (http.go).
 //
 // Design constraints, in order:
 //
@@ -87,8 +88,9 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry owns named metrics. Handles are resolved once (Counter, Gauge,
-// Histogram) and then recorded through without any shared lock.
+// Registry owns named metrics and the span ring. Handles are resolved once
+// (Counter, Gauge, Histogram) and then recorded through without any shared
+// lock; spans (Start) are timed on the same clock as the histograms.
 type Registry struct {
 	epoch time.Time
 
@@ -101,6 +103,16 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// spanMu guards the span ring (span.go). Like mu it is a leaf ranked
+	// below every engine lock, and span bookkeeping never acquires
+	// anything else while holding it.
+	//
+	// oevet:lockrank obs.registry.spanMu 5
+	spanMu  sync.Mutex
+	ring    []SpanRecord // grows to DefaultTraceCapacity, then wraps
+	next    int          // oldest span once the ring is full, else 0
+	dropped int64        // spans overwritten
 }
 
 // NewRegistry returns an empty registry whose clock epoch is "now".
@@ -114,8 +126,8 @@ func NewRegistry() *Registry {
 }
 
 // Now returns the time elapsed since the registry was created, the
-// timestamp base for every latency measurement recorded into it. A nil
-// registry reads no clock and returns 0.
+// timestamp base for every latency measurement and span recorded into it.
+// A nil registry reads no clock and returns 0.
 func (r *Registry) Now() time.Duration {
 	if r == nil {
 		return 0

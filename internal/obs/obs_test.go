@@ -35,19 +35,20 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
-	var tr *Tracer
-	sp := tr.Start("x", "y", 0, 0)
-	sp.End()
-	if tr.Spans() != nil || tr.Dropped() != 0 {
-		t.Fatal("nil tracer accumulated")
+	sp := reg.Start("x", "y", 0, 0)
+	if d := sp.End(); d != 0 {
+		t.Fatalf("nil registry span lasted %v, want 0", d)
+	}
+	if reg.Spans() != nil || reg.Dropped() != 0 {
+		t.Fatal("nil registry accumulated spans")
 	}
 	snap := reg.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("nil tracer chrome trace: %v", err)
+	if err := reg.WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("nil registry chrome trace: %v", err)
 	}
 }
 
@@ -234,31 +235,31 @@ func TestSnapshotText(t *testing.T) {
 	}
 }
 
-func TestTracerRingWrapAndOrder(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 7; i++ {
-		tr.Emit(SpanRecord{Name: "e", Batch: int64(i), Start: time.Duration(i)})
+func TestSpanRingWrapAndOrder(t *testing.T) {
+	reg := NewRegistry()
+	for i := 0; i < DefaultTraceCapacity+3; i++ {
+		reg.record(SpanRecord{Name: "e", Batch: int64(i), Start: time.Duration(i)})
 	}
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(spans))
+	spans := reg.Spans()
+	if len(spans) != DefaultTraceCapacity {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), DefaultTraceCapacity)
 	}
 	for i, s := range spans {
 		if want := int64(i + 3); s.Batch != want {
 			t.Fatalf("span %d batch = %d, want %d (oldest-first order)", i, s.Batch, want)
 		}
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+	if reg.Dropped() != 3 {
+		t.Fatalf("dropped = %d, want 3", reg.Dropped())
 	}
 }
 
 func TestSpanStartEnd(t *testing.T) {
-	tr := NewTracer(16)
-	sp := tr.Start("cluster.pull", "cluster", 2, 9)
+	reg := NewRegistry()
+	sp := reg.Start("cluster.pull", "cluster", 2, 9)
 	time.Sleep(time.Millisecond)
-	sp.EndArg("keys", 64)
-	spans := tr.Spans()
+	d := sp.EndArg("keys", 64)
+	spans := reg.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans", len(spans))
 	}
@@ -269,14 +270,20 @@ func TestSpanStartEnd(t *testing.T) {
 	if s.Dur < time.Millisecond/2 {
 		t.Fatalf("span duration %v too short", s.Dur)
 	}
+	if d != s.Dur {
+		t.Fatalf("EndArg returned %v, recorded %v", d, s.Dur)
+	}
+	if s.Start+s.Dur > reg.Now() {
+		t.Fatalf("span ends at %v, after the registry clock's %v", s.Start+s.Dur, reg.Now())
+	}
 }
 
 func TestChromeTraceJSON(t *testing.T) {
-	tr := NewTracer(16)
-	tr.Start("maint.drain", "engine", 1, 3).EndArg("entries", 17)
-	tr.Emit(SpanRecord{Name: "pull", Cat: "psreq", Batch: 5, Arg: 64, ArgN: "requests", Start: 2 * time.Millisecond})
+	reg := NewRegistry()
+	reg.Start("maint.drain", "engine", 1, 3).EndArg("entries", 17)
+	reg.Start("cluster.pull", "cluster", -1, 5).End()
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := reg.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -304,9 +311,8 @@ func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine_ckpt_flush_bytes").Add(4096)
 	reg.Histogram("engine_pull_ns").Observe(time.Millisecond)
-	tr := NewTracer(8)
-	tr.Start("train.batch", "train", 0, 1).End()
-	srv := httptest.NewServer(Handler(reg, tr))
+	reg.Start("train.batch", "train", 0, 1).End()
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	get := func(path string) string {

@@ -3,19 +3,16 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
-// DefaultTraceCapacity is the span-ring size used by the binaries: enough
+// DefaultTraceCapacity is the size of every registry's span ring: enough
 // for several thousand batches of the per-batch span tree before the ring
 // starts dropping its oldest spans.
 const DefaultTraceCapacity = 1 << 14
 
-// SpanRecord is one completed span on the tracer's timeline. Start is
-// relative to the tracer's epoch (or, for spans emitted with an explicit
-// timestamp, to whatever virtual clock the emitter uses — the two are never
-// mixed inside one tracer). Dur may be zero for instantaneous events.
+// SpanRecord is one completed span on the registry's timeline: Start is
+// relative to the registry's epoch, the base of Registry.Now.
 type SpanRecord struct {
 	Name  string        // what happened ("cluster.pull", "maint.drain", ...)
 	Cat   string        // subsystem ("cluster", "engine", "train", ...)
@@ -23,70 +20,15 @@ type SpanRecord struct {
 	Batch int64         // batch the span belongs to (-1 when none)
 	Arg   int64         // optional numeric payload
 	ArgN  string        // name of Arg ("keys", "bytes", ...); empty when unused
-	Start time.Duration // span start on the tracer's timeline
-	Dur   time.Duration // span duration (0 for point events)
+	Start time.Duration // span start on the registry's timeline
+	Dur   time.Duration // span duration
 }
 
-// Tracer is a bounded ring of completed spans. Emitting is one short
-// critical section on a leaf mutex; when the ring is full the oldest span
-// is overwritten (the Dropped counter reports how many were lost). All
-// methods are safe on a nil receiver.
-type Tracer struct {
-	epoch time.Time
-	cap   int
-
-	// mu guards the ring. Like the registry mutex it is a leaf ranked
-	// below every engine lock, and span bookkeeping never acquires
-	// anything else while holding it.
-	//
-	// oevet:lockrank obs.tracer.mu 5
-	mu      sync.Mutex
-	ring    []SpanRecord // grows to cap, then wraps
-	next    int          // ring insertion cursor once len(ring) == cap
-	total   int64        // spans ever emitted
-	dropped int64        // spans overwritten
-}
-
-// NewTracer returns a tracer whose ring holds up to capacity spans
-// (DefaultTraceCapacity when capacity <= 0). Ring memory grows with use up
-// to the bound; an idle tracer costs almost nothing.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{epoch: time.Now(), cap: capacity}
-}
-
-// Now returns the time elapsed since the tracer was created (0 on nil).
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch)
-}
-
-// Emit appends a completed span record. Use this directly when the caller
-// owns the timestamps; wall-clock spans use Start/End instead.
-func (t *Tracer) Emit(rec SpanRecord) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.next] = rec
-		t.next = (t.next + 1) % t.cap
-		t.dropped++
-	}
-	t.total++
-	t.mu.Unlock()
-}
-
-// Span is an in-flight span handle. The zero Span (from a nil tracer) is
-// valid and its End is a no-op, so callers never branch on "tracing on?".
+// Span is an in-flight span handle. The zero Span (from a nil registry) is
+// valid: its End records nothing and returns 0, so callers never branch on
+// "tracing on?".
 type Span struct {
-	t     *Tracer
+	r     *Registry
 	name  string
 	cat   string
 	tid   int64
@@ -94,23 +36,25 @@ type Span struct {
 	start time.Duration
 }
 
-// Start opens a span on the tracer's wall-clock timeline.
-func (t *Tracer) Start(name, cat string, tid, batch int64) Span {
-	if t == nil {
+// Start opens a span on the registry's clock.
+func (r *Registry) Start(name, cat string, tid, batch int64) Span {
+	if r == nil {
 		return Span{}
 	}
-	return Span{t: t, name: name, cat: cat, tid: tid, batch: batch, start: t.Now()}
+	return Span{r: r, name: name, cat: cat, tid: tid, batch: batch, start: r.Now()}
 }
 
-// End closes the span and commits it to the ring.
-func (s Span) End() { s.EndArg("", 0) }
+// End closes the span, commits it to the ring and returns its duration —
+// the one clock reading a caller also feeds the region's histogram.
+func (s Span) End() time.Duration { return s.EndArg("", 0) }
 
-// EndArg closes the span attaching a named numeric payload.
-func (s Span) EndArg(argName string, arg int64) {
-	if s.t == nil {
-		return
+// EndArg is End attaching a named numeric payload.
+func (s Span) EndArg(argName string, arg int64) time.Duration {
+	if s.r == nil {
+		return 0
 	}
-	s.t.Emit(SpanRecord{
+	d := s.r.Now() - s.start
+	s.r.record(SpanRecord{
 		Name:  s.name,
 		Cat:   s.cat,
 		TID:   s.tid,
@@ -118,35 +62,45 @@ func (s Span) EndArg(argName string, arg int64) {
 		Arg:   arg,
 		ArgN:  argName,
 		Start: s.start,
-		Dur:   s.t.Now() - s.start,
+		Dur:   d,
 	})
+	return d
+}
+
+// record appends rec to the ring, which grows with use up to
+// DefaultTraceCapacity and then overwrites its oldest span.
+func (r *Registry) record(rec SpanRecord) {
+	r.spanMu.Lock()
+	if len(r.ring) < DefaultTraceCapacity {
+		r.ring = append(r.ring, rec)
+	} else {
+		r.ring[r.next] = rec
+		r.next = (r.next + 1) % DefaultTraceCapacity
+		r.dropped++
+	}
+	r.spanMu.Unlock()
 }
 
 // Spans returns the ring contents, oldest first. Nil-safe (returns nil).
-func (t *Tracer) Spans() []SpanRecord {
-	if t == nil {
+func (r *Registry) Spans() []SpanRecord {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, len(t.ring))
-	if len(t.ring) == t.cap {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	out := make([]SpanRecord, 0, len(r.ring))
+	out = append(out, r.ring[r.next:]...)
+	return append(out, r.ring[:r.next]...)
 }
 
 // Dropped returns how many spans the ring has overwritten (0 on nil).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
+func (r *Registry) Dropped() int64 {
+	if r == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	return r.dropped
 }
 
 // chromeEvent is one trace_event in Chrome's JSON trace format: complete
@@ -168,10 +122,10 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace dumps the ring as Chrome trace_event JSON. A nil tracer
-// writes an empty (still loadable) trace.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
+// WriteChromeTrace dumps the span ring as Chrome trace_event JSON. A nil
+// registry writes an empty (still loadable) trace.
+func (r *Registry) WriteChromeTrace(w io.Writer) error {
+	spans := r.Spans()
 	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(spans)), DisplayTimeUnit: "ms"}
 	for _, s := range spans {
 		ev := chromeEvent{

@@ -43,10 +43,10 @@ type NodeConfig struct {
 	// serves may target the checkpoint before the latest (DESIGN.md §10),
 	// so that one has to exist. An explicit 1 is honoured.
 	//
-	// Store.Obs and Store.Spans are the node's one home for observability:
-	// the registry reaches the engine (engine_* metrics), the RPC server
+	// Store.Obs is the node's one home for observability: the registry
+	// reaches the engine (engine_* metrics and spans), the RPC server
 	// (rpc_server_* metrics) and the serve handler (serve_* metrics), and
-	// ObsHandler serves it and dumps the span ring over HTTP. Nil disables
+	// ObsHandler serves it and dumps its span ring over HTTP. Nil disables
 	// them.
 	Store psengine.Config
 	// PMemImage, when non-empty, is the file the PMem device image is
@@ -351,9 +351,9 @@ func (n *Node) Scrub() (psengine.ScrubReport, error) {
 }
 
 // ObsHandler returns the node's observability HTTP handler (/metrics,
-// /metrics.json, /debug/obs). With no registry or tracer configured it still
-// serves well-formed empty documents.
-func (n *Node) ObsHandler() http.Handler { return obs.Handler(n.cfg.Store.Obs, n.cfg.Store.Spans) }
+// /metrics.json, /debug/obs). With no registry configured it still serves
+// well-formed empty documents.
+func (n *Node) ObsHandler() http.Handler { return obs.Handler(n.cfg.Store.Obs) }
 
 // Addr returns the node's bound address (stable across Crash/Restart).
 func (n *Node) Addr() string {

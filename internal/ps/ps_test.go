@@ -125,14 +125,13 @@ func TestNodeRestartRecovers(t *testing.T) {
 	}
 }
 
-// TestNodeStoreObsReachesEngine: Store.Obs and Store.Spans are the node's
-// one home for observability. A registry set there reaches the engine, the
-// RPC server and the serve handler, and ObsHandler serves it and the span
-// ring.
+// TestNodeStoreObsReachesEngine: Store.Obs is the node's one home for
+// observability. A registry set there reaches the engine, the RPC server
+// and the serve handler, and ObsHandler serves it and its span ring.
 func TestNodeStoreObsReachesEngine(t *testing.T) {
-	reg, spans := obs.NewRegistry(), obs.NewTracer(16)
+	reg := obs.NewRegistry()
 	cfg := serveNodeConfig()
-	cfg.Store.Obs, cfg.Store.Spans = reg, spans
+	cfg.Store.Obs = reg
 	n, err := StartNode("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +160,7 @@ func TestNodeStoreObsReachesEngine(t *testing.T) {
 	if got := s.Counters["serve_requests"]; got != 1 {
 		t.Errorf("serve_requests = %d, want 1: the serve handler did not get Store.Obs", got)
 	}
-	spans.Start("test.span", "test", 0, 0).End()
+	reg.Start("test.span", "test", 0, 0).End()
 	for path, want := range map[string]string{"/metrics": "engine_pull_ns", "/debug/obs": "test.span"} {
 		rec := httptest.NewRecorder()
 		n.ObsHandler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

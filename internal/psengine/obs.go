@@ -114,6 +114,14 @@ func (m *EngineObs) Now() time.Duration {
 	return m.reg.Now()
 }
 
+// Start opens a span on the registry (a no-op span when disabled).
+func (m *EngineObs) Start(name, cat string, tid, batch int64) obs.Span {
+	if m == nil {
+		return obs.Span{}
+	}
+	return m.reg.Start(name, cat, tid, batch)
+}
+
 // ShardEvictions resolves the eviction counter for one shard (nil when
 // disabled).
 func (m *EngineObs) ShardEvictions(shard int) *obs.Counter {

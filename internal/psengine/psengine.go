@@ -89,12 +89,10 @@ type Config struct {
 	Meter *simclock.Meter
 	// Obs receives wall-clock operational metrics (latency histograms,
 	// byte counters, queue depths — see NewEngineObs for the canonical
-	// set). Nil disables recording at the cost of a nil check; the
-	// deterministic simulated experiments leave it nil.
+	// set) and per-batch spans (maintenance drains, checkpoint
+	// finalization). Nil disables recording at the cost of a nil check;
+	// the deterministic simulated experiments leave it nil.
 	Obs *obs.Registry
-	// Spans receives per-batch spans (maintenance drains, checkpoint
-	// finalization) for the Chrome-trace exporter. Nil disables tracing.
-	Spans *obs.Tracer
 	// Shards is the number of independent key-space shards for engines that
 	// partition their index, cache and maintenance (PMem-OE). Each shard has
 	// its own lock, so request threads on different shards never contend and

@@ -20,7 +20,7 @@ const denseKey = ^uint64(0)
 // SaveDense writes the trainer's dense parameters as the dense checkpoint
 // for batch into dir. dev models the checkpoint device (nil is free).
 func (tr *Trainer) SaveDense(dir string, batch int64, dev *device.Timed) error {
-	w, err := checkpoint.NewWriter(dir, dev)
+	w, err := checkpoint.NewWriter(dir, dev, nil)
 	if err != nil {
 		return err
 	}

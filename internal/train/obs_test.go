@@ -13,11 +13,10 @@ import (
 )
 
 // TestTrainerObs runs a short training loop with the observability hooks
-// attached end to end (trainer and engine sharing one registry and span
-// ring) and checks batch/phase histograms and the span tree populate.
+// attached end to end (trainer and engine sharing one registry, and so one
+// span ring) and checks batch/phase histograms and the span tree populate.
 func TestTrainerObs(t *testing.T) {
 	reg := obs.NewRegistry()
-	ring := obs.NewTracer(4096)
 	meter := simclock.NewMeter()
 
 	ecfg := psengine.Config{
@@ -27,7 +26,6 @@ func TestTrainerObs(t *testing.T) {
 		CacheEntries: 4096,
 		Meter:        meter,
 		Obs:          reg,
-		Spans:        ring,
 	}.WithDefaults()
 	payload := pmem.FloatBytes(ecfg.EntryFloats())
 	slots := (1 << 16) * 3
@@ -44,7 +42,6 @@ func TestTrainerObs(t *testing.T) {
 
 	cfg := trainerConfig(2)
 	cfg.Obs = reg
-	cfg.Spans = ring
 	tr, err := New(cfg, Local{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +70,7 @@ func TestTrainerObs(t *testing.T) {
 	}
 
 	counts := map[string]int{}
-	for _, sp := range ring.Spans() {
+	for _, sp := range reg.Spans() {
 		counts[sp.Name]++
 	}
 	for _, name := range []string{"train.batch", "train.pull", "train.compute", "train.push"} {

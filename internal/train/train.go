@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"openembedding/internal/model"
 	"openembedding/internal/obs"
@@ -114,11 +113,9 @@ type Config struct {
 	BatchStart func(batch int64)
 	// Obs, when set, receives per-batch wall-clock metrics: train_batch_ns
 	// and the train_pull_ns / train_compute_ns / train_push_ns phase
-	// histograms.
+	// histograms, each timed by the train.batch span or its
+	// pull/compute/push child.
 	Obs *obs.Registry
-	// Spans, when set, records train.batch spans with pull/compute/push
-	// children per batch.
-	Spans *obs.Tracer
 }
 
 // Trainer runs synchronous training against a parameter server.
@@ -200,12 +197,10 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 			cfg.Model.Fields, cfg.Model.Dense, workload.CriteoNumSparse, workload.CriteoNumDense)
 	}
 	tr := &Trainer{cfg: cfg, ps: ps}
-	if reg := cfg.Obs; reg != nil {
-		tr.batchNS = reg.Histogram("train_batch_ns")
-		tr.pullNS = reg.Histogram("train_pull_ns")
-		tr.computeNS = reg.Histogram("train_compute_ns")
-		tr.pushNS = reg.Histogram("train_push_ns")
-	}
+	tr.batchNS = cfg.Obs.Histogram("train_batch_ns") // nil registry: nil, free metrics
+	tr.pullNS = cfg.Obs.Histogram("train_pull_ns")
+	tr.computeNS = cfg.Obs.Histogram("train_compute_ns")
+	tr.pushNS = cfg.Obs.Histogram("train_push_ns")
 	// Every per-batch buffer is sized for the most distinct keys a batch
 	// can have, so no batch grows one: a step allocates nothing.
 	keys := cfg.BatchSize * workload.CriteoNumSparse
@@ -344,12 +339,8 @@ func (tr *Trainer) fanOut(batch int64, run func(w *worker, tr *Trainer, batch in
 // the caller either aborts or rolls back and replays.
 func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	cfg := &tr.cfg
-	var batchStart time.Duration
-	if tr.batchNS != nil {
-		batchStart = cfg.Obs.Now()
-	}
-	bsp := cfg.Spans.Start("train.batch", "train", 0, batch)
-	psp := cfg.Spans.Start("train.pull", "train", 0, batch)
+	bsp := cfg.Obs.Start("train.batch", "train", 0, batch)
+	psp := cfg.Obs.Start("train.pull", "train", 0, batch)
 
 	// Pull phase: all workers in parallel (the paper's burst).
 	if err := tr.fanOut(batch, (*worker).pull); err != nil {
@@ -358,15 +349,8 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	if err := tr.ps.EndPullPhase(batch); err != nil {
 		return err
 	}
-	psp.EndArg("workers", int64(len(tr.workers)))
-	if tr.pullNS != nil {
-		tr.pullNS.Observe(cfg.Obs.Now() - batchStart)
-	}
-	var computeStart time.Duration
-	if tr.computeNS != nil {
-		computeStart = cfg.Obs.Now()
-	}
-	csp := cfg.Spans.Start("train.compute", "train", 0, batch)
+	tr.pullNS.Observe(psp.EndArg("workers", int64(len(tr.workers))))
+	csp := cfg.Obs.Start("train.compute", "train", 0, batch)
 
 	// Compute phase: dense forward/backward per worker, gradients
 	// aggregated per unique key.
@@ -376,15 +360,8 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 
 	// Dense allreduce: average parameters across workers.
 	tr.allreduce()
-	csp.End()
-	if tr.computeNS != nil {
-		tr.computeNS.Observe(cfg.Obs.Now() - computeStart)
-	}
-	var pushStart time.Duration
-	if tr.pushNS != nil {
-		pushStart = cfg.Obs.Now()
-	}
-	usp := cfg.Spans.Start("train.push", "train", 0, batch)
+	tr.computeNS.Observe(csp.End())
+	usp := cfg.Obs.Start("train.push", "train", 0, batch)
 
 	// Push phase: all workers in parallel.
 	if err := tr.fanOut(batch, (*worker).push); err != nil {
@@ -399,10 +376,7 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 	if err := tr.ps.EndBatch(batch); err != nil {
 		return err
 	}
-	usp.End()
-	if tr.pushNS != nil {
-		tr.pushNS.Observe(cfg.Obs.Now() - pushStart)
-	}
+	tr.pushNS.Observe(usp.End())
 	// Sealed, so the step counts even if the checkpoint request fails: a
 	// replay keeps it when the batch is the commit, and truncates it if not.
 	out.Steps = append(out.Steps, StepStats{Batch: batch, Loss: stepLoss})
@@ -434,10 +408,7 @@ func (tr *Trainer) runBatch(out *EpochStats, batch int64) error {
 		}
 		out.Checkpoints++
 	}
-	bsp.End()
-	if tr.batchNS != nil {
-		tr.batchNS.Observe(cfg.Obs.Now() - batchStart)
-	}
+	tr.batchNS.Observe(bsp.End())
 	return nil
 }
 
