@@ -28,23 +28,26 @@ const (
 	draws   = 512
 )
 
-func build(kind string) (psengine.Engine, *simclock.Meter, error) {
+// build returns the engine, its meter and its device (nil for dram-ps),
+// which the caller closes after the engine.
+func build(kind string) (psengine.Engine, *simclock.Meter, *pmem.Device, error) {
 	cfg := psengine.Config{
 		Dim: dim, Optimizer: optim.NewAdaGrad(0.05),
 		Capacity: keys, CacheEntries: cache,
 		Meter: simclock.NewMeter(),
 	}.WithDefaults()
 	var arena *pmem.Arena
+	var dev *pmem.Device
 	if engines.UsesPMem(kind) {
 		payload := pmem.FloatBytes(cfg.EntryFloats())
-		dev := pmem.NewDevice(pmem.ArenaLayout(payload, keys*3), device.NewTimedPMem(cfg.Meter))
+		dev = pmem.NewDevice(pmem.ArenaLayout(payload, keys*3), device.NewTimedPMem(cfg.Meter))
 		var err error
 		if arena, err = pmem.NewArena(dev, payload, keys*3); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	e, err := engines.New(kind, cfg, arena, "")
-	return e, cfg.Meter, err
+	return e, cfg.Meter, dev, err
 }
 
 func main() {
@@ -54,7 +57,7 @@ func main() {
 		"engine", "keys/sec", "miss", "pmem-read", "pmem-write", "serialized")
 
 	for _, kind := range []string{"dram-ps", "pmem-oe", "ori-cache", "pmem-hash"} {
-		eng, meter, err := build(kind)
+		eng, meter, dev, err := build(kind)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,6 +96,11 @@ func main() {
 			snap.Total(simclock.PMemWrite).Round(time.Microsecond),
 			snap.Total(simclock.GlobalSync).Round(time.Microsecond))
 		eng.Close()
+		if dev != nil {
+			if err := dev.Close(); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
 
 	fmt.Println("\nreading the virtual-time columns:")

@@ -45,6 +45,7 @@ func newBenchEngineObs(b *testing.B, shards int, reg *obs.Registry) *Engine {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 4
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
+	b.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		b.Fatal(err)
@@ -306,7 +307,9 @@ func benchSnapRepublish(b *testing.B, pinned bool) {
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 2
-	arena, err := pmem.NewArena(pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil)), payload, slots)
+	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
+	b.Cleanup(func() { dev.Close() })
+	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,6 +35,7 @@ func newTestEngine(t *testing.T, cfg psengine.Config) *Engine {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 4 // room for retained versions
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)

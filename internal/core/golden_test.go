@@ -67,6 +67,7 @@ func runColdStream(t *testing.T, shards int) coldGolden {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 3
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)

@@ -139,6 +139,7 @@ func newFaultEngine(t *testing.T, cfg psengine.Config, slots int, inj *faultinje
 	cfg = cfg.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +513,9 @@ func coldBatches(tb testing.TB, shards int, g coldGeom) (*Engine, [][2][]uint64,
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 3
-	arena, err := pmem.NewArena(pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil)), payload, slots)
+	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
+	tb.Cleanup(func() { dev.Close() })
+	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		tb.Fatal(err)
 	}

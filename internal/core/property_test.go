@@ -279,6 +279,7 @@ func TestMaintenanceErrorSurfaces(t *testing.T) {
 	// retained versions.
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, 8), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, 8)
 	if err != nil {
 		t.Fatal(err)

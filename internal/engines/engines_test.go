@@ -36,6 +36,7 @@ func newArena(t *testing.T, cfg psengine.Config) *pmem.Arena {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 4
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	a, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)

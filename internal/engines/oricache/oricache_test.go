@@ -19,6 +19,7 @@ func testEngine(t *testing.T, cacheEntries int, ckptDir string) (*Engine, *simcl
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, 256), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, 256)
 	if err != nil {
 		t.Fatal(err)

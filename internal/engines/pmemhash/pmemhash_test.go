@@ -19,6 +19,7 @@ func testEngine(t *testing.T, capacity int) (*Engine, *simclock.Meter) {
 	}.WithDefaults()
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, capacity), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, capacity)
 	if err != nil {
 		t.Fatal(err)

@@ -450,9 +450,9 @@ func (a *Arena) WriteBatch(recs []WriteRec, verify bool) (int, error) {
 
 // touchBlock loads one value from each cache line a block of a group commit
 // is about to read or write: every record's row, and the image bytes of its
-// slot. A slot out of range is skipped — persistRecord rejects it when its
-// turn comes — so nothing is loaded that the record's own bounds check would
-// not admit.
+// slot. A slot out of range, or any slot of a closed device, is skipped —
+// persistRecord rejects it when its turn comes — so nothing is loaded that
+// the record's own bounds check would not admit.
 //
 // oevet:hotpath
 func (a *Arena) touchBlock(blk []WriteRec) (sum byte) {
@@ -463,10 +463,10 @@ func (a *Arena) touchBlock(blk []WriteRec) (sum byte) {
 		for j := 0; j < len(r.Row); j += 16 {
 			sum += byte(math.Float32bits(r.Row[j]))
 		}
-		if int(r.Slot) >= a.slots {
+		off := a.slotOffset(r.Slot)
+		if int(r.Slot) >= a.slots || off+n > len(d.image) {
 			continue
 		}
-		off := a.slotOffset(r.Slot)
 		sum += touchLines(d.image[off : off+n])
 	}
 	return sum
@@ -527,6 +527,9 @@ func (a *Arena) persistRecord(slot uint32, key uint64, version int64, payload []
 	}
 	d := a.dev
 	off := a.slotOffset(slot)
+	if err := d.check(off, n); err != nil {
+		return 0, err
+	}
 	img := d.image[off : off+n : off+n]
 	armed := d.media != nil
 	var flushes int64
@@ -662,6 +665,9 @@ func (a *Arena) ScanRange(lo, hi uint32, fn func(Record) error) error {
 	if int(hi) > a.slots || lo > hi {
 		return fmt.Errorf("%w: scan range [%d,%d) of %d slots", ErrOutOfRange, lo, hi, a.slots)
 	}
+	if err := a.dev.check(a.slotOffset(lo), int(hi-lo)*a.slotSize); err != nil {
+		return err
+	}
 	a.dev.Timed().ChargeStreamRead(int64(hi-lo) * int64(a.slotSize))
 	for s := lo; s < hi; s++ {
 		off := a.slotOffset(s)
@@ -700,6 +706,9 @@ func (a *Arena) ScanRange(lo, hi uint32, fn func(Record) error) error {
 func (a *Arena) EraseMatching(match func(key uint64) bool) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if err := a.dev.check(0, a.slotOffset(a.bump)); err != nil {
+		return 0, err
+	}
 	// One sequential pass over the written prefix, like a recovery scan.
 	a.dev.Timed().ChargeStreamRead(int64(a.bump) * int64(a.slotSize))
 	zero := make([]byte, slotHeaderLen)

@@ -50,6 +50,7 @@ func TestWriteBatchMatchesPerRecordWrites(t *testing.T) {
 		m := simclock.NewMeter()
 		payload := FloatBytes(6)
 		dev := NewDevice(ArenaLayout(payload, 32), device.NewTimedPMem(m))
+		t.Cleanup(func() { dev.Close() })
 		a, err := NewArena(dev, payload, 32)
 		if err != nil {
 			t.Fatal(err)

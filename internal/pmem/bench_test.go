@@ -13,7 +13,9 @@ func benchArena(b *testing.B, n int) (*Arena, []uint32) {
 	b.Helper()
 	const payload = 152
 	slots := 3 << 18
-	a, err := NewArena(NewDevice(ArenaLayout(payload, slots), device.NewTimedPMem(nil)), payload, slots)
+	dev := NewDevice(ArenaLayout(payload, slots), device.NewTimedPMem(nil))
+	b.Cleanup(func() { dev.Close() })
+	a, err := NewArena(dev, payload, slots)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,8 +12,11 @@
 //   - The device holds one image. A store first saves the durable value of
 //     each byte it overwrites in an undo record, and a flush drops those
 //     saved bytes again, so the durable image is the image with the undo
-//     record laid over it and the device's memory is its capacity plus
-//     the bytes not yet flushed.
+//     record laid over it.
+//   - On linux the image is an anonymous mapping beside the Go heap, as a
+//     DIMM sits beside DRAM: the device's memory is the pages written plus
+//     the bytes not yet flushed, not its capacity, and the collector does
+//     not count it. Its owner releases it with Close.
 //   - The durable image can be saved to / reopened from an ordinary file so
 //     recovery works across real process restarts (examples/fault_tolerance).
 //
@@ -44,16 +47,18 @@ var (
 	ErrCorrupt = errors.New("pmem: corrupt record")
 	// ErrBadImage indicates a device image file that fails validation.
 	ErrBadImage = errors.New("pmem: bad device image")
+	// ErrClosed indicates an access to a device after Close.
+	ErrClosed = errors.New("pmem: device closed")
 )
 
 // Device is a simulated PMem DIMM: a volatile image whose unflushed bytes
 // keep their durable values in an undo record.
 //
 // Concurrent Read/Write/Flush calls on disjoint ranges are safe; callers
-// coordinate access to shared ranges (the Arena does so per slot). Crash and
-// Save require quiescence, as on real hardware.
+// coordinate access to shared ranges (the Arena does so per slot). Crash,
+// Save and Close require quiescence, as on real hardware.
 type Device struct {
-	image []byte     // what loads/stores observe (CPU-cache analog)
+	image []byte     // what loads/stores observe (CPU-cache analog); nil once closed
 	undo  undoRecord // durable values of the bytes stored but not flushed
 	timed *device.Timed
 
@@ -69,23 +74,52 @@ type Device struct {
 	media *mediaState
 }
 
-// NewDevice creates a device of the given capacity in bytes. The meter may
-// be nil, in which case accesses are functionally identical but free.
+// NewDevice creates a zeroed device of the given capacity in bytes. The
+// meter may be nil, in which case accesses are functionally identical but
+// free. The caller owns the device and releases its image with Close.
 func NewDevice(capacity int, timed *device.Timed) *Device {
 	if capacity <= 0 {
 		panic("pmem: non-positive capacity")
 	}
-	return &Device{image: make([]byte, capacity), timed: timed}
+	image, err := mapImage(capacity)
+	if err != nil {
+		panic(err)
+	}
+	return &Device{image: image, timed: timed}
 }
 
-// Capacity returns the device size in bytes.
+// Close releases the image. Every access afterwards fails with ErrClosed,
+// and Crash does nothing. No slice the device handed out (View, a Record's
+// Payload) may be used after Close: on linux the image is unmapped, so a
+// load through one faults. That is why the owner closes the device and no
+// finalizer does: the collector cannot see those slices. Closing a closed
+// device returns nil.
+func (d *Device) Close() error {
+	d.crashMu.Lock()
+	defer d.crashMu.Unlock()
+	if d.image == nil {
+		return nil
+	}
+	image := d.image
+	d.image = nil
+	clear(d.undo.lines)
+	d.undo.n.Store(0)
+	return unmapImage(image)
+}
+
+// Capacity returns the device size in bytes (0 once closed).
 func (d *Device) Capacity() int { return len(d.image) }
 
 // Timed returns the timing wrapper the device charges to (may be nil).
 func (d *Device) Timed() *device.Timed { return d.timed }
 
+// check admits [off, off+n). A closed device has an empty image, so only
+// the error branch tells ErrClosed apart.
 func (d *Device) check(off, n int) error {
 	if off < 0 || n < 0 || off+n > len(d.image) {
+		if d.image == nil {
+			return ErrClosed
+		}
 		return fmt.Errorf("%w: off=%d n=%d cap=%d", ErrOutOfRange, off, n, len(d.image))
 	}
 	return nil
@@ -409,6 +443,9 @@ var imageMagic = []byte("OEPMEMv1")
 func (d *Device) Save(path string) error {
 	d.crashMu.Lock()
 	defer d.crashMu.Unlock()
+	if d.image == nil {
+		return fmt.Errorf("pmem: save: %w", ErrClosed)
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -452,7 +489,10 @@ func (d *Device) writeDurable(w io.Writer) error {
 }
 
 // OpenFile loads a previously saved device image. The capacity is taken
-// from the file, which is read straight into the device's only image.
+// from the file: the image is made that size (mapped on linux), then the
+// file is read into it. An image with no bytes after the magic is bad, as
+// NewDevice refuses a zero capacity. The caller owns the device and
+// releases it with Close.
 func OpenFile(path string, timed *device.Timed) (*Device, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -473,8 +513,16 @@ func OpenFile(path string, timed *device.Timed) (*Device, error) {
 	if string(magic) != string(imageMagic) {
 		return nil, fmt.Errorf("%w: missing magic in %s", ErrBadImage, path)
 	}
-	image := make([]byte, st.Size()-int64(len(magic)))
+	size := st.Size() - int64(len(magic))
+	if size == 0 {
+		return nil, fmt.Errorf("%w: empty image in %s", ErrBadImage, path)
+	}
+	image, err := mapImage(int(size))
+	if err != nil {
+		return nil, fmt.Errorf("pmem: open: %w", err)
+	}
 	if _, err := io.ReadFull(f, image); err != nil {
+		unmapImage(image) //nolint:errcheck // the read error is the one to report
 		return nil, fmt.Errorf("pmem: open: %w", err)
 	}
 	return &Device{image: image, timed: timed}, nil

@@ -15,7 +15,9 @@ import (
 func newTestDevice(t *testing.T, capacity int) (*Device, *simclock.Meter) {
 	t.Helper()
 	m := simclock.NewMeter()
-	return NewDevice(capacity, device.NewTimedPMem(m)), m
+	d := NewDevice(capacity, device.NewTimedPMem(m))
+	t.Cleanup(func() { d.Close() })
+	return d, m
 }
 
 func TestDeviceWriteIsVolatileUntilFlush(t *testing.T) {
@@ -143,6 +145,7 @@ func TestDeviceSaveAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { re.Close() })
 	if re.Capacity() != 512 {
 		t.Fatalf("capacity = %d", re.Capacity())
 	}
@@ -192,5 +195,82 @@ func TestOpenFileRejectsBadImage(t *testing.T) {
 	}
 	if _, err := OpenFile(path, nil); !errors.Is(err, ErrBadImage) {
 		t.Fatalf("want ErrBadImage, got %v", err)
+	}
+}
+
+// TestOpenFileRejectsEmptyImage: a file holding only the magic is an image
+// of no bytes, which NewDevice would refuse as a capacity; it must not open
+// as a zero-capacity device.
+func TestOpenFileRejectsEmptyImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.img")
+	if err := os.WriteFile(path, imageMagic, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenFile(path, nil)
+	if err == nil {
+		d.Close()
+		t.Fatalf("an image of no bytes opened as a %d-byte device", d.Capacity())
+	}
+	if !errors.Is(err, ErrBadImage) {
+		t.Fatalf("want ErrBadImage, got %v", err)
+	}
+}
+
+// TestDeviceClose: Close is idempotent, and afterwards every access fails
+// with ErrClosed — it never panics or touches the released image — and
+// Crash does nothing.
+func TestDeviceClose(t *testing.T) {
+	const payload, slots = 16, 8
+	d, _ := newTestDevice(t, ArenaLayout(payload, slots))
+	a, err := NewArena(d, payload, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := batchOf(t, a, batchRows(a, 2, 1), 10, 1)
+	if done, err := a.WriteBatch(recs, true); err != nil || done != len(recs) {
+		t.Fatalf("WriteBatch = %d, %v", done, err)
+	}
+	if err := d.Write(0, []byte{1}); err != nil { // leaves a saved byte for Close to drop
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if c := d.Capacity(); c != 0 {
+		t.Fatalf("closed device has capacity %d", c)
+	}
+	d.Crash()
+
+	path := filepath.Join(t.TempDir(), "closed.img")
+	buf := make([]byte, 8)
+	reads := []ReadRec{{Slot: recs[0].Slot, Key: recs[0].Key}}
+	for name, call := range map[string]func() error{
+		"Read":        func() error { return d.Read(0, buf) },
+		"Write":       func() error { return d.Write(0, buf) },
+		"Flush":       func() error { return d.Flush(0, len(buf)) },
+		"Persist":     func() error { return d.Persist(0, buf) },
+		"View":        func() error { _, err := d.View(0, len(buf)); return err },
+		"ReadDurable": func() error { return d.ReadDurable(0, buf) },
+		"Save":        func() error { return d.Save(path) },
+		"WriteBatch":  func() error { _, err := a.WriteBatch(recs, false); return err },
+		"WriteBatch verified": func() error {
+			_, err := a.WriteBatch(recs, true)
+			return err
+		},
+		"ReadScatteredVerified": func() error {
+			_, err := a.ReadScatteredVerified(reads, func(int, []byte) { t.Error("a closed device served a record") })
+			return err
+		},
+		"Scan": func() error { return a.Scan(func(Record) error { return nil }) },
+	} {
+		if err := call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close = %v, want ErrClosed", name, err)
+		}
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Save of a closed device wrote %s (stat: %v)", path, err)
 	}
 }

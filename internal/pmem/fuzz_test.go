@@ -44,6 +44,7 @@ func FuzzArenaRecover(f *testing.F) {
 		payload := FloatBytes(payloadFloats)
 		m := simclock.NewMeter()
 		dev := NewDevice(ArenaLayout(payload, slots), device.NewTimedPMem(m))
+		t.Cleanup(func() { dev.Close() })
 		a, err := NewArena(dev, payload, slots)
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +137,7 @@ func FuzzArenaRecover(f *testing.F) {
 			fullCap := dev.Capacity()
 			size := 1 + int(truncBytes)%(fullCap-1)
 			short := NewDevice(size, device.NewTimedPMem(simclock.NewMeter()))
+			t.Cleanup(func() { short.Close() })
 			copy(short.image, dev.durableImage()[:size])
 			if _, err := OpenArena(short); err == nil {
 				t.Fatalf("OpenArena on image truncated to %d/%d bytes succeeded", size, fullCap)

@@ -17,6 +17,7 @@ func newMediaArena(t *testing.T, slots int, seed uint64, rules ...faultinject.Ru
 	payload := FloatBytes(4)
 	m := simclock.NewMeter()
 	dev := NewDevice(ArenaLayout(payload, slots), device.NewTimedPMem(m))
+	t.Cleanup(func() { dev.Close() })
 	a, err := NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +217,7 @@ func TestVerifiedReadChargesMatchUnverified(t *testing.T) {
 		payload := FloatBytes(4)
 		m := simclock.NewMeter()
 		dev := NewDevice(ArenaLayout(payload, 8), device.NewTimedPMem(m))
+		t.Cleanup(func() { dev.Close() })
 		a, err := NewArena(dev, payload, 8)
 		if err != nil {
 			t.Fatal(err)

@@ -183,6 +183,7 @@ func TestReadScatteredVerifiedPoison(t *testing.T) {
 	payload := FloatBytes(4)
 	m := simclock.NewMeter()
 	dev := NewDevice(ArenaLayout(payload, n+2), device.NewTimedPMem(m))
+	t.Cleanup(func() { dev.Close() })
 	a, err := NewArena(dev, payload, n+2)
 	if err != nil {
 		t.Fatal(err)

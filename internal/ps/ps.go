@@ -114,6 +114,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 	if err := n.Listen(addr); err != nil {
 		// Not n.Close: a node that never served must not save an image.
 		n.Engine().Close()
+		n.closeDevice()
 		return nil, err
 	}
 	return n, nil
@@ -122,7 +123,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 // Open builds the node's engine — recovering from an existing PMem image
 // when one is configured and present — and leaves it unserved: Engine is
 // usable in process, Listen puts it on the wire.
-func Open(cfg NodeConfig) (*Node, error) {
+func Open(cfg NodeConfig) (_ *Node, err error) {
 	if cfg.Engine == "" {
 		cfg.Engine = "pmem-oe"
 	}
@@ -133,6 +134,11 @@ func Open(cfg NodeConfig) (*Node, error) {
 	store := cfg.Store.WithDefaults()
 	cfg.Store = store
 	n := &Node{cfg: cfg, RecoveredBatch: -1}
+	defer func() {
+		if err != nil {
+			n.closeDevice()
+		}
+	}()
 
 	var arena *pmem.Arena
 	if engines.UsesPMem(cfg.Engine) {
@@ -168,6 +174,14 @@ func Open(cfg NodeConfig) (*Node, error) {
 	}
 	n.adoptEngine(eng)
 	return n, nil
+}
+
+// closeDevice releases the node's device, if it has one, without saving it:
+// the undo of a failed Open or Listen.
+func (n *Node) closeDevice() {
+	if n.dev != nil {
+		n.dev.Close() //nolint:errcheck // the open error is the one to report
+	}
 }
 
 // openDevice sets n.dev to the configured PMem image when that file exists
@@ -464,9 +478,10 @@ func (n *Node) Rollback(target int64) error {
 	return nil
 }
 
-// Close stops serving, closes the engine and, when configured, saves the
-// PMem image so a restarted node can recover. Closing a crashed node only
-// saves the image.
+// Close stops serving, closes the engine, saves the PMem image when one is
+// configured so a restarted node can recover, and then closes the device,
+// which releases its memory. Closing a crashed node saves and closes the
+// device.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	srv, crashed := n.srv, n.crashed
@@ -480,9 +495,14 @@ func (n *Node) Close() error {
 			err = cerr
 		}
 	}
-	if n.dev != nil && n.cfg.PMemImage != "" {
-		if serr := n.Save(); err == nil {
-			err = serr
+	if n.dev != nil {
+		if n.cfg.PMemImage != "" {
+			if serr := n.Save(); err == nil {
+				err = serr
+			}
+		}
+		if cerr := n.dev.Close(); err == nil {
+			err = cerr
 		}
 	}
 	return err

@@ -2,11 +2,13 @@ package ps
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"openembedding/internal/optim"
+	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
 	"openembedding/internal/simclock"
@@ -235,5 +237,63 @@ func TestNodeRollbackDefaultRetention(t *testing.T) {
 	commitOverWire(t, one, 1)
 	if err := one.Rollback(0); err == nil || !strings.Contains(err.Error(), "not retained") {
 		t.Fatalf("rollback past an explicit RetainCheckpoints 1: %v, want a not-retained refusal", err)
+	}
+}
+
+// TestNodeCloseSavesThenClosesDevice: Close writes the PMem image before it
+// releases the device, so the image it leaves recovers the checkpoint the
+// node had; a crashed node's Close saves the surviving image and releases
+// the device too.
+func TestNodeCloseSavesThenClosesDevice(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "clean", true: "crashed"}[crash], func(t *testing.T) {
+			cfg := restartNodeConfig()
+			cfg.PMemImage = filepath.Join(t.TempDir(), "shard.img")
+			n, err := StartNode("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := rpc.Dial(n.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := []uint64{3, 4, 5}
+			driveConst(t, cl, 0, keys, 1)
+			driveConst(t, cl, 1, keys, 1)
+			commitOverWire(t, cl, 1)
+			want := driveBatch(t, cl, 2, keys, nil)
+			cl.Close()
+			if crash {
+				if err := n.Crash(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.dev.Read(0, make([]byte, 8)); !errors.Is(err, pmem.ErrClosed) {
+				t.Fatalf("device read after node Close = %v, want pmem.ErrClosed", err)
+			}
+
+			re, err := StartNode("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.RecoveredBatch != 1 {
+				t.Fatalf("recovered batch = %d, want 1", re.RecoveredBatch)
+			}
+			cl2, err := rpc.Dial(re.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl2.Close()
+			got := driveBatch(t, cl2, 2, keys, nil)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("recovered[%d] = %v, want %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -38,6 +38,7 @@ func newTestEngineCfg(t testing.TB, cfg psengine.Config) *core.Engine {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := cfg.Capacity * 4
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)

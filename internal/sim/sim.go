@@ -164,11 +164,11 @@ func Run(cfg Config) (Result, error) {
 		Shards: 1,
 	}.WithDefaults()
 
-	eng, err := buildEngine(cfg, store)
+	eng, closeEngine, err := buildEngine(cfg, store)
 	if err != nil {
 		return Result{}, err
 	}
-	defer eng.Close()
+	defer closeEngine()
 
 	res := Result{Config: cfg, EntryBytes: pmem.FloatBytes(store.EntryFloats()) + 24}
 	r := resourcesFor(cfg.Engine, cfg.GPUs)
@@ -339,15 +339,17 @@ func cacheEntries(cfg Config) int {
 	return n
 }
 
-// buildEngine constructs the engine under test. "tf" is the DRAM store
-// under the TensorFlow cost profile; the PMem-OE arena gets the headroom a
-// PS node gives it, the baselines' the 2x their in-place updates need.
-func buildEngine(cfg Config, store psengine.Config) (psengine.Engine, error) {
+// buildEngine constructs the engine under test and the step that closes it
+// and then its device. "tf" is the DRAM store under the TensorFlow cost
+// profile; the PMem-OE arena gets the headroom a PS node gives it, the
+// baselines' the 2x their in-place updates need.
+func buildEngine(cfg Config, store psengine.Config) (psengine.Engine, func(), error) {
 	kind := cfg.Engine
 	if kind == "tf" {
 		kind = "dram-ps"
 	}
 	var arena *pmem.Arena
+	closeDevice := func() {}
 	if engines.UsesPMem(kind) {
 		slots := cfg.Keys * 2
 		if kind == "pmem-oe" {
@@ -355,12 +357,19 @@ func buildEngine(cfg Config, store psengine.Config) (psengine.Engine, error) {
 		}
 		payload := pmem.FloatBytes(store.EntryFloats())
 		dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(store.Meter))
+		closeDevice = func() { dev.Close() }
 		var err error
 		if arena, err = pmem.NewArena(dev, payload, slots); err != nil {
-			return nil, err
+			closeDevice()
+			return nil, nil, err
 		}
 	}
-	return engines.New(kind, store, arena, "")
+	eng, err := engines.New(kind, store, arena, "")
+	if err != nil {
+		closeDevice()
+		return nil, nil, err
+	}
+	return eng, func() { eng.Close(); closeDevice() }, nil
 }
 
 // prefill touches every key once so measurement sees a fully built table.

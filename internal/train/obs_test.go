@@ -30,6 +30,7 @@ func TestTrainerObs(t *testing.T) {
 	payload := pmem.FloatBytes(ecfg.EntryFloats())
 	slots := (1 << 16) * 3
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)

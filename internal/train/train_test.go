@@ -29,6 +29,7 @@ func newOEEngine(t *testing.T, dim, capacity, cacheEntries int) *core.Engine {
 	payload := pmem.FloatBytes(cfg.EntryFloats())
 	slots := capacity * 3
 	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(cfg.Meter))
+	t.Cleanup(func() { dev.Close() })
 	arena, err := pmem.NewArena(dev, payload, slots)
 	if err != nil {
 		t.Fatal(err)
