@@ -284,9 +284,13 @@ func (e *Engine) finalizeCheckpoints() error {
 			e.ckptMu.Unlock()
 			return nil
 		}
-		s := e.shardFor(e.ckptFlushList[n-1].key)
+		// An entry's shard is read from sid, fixed when the entry was made: an
+		// entry that left the cache since the scan may be some other key's by
+		// now (of the same shard), written under a lock this path does not hold.
+		sid := e.ckptFlushList[n-1].sid
+		s := e.shards[sid]
 		lo := n - 1
-		for lo > 0 && n-lo < budget && e.shardFor(e.ckptFlushList[lo-1].key) == s {
+		for lo > 0 && n-lo < budget && e.ckptFlushList[lo-1].sid == sid {
 			lo--
 		}
 		// Copied out: once cp completes, the next activation reuses the list.
@@ -298,7 +302,9 @@ func (e *Engine) finalizeCheckpoints() error {
 		s.mu.Lock()
 		for i := len(run) - 1; i >= 0; i-- {
 			// Skip entries already persisted (or updated past the checkpoint
-			// and persisted by flush-before-overwrite).
+			// and persisted by flush-before-overwrite); an entry persisted,
+			// evicted and reused since is not pending either, as the activation
+			// that counted it came before its reuse.
 			if run[i].ckptPending {
 				s.queueFlushLocked(run[i])
 				budget--

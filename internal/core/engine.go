@@ -256,7 +256,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		e.shards[i] = &shard{
 			eng:      e,
 			id:       i,
-			index:    make(map[uint64]*entry),
 			lru:      cache.NewList[*entry](),
 			capacity: capi,
 			evictObs: e.obs.ShardEvictions(i),
@@ -469,10 +468,8 @@ func (e *Engine) Push(batch int64, keys []uint64, grads []float32) error {
 // readPromote loads an entry's record from PMem into a DRAM row: a
 // CRC-verified device read decoded straight into the row, counted in the
 // PMemReads stat. Caller holds the entry's stripe (or its shard's exclusive
-// lock), and the entry has no write-back pending — true whenever the shard
-// lock was released since the entry left DRAM, so push's inline promotion
-// calls this directly; callers inside a maintenance round go through
-// promoteLocked.
+// lock), and the entry has just been made hot from its cold slot
+// (promoteShared, promoteColdLocked), so its slot names its record.
 //
 // oevet:coldpath a promotion the pull did not stage (push fallback, serve refresh, a re-touch inside one round): the steady-state miss path adopts the staged row and never reaches it
 func (s *shard) readPromote(ent *entry) error {
@@ -514,9 +511,7 @@ func (e *Engine) Keys() []uint64 {
 	out := make([]uint64, 0, e.entries.Load())
 	for _, s := range e.shards {
 		s.mu.RLock()
-		for k := range s.index {
-			out = append(out, k)
-		}
+		out = s.index.keys(out)
 		s.mu.RUnlock()
 	}
 	slices.Sort(out)

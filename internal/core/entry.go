@@ -14,12 +14,21 @@ import (
 // noSlot marks an entry with no persisted PMem record yet.
 const noSlot = pmem.NoSlot
 
-// entry is one embedding entry as seen by the DRAM hash index.
+// entry is the hot form of an embedding entry: a key whose entry is in the
+// DRAM cache (or has just left it with its write-back still queued).
 //
 // The paper's index stores a tagged pointer whose lowest bit says whether
-// the target is in DRAM or PMem. In Go the same information is carried by
-// buf: a non-nil buf means the entry is cached in DRAM; a nil buf means the
-// authoritative copy is the PMem record at slot.
+// the target is in DRAM or PMem. Here that word is literal: each shard's
+// index (index.go) holds one slot per key whose tagged word names either
+// the key's PMem slot — the cold form, which is the whole entry of a key
+// that is not cached, and no heap object — or, with the DRAM bit set, the
+// number of its hot entry, this struct. A hot entry exists only while its
+// key is cached; eviction folds it back into its slot (foldLocked) and
+// returns it to the shard's free list, and promotion takes one from there.
+// Within the hot form, a non-nil buf means the entry is cached in DRAM; a
+// nil buf means it was evicted in the maintenance round now running and its
+// write-back is queued (wbPending), which is the one case a hot entry
+// outlives its cache residency: until the commit installs its new slot.
 type entry struct {
 	key uint64
 
@@ -39,11 +48,16 @@ type entry struct {
 	dataVersion int64
 
 	// buf holds weights followed by optimizer state while cached in DRAM;
-	// nil while the entry lives only in PMem.
+	// nil once the entry has been evicted (see the type comment).
 	buf []float32
 
 	// slot is the PMem slot of the newest persisted record, or noSlot.
 	slot uint32
+
+	// num is the entry's number in its shard's hotSet, the name a hot slot
+	// word carries, and sid (below) its shard's; both are fixed when the
+	// entry is made. (The fields are placed where they pad nothing.)
+	num uint32
 
 	// persistedVersion is the data version of the record at slot
 	// (meaningless while slot == noSlot). The space manager needs it to
@@ -63,6 +77,12 @@ type entry struct {
 	// early, losing counted state.
 	ckptPending bool
 
+	// live reports that a key uses the entry, from take to release. An
+	// access record that points at a hot entry is the key's entry only while
+	// live is set and key still matches: between the pull and its round the
+	// entry may have been evicted, folded back and reused.
+	live bool
+
 	// wbPending marks an entry whose flush a maintenance round has decided
 	// and queued on its shard's write-back list but not yet committed
 	// (maintain.go). Until the commit, slot and persistedVersion still name
@@ -80,6 +100,12 @@ type entry struct {
 	// lock; read by push under the entry's stripe to mark the row dirty.
 	snapEpoch uint64
 	snapRow   int32
+
+	sid int32
+
+	// Hot entries sit side by side in their hotSet chunk: the pad makes each
+	// exactly two cache lines, so none straddles a third.
+	_ [8]byte
 }
 
 // inDRAM reports whether the entry currently has a DRAM copy.

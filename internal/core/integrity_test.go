@@ -48,7 +48,7 @@ func entrySnapshot(e *Engine, key uint64) (slot uint32, inDRAM, present bool) {
 	s := e.shardFor(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ent := s.index[key]
+	ent := s.entryOf(key)
 	if ent == nil {
 		return noSlot, false, false
 	}

@@ -245,9 +245,20 @@ func (s *shard) drainLocked(batch, newest int64, recs []accessRec) error {
 		meter.ChargeN(maintCat, time.Duration(drained)*maintCost, int64(drained))
 	}()
 	for i := range recs {
-		ent, staged := recs[i].ent, recs[i].row
+		staged := recs[i].row
 		drained++
-		if ent.inDRAM() {
+		ent, pos := recs[i].ent, 0
+		if ent == nil || !ent.live || ent.key != recs[i].key {
+			var ok bool
+			if ent, pos, ok = s.probeLocked(recs[i].key); !ok {
+				// Dropped since the pull (a scrub fence, a migration drop).
+				if staged != nil {
+					s.rows.Put(staged)
+				}
+				continue
+			}
+		}
+		if ent != nil && ent.inDRAM() {
 			if staged != nil {
 				// Another pull of the batch missed on the same entry and an
 				// earlier record already promoted it.
@@ -267,7 +278,8 @@ func (s *shard) drainLocked(batch, newest int64, recs []accessRec) error {
 			}
 		} else {
 			// Alg. 2 lines 18-21: promote the missed entry.
-			if err := s.promoteLocked(ent, staged); err != nil {
+			var err error
+			if ent, err = s.promoteLocked(recs[i].key, ent, pos, staged); err != nil {
 				return err
 			}
 			ent.version = batch
@@ -290,39 +302,72 @@ func (s *shard) drainLocked(batch, newest int64, recs []accessRec) error {
 // cache-line handoff per lock acquisition plus the list splice.
 const inlineMaintCost = 500 * time.Nanosecond
 
-// promoteLocked brings a PMem-resident entry back into DRAM under the
-// shard's exclusive lock. staged, when set, is the row the batch's pull
-// decoded from the entry's verified record as it served the miss: the
-// promotion adopts it, and neither reads nor verifies the record a second
-// time nor counts the read again — the pull counted it. The virtual time of
-// the fetch is charged all the same: the system the meter models reads the
-// record here (Alg. 2 line 19); keeping the pull's copy is this
-// implementation's shortcut, not the modelled machine's. (commitLocked
-// settles the charge with the round's others.)
-//
-// An entry evicted earlier in the same round (a cache smaller than the
-// batch's working set) has its flush still queued: its slot names the
-// superseded record, or nothing. The write-back list is committed first, so
-// a promotion never reads a slot its pending record has not reached.
+// probeLocked resolves an access record whose pull did not hit in DRAM, or
+// whose entry is no longer the key's (see accessRec): what the index holds
+// for k now — its hot entry, or (nil, its position) when it is cold. ok is
+// false when k has left the index since the pull.
 //
 // oevet:holds core.shard.mu 10
-func (s *shard) promoteLocked(ent *entry, staged []float32) error {
-	if staged != nil && (ent.wbPending || ent.slot == noSlot) {
-		// The row predates whatever happened to the entry since the pull.
-		s.rows.Put(staged)
-		staged = nil
+func (s *shard) probeLocked(k uint64) (ent *entry, pos int, ok bool) {
+	pos, w := s.index.find(k)
+	switch {
+	case w == 0:
+		return nil, 0, false
+	case w&tagHot != 0:
+		return s.hot.at(w), 0, true
 	}
-	if staged == nil {
-		if ent.wbPending {
-			if err := s.commitLocked(); err != nil {
-				return err
-			}
+	return nil, pos, true
+}
+
+// promoteLocked brings key k back into DRAM under the shard's exclusive
+// lock: the cold entry at pos when ent is nil, else ent, a hot entry evicted
+// earlier in the same round (a cache smaller than the batch's working set)
+// whose flush is still queued — its slot names the superseded record, or
+// nothing. The write-back list is then committed first, which folds ent back
+// into its slot, so a promotion never reads a slot its pending record has
+// not reached; a staged row predates that and is dropped.
+//
+// staged, when set, is the row the batch's pull decoded from the entry's
+// verified record as it served the miss: the promotion adopts it, and
+// neither reads nor verifies the record a second time nor counts the read
+// again — the pull counted it. The virtual time of the fetch is charged all
+// the same: the system the meter models reads the record here (Alg. 2 line
+// 19); keeping the pull's copy is this implementation's shortcut, not the
+// modelled machine's. (commitLocked settles the charge with the round's
+// others.)
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) promoteLocked(k uint64, ent *entry, pos int, staged []float32) (*entry, error) {
+	if ent != nil {
+		if staged != nil {
+			s.rows.Put(staged)
+			staged = nil
 		}
-		return s.readPromote(ent)
+		if err := s.commitLocked(); err != nil {
+			return nil, err
+		}
+		pos, _ = s.index.find(k)
 	}
-	ent.buf = staged
-	s.adopted++
-	return nil
+	return s.promoteColdLocked(pos, staged)
+}
+
+// promoteColdLocked makes the cold entry at pos hot and gives it its row:
+// staged, adopted (see promoteLocked), or read from its record. A failed read
+// folds it back, cold as it was.
+//
+// oevet:holds core.shard.mu 10
+func (s *shard) promoteColdLocked(pos int, staged []float32) (*entry, error) {
+	ent := s.hotLocked(pos)
+	if staged != nil {
+		ent.buf = staged
+		s.adopted++
+		return ent, nil
+	}
+	if err := s.readPromote(ent); err != nil {
+		s.foldLocked(ent)
+		return nil, err
+	}
+	return ent, nil
 }
 
 // enforceCapacityLocked evicts LRU victims while the shard's cache exceeds
@@ -348,9 +393,10 @@ func (s *shard) cacheCapacity() int {
 
 // evictLocked releases a victim's DRAM copy, queueing its write-back to
 // PMem first when it is dirty. A clean victim's row goes straight to the row
-// pool; a row with a write-back pending belongs to the write-back list until
-// the commit has encoded it. The eviction is counted and charged when the
-// caller commits.
+// pool and the victim folds back into its cold slot; a row with a write-back
+// pending belongs to the write-back list until the commit has encoded it,
+// and the victim keeps its hot form until then (commitChunkLocked folds it).
+// The eviction is counted and charged when the caller commits.
 //
 // oevet:holds core.shard.mu 10
 func (s *shard) evictLocked(victim *entry) {
@@ -358,10 +404,13 @@ func (s *shard) evictLocked(victim *entry) {
 		s.queueFlushLocked(victim)
 	}
 	s.lru.Remove(&victim.node)
-	if !victim.wbPending {
+	if victim.wbPending {
+		victim.buf = nil
+	} else {
 		s.rows.Put(victim.buf)
+		victim.buf = nil
+		s.foldLocked(victim)
 	}
-	victim.buf = nil
 	s.snapStale = true
 	s.evicted++
 }
@@ -403,7 +452,7 @@ func (s *shard) flushLocked(ent *entry) error {
 // active checkpoint its progress — no entry's slot ever names a record that
 // is not durable, and no superseded record can be reclaimed before its
 // replacement is. Rows of entries evicted since they were queued return to
-// the row pool here.
+// the row pool here, and those entries fold back into their cold slots.
 //
 // When the arena cannot hold the whole list, the reserved prefix is
 // committed first: retiring its superseded records is what lets the reclaim
@@ -488,6 +537,7 @@ func (s *shard) commitChunkLocked(recs []pmem.WriteRec, ents []*entry) (int, err
 		ent.slot, ent.persistedVersion, ent.wbPending = recs[i].Slot, recs[i].Version, false
 		if !ent.inDRAM() {
 			s.wbRows = append(s.wbRows, recs[i].Row) //oevet:alloc-ok scratch that keeps its capacity across rounds
+			s.foldLocked(ent)
 		}
 	}
 	e.arena.RetireBatch(recs[:done])

@@ -107,7 +107,7 @@ func TestStagedRowsOfTwoLoaders(t *testing.T) {
 	s := e.shards[0]
 	s.mu.RLock()
 	for _, k := range hot {
-		if ent := s.index[k]; !ent.inDRAM() || ent.wbPending {
+		if ent := s.entryOf(k); !ent.inDRAM() || ent.wbPending {
 			t.Fatalf("key %d not promoted cleanly", k)
 		}
 	}
@@ -200,7 +200,7 @@ func TestCommitFailureLeavesEntriesConsistent(t *testing.T) {
 			}
 			persisted := 0
 			for i, key := range keys {
-				ent := s.index[key]
+				ent := s.entryOf(key)
 				if ent.wbPending {
 					t.Fatalf("key %d still has a write-back pending", key)
 				}
@@ -427,7 +427,7 @@ func TestWaitMaintenanceHelps(t *testing.T) {
 	}
 	s1.mu.RLock()
 	for _, k := range inShard[1] {
-		if ent := s1.index[k]; ent == nil || !ent.node.InList() || ent.version != 0 {
+		if ent := s1.entryOf(k); ent == nil || !ent.node.InList() || ent.version != 0 {
 			t.Errorf("key %d of shard 1 is not in its LRU at batch 0 after the helped round", k)
 		}
 	}

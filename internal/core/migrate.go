@@ -43,7 +43,7 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 			if k <= afterKey || !match(k) {
 				continue
 			}
-			if ent := s.index[k]; ent != nil && ent.dataVersion >= since {
+			if v, ok := s.dataVersionLocked(k); ok && v >= since {
 				cand = append(cand, k)
 			}
 		}
@@ -69,23 +69,39 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 		}
 		s.mu.Lock()
 		for _, k := range cand[i:j] {
-			ent := s.index[k]
-			if ent == nil {
+			pos, w := s.index.find(k)
+			if w == 0 {
 				continue
 			}
 			data := make([]float32, e.cfg.EntryFloats())
-			if ent.inDRAM() {
+			version := s.index.slots[pos].ver
+			if w&tagHot != 0 {
+				ent := s.hot.at(w)
 				copy(data, ent.buf)
-			} else if err := e.arena.ReadRowVerified(ent.slot, k, data); err != nil {
+				version = ent.dataVersion
+			} else if err := e.arena.ReadRowVerified(wordRef(w), k, data); err != nil {
 				s.mu.Unlock()
 				return nil, false, fmt.Errorf("core: export of key %d: %w", k, err)
 			}
-			out = append(out, psengine.MigEntry{Key: k, Version: ent.dataVersion, Data: data})
+			out = append(out, psengine.MigEntry{Key: k, Version: version, Data: data})
 		}
 		s.mu.Unlock()
 		i = j
 	}
 	return out, more, nil
+}
+
+// dataVersionLocked returns the data version of k's entry, and false when
+// the shard does not hold k. Caller holds the shard lock.
+func (s *shard) dataVersionLocked(k uint64) (int64, bool) {
+	pos, w := s.index.find(k)
+	switch {
+	case w == 0:
+		return 0, false
+	case w&tagHot != 0:
+		return s.hot.at(w).dataVersion, true
+	}
+	return s.index.slots[pos].ver, true
 }
 
 // AdoptEntries installs migrated entries into this engine, overwriting any
@@ -122,18 +138,24 @@ func (e *Engine) AdoptEntries(entries []psengine.MigEntry) error {
 		s.mu.Lock()
 		var runErr error
 		for _, me := range entries[i:j] {
-			ent := s.index[me.Key]
-			if ent == nil {
+			var ent *entry
+			pos, w := s.index.find(me.Key)
+			if w == 0 {
 				if n := e.entries.Add(1); n > int64(e.cfg.Capacity) {
 					e.entries.Add(-1)
 					runErr = fmt.Errorf("%w: %d entries", psengine.ErrCapacity, n-1)
 					break
 				}
-				ent = &entry{key: me.Key, version: me.Version, dataVersion: me.Version, slot: noSlot, dirty: true}
-				ent.node.Value = ent
-				s.index[me.Key] = ent
+				ent = s.hot.take(me.Key, s.id)
+				ent.version, ent.dataVersion, ent.slot, ent.dirty = me.Version, me.Version, noSlot, true
+				s.index.insert(pos, me.Key, 0, hotWord(ent.num))
 				s.scrubKeysStale = true
-			} else if ent.ckptPending {
+			} else if w&tagHot == 0 {
+				// Made hot with no row: the adopted data is its row. A cold
+				// entry's access version is not kept; its data version stands in.
+				ent = s.hotLocked(pos)
+				ent.version = ent.dataVersion
+			} else if ent = s.hot.at(w); ent.ckptPending {
 				// The active checkpoint counted this entry's pre-adopt state;
 				// persist that state first so the checkpoint stays exact, then
 				// overwrite.
@@ -200,24 +222,25 @@ func (e *Engine) DropRange(match func(key uint64) bool) (int, error) {
 			if !match(k) {
 				continue
 			}
-			ent := s.index[k]
-			if ent == nil {
+			pos, w := s.index.find(k)
+			if w == 0 {
 				continue
 			}
-			if ent.ckptPending {
-				// The active checkpoint counted this entry; settle its
-				// completion accounting — the data is leaving this node.
-				ent.ckptPending = false
-				e.noteFlushed(1)
+			if w&tagHot != 0 {
+				ent := s.hot.at(w)
+				if ent.ckptPending {
+					// The active checkpoint counted this entry; settle its
+					// completion accounting — the data is leaving this node.
+					e.noteFlushed(1)
+				}
+				if ent.node.InList() {
+					s.lru.Remove(&ent.node)
+				}
+				s.hot.release(ent)
 			}
-			delete(s.index, k)
+			s.index.remove(pos)
 			s.scrubKeysStale = true
 			s.snapStale = true
-			if ent.node.InList() {
-				s.lru.Remove(&ent.node)
-			}
-			ent.buf = nil
-			ent.slot = noSlot
 			e.entries.Add(-1)
 			dropped++
 		}

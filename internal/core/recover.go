@@ -245,15 +245,22 @@ func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int6
 		}
 	}
 
-	// Phase 3: rebuild the per-shard DRAM hash indexes; entries stay in
-	// PMem. Recovery is single-threaded past the scan, so no shard locks
-	// are needed.
-	//
-	//oevet:ignore iteration order cannot reach the result: each key writes only its own index slot, MarkOccupied takes a per-slot max, and ChargeWrite sums a commutative counter
+	// Phase 3: rebuild the per-shard DRAM indexes; entries stay in PMem, so
+	// each key becomes one cold slot and no heap object. Each shard's table
+	// is sized for its keys first, so the inserts never rehash. Recovery is
+	// single-threaded past the scan, so no shard locks are needed.
+	perShard := make([]int, len(eng.shards))
+	for key := range newest {
+		perShard[eng.shardIndex(key)]++
+	}
+	for i, s := range eng.shards {
+		s.index.reserve(perShard[i])
+	}
+	//oevet:ignore iteration order reaches only where a key's slot lands in its probe run, which no lookup or walk observes (lookups compare keys, walks sort them); MarkOccupied takes a per-slot max, and ChargeWrite sums a commutative counter
 	for key, b := range newest {
-		ent := &entry{key: key, version: b.version, dataVersion: b.version, slot: b.slot, persistedVersion: b.version}
-		ent.node.Value = ent
-		eng.shardFor(key).index[key] = ent
+		t := &eng.shardFor(key).index
+		pos, _ := t.find(key)
+		t.insert(pos, key, b.version, coldWord(b.slot))
 		arena.MarkOccupied(b.slot)
 		eng.dram.ChargeWrite(entryIndexBytes)
 	}
@@ -286,7 +293,10 @@ func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int6
 }
 
 // entryIndexBytes is the DRAM footprint charged per rebuilt index entry
-// (hash bucket slot plus entry header).
+// (hash bucket slot plus entry header). It is the simulated machine's cost,
+// the meter's model of the paper's index, not this process's Go footprint
+// (a cold slot, ≈40 bytes; DESIGN.md §23), and it does not follow the
+// latter: recovery's virtual time stays comparable across implementations.
 const entryIndexBytes = 64
 
 // RecoverInfo describes how an engine was rebuilt: which checkpoint it

@@ -56,11 +56,18 @@ func (e *Engine) Scrub() (psengine.ScrubReport, error) {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for _, k := range s.scrubKeysLocked() {
-			ent := s.index[k]
-			if ent == nil || ent.slot == noSlot {
+			var err error
+			switch pos, w := s.index.find(k); {
+			case w == 0:
 				continue
+			case w&tagHot != 0:
+				if ent := s.hot.at(w); ent.slot != noSlot {
+					err = s.scrubEntryLocked(ent, targets, &rep)
+				}
+			default:
+				err = s.scrubColdLocked(pos, &rep)
 			}
-			if err := s.scrubEntryLocked(ent, targets, &rep); err != nil {
+			if err != nil {
 				s.mu.Unlock()
 				e.applyScrubObs(rep)
 				return rep, err
@@ -111,23 +118,90 @@ func coverageLost(ent *entry, targets []int64) bool {
 	return false
 }
 
-// scrubEntryLocked verifies one entry's persisted record and heals it if
+// scrubEntryLocked verifies a hot entry's persisted record and heals it if
 // the media lost it, trying the heal ladder in order (see the file
-// comment). targets is the caller's rollback-target snapshot. Restored and
-// fenced heals discard state the caller must fence the epoch for. Caller
-// holds the entry's shard lock exclusively.
+// comment). A hot entry scrubbed here is in DRAM (the scrub runs between
+// maintenance rounds), so a lost record is repaired from the DRAM copy.
+// targets is the caller's rollback-target snapshot. A restored heal
+// discards state the caller must fence the epoch for. Caller holds the
+// entry's shard lock exclusively.
 //
 // oevet:fence-need
 // oevet:holds core.shard.mu 10
 func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.ScrubReport) error {
+	if lost, err := s.recordLostLocked(ent.slot, ent.key, rep); !lost {
+		return err
+	}
+	ent.slot = noSlot
+	// The DRAM copy is intact: re-persist the entry's current state.
+	// flushLocked also settles any pending-checkpoint accounting. The
+	// rewrite lands at dataVersion — if that abandons a rollback target's
+	// only durable copy of this key, the heal regresses recoverable state and
+	// must be reported as a restore so the node fences its epoch (served
+	// state is unchanged, but a later rollback would not be).
+	lost := coverageLost(ent, targets)
+	if err := s.flushLocked(ent); err != nil {
+		return err
+	}
+	if lost {
+		rep.Restored++
+	} else {
+		rep.Repaired++
+	}
+	return nil
+}
+
+// scrubColdLocked verifies the record of the cold entry at pos and heals it
+// if the media lost it. With no DRAM copy, the heals left are a restore onto
+// a retained older record and the fence. Caller holds the shard lock
+// exclusively.
+//
+// oevet:fence-need
+// oevet:holds core.shard.mu 10
+func (s *shard) scrubColdLocked(pos int, rep *psengine.ScrubReport) error {
+	e := s.eng
+	sl := &s.index.slots[pos]
+	if lost, err := s.recordLostLocked(wordRef(sl.word), sl.key, rep); !lost {
+		return err
+	}
+	// The newest surviving record at or below the completed checkpoint is
+	// the authoritative checkpoint state (the same newest-wins rule the
+	// recovery scan applies); adopt it if the space manager still holds it.
+	// (A cold entry is clean, so it owes the active checkpoint nothing.)
+	ckpt := e.completedCkpt.Load()
+	if rec, ok := e.arena.FindLatest(sl.key, ckpt); ok {
+		if version, adopted := e.arena.AdoptRetired(rec.Slot); adopted {
+			sl.word, sl.ver = coldWord(rec.Slot), version
+			rep.Restored++
+			return nil
+		}
+	}
+	// Fence: no recoverable record for this key. Drop it — after replay it
+	// is reborn from its deterministic initializer on first touch.
+	s.index.remove(pos)
+	s.scrubKeysStale = true
+	s.snapStale = true
+	e.entries.Add(-1)
+	rep.Fenced++
+	return nil
+}
+
+// recordLostLocked scans one persisted record (the first rungs of the heal
+// ladder): it reports false when the record verifies or a single flipped bit
+// was undone in place, and true when the record is lost — the bad slot has
+// then left circulation and the caller heals the entry some other way. A
+// check that fails for any reason but integrity is returned as an error.
+// A lost record's state is gone from PMem, which the caller's heal may not
+// restore.
+//
+// oevet:fence-need
+// oevet:holds core.shard.mu 10
+func (s *shard) recordLostLocked(slot uint32, key uint64, rep *psengine.ScrubReport) (bool, error) {
 	e := s.eng
 	rep.Scanned++
-	err := e.arena.CheckRecord(ent.slot, ent.key)
-	if err == nil {
-		return nil
-	}
-	if !pmem.IsIntegrity(err) {
-		return err
+	err := e.arena.CheckRecord(slot, key)
+	if err == nil || !pmem.IsIntegrity(err) {
+		return false, err
 	}
 	rep.Corrupt++
 	// Least destructive first: undo a single flipped bit in place. The
@@ -135,9 +209,9 @@ func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.Scru
 	// included — so no other heal (which at best reconstructs some other
 	// version) can beat it. Poisoned media has nothing readable to correct.
 	if !errors.Is(err, pmem.ErrPoisoned) {
-		if cerr := e.arena.CorrectRecord(ent.slot, ent.key); cerr == nil {
+		if cerr := e.arena.CorrectRecord(slot, key); cerr == nil {
 			rep.Repaired++
-			return nil
+			return false, nil
 		} else if errors.Is(cerr, pmem.ErrPoisoned) {
 			err = cerr // the corrective rewrite itself hit poisoned media
 		}
@@ -145,64 +219,13 @@ func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.Scru
 	// The bad record leaves circulation: a poisoned slot is quarantined
 	// (its media range refuses reads until rewritten), a rotted slot's
 	// media is fine and returns to the free list.
-	bad := ent.slot
 	if errors.Is(err, pmem.ErrPoisoned) {
-		e.arena.Quarantine(bad)
+		e.arena.Quarantine(slot)
 		rep.Quarantined++
 	} else {
-		e.arena.Free(bad)
+		e.arena.Free(slot)
 	}
-	ent.slot = noSlot
-	if ent.inDRAM() {
-		// The DRAM copy is intact: re-persist the entry's current state.
-		// flushLocked also settles any pending-checkpoint accounting. The
-		// rewrite lands at dataVersion — if that abandons a rollback
-		// target's only durable copy of this key, the heal regresses
-		// recoverable state and must be reported as a restore so the node
-		// fences its epoch (served state is unchanged, but a later
-		// rollback would not be).
-		lost := coverageLost(ent, targets)
-		if err := s.flushLocked(ent); err != nil {
-			return err
-		}
-		if lost {
-			rep.Restored++
-		} else {
-			rep.Repaired++
-		}
-		return nil
-	}
-	// No DRAM copy. The entry must not owe the active checkpoint a flush
-	// anymore — whatever happens below, that data is gone.
-	if ent.ckptPending {
-		ent.ckptPending = false
-		e.noteFlushed(1)
-	}
-	// The newest surviving record at or below the completed checkpoint is
-	// the authoritative checkpoint state (the same newest-wins rule the
-	// recovery scan applies); adopt it if the space manager still holds it.
-	ckpt := e.completedCkpt.Load()
-	if rec, ok := e.arena.FindLatest(ent.key, ckpt); ok {
-		if version, adopted := e.arena.AdoptRetired(rec.Slot); adopted {
-			ent.slot = rec.Slot
-			ent.persistedVersion = version
-			ent.dataVersion = version
-			ent.dirty = false
-			rep.Restored++
-			return nil
-		}
-	}
-	// Fence: no recoverable record for this key. Drop it — after replay it
-	// is reborn from its deterministic initializer on first touch.
-	delete(s.index, ent.key)
-	s.scrubKeysStale = true
-	s.snapStale = true
-	if ent.node.InList() {
-		s.lru.Remove(&ent.node)
-	}
-	e.entries.Add(-1)
-	rep.Fenced++
-	return nil
+	return true, nil
 }
 
 // scrubKeysLocked returns this shard's keys in ascending order (the
@@ -211,27 +234,18 @@ func (s *shard) scrubEntryLocked(ent *entry, targets []int64, rep *psengine.Scru
 // migration export pages through the shard one page per call, and an
 // O(n log n) re-sort per page under the shard lock would dwarf the page
 // it serves. Deletions observed through a stale snapshot
-// are harmless (lookups find nil and skip), but the cache is invalidated
-// on them anyway so the slice cannot pin dropped keys forever. Caller
-// holds the shard lock.
+// are harmless (lookups find nothing and skip), but the cache is
+// invalidated on them anyway so the slice cannot pin dropped keys forever.
+// Caller holds the shard lock.
 //
 // oevet:holds core.shard.mu 10
 func (s *shard) scrubKeysLocked() []uint64 {
 	if s.scrubKeys == nil || s.scrubKeysStale {
-		s.scrubKeys = sortedKeys(s.index)
+		s.scrubKeys = s.index.keys(make([]uint64, 0, s.index.n))
+		slices.Sort(s.scrubKeys)
 		s.scrubKeysStale = false
 	}
 	return s.scrubKeys
-}
-
-// sortedKeys snapshots an index's keys in ascending order.
-func sortedKeys(index map[uint64]*entry) []uint64 {
-	keys := make([]uint64, 0, len(index))
-	for k := range index {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // applyScrubObs folds one scrub report into the engine metric set.

@@ -289,35 +289,37 @@ func (e *Engine) SnapshotPins() int {
 }
 
 // serveReadSlow is the locked fallback for keys the snapshot cannot serve.
-// It holds the shard lock shared and, for DRAM-resident entries, the
-// entry's push stripe — the same order push itself uses — so the copy is
-// the row before or after a full push run, never a torn mix. PMem-resident
-// entries are read under the shared lock only (the record is immutable and
-// its slot is stable while any reader holds mu; flushes that move records
-// take mu exclusively) and then noted for hot-set promotion.
+// It holds the shard lock shared and the key's push stripe — the same order
+// push itself uses — while it reads the slot's word and, for a DRAM-resident
+// entry, copies the row, so the copy is the row before or after a full push
+// run, never a torn mix, and a push promoting the key inline is seen whole
+// or not at all. PMem-resident entries are read under the shared lock only
+// (the record is immutable and its slot is stable while any reader holds
+// mu; flushes that move records take mu exclusively) and then noted for
+// hot-set promotion.
 //
 // oevet:coldpath snapshot miss/dirty fallback: the clean-key serve path never reaches it
 func (s *shard) serveReadSlow(k uint64, dst []float32) (ServeSource, error) {
 	e := s.eng
 	dim := e.cfg.Dim
 	s.mu.RLock()
-	ent := s.index[k]
-	if ent == nil {
+	pos, w := s.index.find(k)
+	if w == 0 {
 		s.mu.RUnlock()
 		e.cfg.Initializer(k, dst)
 		return ServeInit, nil
 	}
 	stripe := &s.stripes[k%uint64(len(s.stripes))]
 	stripe.Lock()
-	if ent.inDRAM() {
-		copy(dst, ent.weights(dim))
+	if w = s.index.word(pos); w&tagHot != 0 {
+		copy(dst, s.hot.at(w).weights(dim))
 		stripe.Unlock()
 		s.mu.RUnlock()
 		e.dram.ChargeReadN(4*dim, 1)
 		return ServeDRAM, nil
 	}
 	stripe.Unlock()
-	err := e.arena.ReadRowVerified(ent.slot, k, dst[:dim])
+	err := e.arena.ReadRowVerified(wordRef(w), k, dst[:dim])
 	s.mu.RUnlock()
 	if err != nil {
 		if pmem.IsIntegrity(err) {
@@ -532,12 +534,15 @@ func (e *Engine) RefreshServeSnapshots() error {
 		keys = slices.Compact(keys)
 		s.mu.Lock()
 		for _, k := range keys {
-			ent := s.index[k]
-			if ent == nil {
+			var ent *entry
+			switch pos, w := s.index.find(k); {
+			case w == 0:
 				continue
-			}
-			if !ent.inDRAM() {
-				if err := s.promoteLocked(ent, nil); err != nil {
+			case w&tagHot != 0:
+				ent = s.hot.at(w)
+			default:
+				var err error
+				if ent, err = s.promoteColdLocked(pos, nil); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}

@@ -425,7 +425,7 @@ func TestServeDirtyBitmap(t *testing.T) {
 	want := 0
 	s.mu.Lock()
 	for _, k := range keys {
-		s.index[k].weights(dim)[0] = 1000 + float32(k)
+		s.entryOf(k).weights(dim)[0] = 1000 + float32(k)
 		if marked(k) {
 			want++
 		}
@@ -445,7 +445,7 @@ func TestServeDirtyBitmap(t *testing.T) {
 				}
 				stripe := &s.stripes[k%uint64(len(s.stripes))]
 				stripe.Lock()
-				s.markServeDirty(s.index[k])
+				s.markServeDirty(s.entryOf(k))
 				stripe.Unlock()
 			}
 		}(g)
@@ -494,8 +494,8 @@ func TestServeDirtyBitmap(t *testing.T) {
 	// Marks on the new snapshot, then a membership change: the full rebuild
 	// picks up every row and carries no mark over.
 	s.mu.Lock()
-	s.markServeDirty(s.index[keys[0]])
-	s.markServeDirty(s.index[keys[40]])
+	s.markServeDirty(s.entryOf(keys[0]))
+	s.markServeDirty(s.entryOf(keys[40]))
 	s.snapStale = true
 	s.rebuildSnapLocked()
 	s.mu.Unlock()

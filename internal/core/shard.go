@@ -13,28 +13,30 @@ import (
 	"openembedding/internal/simclock"
 )
 
-// accessRec is one access-queue element: the entry a pull touched plus, when
-// that pull served it from PMem, the row holding the full payload (weights
-// and optimizer state) it decoded from the verified record. Maintenance
-// promotes the entry by adopting that row instead of reading and verifying
-// the record a second time, and a staged row also tells it that the pull
-// already counted the PMem read, so the stat is not charged twice for one
-// logical fetch. The record owns the row until maintenance adopts it or
-// hands it to the shard's row pool. Since the run sweep dedups a batch's
-// repeated keys, each unique key a shard call touches contributes exactly
-// one record.
+// accessRec is one access-queue element: the key a pull touched, its hot
+// entry when the pull hit in DRAM, and, when that pull served it from PMem,
+// the row holding the full payload (weights and optimizer state) it decoded
+// from the verified record. A PMem-served or first-touch key has no entry
+// to point at, and a hot entry can be evicted, folded back and reused for
+// another key before the round runs (the entry's live flag and key tell),
+// so for those the maintenance round probes the index for the key under
+// the exclusive lock. It promotes a cold key by adopting the staged row
+// instead of reading and verifying the record a second time, and a staged
+// row also tells it that the pull already counted the PMem read, so the
+// stat is not charged twice for one logical fetch. The record owns the row
+// until maintenance adopts it or hands it to the shard's row pool. Since the
+// run sweep dedups a batch's repeated keys, each unique key a shard call
+// touches contributes exactly one record.
 type accessRec struct {
 	ent *entry
+	key uint64
 	row []float32
 }
 
 // missRun is one first-touch key's run in a sorted position sublist:
-// idxs[start:end] are the batch positions carrying the key, rec indexes the
-// placeholder in the shard call's access-record list that createMissing
-// fills once the entry exists.
+// idxs[start:end] are the batch positions carrying the key.
 type missRun struct {
 	start, end int32
-	rec        int32
 }
 
 // pmemRun is one PMem-resident key's run, deferred by the sweep so that the
@@ -46,7 +48,7 @@ type pmemRun struct {
 	rec        int32 // index of the run's access record, which takes the staged row
 }
 
-// shard owns one slice of the key space: its own index map, reader/writer
+// shard owns one slice of the key space: its own index, reader/writer
 // lock, intrusive LRU list, access queue and side queue. Request threads on
 // different shards never contend, and each shard's maintenance is an
 // independent task: rounds of different shards run in parallel, on the
@@ -64,7 +66,8 @@ type shard struct {
 	//
 	// oevet:lockrank core.shard.mu 10
 	mu    rankedRWMutex
-	index map[uint64]*entry
+	index table
+	hot   hotSet
 	lru   *cache.List[*entry]
 
 	// stripes serialize concurrent pushes to the same entry within the
@@ -213,21 +216,23 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 		for end < n && keys[idxs[end]] == k {
 			end++
 		}
-		ent := s.index[k]
+		_, w := s.index.find(k)
 		switch {
-		case ent == nil:
-			miss = append(miss, missRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-			recs = append(recs, accessRec{})                                                          // placeholder; createMissing fills it
-		case ent.inDRAM():
+		case w == 0:
+			miss = append(miss, missRun{start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{key: k})
+		case w&tagHot != 0:
+			// Outside a maintenance round a hot entry is in DRAM.
+			ent := s.hot.at(w)
 			copy(dst[i*dim:(i+1)*dim], ent.weights(dim))
 			fanOutRow(dst, dim, i, idxs[start+1:end])
 			hits += int64(end - start)
-			recs = append(recs, accessRec{ent: ent}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{ent: ent, key: k}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 		default:
 			// servePMem stages the run's row in its access record.
 			runs = append(runs, pmemRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-			reads = append(reads, pmem.ReadRec{Slot: ent.slot, Key: ent.key})                         //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-			recs = append(recs, accessRec{ent: ent})
+			reads = append(reads, pmem.ReadRec{Slot: wordRef(w), Key: k})                             //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{key: k})
 		}
 		start = end
 	}
@@ -253,7 +258,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 	// First-epoch path (Alg. 1 lines 6-12): create entries under the
 	// exclusive lock, then serve them.
 	if len(miss) > 0 {
-		if err := s.createMissing(batch, keys, idxs, miss, recs, dst); err != nil {
+		if err := s.createMissing(batch, keys, idxs, miss, dst); err != nil {
 			s.rows.Put(rows...)
 			return err
 		}
@@ -316,43 +321,47 @@ func (s *shard) servePMem(runs []pmemRun, reads []pmem.ReadRec, rows [][]float32
 }
 
 // createMissing creates first-touch entries under the shard's exclusive
-// lock, filling their placeholder access records and serving their weights
-// (fanned out to every duplicate position of each run).
-func (s *shard) createMissing(batch int64, keys []uint64, idxs []int32, miss []missRun, recs []accessRec, dst []float32) error {
+// lock and serves their weights (fanned out to every duplicate position of
+// each run). A key another caller created meanwhile is served from its
+// entry; if that entry has already left the cache again (a serve refresh
+// evicting between the two lock holds), it is promoted here.
+func (s *shard) createMissing(batch int64, keys []uint64, idxs []int32, miss []missRun, dst []float32) error {
 	e := s.eng
 	dim := e.cfg.Dim
 	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
 	var created, copies int64
+	var err error
 	s.mu.Lock()
 	for _, m := range miss {
 		i := int(idxs[m.start])
 		k := keys[i]
-		ent := s.index[k]
-		if ent == nil {
+		pos, w := s.index.find(k)
+		var ent *entry
+		if w == 0 {
 			// Global capacity is a single atomic reservation so shards never
 			// need each other's locks to enforce it.
 			if n := e.entries.Add(1); n > int64(e.cfg.Capacity) {
 				e.entries.Add(-1)
-				s.mu.Unlock()
-				e.dram.ChargeWriteN(4*e.cfg.EntryFloats(), created)
-				e.dram.ChargeReadN(4*dim, copies)
-				e.hits.Add(copies)
-				return fmt.Errorf("%w: %d entries", psengine.ErrCapacity, n-1)
+				err = fmt.Errorf("%w: %d entries", psengine.ErrCapacity, n-1) //oevet:alloc-ok the capacity error, on the way out
+				break
 			}
 			// A fresh entry's initial state is the state as of the end of
 			// the previous batch: stamping batch-1 keeps data versions
 			// unique even when the entry is flushed (tiny cache) and then
 			// pushed within its creation batch.
-			ent = &entry{key: k, version: batch, dataVersion: batch - 1, slot: noSlot, dirty: true}
-			ent.node.Value = ent
-			ent.buf = make([]float32, e.cfg.EntryFloats())
+			ent = s.hot.take(k, s.id)
+			ent.version, ent.dataVersion, ent.slot, ent.dirty = batch, batch-1, noSlot, true
+			ent.buf = make([]float32, e.cfg.EntryFloats()) //oevet:alloc-ok a first touch's row: an entry is created once
 			e.cfg.Initializer(k, ent.weights(dim))
 			e.cfg.Optimizer.InitState(ent.state(dim))
 			created++
-			s.index[k] = ent
+			s.index.insert(pos, k, 0, hotWord(ent.num))
 			s.scrubKeysStale = true
+		} else if w&tagHot != 0 {
+			ent = s.hot.at(w)
+		} else if ent, err = s.promoteColdLocked(pos, nil); err != nil {
+			break
 		}
-		recs[m.rec] = accessRec{ent: ent}
 		copy(dst[i*dim:(i+1)*dim], ent.weights(dim))
 		fanOutRow(dst, dim, i, idxs[m.start+1:m.end])
 		copies += int64(m.end - m.start)
@@ -361,13 +370,14 @@ func (s *shard) createMissing(batch int64, keys []uint64, idxs []int32, miss []m
 	e.dram.ChargeWriteN(4*e.cfg.EntryFloats(), created)
 	e.dram.ChargeReadN(4*dim, copies)
 	e.hits.Add(copies)
-	return nil
+	return err
 }
 
-// pushRun is one key's run of a push sublist, resolved to its entry:
-// idxs[start:end] are the batch positions carrying the key's gradients.
+// pushRun is one key's run of a push sublist, resolved to its index
+// position (stable while the shared lock is held): idxs[start:end] are the
+// batch positions carrying the key's gradients.
 type pushRun struct {
-	ent        *entry
+	pos        int32
 	start, end int32
 }
 
@@ -383,11 +393,13 @@ var pushSink atomic.Uint64
 // single stripe acquisition — in batch-position order, because float
 // optimizer updates do not commute.
 //
-// The sublist's runs are first resolved to their entries in one tight loop
-// (the index probes' misses overlap; nothing is written yet), then applied a
-// block at a time, each block's entries and rows touched before the stripes
-// are taken. An unknown key therefore fails the call before any gradient of
-// this shard's sublist has been applied; sublists of other shards run
+// The sublist's runs are first resolved to their index positions in one
+// tight loop (the probes' misses overlap; nothing is written yet), then
+// applied a block at a time, each block's slots, entries and rows touched
+// before the stripes are taken; a run reads its slot's word under its
+// stripe, since another push of the same key may have promoted it inline.
+// An unknown key therefore fails the call before any gradient of this
+// shard's sublist has been applied; sublists of other shards run
 // independently and may have been. Any other error (an inline promotion that
 // fails its read) leaves the runs before the failing one applied.
 func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch, lane int) error {
@@ -405,29 +417,33 @@ func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, 
 		for end < n && keys[idxs[end]] == k {
 			end++
 		}
-		ent := s.index[k]
-		if ent == nil {
+		pos, w := s.index.find(k)
+		if w == 0 {
 			sc.push[lane] = runs
-			return fmt.Errorf("core: push of unknown key %d", k)
+			return fmt.Errorf("core: push of unknown key %d", k) //oevet:alloc-ok the unknown-key error, on the way out
 		}
-		runs = append(runs, pushRun{ent: ent, start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+		runs = append(runs, pushRun{pos: int32(pos), start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
 		start = end
 	}
 	sc.push[lane] = runs
 	var sink uint64
 	for lo := 0; lo < len(runs); lo += pushBlock {
 		blk := runs[lo:min(lo+pushBlock, len(runs))]
-		sink += touchRuns(blk)
+		sink += s.touchRuns(blk)
 		for _, r := range blk {
-			ent := r.ent
-			stripe := &s.stripes[ent.key%uint64(len(s.stripes))]
+			k := keys[idxs[r.start]]
+			stripe := &s.stripes[k%uint64(len(s.stripes))]
 			stripe.Lock()
-			if !ent.inDRAM() {
+			var ent *entry
+			if w := s.index.word(int(r.pos)); w&tagHot != 0 {
+				ent = s.hot.at(w)
+			} else {
 				// Fallback for caches smaller than one batch's working set:
 				// promote inline (charged as a PMem read) and let EndBatch link
 				// the entry into the LRU. This is a genuine extra device read
 				// (the entry was evicted after the pull), so it is counted.
-				if err := s.readPromote(ent); err != nil {
+				var err error
+				if ent, err = s.promoteShared(int(r.pos), w); err != nil {
 					stripe.Unlock()
 					return err
 				}
@@ -451,16 +467,21 @@ func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, 
 	return nil
 }
 
-// touchRuns loads from both cache lines of each run's entry. Only fields
-// nothing writes while the shard lock is held shared are read (key: never
-// written; snapEpoch: written under the exclusive lock), so the pass needs
-// no stripe.
+// touchRuns loads each run's index slot and, for a hot one, both cache
+// lines of its entry. Only fields nothing writes while the shard lock is
+// held shared are read (the word atomically; a hot entry's key: written
+// before the word that names it; snapEpoch: written under the exclusive
+// lock), so the pass needs no stripe.
 //
 // oevet:hotpath
-func touchRuns(blk []pushRun) (sum uint64) {
+func (s *shard) touchRuns(blk []pushRun) (sum uint64) {
 	for i := range blk {
-		ent := blk[i].ent
-		sum += ent.key + ent.snapEpoch
+		if w := s.index.word(int(blk[i].pos)); w&tagHot != 0 {
+			ent := s.hot.at(w)
+			sum += ent.key + ent.snapEpoch
+		} else {
+			sum += w
+		}
 	}
 	return sum
 }

@@ -287,7 +287,7 @@ func TestShardedStressCrossShardWithCheckpoints(t *testing.T) {
 	total := 0
 	for _, s := range e.shards {
 		s.mu.RLock()
-		for k := range s.index {
+		for _, k := range s.index.keys(nil) {
 			if e.shardFor(k) != s {
 				t.Fatalf("key %d stored in shard %d, hashes to %d", k, s.id, e.shardIndex(k))
 			}
