@@ -42,9 +42,9 @@ const sinceAll = int64(-1) << 62
 // number of entries copied.
 func (c *Client) migrateMove(dst *rpc.Client, src int, ivs []rpc.HashInterval, since int64) (int, error) {
 	copied := 0
-	after := uint64(0)
+	from := uint64(0)
 	for {
-		entries, more, err := c.nodes[src].MigrateRange(since, after, migratePage, ivs)
+		entries, more, err := c.nodes[src].MigrateRange(since, from, migratePage, ivs)
 		if err != nil {
 			return copied, c.nodeErr(src, fmt.Errorf("migrate range: %w", err))
 		}
@@ -52,7 +52,7 @@ func (c *Client) migrateMove(dst *rpc.Client, src int, ivs []rpc.HashInterval, s
 			if err := dst.AdoptRange(entries); err != nil {
 				return copied, fmt.Errorf("cluster: adopt range: %w", err)
 			}
-			after = entries[len(entries)-1].Key
+			from = entries[len(entries)-1].Key + 1
 			copied += len(entries)
 		}
 		if !more {
@@ -101,13 +101,13 @@ func (c *Client) copyRounds(moves []move, dstFor func(move) *rpc.Client, batch i
 // into a data-losing ownership flip. A mismatch aborts the migration;
 // the re-run starts from the hygiene drop and recopies.
 func (c *Client) verifyMove(dst *rpc.Client, src int, ivs []rpc.HashInterval) error {
-	var sAfter, tAfter uint64
+	var sFrom, tFrom uint64
 	for page := 0; ; page++ {
-		se, sMore, err := c.nodes[src].MigrateRange(sinceAll, sAfter, migratePage, ivs)
+		se, sMore, err := c.nodes[src].MigrateRange(sinceAll, sFrom, migratePage, ivs)
 		if err != nil {
 			return c.nodeErr(src, fmt.Errorf("verify export: %w", err))
 		}
-		te, tMore, err := dst.MigrateRange(sinceAll, tAfter, migratePage, ivs)
+		te, tMore, err := dst.MigrateRange(sinceAll, tFrom, migratePage, ivs)
 		if err != nil {
 			return fmt.Errorf("cluster: verify target export: %w", err)
 		}
@@ -124,7 +124,7 @@ func (c *Client) verifyMove(dst *rpc.Client, src int, ivs []rpc.HashInterval) er
 		if !sMore {
 			return nil
 		}
-		sAfter, tAfter = se[len(se)-1].Key, te[len(te)-1].Key
+		sFrom, tFrom = se[len(se)-1].Key+1, te[len(te)-1].Key+1
 	}
 }
 

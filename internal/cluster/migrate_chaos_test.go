@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"errors"
-	"os"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
+	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/ps"
 	"openembedding/internal/psengine"
@@ -24,20 +23,6 @@ import (
 // is what makes the target-crash case safe: a restarted fresh node sheds
 // its un-checkpointed adopted entries, and the coordinator must notice
 // instead of flipping ownership over a hole.
-
-// migChaosSeed mirrors the train chaos soak: fixed default, OE_CHAOS_SEED
-// sweeps it in CI.
-func migChaosSeed(t *testing.T) uint64 {
-	t.Helper()
-	if s := os.Getenv("OE_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			t.Fatalf("OE_CHAOS_SEED=%q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
 
 const (
 	migChaosNodes = 3
@@ -250,26 +235,25 @@ func runMigrationScenario(t *testing.T, seed uint64, role string) []float32 {
 	return out
 }
 
-// TestMigrationChaosRoleKills is the migration crash-matrix soak: for the
-// printed seed, killing the source, the target, or the coordinator
-// mid-migration must all converge — after standard recovery — to exactly
-// the fault-free migration's final embedding state, bit for bit.
+// TestMigrationChaosRoleKills is the migration crash-matrix soak: for each
+// soak seed (faultinject.Seeds), killing the source, the target, or the
+// coordinator mid-migration must all converge — after standard recovery —
+// to exactly the fault-free migration's final embedding state, bit for bit.
 func TestMigrationChaosRoleKills(t *testing.T) {
-	seed := migChaosSeed(t)
-	t.Logf("migration chaos seed = %d (set OE_CHAOS_SEED to override)", seed)
-
-	ref := runMigrationScenario(t, seed, "")
-	for _, role := range []string{"target", "source", "coordinator"} {
-		got := runMigrationScenario(t, seed, role)
-		if len(got) != len(ref) {
-			t.Fatalf("role=%s: readout length %d vs %d", role, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("role=%s: state[%d] = %v, want %v (bit-identical to fault-free migration)",
-					role, i, got[i], ref[i])
+	faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+		ref := runMigrationScenario(t, seed, "")
+		for _, role := range []string{"target", "source", "coordinator"} {
+			got := runMigrationScenario(t, seed, role)
+			if len(got) != len(ref) {
+				t.Fatalf("role=%s: readout length %d vs %d", role, len(got), len(ref))
 			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("role=%s: state[%d] = %v, want %v (bit-identical to fault-free migration)",
+						role, i, got[i], ref[i])
+				}
+			}
+			t.Logf("role=%s: converged bit-identical to fault-free migration", role)
 		}
-		t.Logf("role=%s: converged bit-identical to fault-free migration", role)
-	}
+	})
 }

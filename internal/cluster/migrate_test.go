@@ -99,10 +99,11 @@ func testKeys(n int) []uint64 {
 // TestClusterJoinMigratesAndServes grows a live 3-node cluster to 4: the
 // join migrates the new node's arcs, flips the ownership epoch, and every
 // trained value reads back bit-exactly through the new topology — then
-// training continues across all 4 nodes.
+// training continues across all 4 nodes. Key 0 is among the moved keys: it
+// is the first key an export considers.
 func TestClusterJoinMigratesAndServes(t *testing.T) {
 	c, _, reg := startElasticCluster(t, 3)
-	keys := testKeys(48)
+	keys := append([]uint64{0}, testKeys(48)...)
 	w := trainStep(t, c, 0, keys, 1) // post-push rows: w - 0.1
 	for i := range w {
 		w[i] -= 0.1
@@ -126,6 +127,9 @@ func TestClusterJoinMigratesAndServes(t *testing.T) {
 	}
 	if newOwned == 0 {
 		t.Fatal("new node owns none of the trained keys; enlarge the key set")
+	}
+	if c.Owner(0) != 3 {
+		t.Fatalf("key 0 is owned by node %d after the join, want the new node 3", c.Owner(0))
 	}
 	s := reg.Snapshot()
 	if got := s.Counters["cluster_migrations"]; got != 1 {

@@ -84,13 +84,14 @@ func benchBatches(n int) [][]uint64 {
 	return out
 }
 
-// drainAccessQueues empties the shards' access queues directly. The
-// benchmarks issue pulls outside the batch protocol (no EndPullPhase), so
-// without this the queues would grow unboundedly; draining through the
-// protocol instead would time maintenance, not the pull path.
+// drainAccessQueues empties the shards' access queues directly and hands
+// each drained buffer back, as a maintenance round does. The benchmarks
+// issue pulls outside the batch protocol (no EndPullPhase), so without this
+// the queues would grow unboundedly; draining through the protocol instead
+// would time maintenance, not the pull path.
 func drainAccessQueues(e *Engine) {
 	for _, s := range e.shards {
-		s.accessQ.Drain()
+		s.accessQ.Recycle(s.accessQ.Drain())
 	}
 }
 

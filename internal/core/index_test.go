@@ -154,17 +154,17 @@ func TestColdFormEverySite(t *testing.T) {
 
 	// Export pages, whole and since a batch.
 	for _, since := range []int64{migSince, batch - 5} {
-		var after [2]uint64
+		var from [2]uint64
 		for page := 0; ; page++ {
 			var got [2][]psengine.MigEntry
 			var more [2]bool
 			for i, e := range []*Engine{small, big} {
 				var err error
-				if got[i], more[i], err = e.ExportRange(matchAll, since, after[i], 5); err != nil {
+				if got[i], more[i], err = e.ExportRange(matchAll, since, from[i], 5); err != nil {
 					t.Fatal(err)
 				}
 				if len(got[i]) > 0 {
-					after[i] = got[i][len(got[i])-1].Key
+					from[i] = got[i][len(got[i])-1].Key + 1
 				}
 			}
 			if len(got[0]) != len(got[1]) || more[0] != more[1] {

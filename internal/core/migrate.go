@@ -16,18 +16,20 @@ import (
 // and never touch the pull/push hot path.
 
 // ExportRange returns up to max entries whose keys satisfy match, have key
-// > afterKey, and carry dataVersion >= since — in ascending key order, with
-// a more flag when the range continues past the page. afterKey is the
-// resume cursor (pass 0 for the first page; keys are never 0-biased, the
-// filter is strict). since narrows delta rounds to entries pushed at or
-// after a batch; pass a very negative since for the full copy.
+// >= from, and carry dataVersion >= since — in ascending key order, with a
+// more flag when the range continues past the page. from is the resume
+// cursor, the next key to consider: 0 for the first page (0 is a key like
+// any other), and one past the page's last key for the next. A page that
+// ends at key math.MaxUint64 has no more. since narrows delta rounds to
+// entries pushed at or after a batch; pass a very negative since for the
+// full copy.
 //
 // The export is a read: it does not change entry state, and the copy is
 // taken under each shard's exclusive lock so concurrent pushes cannot tear
 // a row. Entries resident only in PMem are read back through the verified
 // path, so a rotted record surfaces as an integrity error here instead of
 // migrating corruption.
-func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey uint64, max int) ([]psengine.MigEntry, bool, error) {
+func (e *Engine) ExportRange(match func(key uint64) bool, since int64, from uint64, max int) ([]psengine.MigEntry, bool, error) {
 	if e.closed.Load() {
 		return nil, false, psengine.ErrClosed
 	}
@@ -40,7 +42,7 @@ func (e *Engine) ExportRange(match func(key uint64) bool, since int64, afterKey 
 	for _, s := range e.shards {
 		s.mu.Lock()
 		for _, k := range s.scrubKeysLocked() {
-			if k <= afterKey || !match(k) {
+			if k < from || !match(k) {
 				continue
 			}
 			if v, ok := s.dataVersionLocked(k); ok && v >= since {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"openembedding/internal/psengine"
@@ -21,15 +22,15 @@ func matchOdd(k uint64) bool { return k%2 == 1 }
 func exportAll(t *testing.T, e *Engine, match func(uint64) bool, since int64, page int) []psengine.MigEntry {
 	t.Helper()
 	var out []psengine.MigEntry
-	after := uint64(0)
+	from := uint64(0)
 	for {
-		ents, more, err := e.ExportRange(match, since, after, page)
+		ents, more, err := e.ExportRange(match, since, from, page)
 		if err != nil {
 			t.Fatalf("export: %v", err)
 		}
 		out = append(out, ents...)
 		if len(ents) > 0 {
-			after = ents[len(ents)-1].Key
+			from = ents[len(ents)-1].Key + 1
 		}
 		if !more {
 			return out
@@ -95,6 +96,30 @@ func TestExportRangePaging(t *testing.T) {
 
 	if _, _, err := e.ExportRange(matchAll, migSince, 0, 0); err == nil {
 		t.Fatal("non-positive page size accepted")
+	}
+}
+
+// TestExportRangeEndKeys: the cursor is the next key to consider, so key 0
+// comes back on the first page and key math.MaxUint64 ends the range, one
+// key per page.
+func TestExportRangeEndKeys(t *testing.T) {
+	e := newTestEngine(t, testConfig(4, 100, 50))
+	keys := []uint64{0, 1, 2, math.MaxUint64}
+	runBatch(t, e, 0, keys, constGrads(len(keys), 4, 1.0))
+
+	from := uint64(0)
+	for i, want := range keys {
+		ents, more, err := e.ExportRange(matchAll, migSince, from, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Key != want {
+			t.Fatalf("page %d from key %d = %v, want key %d", i, from, ents, want)
+		}
+		if last := i == len(keys)-1; more == last {
+			t.Fatalf("page %d (key %d): more = %v, want %v", i, want, more, !last)
+		}
+		from = want + 1
 	}
 }
 

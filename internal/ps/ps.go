@@ -259,8 +259,8 @@ func matchIntervals(ivs []rpc.HashInterval) func(key uint64) bool {
 
 // MigrateRange serves MsgMigrateRange: export one page of the moving range.
 // A read — no state change, no fence.
-func (n *Node) MigrateRange(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]psengine.MigEntry, bool, error) {
-	return n.core.Load().ExportRange(matchIntervals(ivs), since, afterKey, max)
+func (n *Node) MigrateRange(since int64, from uint64, max int, ivs []rpc.HashInterval) ([]psengine.MigEntry, bool, error) {
+	return n.core.Load().ExportRange(matchIntervals(ivs), since, from, max)
 }
 
 // AdoptRange serves MsgAdoptRange: install migrated entries (durably), then

@@ -628,12 +628,13 @@ func (c *Client) PingInfo() (NodeHealth, error) {
 }
 
 // MigrateRange exports up to max entries of the given hash intervals with
-// dataVersion >= since and key > afterKey, in ascending key order; more
-// reports whether the range continues past the page. Idempotent (a read),
-// so safe under retries.
-func (c *Client) MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error) {
+// dataVersion >= since and key >= from, in ascending key order; more
+// reports whether the range continues past the page, whose next page
+// starts one past its last key. Idempotent (a read), so safe under
+// retries.
+func (c *Client) MigrateRange(since int64, from uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error) {
 	b := NewBuffer(MsgMigrateRange, since)
-	b.PutI64(int64(afterKey))
+	b.PutI64(int64(from))
 	b.PutI64(int64(max))
 	putIntervals(b, ivs)
 	r, err := c.do(b.Bytes())

@@ -49,9 +49,9 @@ type Control interface {
 	// persisted records.
 	Scrub() (psengine.ScrubReport, error)
 	// MigrateRange serves MsgMigrateRange: export up to max entries of the
-	// given hash intervals with dataVersion >= since and key > afterKey, in
+	// given hash intervals with dataVersion >= since and key >= from, in
 	// ascending key order, with a more flag.
-	MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
+	MigrateRange(since int64, from uint64, max int, ivs []HashInterval) ([]psengine.MigEntry, bool, error)
 	// AdoptRange serves MsgAdoptRange: install migrated entries, durably,
 	// before replying. It may keep the entries.
 	AdoptRange(entries []psengine.MigEntry) error
@@ -576,7 +576,7 @@ func (s *Server) serveScrub(*request) ([]byte, error) {
 // serveMigrateRange exports one page; the batch field carries the delta
 // floor (since).
 func (s *Server) serveMigrateRange(req *request) ([]byte, error) {
-	afterKey, err := req.r.I64()
+	from, err := req.r.I64()
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +588,7 @@ func (s *Server) serveMigrateRange(req *request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, more, err := s.control.MigrateRange(req.batch, uint64(afterKey), int(max), ivs)
+	entries, more, err := s.control.MigrateRange(req.batch, uint64(from), int(max), ivs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,29 +1,14 @@
 package serve
 
 import (
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
+	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/simclock"
 	"openembedding/internal/workload"
 )
-
-// soakSeed is fixed by default so CI is reproducible; OE_CHAOS_SEED
-// overrides it (the CI serving-soak job sweeps a small seed matrix).
-func soakSeed(t *testing.T) uint64 {
-	t.Helper()
-	if s := os.Getenv("OE_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			t.Fatalf("OE_CHAOS_SEED=%q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
 
 // soakResult is what one soak run measures.
 type soakResult struct {
@@ -146,43 +131,43 @@ func runFlashCrowdSoak(t testing.TB, seed uint64, rounds int) soakResult {
 // TestServeFlashCrowdSoak is the serving soak gate: a rotating flash-crowd
 // workload against a live training engine must finish with sane latency
 // percentiles, a dominant lock-free hit rate, and at least one hot-set
-// rotation survived mid-run.
+// rotation survived mid-run, for every soak seed (faultinject.Seeds).
 func TestServeFlashCrowdSoak(t *testing.T) {
-	seed := soakSeed(t)
-	t.Logf("soak seed = %d (set OE_CHAOS_SEED to override)", seed)
-	rounds := 3000
-	if testing.Short() {
-		rounds = 600
-	}
-	res := runFlashCrowdSoak(t, seed, rounds)
+	faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+		rounds := 3000
+		if testing.Short() {
+			rounds = 600
+		}
+		res := runFlashCrowdSoak(t, seed, rounds)
 
-	qps := float64(res.requests) / res.elapsed.Seconds()
-	t.Logf("%d requests in %s (%.0f QPS), bag p50=%s p99=%s max=%s, snap hit rate %.1f%%, %d crowd windows",
-		res.requests, res.elapsed.Round(time.Millisecond), qps,
-		time.Duration(res.bagNS.P50), time.Duration(res.bagNS.P99), time.Duration(res.bagNS.Max),
-		100*res.snapRate, res.windows)
+		qps := float64(res.requests) / res.elapsed.Seconds()
+		t.Logf("%d requests in %s (%.0f QPS), bag p50=%s p99=%s max=%s, snap hit rate %.1f%%, %d crowd windows",
+			res.requests, res.elapsed.Round(time.Millisecond), qps,
+			time.Duration(res.bagNS.P50), time.Duration(res.bagNS.P99), time.Duration(res.bagNS.Max),
+			100*res.snapRate, res.windows)
 
-	if res.bagNS.Count == 0 {
-		t.Fatal("latency histogram empty: the 1-in-8 sampler never fired")
-	}
-	// Latency gates are sanity bounds, not performance claims: shared CI
-	// runners are noisy, so only order-of-magnitude failures trip them.
-	if p99 := time.Duration(res.bagNS.P99); p99 > 250*time.Millisecond {
-		t.Errorf("bag-gather p99 = %s, want < 250ms", p99)
-	}
-	if p50 := time.Duration(res.bagNS.P50); p50 > 50*time.Millisecond {
-		t.Errorf("bag-gather p50 = %s, want < 50ms", p50)
-	}
-	// The lock-free path must carry the load: 90% of traffic targets a hot
-	// set that refreshes keep snapshot-resident.
-	if res.snapRate < 0.5 {
-		t.Errorf("snapshot hit rate %.1f%%, want >= 50%%", 100*res.snapRate)
-	}
-	// The virtual clock must have rotated the crowd mid-run: 3000 rounds ×
-	// 2ms = 6 virtual seconds over a 2s rotation period.
-	if res.windows < 2 {
-		t.Errorf("flash crowd never rotated (windows = %d)", res.windows)
-	}
+		if res.bagNS.Count == 0 {
+			t.Fatal("latency histogram empty: the 1-in-8 sampler never fired")
+		}
+		// Latency gates are sanity bounds, not performance claims: shared CI
+		// runners are noisy, so only order-of-magnitude failures trip them.
+		if p99 := time.Duration(res.bagNS.P99); p99 > 250*time.Millisecond {
+			t.Errorf("bag-gather p99 = %s, want < 250ms", p99)
+		}
+		if p50 := time.Duration(res.bagNS.P50); p50 > 50*time.Millisecond {
+			t.Errorf("bag-gather p50 = %s, want < 50ms", p50)
+		}
+		// The lock-free path must carry the load: 90% of traffic targets a
+		// hot set that refreshes keep snapshot-resident.
+		if res.snapRate < 0.5 {
+			t.Errorf("snapshot hit rate %.1f%%, want >= 50%%", 100*res.snapRate)
+		}
+		// The virtual clock must have rotated the crowd mid-run: 3000 rounds
+		// × 2ms = 6 virtual seconds over a 2s rotation period.
+		if res.windows < 2 {
+			t.Errorf("flash crowd never rotated (windows = %d)", res.windows)
+		}
+	})
 }
 
 // TestServeSoakValuesMatchEngine spot-checks that soak-style pooled reads
@@ -200,21 +185,23 @@ func TestServeSoakValuesMatchEngine(t *testing.T) {
 	}
 	h := New(e, obs.NewRegistry())
 
-	fc := workload.NewFlashCrowd(len(keys), 32, 0.8, time.Second, soakSeed(t))
-	fc.Advance(1500 * time.Millisecond) // second window: rotated crowd
-	offsets := []uint32{0, 2, 5, 5, 9}
-	bagKeys := make([]uint64, 9)
-	for i := range bagKeys {
-		bagKeys[i] = fc.Sample()
-	}
-	out := make([]float32, (len(offsets)-1)*dim)
-	if err := h.PullBags(true, offsets, bagKeys, out); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := poolRef(t, e, true, offsets, bagKeys)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out[%d] = %v, want %v", i, out[i], want[i])
+	faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+		fc := workload.NewFlashCrowd(len(keys), 32, 0.8, time.Second, seed)
+		fc.Advance(1500 * time.Millisecond) // second window: rotated crowd
+		offsets := []uint32{0, 2, 5, 5, 9}
+		bagKeys := make([]uint64, 9)
+		for i := range bagKeys {
+			bagKeys[i] = fc.Sample()
 		}
-	}
+		out := make([]float32, (len(offsets)-1)*dim)
+		if err := h.PullBags(true, offsets, bagKeys, out); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := poolRef(t, e, true, offsets, bagKeys)
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("out[%d] = %v, want %v", i, out[i], want[i])
+			}
+		}
+	})
 }

@@ -2,10 +2,10 @@ package train
 
 import (
 	"fmt"
+	"maps"
 	"net"
-	"os"
+	"slices"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -39,20 +39,6 @@ const (
 	chaosBatch     = 24
 	chaosDim       = 8
 )
-
-// chaosSeed is fixed by default so CI is reproducible; OE_CHAOS_SEED
-// overrides it (the CI chaos job sweeps a small seed matrix).
-func chaosSeed(t *testing.T) uint64 {
-	t.Helper()
-	if s := os.Getenv("OE_CHAOS_SEED"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			t.Fatalf("OE_CHAOS_SEED=%q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
 
 func chaosTrainConfig(seed uint64) Config {
 	return Config{
@@ -321,52 +307,84 @@ func compareChaosStates(t *testing.T, label string, want, got chaosResult) {
 // with every node killed at least twice and seeded wire faults throughout,
 // training must converge to exactly — bit-identically — the state of a
 // fault-free run: same per-step losses, same dense parameters, same
-// embedding tables. It runs once per transport; the survived: lines match.
+// embedding tables. Each transport runs every seed, and both transports
+// must survive the same faults on each.
 func TestChaosSoakBitIdenticalToFaultFree(t *testing.T) {
-	seed := chaosSeed(t)
-	t.Logf("chaos seed = %d (set OE_CHAOS_SEED to override)", seed)
+	survived := map[string][]survival{}
 	for _, kind := range soakTransports {
 		t.Run(kind, func(t *testing.T) {
-			ref := runChaosCluster(t, kind, seed, false)
-			chaos := runChaosCluster(t, kind, seed, true)
+			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+				ref := runChaosCluster(t, kind, seed, false)
+				chaos := runChaosCluster(t, kind, seed, true)
 
-			if chaos.counts[faultinject.KindCrash] < int64(2*chaosNodes) {
-				t.Errorf("crashes = %d, want >= %d (every node killed twice)",
-					chaos.counts[faultinject.KindCrash], 2*chaosNodes)
-			}
-			for i, ep := range chaos.epochs {
-				if ep < 2 {
-					t.Errorf("node %d epoch = %d, want >= 2", i, ep)
+				if chaos.counts[faultinject.KindCrash] < int64(2*chaosNodes) {
+					t.Errorf("crashes = %d, want >= %d (every node killed twice)",
+						chaos.counts[faultinject.KindCrash], 2*chaosNodes)
 				}
-			}
-			if chaos.replays < 1 {
-				t.Errorf("cluster_replays = %d, want >= 1", chaos.replays)
-			}
-			if media := chaos.counts[faultinject.KindBitRot] + chaos.counts[faultinject.KindDrop]; media < 1 {
-				t.Errorf("media faults = %d (counts %v), want >= 1 rotted or dropped flush", media, chaos.counts)
-			}
-			if ref.replays != 0 {
-				t.Errorf("fault-free run replayed %d times", ref.replays)
-			}
+				for i, ep := range chaos.epochs {
+					if ep < 2 {
+						t.Errorf("node %d epoch = %d, want >= 2", i, ep)
+					}
+				}
+				if chaos.replays < 1 {
+					t.Errorf("cluster_replays = %d, want >= 1", chaos.replays)
+				}
+				if media := chaos.counts[faultinject.KindBitRot] + chaos.counts[faultinject.KindDrop]; media < 1 {
+					t.Errorf("media faults = %d (counts %v), want >= 1 rotted or dropped flush", media, chaos.counts)
+				}
+				if ref.replays != 0 {
+					t.Errorf("fault-free run replayed %d times", ref.replays)
+				}
 
-			compareChaosStates(t, "chaos-vs-fault-free", ref, chaos)
-			t.Logf("survived: faults=%v replays=%d epochs=%v — final state bit-identical to fault-free run",
-				chaos.counts, chaos.replays, chaos.epochs)
+				compareChaosStates(t, "chaos-vs-fault-free", ref, chaos)
+				t.Logf("survived: faults=%v replays=%d epochs=%v — final state bit-identical to fault-free run",
+					chaos.counts, chaos.replays, chaos.epochs)
+				survived[kind] = append(survived[kind], survival{seed, chaos})
+			})
 		})
+	}
+	sameSurvival(t, survived)
+}
+
+// survival is the end of one transport's chaos run on one seed.
+type survival struct {
+	seed uint64
+	res  chaosResult
+}
+
+// sameSurvival fails unless, on every seed both transports finished, the
+// tcp and mem runs injected the same faults, replayed as often and ended at
+// the same node epochs: the schedule is a function of the seed, not of the
+// transport (see memNet).
+func sameSurvival(t *testing.T, survived map[string][]survival) {
+	t.Helper()
+	mem := map[uint64]chaosResult{}
+	for _, s := range survived["mem"] {
+		mem[s.seed] = s.res
+	}
+	for _, s := range survived["tcp"] {
+		m, ok := mem[s.seed]
+		if !ok {
+			continue
+		}
+		if !maps.Equal(s.res.counts, m.counts) || s.res.replays != m.replays || !slices.Equal(s.res.epochs, m.epochs) {
+			t.Errorf("seed=%d: transports diverged: tcp survived faults=%v replays=%d epochs=%v, mem faults=%v replays=%d epochs=%v",
+				s.seed, s.res.counts, s.res.replays, s.res.epochs, m.counts, m.replays, m.epochs)
+		}
 	}
 }
 
 // TestChaosDeterministicReplay reruns the identical chaos schedule and
 // requires the exact same faults, replays and final state: the whole run
-// is a pure function of the printed seed.
+// is a pure function of its seed.
 func TestChaosDeterministicReplay(t *testing.T) {
-	seed := chaosSeed(t)
-	t.Logf("chaos seed = %d", seed)
 	for _, kind := range soakTransports {
 		t.Run(kind, func(t *testing.T) {
-			a := runChaosCluster(t, kind, seed, true)
-			b := runChaosCluster(t, kind, seed, true)
-			compareReplays(t, "replay-determinism", a, b)
+			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+				a := runChaosCluster(t, kind, seed, true)
+				b := runChaosCluster(t, kind, seed, true)
+				compareReplays(t, "replay-determinism", a, b)
+			})
 		})
 	}
 }

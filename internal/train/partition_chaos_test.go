@@ -67,44 +67,48 @@ func runPartitionChaos(t *testing.T, kind string, seed uint64, chaos bool) chaos
 
 // TestPartitionChaosBitIdenticalToFaultFree is the gray-failure tentpole
 // gate: training through asymmetric partitions and slow links converges
-// to exactly — bit-identically — the state of a fault-free run. It runs
-// once per transport; the survived: lines match.
+// to exactly — bit-identically — the state of a fault-free run. Each
+// transport runs every seed, and both transports must survive the same
+// faults on each.
 func TestPartitionChaosBitIdenticalToFaultFree(t *testing.T) {
-	seed := chaosSeed(t)
-	t.Logf("partition chaos seed = %d (set OE_CHAOS_SEED to override)", seed)
+	survived := map[string][]survival{}
 	for _, kind := range soakTransports {
 		t.Run(kind, func(t *testing.T) {
-			ref := runPartitionChaos(t, kind, seed, false)
-			chaos := runPartitionChaos(t, kind, seed, true)
+			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+				ref := runPartitionChaos(t, kind, seed, false)
+				chaos := runPartitionChaos(t, kind, seed, true)
 
-			if got := chaos.counts[faultinject.KindPartition]; got < 1 {
-				t.Errorf("partitions = %d, want >= 1 (counts %v)", got, chaos.counts)
-			}
-			if got := chaos.counts[faultinject.KindSlow]; got < 1 {
-				t.Errorf("slow-link delays = %d, want >= 1 (counts %v)", got, chaos.counts)
-			}
-			if ref.replays != 0 {
-				t.Errorf("fault-free run replayed %d times", ref.replays)
-			}
+				if got := chaos.counts[faultinject.KindPartition]; got < 1 {
+					t.Errorf("partitions = %d, want >= 1 (counts %v)", got, chaos.counts)
+				}
+				if got := chaos.counts[faultinject.KindSlow]; got < 1 {
+					t.Errorf("slow-link delays = %d, want >= 1 (counts %v)", got, chaos.counts)
+				}
+				if ref.replays != 0 {
+					t.Errorf("fault-free run replayed %d times", ref.replays)
+				}
 
-			compareChaosStates(t, "partition-chaos-vs-fault-free", ref, chaos)
-			t.Logf("survived: faults=%v replays=%d — final state bit-identical to fault-free run",
-				chaos.counts, chaos.replays)
+				compareChaosStates(t, "partition-chaos-vs-fault-free", ref, chaos)
+				t.Logf("survived: faults=%v replays=%d — final state bit-identical to fault-free run",
+					chaos.counts, chaos.replays)
+				survived[kind] = append(survived[kind], survival{seed, chaos})
+			})
 		})
 	}
+	sameSurvival(t, survived)
 }
 
 // TestPartitionChaosDeterministicReplay reruns the identical partition
 // schedule: same faults, same replays, same final state — the run is a
-// pure function of the printed seed.
+// pure function of its seed.
 func TestPartitionChaosDeterministicReplay(t *testing.T) {
-	seed := chaosSeed(t)
-	t.Logf("partition chaos seed = %d", seed)
 	for _, kind := range soakTransports {
 		t.Run(kind, func(t *testing.T) {
-			a := runPartitionChaos(t, kind, seed, true)
-			b := runPartitionChaos(t, kind, seed, true)
-			compareReplays(t, "partition-replay-determinism", a, b)
+			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+				a := runPartitionChaos(t, kind, seed, true)
+				b := runPartitionChaos(t, kind, seed, true)
+				compareReplays(t, "partition-replay-determinism", a, b)
+			})
 		})
 	}
 }

@@ -107,26 +107,25 @@ func runScrubCluster(t *testing.T, seed uint64, rot bool) (_ chaosResult, during
 // through training (flush verification off), scrubs run between batches
 // plus one sweep after training must repair every hit in place — zero
 // restored, fenced or quarantined entries, zero epoch movement — and the
-// final model state must be bit-identical to a fault-free run. Seeded via
-// OE_CHAOS_SEED like the chaos soak.
+// final model state must be bit-identical to a fault-free run. It runs the
+// chaos soak's seeds.
 func TestScrubSoak(t *testing.T) {
-	seed := chaosSeed(t)
-	t.Logf("scrub-soak seed = %d (set OE_CHAOS_SEED to override)", seed)
+	faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
+		ref, _, _ := runScrubCluster(t, seed, false)
+		rotted, during, final := runScrubCluster(t, seed, true)
 
-	ref, _, _ := runScrubCluster(t, seed, false)
-	rotted, during, final := runScrubCluster(t, seed, true)
-
-	if rotted.counts[faultinject.KindBitRot] < 1 {
-		t.Errorf("bit-rot faults = %d, want >= 1 (rules never fired; raise Prob or steps)",
-			rotted.counts[faultinject.KindBitRot])
-	}
-	if during.Repaired < 1 {
-		t.Errorf("in-training scrubs healed %d records (%+v), want >= 1", during.Repaired, during)
-	}
-	if ref.replays != 0 || rotted.replays != 0 {
-		t.Errorf("replays = %d/%d, want 0/0 (repairs must be transparent)", ref.replays, rotted.replays)
-	}
-	compareChaosStates(t, "scrub-vs-fault-free", ref, rotted)
-	t.Logf("survived: faults=%v healed in training=%+v after=%+v — final state bit-identical to fault-free run",
-		rotted.counts, during, final)
+		if rotted.counts[faultinject.KindBitRot] < 1 {
+			t.Errorf("bit-rot faults = %d, want >= 1 (rules never fired; raise Prob or steps)",
+				rotted.counts[faultinject.KindBitRot])
+		}
+		if during.Repaired < 1 {
+			t.Errorf("in-training scrubs healed %d records (%+v), want >= 1", during.Repaired, during)
+		}
+		if ref.replays != 0 || rotted.replays != 0 {
+			t.Errorf("replays = %d/%d, want 0/0 (repairs must be transparent)", ref.replays, rotted.replays)
+		}
+		compareChaosStates(t, "scrub-vs-fault-free", ref, rotted)
+		t.Logf("survived: faults=%v healed in training=%+v after=%+v — final state bit-identical to fault-free run",
+			rotted.counts, during, final)
+	})
 }
