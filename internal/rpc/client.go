@@ -41,14 +41,14 @@ type Options struct {
 	// are classified like TCP's (a net.Error timeout is a *TimeoutError,
 	// anything else a *TransportError).
 	Dial func(addr string) (net.Conn, error)
-	// MaxAttempts is the total tries of a request that fails on the
-	// transport, the first included; a broken connection is always
-	// redialed, this only says how often one request is re-sent. Defaults
-	// to 3; 1 means a request is tried once and its transport error
-	// surfaces (oectl), with the connection still redialed by the next
-	// request. Remote application errors and epoch fences are never
-	// retried. Between tries the client backs off 2 ms, doubling up to
-	// 250 ms, jittered by a xorshift stream keyed by the dialed address.
+	// MaxAttempts is the total tries of a request (AdoptEpoch's handshake
+	// is one) that fails on the transport, the first included; a broken
+	// connection is always redialed, this only says how often one request
+	// is re-sent. Defaults to 3; 1 means a request is tried once and its
+	// transport error surfaces (oectl), with the connection still redialed
+	// by the next request. Remote application errors and epoch fences are
+	// never retried. Between tries the client backs off 2 ms, doubling up
+	// to 250 ms, jittered by a xorshift stream keyed by the dialed address.
 	MaxAttempts int
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
@@ -202,7 +202,7 @@ func DialOpts(addr string, opts Options) (*Client, error) {
 	c.timeouts = reg.Counter("rpc_client_timeouts")
 	c.retries = reg.Counter("rpc_client_retries")
 	c.redials = reg.Counter("rpc_client_redials")
-	if err := c.connect(); err != nil && !IsRecoverable(err) {
+	if err := c.connect(); err != nil && !IsRetryable(err) {
 		return nil, err
 	}
 	return c, nil
@@ -254,20 +254,25 @@ func (c *Client) connect() error {
 		c.redials.Add(1)
 	}
 	c.ever = true
-	return c.hello(c.ep)
-}
-
-// hello runs the epoch handshake on the current connection: it announces
-// the client's known epoch (-1 adopts the server's) and learns the
-// server's. Caller holds c.mu.
-func (c *Client) hello(epoch int64) error {
-	b := NewBuffer(MsgHello, 0)
-	b.PutI64(epoch)
-	b.PutI64(c.id)
-	resp, err := c.roundTrip("hello", b.Bytes())
+	resp, err := c.roundTrip("hello", c.helloFrame())
 	if err != nil {
 		return err
 	}
+	return c.learnEpoch(resp)
+}
+
+// helloFrame is the epoch handshake every connection opens with: it
+// announces the client's known epoch (-1 adopts the server's) and its ID.
+func (c *Client) helloFrame() []byte {
+	b := NewBuffer(MsgHello, 0)
+	b.PutI64(c.ep)
+	b.PutI64(c.id)
+	return b.Bytes()
+}
+
+// learnEpoch reads the server's epoch off a hello reply frame; a client at
+// epoch -1 adopts it. Caller holds c.mu.
+func (c *Client) learnEpoch(resp []byte) error {
 	r, err := DecodeResponse(resp)
 	if err != nil {
 		return err
@@ -283,30 +288,20 @@ func (c *Client) hello(epoch int64) error {
 	return nil
 }
 
-// AdoptEpoch re-synchronizes a fenced client: it re-handshakes with the
-// server (redialing first if the connection is broken) and adopts the
-// server's current epoch. The cluster recovery protocol calls it after a
-// rollback; adopting an epoch without rolling back would silently ride
-// across a recovery, so nothing else does.
+// AdoptEpoch re-synchronizes a fenced client: it re-handshakes, as one more
+// request on the Options.MaxAttempts ladder, and adopts the server's current
+// epoch. The cluster recovery protocol calls it after a rollback; adopting
+// an epoch without rolling back would silently ride across a recovery, so
+// nothing else does.
 func (c *Client) AdoptEpoch() (int64, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.release()
 	c.ep = -1
-	if c.err != nil || !c.ever {
-		if err := c.connect(); err != nil {
-			return -1, err
-		}
-	} else if err := c.hello(-1); err != nil {
-		// The handshake itself may hit a broken conn: redial once.
-		if !IsRecoverable(err) {
-			return -1, err
-		}
-		if err := c.connect(); err != nil {
-			return -1, err
-		}
+	_, err := c.doLocked(c.helloFrame())
+	if err == nil {
+		err = c.learnEpoch(c.sc.in)
 	}
-	c.ep = c.se
-	return c.ep, nil
+	return c.ep, err
 }
 
 // ensureConn redials a broken (or never established) connection. Caller
@@ -426,6 +421,7 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))
 		}
+		dialed := c.err != nil || !c.ever
 		if err := c.ensureConn(); err != nil {
 			lastErr = err
 			if !IsRetryable(err) {
@@ -440,7 +436,11 @@ func (c *Client) doLocked(body []byte) (Reader, error) {
 		if c.ep >= 0 && c.se != c.ep && spec.fenced {
 			return Reader{}, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se} //oevet:alloc-ok a fenced client stops training until it recovers
 		}
-		resp, err := c.roundTrip(spec.name, body)
+		// A hello the redial's handshake just carried is answered by its reply, not sent twice.
+		resp, err := c.sc.in, error(nil)
+		if body[0] != MsgHello || !dialed {
+			resp, err = c.roundTrip(spec.name, body)
+		}
 		if err != nil {
 			lastErr = err
 			if !IsRetryable(err) {

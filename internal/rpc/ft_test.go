@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -269,6 +270,101 @@ func TestEpochFence(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["rpc_server_epoch_rejects"]; got < 1 {
 		t.Fatalf("rpc_server_epoch_rejects = %d, want >= 1", got)
+	}
+}
+
+// TestAdoptEpochRetriesLikeAnyRequest: the handshake that re-synchronizes
+// a fenced client is one more request on the MaxAttempts ladder (the
+// default 3), so the fault shapes a recovery meets in the chaos soak —
+// a broken connection whose redial is reset, a reset hello write on the
+// live connection and again on its redial, a torn hello reply followed
+// by a reset dial — cost it a retry, not the recovery. Every fault is
+// pinned to its occurrence on the client's ("c") or the server's stream:
+// dial #1, client write #1 and server write #1 are the dial-time hello,
+// #2 a pull and #3 the fenced pull, so AdoptEpoch's first hello is write
+// #4 on both streams unless a ping that fails all its tries came first.
+// The server must read each hello once: one a redial's handshake carried
+// is answered by its reply, never sent again.
+func TestAdoptEpochRetriesLikeAnyRequest(t *testing.T) {
+	reset := func(p faultinject.Point, label string, from, until uint64) faultinject.Rule {
+		return faultinject.Rule{Point: p, Label: label, Kind: faultinject.KindReset, Prob: 1, From: from, Until: until}
+	}
+	for _, c := range []struct {
+		name   string
+		broken bool // a ping exhausts its tries first, leaving the connection broken
+		rules  []faultinject.Rule
+		want   map[faultinject.Kind]int64
+		served int64 // requests the server read, the final pull included
+	}{
+		{
+			// Write #4 (the ping) and dials #2-#3 fail the ping; dial #4,
+			// AdoptEpoch's first redial, is reset too.
+			name: "broken-conn-redial-reset", broken: true,
+			rules: []faultinject.Rule{
+				reset(faultinject.PointConnWrite, "c", 4, 5),
+				reset(faultinject.PointDial, "c", 2, 5),
+			},
+			want:   map[faultinject.Kind]int64{faultinject.KindReset: 4},
+			served: 5,
+		},
+		{
+			// Write #4 is the hello on the live connection, #5 the hello
+			// of its redial.
+			name: "hello-write-reset-twice",
+			rules: []faultinject.Rule{
+				reset(faultinject.PointConnWrite, "c", 4, 6),
+			},
+			want:   map[faultinject.Kind]int64{faultinject.KindReset: 2},
+			served: 5,
+		},
+		{
+			name: "hello-reply-torn-then-dial-reset",
+			rules: []faultinject.Rule{
+				{Point: faultinject.PointConnWrite, Label: "server", Kind: faultinject.KindTorn, Nth: 4},
+				reset(faultinject.PointDial, "c", 2, 3),
+			},
+			// The torn reply's hello was read: the server reads 6.
+			want:   map[faultinject.Kind]int64{faultinject.KindTorn: 1, faultinject.KindReset: 1},
+			served: 6,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inj := faultinject.New(1, c.rules...)
+			reg := obs.NewRegistry()
+			srv := serveInjected(t, inj, ServerOptions{Obs: reg})
+			cl, err := DialOpts(srv.Addr(), Options{
+				Timeout: 2 * time.Second,
+				Dial:    inj.WrapDial(tcpDial, func(string) string { return "c" }),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Pull(0, []uint64{1}); err != nil {
+				t.Fatal(err)
+			}
+			srv.SetEpoch(1)
+			if _, err := cl.Pull(0, []uint64{1}); !errors.Is(err, ErrEpochFenced) {
+				t.Fatalf("pull after epoch bump: %v, want ErrEpochFenced", err)
+			}
+			if c.broken {
+				if err := cl.Ping(); !IsRetryable(err) {
+					t.Fatalf("ping: %v, want its tries exhausted on the transport", err)
+				}
+			}
+			if ep, err := cl.AdoptEpoch(); err != nil || ep != 1 {
+				t.Fatalf("AdoptEpoch = %d, %v; want 1", ep, err)
+			}
+			if _, err := cl.Pull(0, []uint64{1}); err != nil {
+				t.Fatalf("pull after AdoptEpoch: %v", err)
+			}
+			if got := inj.Counts(); !maps.Equal(got, c.want) {
+				t.Fatalf("injected %v, want %v", got, c.want)
+			}
+			if got := reg.Snapshot().Counters["rpc_server_requests"]; got != c.served {
+				t.Fatalf("rpc_server_requests = %d, want %d", got, c.served)
+			}
+		})
 	}
 }
 

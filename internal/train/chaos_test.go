@@ -303,20 +303,23 @@ func compareChaosStates(t *testing.T, label string, want, got chaosResult) {
 	}
 }
 
-// TestChaosSoakBitIdenticalToFaultFree is the tentpole acceptance test:
-// with every node killed at least twice and seeded wire faults throughout,
-// training must converge to exactly — bit-identically — the state of a
-// fault-free run: same per-step losses, same dense parameters, same
-// embedding tables. Each transport runs every seed, and both transports
-// must survive the same faults on each.
+// TestChaosSoakBitIdenticalToFaultFree: with every node killed at least
+// twice and seeded wire faults throughout, training converges bit for bit
+// to a fault-free run's losses, dense parameters and embedding tables, on
+// each transport and seed; tcp and mem run one schedule twice and must
+// survive the same faults. Seeds 19, 23 and 28 (a reset hello write, a
+// reset dial, a lost hello reply in a recovery handshake) are regressions.
 func TestChaosSoakBitIdenticalToFaultFree(t *testing.T) {
 	survived := map[string][]survival{}
 	for _, kind := range soakTransports {
 		t.Run(kind, func(t *testing.T) {
+			// No seed reaches a fault-free run: one serves every seed.
+			ref := runChaosCluster(t, kind, 0, false)
+			if ref.replays != 0 {
+				t.Fatalf("fault-free run replayed %d times", ref.replays)
+			}
 			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
-				ref := runChaosCluster(t, kind, seed, false)
 				chaos := runChaosCluster(t, kind, seed, true)
-
 				if chaos.counts[faultinject.KindCrash] < int64(2*chaosNodes) {
 					t.Errorf("crashes = %d, want >= %d (every node killed twice)",
 						chaos.counts[faultinject.KindCrash], 2*chaosNodes)
@@ -332,15 +335,12 @@ func TestChaosSoakBitIdenticalToFaultFree(t *testing.T) {
 				if media := chaos.counts[faultinject.KindBitRot] + chaos.counts[faultinject.KindDrop]; media < 1 {
 					t.Errorf("media faults = %d (counts %v), want >= 1 rotted or dropped flush", media, chaos.counts)
 				}
-				if ref.replays != 0 {
-					t.Errorf("fault-free run replayed %d times", ref.replays)
-				}
 
 				compareChaosStates(t, "chaos-vs-fault-free", ref, chaos)
 				t.Logf("survived: faults=%v replays=%d epochs=%v — final state bit-identical to fault-free run",
 					chaos.counts, chaos.replays, chaos.epochs)
 				survived[kind] = append(survived[kind], survival{seed, chaos})
-			})
+			}, 19, 23, 28)
 		})
 	}
 	sameSurvival(t, survived)
@@ -372,37 +372,4 @@ func sameSurvival(t *testing.T, survived map[string][]survival) {
 				s.seed, s.res.counts, s.res.replays, s.res.epochs, m.counts, m.replays, m.epochs)
 		}
 	}
-}
-
-// TestChaosDeterministicReplay reruns the identical chaos schedule and
-// requires the exact same faults, replays and final state: the whole run
-// is a pure function of its seed.
-func TestChaosDeterministicReplay(t *testing.T) {
-	for _, kind := range soakTransports {
-		t.Run(kind, func(t *testing.T) {
-			faultinject.RunSeeds(t, func(t *testing.T, seed uint64) {
-				a := runChaosCluster(t, kind, seed, true)
-				b := runChaosCluster(t, kind, seed, true)
-				compareReplays(t, "replay-determinism", a, b)
-			})
-		})
-	}
-}
-
-// compareReplays fails unless two runs of one schedule injected the same
-// faults, replayed as often and ended in the same state.
-func compareReplays(t *testing.T, label string, a, b chaosResult) {
-	t.Helper()
-	if len(a.counts) != len(b.counts) {
-		t.Fatalf("fault mixes differ: %v vs %v", a.counts, b.counts)
-	}
-	for k, v := range a.counts {
-		if b.counts[k] != v {
-			t.Fatalf("fault counts differ for %v: %d vs %d (full: %v vs %v)", k, v, b.counts[k], a.counts, b.counts)
-		}
-	}
-	if a.replays != b.replays {
-		t.Fatalf("replays differ: %d vs %d", a.replays, b.replays)
-	}
-	compareChaosStates(t, label, a, b)
 }
