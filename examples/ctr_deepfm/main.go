@@ -90,7 +90,8 @@ func evaluateAUC(ps *openembedding.Server, tr *train.Trainer, data *workload.Cri
 	samples := data.FillBatch(make([]workload.Sample, n))
 	// The trainer's deduplication rule: slots[ex*Fields+f] is the index
 	// into keys of sample ex's field f.
-	keys, slots := workload.IndexKeys(samples, cfg.Fields, map[uint64]int32{}, nil, nil)
+	var index workload.KeyIndex
+	keys, slots := index.Index(samples, cfg.Fields, nil, nil)
 	weights := make([]float32, len(keys)*ps.Dim())
 	if err := ps.Pull(1_000_000, keys, weights); err != nil {
 		return 0, err

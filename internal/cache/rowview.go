@@ -151,31 +151,3 @@ func (v *RowView) Len() int {
 	}
 	return len(v.keys)
 }
-
-// AddInto adds src into dst, dst[i] += src[i]: the one summation kernel of
-// the gather path (server-side pooling and the client's share combine).
-// Each element takes exactly one addition, so the unroll changes no result
-// bit; BenchmarkAddInto puts it at 1.7x on a 3 328-row share and even on
-// one row, and a body this size is compiled once, out of line, not at a
-// different address mod 64 in every caller.
-// len(src) >= len(dst); reslicing hoists the bounds checks.
-//
-// oevet:hotpath
-func AddInto(dst, src []float32) {
-	src = src[:len(dst)]
-	for len(dst) >= 8 {
-		d, s := dst[:8], src[:8]
-		d[0] += s[0]
-		d[1] += s[1]
-		d[2] += s[2]
-		d[3] += s[3]
-		d[4] += s[4]
-		d[5] += s[5]
-		d[6] += s[6]
-		d[7] += s[7]
-		dst, src = dst[8:], src[8:]
-	}
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -158,26 +157,6 @@ func rowViewEdges(t *testing.T) {
 	}
 }
 
-func TestAddIntoMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n <= 40; n++ {
-		dst, src := make([]float32, n), make([]float32, n+n%3) // src may be longer
-		for i := range dst {
-			dst[i], src[i] = rng.Float32()-0.5, rng.Float32()-0.5
-		}
-		want := append([]float32(nil), dst...)
-		for i := range want {
-			want[i] += src[i]
-		}
-		AddInto(dst, src)
-		for i := range want {
-			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("n=%d: element %d = %v, want %v", n, i, dst[i], want[i])
-			}
-		}
-	}
-}
-
 // BenchmarkRowViewLookup is the probe alone, at the row counts one shard's
 // snapshot (32 k) and a whole node's hot set (128 k) hold: random present
 // keys — 64 k of them, more index lines than L2 keeps — and absent keys,
@@ -212,20 +191,5 @@ func BenchmarkRowViewLookup(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAddInto is the summation kernel at one row and at one node's
-// share of a 26x128 gather.
-func BenchmarkAddInto(b *testing.B) {
-	for _, n := range []int{16, 3328 * 16} {
-		dst, src := make([]float32, n), make([]float32, n)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(4 * n))
-			for i := 0; i < b.N; i++ {
-				AddInto(dst, src)
-			}
-		})
 	}
 }

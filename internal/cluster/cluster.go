@@ -17,10 +17,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"openembedding/internal/cache"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
+	"openembedding/internal/vec"
 )
 
 // Options configures a cluster Client. Node health (health.go) has no
@@ -441,7 +441,7 @@ func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []floa
 	}
 	for n := f.first + 1; n < len(f.keys); n++ {
 		if f.has(n) {
-			cache.AddInto(out, f.buf[n])
+			vec.Add(out, f.buf[n])
 		}
 	}
 	if mean {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"openembedding/internal/rpc"
@@ -39,6 +40,14 @@ type ringPoint struct {
 	node int32
 }
 
+// ownerTablePerPoint sizes the owner table: at least this many entries per
+// ring point, so a point splits at most one entry in that many and a key
+// almost always routes with one load.
+const ownerTablePerPoint = 32
+
+// ownerTableMaxBits caps the owner table at 2^16 entries (256 KB).
+const ownerTableMaxBits = 16
+
 // Ring is an immutable placement: node ids (index-aligned with the
 // client's connection table) and their sorted virtual-node points,
 // stamped with an ownership epoch. Membership changes build a new Ring;
@@ -46,7 +55,12 @@ type ringPoint struct {
 type Ring struct {
 	ids    []uint64
 	points []ringPoint
-	epoch  int64
+	// owner routes by the top bits of a key's hash: entry e holds the node
+	// that owns every hash whose top bits are e, or -1 where a ring point
+	// splits that range and Owner searches points instead.
+	owner []int32
+	shift uint // 64 - log2(len(owner))
+	epoch int64
 }
 
 // NewRing builds the ring for the given stable node ids at ownership
@@ -66,10 +80,39 @@ func NewRing(ids []uint64) *Ring {
 		}
 		return a.node < b.node // deterministic on (astronomically unlikely) ties
 	})
+	r.buildOwnerTable()
 	return r
 }
 
-// withEpoch returns the same ring stamped with a new ownership epoch.
+// buildOwnerTable fills r.owner from r.points. Entry e covers the hashes
+// [lo, hi] sharing top bits e; their owners are the nodes of the points
+// from succ(lo) to succ(hi), walking clockwise, so the entry names a node
+// only when every one of those points is that node's.
+func (r *Ring) buildOwnerTable() {
+	if len(r.points) == 0 {
+		return
+	}
+	b := min(bits.Len(uint(ownerTablePerPoint*len(r.points)-1)), ownerTableMaxBits)
+	r.owner = make([]int32, 1<<b)
+	r.shift = uint(64 - b)
+	for e := range r.owner {
+		lo := uint64(e) << r.shift
+		i, last := r.succ(lo), r.succ(lo|^uint64(0)>>b)
+		node := r.points[i].node
+		for i != last && node >= 0 {
+			if i++; i == len(r.points) {
+				i = 0
+			}
+			if r.points[i].node != node {
+				node = -1
+			}
+		}
+		r.owner[e] = node
+	}
+}
+
+// withEpoch returns the same ring, owner table included, stamped with a
+// new ownership epoch.
 func (r *Ring) withEpoch(epoch int64) *Ring {
 	nr := *r
 	nr.epoch = epoch
@@ -103,7 +146,17 @@ func (r *Ring) Owner(key uint64) int {
 	if len(r.ids) == 1 {
 		return 0
 	}
-	return int(r.points[r.succ(rpc.KeyHash(key))].node)
+	return r.ownerOfHash(rpc.KeyHash(key))
+}
+
+// ownerOfHash returns the node index owning hash h: the owner table's
+// entry, or where a ring point splits the entry, the node of the successor
+// point.
+func (r *Ring) ownerOfHash(h uint64) int {
+	if n := r.owner[h>>r.shift]; n >= 0 {
+		return int(n)
+	}
+	return int(r.points[r.succ(h)].node)
 }
 
 // arcIntervals converts the half-open ring arc (pred, p] into closed,

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"openembedding/internal/rpc"
@@ -89,6 +91,64 @@ func TestRingPlacementPinned(t *testing.T) {
 	}
 	if got, want := rpc.KeyHash(1), uint64(0x910a2dec89025cc1); got != want {
 		t.Fatalf("KeyHash(1) = %#x, want pinned %#x", got, want)
+	}
+}
+
+// TestRingOwnerTable holds the owner table to the binary search it
+// shortcuts, on rings of 1-8 nodes and on the rings joinPlan and leavePlan
+// return: at the first and last hash of every table entry, at every ring
+// point's hash and one either side of it, and for 10^5 random keys through
+// Owner itself. The table must also route most keys on its own.
+func TestRingOwnerTable(t *testing.T) {
+	rings := map[string]*Ring{}
+	for n := 1; n <= 8; n++ {
+		rings[fmt.Sprintf("%d nodes", n)] = NewRing(ringIDs(n))
+	}
+	for _, n := range []int{1, 2, 4, 7} {
+		grown, _ := NewRing(ringIDs(n)).joinPlan(uint64(n + 10))
+		rings[fmt.Sprintf("%d nodes joined by one", n)] = grown
+	}
+	for _, n := range []int{2, 3, 8} {
+		for _, leaving := range []int{0, n - 1} {
+			shrunk, _, _ := NewRing(ringIDs(n)).leavePlan(leaving)
+			rings[fmt.Sprintf("%d nodes left by %d", n, leaving)] = shrunk
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for name, r := range rings {
+		search := func(h uint64) int { return int(r.points[r.succ(h)].node) }
+		check := func(what string, h uint64) {
+			t.Helper()
+			if got, want := r.ownerOfHash(h), search(h); got != want {
+				t.Fatalf("%s: %s %#x: owner table gives node %d, search %d", name, what, h, got, want)
+			}
+		}
+		if len(r.owner) < ownerTablePerPoint*len(r.points) && len(r.owner) < 1<<ownerTableMaxBits {
+			t.Fatalf("%s: %d table entries for %d points", name, len(r.owner), len(r.points))
+		}
+		split := 0
+		for e, n := range r.owner {
+			lo := uint64(e) << r.shift
+			check("entry start", lo)
+			check("entry end", lo|(1<<r.shift-1))
+			if n < 0 {
+				split++
+			}
+		}
+		if split > len(r.points) {
+			t.Fatalf("%s: %d split entries for %d points", name, split, len(r.points))
+		}
+		for _, p := range r.points {
+			check("point", p.pos)
+			check("point-1", p.pos-1)
+			check("point+1", p.pos+1)
+		}
+		for i := 0; i < 100_000; i++ {
+			k := rng.Uint64()
+			if got, want := r.Owner(k), search(rpc.KeyHash(k)); got != want {
+				t.Fatalf("%s: key %#x: Owner %d, search %d", name, k, got, want)
+			}
+		}
 	}
 }
 

@@ -42,20 +42,7 @@ func newBenchEngineObs(b *testing.B, shards int, reg *obs.Registry) *Engine {
 		// Meter left nil: virtual-time charges are no-ops, so the numbers
 		// measure the real synchronization cost.
 	}.WithDefaults()
-	payload := pmem.FloatBytes(cfg.EntryFloats())
-	slots := cfg.Capacity * 4
-	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
-	b.Cleanup(func() { dev.Close() })
-	arena, err := pmem.NewArena(dev, payload, slots)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := New(cfg, arena)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { eng.Close() })
-
+	eng := newArenaEngine(b, cfg, cfg.Capacity*4)
 	keys := make([]uint64, benchKeySpace)
 	for i := range keys {
 		keys[i] = uint64(i)
@@ -69,6 +56,26 @@ func newBenchEngineObs(b *testing.B, shards int, reg *obs.Registry) *Engine {
 	if err := eng.EndBatch(0); err != nil {
 		b.Fatal(err)
 	}
+	return eng
+}
+
+// newArenaEngine builds an engine for cfg (WithDefaults applied) over a
+// fresh arena of the given slot count, both closed when the benchmark ends.
+// The device charges no meter.
+func newArenaEngine(b *testing.B, cfg psengine.Config, slots int) *Engine {
+	b.Helper()
+	payload := pmem.FloatBytes(cfg.EntryFloats())
+	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
+	b.Cleanup(func() { dev.Close() })
+	arena, err := pmem.NewArena(dev, payload, slots)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := New(cfg, arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
 	return eng
 }
 
@@ -176,22 +183,55 @@ func benchPullSingle(b *testing.B, reg *obs.Registry) {
 	drainAccessQueues(e)
 }
 
-// BenchmarkSortPosByKey isolates the run sort on one Zipfian batch — the
-// fixed cost the batched hot path pays per request to earn dedup and
-// run-grouped locking.
+// BenchmarkSortPosByKey isolates the run sort — the fixed cost the batched
+// hot path pays per request to earn dedup and run-grouped locking — in
+// three shapes: one Zipfian batch of 64 (zipf64); one shard's share of a
+// train-tcp-fit pull (fit870: 870 distinct Criteo keys at scale 0.01, every
+// third of a deduplicated 512-sample batch's, so the positions ascend with
+// gaps, as a partitioned sublist's do); and one engine-local-cold loader's
+// batch (cold2048: 2 048 uniform draws over 2^18, deduplicated).
 func BenchmarkSortPosByKey(b *testing.B) {
-	batches := benchBatches(256)
-	pos := make([]int32, benchBatchLen)
-	var buf []uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys := batches[i%len(batches)]
-		pos = pos[:len(keys)]
-		for j := range pos {
-			pos[j] = int32(j)
+	// Each batch is a key list and the ascending positions that select
+	// the sublist to sort.
+	type batch struct {
+		keys []uint64
+		pos  []int32
+	}
+	ascending := func(n, stride int) []int32 {
+		pos := make([]int32, n)
+		for i := range pos {
+			pos[i] = int32(i * stride)
 		}
-		buf = sortPosByKey(pos, keys, buf)
+		return pos
+	}
+	var zipf, fit, cold []batch
+	for _, keys := range benchBatches(256) {
+		zipf = append(zipf, batch{keys, ascending(len(keys), 1)})
+	}
+	criteo := workload.NewCriteo(workload.CriteoConfig{Scale: 0.01, Seed: 1})
+	for i := 0; i < 16; i++ {
+		fit = append(fit, batch{workload.UniqueKeys(criteo.NextBatch(512)), ascending(870, 3)})
+		keys := workload.Batch(workload.NewUniformKeys(1<<18, int64(i)), 2048)
+		cold = append(cold, batch{keys, ascending(len(keys), 1)})
+	}
+	for _, c := range []struct {
+		name    string
+		batches []batch
+	}{{"zipf64", zipf}, {"fit870", fit}, {"cold2048", cold}} {
+		b.Run(c.name, func(b *testing.B) {
+			pos := make([]int32, 0, 2048)
+			var buf []uint64
+			keys := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bt := c.batches[i%len(c.batches)]
+				pos = append(pos[:0], bt.pos...)
+				buf = sortPosByKey(pos, bt.keys, buf)
+				keys += len(pos)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
+		})
 	}
 }
 
@@ -275,6 +315,62 @@ func BenchmarkEngineColdBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*workloadCold.draws), "ns/key")
 }
 
+// BenchmarkEngineFitBatch is one node's share of a train-tcp-fit step, on
+// the engine alone: the distinct keys of a 512-sample Criteo batch at scale
+// 0.01, every other one (≈1 730, the share of one of two nodes), in a cache
+// that holds them all, with the default AdaGrad; per op Pull, EndPullPhase,
+// Push and EndBatch. Every key is a DRAM hit, so ns/key is the batch path's
+// own CPU: partition, run sort, index probes, row copies and the optimizer.
+func BenchmarkEngineFitBatch(b *testing.B) {
+	cfg := psengine.Config{Dim: benchDim, Capacity: 1 << 18, CacheEntries: 1 << 17}.WithDefaults()
+	e := newArenaEngine(b, cfg, cfg.Capacity*2)
+
+	criteo := workload.NewCriteo(workload.CriteoConfig{Scale: 0.01, Seed: 1, StreamSeed: 1001})
+	pool := make([][]uint64, 32)
+	for i := range pool {
+		all := workload.UniqueKeys(criteo.NextBatch(512))
+		for j := 0; j < len(all); j += 2 {
+			pool[i] = append(pool[i], all[j])
+		}
+	}
+	most := 0
+	for _, keys := range pool {
+		most = max(most, len(keys))
+	}
+	dst := make([]float32, most*benchDim)
+	grads := make([]float32, len(dst))
+	for i := range grads {
+		grads[i] = float32(i%200)/1e4 - 0.01
+	}
+	batch := int64(0)
+	step := func(keys []uint64) {
+		n := len(keys) * benchDim
+		err := e.Pull(batch, keys, dst[:n])
+		e.EndPullPhase(batch)
+		if err == nil {
+			err = e.Push(batch, keys, grads[:n])
+		}
+		if err == nil {
+			err = e.EndBatch(batch)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch++
+	}
+	for _, keys := range pool { // create every key
+		step(keys)
+	}
+	keys := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(pool[i%len(pool)])
+		keys += len(pool[i%len(pool)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
+}
+
 // BenchmarkSnapRepublish is the writer's rung of serve-tcp-mixed: the
 // incremental snapshot republish at the workload's shape — 65 536 trained
 // rows of dim 16 in a cache that holds them all, default shards, serving on,
@@ -306,19 +402,7 @@ func benchSnapRepublish(b *testing.B, pinned bool) {
 		Capacity:     1 << 18,
 		CacheEntries: 1 << 17,
 	}.WithDefaults()
-	payload := pmem.FloatBytes(cfg.EntryFloats())
-	slots := cfg.Capacity * 2
-	dev := pmem.NewDevice(pmem.ArenaLayout(payload, slots), device.NewTimedPMem(nil))
-	b.Cleanup(func() { dev.Close() })
-	arena, err := pmem.NewArena(dev, payload, slots)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := New(cfg, arena)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { e.Close() })
+	e := newArenaEngine(b, cfg, cfg.Capacity*2)
 
 	dst := make([]float32, chunk*benchDim)
 	grads := make([]float32, chunk*benchDim)

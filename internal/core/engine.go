@@ -342,9 +342,9 @@ func (e *Engine) putScratch(sc *opScratch) {
 }
 
 // partition splits the positions of keys into sc.byShard sublists and
-// records the non-empty shards in sc.ids. Sublists are in batch order here;
-// each shard sorts its own sublist into key runs (sortPosByKey), keeping
-// the O(n log n) work off the partitioning thread and inside the fan-out.
+// records the non-empty shards in sc.ids. Sublists are in batch order here,
+// which sortPosByKey relies on; each shard sorts its own sublist into key
+// runs, keeping the sort off the partitioning thread and inside the fan-out.
 func (e *Engine) partition(keys []uint64, sc *opScratch) {
 	byShard := sc.byShard
 	for i, k := range keys {

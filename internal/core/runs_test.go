@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,35 +15,47 @@ import (
 )
 
 // TestSortPosByKey checks the hand-rolled run sort against the library sort:
-// same (key asc, position asc) order on random inputs of every small size and
-// a few large ones, including heavily duplicated key sets. Both sort paths
-// are exercised — the packed uint64 fast path (keys < 2^32) and the indirect
-// fallback (at least one wide key) — and must produce the identical order.
+// same (key asc, position asc) order on random inputs of every small size,
+// the radix cut-over's neighbours and a few large ones. Keys are drawn
+// over every width 1-32 bits and from a dense range with lots of
+// duplicates; positions ascend with gaps, as a partitioned sublist's do
+// (the radix path relies on that order). Every sort path is exercised —
+// slices.Sort and the radix over packed words (keys < 2^32), and the
+// indirect fallback (at least one wide key) — and must produce the
+// identical order.
 func TestSortPosByKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	sizes := make([]int, 0, 40)
+	sizes := make([]int, 0, 42)
 	for n := 0; n <= 33; n++ {
 		sizes = append(sizes, n)
 	}
-	sizes = append(sizes, 100, 1000, 4096)
+	sizes = append(sizes, 63, 64, 65, 100, 870, 1000, 2048, 4096)
 	var buf []uint64
 	for _, wide := range []bool{false, true} {
 		for _, n := range sizes {
-			for trial := 0; trial < 4; trial++ {
-				keys := make([]uint64, n)
+			for width := 0; width <= 32; width++ {
+				// n positions drawn in ascending order from a key list up
+				// to twice as long.
+				keys := make([]uint64, n+rng.Intn(n+1))
 				for i := range keys {
-					keys[i] = uint64(rng.Intn(1 + n/4)) // dense: lots of duplicates
+					if width == 0 {
+						keys[i] = uint64(rng.Intn(1 + n/4)) // dense: lots of duplicates
+					} else {
+						keys[i] = rng.Uint64() >> (64 - width)
+					}
 				}
+				picked := rng.Perm(len(keys))[:n]
+				slices.Sort(picked)
 				if wide && n > 0 {
-					// Push one key past 32 bits so the packed fast path
-					// rejects the batch and the indirect sort runs.
-					keys[rng.Intn(n)] |= 1 << 40
+					// Push one sorted key past 32 bits so the packed paths
+					// reject the batch and the indirect sort runs.
+					keys[picked[rng.Intn(n)]] |= 1 << 40
 				}
 				got := make([]int32, n)
 				want := make([]int32, n)
-				for i := range got {
-					got[i] = int32(i)
-					want[i] = int32(i)
+				for i, p := range picked {
+					got[i] = int32(p)
+					want[i] = int32(p)
 				}
 				buf = sortPosByKey(got, keys, buf)
 				sort.Slice(want, func(a, b int) bool {
@@ -53,7 +66,7 @@ func TestSortPosByKey(t *testing.T) {
 				})
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("wide=%v n=%d trial=%d: pos[%d] = %d, want %d (keys %v)", wide, n, trial, i, got[i], want[i], keys)
+						t.Fatalf("wide=%v n=%d width=%d: pos[%d] = %d, want %d", wide, n, width, i, got[i], want[i])
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // posLess orders batch positions by (key, position): runs of one key are
 // contiguous after sorting, and duplicates of a key stay in batch order,
@@ -10,36 +13,90 @@ func posLess(keys []uint64, a, b int32) bool {
 	return ka < kb || (ka == kb && a < b)
 }
 
+// radixMinKeys is the sublist length from which the packed path sorts by
+// radix; below it slices.Sort is as fast (BenchmarkSortPosByKey).
+const radixMinKeys = 64
+
+// radixBits is the digit width of the radix passes: 256 buckets, and at
+// most four passes over a 32-bit key.
+const radixBits = 8
+
 // sortPosByKey sorts pos by posLess in place without steady-state
 // allocation — the hot path cannot afford slices.SortFunc's comparator
-// closure. When every key fits in 32 bits (embedding IDs in practice), each
-// (key, position) pair packs into one uint64 and a branch-free slices.Sort
-// over the packed words replaces the pointer-chasing comparator — roughly
-// half the sort cost of the indirect path, which remains as the fallback
-// for wide keys. Both paths produce the identical order. buf is the packing
-// scratch, returned (possibly grown) for the caller's scratch lane.
+// closure. pos must arrive in ascending order, as partition and
+// partitionAll build every shard's sublist. When every key fits in 32 bits
+// (embedding IDs in practice), each (key, position) pair packs into one
+// uint64, key above position, and a stable LSD radix sort on the key bits
+// alone groups the runs: stability keeps each run's positions in the
+// ascending order they arrived in, which is exactly posLess's order. A
+// sublist shorter than radixMinKeys sorts the packed words with
+// slices.Sort instead, to the same order. A wide key falls back to the
+// indirect sort. buf is the packing scratch, returned (possibly grown to
+// twice len(pos): the radix passes ping-pong between its halves) for the
+// caller's scratch lane.
 func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
-	if cap(buf) < len(pos) {
-		buf = make([]uint64, len(pos)) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled lane and steady state never regrows
+	n := len(pos)
+	if cap(buf) < 2*n {
+		buf = make([]uint64, 2*n) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled lane and steady state never regrows
 	}
-	buf = buf[:len(pos)]
+	packed := buf[:n]
 	// Pack optimistically, accumulating the key OR; a wide key voids the
 	// packed buffer (pos itself is untouched so far) and falls back.
 	var mk uint64
 	for i, p := range pos {
 		k := keys[p]
 		mk |= k
-		buf[i] = k<<32 | uint64(uint32(p))
+		packed[i] = k<<32 | uint64(uint32(p))
 	}
 	if mk>>32 != 0 {
 		sortPosIndirect(pos, keys)
 		return buf
 	}
-	slices.Sort(buf)
-	for i, v := range buf {
+	if n < radixMinKeys {
+		slices.Sort(packed)
+	} else {
+		packed = radixSortKeys(packed, buf[n:2*n], bits.Len64(mk))
+	}
+	for i, v := range packed {
 		pos[i] = int32(uint32(v))
 	}
 	return buf
+}
+
+// radixSortKeys sorts the packed words of a by their upper 32 bits (the
+// key, of which only the low keyBits can be set), stably, using tmp
+// (len(tmp) == len(a)) as the other half of each pass, and returns
+// whichever of the two holds the result. One read counts every digit; a
+// digit every key shares is skipped.
+func radixSortKeys(a, tmp []uint64, keyBits int) []uint64 {
+	passes := (keyBits + radixBits - 1) / radixBits
+	var counts [32 / radixBits][1 << radixBits]int32
+	for _, v := range a {
+		k := uint32(v >> 32)
+		for p := 0; p < passes; p++ {
+			counts[p][uint8(k>>(p*radixBits))]++
+		}
+	}
+	src, dst := a, tmp
+	for p := 0; p < passes; p++ {
+		c := &counts[p]
+		shift := 32 + p*radixBits
+		if int(c[uint8(src[0]>>shift)]) == len(src) {
+			continue
+		}
+		var sum int32
+		for d, cnt := range c {
+			c[d] = sum
+			sum += cnt
+		}
+		for _, v := range src {
+			d := uint8(v >> shift)
+			dst[c[d]] = v
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // sortPosIndirect is the wide-key fallback: quicksort with a median-of-three

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"openembedding/internal/vec"
 )
 
 // DeepFMConfig sizes a DeepFM model.
@@ -167,7 +169,7 @@ func (m *DeepFM) forward(emb, dense []float32) float32 {
 	fmSum := m.fmSum
 	clear(fmSum)
 	for f := 0; f < m.cfg.Fields; f++ {
-		axpy(1, emb[f*dim:(f+1)*dim], fmSum)
+		vec.Axpy(1, emb[f*dim:(f+1)*dim], fmSum)
 	}
 	var sumSq, normSq float32
 	for _, x := range emb {
@@ -201,7 +203,7 @@ func (m *DeepFM) forward(emb, dense []float32) float32 {
 func (l *layer) forward(a []float32, relu bool) {
 	y := l.act[:cap(l.act)]
 	clear(y[copy(y, l.b):])
-	gemvT(y, a, l.wT)
+	vec.GemvT(y, a, l.wT)
 	if relu {
 		for o, s := range l.act {
 			if s < 0 {
@@ -222,8 +224,8 @@ func (l *layer) backward(next, delta, aPrev []float32) {
 		if d == 0 {
 			continue
 		}
-		axpy(d, aPrev, l.gW[o*n:(o+1)*n])
-		axpy(d, l.w[o*n:(o+1)*n], next)
+		vec.Axpy(d, aPrev, l.gW[o*n:(o+1)*n])
+		vec.Axpy(d, l.w[o*n:(o+1)*n], next)
 		l.gB[o] += d
 	}
 }
@@ -292,7 +294,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 
 		// FM second-order gradient: d fm / d v_f = fmSum - v_f.
 		gEmbEx := embGrad[ex*in : (ex+1)*in]
-		fmGrad(dz, m.fmSum, embEx, gEmbEx)
+		vec.FMGrad(dz, m.fmSum, embEx, gEmbEx)
 
 		// MLP backprop: delta is the gradient at the (linear) output layer.
 		delta, spare := m.delta[:1], m.spare
@@ -317,7 +319,7 @@ func (m *DeepFM) Step(emb, dense, labels, embGrad []float32) (float64, error) {
 		}
 		// delta now holds dLoss/dInput; its embedding prefix adds to the
 		// embedding gradient.
-		axpy(1, delta[:in], gEmbEx)
+		vec.Axpy(1, delta[:in], gEmbEx)
 	}
 
 	// Apply SGD to the dense parameters.

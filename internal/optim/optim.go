@@ -11,7 +11,8 @@ package optim
 
 import (
 	"fmt"
-	"math"
+
+	"openembedding/internal/vec"
 )
 
 // Optimizer updates one embedding entry's weights from a gradient.
@@ -48,7 +49,9 @@ func (SGD) StateFloats(int) int { return 0 }
 // InitState implements Optimizer.
 func (SGD) InitState([]float32) {}
 
-// Apply implements Optimizer.
+// Apply implements Optimizer. It stays a scalar loop: vec.Axpy(-LR, grad,
+// weights) adds (-LR*g) + w, and where w and g are both NaN that keeps g's
+// NaN, payload and sign, while w - LR*g keeps w's.
 func (o SGD) Apply(weights, _, grad []float32) {
 	for i := range weights {
 		weights[i] -= o.LR * grad[i]
@@ -84,13 +87,11 @@ func (o AdaGrad) InitState(state []float32) {
 	}
 }
 
-// Apply implements Optimizer.
+// Apply implements Optimizer: per coordinate, state += g*g, then
+// weights -= LR*g / (sqrt(state) + Eps), four coordinates at a time
+// (vec.AdaGrad).
 func (o AdaGrad) Apply(weights, state, grad []float32) {
-	for i := range weights {
-		g := grad[i]
-		state[i] += g * g
-		weights[i] -= o.LR * g / (float32(math.Sqrt(float64(state[i]))) + o.Eps)
-	}
+	vec.AdaGrad(o.LR, o.Eps, weights, state, grad[:len(weights)])
 }
 
 // ByName constructs a registered optimizer from its name, for CLI flags and

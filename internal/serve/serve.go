@@ -23,9 +23,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"openembedding/internal/cache"
 	"openembedding/internal/core"
 	"openembedding/internal/obs"
+	"openembedding/internal/vec"
 )
 
 // Handler serves pooled embedding-bag reads from a node's engine. It lives
@@ -182,7 +182,7 @@ func (h *Handler) PullBags(mean bool, offsets []uint32, keys []uint64, out []flo
 			if j == lo {
 				copy(dst, row)
 			} else {
-				cache.AddInto(dst, row)
+				vec.Add(dst, row)
 			}
 		}
 		if mean {

@@ -18,6 +18,7 @@ import (
 	"openembedding/internal/model"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
+	"openembedding/internal/vec"
 	"openembedding/internal/workload"
 )
 
@@ -156,11 +157,11 @@ type worker struct {
 	// grads, which Pull and Push are handed, are not written before then
 	// (DESIGN.md §19).
 	samples []workload.Sample
-	seen    map[uint64]int32 // workload.IndexKeys' scratch
-	keys    []uint64         // workload.UniqueKeys(samples)
-	slots   []int32          // per (sample, model field): the key's index in keys
-	weights []float32        // pulled rows, one per key
-	emb     []float32        // the model's inputs, gathered from weights
+	index   workload.KeyIndex
+	keys    []uint64  // workload.UniqueKeys(samples)
+	slots   []int32   // per (sample, model field): the key's index in keys
+	weights []float32 // pulled rows, one per key
+	emb     []float32 // the model's inputs, gathered from weights
 	dense   []float32
 	labels  []float32
 	embGrad []float32 // the model's embedding gradient, per (sample, field)
@@ -210,7 +211,6 @@ func New(cfg Config, ps ParamServer) (*Trainer, error) {
 			model:   model.NewDeepFM(cfg.Model),
 			data:    cfg.Data(cfg.DataSeed + int64(w)),
 			samples: make([]workload.Sample, cfg.BatchSize),
-			seen:    make(map[uint64]int32, keys),
 			keys:    make([]uint64, 0, keys),
 			slots:   make([]int32, 0, cfg.BatchSize*cfg.Model.Fields),
 			weights: make([]float32, 0, keys*cfg.Model.Dim),
@@ -429,7 +429,7 @@ func (tr *Trainer) workerErr() error {
 func (w *worker) pull(tr *Trainer, batch int64) error {
 	cfg := &tr.cfg
 	w.data.FillBatch(w.samples)
-	w.keys, w.slots = workload.IndexKeys(w.samples, cfg.Model.Fields, w.seen, w.keys, w.slots) //oevet:alloc-ok New sized keys and slots for the most a batch can hold
+	w.keys, w.slots = w.index.Index(w.samples, cfg.Model.Fields, w.keys, w.slots) //oevet:alloc-ok New sized keys and slots for the most a batch can hold
 	w.weights = resize(w.weights, len(w.keys)*cfg.Model.Dim)
 	return tr.ps.Pull(batch, w.keys, w.weights)
 }
@@ -484,11 +484,7 @@ func (w *worker) scatter(dim int) {
 	w.grads = resize(w.grads, len(w.keys)*dim)
 	clear(w.grads)
 	for s, j := range w.slots {
-		src := w.embGrad[s*dim : (s+1)*dim]
-		dst := w.grads[int(j)*dim : (int(j)+1)*dim]
-		for d := range src {
-			dst[d] += src[d]
-		}
+		vec.Add(w.grads[int(j)*dim:(int(j)+1)*dim], w.embGrad[s*dim:(s+1)*dim])
 	}
 }
 
@@ -563,9 +559,7 @@ func (tr *Trainer) allreduce() {
 	sum := tr.workers[0].model.AppendParams(tr.sum[:0])
 	for _, w := range tr.workers[1:] {
 		tr.peer = w.model.AppendParams(tr.peer[:0])
-		for i, v := range tr.peer {
-			sum[i] += v
-		}
+		vec.Add(sum, tr.peer)
 	}
 	inv := float32(1) / float32(len(tr.workers))
 	for i := range sum {

@@ -2,8 +2,9 @@
 
 // SSE2 only: MOVUPS loads and stores (slices of float32 are 4-byte
 // aligned, so no aligned form and no packed memory operand), MULPS then
-// ADDPS or SUBPS, and the scalar forms for a tail shorter than four. No
-// FMA: each lane rounds the product and then the sum, as the Go twin in
+// ADDPS or SUBPS, SQRTPS and DIVPS for AdaGrad, and the scalar forms for a
+// tail shorter than four (AdaGrad and Add leave theirs to Go). No FMA:
+// each lane rounds the product and then the sum, as the Go twin in
 // kernel.go does.
 
 // func axpySSE(a float32, x, y []float32)
@@ -76,7 +77,9 @@ axpydone:
 // y[o] += x[i]*wT[i*len(y)+o], ascending i; len(y) is a multiple of 4 and
 // len(wT) >= len(x)*len(y). Each block of columns keeps its y in
 // registers for the whole pass over x: sixteen columns while they last,
-// then four.
+// then four. The sum is product + y, as the compiled twin adds it (only a
+// pair of NaNs tells the order), so it lands in the product's register
+// and moves back.
 TEXT ·gemvTSSE(SB), NOSPLIT, $0-72
 	MOVQ y_base+0(FP), DI
 	MOVQ y_len+8(FP), BX
@@ -112,10 +115,14 @@ gemv16row:
 	MULPS  X4, X6
 	MULPS  X4, X7
 	MULPS  X4, X8
-	ADDPS  X5, X0
-	ADDPS  X6, X1
-	ADDPS  X7, X2
-	ADDPS  X8, X3
+	ADDPS  X0, X5
+	ADDPS  X1, X6
+	ADDPS  X2, X7
+	ADDPS  X3, X8
+	MOVAPS X5, X0
+	MOVAPS X6, X1
+	MOVAPS X7, X2
+	MOVAPS X8, X3
 	ADDQ   $4, R12
 	ADDQ   R9, R11
 	DECQ   AX
@@ -148,7 +155,8 @@ gemv4row:
 	SHUFPS $0x00, X4, X4
 	MOVUPS (R11), X5
 	MULPS  X4, X5
-	ADDPS  X5, X0
+	ADDPS  X0, X5
+	MOVAPS X5, X0
 	ADDQ   $4, R12
 	ADDQ   R9, R11
 	DECQ   AX
@@ -217,4 +225,89 @@ fmnext:
 	JMP  fmfield
 
 fmdone:
+	RET
+
+// func adaGradSSE(lr, eps float32, w, s, g []float32)
+// For i < len(g): s[i] += g[i]*g[i]; w[i] -= lr*g[i] / (sqrt(s[i]) + eps).
+// len(g) is a multiple of 4 and len(w), len(s) >= len(g). Each operation
+// takes its operands in the order the compiled Go twin does, which only a
+// pair of NaNs can tell apart: g*g + s, g*lr, sqrt + eps, then the
+// quotient and the difference.
+TEXT ·adaGradSSE(SB), NOSPLIT, $0-80
+	MOVSS  lr+0(FP), X0
+	SHUFPS $0x00, X0, X0
+	MOVSS  eps+4(FP), X1
+	SHUFPS $0x00, X1, X1
+	MOVQ   w_base+8(FP), DI
+	MOVQ   s_base+32(FP), R8
+	MOVQ   g_base+56(FP), SI
+	MOVQ   g_len+64(FP), CX
+	XORQ   AX, AX
+
+ada4:
+	CMPQ   AX, CX
+	JAE    adadone
+	MOVUPS (SI)(AX*4), X2
+	MOVAPS X2, X3
+	MULPS  X2, X2
+	MOVUPS (R8)(AX*4), X4
+	ADDPS  X4, X2
+	MOVUPS X2, (R8)(AX*4)
+	MULPS  X0, X3
+	SQRTPS X2, X2
+	ADDPS  X1, X2
+	DIVPS  X2, X3
+	MOVUPS (DI)(AX*4), X4
+	SUBPS  X3, X4
+	MOVUPS X4, (DI)(AX*4)
+	ADDQ   $4, AX
+	JMP    ada4
+
+adadone:
+	RET
+
+// func addSSE(dst, src []float32)
+// dst[i] += src[i] for i < len(dst); len(dst) is a multiple of 4 and
+// len(src) >= len(dst).
+TEXT ·addSSE(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+
+add16:
+	CMPQ   AX, DX
+	JAE    add4
+	MOVUPS (DI)(AX*4), X0
+	MOVUPS 16(DI)(AX*4), X1
+	MOVUPS 32(DI)(AX*4), X2
+	MOVUPS 48(DI)(AX*4), X3
+	MOVUPS (SI)(AX*4), X4
+	MOVUPS 16(SI)(AX*4), X5
+	MOVUPS 32(SI)(AX*4), X6
+	MOVUPS 48(SI)(AX*4), X7
+	ADDPS  X4, X0
+	ADDPS  X5, X1
+	ADDPS  X6, X2
+	ADDPS  X7, X3
+	MOVUPS X0, (DI)(AX*4)
+	MOVUPS X1, 16(DI)(AX*4)
+	MOVUPS X2, 32(DI)(AX*4)
+	MOVUPS X3, 48(DI)(AX*4)
+	ADDQ   $16, AX
+	JMP    add16
+
+add4:
+	CMPQ   AX, CX
+	JAE    adddone
+	MOVUPS (DI)(AX*4), X0
+	MOVUPS (SI)(AX*4), X1
+	ADDPS  X1, X0
+	MOVUPS X0, (DI)(AX*4)
+	ADDQ   $4, AX
+	JMP    add4
+
+adddone:
 	RET

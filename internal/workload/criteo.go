@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -167,9 +168,64 @@ func (g *CriteoSynthetic) FillBatch(dst []Sample) []Sample {
 // UniqueKeys returns the deduplicated embedding keys referenced by a batch
 // of samples — what the worker pulls from the parameter server.
 func UniqueKeys(batch []Sample) []uint64 {
-	n := len(batch) * CriteoNumSparse
-	keys, _ := IndexKeys(batch, 0, make(map[uint64]int32, n), make([]uint64, 0, n), nil)
+	var x KeyIndex
+	keys, _ := x.Index(batch, 0, make([]uint64, 0, len(batch)*CriteoNumSparse), nil)
 	return keys
+}
+
+// KeyIndex is IndexKeys without a map: an open-addressed table of
+// (key, index) slots, each stamped with the batch that wrote it, so a new
+// batch starts empty by bumping the stamp instead of clearing the table.
+// The table holds at least twice the keys a batch can have, so a probe
+// stays short. The zero value is ready; a KeyIndex is not safe for
+// concurrent use.
+type KeyIndex struct {
+	table []keySlot // a power of two long
+	shift uint      // 64 - log2(len(table)): a hash's top bits pick a slot
+	gen   uint32    // the current batch's stamp; 0 marks a slot never written
+}
+
+type keySlot struct {
+	key uint64
+	gen uint32
+	idx int32
+}
+
+// Index does what IndexKeys does, with the same result: the batch's keys
+// deduplicated in first-seen order into keys[:0], and in slots[:0] each
+// (sample, field < fields) key's index into them. The table is sized on
+// the first call, and again only for a batch longer than any before.
+//
+// oevet:hotpath
+func (x *KeyIndex) Index(batch []Sample, fields int, keys []uint64, slots []int32) ([]uint64, []int32) {
+	if need := 2 * len(batch) * CriteoNumSparse; len(x.table) < need {
+		b := bits.Len(uint(need - 1))
+		x.table = make([]keySlot, 1<<b) //oevet:alloc-ok grow-once table: sized for the longest batch, steady state never regrows
+		x.shift, x.gen = uint(64-b), 0
+	}
+	if x.gen++; x.gen == 0 {
+		clear(x.table) // the stamp wrapped: forget every batch at once
+		x.gen = 1
+	}
+	table, mask, gen := x.table, len(x.table)-1, x.gen
+	keys, slots = keys[:0], slots[:0]
+	for i := range batch {
+		for f, k := range &batch[i].Sparse {
+			h := int(k * 0x9e3779b97f4a7c15 >> x.shift)
+			for table[h].gen == gen && table[h].key != k {
+				h = (h + 1) & mask
+			}
+			sl := &table[h]
+			if sl.gen != gen {
+				*sl = keySlot{key: k, gen: gen, idx: int32(len(keys))}
+				keys = append(keys, k) //oevet:alloc-ok the caller keeps the capacity it grew to
+			}
+			if f < fields {
+				slots = append(slots, sl.idx) //oevet:alloc-ok the caller keeps the capacity it grew to
+			}
+		}
+	}
+	return keys, slots
 }
 
 // IndexKeys deduplicates the keys of a batch over every sparse field, in
@@ -177,8 +233,9 @@ func UniqueKeys(batch []Sample) []uint64 {
 // the same pass records in slots[:0], for each sample and each of its first
 // fields fields, the index into keys of that field's key. seen is scratch
 // the caller owns; IndexKeys clears it first. The returned slices reuse the
-// arrays of keys and slots when they have room, so a trainer that passes
-// back what it got indexes every batch without allocating.
+// arrays of keys and slots when they have room, so a caller that passes
+// back what it got indexes every batch without allocating. It is the
+// reference KeyIndex.Index must equal (TestKeyIndexMatchesIndexKeys).
 //
 // oevet:hotpath
 func IndexKeys(batch []Sample, fields int, seen map[uint64]int32, keys []uint64, slots []int32) ([]uint64, []int32) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -273,6 +274,39 @@ func TestIndexKeysSlots(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		keys, slots = IndexKeys(batch, fields, seen, keys, slots)
+	}); allocs != 0 {
+		t.Errorf("re-indexing allocated %.0f times", allocs)
+	}
+}
+
+// TestKeyIndexMatchesIndexKeys holds the map-free index to the map-based
+// reference: the same keys in the same first-seen order and the same slots,
+// batch after batch through one KeyIndex — batches that shrink and grow
+// (a grow resizes the table), every field count, a stamp that wraps past
+// zero — and a re-index into the same buffers allocates nothing.
+func TestKeyIndexMatchesIndexKeys(t *testing.T) {
+	g := NewCriteo(CriteoConfig{Scale: 0.0005, Seed: 5})
+	var x KeyIndex
+	seen := map[uint64]int32{}
+	var keys, wantKeys []uint64
+	var slots, wantSlots []int32
+	for b, n := range []int{1, 7, 512, 3, 512, 1024, 2, 256, 1024} {
+		if b == 5 {
+			x.gen = ^uint32(0) - 1 // the next batches wrap the stamp
+		}
+		batch := g.NextBatch(n)
+		for _, fields := range []int{0, 1, 20, CriteoNumSparse} {
+			keys, slots = x.Index(batch, fields, keys, slots)
+			wantKeys, wantSlots = IndexKeys(batch, fields, seen, wantKeys, wantSlots)
+			if !slices.Equal(keys, wantKeys) || !slices.Equal(slots, wantSlots) {
+				t.Fatalf("batch %d (%d samples), %d fields: KeyIndex gave %d keys and %d slots, IndexKeys %d and %d, or a different order",
+					b, n, fields, len(keys), len(slots), len(wantKeys), len(wantSlots))
+			}
+		}
+	}
+	batch := g.NextBatch(512)
+	if allocs := testing.AllocsPerRun(10, func() {
+		keys, slots = x.Index(batch, 20, keys, slots)
 	}); allocs != 0 {
 		t.Errorf("re-indexing allocated %.0f times", allocs)
 	}
