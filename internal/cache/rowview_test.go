@@ -3,8 +3,11 @@ package cache
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"testing"
+
+	"openembedding/internal/vec"
 )
 
 // refView is the reference model: a map of private row copies.
@@ -154,6 +157,33 @@ func rowViewEdges(t *testing.T) {
 			m[i*stride] = row
 		}
 		checkView(t, "grown", &b, m, []uint64{1500 * stride, 3, ^uint64(0)})
+	}
+}
+
+// TestAddIntoMatchesLoop holds the summation the gather path pools this
+// package's rows with (vec.Add, which took over from AddInto) to the plain
+// loop, bit for bit: dst += row, over every length 0-40, with a row that
+// may be longer than dst. The rows are read back from a RowView as the
+// serving tier reads them.
+func TestAddIntoMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		dst, src := make([]float32, n), make([]float32, n+n%3) // src may be longer
+		for i := range dst {
+			dst[i], src[i] = rng.Float32()-0.5, rng.Float32()-0.5
+		}
+		v := NewRowView(len(src), 1)
+		src = v.At(v.Append(uint64(n), src))
+		want := append([]float32(nil), dst...)
+		for i := range want {
+			want[i] += src[i]
+		}
+		vec.Add(dst, src)
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: element %d = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"openembedding/internal/vec"
 )
 
 // kernelValue draws a float that is sometimes a signed zero, a subnormal or
@@ -38,19 +40,22 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s: [%d] = %v (%#08x), Go twin %v (%#08x)", what, i,
+			t.Fatalf("%s: [%d] = %v (%#08x), plain loop %v (%#08x)", what, i,
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
 
-// TestKernelsMatchGo holds the kernels the step calls to their plain-Go
-// twins bit for bit: on amd64 that is the SSE2 assembly against kernel.go,
-// elsewhere the twins themselves. It covers every length 0-67 (every
-// four-wide and sixteen-wide remainder), gemvT output widths 4-20 whose
-// columns past the layer's width are zero padding, and inputs with signed
-// zeros, subnormals and overflowing magnitudes. Each destination carries a
-// guard float past its end that no kernel may touch.
+// TestKernelsMatchGo holds the kernels the step calls (vec.Axpy, vec.GemvT
+// and vec.FMGrad) to the plain statements of the step they stand for, bit
+// for bit, at the step's own layout: the FM sum and the embedding
+// gradient's delta at a = 1, fields of width 1-16 laid end to end, and
+// gemvT output widths 1-20 rounded up to four with zero padding columns, as
+// denseLayer.wT holds them. It covers every length 0-67 and inputs with
+// signed zeros, subnormals and overflowing magnitudes. Each destination
+// carries a guard float past its end that no kernel may touch. The kernels
+// against vec's own Go twins, over a wider set of values, are
+// internal/vec's TestKernelsMatchGo.
 func TestKernelsMatchGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const guard = float32(12345)
@@ -58,21 +63,25 @@ func TestKernelsMatchGo(t *testing.T) {
 		for rep := 0; rep < 4; rep++ {
 			a := kernelValue(rng)
 			if rep == 0 {
-				a = 1 // the FM sum and the embedding gradient's delta
+				a = 1
 			}
 			x := kernelVector(rng, n)
 			want := append(kernelVector(rng, n), guard)
 			got := append([]float32(nil), want...)
-			axpyGo(a, x, want[:n])
-			axpy(a, x, got[:n])
+			for i, v := range x {
+				want[i] += a * v
+			}
+			vec.Axpy(a, x, got[:n])
 			sameBits(t, "axpy", got, want)
 
 			for _, dim := range []int{1, 3, 4, 5, 8, 16} {
 				s := kernelVector(rng, dim)
 				want := append(kernelVector(rng, n), guard)
 				got := append([]float32(nil), want...)
-				fmGradGo(a, s, x, want[:n])
-				fmGrad(a, s, x, got[:n])
+				for j, v := range x {
+					want[j] += a * (s[j%dim] - v)
+				}
+				vec.FMGrad(a, s, x, got[:n])
 				sameBits(t, "fmGrad", got, want)
 			}
 		}
@@ -89,8 +98,12 @@ func TestKernelsMatchGo(t *testing.T) {
 			}
 			want := append(kernelVector(rng, w), guard)
 			got := append([]float32(nil), want...)
-			gemvTGo(want[:w], x, wT)
-			gemvT(got[:w], x, wT)
+			for i, v := range x {
+				for o := 0; o < w; o++ {
+					want[o] += v * wT[i*w+o]
+				}
+			}
+			vec.GemvT(got[:w], x, wT)
 			sameBits(t, "gemvT", got, want)
 		}
 	}
