@@ -84,26 +84,33 @@ func NewRing(ids []uint64) *Ring {
 	return r
 }
 
-// buildOwnerTable fills r.owner from r.points. Entry e covers the hashes
-// [lo, hi] sharing top bits e; their owners are the nodes of the points
-// from succ(lo) to succ(hi), walking clockwise, so the entry names a node
-// only when every one of those points is that node's.
+// buildOwnerTable fills r.owner from r.points in one sweep. Entry e covers
+// the hashes [lo, hi] sharing top bits e; their owners are the nodes of the
+// points from succ(lo) to succ(hi), so the entry names a node only when
+// every one of those points is that node's. Index n stands for point 0,
+// the successor of every hash past the last point.
 func (r *Ring) buildOwnerTable() {
-	if len(r.points) == 0 {
+	pts, n := r.points, len(r.points)
+	if n == 0 {
 		return
 	}
-	b := min(bits.Len(uint(ownerTablePerPoint*len(r.points)-1)), ownerTableMaxBits)
+	b := min(bits.Len(uint(ownerTablePerPoint*n-1)), ownerTableMaxBits)
 	r.owner = make([]int32, 1<<b)
 	r.shift = uint(64 - b)
+	i := 0 // succ(lo), unwrapped
 	for e := range r.owner {
 		lo := uint64(e) << r.shift
-		i, last := r.succ(lo), r.succ(lo|^uint64(0)>>b)
-		node := r.points[i].node
-		for i != last && node >= 0 {
-			if i++; i == len(r.points) {
-				i = 0
-			}
-			if r.points[i].node != node {
+		hi := lo | ^uint64(0)>>b
+		for i < n && pts[i].pos < lo {
+			i++
+		}
+		last := i // succ(hi), unwrapped
+		for last < n && pts[last].pos < hi {
+			last++
+		}
+		node := pts[i%n].node
+		for k := i + 1; k <= last && node >= 0; k++ {
+			if pts[k%n].node != node {
 				node = -1
 			}
 		}

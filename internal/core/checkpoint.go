@@ -241,14 +241,17 @@ func (e *Engine) completeCheckpoint(cp int64) {
 		e.maintErrs.set(err)
 		return
 	}
+	// completedCkpt advances under ckptMu with the queue pop: a
+	// WaitCheckpoints that finds cp gone from the queue must also find it
+	// completed, or it returns before CompletedCheckpoint reads cp.
 	e.ckptMu.Lock()
 	if len(e.ckptQueue) > 0 && e.ckptQueue[0] == cp {
 		e.ckptQueue = e.ckptQueue[1:]
 	}
 	e.ckptActive = -1
 	e.ckptFlushList = e.ckptFlushList[:0]
-	e.ckptMu.Unlock()
 	e.completedCkpt.Store(cp)
+	e.ckptMu.Unlock()
 	e.ckptsDone.Add(1)
 	e.reclaim()
 }

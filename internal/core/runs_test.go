@@ -25,11 +25,11 @@ import (
 // identical order.
 func TestSortPosByKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	sizes := make([]int, 0, 42)
+	sizes := make([]int, 0, 48)
 	for n := 0; n <= 33; n++ {
 		sizes = append(sizes, n)
 	}
-	sizes = append(sizes, 63, 64, 65, 100, 870, 1000, 2048, 4096)
+	sizes = append(sizes, 63, 64, 65, 100, 127, 128, 191, 192, 255, 256, 870, 1000, 2048, 4096)
 	var buf []uint64
 	for _, wide := range []bool{false, true} {
 		for _, n := range sizes {

@@ -177,7 +177,9 @@ func fanOutRow(dst []float32, dim, i int, rest []int32) {
 }
 
 // pull serves this shard's portion of a Pull: idxs lists the positions in
-// keys/dst that hash here (the single-shard path passes every position).
+// keys/dst that hash here (the single-shard path passes every position), in
+// ascending order, as partition and partitionAll build it: sortPosByKey
+// relies on that order (a -tags oedebug build checks it).
 //
 // The sweep is run-structured: idxs is sorted by (key, position), so a key
 // pulled k times in one batch becomes one run — one index probe, one tier
@@ -388,10 +390,10 @@ const pushBlock = 16
 // pushSink receives what touchRuns loads (see pmem's touchSink).
 var pushSink atomic.Uint64
 
-// push applies this shard's portion of a Push: idxs as in pull, sorted by
-// (key, position) so each key's gradients form one run applied under a
-// single stripe acquisition — in batch-position order, because float
-// optimizer updates do not commute.
+// push applies this shard's portion of a Push: idxs as in pull (ascending
+// on entry), sorted by (key, position) so each key's gradients form one
+// run applied under a single stripe acquisition — in batch-position order,
+// because float optimizer updates do not commute.
 //
 // The sublist's runs are first resolved to their index positions in one
 // tight loop (the probes' misses overlap; nothing is written yet), then

@@ -13,28 +13,33 @@ func posLess(keys []uint64, a, b int32) bool {
 	return ka < kb || (ka == kb && a < b)
 }
 
-// radixMinKeys is the sublist length from which the packed path sorts by
-// radix; below it slices.Sort is as fast (BenchmarkSortPosByKey).
-const radixMinKeys = 64
-
 // radixBits is the digit width of the radix passes: 256 buckets, and at
 // most four passes over a 32-bit key.
 const radixBits = 8
 
+// radixKeysPerPass is how many keys each radix pass needs before the radix
+// beats slices.Sort of the packed words: a pass costs a 256-bucket prefix
+// sum whatever the sublist's length, so at the ~8 keys a shard gets of the
+// 8-shard engine rungs' 64-key batches the radix is ten times slower. The
+// two sorts are even near 96 keys of 16 bits (two passes) and near 192 of
+// 18 bits (three); DESIGN.md §12 has the measurements.
+const radixKeysPerPass = 64
+
 // sortPosByKey sorts pos by posLess in place without steady-state
 // allocation — the hot path cannot afford slices.SortFunc's comparator
 // closure. pos must arrive in ascending order, as partition and
-// partitionAll build every shard's sublist. When every key fits in 32 bits
-// (embedding IDs in practice), each (key, position) pair packs into one
-// uint64, key above position, and a stable LSD radix sort on the key bits
-// alone groups the runs: stability keeps each run's positions in the
-// ascending order they arrived in, which is exactly posLess's order. A
-// sublist shorter than radixMinKeys sorts the packed words with
-// slices.Sort instead, to the same order. A wide key falls back to the
-// indirect sort. buf is the packing scratch, returned (possibly grown to
-// twice len(pos): the radix passes ping-pong between its halves) for the
-// caller's scratch lane.
+// partitionAll build every shard's sublist (a -tags oedebug build checks
+// it). When every key fits in 32 bits (embedding IDs in practice), each
+// (key, position) pair packs into one uint64, key above position, and a
+// stable LSD radix sort on the key bits alone groups the runs: stability
+// keeps each run's positions in the ascending order they arrived in, which
+// is exactly posLess's order. A sublist too short to pay for the radix
+// passes (radixKeysPerPass) sorts the packed words with slices.Sort, to the
+// same order. A wide key falls back to the indirect sort. buf is the
+// packing scratch, returned (possibly grown to twice len(pos): the radix
+// passes ping-pong between its halves) for the caller's scratch lane.
 func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
+	checkAscending(pos)
 	n := len(pos)
 	if cap(buf) < 2*n {
 		buf = make([]uint64, 2*n) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled lane and steady state never regrows
@@ -52,10 +57,10 @@ func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
 		sortPosIndirect(pos, keys)
 		return buf
 	}
-	if n < radixMinKeys {
+	if passes := (bits.Len64(mk) + radixBits - 1) / radixBits; n < passes*radixKeysPerPass {
 		slices.Sort(packed)
 	} else {
-		packed = radixSortKeys(packed, buf[n:2*n], bits.Len64(mk))
+		packed = radixSortKeys(packed, buf[n:2*n], passes)
 	}
 	for i, v := range packed {
 		pos[i] = int32(uint32(v))
@@ -64,12 +69,11 @@ func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
 }
 
 // radixSortKeys sorts the packed words of a by their upper 32 bits (the
-// key, of which only the low keyBits can be set), stably, using tmp
-// (len(tmp) == len(a)) as the other half of each pass, and returns
+// key, of which only the low passes*radixBits can be set), stably, using
+// tmp (len(tmp) == len(a)) as the other half of each pass, and returns
 // whichever of the two holds the result. One read counts every digit; a
 // digit every key shares is skipped.
-func radixSortKeys(a, tmp []uint64, keyBits int) []uint64 {
-	passes := (keyBits + radixBits - 1) / radixBits
+func radixSortKeys(a, tmp []uint64, passes int) []uint64 {
 	var counts [32 / radixBits][1 << radixBits]int32
 	for _, v := range a {
 		k := uint32(v >> 32)

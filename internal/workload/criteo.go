@@ -173,7 +173,7 @@ func UniqueKeys(batch []Sample) []uint64 {
 	return keys
 }
 
-// KeyIndex is IndexKeys without a map: an open-addressed table of
+// KeyIndex indexes a batch's keys: an open-addressed table of
 // (key, index) slots, each stamped with the batch that wrote it, so a new
 // batch starts empty by bumping the stamp instead of clearing the table.
 // The table holds at least twice the keys a batch can have, so a probe
@@ -191,10 +191,14 @@ type keySlot struct {
 	idx int32
 }
 
-// Index does what IndexKeys does, with the same result: the batch's keys
-// deduplicated in first-seen order into keys[:0], and in slots[:0] each
-// (sample, field < fields) key's index into them. The table is sized on
-// the first call, and again only for a batch longer than any before.
+// Index deduplicates the keys of a batch over every sparse field, in
+// first-seen order, into keys[:0] — the keys UniqueKeys returns — and in
+// the same pass records in slots[:0], for each sample and each of its first
+// fields fields, the index into keys of that field's key. The returned
+// slices reuse the arrays of keys and slots when they have room, so a
+// caller that passes back what it got indexes every batch without
+// allocating. The table is sized on the first call, and again only for a
+// batch longer than any before.
 //
 // oevet:hotpath
 func (x *KeyIndex) Index(batch []Sample, fields int, keys []uint64, slots []int32) ([]uint64, []int32) {
@@ -222,35 +226,6 @@ func (x *KeyIndex) Index(batch []Sample, fields int, keys []uint64, slots []int3
 			}
 			if f < fields {
 				slots = append(slots, sl.idx) //oevet:alloc-ok the caller keeps the capacity it grew to
-			}
-		}
-	}
-	return keys, slots
-}
-
-// IndexKeys deduplicates the keys of a batch over every sparse field, in
-// first-seen order, into keys[:0] — the keys UniqueKeys returns — and in
-// the same pass records in slots[:0], for each sample and each of its first
-// fields fields, the index into keys of that field's key. seen is scratch
-// the caller owns; IndexKeys clears it first. The returned slices reuse the
-// arrays of keys and slots when they have room, so a caller that passes
-// back what it got indexes every batch without allocating. It is the
-// reference KeyIndex.Index must equal (TestKeyIndexMatchesIndexKeys).
-//
-// oevet:hotpath
-func IndexKeys(batch []Sample, fields int, seen map[uint64]int32, keys []uint64, slots []int32) ([]uint64, []int32) {
-	clear(seen)
-	keys, slots = keys[:0], slots[:0]
-	for i := range batch {
-		for f, k := range &batch[i].Sparse {
-			j, ok := seen[k]
-			if !ok {
-				j = int32(len(keys))
-				seen[k] = j
-				keys = append(keys, k) //oevet:alloc-ok the caller keeps the capacity it grew to
-			}
-			if f < fields {
-				slots = append(slots, j) //oevet:alloc-ok the caller keeps the capacity it grew to
 			}
 		}
 	}

@@ -253,6 +253,28 @@ func TestUniqueKeysDedup(t *testing.T) {
 	}
 }
 
+// IndexKeys is the reference KeyIndex.Index must equal
+// (TestKeyIndexMatchesIndexKeys): the same pass over a Go map. seen is
+// scratch the caller owns; IndexKeys clears it first.
+func IndexKeys(batch []Sample, fields int, seen map[uint64]int32, keys []uint64, slots []int32) ([]uint64, []int32) {
+	clear(seen)
+	keys, slots = keys[:0], slots[:0]
+	for i := range batch {
+		for f, k := range &batch[i].Sparse {
+			j, ok := seen[k]
+			if !ok {
+				j = int32(len(keys))
+				seen[k] = j
+				keys = append(keys, k)
+			}
+			if f < fields {
+				slots = append(slots, j)
+			}
+		}
+	}
+	return keys, slots
+}
+
 // TestIndexKeysSlots: every slot names its (sample, field)'s key, fields
 // past the first ones get no slot, and a second batch indexed into the
 // first one's buffers allocates nothing.
