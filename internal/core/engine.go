@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -26,11 +25,13 @@ import (
 //
 // The engine is a thin coordinator over cfg.Shards independent shards, each
 // owning its slice of the key space (index, LRU, access/side queues, lock).
-// Pull and Push partition their key batch by hash and fan the per-shard
-// sublists out across a bounded worker pool; the phase boundaries
-// (EndPullPhase, EndBatch) barrier over all shards, so the batch protocol
-// and checkpoint semantics are exactly those of the unsharded engine.
-// Shards=1 reproduces the unsharded layout bit-for-bit in simulated time.
+// Pull and Push partition their key batch by hash and run the per-shard
+// sublists one after another on the caller's goroutine: concurrency comes
+// from the workers' concurrent requests, which contend only where their
+// keys share a shard. The phase boundaries (EndPullPhase, EndBatch) barrier
+// over all shards, so the batch protocol and checkpoint semantics are
+// exactly those of the unsharded engine. Shards=1 reproduces the unsharded
+// layout bit-for-bit in simulated time.
 //
 // The PMem arena is shared: it is internally locked, and concurrent
 // per-shard flushes target disjoint slots, which the device documents as
@@ -86,10 +87,6 @@ type Engine struct {
 	// rounds republish per-shard hot-set snapshots for ServeRead.
 	serveOn atomic.Bool
 
-	// fanout bounds the goroutines Pull/Push spawn for per-shard sublists;
-	// when no token is free the caller runs the sublist inline.
-	fanout chan struct{}
-
 	// counters
 	hits, misses, evictions atomic.Int64
 	pmemReads, pmemWrites   atomic.Int64
@@ -123,24 +120,18 @@ type maintTask struct {
 	entries []accessRec
 }
 
-// opScratch holds one request's reusable buffers, one lane per shard so the
-// fanned-out shard tasks never share a slice.
+// opScratch holds one request's reusable buffers. The shards of a request
+// run one after another, so every buffer but the partition is one slice
+// that each shard's call reuses in turn.
 type opScratch struct {
-	byShard [][]int32        // positions in keys partitioned by shard
-	ids     []int32          // shards with a non-empty sublist
-	recs    [][]accessRec    // per-shard access records
-	miss    [][]missRun      // per-shard first-touch runs
-	pmem    [][]pmemRun      // per-shard PMem-resident runs, served together
-	reads   [][]pmem.ReadRec // per-shard (slot, key) of those runs: the scattered read's list
-	rows    [][][]float32    // per-shard rows the PMem-resident runs stage their payloads in
-	push    [][]pushRun      // per-shard push runs resolved to their entries
-	sortBuf [][]uint64       // per-shard (key,pos) packing scratch for sortPosByKey
-
-	// fan is the request's fan-out frame: the wait group, error slot and
-	// work description the helper goroutines need, preallocated here so a
-	// multi-shard request spawns helpers without any per-call closure
-	// allocations.
-	fan fanFrame
+	byShard [][]int32      // positions in keys partitioned by shard
+	recs    []accessRec    // the shard call's access records
+	miss    []missRun      // its first-touch runs
+	pmem    []pmemRun      // its PMem-resident runs, served together
+	reads   []pmem.ReadRec // (slot, key) of those runs: the scattered read's list
+	rows    [][]float32    // rows the PMem-resident runs stage their payloads in
+	push    []pushRun      // push runs resolved to their entries
+	sortBuf []uint64       // (key,pos) packing scratch for sortPosByKey
 
 	// obsTick drives the 1-in-8 latency sampling of Pull. It lives here
 	// because the scratch is owned exclusively for the request's duration:
@@ -149,82 +140,6 @@ type opScratch struct {
 	// ride the same sampling decision without re-deriving it.
 	obsTick   uint8
 	obsSample bool
-}
-
-// fanFrame carries one fanned-out request's shared state. It lives inside
-// the pooled opScratch: `go f.run(sid)` passes the receiver and shard id as
-// plain goroutine arguments, so the frame itself costs nothing per request
-// (the closure-per-request formulation this replaces cost five allocations
-// per Pull/Push). The `go` statement still allocates once per helper it
-// spawns — at most min(shards, GOMAXPROCS)-1 per request, none on a single
-// CPU where no helper token exists; TestPullPushZeroAllocs pins exactly
-// that budget.
-type fanFrame struct {
-	e     *Engine
-	sc    *opScratch
-	batch int64
-	keys  []uint64
-	buf   []float32 // dst for pulls, grads for pushes
-	push  bool
-
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
-}
-
-func (f *fanFrame) record(err error) {
-	if err == nil {
-		return
-	}
-	f.errMu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.errMu.Unlock()
-}
-
-// do runs the frame's operation for one shard inline.
-func (f *fanFrame) do(sid int32) error {
-	s := f.e.shards[sid]
-	if f.push {
-		return s.push(f.batch, f.keys, f.sc.byShard[sid], f.buf, f.sc, int(sid))
-	}
-	return s.pull(f.batch, f.keys, f.sc.byShard[sid], f.buf, f.sc, int(sid))
-}
-
-// run is the helper-goroutine body.
-func (f *fanFrame) run(sid int32) {
-	f.record(f.do(sid))
-	<-f.e.fanout
-	f.wg.Done()
-}
-
-// dispatch runs the frame's operation for every shard in sc.ids, spawning a
-// goroutine per shard while pool tokens are available and running the
-// remainder (always including the first) on the caller. The first error
-// wins.
-func (f *fanFrame) dispatch() error {
-	ids := f.sc.ids
-	if len(ids) == 0 {
-		return nil
-	}
-	if len(ids) == 1 {
-		return f.do(ids[0])
-	}
-	for _, sid := range ids[1:] {
-		select {
-		case f.e.fanout <- struct{}{}:
-			f.wg.Add(1)
-			go f.run(sid)
-		default:
-			f.record(f.do(sid))
-		}
-	}
-	f.record(f.do(ids[0]))
-	f.wg.Wait()
-	err := f.err
-	f.err = nil
-	return err
 }
 
 // New creates a PMem-OE engine storing records in the given arena. The
@@ -263,31 +178,12 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		}
 		e.shards[i].mu.initRank("core.shard.mu", 10)
 	}
-	// The caller of a fanned-out Pull/Push works a shard itself, so the
-	// helper pool holds GOMAXPROCS-1 tokens. On a single-CPU process the
-	// channel has zero capacity: no token is ever available and every
-	// sublist runs inline, sparing the goroutine churn that parallelism
-	// could not repay.
-	fan := runtime.GOMAXPROCS(0) - 1
-	if fan < 0 {
-		fan = 0
-	}
-	e.fanout = make(chan struct{}, fan)
 	e.completedCkpt.Store(-1)
 	e.prevCompleted.Store(-1)
 	e.lastEnded.Store(-1)
 	e.ckptActive = -1
 	e.scratchPool.New = func() any {
-		return &opScratch{
-			byShard: make([][]int32, nShards),
-			recs:    make([][]accessRec, nShards),
-			miss:    make([][]missRun, nShards),
-			pmem:    make([][]pmemRun, nShards),
-			reads:   make([][]pmem.ReadRec, nShards),
-			rows:    make([][][]float32, nShards),
-			push:    make([][]pushRun, nShards),
-			sortBuf: make([][]uint64, nShards),
-		}
+		return &opScratch{byShard: make([][]int32, nShards)}
 	}
 	e.maintWG.Add(1)
 	go e.maintainLoop()
@@ -331,51 +227,28 @@ func (e *Engine) getScratch() *opScratch { return e.scratchPool.Get().(*opScratc
 func (e *Engine) putScratch(sc *opScratch) {
 	for i := range sc.byShard {
 		sc.byShard[i] = sc.byShard[i][:0]
-		sc.recs[i] = sc.recs[i][:0]
-		sc.miss[i] = sc.miss[i][:0]
-		sc.pmem[i] = sc.pmem[i][:0]
-		sc.reads[i] = sc.reads[i][:0]
 	}
-	sc.ids = sc.ids[:0]
-	sc.fan.e, sc.fan.sc, sc.fan.keys, sc.fan.buf, sc.fan.err = nil, nil, nil, nil, nil
 	e.scratchPool.Put(sc)
 }
 
-// partition splits the positions of keys into sc.byShard sublists and
-// records the non-empty shards in sc.ids. Sublists are in batch order here,
-// which sortPosByKey relies on; each shard sorts its own sublist into key
-// runs, keeping the sort off the partitioning thread and inside the fan-out.
+// partition splits the positions of keys into sc.byShard sublists. Sublists are in batch order here,
+// which sortPosByKey relies on; each shard's call sorts its own sublist into
+// key runs. With one shard the shift is 64, so every position lands in
+// byShard[0] and Shards=1 reproduces the unsharded layout with identical
+// charges.
 func (e *Engine) partition(keys []uint64, sc *opScratch) {
 	byShard := sc.byShard
 	for i, k := range keys {
 		sid := e.shardIndex(k)
-		byShard[sid] = append(byShard[sid], int32(i)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+		byShard[sid] = append(byShard[sid], int32(i)) //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
 	}
-	ids := sc.ids
-	for sid := range byShard {
-		if len(byShard[sid]) > 0 {
-			ids = append(ids, int32(sid)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-		}
-	}
-	sc.ids = ids
-}
-
-// partitionAll routes every position to the single shard — the one-shard
-// engine shares the sorted-run sweep with the fanned-out path, so Shards=1
-// still reproduces the unsharded layout with identical charges.
-func (e *Engine) partitionAll(keys []uint64, sc *opScratch) []int32 {
-	idxs := sc.byShard[0][:0]
-	for i := range keys {
-		idxs = append(idxs, int32(i)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-	}
-	sc.byShard[0] = idxs
-	return idxs
 }
 
 // Pull implements Algorithm 1: under each shard's shared lock, resolve the
 // shard's keys through its DRAM index, copy weights from DRAM or PMem into
 // dst, and append the touched entries to the shard's access queue for
-// deferred maintenance. Multi-shard batches fan out across the worker pool.
+// deferred maintenance. The shards run in turn on the caller's goroutine;
+// every one with keys runs, and the first error is returned.
 //
 // oevet:hotpath
 func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
@@ -401,13 +274,14 @@ func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
 		}
 	}
 	var err error
-	if len(e.shards) == 1 {
-		err = e.shards[0].pull(batch, keys, e.partitionAll(keys, sc), dst, sc, 0)
-	} else {
-		e.partition(keys, sc)
-		f := &sc.fan
-		f.e, f.sc, f.batch, f.keys, f.buf, f.push = e, sc, batch, keys, dst, false
-		err = f.dispatch()
+	e.partition(keys, sc)
+	for sid, idxs := range sc.byShard {
+		if len(idxs) == 0 {
+			continue
+		}
+		if serr := e.shards[sid].pull(batch, keys, idxs, dst, sc); err == nil {
+			err = serr
+		}
 	}
 	if sc.obsSample {
 		e.obs.Pull.Observe(e.obs.Now() - obsStart)
@@ -450,13 +324,14 @@ func (e *Engine) Push(batch int64, keys []uint64, grads []float32) error {
 	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
 	var err error
 	sc := e.getScratch()
-	if len(e.shards) == 1 {
-		err = e.shards[0].push(batch, keys, e.partitionAll(keys, sc), grads, sc, 0)
-	} else {
-		e.partition(keys, sc)
-		f := &sc.fan
-		f.e, f.sc, f.batch, f.keys, f.buf, f.push = e, sc, batch, keys, grads, true
-		err = f.dispatch()
+	e.partition(keys, sc)
+	for sid, idxs := range sc.byShard {
+		if len(idxs) == 0 {
+			continue
+		}
+		if serr := e.shards[sid].push(batch, keys, idxs, grads, sc); err == nil {
+			err = serr
+		}
 	}
 	e.putScratch(sc)
 	if obsStart != 0 {

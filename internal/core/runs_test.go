@@ -361,14 +361,10 @@ func TestRunCoalescingAcrossFragmentation(t *testing.T) {
 	}
 }
 
-// TestPullPushZeroAllocs pins the hot-path allocation budget. The fan-out
-// frame lives in pooled scratch and the run sweep reuses its lanes, so the
-// only thing steady-state Pull and Push can allocate is a helper goroutine:
-// `go f.run(sid)` costs one allocation per helper actually spawned, and the
-// engine holds GOMAXPROCS-1 helper tokens (taken at New). The test sets
-// GOMAXPROCS itself rather than inheriting the host's: at 1 no helper is
-// ever spawned and the budget is zero at every shard count; at 2 and 8 it
-// is at most the helpers a request can spawn, min(shards, GOMAXPROCS)-1.
+// TestPullPushZeroAllocs pins the hot-path allocation budget at zero. The
+// shards of a request run in turn on the caller's goroutine and reuse the
+// pooled scratch, so steady-state Pull and Push allocate nothing at any core
+// count. The test sets GOMAXPROCS itself rather than inheriting the host's.
 func TestPullPushZeroAllocs(t *testing.T) {
 	if lockRankDebug {
 		t.Skip("-tags oedebug: runtime lock-rank checks allocate by design")
@@ -381,7 +377,6 @@ func TestPullPushZeroAllocs(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 8} {
-			budget := float64(min(shards, procs) - 1)
 			cfg := psengine.Config{
 				Dim:          dim,
 				Capacity:     4096,
@@ -397,7 +392,7 @@ func TestPullPushZeroAllocs(t *testing.T) {
 			dst := make([]float32, batchLen*dim)
 			grads := constGrads(batchLen, dim, 0.1)
 
-			// Warm: create every entry, populate the scratch/goroutine pools, and
+			// Warm: create every entry, populate the scratch pool, and
 			// pre-grow the access queues past their doubling thresholds.
 			batch := int64(0)
 			for ; batch < 8; batch++ {
@@ -408,8 +403,8 @@ func TestPullPushZeroAllocs(t *testing.T) {
 				if err := e.Pull(batch, keys, dst); err != nil {
 					t.Fatal(err)
 				}
-			}); avg > budget {
-				t.Errorf("GOMAXPROCS=%d shards=%d: Pull allocates %v/op, want <= %v", procs, shards, avg, budget)
+			}); avg != 0 {
+				t.Errorf("GOMAXPROCS=%d shards=%d: Pull allocates %v/op, want 0", procs, shards, avg)
 			}
 			e.EndPullPhase(batch)
 			e.WaitMaintenance()
@@ -417,8 +412,8 @@ func TestPullPushZeroAllocs(t *testing.T) {
 				if err := e.Push(batch, keys, grads); err != nil {
 					t.Fatal(err)
 				}
-			}); avg > budget {
-				t.Errorf("GOMAXPROCS=%d shards=%d: Push allocates %v/op, want <= %v", procs, shards, avg, budget)
+			}); avg != 0 {
+				t.Errorf("GOMAXPROCS=%d shards=%d: Push allocates %v/op, want 0", procs, shards, avg)
 			}
 			e.Close()
 		}

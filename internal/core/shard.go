@@ -41,8 +41,8 @@ type missRun struct {
 
 // pmemRun is one PMem-resident key's run, deferred by the sweep so that the
 // shard call's PMem-resident runs are served by one scattered verified read.
-// The sweep appends the run's (slot, key) to the lane's read list at the same
-// index.
+// The sweep appends the run's (slot, key) to the scratch read list at the
+// same index.
 type pmemRun struct {
 	start, end int32
 	rec        int32 // index of the run's access record, which takes the staged row
@@ -177,32 +177,30 @@ func fanOutRow(dst []float32, dim, i int, rest []int32) {
 }
 
 // pull serves this shard's portion of a Pull: idxs lists the positions in
-// keys/dst that hash here (the single-shard path passes every position), in
-// ascending order, as partition and partitionAll build it: sortPosByKey
-// relies on that order (a -tags oedebug build checks it).
+// keys/dst that hash here, in ascending order, as partition builds it:
+// sortPosByKey relies on that order (a -tags oedebug build checks it).
 //
 // The sweep is run-structured: idxs is sorted by (key, position), so a key
 // pulled k times in one batch becomes one run — one index probe, one tier
 // read, and k-1 in-DRAM fan-out copies — and the per-key meter charge
 // becomes one batched ChargeN per sublist. PMem-resident runs are deferred
 // and served together by one scattered verified read (servePMem). Scratch
-// slices come from sc at the given lane (one lane per shard, so concurrent
-// shard pulls of one request never share a buffer).
-func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc *opScratch, lane int) error {
+// slices come from sc, which the request's shard calls reuse in turn.
+func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc *opScratch) error {
 	e := s.eng
 	dim := e.cfg.Dim
-	recs := sc.recs[lane][:0]
-	miss := sc.miss[lane][:0]
-	runs := sc.pmem[lane][:0]
-	reads := sc.reads[lane][:0]
-	rows := sc.rows[lane][:0]
+	recs := sc.recs[:0]
+	miss := sc.miss[:0]
+	runs := sc.pmem[:0]
+	reads := sc.reads[:0]
+	rows := sc.rows[:0]
 	defer func() {
-		// Hand the (possibly grown) buffers back to the scratch lane.
-		sc.recs[lane], sc.miss[lane], sc.pmem[lane], sc.reads[lane], sc.rows[lane] = recs, miss, runs, reads, rows[:0]
+		// Hand the (possibly grown) buffers back to the scratch.
+		sc.recs, sc.miss, sc.pmem, sc.reads, sc.rows = recs, miss, runs, reads, rows[:0]
 	}()
 
 	n := len(idxs)
-	sc.sortBuf[lane] = sortPosByKey(idxs, keys, sc.sortBuf[lane])
+	sc.sortBuf = sortPosByKey(idxs, keys, sc.sortBuf)
 	// One probe charge per sublist instead of one atomic RMW per key; the
 	// totals and op counts are exactly n per-key charges' (dedup does not
 	// discount the probe cost — the paper's request handling hashes every
@@ -221,7 +219,7 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 		_, w := s.index.find(k)
 		switch {
 		case w == 0:
-			miss = append(miss, missRun{start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			miss = append(miss, missRun{start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
 			recs = append(recs, accessRec{key: k})
 		case w&tagHot != 0:
 			// Outside a maintenance round a hot entry is in DRAM.
@@ -229,11 +227,11 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 			copy(dst[i*dim:(i+1)*dim], ent.weights(dim))
 			fanOutRow(dst, dim, i, idxs[start+1:end])
 			hits += int64(end - start)
-			recs = append(recs, accessRec{ent: ent, key: k}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{ent: ent, key: k}) //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
 		default:
 			// servePMem stages the run's row in its access record.
-			runs = append(runs, pmemRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-			reads = append(reads, pmem.ReadRec{Slot: wordRef(w), Key: k})                             //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			runs = append(runs, pmemRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
+			reads = append(reads, pmem.ReadRec{Slot: wordRef(w), Key: k})                             //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
 			recs = append(recs, accessRec{key: k})
 		}
 		start = end
@@ -404,13 +402,13 @@ var pushSink atomic.Uint64
 // shard's sublist has been applied; sublists of other shards run
 // independently and may have been. Any other error (an inline promotion that
 // fails its read) leaves the runs before the failing one applied.
-func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch, lane int) error {
+func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch) error {
 	e := s.eng
 	dim := e.cfg.Dim
 	n := len(idxs)
-	sc.sortBuf[lane] = sortPosByKey(idxs, keys, sc.sortBuf[lane])
+	sc.sortBuf = sortPosByKey(idxs, keys, sc.sortBuf)
 	e.cfg.Meter.ChargeN(simclock.Compute, time.Duration(n)*psengine.IndexProbeCost, int64(n))
-	runs := sc.push[lane][:0]
+	runs := sc.push[:0]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for start := 0; start < n; {
@@ -421,13 +419,13 @@ func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, 
 		}
 		pos, w := s.index.find(k)
 		if w == 0 {
-			sc.push[lane] = runs
+			sc.push = runs
 			return fmt.Errorf("core: push of unknown key %d", k) //oevet:alloc-ok the unknown-key error, on the way out
 		}
-		runs = append(runs, pushRun{pos: int32(pos), start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+		runs = append(runs, pushRun{pos: int32(pos), start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into pooled scratch: capacity persists across batches, steady state never grows
 		start = end
 	}
-	sc.push[lane] = runs
+	sc.push = runs
 	var sink uint64
 	for lo := 0; lo < len(runs); lo += pushBlock {
 		blk := runs[lo:min(lo+pushBlock, len(runs))]

@@ -27,9 +27,8 @@ const radixKeysPerPass = 64
 
 // sortPosByKey sorts pos by posLess in place without steady-state
 // allocation — the hot path cannot afford slices.SortFunc's comparator
-// closure. pos must arrive in ascending order, as partition and
-// partitionAll build every shard's sublist (a -tags oedebug build checks
-// it). When every key fits in 32 bits (embedding IDs in practice), each
+// closure. pos must arrive in ascending order, as partition builds every
+// shard's sublist (a -tags oedebug build checks it). When every key fits in 32 bits (embedding IDs in practice), each
 // (key, position) pair packs into one uint64, key above position, and a
 // stable LSD radix sort on the key bits alone groups the runs: stability
 // keeps each run's positions in the ascending order they arrived in, which
@@ -37,12 +36,12 @@ const radixKeysPerPass = 64
 // passes (radixKeysPerPass) sorts the packed words with slices.Sort, to the
 // same order. A wide key falls back to the indirect sort. buf is the
 // packing scratch, returned (possibly grown to twice len(pos): the radix
-// passes ping-pong between its halves) for the caller's scratch lane.
+// passes ping-pong between its halves) for the caller's scratch.
 func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
 	checkAscending(pos)
 	n := len(pos)
 	if cap(buf) < 2*n {
-		buf = make([]uint64, 2*n) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled lane and steady state never regrows
+		buf = make([]uint64, 2*n) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled scratch and steady state never regrows
 	}
 	packed := buf[:n]
 	// Pack optimistically, accumulating the key OR; a wide key voids the
