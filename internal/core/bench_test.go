@@ -278,7 +278,7 @@ func benchPushParallel(b *testing.B, shards int) {
 // batch per op, so nearly every key is a miss, a promotion, an eviction and a
 // record flush, each over lines no cache holds — the maintenance drain is the
 // batch. Run with -benchmem: the steady state allocates a handful of objects
-// per batch (the goroutines of the fan-out and of the second loader), not two
+// per batch (the second loader's goroutine, channel and closures), not two
 // per miss.
 func BenchmarkEngineColdBatch(b *testing.B) {
 	e, pool, grads := coldBatches(b, 0, workloadCold)

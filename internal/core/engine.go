@@ -231,11 +231,11 @@ func (e *Engine) putScratch(sc *opScratch) {
 	e.scratchPool.Put(sc)
 }
 
-// partition splits the positions of keys into sc.byShard sublists. Sublists are in batch order here,
-// which sortPosByKey relies on; each shard's call sorts its own sublist into
-// key runs. With one shard the shift is 64, so every position lands in
-// byShard[0] and Shards=1 reproduces the unsharded layout with identical
-// charges.
+// partition splits the positions of keys into sc.byShard sublists. Sublists
+// are in batch order here, which sortPosByKey relies on; each shard's call
+// sorts its own sublist into key runs. With one shard the shift is 64, so
+// every position lands in byShard[0] and Shards=1 reproduces the unsharded
+// layout with identical charges.
 func (e *Engine) partition(keys []uint64, sc *opScratch) {
 	byShard := sc.byShard
 	for i, k := range keys {

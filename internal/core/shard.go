@@ -399,8 +399,8 @@ var pushSink atomic.Uint64
 // before the stripes are taken; a run reads its slot's word under its
 // stripe, since another push of the same key may have promoted it inline.
 // An unknown key therefore fails the call before any gradient of this
-// shard's sublist has been applied; sublists of other shards run
-// independently and may have been. Any other error (an inline promotion that
+// shard's sublist has been applied; Push still runs the request's other
+// shards, so their sublists are applied. Any other error (an inline promotion that
 // fails its read) leaves the runs before the failing one applied.
 func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch) error {
 	e := s.eng

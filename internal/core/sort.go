@@ -28,11 +28,11 @@ const radixKeysPerPass = 64
 // sortPosByKey sorts pos by posLess in place without steady-state
 // allocation — the hot path cannot afford slices.SortFunc's comparator
 // closure. pos must arrive in ascending order, as partition builds every
-// shard's sublist (a -tags oedebug build checks it). When every key fits in 32 bits (embedding IDs in practice), each
-// (key, position) pair packs into one uint64, key above position, and a
-// stable LSD radix sort on the key bits alone groups the runs: stability
-// keeps each run's positions in the ascending order they arrived in, which
-// is exactly posLess's order. A sublist too short to pay for the radix
+// shard's sublist (a -tags oedebug build checks it). When every key fits in
+// 32 bits (embedding IDs in practice), each (key, position) pair packs into
+// one uint64, key above position, and a stable LSD radix sort on the key
+// bits alone groups the runs: stability keeps each run's positions in the
+// ascending order they arrived in, which is exactly posLess's order. A sublist too short to pay for the radix
 // passes (radixKeysPerPass) sorts the packed words with slices.Sort, to the
 // same order. A wide key falls back to the indirect sort. buf is the
 // packing scratch, returned (possibly grown to twice len(pos): the radix
