@@ -29,7 +29,8 @@
 //     writes into another map (`m2[k] = v`), integer accumulation
 //     (`n++`, `n += e`), `delete`, `continue`, and if-statements (with
 //     call-free conditions) recursively composed of the same shapes —
-//     the max-merge loops in internal/core/recover.go are the model.
+//     a per-key max merge (`if p, ok := m2[k]; !ok || v > p { m2[k] = v }`)
+//     is the model.
 //
 // Anything else needs an `//oevet:ignore <reason>` stating why order cannot
 // reach the output.

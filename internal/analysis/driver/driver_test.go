@@ -159,18 +159,29 @@ const twoAnalyzerSrc = `package a
 func doubled() { _ = make([]int, 4) }
 `
 
-// runVet writes files (name → source) into a fresh module and runs the
-// whole suite over it the one way oevet runs.
-func runVet(t *testing.T, files map[string]string) *Result {
+// vetModule writes files (slash-separated name → source) into a fresh
+// module tvet and returns its directory.
+func vetModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	files["go.mod"] = "module tvet\n\ngo 1.22\n"
 	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := RunStandalone(dir, []string{"./..."})
+	return dir
+}
+
+// runVet writes files into a fresh module and runs the whole suite over it
+// the one way oevet runs.
+func runVet(t *testing.T, files map[string]string) *Result {
+	t.Helper()
+	res, err := RunStandalone(vetModule(t, files), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +240,11 @@ func TestRunVetSkipsTestFiles(t *testing.T) {
 
 // TestRunVetOnePackageSeesDependencyFacts: a package run alone checks as it
 // does inside ./...: each of these carries a fence-ok or alloc-ok directive
-// that only a fact exported by one of its dependencies discharges, and the
-// dependencies' own diagnostics and ignores are not the run's (core holds
-// the tree's three ignores; the other three import it).
+// that only a fact exported by one of its dependencies discharges (the
+// tree holds no ignore; TestRunVetDependencyIgnoresAreNotTheRuns covers a
+// dependency's).
 func TestRunVetOnePackageSeesDependencyFacts(t *testing.T) {
-	for pkg, ignores := range map[string]int{"core": 3, "ps": 0, "serve": 0, "train": 0} {
+	for _, pkg := range []string{"core", "ps", "serve", "train"} {
 		res, err := RunStandalone(".", []string{"openembedding/internal/" + pkg})
 		if err != nil {
 			t.Fatal(err)
@@ -241,8 +252,33 @@ func TestRunVetOnePackageSeesDependencyFacts(t *testing.T) {
 		for _, d := range res.Diagnostics {
 			t.Errorf("%s alone: %s: %s (%s)", pkg, d.Pos, d.Message, d.Analyzer)
 		}
-		if res.IgnoresUsed != ignores {
-			t.Errorf("%s alone: %d ignores used, want %d", pkg, res.IgnoresUsed, ignores)
+		if res.IgnoresUsed != 0 {
+			t.Errorf("%s alone: %d ignores used, want 0", pkg, res.IgnoresUsed)
+		}
+	}
+}
+
+// TestRunVetDependencyIgnoresAreNotTheRuns: a package run alone analyzes
+// its dependencies for facts only, so a dependency's used //oevet:ignore
+// neither counts toward the run's census nor reports as unused; the whole
+// module's run counts it once.
+func TestRunVetDependencyIgnoresAreNotTheRuns(t *testing.T) {
+	dir := vetModule(t, map[string]string{
+		"dep/dep.go": strings.NewReplacer(
+			"package a", "package dep",
+			"func doubled() { _ = make([]int, 4) }",
+			"func Doubled() { _ = make([]int, 4) } //oevet:ignore driver-test: the dependency's own suppression",
+		).Replace(twoAnalyzerSrc),
+		"top/top.go": "package top\n\nimport \"tvet/dep\"\n\nfunc Run() { dep.Doubled() }\n",
+	})
+	for pattern, ignores := range map[string]int{"./top": 0, "./...": 1} {
+		res, err := RunStandalone(dir, []string{pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Diagnostics) != 0 || res.IgnoresUsed != ignores {
+			t.Errorf("%s: got %v and %d used ignores, want no diagnostics and %d",
+				pattern, res.Diagnostics, res.IgnoresUsed, ignores)
 		}
 	}
 }

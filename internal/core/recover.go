@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"openembedding/internal/pmem"
@@ -26,17 +28,20 @@ import (
 // resuming, so recovered training is bit-identical either way.
 //
 // The scan is the partitioned one of RecoverParallel at GOMAXPROCS workers,
-// as RecoverTo's is: a restart and a rollback recover the same way.
+// as RecoverTo's is: a restart and a rollback recover the same way. The
+// rebuilt engine and arena, free list order included, depend only on the
+// image, never on the scan width or the goroutine schedule.
 func Recover(cfg psengine.Config, dev *pmem.Device) (*Engine, int64, error) {
 	return RecoverParallel(cfg, dev, 0)
 }
 
 // RecoverParallel is Recover at an explicit width of the partitioned
 // speed-up the paper proposes in Sec. VI-E: the arena's slot range is split
-// across workers goroutines that scan and filter concurrently, and the
-// surviving records are merged into the index afterwards. workers <= 0 uses
-// GOMAXPROCS; 1 is the sequential scan the property tests hold every other
-// width to.
+// across workers goroutines that scan and filter concurrently, filing each
+// surviving record under its key's shard, and then every shard sorts its
+// records and rebuilds its own index on a goroutine of its own. workers <= 0
+// uses GOMAXPROCS; 1 is the sequential scan the property tests hold every
+// other width to.
 func RecoverParallel(cfg psengine.Config, dev *pmem.Device, workers int) (*Engine, int64, error) {
 	return recoverImpl(cfg, dev, workers, 0, false)
 }
@@ -166,28 +171,20 @@ func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int6
 		return eng, -1, nil
 	}
 
-	type best struct {
-		slot    uint32
-		version int64
-	}
-
 	// Phase 1: partitioned scan. Each worker filters its slot range —
 	// records newer than the target are dropped (Observation 2's
-	// batch-range atomicity) — keeping the newest survivor per key, plus
-	// the newest record at or below the horizon when that is an older slot
-	// (the retained previous checkpoint still needs it).
+	// batch-range atomicity) — and files the survivors under their key's
+	// shard, in slot order.
 	slots := uint32(arena.Slots())
 	if uint32(workers) > slots {
-		workers = int(slots)
-		if workers == 0 {
-			workers = 1
-		}
+		workers = max(int(slots), 1)
 	}
-	type partial struct {
-		newest map[uint64]best // newest version <= target
-		horiz  map[uint64]best // newest version <= horizon
+	type rec struct {
+		key     uint64
+		version int64
+		slot    uint32
 	}
-	partials := make([]partial, workers)
+	scanned := make([][][]rec, workers) // worker, shard
 	scanErrs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -199,25 +196,15 @@ func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int6
 		wg.Add(1)
 		go func(w int, lo, hi uint32) {
 			defer wg.Done()
-			local := partial{newest: make(map[uint64]best)}
-			if horizon >= 0 {
-				local.horiz = make(map[uint64]best)
-			}
+			byShard := make([][]rec, len(eng.shards))
 			scanErrs[w] = arena.ScanRange(lo, hi, func(r pmem.Record) error {
-				if r.Version > target {
-					return nil
-				}
-				if p, ok := local.newest[r.Key]; !ok || r.Version > p.version {
-					local.newest[r.Key] = best{slot: r.Slot, version: r.Version}
-				}
-				if horizon >= 0 && r.Version <= horizon {
-					if p, ok := local.horiz[r.Key]; !ok || r.Version > p.version {
-						local.horiz[r.Key] = best{slot: r.Slot, version: r.Version}
-					}
+				if r.Version <= target {
+					s := eng.shardIndex(r.Key)
+					byShard[s] = append(byShard[s], rec{r.Key, r.Version, r.Slot})
 				}
 				return nil
 			})
-			partials[w] = local
+			scanned[w] = byShard
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -228,66 +215,78 @@ func recoverImpl(cfg psengine.Config, dev *pmem.Device, workers int, target int6
 		}
 	}
 
-	// Phase 2: merge partitions (a key's records can land in any
-	// partition; newest version wins).
-	newest := partials[0].newest
-	horiz := partials[0].horiz
-	for _, local := range partials[1:] {
-		for key, b := range local.newest {
-			if p, ok := newest[key]; !ok || b.version > p.version {
-				newest[key] = b
+	// Phase 2: each shard rebuilds its own DRAM index, in parallel; keys
+	// never cross shards, so no shard lock is taken. Sorting a shard's
+	// records by key, version descending, slot ascending makes each key one
+	// run whose first record is the newest survivor (of equal versions, the
+	// lowest slot). Entries stay in PMem, so each key becomes one cold slot
+	// and no heap object; the table is sized first, so inserts never rehash.
+	// When the retained previous checkpoint still needs an older record of
+	// the key (its first at or below the horizon, in another slot), that slot
+	// is re-marked occupied and queued for retirement: the rebuilt retired
+	// list is what lets the normal reclaim path free it once that checkpoint
+	// is superseded.
+	retire := make([][][2]rec, len(eng.shards)) // per shard: {retired, superseding} pairs
+	for i, sh := range eng.shards {
+		wg.Add(1)
+		go func(i int, t *table) {
+			defer wg.Done()
+			size := 0
+			for _, byShard := range scanned {
+				size += len(byShard[i])
 			}
-		}
-		for key, b := range local.horiz {
-			if p, ok := horiz[key]; !ok || b.version > p.version {
-				horiz[key] = b
+			recs := make([]rec, 0, size)
+			for _, byShard := range scanned {
+				recs = append(recs, byShard[i]...)
+				byShard[i] = nil
 			}
-		}
+			slices.SortFunc(recs, func(a, b rec) int {
+				switch {
+				case a.key != b.key:
+					return cmp.Compare(a.key, b.key)
+				case a.version != b.version:
+					return cmp.Compare(b.version, a.version)
+				}
+				return cmp.Compare(a.slot, b.slot)
+			})
+			n := 0 // keys
+			for j := range recs {
+				if j == 0 || recs[j].key != recs[j-1].key {
+					n++
+				}
+			}
+			t.reserve(n)
+			for j := 0; j < len(recs); {
+				top := recs[j]
+				pos, _ := t.find(top.key)
+				t.insert(pos, top.key, top.version, coldWord(top.slot))
+				arena.MarkOccupied(top.slot)
+				found := horizon < 0
+				for ; j < len(recs) && recs[j].key == top.key; j++ {
+					if r := recs[j]; !found && r.version <= horizon {
+						found = true
+						if r.slot != top.slot {
+							arena.MarkOccupied(r.slot)
+							retire[i] = append(retire[i], [2]rec{r, top})
+						}
+					}
+				}
+			}
+			eng.dram.ChargeWriteN(entryIndexBytes, int64(n))
+			eng.entries.Add(int64(n))
+		}(i, &sh.index)
 	}
-
-	// Phase 3: rebuild the per-shard DRAM indexes; entries stay in PMem, so
-	// each key becomes one cold slot and no heap object. Each shard's table
-	// is sized for its keys first, so the inserts never rehash. Recovery is
-	// single-threaded past the scan, so no shard locks are needed.
-	perShard := make([]int, len(eng.shards))
-	for key := range newest {
-		perShard[eng.shardIndex(key)]++
-	}
-	for i, s := range eng.shards {
-		s.index.reserve(perShard[i])
-	}
-	//oevet:ignore iteration order reaches only where a key's slot lands in its probe run, which no lookup or walk observes (lookups compare keys, walks sort them); MarkOccupied takes a per-slot max, and ChargeWrite sums a commutative counter
-	for key, b := range newest {
-		t := &eng.shardFor(key).index
-		pos, _ := t.find(key)
-		t.insert(pos, key, b.version, coldWord(b.slot))
-		arena.MarkOccupied(b.slot)
-		eng.dram.ChargeWrite(entryIndexBytes)
-	}
-	// Horizon records that live in a different slot than the indexed winner
-	// are re-marked occupied and re-retired: the rebuilt in-DRAM retired
-	// list is what lets the normal reclaim path free them once the retained
-	// previous checkpoint is superseded.
-	//
-	retire := make(map[uint64][2]best, 0)
-	//oevet:ignore iteration order cannot reach the result: each key touches only its own slots and the retired set is order-insensitive for reclaim
-	for key, hb := range horiz {
-		tb := newest[key] // present: horizon records also match <= target
-		if tb.slot == hb.slot {
-			continue
-		}
-		arena.MarkOccupied(hb.slot)
-		retire[key] = [2]best{hb, tb}
-	}
-	eng.entries.Store(int64(len(newest)))
+	wg.Wait()
+	entries := int(eng.entries.Load())
 	arena.FinishRecovery()
-	//oevet:ignore iteration order cannot reach the result: Retire appends independent slots; reclaim decisions depend only on the (version, supersededBy) pairs
-	for _, pair := range retire {
-		arena.Retire(pair[0].slot, pair[0].version, pair[1].version)
+	for _, pairs := range retire {
+		for _, p := range pairs {
+			arena.Retire(p[0].slot, p[0].version, p[1].version)
+		}
 	}
-	if len(newest) > cfg.WithDefaults().Capacity {
+	if entries > cfg.WithDefaults().Capacity {
 		eng.Close()
-		return nil, 0, fmt.Errorf("%w: recovered %d entries", psengine.ErrCapacity, len(newest))
+		return nil, 0, fmt.Errorf("%w: recovered %d entries", psengine.ErrCapacity, entries)
 	}
 	return finish()
 }
